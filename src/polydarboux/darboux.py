@@ -18,14 +18,14 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ConstructionError, InternalCheckError, PreconditionError
-from .exterior import (AlternatingForm, Flag, VectorValuedForm, basis_covector,
+from .exterior import (AlternatingForm, Flag, VectorValuedForm, add, basis_covector,
                        contract, coordinate_flag, embed_in, evaluate, form, pullback,
                        restrict_to_leading, wedge_all, zero_form)
 from .lagrangian import (as_vector_form, check_multilagrangian, check_polylagrangian,
                          detect_multilagrangian, is_isotropic, kernel_of_form,
                          search_polylagrangian, symbol, to_vertical_coordinates,
                          _stacked)
-from .linalg import (Matrix, Subspace, ZERO, ONE, complement, intersect, inverse,
+from .linalg import (Matrix, RowEchelon, Subspace, ZERO, ONE, complement, intersect, inverse,
                      subspace_sum, transform_subspace)
 from .sparse import SparseSolver
 
@@ -74,7 +74,7 @@ def canonical_poly_model(n_rank: int, nhat: int, k: int) -> CanonicalModel:
         coeffs = zero_form(dim, k + 1)
         for idx in itertools.combinations(range(1, n_rank + 1), k):
             w = wedge_all([basis_covector(dim, pos)] + [basis_covector(dim, i) for i in idx])
-            coeffs = _add(coeffs, w)
+            coeffs = add(coeffs, w)
             slots.append(pos)
             pos += 1
         components.append(coeffs)
@@ -83,11 +83,6 @@ def canonical_poly_model(n_rank: int, nhat: int, k: int) -> CanonicalModel:
     e_sub = Subspace.span_of_coordinates(dim, range(1, n_rank + 1))
     return CanonicalModel("poly", (n_rank, nhat, k), omega, lagr, e_sub, None, None,
                           poly_coordinate_labels(n_rank, nhat, k))
-
-
-def _add(a: AlternatingForm, b: AlternatingForm) -> AlternatingForm:
-    from .exterior import add
-    return add(a, b)
 
 
 def multi_slot_index(n_rank: int, n_base: int, k: int, r: int):
@@ -118,7 +113,7 @@ def _multi_model_data(n_rank: int, n_base: int, k: int, r: int):
         factors = [basis_covector(dim, pos)]
         factors += [basis_covector(dim, i) for i in idx]
         factors += [basis_covector(dim, n_rank + m) for m in mu]
-        coeffs = _add(coeffs, wedge_all(factors))
+        coeffs = add(coeffs, wedge_all(factors))
         pos += 1
     vertical = list(range(1, n_rank + 1)) + list(range(n_rank + n_base + 1, dim + 1))
     flag = coordinate_flag(dim, vertical)
@@ -161,7 +156,7 @@ def canonical_multi_symbol(n_rank: int, n_base: int, k: int, r: int) -> VectorVa
             continue
         factors = [basis_covector(v_dim, n_rank + slot + 1)]
         factors += [basis_covector(v_dim, i) for i in idx]
-        comps[pos_of[mu]] = _add(comps[pos_of[mu]], wedge_all(factors))
+        comps[pos_of[mu]] = add(comps[pos_of[mu]], wedge_all(factors))
     return VectorValuedForm(tuple(comps))
 
 
@@ -172,15 +167,16 @@ def canonical_multi_symbol(n_rank: int, n_base: int, k: int, r: int) -> VectorVa
 def _greedy_standard_completion(dim: int, avoid: Subspace, count: int) -> list:
     """Standard basis vectors, in index order, independent modulo ``avoid``."""
     picked = []
-    span = avoid
+    span = RowEchelon(dim)
+    for v in avoid.vectors():
+        span.insert(v)
     for i in range(dim):
         if len(picked) == count:
             break
         e = [ZERO] * dim
         e[i] = ONE
-        if not span.contains(e):
+        if span.insert(e):
             picked.append(e)
-            span = Subspace.from_vectors(dim, span.vectors() + [e])
     if len(picked) != count:
         raise ConstructionError("could not complete a complement with standard vectors")
     return picked
@@ -188,13 +184,12 @@ def _greedy_standard_completion(dim: int, avoid: Subspace, count: int) -> list:
 
 def _dual_rows(columns: list) -> list[tuple]:
     """Rows of the inverse of the basis given by the columns."""
-    b = Matrix.from_cols(columns)
-    return [inverse(b).row(i) for i in range(b.rows)]
+    inv = inverse(Matrix.from_cols(columns))
+    return [inv.row(i) for i in range(inv.rows)]
 
 
-def _lagrangian_solver(v: VectorValuedForm, lagr: Subspace):
+def _lagrangian_solver(v: VectorValuedForm, lagr: Subspace, ker: Subspace):
     """Sparse solver over the contraction images of a complement of the kernel."""
-    ker = kernel_of_form(v)
     l_prime = complement(ker, inside=lagr)
     solver = SparseSolver()
     for b in l_prime.vectors():
@@ -230,17 +225,22 @@ def extend_isotropic_complement_poly(v, lagr: Subspace, start: list) -> list:
     at level degree-1.
     """
     v = as_vector_form(v)
+    e_vecs = [list(x) for x in start]
+    if e_vecs:
+        sub = Subspace.from_vectors(v.dim, e_vecs)
+        if sub.dim != len(e_vecs) or intersect(sub, lagr).dim != 0:
+            raise PreconditionError("start vectors must be independent from the subspace")
+        if not is_isotropic(sub, v, v.degree - 1):
+            raise PreconditionError("start subspace is not isotropic at the required level")
+    l_prime, solver = _lagrangian_solver(v, lagr, kernel_of_form(v))
+    return _extend_poly(v, lagr, e_vecs, l_prime, solver)
+
+
+def _extend_poly(v: VectorValuedForm, lagr: Subspace, e_vecs: list, l_prime: Subspace,
+                 solver: SparseSolver) -> list:
     dim = v.dim
     k = v.degree - 1
     n_rank = dim - lagr.dim
-    e_vecs = [list(x) for x in start]
-    if e_vecs:
-        sub = Subspace.from_vectors(dim, e_vecs)
-        if sub.dim != len(e_vecs) or intersect(sub, lagr).dim != 0:
-            raise PreconditionError("start vectors must be independent from the subspace")
-        if not is_isotropic(sub, v, min(k, v.degree - 1)):
-            raise PreconditionError("start subspace is not isotropic at the required level")
-    l_prime, solver = _lagrangian_solver(v, lagr)
     while len(e_vecs) < n_rank:
         avoid = subspace_sum(lagr, Subspace.from_vectors(dim, e_vecs))
         completion = _greedy_standard_completion(dim, avoid, n_rank - len(e_vecs))
@@ -262,14 +262,17 @@ def extend_isotropic_complement_poly(v, lagr: Subspace, start: list) -> list:
 
 
 def extend_isotropic_complement_multi(omega: AlternatingForm, lagr: Subspace, flag: Flag,
-                                      r: int, e_vecs: list, start_h: list) -> list:
-    """Horizontal half of the multi induction; returns the appended vectors."""
+                                      r: int, e_vecs: list, start_h: list,
+                                      l_prime: Subspace, solver: SparseSolver) -> list:
+    """Horizontal half of the multi induction; returns the appended vectors.
+
+    ``l_prime`` and ``solver`` come from ``_lagrangian_solver`` for omega and L.
+    """
     dim = omega.dim
     k = omega.degree - 1
     n_rank = len(e_vecs)
     n_base = flag.dim_t
     h_vecs = [list(x) for x in start_h]
-    l_prime, solver = _lagrangian_solver(as_vector_form(omega), lagr)
     slots = multi_slot_index(n_rank, n_base, k, r)
     while len(h_vecs) < n_base:
         f_span = Subspace.from_vectors(dim, e_vecs + h_vecs)
@@ -313,9 +316,10 @@ def extend_isotropic_complement(form_in, lagr: Subspace, start: Subspace,
     if not is_isotropic(start, omega, min(omega.degree - 1, omega.degree - 1)):
         raise PreconditionError("start subspace is not isotropic at the required level")
     h_part = complement(e_part, inside=start)
+    l_prime, solver = _lagrangian_solver(as_vector_form(omega), lagr, kernel_of_form(omega))
     h_vecs = extend_isotropic_complement_multi(
         omega, lagr, flag, r, [list(x) for x in e_part.vectors()],
-        [list(x) for x in h_part.vectors()])
+        [list(x) for x in h_part.vectors()], l_prime, solver)
     return Subspace.from_vectors(omega.dim, list(e_part.vectors()) + h_vecs)
 
 
@@ -355,9 +359,10 @@ def darboux_basis_poly(omega, lagrangian: Subspace | None = None) -> DarbouxBasi
     k = v.degree - 1
     n_rank = dim - lagr.dim
     nhat = v.value_dim
-    e_vecs = extend_isotropic_complement_poly(v, lagr, [])
+    ker = kernel_of_form(v)
+    l_prime, solver = _lagrangian_solver(v, lagr, ker)
+    e_vecs = _extend_poly(v, lagr, [], l_prime, solver)
     duals = _dual_rows(e_vecs + [list(x) for x in lagr.vectors()])[:n_rank]
-    l_prime, solver = _lagrangian_solver(v, lagr)
     columns = list(e_vecs)
     labels = [("q", (i,)) for i in range(1, n_rank + 1)]
     for a in range(nhat):
@@ -365,7 +370,6 @@ def darboux_basis_poly(omega, lagrangian: Subspace | None = None) -> DarbouxBasi
             target = _wedge_dual_target(duals, idx, a, dim)
             columns.append(_solve_momentum_vector(solver, l_prime, target))
             labels.append(("p", (a + 1,), idx))
-    ker = kernel_of_form(v)
     for j, kv in enumerate(ker.vectors(), start=1):
         columns.append(list(kv))
         labels.append(("ker", (j,)))
@@ -412,10 +416,11 @@ def darboux_basis_multi(omega: AlternatingForm, flag: Flag, r: int,
                 if c:
                     w = [x + c * y for x, y in zip(w, row)]
             e_vecs.append(w)
-    h_vecs = extend_isotropic_complement_multi(omega, lagr, flag, r, e_vecs, [])
+    ker = kernel_of_form(omega)
+    l_prime, solver = _lagrangian_solver(as_vector_form(omega), lagr, ker)
+    h_vecs = extend_isotropic_complement_multi(omega, lagr, flag, r, e_vecs, [], l_prime, solver)
 
     duals = _dual_rows(e_vecs + h_vecs + [list(x) for x in lagr.vectors()])[: n_rank + n_base]
-    l_prime, solver = _lagrangian_solver(as_vector_form(omega), lagr)
     columns = list(e_vecs) + list(h_vecs)
     labels = [("q", (i,)) for i in range(1, n_rank + 1)]
     labels += [("x", (mu,)) for mu in range(1, n_base + 1)]
@@ -424,7 +429,6 @@ def darboux_basis_multi(omega: AlternatingForm, flag: Flag, r: int,
         target = _wedge_dual_target(duals, idx + tuple(n_rank + m for m in mu), 0, dim)
         columns.append(_solve_momentum_vector(solver, l_prime, target))
         labels.append(("p", idx, mu))
-    ker = kernel_of_form(omega)
     for j, kv in enumerate(ker.vectors(), start=1):
         columns.append(list(kv))
         labels.append(("ker", (j,)))
@@ -454,14 +458,6 @@ class ConjugateMap:
     inv: Matrix
 
 
-def _shear(dim: int, i: int, j: int, c: Fraction) -> tuple[Matrix, Matrix]:
-    fwd = [[ONE if a == b else ZERO for b in range(dim)] for a in range(dim)]
-    bwd = [[ONE if a == b else ZERO for b in range(dim)] for a in range(dim)]
-    fwd[i][j] = c
-    bwd[i][j] = -c
-    return Matrix.from_rows(fwd), Matrix.from_rows(bwd)
-
-
 def seeded_conjugate(dim: int, seed: int, *, preserve: list[frozenset] | None = None,
                      shear_count: int = 6) -> ConjugateMap:
     """Seeded unimodular map, optionally mapping coordinate blocks to themselves.
@@ -470,6 +466,10 @@ def seeded_conjugate(dim: int, seed: int, *, preserve: list[frozenset] | None = 
     integer shears, so conjugated forms stay sparse and the inverse is
     exact.  ``preserve`` lists 1-based coordinate index sets S with the
     requirement m(span S) = span S.
+
+    The map P·D·S_1⋯S_m (permutation, signs, shears S = I + c·E_ij) and its
+    inverse are built on integer rows: a shear adds c·(column i) to column j
+    of the map and subtracts c·(row j) from row i of the inverse.
     """
     rng = random.Random(seed)
     preserve = preserve or []
@@ -486,13 +486,13 @@ def seeded_conjugate(dim: int, seed: int, *, preserve: list[frozenset] | None = 
         rng.shuffle(shuffled)
         for src, dst in zip(members, shuffled):
             perm[src] = dst
-    p_rows = [[ONE if perm[j + 1] == i + 1 else ZERO for j in range(dim)] for i in range(dim)]
-    p_mat = Matrix.from_rows(p_rows)
-    p_inv = p_mat.transpose()
-    signs = [rng.choice([ONE, -ONE]) for _ in range(dim)]
-    d_mat = Matrix.from_rows([[signs[i] if i == j else ZERO for j in range(dim)]
-                              for i in range(dim)])
-    mats = [(p_mat, p_inv), (d_mat, d_mat)]
+    signs = [rng.choice([1, -1]) for _ in range(dim)]
+    fwd = [[0] * dim for _ in range(dim)]
+    bwd = [[0] * dim for _ in range(dim)]
+    for j in range(dim):
+        i = perm[j + 1] - 1
+        fwd[i][j] = signs[j]          # P·D
+        bwd[j][i] = signs[j]          # D·P^T
     def shear_allowed(i, j):
         # column j gains an entry in row i: preserved spans need j in S -> i in S
         return all((j + 1) not in s or (i + 1) in s for s in preserve)
@@ -503,15 +503,16 @@ def seeded_conjugate(dim: int, seed: int, *, preserve: list[frozenset] | None = 
         i, j = rng.randrange(dim), rng.randrange(dim)
         if i == j or not shear_allowed(i, j):
             continue
-        c = Fraction(rng.choice([-2, -1, 1, 2]))
-        mats.append(_shear(dim, i, j, c))
+        c = rng.choice([-2, -1, 1, 2])
+        for row in fwd:
+            row[j] += c * row[i]
+        bwd[i] = [a - c * b for a, b in zip(bwd[i], bwd[j])]
         added += 1
-    fwd = Matrix.identity(dim)
-    bwd = Matrix.identity(dim)
-    for f, b in mats:
-        fwd = fwd @ f
-        bwd = b @ bwd
-    return ConjugateMap(fwd, bwd)
+    return ConjugateMap(_int_matrix(fwd), _int_matrix(bwd))
+
+
+def _int_matrix(rows: list[list[int]]) -> Matrix:
+    return Matrix(len(rows), len(rows), tuple(Fraction(x) if x else ZERO for r in rows for x in r))
 
 
 def conjugated_poly_instance(model: CanonicalModel, seed: int):

@@ -559,12 +559,6 @@ def poly_eval(p: SymmetricPoly, omega: VectorValuedForm) -> AlternatingForm:
 # misc helpers used downstream
 
 
-def standard_basis_vector(dim: int, i: int) -> list[Fraction]:
-    v = [ZERO] * dim
-    v[i - 1] = ONE
-    return v
-
-
 def restrict_to_leading(x, new_dim: int):
     """Reinterpret a form supported on the first ``new_dim`` coordinates."""
     def cut(a: AlternatingForm) -> AlternatingForm:

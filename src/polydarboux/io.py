@@ -57,6 +57,9 @@ def parse_document(doc: dict) -> FormDocument:
     kind = _need(doc, "kind")
     if kind not in KINDS:
         raise DocumentError(f"unknown kind {kind!r}")
+    r = doc.get("r")
+    if r is not None and type(r) is not int:
+        raise DocumentError(f"r must be an integer, got {r!r}")
     try:
         if kind == "lie_algebra":
             payload = _parse_lie(doc)
@@ -64,17 +67,17 @@ def parse_document(doc: dict) -> FormDocument:
             payload = _parse_poly_form(doc)
         else:
             payload = _parse_alternating(doc, kind)
+        flag = None
+        if doc.get("flag") is not None:
+            flag = _parse_flag(doc["flag"], doc)
+        frame = None
+        if doc.get("frame") is not None:
+            frame = Matrix.from_rows([[_rat(x) for x in row] for row in doc["frame"]])
     except DocumentError:
         raise
     except Exception as exc:  # invariant violations inside constructors
         raise DocumentError(f"invalid document: {exc}") from exc
-    flag = None
-    if "flag" in doc and doc["flag"] is not None:
-        flag = _parse_flag(doc["flag"], doc)
-    frame = None
-    if "frame" in doc and doc["frame"] is not None:
-        frame = Matrix.from_rows([[_rat(x) for x in row] for row in doc["frame"]])
-    return FormDocument(kind, payload, flag, doc.get("r"), frame,
+    return FormDocument(kind, payload, flag, r, frame,
                         doc.get("description", ""), doc.get("claims", {}))
 
 

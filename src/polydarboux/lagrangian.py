@@ -204,22 +204,16 @@ class PolylagrangianSearch:
     component_complement_dims: list[int] = field(default_factory=list)
 
 
+def _covector_grid(nhat: int) -> list[list[Fraction]]:
+    """Standard basis covectors of the value space, then their pairwise sums."""
+    supports = [(a,) for a in range(nhat)] + list(itertools.combinations(range(nhat), 2))
+    return [[ONE if a in sup else ZERO for a in range(nhat)] for sup in supports]
+
+
 def _sampled_kernel_span(v: VectorValuedForm) -> Subspace:
     """Span of kernels of projections over basis covectors and pairwise sums."""
-    nhat = v.value_dim
-    covs = []
-    for a in range(nhat):
-        e = [ZERO] * nhat
-        e[a] = ONE
-        covs.append(e)
-    for a in range(nhat):
-        for b in range(a + 1, nhat):
-            e = [ZERO] * nhat
-            e[a] = ONE
-            e[b] = ONE
-            covs.append(e)
     total = Subspace.zero(v.dim)
-    for t in covs:
+    for t in _covector_grid(v.value_dim):
         p = project(v, t)
         if p.is_zero():
             continue
@@ -620,11 +614,7 @@ def constant_rank_sampled(omega: VectorValuedForm, sample_count: int,
     if sample_count <= 0:
         raise PreconditionError("sample count must be positive")
     rng = random.Random(seed)
-    covs = []
-    for a in range(v.value_dim):
-        e = [ZERO] * v.value_dim
-        e[a] = ONE
-        covs.append(e)
+    covs = _covector_grid(v.value_dim)[:v.value_dim]
     covs.extend(random_covector(rng, v.value_dim) for _ in range(sample_count))
     ranks = {rank_2form(project(v, t)) for t in covs}
     return ranks.pop() if len(ranks) == 1 else None
@@ -662,18 +652,7 @@ def projection_kernel_isotropy_check(omega: VectorValuedForm) -> bool:
     their pairwise sums; a consequence of uniform rank.
     """
     v = as_vector_form(omega)
-    nhat = v.value_dim
-    grid = []
-    for a in range(nhat):
-        e = [ZERO] * nhat
-        e[a] = ONE
-        grid.append(e)
-    for a in range(nhat):
-        for b in range(a + 1, nhat):
-            e = [ZERO] * nhat
-            e[a] = ONE
-            e[b] = ONE
-            grid.append(e)
+    grid = _covector_grid(v.value_dim)
     for t1 in grid:
         p1 = project(v, t1)
         if p1.is_zero():

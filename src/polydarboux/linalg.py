@@ -1,8 +1,11 @@
 """Exact rational linear algebra: matrices over `fractions.Fraction`,
 reduced row echelon forms, kernels, solves, and the subspace lattice.
 
-All arithmetic is exact. Subspaces are canonically represented by the
-reduced row echelon form of a spanning set, so two subspaces are equal
+All arithmetic is exact.  Row reduction runs fraction-free: each row is
+scaled to primitive integers and eliminated with integer steps and gcd
+content removal.  The integer rows stay internal; every result is
+returned as the unique Fraction RREF.  Subspaces are canonically
+represented by that RREF of a spanning set, so two subspaces are equal
 exactly when their representations are equal; that decidable equality is
 what the structure tests in the rest of the package lean on.
 """
@@ -10,7 +13,9 @@ what the structure tests in the rest of the package lean on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, PreconditionError
@@ -112,40 +117,68 @@ class Matrix:
 # row reduction
 
 
-def _rref_rows(rows: list[list[Fraction]], stop_rank: int | None = None) -> tuple[list[list[Fraction]], int]:
-    """In-place RREF of a list of rows; returns (rows, rank).
+def _integer_row(raw) -> list[int]:
+    """The row scaled to primitive integers (all zeros for a zero row)."""
+    dens = [x.denominator for x in raw]
+    scale = lcm(*dens)
+    if scale == 1:
+        r = [x.numerator for x in raw]
+    else:
+        r = [x.numerator * (scale // d) for x, d in zip(raw, dens)]
+    g = gcd(*r)
+    return [x // g for x in r] if g > 1 else r
 
-    ``stop_rank`` allows an early exit once the rank is known to have
-    reached that value (sound when only the rank, or triviality of the
-    kernel, is needed).
+
+def _eliminate(r: list[int], prow: list[int], col: int) -> list[int]:
+    """Fraction-free step: clear ``r[col]`` with the pivot row, keep r primitive."""
+    c, p = r[col], prow[col]
+    g = gcd(p, c)
+    c //= g
+    p //= g
+    if p == 1:
+        return [a - c * b if b else a for a, b in zip(r, prow)]
+    r = [p * a - c * b if b else p * a for a, b in zip(r, prow)]
+    g = gcd(*r)
+    return [x // g for x in r] if g > 1 else r
+
+
+def _rref_rows(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Canonical RREF of a list of rows; returns (nonzero rows, pivot columns).
+
+    Elimination runs on primitive integer rows (Bareiss-style
+    ``p*r - c*prow`` steps with gcd content removal); the unique Fraction
+    RREF is built only on return, with a new Fraction for nonzero entries
+    alone.
     """
-    if not rows:
-        return rows, 0
-    pivots: list[tuple[int, list[Fraction]]] = []  # (pivot col, row)
+    pivots: list[tuple[int, list[int]]] = []  # (pivot col, primitive row with positive lead)
     for raw in rows:
-        r = raw
+        r = _integer_row(raw)
         for pc, prow in pivots:
-            c = r[pc]
-            if c:
-                r = [a - c * b if b else a for a, b in zip(r, prow)]
+            if r[pc]:
+                r = _eliminate(r, prow, pc)
         lead = next((j for j, x in enumerate(r) if x), None)
         if lead is None:
             continue
-        inv = ONE / r[lead]
-        r = [x * inv if x else x for x in r]
+        if r[lead] < 0:
+            r = [-x for x in r]
         pivots.append((lead, r))
         pivots.sort(key=lambda t: t[0])
-        if stop_rank is not None and len(pivots) >= stop_rank:
-            return [p[1] for p in pivots], len(pivots)
     # clear above pivots
     ordered = [p[1] for p in pivots]
     cols = [p[0] for p in pivots]
     for i in range(len(ordered)):
         for j in range(i + 1, len(ordered)):
-            c = ordered[i][cols[j]]
-            if c:
-                ordered[i] = [a - c * b if b else a for a, b in zip(ordered[i], ordered[j])]
-    return ordered, len(ordered)
+            if ordered[i][cols[j]]:
+                ordered[i] = _eliminate(ordered[i], ordered[j], cols[j])
+    out = []
+    for pc, r in zip(cols, ordered):
+        d = r[pc]
+        if d == 1:
+            out.append([Fraction(x) if x else ZERO for x in r])
+        else:
+            out.append([Fraction(x, d) if x else ZERO for x in r])
+        out[-1][pc] = ONE
+    return out, cols
 
 
 class RowEchelon:
@@ -199,31 +232,28 @@ class RowEchelon:
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Unique reduced row echelon form and rank."""
-    reduced, rank = _rref_rows(m.row_list())
-    out = reduced + [[ZERO] * m.cols for _ in range(m.rows - rank)]
-    return Matrix.from_rows(out) if m.rows else m, rank
+    reduced, pivots = _rref_rows(m.row_list())
+    out = reduced + [[ZERO] * m.cols for _ in range(m.rows - len(pivots))]
+    return Matrix.from_rows(out) if m.rows else m, len(pivots)
 
 
 def rank(m: Matrix) -> int:
-    return _rref_rows(m.row_list())[1]
+    return len(_rref_rows(m.row_list())[1])
 
 
 def kernel_basis(rows: list[list[Fraction]], cols: int) -> list[list[Fraction]]:
     """Basis of {v : R v = 0} for constraint rows R, in RREF order."""
-    reduced, rk = _rref_rows([r for r in rows if any(r)], stop_rank=None)
-    if rk == cols:
-        return []
-    pivot_cols = []
-    for r in reduced:
-        pivot_cols.append(next(j for j, x in enumerate(r) if x))
+    reduced, pivot_cols = _rref_rows(rows)
     pivot_set = set(pivot_cols)
-    free_cols = [j for j in range(cols) if j not in pivot_set]
     basis = []
-    for f in free_cols:
+    for f in range(cols):
+        if f in pivot_set:
+            continue
         v = [ZERO] * cols
         v[f] = ONE
         for pc, r in zip(pivot_cols, reduced):
-            v[pc] = -r[f]
+            if r[f]:
+                v[pc] = -r[f]
         basis.append(v)
     return basis
 
@@ -239,13 +269,12 @@ def solve(m: Matrix, rhs: Sequence) -> tuple[Fraction, ...] | None:
     if len(b) != m.rows:
         raise DimensionMismatch("right-hand side length does not match rows")
     aug = [list(m.row(i)) + [b[i]] for i in range(m.rows)]
-    reduced, _ = _rref_rows(aug)
+    reduced, pivots = _rref_rows(aug)
+    if pivots and pivots[-1] == m.cols:
+        return None
     x = [ZERO] * m.cols
-    for r in reduced:
-        lead = next(j for j, v in enumerate(r) if v)
-        if lead == m.cols:
-            return None
-        x[lead] = r[m.cols]
+    for pc, r in zip(pivots, reduced):
+        x[pc] = r[m.cols]
     return tuple(x)
 
 
@@ -254,8 +283,8 @@ def inverse(m: Matrix) -> Matrix:
         raise DimensionMismatch("only square matrices invert")
     n = m.rows
     aug = [list(m.row(i)) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    reduced, rk = _rref_rows(aug)
-    if rk != n or any(next(j for j, v in enumerate(r) if v) >= n for r in reduced):
+    reduced, pivots = _rref_rows(aug)
+    if len(pivots) != n or (pivots and pivots[-1] >= n):
         raise PreconditionError("matrix is singular")
     return Matrix.from_rows([r[n:] for r in reduced])
 
@@ -302,8 +331,8 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise DimensionMismatch("vector length does not match ambient dimension")
-        reduced, rk = _rref_rows(rows)
-        return Subspace(ambient_dim, Matrix.from_rows(reduced) if rk else Matrix(0, ambient_dim, ()))
+        reduced, pivots = _rref_rows(rows)
+        return Subspace(ambient_dim, Matrix.from_rows(reduced) if pivots else Matrix(0, ambient_dim, ()))
 
     @staticmethod
     def zero(ambient_dim: int) -> Subspace:
@@ -330,11 +359,13 @@ class Subspace:
     def vectors(self) -> list[tuple[Fraction, ...]]:
         return [self.basis.row(i) for i in range(self.basis.rows)]
 
-    def pivot_columns(self) -> list[int]:
-        out = []
-        for i in range(self.basis.rows):
-            out.append(next(j for j, x in enumerate(self.basis.row(i)) if x))
-        return out
+    def pivot_columns(self) -> tuple[int, ...]:
+        return self._pivot_columns
+
+    @cached_property
+    def _pivot_columns(self) -> tuple[int, ...]:
+        return tuple(next(j for j, x in enumerate(self.basis.row(i)) if x)
+                     for i in range(self.basis.rows))
 
     def reduce(self, v: Sequence) -> list[Fraction]:
         """Residue of v after elimination against the basis rows."""
@@ -398,15 +429,16 @@ def complement(a: Subspace, inside: Subspace | None = None) -> Subspace:
         if inside.contains(e):
             candidates.append(e)
     candidates.extend(inside.vectors())
-    picked: list[Sequence] = []
-    span = a
+    span = RowEchelon(a.ambient_dim)
+    for v in a.vectors():
+        span.insert(v)
+    picked = []
     for cand in candidates:
-        if span.dim == inside.dim:
+        if span.rank == inside.dim:
             break
-        if not span.contains(cand):
+        if span.insert(cand):
             picked.append(cand)
-            span = Subspace.from_vectors(a.ambient_dim, span.vectors() + [cand])
-    if span.dim != inside.dim:
+    if span.rank != inside.dim:
         raise PreconditionError("failed to complete a complement (should be impossible)")
     return Subspace.from_vectors(a.ambient_dim, picked)
 

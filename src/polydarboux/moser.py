@@ -11,6 +11,7 @@ itself is fourth-order Runge-Kutta.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -392,6 +393,8 @@ def perturbed_multisymplectic(seed: int = 1, amplitude: Fraction = Fraction(1, 2
 
 
 def ball_sample_points(dim: int, count: int, radius: float, seed: int = 20070):
+    if not (radius > 0 and math.isfinite(radius)):
+        raise PreconditionError(f"sample radius must be positive and finite, got {radius}")
     rng = random.Random(seed)
     pts = []
     while len(pts) < count:

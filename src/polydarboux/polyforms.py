@@ -192,20 +192,6 @@ class PolyForm:
         return f"PolyForm(dim={self.dim}, degree={self.degree}, {{{body}}})"
 
 
-def pf_from_terms(dim: int, degree: int, split: tuple[int, int],
-                  terms: Mapping[Sequence[int], Polynomial]) -> PolyForm:
-    coeffs = {}
-    for idx, p in terms.items():
-        if p.is_zero():
-            continue
-        m = mask_of(tuple(sorted(idx)))
-        # sign normalization is the caller's job; indices must be increasing
-        if tuple(sorted(idx)) != tuple(idx):
-            raise ValueError("multi-indices must be strictly increasing")
-        coeffs[m] = coeffs.get(m, poly_zero(dim)) + p
-    return PolyForm(dim, degree, split, {m: p for m, p in coeffs.items() if not p.is_zero()})
-
-
 def pf_zero(dim: int, degree: int, split: tuple[int, int]) -> PolyForm:
     return PolyForm(dim, degree, split, {})
 
@@ -276,11 +262,11 @@ def pf_contract_basis(a: PolyForm, index: int) -> PolyForm:
     return PolyForm(a.dim, a.degree - 1, a.split, out)
 
 
-def exterior_d(a: PolyForm) -> PolyForm:
-    """Exterior derivative; nilpotent and a graded derivation over wedge."""
+def _d_along(a: PolyForm, variables) -> PolyForm:
+    """Sum over the given variables v of dx_v ∧ ∂a/∂x_v."""
     out: dict = {}
     for m, p in a.coeffs.items():
-        for v in range(1, a.dim + 1):
+        for v in variables:
             bit = 1 << (v - 1)
             if m & bit:
                 continue
@@ -299,6 +285,11 @@ def exterior_d(a: PolyForm) -> PolyForm:
     return PolyForm(a.dim, a.degree + 1, a.split, out)
 
 
+def exterior_d(a: PolyForm) -> PolyForm:
+    """Exterior derivative; nilpotent and a graded derivation over wedge."""
+    return _d_along(a, range(1, a.dim + 1))
+
+
 def vertical_d(a: PolyForm) -> PolyForm:
     """Fiber-direction exterior derivative of a vertical form.
 
@@ -309,25 +300,7 @@ def vertical_d(a: PolyForm) -> PolyForm:
     for m in a.coeffs:
         if m & ((1 << a.x_dim) - 1):
             raise PreconditionError("vertical forms must carry y-differentials only")
-    out: dict = {}
-    for m, p in a.coeffs.items():
-        for j in range(a.x_dim + 1, a.dim + 1):
-            bit = 1 << (j - 1)
-            if m & bit:
-                continue
-            dp = p.diff(j)
-            if dp.is_zero():
-                continue
-            s = merge_sign(bit, m)
-            q = dp if s > 0 else -dp
-            key = m | bit
-            cur = out.get(key)
-            ns = q if cur is None else cur + q
-            if ns.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = ns
-    return PolyForm(a.dim, a.degree + 1, a.split, out)
+    return _d_along(a, range(a.x_dim + 1, a.dim + 1))
 
 
 def max_vertical_factors(a: PolyForm) -> int:

@@ -123,12 +123,6 @@ def span_equal(vectors_a, vectors_b) -> bool:
     return span_of(vb).rank == ea.rank
 
 
-def span_contains_all(vectors_a, vectors_b) -> bool:
-    """Is every vector of b inside the span of a?"""
-    ea = span_of(vectors_a)
-    return all(ea.contains(v) for v in vectors_b)
-
-
 def intersect_spans(vectors_a, vectors_b) -> list[SparseVec]:
     """Basis of (span a) ∩ (span b), as sparse vectors.
 

@@ -147,3 +147,29 @@ def test_absence_is_distinguished_from_not_found(capsys):
     _, out = run_cli(["analyze", CORPUS["appendix_a3.json"], "--json"], capsys)
     rep = json.loads(out)
     assert any("proved absent" in d for d in rep["result"]["diagnostics"])
+
+
+def _flagged_document(tmp_path, capsys) -> dict:
+    path = tmp_path / "multi.json"
+    assert run_cli(["canonical", "multi", "1", "2", "2", "2", "-o", str(path)], capsys)[0] == 0
+    return json.loads(path.read_text())
+
+
+def test_malformed_fields_exit_two(tmp_path, capsys):
+    doc = _flagged_document(tmp_path, capsys)
+    bad_vertical = dict(doc, flag=dict(doc["flag"], vertical_indices=[1, 99]))
+    bad_splitting = dict(doc, flag=dict(doc["flag"], splitting=[["1"]]))
+    bad_frame = dict(doc, frame=5)
+    for bad in (bad_vertical, bad_splitting, bad_frame, dict(doc, r="2"), dict(doc, r=2.0)):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        for command in ("analyze", "symbol"):
+            assert main([command, str(path)]) == 2, (command, bad)
+            assert "document error" in capsys.readouterr().err
+
+
+def test_moser_rejects_bad_radius(capsys):
+    doc = CORPUS["perturbed_multisymplectic.json"]
+    for radius in ("0", "-1", "nan", "inf"):
+        assert main(["moser", doc, "--steps", "2", "--samples", "1", "--radius", radius]) == 1
+        assert "radius" in capsys.readouterr().err
