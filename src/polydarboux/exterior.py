@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, PreconditionError
@@ -193,11 +193,21 @@ def _dict_wedge(a: dict, b: dict) -> dict:
     return out
 
 
+def _integer_coeffs(coeffs: dict) -> tuple[dict, int]:
+    """Integer numerators over the common denominator, and that denominator."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}, den
+
+
 def wedge(a: AlternatingForm, b: AlternatingForm) -> AlternatingForm:
+    """Wedge product, accumulated on integers over the two common denominators."""
     if a.dim != b.dim:
         raise DimensionMismatch("wedge operands live on different spaces")
     deg = a.degree + b.degree
-    return AlternatingForm(a.dim, deg, {m: frac(c) for m, c in _dict_wedge(a.coeffs, b.coeffs).items()})
+    na, da = _integer_coeffs(a.coeffs)
+    nb, db = _integer_coeffs(b.coeffs)
+    den = da * db
+    return AlternatingForm(a.dim, deg, {m: Fraction(c, den) for m, c in _dict_wedge(na, nb).items()})
 
 
 def wedge_all(factors: Sequence[AlternatingForm]) -> AlternatingForm:
@@ -529,29 +539,52 @@ def symmetric_poly(value_dim: int, degree: int, coeffs: Mapping[Sequence[int], o
     return SymmetricPoly(value_dim, degree, out)
 
 
-def wedge_power_by_exponent(omega: VectorValuedForm, exponent: Sequence[int]) -> AlternatingForm:
-    """omega^alpha: the wedge of components with the given multiplicities."""
-    factors: list[AlternatingForm] = []
-    for a, e in enumerate(exponent):
-        factors.extend([omega.components[a]] * e)
-    if not factors:
+def wedge_power_by_exponent(omega: VectorValuedForm, exponent: Sequence[int],
+                            memo: dict | None = None) -> AlternatingForm:
+    """omega^alpha: the wedge of components with the given multiplicities.
+
+    Built as omega^(alpha - e_a) ∧ omega_a, where a is the last index with a
+    nonzero exponent and the lower power comes from a call to this function.
+    Without a memo that is the left fold of the factors in index order.  A
+    ``memo`` dict (exponent tuple -> power) shared across calls on one form
+    keeps every power computed, so each power costs one wedge however many
+    higher powers are built on it.
+    """
+    alpha = tuple(exponent)
+    if memo is not None:
+        hit = memo.get(alpha)
+        if hit is not None:
+            return hit
+    if any(e < 0 for e in alpha):
+        raise ValueError("negative exponent")
+    a = next((i for i in reversed(range(len(alpha))) if alpha[i]), None)
+    if a is None:
         raise ValueError("empty exponent")
-    return wedge_all(factors)
+    if sum(alpha) == 1:
+        out = omega.components[a]
+    else:
+        lower = alpha[:a] + (alpha[a] - 1,) + alpha[a + 1:]
+        out = wedge(wedge_power_by_exponent(omega, lower, memo), omega.components[a])
+    if memo is not None:
+        memo[alpha] = out
+    return out
 
 
 def poly_eval(p: SymmetricPoly, omega: VectorValuedForm) -> AlternatingForm:
     """Evaluate a symmetric polynomial on a vector-valued 2-form.
 
     A monomial exponent alpha maps to the wedge power omega^alpha, so the
-    result has degree 2*|alpha|.  Linear in the polynomial.
+    result has degree 2*|alpha|.  Linear in the polynomial.  The monomials
+    share one memo of wedge powers.
     """
     if p.value_dim != omega.value_dim:
         raise DimensionMismatch("value dimensions differ")
     if omega.degree != 2:
         raise PreconditionError("wedge powers are taken of degree-2 forms")
     out = zero_form(omega.dim, 2 * p.degree)
+    memo: dict = {}
     for e, c in p.coeffs.items():
-        out = add(out, scale(wedge_power_by_exponent(omega, e), c))
+        out = add(out, scale(wedge_power_by_exponent(omega, e, memo), c))
     return out
 
 

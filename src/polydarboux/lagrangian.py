@@ -20,7 +20,7 @@ from .errors import DimensionMismatch, InternalCheckError, PreconditionError
 from .exterior import (AlternatingForm, Flag, VectorValuedForm, contract, evaluate,
                        indices_of, project, pullback, wedge, wedge_power_by_exponent)
 from .linalg import (Matrix, RowEchelon, Subspace, ZERO, ONE, annihilator, intersect,
-                     inverse, kernel_basis, subspace_sum, complement, vec)
+                     inverse, kernel_basis, row_rank, subspace_sum, complement, vec)
 from .sparse import span_equal, span_of, intersect_spans
 
 DEFAULT_SEED = 20070
@@ -31,6 +31,13 @@ DEFAULT_SEED = 20070
 
 def as_vector_form(x) -> VectorValuedForm:
     return x if isinstance(x, VectorValuedForm) else VectorValuedForm((x,))
+
+
+def _unit_vector(dim: int, i: int) -> list[Fraction]:
+    """The standard basis vector with a one at 0-based position ``i``."""
+    e = [ZERO] * dim
+    e[i] = ONE
+    return e
 
 
 def _stacked(x) -> dict:
@@ -81,7 +88,11 @@ def _lperp_tensor_basis(sub: Subspace, k: int, value_dim: int) -> list[dict]:
 
 
 def _kernel_constraints(x) -> list[list[Fraction]]:
-    """Constraint rows whose kernel is {v : i_v x = 0}."""
+    """Constraint rows whose kernel is {v : i_v x = 0}.
+
+    Row (a, mask) holds the coefficients of e^mask in i_v x^a.  Each entry
+    comes from the single monomial mask | bit, so it is set, never summed.
+    """
     v = as_vector_form(x)
     dim = v.dim
     rows: dict = {}
@@ -98,8 +109,8 @@ def _kernel_constraints(x) -> list[list[Fraction]]:
                 if row is None:
                     row = [ZERO] * dim
                     rows[key] = row
-                row[bit] += -c if below & 1 else c
-    return [r for r in rows.values() if any(r)]
+                row[bit] = -c if below & 1 else c
+    return list(rows.values())
 
 
 def kernel_of_form(x) -> Subspace:
@@ -289,22 +300,9 @@ def scalar_polylagrangian_candidates(omega, limit: int | None = None):
     v = as_vector_form(omega)
     k = v.degree - 1
     ker = kernel_of_form(v)
-    seeds: list[Subspace] = []
-    for i in range(v.dim):
-        e = [ZERO] * v.dim
-        e[i] = ONE
-        seeds.append(Subspace.from_vectors(v.dim, [e]))
-    if v.degree >= 3:
-        for i, j in itertools.combinations(range(v.dim), 2):
-            ei = [ZERO] * v.dim
-            ei[i] = ONE
-            ej = [ZERO] * v.dim
-            ej[j] = ONE
-            pair = Subspace.from_vectors(v.dim, [ei, ej])
-            if is_isotropic(pair, v, 1):
-                seeds.append(pair)
+    seeds = _coordinate_seeds(v)
     if limit is not None:
-        seeds = seeds[:limit]
+        seeds = itertools.islice(seeds, limit)
     seen = set()
     for seed_sub in seeds:
         cand = greedy_maximal_isotropic(v, seed_sub, verify=False)
@@ -319,6 +317,20 @@ def scalar_polylagrangian_candidates(omega, limit: int | None = None):
             continue
         if check_polylagrangian(cand, v):
             yield cand
+
+
+def _coordinate_seeds(v: VectorValuedForm):
+    """Coordinate lines, then (for degree at least 3) isotropic coordinate planes.
+
+    Built lazily, so a search that stops early tests no further planes.
+    """
+    for i in range(v.dim):
+        yield Subspace.from_vectors(v.dim, [_unit_vector(v.dim, i)])
+    if v.degree >= 3:
+        for i, j in itertools.combinations(range(v.dim), 2):
+            pair = Subspace.from_vectors(v.dim, [_unit_vector(v.dim, i), _unit_vector(v.dim, j)])
+            if is_isotropic(pair, v, 1):
+                yield pair
 
 
 def find_polylagrangian(omega) -> Subspace | None:
@@ -548,39 +560,42 @@ def symbol_structure_check(omega: AlternatingForm, flag: Flag, r: int, sub: Subs
 
 
 def rank_2form(omega: AlternatingForm) -> int:
-    """Half the dimension of the support of an alternating 2-form."""
+    """Half the dimension of the support of an alternating 2-form.
+
+    The support dimension is the rank of the kernel constraint rows, found
+    by forward elimination; no kernel basis is built.
+    """
     if omega.degree != 2:
         raise PreconditionError("rank is defined here for 2-forms")
-    support = omega.dim - kernel_of_form(omega).dim
+    support = row_rank(_kernel_constraints(omega))
     if support & 1:
         raise InternalCheckError("odd support dimension for an alternating 2-form")
     return support // 2
 
 
 def uniform_rank(omega: VectorValuedForm) -> int | None:
-    """The N with {omega^alpha : |alpha|=N} independent and all (N+1)-powers zero."""
+    """The N with {omega^alpha : |alpha|=N} independent and all (N+1)-powers zero.
+
+    Walks the levels upward through one memo of wedge powers, leaving a
+    level at its first nonzero power.  Once every (N+1)-power vanishes so
+    does every higher power, so the first all-zero level N+1 is the only
+    place an answer can sit: N qualifies when its powers are nonzero and
+    independent, and otherwise there is none.
+    """
     v = as_vector_form(omega)
     if v.degree != 2:
         raise PreconditionError("uniform rank is defined for 2-forms")
     nhat = v.value_dim
-    for n_rank in range(1, v.dim // 2 + 1):
-        indep = True
-        ech_vectors = []
-        for alpha in _exponents(nhat, n_rank):
-            w = wedge_power_by_exponent(v, alpha)
-            if w.is_zero():
-                indep = False
-                break
-            ech_vectors.append(dict(w.coeffs))
-        if indep:
-            ech = span_of(ech_vectors)
-            indep = ech.rank == len(ech_vectors)
-        if not indep:
-            continue
-        if all(wedge_power_by_exponent(v, alpha).is_zero()
-               for alpha in _exponents(nhat, n_rank + 1)):
-            return n_rank
-    return None
+    memo: dict = {}
+    level = 2
+    while any(not wedge_power_by_exponent(v, alpha, memo).is_zero()
+              for alpha in _exponents(nhat, level)):
+        level += 1
+    # each N-power is the lower factor of an (N+1)-power, so all are memoized
+    powers = [memo[alpha] for alpha in _exponents(nhat, level - 1)]
+    if any(w.is_zero() for w in powers):
+        return None
+    return level - 1 if span_of(dict(w.coeffs) for w in powers).rank == len(powers) else None
 
 
 def _exponents(nvars: int, total: int):
@@ -605,7 +620,8 @@ def constant_rank_sampled(omega: VectorValuedForm, sample_count: int,
 
     A sound refuter and a sampled verifier: all standard basis covectors
     plus ``sample_count`` seeded random nonzero covectors are projected
-    and ranked.  An exact certificate, when it exists, comes from
+    and ranked one at a time, and the first rank that disagrees ends the
+    run.  An exact certificate, when it exists, comes from
     ``uniform_rank`` instead.
     """
     v = as_vector_form(omega)
@@ -614,10 +630,17 @@ def constant_rank_sampled(omega: VectorValuedForm, sample_count: int,
     if sample_count <= 0:
         raise PreconditionError("sample count must be positive")
     rng = random.Random(seed)
-    covs = _covector_grid(v.value_dim)[:v.value_dim]
-    covs.extend(random_covector(rng, v.value_dim) for _ in range(sample_count))
-    ranks = {rank_2form(project(v, t)) for t in covs}
-    return ranks.pop() if len(ranks) == 1 else None
+    nhat = v.value_dim
+    covs = itertools.chain((_unit_vector(nhat, a) for a in range(nhat)),
+                           (random_covector(rng, nhat) for _ in range(sample_count)))
+    common = None
+    for t in covs:
+        r = rank_2form(project(v, t))
+        if common is None:
+            common = r
+        elif r != common:
+            return None
+    return common
 
 
 def polysymplectic_uniform_rank_check(omega: VectorValuedForm, sub: Subspace) -> bool:
@@ -756,9 +779,7 @@ def detect_multilagrangian(omega: AlternatingForm, flag: Flag, r: int) -> Polyla
         vert_a = Subspace.span_of_coordinates(flag.total_dim, range(n + 1, flag.total_dim + 1))
         seen = set()
         for i in range(m_dim):
-            row = [ZERO] * flag.total_dim
-            row[n + i] = ONE
-            seed = Subspace.from_vectors(flag.total_dim, [row])
+            seed = Subspace.from_vectors(flag.total_dim, [_unit_vector(flag.total_dim, n + i)])
             if not is_isotropic(seed, aomega, 1):
                 continue
             cand_a = greedy_maximal_isotropic(aomega, seed, within=vert_a, verify=False)

@@ -142,15 +142,15 @@ def _eliminate(r: list[int], prow: list[int], col: int) -> list[int]:
     return [x // g for x in r] if g > 1 else r
 
 
-def _rref_rows(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Canonical RREF of a list of rows; returns (nonzero rows, pivot columns).
+def _forward_rows(rows) -> list[tuple[int, list[int]]]:
+    """Forward elimination: (pivot column, primitive integer row) pairs.
 
-    Elimination runs on primitive integer rows (Bareiss-style
-    ``p*r - c*prow`` steps with gcd content removal); the unique Fraction
-    RREF is built only on return, with a new Fraction for nonzero entries
-    alone.
+    Rows are scaled to primitive integers and cleared below each pivot
+    with Bareiss-style ``p*r - c*prow`` steps and gcd content removal.
+    The pairs come sorted by pivot column, each lead positive; entries
+    above the pivots are left as they are, so the count is the rank.
     """
-    pivots: list[tuple[int, list[int]]] = []  # (pivot col, primitive row with positive lead)
+    pivots: list[tuple[int, list[int]]] = []
     for raw in rows:
         r = _integer_row(raw)
         for pc, prow in pivots:
@@ -163,6 +163,17 @@ def _rref_rows(rows) -> tuple[list[list[Fraction]], list[int]]:
             r = [-x for x in r]
         pivots.append((lead, r))
         pivots.sort(key=lambda t: t[0])
+    return pivots
+
+
+def _rref_rows(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Canonical RREF of a list of rows; returns (nonzero rows, pivot columns).
+
+    Elimination runs on primitive integer rows (``_forward_rows``, then
+    the same steps above each pivot); the unique Fraction RREF is built
+    only on return, with a new Fraction for nonzero entries alone.
+    """
+    pivots = _forward_rows(rows)
     # clear above pivots
     ordered = [p[1] for p in pivots]
     cols = [p[0] for p in pivots]
@@ -238,7 +249,12 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
 
 
 def rank(m: Matrix) -> int:
-    return len(_rref_rows(m.row_list())[1])
+    return len(_forward_rows(m.row_list()))
+
+
+def row_rank(rows) -> int:
+    """Rank of a list of rows, by forward elimination alone."""
+    return len(_forward_rows(rows))
 
 
 def kernel_basis(rows: list[list[Fraction]], cols: int) -> list[list[Fraction]]:

@@ -1,0 +1,338 @@
+"""Differential tests: the rank certificates against the code they replaced.
+
+The oracles below are the previous implementations: the Fraction wedge,
+the left-fold wedge power, the level-by-level ``uniform_rank`` loop, the
+kernel-based ``rank_2form``, the eager ``constant_rank_sampled`` and the
+eager seed list of ``scalar_polylagrangian_candidates``.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+import time
+from fractions import Fraction
+from math import comb
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from polydarboux import exterior
+from polydarboux.darboux import canonical_poly_model, conjugated_poly_instance
+from polydarboux.exterior import (AlternatingForm, VectorValuedForm, add, form, merge_sign,
+                                  poly_eval, project, scale, symmetric_poly, wedge,
+                                  wedge_power_by_exponent, zero_form)
+from polydarboux.lagrangian import (DEFAULT_SEED, _coordinate_seeds, _exponents,
+                                    check_polylagrangian, constant_rank_sampled,
+                                    greedy_maximal_isotropic, is_isotropic, kernel_of_form,
+                                    random_covector, rank_2form, scalar_polylagrangian_candidates,
+                                    uniform_rank)
+from polydarboux.linalg import Matrix, Subspace, _rref_rows, rank, row_rank
+from polydarboux.sparse import span_of
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+BIG = 10 ** 13
+
+settings.register_profile("rank_oracle", deadline=None, max_examples=60, derandomize=True)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the previous code
+
+
+def oracle_wedge(a: AlternatingForm, b: AlternatingForm) -> AlternatingForm:
+    out: dict = {}
+    for ma, ca in a.coeffs.items():
+        for mb, cb in b.coeffs.items():
+            s = merge_sign(ma, mb)
+            if not s:
+                continue
+            key = ma | mb
+            nv = out.get(key, 0) + (ca * cb if s > 0 else -ca * cb)
+            if nv:
+                out[key] = nv
+            else:
+                del out[key]
+    return AlternatingForm(a.dim, a.degree + b.degree, {m: Fraction(c) for m, c in out.items()})
+
+
+def oracle_wedge_power(omega: VectorValuedForm, exponent) -> AlternatingForm:
+    factors = []
+    for a, e in enumerate(exponent):
+        factors.extend([omega.components[a]] * e)
+    out = factors[0]
+    for f in factors[1:]:
+        out = oracle_wedge(out, f)
+    return out
+
+
+def oracle_uniform_rank(v: VectorValuedForm):
+    nhat = v.value_dim
+    for n_rank in range(1, v.dim // 2 + 1):
+        indep = True
+        ech_vectors = []
+        for alpha in _exponents(nhat, n_rank):
+            w = oracle_wedge_power(v, alpha)
+            if w.is_zero():
+                indep = False
+                break
+            ech_vectors.append(dict(w.coeffs))
+        if indep:
+            indep = span_of(ech_vectors).rank == len(ech_vectors)
+        if not indep:
+            continue
+        if all(oracle_wedge_power(v, alpha).is_zero() for alpha in _exponents(nhat, n_rank + 1)):
+            return n_rank
+    return None
+
+
+def oracle_rank_2form(omega: AlternatingForm) -> int:
+    return (omega.dim - kernel_of_form(omega).dim) // 2
+
+
+def oracle_constant_rank_sampled(v: VectorValuedForm, sample_count: int, seed: int):
+    rng = random.Random(seed)
+    covs = [[ONE if a == b else ZERO for b in range(v.value_dim)] for a in range(v.value_dim)]
+    covs.extend(random_covector(rng, v.value_dim) for _ in range(sample_count))
+    ranks = {oracle_rank_2form(project(v, t)) for t in covs}
+    return ranks.pop() if len(ranks) == 1 else None
+
+
+def oracle_seeds(v: VectorValuedForm) -> list[Subspace]:
+    seeds = []
+    for i in range(v.dim):
+        e = [ZERO] * v.dim
+        e[i] = ONE
+        seeds.append(Subspace.from_vectors(v.dim, [e]))
+    if v.degree >= 3:
+        for i, j in itertools.combinations(range(v.dim), 2):
+            ei = [ZERO] * v.dim
+            ei[i] = ONE
+            ej = [ZERO] * v.dim
+            ej[j] = ONE
+            pair = Subspace.from_vectors(v.dim, [ei, ej])
+            if is_isotropic(pair, v, 1):
+                seeds.append(pair)
+    return seeds
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+coefficients = st.one_of(
+    st.just(ZERO),
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(BIG // 10, BIG - 1)),
+)
+
+
+@st.composite
+def scalar_forms(draw, dim: int, degree: int):
+    monomials = list(itertools.combinations(range(1, dim + 1), degree))
+    terms = draw(st.dictionaries(st.sampled_from(monomials), coefficients,
+                                 max_size=len(monomials))) if monomials else {}
+    return form(dim, degree, terms)
+
+
+@st.composite
+def random_2forms(draw):
+    """Vector-valued 2-forms with arbitrary sparse components, zero ones included."""
+    dim = draw(st.integers(2, 10))
+    nhat = draw(st.integers(1, 3))
+    return VectorValuedForm(tuple(draw(scalar_forms(dim, 2)) for _ in range(nhat)))
+
+
+@st.composite
+def block_2forms(draw):
+    """Components on shared Darboux planes with differing supports.
+
+    Projections then have ranks that depend on the covector, so these
+    forms carry rank gaps as well as genuine uniform ranks.
+    """
+    dim = draw(st.integers(2, 10))
+    nhat = draw(st.integers(1, 3))
+    planes = [(2 * i + 1, 2 * i + 2) for i in range(dim // 2)]
+    comps = []
+    for _ in range(nhat):
+        chosen = draw(st.lists(st.sampled_from(planes), unique=True))
+        comps.append(form(dim, 2, {p: draw(coefficients.filter(bool)) for p in chosen}))
+    return VectorValuedForm(tuple(comps))
+
+
+def canonical_2forms():
+    """Small canonical models, their conjugates and the counterexample forms."""
+    out = []
+    for params in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1), (2, 3, 1)]:
+        model = canonical_poly_model(*params)
+        out.append(model.form)
+        out.append(conjugated_poly_instance(model, 11)[0])
+    out.append(VectorValuedForm((form(4, 2, {(1, 2): 1, (3, 4): 1}),
+                                 form(4, 2, {(1, 3): 1, (2, 4): -1}))))
+    out.append(VectorValuedForm((form(3, 2, {(2, 3): 1}), form(3, 2, {(3, 1): 1}),
+                                 form(3, 2, {(1, 2): 1}))))
+    out.append(VectorValuedForm((zero_form(6, 2), zero_form(6, 2))))
+    out.append(VectorValuedForm((form(6, 2, {(1, 2): 1}), zero_form(6, 2))))
+    return out
+
+
+any_2form = st.one_of(random_2forms(), block_2forms(), st.sampled_from(canonical_2forms()))
+
+
+# ---------------------------------------------------------------------------
+# wedge and wedge powers
+
+
+@settings(settings.get_profile("rank_oracle"))
+@given(st.data())
+def test_wedge_matches_fraction_wedge(data):
+    dim = data.draw(st.integers(2, 10))
+    p = data.draw(st.integers(0, 3))
+    q = data.draw(st.integers(0, 3))
+    a = data.draw(scalar_forms(dim, p))
+    b = data.draw(scalar_forms(dim, q))
+    got = wedge(a, b)
+    assert got == oracle_wedge(a, b)
+    assert all(type(c) is Fraction for c in got.coeffs.values())
+
+
+@settings(settings.get_profile("rank_oracle"))
+@given(any_2form, st.data())
+def test_wedge_power_matches_left_fold(v, data):
+    exps = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * v.value_dim)
+                              .filter(any), min_size=1, max_size=6))
+    memo: dict = {}
+    for alpha in exps:
+        want = oracle_wedge_power(v, alpha)
+        assert wedge_power_by_exponent(v, alpha) == want
+        assert wedge_power_by_exponent(v, alpha, memo) == want
+
+
+def test_wedge_power_rejects_empty_and_negative_exponents(rank_gap_form):
+    with pytest.raises(ValueError):
+        wedge_power_by_exponent(rank_gap_form, (0, 0))
+    with pytest.raises(ValueError):
+        wedge_power_by_exponent(rank_gap_form, (2, -1))
+
+
+@settings(settings.get_profile("rank_oracle"))
+@given(any_2form, st.data())
+def test_poly_eval_matches_monomial_sum(v, data):
+    degree = data.draw(st.integers(1, 3))
+    exps = list(_exponents(v.value_dim, degree))
+    coeffs = {e: data.draw(coefficients) for e in data.draw(
+        st.lists(st.sampled_from(exps), unique=True))}
+    p = symmetric_poly(v.value_dim, degree, coeffs)
+    want = zero_form(v.dim, 2 * degree)
+    for e, c in p.coeffs.items():
+        want = add(want, scale(oracle_wedge_power(v, e), c))
+    assert poly_eval(p, v) == want
+
+
+# ---------------------------------------------------------------------------
+# ranks
+
+
+@settings(settings.get_profile("rank_oracle"))
+@given(any_2form)
+def test_uniform_rank_matches_level_loop(v):
+    assert uniform_rank(v) == oracle_uniform_rank(v)
+
+
+@pytest.mark.parametrize("v", canonical_2forms())
+def test_uniform_rank_matches_level_loop_on_known_forms(v):
+    assert uniform_rank(v) == oracle_uniform_rank(v)
+
+
+@settings(settings.get_profile("rank_oracle"))
+@given(any_2form)
+def test_rank_2form_matches_kernel_dimension(v):
+    for comp in v.components:
+        assert rank_2form(comp) == oracle_rank_2form(comp)
+
+
+@settings(settings.get_profile("rank_oracle"))
+@given(st.data())
+def test_rank_matches_rref_pivot_count(data):
+    rows = data.draw(st.integers(0, 8))
+    cols = data.draw(st.integers(0, 8))
+    raw = [[data.draw(coefficients) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 2 and data.draw(st.booleans()):
+        raw[-1] = [x + y for x, y in zip(raw[0], raw[1])]
+    want = len(_rref_rows(raw)[1])
+    assert rank(Matrix.from_rows(raw) if rows else Matrix(0, cols, ())) == want
+    assert row_rank(raw) == want
+
+
+@settings(settings.get_profile("rank_oracle"))
+@given(any_2form, st.integers(1, 12), st.integers(0, 10 ** 6))
+def test_constant_rank_sampled_matches_eager_sampler(v, samples, seed):
+    assert constant_rank_sampled(v, samples, seed) == oracle_constant_rank_sampled(v, samples, seed)
+
+
+def test_constant_rank_sampled_stops_at_first_disagreement():
+    w1 = form(4, 2, {(1, 2): 1})
+    w2 = form(4, 2, {(3, 4): 1})
+    mixed = VectorValuedForm((w1, add(w1, w2)))
+    t0 = time.perf_counter()
+    assert constant_rank_sampled(mixed, 10 ** 9, DEFAULT_SEED) is None
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_uniform_rank_computes_each_power_once(monkeypatch):
+    """poly 8 3 1: one wedge per exponent of levels 2..9, 216 in all."""
+    model = canonical_poly_model(8, 3, 1)
+    calls = []
+    real = exterior.wedge
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(exterior, "wedge", counting)
+    assert uniform_rank(model.form) == 8
+    assert len(calls) <= sum(len(list(_exponents(3, n))) for n in range(2, 10)) == 216
+
+
+# ---------------------------------------------------------------------------
+# lazy seeds of the scalar search
+
+
+def oracle_candidates(v: VectorValuedForm, limit):
+    k = v.degree - 1
+    ker = kernel_of_form(v)
+    seeds = oracle_seeds(v)
+    if limit is not None:
+        seeds = seeds[:limit]
+    seen = set()
+    out = []
+    for seed_sub in seeds:
+        cand = greedy_maximal_isotropic(v, seed_sub, verify=False)
+        if cand.basis.entries in seen:
+            continue
+        seen.add(cand.basis.entries)
+        n_codim = v.dim - cand.dim
+        if (n_codim >= k and cand.dim == ker.dim + comb(n_codim, k)
+                and check_polylagrangian(cand, v)):
+            out.append(cand)
+    return out
+
+
+SCALAR_FORMS = [
+    VectorValuedForm((form(4, 2, {(1, 3): 1, (2, 4): 1}),)),
+    canonical_poly_model(3, 1, 2).form,
+    conjugated_poly_instance(canonical_poly_model(3, 1, 2), 5)[0],
+    VectorValuedForm((form(5, 3, {(1, 2, 3): 1, (1, 4, 5): 2}),)),
+]
+
+
+@pytest.mark.parametrize("v", SCALAR_FORMS)
+def test_coordinate_seeds_keep_their_order(v):
+    assert list(_coordinate_seeds(v)) == oracle_seeds(v)
+
+
+@pytest.mark.parametrize("v", SCALAR_FORMS)
+@pytest.mark.parametrize("limit", [None, 1, 3, 7])
+def test_scalar_candidates_match_eager_seeds(v, limit):
+    assert list(scalar_polylagrangian_candidates(v, limit=limit)) == oracle_candidates(v, limit)
