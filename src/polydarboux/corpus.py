@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from .exterior import project, wedge
 from .io import FormDocument, load_document
-from .lagrangian import (DEFAULT_SEED, as_vector_form, classify_vector_form,
-                         constant_rank_sampled, kernel_of_form, kernels_orthogonal_under,
-                         polysymplectic_uniform_rank_check,
+from .lagrangian import (DEFAULT_SEED, as_vector_form, check_sample_budget,
+                         classify_vector_form, constant_rank_sampled, kernel_of_form,
+                         kernels_orthogonal_under, polysymplectic_uniform_rank_check,
                          projection_kernel_isotropy_check, search_polylagrangian,
                          uniform_rank)
 from .lie import su2_example
@@ -70,7 +70,9 @@ def check_claims(docpath: str, parsed: FormDocument, *, seed: int = DEFAULT_SEED
         add(f"uniform rank = {claims['uniform_rank']}", got == claims["uniform_rank"], f"got {got}")
     if "constant_rank_sampled" in claims:
         spec = claims["constant_rank_sampled"]
-        got = constant_rank_sampled(v, spec.get("samples", samples), seed)
+        n_samples = spec.get("samples", samples)
+        check_sample_budget(n_samples)
+        got = constant_rank_sampled(v, n_samples, seed)
         add(f"sampled constant rank = {spec['value']}", got == spec["value"], f"got {got}")
     if "wedge_vanishes" in claims:
         for a, b in claims["wedge_vanishes"]:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import DimensionMismatch, InternalCheckError, PreconditionError
 from .exterior import (AlternatingForm, Flag, VectorValuedForm, contract, evaluate,
@@ -345,9 +346,13 @@ def greedy_maximal_isotropic(omega, seed: Subspace, within: Subspace | None = No
     is not already in the span; deterministic given the seed.  ``within``
     restricts the growth (used for vertical-space searches).
 
-    The constraint rows of the complement accumulate in one incremental
-    echelon: each added vector only contributes the conditions from its
-    own contraction image.
+    Two incremental echelons carry the growth: the span of seed and picks,
+    which answers membership, and the constraint rows of the complement,
+    to which each pick adds only the conditions from its own contraction
+    image.  The complement's RREF is rebuilt only when those rows gained
+    rank.  Otherwise it is unchanged and the scan resumes after the last
+    pick: every vector before it was already in the smaller span.  The
+    returned subspace is built once, from seed and picks.
     """
     v = as_vector_form(omega)
     if not is_isotropic(seed, v, 1):
@@ -356,22 +361,32 @@ def greedy_maximal_isotropic(omega, seed: Subspace, within: Subspace | None = No
     if within is not None:
         for row in annihilator(within).vectors():
             ech.insert(row)
-    cur = seed
-    for u in seed.vectors():
+    span = RowEchelon(v.dim)
+    grown = list(seed.vectors())
+    for u in grown:
+        span.insert(u)
         for row in _kernel_constraints(contract(u, v)):
             ech.insert(row)
+    orth: list | None = None
+    start = 0
     while True:
-        orth = Subspace.from_vectors(v.dim, ech.kernel_vectors())
-        nxt = None
-        for w in orth.vectors():
-            if not cur.contains(w):
-                nxt = w
-                break
-        if nxt is None:
+        if orth is None:
+            orth = Subspace.from_vectors(v.dim, ech.kernel_vectors()).vectors()
+            start = 0
+        at = next((i for i in range(start, len(orth)) if not span.contains(orth[i])), None)
+        if at is None:
             break
-        cur = Subspace.from_vectors(v.dim, cur.vectors() + [nxt])
+        nxt = orth[at]
+        grown.append(nxt)
+        span.insert(nxt)
+        grew = False
         for row in _kernel_constraints(contract(nxt, v)):
-            ech.insert(row)
+            grew = ech.insert(row) or grew
+        if grew:
+            orth = None
+        else:
+            start = at + 1
+    cur = Subspace.from_vectors(v.dim, grown)
     if verify and within is None and not is_maximal_isotropic(cur, v):
         raise InternalCheckError("greedy termination did not yield a maximal isotropic subspace")
     return cur
@@ -559,15 +574,39 @@ def symbol_structure_check(omega: AlternatingForm, flag: Flag, r: int, sub: Subs
 # ranks
 
 
+# Resource budgets: work beyond them is refused before it starts, or as
+# soon as it is exceeded, instead of running for hours or exhausting memory.
+MAX_RANK_SAMPLES = 10_000  # random covectors ranked by one sampled check
+MAX_WEDGE_TERMS = 500_000  # terms held in the wedge-power memo of uniform_rank
+
+
+def check_sample_budget(samples: int) -> None:
+    """Refuse a sampled rank check of more than ``MAX_RANK_SAMPLES`` covectors."""
+    if samples > MAX_RANK_SAMPLES:
+        raise PreconditionError(f"{samples} rank samples exceed the budget of "
+                                f"{MAX_RANK_SAMPLES} (MAX_RANK_SAMPLES)")
+
+
 def rank_2form(omega: AlternatingForm) -> int:
     """Half the dimension of the support of an alternating 2-form.
 
-    The support dimension is the rank of the kernel constraint rows, found
-    by forward elimination; no kernel basis is built.
+    The support dimension is the rank of the antisymmetric coefficient
+    matrix, the kernel constraint rows, found by forward elimination; no
+    kernel basis is built.  The rows are built as integers, scaled by the
+    lcm of the coefficient denominators.
     """
     if omega.degree != 2:
         raise PreconditionError("rank is defined here for 2-forms")
-    support = row_rank(_kernel_constraints(omega))
+    dim = omega.dim
+    scale = lcm(*(c.denominator for c in omega.coeffs.values()))
+    rows: defaultdict = defaultdict(lambda: [0] * dim)
+    for m, c in omega.coeffs.items():
+        i = (m & -m).bit_length() - 1
+        j = m.bit_length() - 1
+        x = c.numerator * (scale // c.denominator)
+        rows[i][j] = -x
+        rows[j][i] = x
+    support = row_rank(list(rows.values()))
     if support & 1:
         raise InternalCheckError("odd support dimension for an alternating 2-form")
     return support // 2
@@ -581,15 +620,30 @@ def uniform_rank(omega: VectorValuedForm) -> int | None:
     does every higher power, so the first all-zero level N+1 is the only
     place an answer can sit: N qualifies when its powers are nonzero and
     independent, and otherwise there is none.
+
+    The memo may hold at most ``MAX_WEDGE_TERMS`` terms; a form whose
+    powers need more is refused with a ``PreconditionError``.
     """
     v = as_vector_form(omega)
     if v.degree != 2:
         raise PreconditionError("uniform rank is defined for 2-forms")
     nhat = v.value_dim
     memo: dict = {}
+    terms = 0
+
+    def nonzero_power(alpha) -> bool:
+        nonlocal terms
+        stored = len(memo)
+        w = wedge_power_by_exponent(v, alpha, memo)
+        terms += sum(len(p.coeffs) for p in itertools.islice(memo.values(), stored, None))
+        if terms > MAX_WEDGE_TERMS:
+            raise PreconditionError(
+                f"wedge powers of this form exceed the budget of {MAX_WEDGE_TERMS} "
+                "stored terms (MAX_WEDGE_TERMS)")
+        return not w.is_zero()
+
     level = 2
-    while any(not wedge_power_by_exponent(v, alpha, memo).is_zero()
-              for alpha in _exponents(nhat, level)):
+    while any(nonzero_power(alpha) for alpha in _exponents(nhat, level)):
         level += 1
     # each N-power is the lower factor of an (N+1)-power, so all are memoized
     powers = [memo[alpha] for alpha in _exponents(nhat, level - 1)]
@@ -720,6 +774,7 @@ def classify_vector_form(omega, *, seed: int = DEFAULT_SEED, samples: int = 25) 
     degenerate = ker.dim > 0
     uni = cons = None
     if v.degree == 2:
+        check_sample_budget(samples)
         uni = uniform_rank(v)
         cons = constant_rank_sampled(v, samples, seed)
         diagnostics.append(f"uniform rank: {uni}; sampled constant rank: {cons} "

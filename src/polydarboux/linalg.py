@@ -192,6 +192,18 @@ def _rref_rows(rows) -> tuple[list[list[Fraction]], list[int]]:
     return out, cols
 
 
+def _reduce(r: list, pivots, rows) -> list:
+    """Clear each pivot column of r with its monic, fully reduced row.
+
+    Zero entries of a row are skipped, so a sparse basis costs little.
+    """
+    for pc, prow in zip(pivots, rows):
+        c = r[pc]
+        if c:
+            r = [a - c * b if b else a for a, b in zip(r, prow)]
+    return r
+
+
 class RowEchelon:
     """Incrementally maintained reduced row echelon over fixed columns.
 
@@ -208,12 +220,16 @@ class RowEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
+    def reduce(self, row) -> list[Fraction]:
+        """Residue of the row after elimination against the echelon rows."""
+        return _reduce(list(row), self.pivots, self.rows)
+
+    def contains(self, row) -> bool:
+        return not any(self.reduce(row))
+
     def insert(self, row) -> bool:
-        r = list(row)
-        for pc, prow in zip(self.pivots, self.rows):
-            c = r[pc]
-            if c:
-                r = [a - c * b if b else a for a, b in zip(r, prow)]
+        """Add a row to the span; returns True if the rank grew."""
+        r = self.reduce(row)
         lead = next((j for j, x in enumerate(r) if x), None)
         if lead is None:
             return False
@@ -388,12 +404,7 @@ class Subspace:
         r = list(vec(v))
         if len(r) != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        for i, pc in enumerate(self.pivot_columns()):
-            c = r[pc]
-            if c:
-                row = self.basis.row(i)
-                r = [a - c * b for a, b in zip(r, row)]
-        return r
+        return _reduce(r, self.pivot_columns(), self.vectors())
 
     def contains(self, v: Sequence) -> bool:
         return not any(self.reduce(v))
