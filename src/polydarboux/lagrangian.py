@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
@@ -587,29 +586,50 @@ def check_sample_budget(samples: int) -> None:
                                 f"{MAX_RANK_SAMPLES} (MAX_RANK_SAMPLES)")
 
 
+def _integer_entries(forms) -> list[list[tuple[int, int, int]]]:
+    """Entries (i, j, x), i < j 0-based, of each 2-form's coefficient matrix.
+
+    All forms are scaled to integers by one lcm of their coefficient
+    denominators, so integer combinations of the lists keep the ranks of
+    the matching rational combinations of the forms.
+    """
+    scale = lcm(*(c.denominator for f in forms for c in f.coeffs.values()))
+    return [[((m & -m).bit_length() - 1, m.bit_length() - 1, c.numerator * (scale // c.denominator))
+             for m, c in f.coeffs.items()] for f in forms]
+
+
+def _half_rank(entries) -> int:
+    """Half the rank of the antisymmetric integer matrix summing the entries.
+
+    Only the indices that occur get a row and a column: the others are
+    zero in the matrix and do not change its rank.
+    """
+    pos: dict = {}
+    for i, j, _ in entries:
+        pos.setdefault(i, len(pos))
+        pos.setdefault(j, len(pos))
+    rows = [[0] * len(pos) for _ in pos]
+    for i, j, x in entries:
+        a, b = pos[i], pos[j]
+        rows[a][b] -= x
+        rows[b][a] += x
+    support = row_rank(rows)
+    if support & 1:
+        raise InternalCheckError("odd support dimension for an alternating 2-form")
+    return support // 2
+
+
 def rank_2form(omega: AlternatingForm) -> int:
     """Half the dimension of the support of an alternating 2-form.
 
     The support dimension is the rank of the antisymmetric coefficient
     matrix, the kernel constraint rows, found by forward elimination; no
     kernel basis is built.  The rows are built as integers, scaled by the
-    lcm of the coefficient denominators.
+    lcm of the coefficient denominators, over the indices that occur.
     """
     if omega.degree != 2:
         raise PreconditionError("rank is defined here for 2-forms")
-    dim = omega.dim
-    scale = lcm(*(c.denominator for c in omega.coeffs.values()))
-    rows: defaultdict = defaultdict(lambda: [0] * dim)
-    for m, c in omega.coeffs.items():
-        i = (m & -m).bit_length() - 1
-        j = m.bit_length() - 1
-        x = c.numerator * (scale // c.denominator)
-        rows[i][j] = -x
-        rows[j][i] = x
-    support = row_rank(list(rows.values()))
-    if support & 1:
-        raise InternalCheckError("odd support dimension for an alternating 2-form")
-    return support // 2
+    return _half_rank(_integer_entries([omega])[0])
 
 
 def uniform_rank(omega: VectorValuedForm) -> int | None:
@@ -673,26 +693,34 @@ def constant_rank_sampled(omega: VectorValuedForm, sample_count: int,
     """Common rank of sampled projections, or None on disagreement.
 
     A sound refuter and a sampled verifier: all standard basis covectors
-    plus ``sample_count`` seeded random nonzero covectors are projected
-    and ranked one at a time, and the first rank that disagrees ends the
-    run.  An exact certificate, when it exists, comes from
-    ``uniform_rank`` instead.
+    plus ``sample_count`` seeded random nonzero covectors are ranked one
+    at a time, and the first rank that disagrees ends the run.  A unit
+    covector ranks its component with ``rank_2form``.  The random ones
+    use the integer pencil: the components are scaled to integers once,
+    by one lcm, and each covector, cleared of its denominators, ranks its
+    integer combination of them with ``row_rank``.  An exact certificate,
+    when it exists, comes from ``uniform_rank`` instead.
     """
     v = as_vector_form(omega)
     if v.degree != 2:
         raise PreconditionError("constant rank is defined for 2-forms")
     if sample_count <= 0:
         raise PreconditionError("sample count must be positive")
-    rng = random.Random(seed)
-    nhat = v.value_dim
-    covs = itertools.chain((_unit_vector(nhat, a) for a in range(nhat)),
-                           (random_covector(rng, nhat) for _ in range(sample_count)))
     common = None
-    for t in covs:
-        r = rank_2form(project(v, t))
+    for comp in v.components:
+        r = rank_2form(comp)
         if common is None:
             common = r
         elif r != common:
+            return None
+    rng = random.Random(seed)
+    pencil = _integer_entries(v.components)
+    for _ in range(sample_count):
+        t = random_covector(rng, v.value_dim)
+        den = lcm(*(x.denominator for x in t))
+        ts = [x.numerator * (den // x.denominator) for x in t]
+        entries = [(i, j, s * x) for s, comp in zip(ts, pencil) if s for i, j, x in comp]
+        if _half_rank(entries) != common:
             return None
     return common
 

@@ -119,12 +119,15 @@ class Matrix:
 
 def _integer_row(raw) -> list[int]:
     """The row scaled to primitive integers (all zeros for a zero row)."""
-    dens = [x.denominator for x in raw]
-    scale = lcm(*dens)
-    if scale == 1:
-        r = [x.numerator for x in raw]
+    if raw and type(raw[0]) is int and all(type(x) is int for x in raw):
+        r = list(raw)  # already integers: only the content is removed
     else:
-        r = [x.numerator * (scale // d) for x, d in zip(raw, dens)]
+        dens = [x.denominator for x in raw]
+        scale = lcm(*dens)
+        if scale == 1:
+            r = [x.numerator for x in raw]
+        else:
+            r = [x.numerator * (scale // d) for x, d in zip(raw, dens)]
     g = gcd(*r)
     return [x // g for x in r] if g > 1 else r
 

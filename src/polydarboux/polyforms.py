@@ -16,6 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, InternalCheckError, PreconditionError
@@ -132,7 +133,8 @@ def poly_from_terms(nvars: int, terms: Mapping[Sequence[int], object]) -> Polyno
     for e, c in terms.items():
         c = frac(c)
         if c:
-            out[tuple(e)] = out.get(tuple(e), ZERO) + c
+            e = tuple(e)
+            out[e] = out[e] + c if e in out else c
     return Polynomial(nvars, {e: c for e, c in out.items() if c})
 
 
@@ -263,31 +265,49 @@ def pf_contract_basis(a: PolyForm, index: int) -> PolyForm:
 
 
 def _d_along(a: PolyForm, variables) -> PolyForm:
-    """Sum over the given variables v of dx_v ∧ ∂a/∂x_v."""
+    """Sum over the given 0-based variables v of dx_v ∧ ∂a/∂x_v.
+
+    Accumulates integer numerators over the lcm of the coefficient
+    denominators, one flat exponent dict per output mask, and builds one
+    Fraction per surviving term.  Terms and masks that cancel are dropped
+    as they cancel, so the dict order matches a left-to-right Fraction sum.
+    """
+    scale = lcm(*(c.denominator for p in a.coeffs.values() for c in p.terms.values()))
     out: dict = {}
     for m, p in a.coeffs.items():
+        # 0-based variable -> [(exponents, numerator of the partial)], in term order
+        partials: dict = {}
+        for e, c in p.terms.items():
+            n = c.numerator * (scale // c.denominator)
+            for v, k in enumerate(e):
+                if k and n:
+                    partials.setdefault(v, []).append((e, n * k))
         for v in variables:
-            bit = 1 << (v - 1)
-            if m & bit:
+            bit = 1 << v
+            if m & bit or v not in partials:
                 continue
-            dp = p.diff(v)
-            if dp.is_zero():
-                continue
-            s = merge_sign(bit, m)
-            q = dp if s > 0 else -dp
+            neg = removal_sign(m, v) < 0
             key = m | bit
-            cur = out.get(key)
-            ns = q if cur is None else cur + q
-            if ns.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = ns
-    return PolyForm(a.dim, a.degree + 1, a.split, out)
+            slot = out.get(key)
+            if slot is None:
+                slot = out[key] = {}
+            for e, n in partials[v]:
+                ne = e[:v] + (e[v] - 1,) + e[v + 1:]
+                nv = slot.get(ne, 0) + (-n if neg else n)
+                if nv:
+                    slot[ne] = nv
+                else:
+                    del slot[ne]
+            if not slot:
+                del out[key]
+    coeffs = {m: Polynomial(a.dim, {e: Fraction(n, scale) for e, n in slot.items()})
+              for m, slot in out.items()}
+    return PolyForm(a.dim, a.degree + 1, a.split, coeffs)
 
 
 def exterior_d(a: PolyForm) -> PolyForm:
     """Exterior derivative; nilpotent and a graded derivation over wedge."""
-    return _d_along(a, range(1, a.dim + 1))
+    return _d_along(a, range(a.dim))
 
 
 def vertical_d(a: PolyForm) -> PolyForm:
@@ -300,7 +320,7 @@ def vertical_d(a: PolyForm) -> PolyForm:
     for m in a.coeffs:
         if m & ((1 << a.x_dim) - 1):
             raise PreconditionError("vertical forms must carry y-differentials only")
-    return _d_along(a, range(a.x_dim + 1, a.dim + 1))
+    return _d_along(a, range(a.x_dim, a.dim))
 
 
 def max_vertical_factors(a: PolyForm) -> int:
@@ -319,24 +339,62 @@ def homotopy_primitive(omega: PolyForm, r: int) -> PolyForm:
     d(theta) = omega and at most r-1 y-differentials per monomial.
     The construction scales the two blocks separately, contracts against
     the generating fields, and integrates each power of the scale
-    parameter exactly.
+    parameter exactly, accumulating integer numerators over one common
+    denominator.
+
+    Every returned primitive is verified: d(theta) = omega is checked
+    exactly, which also proves omega closed (d(omega) = d(d(theta)) = 0).
+    Only when a check fails is d(omega) computed, to tell a form that is
+    not closed (``PreconditionError``) from a construction fault
+    (``InternalCheckError``).
     """
     k = omega.degree
     if k < 1:
         raise PreconditionError("primitive construction needs degree at least 1")
-    if not exterior_d(omega).is_zero():
-        raise PreconditionError("form is not closed")
-    if max_vertical_factors(omega) > r:
-        raise PreconditionError(
-            f"a monomial carries more than {r} vertical differentials")
+    try:
+        if max_vertical_factors(omega) > r:
+            raise PreconditionError(f"a monomial carries more than {r} vertical differentials")
+        theta = _primitive(omega, r)
+        if exterior_d(theta) != omega:
+            raise InternalCheckError("primitive does not differentiate back to the form")
+    except (PreconditionError, InternalCheckError):
+        if not exterior_d(omega).is_zero():
+            raise PreconditionError("form is not closed") from None
+        raise
+    return theta
+
+
+def _primitive(omega: PolyForm, r: int) -> PolyForm:
+    """The homotopy construction of ``homotopy_primitive``, unverified."""
+    k = omega.degree
     x_dim = omega.x_dim
+    # each monomial integrates one power of the scale parameter, with
+    # weight 1/(power+1); the numerators share the denominator
+    # scale * lcm(power+1), built into Fractions once at the end
+    powers = set()
+    for m, p in omega.coeffs.items():
+        s_l = omega.y_count(m)
+        for exps in p.terms:
+            y_deg = sum(exps[x_dim:])
+            if s_l:
+                power = y_deg + s_l - 1
+                if power < 0:
+                    raise InternalCheckError("negative scale power in the fiber part")
+                powers.add(power)
+            elif y_deg == 0:
+                power = sum(exps) + k - 1
+                if power < 0:
+                    raise InternalCheckError("negative scale power in the base part")
+                powers.add(power)
+    scale = lcm(*(c.denominator for p in omega.coeffs.values() for c in p.terms.values()))
+    weights = lcm(*(power + 1 for power in powers))
     acc: dict = {}
 
-    def put(mask: int, exps: tuple, coeff: Fraction):
-        if not coeff:
+    def put(mask: int, exps: tuple, n: int):
+        if not n:
             return
         slot = acc.setdefault(mask, {})
-        nv = slot.get(exps, ZERO) + coeff
+        nv = slot.get(exps, 0) + n
         if nv:
             slot[exps] = nv
         else:
@@ -345,41 +403,31 @@ def homotopy_primitive(omega: PolyForm, r: int) -> PolyForm:
     for m, p in omega.coeffs.items():
         s_l = omega.y_count(m)
         for exps, c in p.terms.items():
+            n = c.numerator * (scale // c.denominator)
             y_deg = sum(exps[x_dim:])
             # y-block scaling part: contract the fiber scaling field
             if s_l:
-                power = y_deg + s_l - 1
-                if power < 0:
-                    raise InternalCheckError("negative scale power in the fiber part")
-                weight = Fraction(1, power + 1)
+                w = n * (weights // (y_deg + s_l))
                 mm = m >> x_dim
                 while mm:
                     low = mm & -mm
                     mm ^= low
                     j = low.bit_length() - 1 + x_dim  # 0-based coordinate
-                    sign = removal_sign(m, j)
                     ne = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
-                    put(m ^ (1 << j), ne, (c if sign > 0 else -c) * weight)
+                    put(m ^ (1 << j), ne, w if removal_sign(m, j) > 0 else -w)
             # x-block scaling part acts on the fiber-restricted form
             if s_l == 0 and y_deg == 0:
-                power = sum(exps) + k - 1
-                if power < 0:
-                    raise InternalCheckError("negative scale power in the base part")
-                weight = Fraction(1, power + 1)
+                w = n * (weights // (sum(exps) + k))
                 mm = m
                 while mm:
                     low = mm & -mm
                     mm ^= low
                     i = low.bit_length() - 1
-                    sign = removal_sign(m, i)
                     ne = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
-                    put(m ^ (1 << i), ne, (c if sign > 0 else -c) * weight)
+                    put(m ^ (1 << i), ne, w if removal_sign(m, i) > 0 else -w)
 
-    coeffs = {}
-    for m, slot in acc.items():
-        p = Polynomial(omega.dim, slot)
-        if not p.is_zero():
-            coeffs[m] = p
+    coeffs = {m: Polynomial(omega.dim, {e: Fraction(n, scale * weights) for e, n in slot.items()})
+              for m, slot in acc.items() if slot}
     theta = PolyForm(omega.dim, k - 1, omega.split, coeffs)
     if max_vertical_factors(theta) > max(r - 1, 0):
         raise InternalCheckError("primitive exceeds the expected vertical bound")

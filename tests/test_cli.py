@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from polydarboux.cli import main
@@ -120,6 +122,7 @@ def test_counterexamples_command(capsys):
     assert code == 0
     lines = [ln for ln in out.splitlines() if ln.startswith("[")]
     assert lines and all(ln.startswith("[PASS]") for ln in lines)
+    assert report_digest(code, out, ["counterexamples"]) == GOLDEN["counterexamples"]
 
 
 def test_console_entry_point_runs():
@@ -168,8 +171,127 @@ def test_malformed_fields_exit_two(tmp_path, capsys):
             assert "document error" in capsys.readouterr().err
 
 
+def test_malformed_poly_documents_exit_two(tmp_path, capsys):
+    def poly_doc(indices, split=(1, 1), exponents=(0, 0)):
+        return {"schema_version": "1", "kind": "poly_form", "dim": 2, "degree": 2,
+                "split": list(split), "terms": [{"indices": indices, "polynomial": [
+                    {"exponents": list(exponents), "coefficient": "1"}]}]}
+    index_above_dim = poly_doc([2, 5])
+    index_zero = poly_doc([0, 1])
+    negative_split = dict(poly_doc([1, 2]), split=[3, -1])
+    negative_exponent = poly_doc([1, 2], exponents=(-1, 0))
+    path = tmp_path / "bad.json"
+    for bad in (index_above_dim, index_zero, negative_split, negative_exponent):
+        path.write_text(json.dumps(bad))
+        for command in ("homotopy", "moser"):
+            assert main([command, str(path)]) == 2, (command, bad)
+            assert "document error" in capsys.readouterr().err
+    path.write_text(json.dumps(poly_doc([1, 2])))
+    assert main(["homotopy", str(path), "--json"]) == 0
+
+
+def test_repeated_monomials_add_up(tmp_path):
+    from polydarboux.io import load_document
+    doc = {"schema_version": "1", "kind": "poly_form", "dim": 2, "degree": 2, "split": [1, 1],
+           "terms": [{"indices": [1, 2], "polynomial": [
+               {"exponents": [0, 0], "coefficient": "1"}, {"exponents": [0, 0], "coefficient": "2"},
+               {"exponents": [1, 0], "coefficient": "1/2"}, {"exponents": [1, 0], "coefficient": "-1/2"}]}]}
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps(doc))
+    omega = load_document(path).payload
+    assert omega.coeffs[0b11].terms == {(0, 0): Fraction(3)}
+
+
 def test_moser_rejects_bad_radius(capsys):
     doc = CORPUS["perturbed_multisymplectic.json"]
     for radius in ("0", "-1", "nan", "inf"):
         assert main(["moser", doc, "--steps", "2", "--samples", "1", "--radius", radius]) == 1
         assert "radius" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# byte-identity goldens: sha256 of exit code, stdout and any written file,
+# recorded before the exact primitives and the report writer were rewritten.
+# moser is left out: its float digits depend on the BLAS build.
+
+
+def _closed_poly_document(path: Path) -> str:
+    """d(beta) for a fixed polynomial 2-form beta on R^3 x R^2, with r = 2."""
+    from polydarboux.io import poly_form_to_document
+    from polydarboux.polyforms import PolyForm, exterior_d, poly_from_terms
+    def poly(terms):
+        return poly_from_terms(5, {e: Fraction(c) for e, c in terms.items()})
+    beta = PolyForm(5, 2, (3, 2), {
+        0b00011: poly({(1, 0, 2, 0, 1): "3/7", (0, 2, 0, 0, 0): -2}),
+        0b01001: poly({(0, 1, 0, 1, 0): "5/3", (2, 0, 0, 0, 3): "-1/1000000000007"}),
+        0b00110: poly({(0, 0, 0, 2, 1): 1, (1, 1, 1, 0, 0): "9/4"}),
+        0b10100: poly({(3, 0, 0, 0, 0): "1/2"}),
+    })
+    doc = poly_form_to_document(exterior_d(beta))
+    doc["r"] = 2
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def golden_cases(tmp: Path) -> list:
+    """(name, argv) pairs in run order; later cases read files earlier ones wrote."""
+    multi = str(tmp / "multi.json")
+    poly = str(tmp / "poly.json")
+    closed = _closed_poly_document(tmp / "closed.json")
+    return [
+        ("analyze_a1", ["analyze", CORPUS["appendix_a1.json"], "--json"]),
+        ("analyze_a2_text", ["analyze", CORPUS["appendix_a2.json"], "--seed", "5"]),
+        ("analyze_a3", ["analyze", CORPUS["appendix_a3.json"], "--json", "--seed", "9"]),
+        ("analyze_canonical", ["analyze", CORPUS["canonical_poly_2_2_1.json"], "--json"]),
+        ("darboux_canonical", ["darboux", CORPUS["canonical_poly_2_2_1.json"], "--json"]),
+        ("canonical_poly_stdout", ["canonical", "poly", "2", "2", "1"]),
+        ("canonical_poly_file", ["canonical", "poly", "3", "2", "1", "--shuffle-seed", "7", "-o", poly]),
+        ("canonical_multi_file", ["canonical", "multi", "1", "2", "2", "2", "--shuffle-seed", "3",
+                                  "-o", multi]),
+        ("analyze_poly", ["analyze", poly, "--json", "--samples", "20"]),
+        ("darboux_poly", ["darboux", poly, "--json"]),
+        ("analyze_multi", ["analyze", multi, "--json"]),
+        ("darboux_multi", ["darboux", multi]),
+        ("symbol_multi", ["symbol", multi]),
+        ("homotopy_perturbed", ["homotopy", CORPUS["perturbed_multisymplectic.json"], "--json"]),
+        ("homotopy_perturbed_text", ["homotopy", CORPUS["perturbed_multisymplectic.json"]]),
+        ("homotopy_closed", ["homotopy", closed, "--json"]),
+        ("homotopy_closed_r3", ["homotopy", closed, "--r", "3", "--json"]),
+    ]
+
+
+def report_digest(code: int, stdout: str, argv: list) -> str:
+    h = hashlib.sha256(f"{code}\n{stdout}".encode())
+    if "-o" in argv:
+        h.update(Path(argv[argv.index("-o") + 1]).read_bytes())
+    return h.hexdigest()
+
+
+GOLDEN = {
+    "analyze_a1": "eb85d56b70d88c83b34d74ac7df428ea19266d3d911a15b844e1fb6a415c7d33",
+    "analyze_a2_text": "7a6278b4d251dd83f301654bef0bca015dbd39a34573899abe7827203e9911b5",
+    "analyze_a3": "ca0b1185d84868fa1f03e5162799812b6f2cca3aa5bca36eacee452fe38ce8d6",
+    "analyze_canonical": "45e71b9337171b806905390ebefc76e7e5d47bed2edd66f6bd046f103b636fb5",
+    "darboux_canonical": "3367172c4f54edafdb63c509e9fc03a2665396d11bed29b97a3bd06799c71007",
+    "canonical_poly_stdout": "3f822e15a325ac445de74d3dd0e470c8c0ca8e739d9613e670fd408bd32ae4f5",
+    "canonical_poly_file": "cc853cd0af2421624a9abd22c7025ff493789a15db43969f1a8f08bec729e355",
+    "canonical_multi_file": "115ae3f57036c22b72352e3f02c95ea0126746266c469118810e925102edc113",
+    "analyze_poly": "15664054a712703ae3c884b46372fa832b6592fc81475e48891deeecb0c71c55",
+    "darboux_poly": "41151c90e4844a50e92e8d53e6f80f0c831e447d23fa20817d24d710cc89bd4f",
+    "analyze_multi": "308d31c2316ab8093f9c9939c9c3cde55d540d1f8e42ef770d664842634d8b5d",
+    "darboux_multi": "18ed13d223d10e7166244ee382525c4e9429687e2a3c4b31e1633add57efbed2",
+    "symbol_multi": "764a5ac3fca7af7841cadf8c110db56c271ab6d2353dd3fe73c1b70c33309646",
+    "homotopy_perturbed": "7b2f6f844928b1a1eb2ff0272426cc045788897e37bca9411583644a1486c0fe",
+    "homotopy_perturbed_text": "2c25b9e954b7881a36aea7c18d737cb90508fc0bdc6e401d41c3840c3ad33537",
+    "homotopy_closed": "523c16c78cc23996807916633e50fc5dd6497a5f93f7fd117de7f5134b04238e",
+    "homotopy_closed_r3": "80160fdddde21b07997d9bab2ab7237c89795c258ff404e8118a704bc3f143e4",
+    "counterexamples": "7f83c6426b75e8ef39ef9c4fe438931f4a0f134f2bd88a273519f53dc6b3c1ac",
+}
+
+
+def test_reports_match_goldens(tmp_path, capsys):
+    cases = golden_cases(tmp_path)
+    assert [name for name, _ in cases] + ["counterexamples"] == list(GOLDEN)
+    for name, argv in cases:
+        code, out = run_cli(argv, capsys)
+        assert report_digest(code, out, argv) == GOLDEN[name], name

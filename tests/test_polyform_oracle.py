@@ -1,0 +1,440 @@
+"""Differential tests: exact primitives, pencil ranks and the report writer
+against the code they replaced.
+
+The oracles below are the previous implementations: the Fraction
+``_d_along`` built on ``Polynomial.diff``, the ``homotopy_primitive``
+with its closedness pre-check and Fraction accumulator, and the sampler
+that projected each covector and ranked the projection.  The writer is
+compared with ``json.dumps(sort_keys=True, indent=2)`` itself.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from polydarboux import cli, polyforms
+from polydarboux.errors import InternalCheckError, PreconditionError
+from polydarboux.exterior import VectorValuedForm, form, merge_sign, project, removal_sign
+from polydarboux.io import poly_form_to_document, report_json
+from polydarboux.lagrangian import (DEFAULT_SEED, constant_rank_sampled, random_covector,
+                                    rank_2form)
+from polydarboux.linalg import _rref_rows, row_rank
+from polydarboux.polyforms import (PolyForm, Polynomial, exterior_d, homotopy_primitive,
+                                   max_vertical_factors, vertical_d)
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+BIG = 10 ** 13
+
+settings.register_profile("polyform_oracle", deadline=None, max_examples=80, derandomize=True)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the previous code
+
+
+def oracle_d_along(a: PolyForm, variables) -> PolyForm:
+    out: dict = {}
+    for m, p in a.coeffs.items():
+        for v in variables:
+            bit = 1 << (v - 1)
+            if m & bit:
+                continue
+            dp = p.diff(v)
+            if dp.is_zero():
+                continue
+            s = merge_sign(bit, m)
+            q = dp if s > 0 else -dp
+            key = m | bit
+            cur = out.get(key)
+            ns = q if cur is None else cur + q
+            if ns.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = ns
+    return PolyForm(a.dim, a.degree + 1, a.split, out)
+
+
+def oracle_exterior_d(a: PolyForm) -> PolyForm:
+    return oracle_d_along(a, range(1, a.dim + 1))
+
+
+def oracle_homotopy_primitive(omega: PolyForm, r: int) -> PolyForm:
+    k = omega.degree
+    if k < 1:
+        raise PreconditionError("primitive construction needs degree at least 1")
+    if not oracle_exterior_d(omega).is_zero():
+        raise PreconditionError("form is not closed")
+    if max_vertical_factors(omega) > r:
+        raise PreconditionError(
+            f"a monomial carries more than {r} vertical differentials")
+    x_dim = omega.x_dim
+    acc: dict = {}
+
+    def put(mask: int, exps: tuple, coeff: Fraction):
+        if not coeff:
+            return
+        slot = acc.setdefault(mask, {})
+        nv = slot.get(exps, ZERO) + coeff
+        if nv:
+            slot[exps] = nv
+        else:
+            del slot[exps]
+
+    for m, p in omega.coeffs.items():
+        s_l = omega.y_count(m)
+        for exps, c in p.terms.items():
+            y_deg = sum(exps[x_dim:])
+            if s_l:
+                power = y_deg + s_l - 1
+                if power < 0:
+                    raise InternalCheckError("negative scale power in the fiber part")
+                weight = Fraction(1, power + 1)
+                mm = m >> x_dim
+                while mm:
+                    low = mm & -mm
+                    mm ^= low
+                    j = low.bit_length() - 1 + x_dim
+                    sign = removal_sign(m, j)
+                    ne = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
+                    put(m ^ (1 << j), ne, (c if sign > 0 else -c) * weight)
+            if s_l == 0 and y_deg == 0:
+                power = sum(exps) + k - 1
+                if power < 0:
+                    raise InternalCheckError("negative scale power in the base part")
+                weight = Fraction(1, power + 1)
+                mm = m
+                while mm:
+                    low = mm & -mm
+                    mm ^= low
+                    i = low.bit_length() - 1
+                    sign = removal_sign(m, i)
+                    ne = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+                    put(m ^ (1 << i), ne, (c if sign > 0 else -c) * weight)
+
+    coeffs = {}
+    for m, slot in acc.items():
+        p = Polynomial(omega.dim, slot)
+        if not p.is_zero():
+            coeffs[m] = p
+    theta = PolyForm(omega.dim, k - 1, omega.split, coeffs)
+    if max_vertical_factors(theta) > max(r - 1, 0):
+        raise InternalCheckError("primitive exceeds the expected vertical bound")
+    return theta
+
+
+def oracle_rank_2form(omega) -> int:
+    """Half the pivot count of the Fraction coefficient matrix."""
+    rows = [[ZERO] * omega.dim for _ in range(omega.dim)]
+    for m, c in omega.coeffs.items():
+        i = (m & -m).bit_length() - 1
+        j = m.bit_length() - 1
+        rows[i][j] = -c
+        rows[j][i] = c
+    return len(_rref_rows(rows)[1]) // 2
+
+
+def oracle_constant_rank_sampled(v: VectorValuedForm, sample_count: int, seed: int):
+    rng = random.Random(seed)
+    covs = itertools.chain(
+        ([ONE if a == b else ZERO for b in range(v.value_dim)] for a in range(v.value_dim)),
+        (random_covector(rng, v.value_dim) for _ in range(sample_count)))
+    common = None
+    for t in covs:
+        r = oracle_rank_2form(project(v, t))
+        if common is None:
+            common = r
+        elif r != common:
+            return None
+    return common
+
+
+def outcome(fn, *args):
+    """The result, or the type and message of the exception raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not handled
+        return (type(exc), str(exc))
+
+
+def same_layout(a: PolyForm, b: PolyForm) -> bool:
+    """Equal forms with the same mask and term order.
+
+    The float Moser flow evaluates coefficients in dict order, so keeping
+    the order keeps its digits.
+    """
+    return (a == b and list(a.coeffs) == list(b.coeffs)
+            and all(list(a.coeffs[m].terms) == list(b.coeffs[m].terms) for m in a.coeffs))
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+coefficients = st.one_of(
+    st.integers(-3, 3).filter(bool).map(Fraction),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 7)),
+    st.builds(Fraction, st.integers(-BIG, BIG).filter(bool), st.integers(BIG // 10, BIG - 1)),
+)
+
+
+@st.composite
+def polynomials(draw, dim: int):
+    # few small exponents, so derivatives of different monomials collide and cancel
+    top = draw(st.integers(1, 2))
+    exps = st.lists(st.integers(0, top), min_size=dim, max_size=dim).map(tuple)
+    coeff = draw(st.sampled_from([coefficients, st.sampled_from([ONE, -ONE, Fraction(2)])]))
+    terms = draw(st.dictionaries(exps, coeff, max_size=4))
+    return Polynomial(dim, terms)
+
+
+@st.composite
+def poly_forms(draw, dim=None, degree=None, max_y=None):
+    """Polynomial forms on a split space; ``max_y`` bounds the y-differentials."""
+    if dim is None:
+        dim = draw(st.integers(1, 6))
+    x_dim = draw(st.integers(0, dim))
+    if degree is None:
+        degree = draw(st.integers(0, min(dim, 3)))
+    masks = [sum(1 << i for i in idx) for idx in itertools.combinations(range(dim), degree)]
+    if max_y is not None:
+        masks = [m for m in masks if (m >> x_dim).bit_count() <= max_y]
+    chosen = draw(st.lists(st.sampled_from(masks), unique=True, max_size=5)) if masks else []
+    coeffs = {}
+    for m in chosen:
+        p = draw(polynomials(dim))
+        if not p.is_zero():
+            coeffs[m] = p
+    return PolyForm(dim, degree, (x_dim, dim - x_dim), coeffs)
+
+
+@st.composite
+def closed_forms(draw):
+    """(d(beta), r) with beta's monomials carrying at most r-1 y-differentials."""
+    dim = draw(st.integers(2, 6))
+    degree = draw(st.integers(1, min(dim, 3)))
+    r = draw(st.integers(1, degree))
+    beta = draw(poly_forms(dim=dim, degree=degree - 1, max_y=r - 1))
+    return oracle_exterior_d(beta), r
+
+
+# ---------------------------------------------------------------------------
+# exterior derivative
+
+
+@settings(settings.get_profile("polyform_oracle"))
+@given(poly_forms())
+def test_exterior_d_matches_fraction_d(a):
+    got = exterior_d(a)
+    assert same_layout(got, oracle_exterior_d(a))
+    assert all(type(c) is Fraction for p in got.coeffs.values() for c in p.terms.values())
+
+
+@settings(settings.get_profile("polyform_oracle"))
+@given(st.data())
+def test_vertical_d_matches_fraction_d(data):
+    a = data.draw(poly_forms())
+    vertical = PolyForm(a.dim, a.degree, a.split,
+                        {m: p for m, p in a.coeffs.items() if not m & ((1 << a.x_dim) - 1)})
+    got = vertical_d(vertical)
+    assert same_layout(got, oracle_d_along(vertical, range(a.x_dim + 1, a.dim + 1)))
+    if vertical != a:
+        with pytest.raises(PreconditionError):
+            vertical_d(a)
+
+
+def test_exterior_d_cancels_to_the_zero_form():
+    # d(d(beta)) = 0 with every term cancelling inside the accumulator
+    beta = PolyForm(3, 1, (2, 1), {0b001: Polynomial(3, {(0, 2, 1): Fraction(5, 3)}),
+                                   0b100: Polynomial(3, {(1, 1, 0): Fraction(-1, BIG)})})
+    assert exterior_d(exterior_d(beta)) == PolyForm(3, 3, (2, 1), {})
+
+
+# ---------------------------------------------------------------------------
+# homotopy primitive
+
+
+@settings(settings.get_profile("polyform_oracle"))
+@given(closed_forms())
+def test_primitive_of_closed_forms_matches(case):
+    omega, r = case
+    got = homotopy_primitive(omega, r)
+    assert same_layout(got, oracle_homotopy_primitive(omega, r))
+    assert oracle_exterior_d(got) == omega
+
+
+@settings(settings.get_profile("polyform_oracle"))
+@given(poly_forms(), st.integers(0, 3))
+def test_primitive_of_arbitrary_forms_matches(omega, r):
+    """Non-closed forms, forms over the vertical bound, both, zero and degree-0 forms."""
+    got = outcome(homotopy_primitive, omega, r)
+    expected = outcome(oracle_homotopy_primitive, omega, r)
+    if isinstance(expected, PolyForm):
+        assert same_layout(got, expected)
+    else:
+        assert got == expected
+
+
+def test_primitive_terms_that_cancel_in_the_accumulator():
+    def poly(terms):
+        return Polynomial(4, {e: Fraction(c) for e, c in terms.items()})
+    beta = PolyForm(4, 1, (3, 1), {0b001: poly({(0, 1, 1, 0): 1, (1, 0, 0, 0): -2}),
+                                   0b010: poly({(0, 1, 1, 0): -1, (1, 1, 1, 1): -1}),
+                                   0b100: poly({(1, 1, 0, 1): 2, (1, 1, 0, 0): -1})})
+    omega = oracle_exterior_d(beta)
+    assert same_layout(homotopy_primitive(omega, 1), oracle_homotopy_primitive(omega, 1))
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_primitive_failure_messages(r):
+    not_closed = PolyForm(4, 2, (2, 2), {0b0011: Polynomial(4, {(0, 0, 1, 0): ONE})})
+    over_bound = PolyForm(4, 2, (2, 2), {0b1100: Polynomial(4, {(0, 0, 0, 0): ONE})})
+    both = PolyForm(4, 2, (2, 2), {0b1100: Polynomial(4, {(1, 0, 0, 0): ONE})})
+    zero = PolyForm(4, 2, (2, 2), {})
+    for omega in (not_closed, over_bound, both, zero):
+        assert outcome(homotopy_primitive, omega, r) == outcome(oracle_homotopy_primitive, omega, r)
+    assert outcome(homotopy_primitive, both, r) == (PreconditionError, "form is not closed")
+
+
+def test_primitive_construction_fault_is_an_internal_check(monkeypatch):
+    omega = PolyForm(2, 2, (1, 1), {0b11: Polynomial(2, {(0, 0): ONE})})
+    monkeypatch.setattr(polyforms, "_primitive",
+                        lambda omega, r: PolyForm(2, 1, (1, 1), {}))
+    with pytest.raises(InternalCheckError, match="does not differentiate back"):
+        homotopy_primitive(omega, 1)
+    not_closed = PolyForm(2, 1, (1, 1), {0b01: Polynomial(2, {(0, 1): ONE})})
+    with pytest.raises(PreconditionError, match="form is not closed"):
+        homotopy_primitive(not_closed, 1)
+
+
+def test_homotopy_command_differentiates_once(tmp_path, monkeypatch, capsys):
+    omega, r = oracle_exterior_d(PolyForm(6, 2, (3, 3), {
+        0b000011: Polynomial(6, {(1, 0, 2, 1, 0, 0): Fraction(2, 3)}),
+        0b001001: Polynomial(6, {(0, 1, 0, 0, 2, 1): Fraction(-7, BIG)}),
+    })), 2
+    doc = poly_form_to_document(omega)
+    doc["r"] = r
+    path = tmp_path / "closed.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    original = polyforms.exterior_d
+
+    def counted(a):
+        calls.append(a.degree)
+        return original(a)
+
+    monkeypatch.setattr(polyforms, "exterior_d", counted)
+    monkeypatch.setattr(cli, "exterior_d", counted, raising=False)
+    assert cli.main(["homotopy", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["derivative_matches"] is True
+    assert calls == [omega.degree - 1]
+
+
+def test_homotopy_command_exits_three_on_a_construction_fault(tmp_path, monkeypatch, capsys):
+    omega = PolyForm(2, 2, (1, 1), {0b11: Polynomial(2, {(0, 0): ONE})})
+    path = tmp_path / "closed.json"
+    path.write_text(json.dumps(poly_form_to_document(omega)))
+    monkeypatch.setattr(polyforms, "_primitive",
+                        lambda omega, r: PolyForm(2, 1, (1, 1), {}))
+    assert cli.main(["homotopy", str(path), "--r", "1", "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal consistency failure" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# sampled ranks on the integer pencil
+
+
+@st.composite
+def vector_2forms(draw):
+    dim = draw(st.integers(2, 9))
+    nhat = draw(st.integers(1, 3))
+    monomials = list(itertools.combinations(range(1, dim + 1), 2))
+    comps = []
+    for _ in range(nhat):
+        if draw(st.booleans()):
+            # shared Darboux planes give covector-dependent ranks
+            planes = [(2 * i + 1, 2 * i + 2) for i in range(dim // 2)]
+            chosen = draw(st.lists(st.sampled_from(planes), unique=True))
+            comps.append(form(dim, 2, {p: draw(coefficients) for p in chosen}))
+        else:
+            comps.append(form(dim, 2, draw(st.dictionaries(st.sampled_from(monomials),
+                                                            coefficients, max_size=6))))
+    return VectorValuedForm(tuple(comps))
+
+
+@settings(settings.get_profile("polyform_oracle"))
+@given(vector_2forms(), st.integers(1, 12), st.integers(0, 10 ** 6))
+def test_pencil_sampler_matches_projection_sampler(v, samples, seed):
+    assert constant_rank_sampled(v, samples, seed) == oracle_constant_rank_sampled(v, samples, seed)
+
+
+@settings(settings.get_profile("polyform_oracle"))
+@given(vector_2forms())
+def test_rank_2form_matches_fraction_rows(v):
+    for comp in v.components:
+        assert rank_2form(comp) == oracle_rank_2form(comp)
+
+
+def test_pencil_components_share_one_scale():
+    # t_1 = 11 t_2 and t_1 = 22 t_2 drop the rank; no sampled covector (entries
+    # a/b with |a| <= 9, b <= 4) lies there, but t = (1, 1) would if the first
+    # component were scaled by 11 and the second by 1
+    v = VectorValuedForm((form(4, 2, {(1, 2): Fraction(1, 11), (3, 4): Fraction(1, 11)}),
+                          form(4, 2, {(1, 2): -1, (3, 4): -2})))
+    assert constant_rank_sampled(v, 1000, DEFAULT_SEED) == 2
+    assert oracle_constant_rank_sampled(v, 1000, DEFAULT_SEED) == 2
+
+
+@settings(settings.get_profile("polyform_oracle"))
+@given(st.lists(st.lists(st.integers(-BIG, BIG), min_size=5, max_size=5), max_size=6))
+def test_row_rank_of_int_rows_matches_fraction_rows(rows):
+    assert row_rank(rows) == row_rank([[Fraction(x) for x in r] for r in rows])
+
+
+# ---------------------------------------------------------------------------
+# report writer
+
+
+scalars = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(-2 ** 200, 2 ** 200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(), st.sampled_from(["", "\"", "\\", "\n\t\x00\x1f", "é", " ", "😀", "\ud800"]),
+)
+json_trees = st.recursive(
+    scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=5)),
+    max_leaves=40)
+
+
+@settings(settings.get_profile("polyform_oracle"))
+@given(json_trees)
+def test_writer_matches_json_dumps(tree):
+    assert report_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def test_writer_matches_json_dumps_on_edge_cases():
+    cases = [
+        {}, [], (), "", 0, -1, 10 ** 40, True, False, None, 1.5, float("nan"), -float("inf"),
+        {"b": [], "a": {}, "": [[], {}, ()], "é": "ü "},
+        [[1, 2], ["x", "y"], [1, "x"], [True, 1], [None], [1.0, 2]],
+        {"nested": {"deeper": [{"k": [1, [2, [3, []]]]}]}},
+    ]
+    for case in cases:
+        assert report_json(case) == json.dumps(case, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("bad", [{1: "x"}, {None: 1}, {("a",): 1}, {"a": {2.5: 1}},
+                                 {1, 2}, b"x", Fraction(1, 2), object(), [complex(1, 2)]])
+def test_writer_rejects_other_types(bad):
+    with pytest.raises(TypeError):
+        report_json(bad)

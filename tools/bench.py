@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Repeat the perfbench workloads and record their spread as a BENCH_*.json file.
+
+    python3 tools/bench.py --runs 10 --out BENCH_6.json
+    python3 tools/bench.py --runs 10 --tree parent=../old --tree change=. --out BENCH_6.json
+
+Each run is one ``perfbench/run.py --workload W --seed S --seconds T`` in
+a fresh interpreter, started in the root of its checkout, so every tree
+is measured with its own benchmark files, unedited.  Run i uses seed
+``--seed + i`` for every tree.  With two or more trees the order inside a
+run alternates (the first tree leads on even runs), and the file records,
+per metric, how many runs the last tree beat the first.
+
+Per tree, workload and metric the file holds every value, the min, the
+quartiles, the median and the spread (interquartile range over the
+median); per run it holds the report digest and whether every op was
+correct.  The Python version and the CPU count come from this
+interpreter.  Runs go one after another, never in parallel.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{tree}: {workload} seed {seed} exited {proc.returncode}:\n"
+                           f"{proc.stdout}{proc.stderr}")
+    summary = json.loads(lines[-1])
+    digest = next((ln.split()[-1] for ln in lines if ln.startswith("report digest")), None)
+    return {"seed": seed, "digest": digest, "correct": summary["correct"],
+            "metrics": {k: v["value"] for k, v in summary["metrics"].items()}}
+
+
+def describe(values: list) -> dict:
+    if len(values) > 1:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = median = q3 = values[0]
+    return {"min": min(values), "q1": q1, "median": median, "q3": q3,
+            "spread": (q3 - q1) / median if median else None, "values": values}
+
+
+def better_count(first: list, last: list, higher_is_better: bool) -> int:
+    return sum((b > a) if higher_is_better else (b < a) for a, b in zip(first, last))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", action="append",
+                        help="a workload of BENCHMARK.json (repeatable; default: all)")
+    parser.add_argument("--tree", action="append",
+                        help="LABEL=PATH of a checkout to measure (repeatable; default: this one)")
+    parser.add_argument("--runs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1, help="seed of run 0")
+    parser.add_argument("--out", required=True, help="the JSON file to write")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    trees = [t.split("=", 1) for t in (args.tree or [f"tree={ROOT}"])]
+    trees = [(label, Path(path).resolve()) for label, path in trees]
+
+    runs = {w: {label: [] for label, _ in trees} for w in workloads}
+    for i in range(args.runs):
+        order = trees if i % 2 == 0 else trees[::-1]
+        for w in workloads:
+            for label, path in order:
+                res = run_once(path, w, args.seed + i, spec["run_seconds"])
+                runs[w][label].append(res)
+                print(f"run {i} {w} {label}: ops_per_kru {res['metrics']['ops_per_kru']:.4g} "
+                      f"digest {res['digest'][:12]} correct {res['correct']}", flush=True)
+        # rewritten after every run, so an interrupted series keeps what it measured
+        write_record(args, spec, trees, runs, i + 1)
+    return 0
+
+
+def write_record(args, spec: dict, trees: list, runs: dict, done: int) -> None:
+    higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    out = {"python": platform.python_version(), "cpu_count": os.cpu_count(),
+           "run_seconds": spec["run_seconds"], "runs": done, "seed": args.seed,
+           "trees": [label for label, _ in trees], "workloads": {}}
+    for w, by_tree in runs.items():
+        entry = {}
+        for label, rs in by_tree.items():
+            entry[label] = {
+                "metrics": {m: describe([r["metrics"][m] for r in rs]) for m in rs[0]["metrics"]},
+                "digests": [r["digest"] for r in rs],
+                "correct": [r["correct"] for r in rs],
+            }
+        if len(trees) > 1:
+            first, last = trees[0][0], trees[-1][0]
+            entry[f"{last}_better_than_{first}"] = {
+                m: better_count(entry[first]["metrics"][m]["values"],
+                                entry[last]["metrics"][m]["values"], higher.get(m, True))
+                for m in entry[first]["metrics"]}
+            entry["digests_equal"] = entry[first]["digests"] == entry[last]["digests"]
+        out["workloads"][w] = entry
+    Path(args.out).write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
+
+if __name__ == "__main__":
+    sys.exit(main())
