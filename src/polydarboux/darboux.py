@@ -25,9 +25,9 @@ from .lagrangian import (as_vector_form, check_multilagrangian, check_polylagran
                          detect_multilagrangian, is_isotropic, kernel_of_form,
                          search_polylagrangian, symbol, to_vertical_coordinates,
                          _stacked)
-from .linalg import (Matrix, RowEchelon, Subspace, ZERO, ONE, complement, intersect, inverse,
+from .linalg import (Matrix, Subspace, ZERO, ONE, complement, intersect, inverse,
                      subspace_sum, transform_subspace)
-from .sparse import SparseSolver
+from .sparse import SparseEchelon, SparseSolver, _sparse
 
 # ---------------------------------------------------------------------------
 # canonical models
@@ -167,15 +167,15 @@ def canonical_multi_symbol(n_rank: int, n_base: int, k: int, r: int) -> VectorVa
 def _greedy_standard_completion(dim: int, avoid: Subspace, count: int) -> list:
     """Standard basis vectors, in index order, independent modulo ``avoid``."""
     picked = []
-    span = RowEchelon(dim)
+    span = SparseEchelon()
     for v in avoid.vectors():
-        span.insert(v)
+        span.insert(_sparse(v))
     for i in range(dim):
         if len(picked) == count:
             break
-        e = [ZERO] * dim
-        e[i] = ONE
-        if span.insert(e):
+        if span.insert({i: ONE}):
+            e = [ZERO] * dim
+            e[i] = ONE
             picked.append(e)
     if len(picked) != count:
         raise ConstructionError("could not complete a complement with standard vectors")
@@ -408,14 +408,7 @@ def darboux_basis_multi(omega: AlternatingForm, flag: Flag, r: int,
             e_v = [list(x) for x in complement(lagr_v).vectors()]
         else:
             e_v = extend_isotropic_complement_poly(sym, lagr_v, [])
-        vert_rows = flag.vertical_rows()
-        e_vecs = []
-        for u in e_v:
-            w = [ZERO] * dim
-            for c, row in zip(u, vert_rows):
-                if c:
-                    w = [x + c * y for x, y in zip(w, row)]
-            e_vecs.append(w)
+        e_vecs = flag.lift_vertical(e_v)
     ker = kernel_of_form(omega)
     l_prime, solver = _lagrangian_solver(as_vector_form(omega), lagr, ker)
     h_vecs = extend_isotropic_complement_multi(omega, lagr, flag, r, e_vecs, [], l_prime, solver)

@@ -445,6 +445,18 @@ class Flag:
     def vertical_rows(self) -> list[tuple[Fraction, ...]]:
         return self.vertical.vectors()
 
+    def lift_vertical(self, coords) -> list[list[Fraction]]:
+        """Total-space vectors of vertical-coordinate vectors, in their order."""
+        rows = self.vertical_rows()
+        out = []
+        for u in coords:
+            w = [ZERO] * self.total_dim
+            for c, row in zip(u, rows):
+                if c:
+                    w = [x + c * y for x, y in zip(w, row)]
+            out.append(w)
+        return out
+
     def horizontal_cols(self) -> list[tuple[Fraction, ...]]:
         return [self.splitting.col(j) for j in range(self.dim_t)]
 

@@ -19,9 +19,9 @@ from math import comb, lcm
 from .errors import DimensionMismatch, InternalCheckError, PreconditionError
 from .exterior import (AlternatingForm, Flag, VectorValuedForm, contract, evaluate,
                        indices_of, project, pullback, wedge, wedge_power_by_exponent)
-from .linalg import (Matrix, RowEchelon, Subspace, ZERO, ONE, annihilator, intersect,
-                     inverse, kernel_basis, row_rank, subspace_sum, complement, vec)
-from .sparse import span_equal, span_of, intersect_spans
+from .linalg import (Matrix, Subspace, ZERO, ONE, annihilator, inverse, kernel_basis,
+                     row_rank, subspace_sum, complement)
+from .sparse import SparseEchelon, _sparse, span_equal, span_of, intersect_spans
 
 DEFAULT_SEED = 20070
 
@@ -356,31 +356,32 @@ def greedy_maximal_isotropic(omega, seed: Subspace, within: Subspace | None = No
     v = as_vector_form(omega)
     if not is_isotropic(seed, v, 1):
         raise PreconditionError("seed subspace is not isotropic")
-    ech = RowEchelon(v.dim)
+    ech = SparseEchelon()
     if within is not None:
         for row in annihilator(within).vectors():
-            ech.insert(row)
-    span = RowEchelon(v.dim)
+            ech.insert(_sparse(row))
+    span = SparseEchelon()
     grown = list(seed.vectors())
     for u in grown:
-        span.insert(u)
+        span.insert(_sparse(u))
         for row in _kernel_constraints(contract(u, v)):
-            ech.insert(row)
+            ech.insert(_sparse(row))
     orth: list | None = None
     start = 0
     while True:
         if orth is None:
-            orth = Subspace.from_vectors(v.dim, ech.kernel_vectors()).vectors()
+            orth = Subspace.from_vectors(v.dim, ech.kernel_vectors(v.dim)).vectors()
             start = 0
-        at = next((i for i in range(start, len(orth)) if not span.contains(orth[i])), None)
+        at = next((i for i in range(start, len(orth)) if not span.contains(_sparse(orth[i]))),
+                  None)
         if at is None:
             break
         nxt = orth[at]
         grown.append(nxt)
-        span.insert(nxt)
+        span.insert(_sparse(nxt))
         grew = False
         for row in _kernel_constraints(contract(nxt, v)):
-            grew = ech.insert(row) or grew
+            grew = ech.insert(_sparse(row)) or grew
         if grew:
             orth = None
         else:
@@ -428,15 +429,7 @@ def to_vertical_coordinates(flag: Flag, sub: Subspace, binv: Matrix | None = Non
 
 
 def from_vertical_coordinates(flag: Flag, sub: Subspace) -> Subspace:
-    rows = flag.vertical_rows()
-    out = []
-    for u in sub.vectors():
-        w = [ZERO] * flag.total_dim
-        for c, row in zip(u, rows):
-            if c:
-                w = [x + c * y for x, y in zip(w, row)]
-        out.append(w)
-    return Subspace.from_vectors(flag.total_dim, out)
+    return Subspace.from_vectors(flag.total_dim, flag.lift_vertical(sub.vectors()))
 
 
 def symbol(omega: AlternatingForm, flag: Flag, r: int) -> VectorValuedForm:

@@ -1,11 +1,13 @@
 """Exact rational linear algebra: matrices over `fractions.Fraction`,
 reduced row echelon forms, kernels, solves, and the subspace lattice.
 
-All arithmetic is exact.  Row reduction runs fraction-free: each row is
-scaled to primitive integers and eliminated with integer steps and gcd
-content removal.  The integer rows stay internal; every result is
-returned as the unique Fraction RREF.  Subspaces are canonically
-represented by that RREF of a spanning set, so two subspaces are equal
+All arithmetic is exact.  Batch row reduction runs fraction-free: each
+row is scaled to primitive integers and eliminated with integer steps and
+gcd content removal.  The integer rows stay internal; every result is
+returned as the unique Fraction RREF.  Spans grown one vector at a time
+(complements, intersections) use ``sparse.SparseEchelon`` instead, the
+only other elimination in the package.  Subspaces are canonically
+represented by the RREF of a spanning set, so two subspaces are equal
 exactly when their representations are equal; that decidable equality is
 what the structure tests in the rest of the package lean on.
 """
@@ -19,6 +21,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, PreconditionError
+from .sparse import SparseEchelon, _sparse, intersect_spans
 
 Scalar = Fraction
 ZERO = Fraction(0)
@@ -195,71 +198,6 @@ def _rref_rows(rows) -> tuple[list[list[Fraction]], list[int]]:
     return out, cols
 
 
-def _reduce(r: list, pivots, rows) -> list:
-    """Clear each pivot column of r with its monic, fully reduced row.
-
-    Zero entries of a row are skipped, so a sparse basis costs little.
-    """
-    for pc, prow in zip(pivots, rows):
-        c = r[pc]
-        if c:
-            r = [a - c * b if b else a for a, b in zip(r, prow)]
-    return r
-
-
-class RowEchelon:
-    """Incrementally maintained reduced row echelon over fixed columns.
-
-    Supports streaming constraint rows and reading off the kernel without
-    reprocessing earlier rows.
-    """
-
-    def __init__(self, cols: int):
-        self.cols = cols
-        self.pivots: list[int] = []
-        self.rows: list[list[Fraction]] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, row) -> list[Fraction]:
-        """Residue of the row after elimination against the echelon rows."""
-        return _reduce(list(row), self.pivots, self.rows)
-
-    def contains(self, row) -> bool:
-        return not any(self.reduce(row))
-
-    def insert(self, row) -> bool:
-        """Add a row to the span; returns True if the rank grew."""
-        r = self.reduce(row)
-        lead = next((j for j, x in enumerate(r) if x), None)
-        if lead is None:
-            return False
-        inv = ONE / r[lead]
-        r = [x * inv if x else x for x in r]
-        for i, pc in enumerate(self.pivots):
-            c = self.rows[i][lead]
-            if c:
-                self.rows[i] = [a - c * b if b else a for a, b in zip(self.rows[i], r)]
-        at = next((i for i, pc in enumerate(self.pivots) if pc > lead), len(self.pivots))
-        self.pivots.insert(at, lead)
-        self.rows.insert(at, r)
-        return True
-
-    def kernel_vectors(self) -> list[list[Fraction]]:
-        pivot_set = set(self.pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        out = []
-        for f in free:
-            v = [ZERO] * self.cols
-            v[f] = ONE
-            for pc, r in zip(self.pivots, self.rows):
-                v[pc] = -r[f]
-            out.append(v)
-        return out
-
-
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Unique reduced row echelon form and rank."""
     reduced, pivots = _rref_rows(m.row_list())
@@ -324,28 +262,6 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix.from_rows([r[n:] for r in reduced])
 
 
-def determinant(m: Matrix) -> Fraction:
-    if m.rows != m.cols:
-        raise DimensionMismatch("determinant needs a square matrix")
-    a = m.row_list()
-    n = m.rows
-    det = ONE
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            return ZERO
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = ONE / a[c][c]
-        for i in range(c + 1, n):
-            f = a[i][c] * inv
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -407,7 +323,11 @@ class Subspace:
         r = list(vec(v))
         if len(r) != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        return _reduce(r, self.pivot_columns(), self.vectors())
+        for pc, prow in zip(self.pivot_columns(), self.vectors()):
+            c = r[pc]
+            if c:  # zero entries of a row are skipped, so a sparse basis costs little
+                r = [a - c * b if b else a for a, b in zip(r, prow)]
+        return r
 
     def contains(self, v: Sequence) -> bool:
         return not any(self.reduce(v))
@@ -432,12 +352,12 @@ def annihilator(a: Subspace) -> Subspace:
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked annihilator constraints."""
+    """Intersection of the two basis spans, by ``sparse.intersect_spans``."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    constraints = annihilator(a).vectors() + annihilator(b).vectors()
-    return Subspace.from_vectors(
-        a.ambient_dim, kernel_basis([list(r) for r in constraints], a.ambient_dim))
+    n = a.ambient_dim
+    rows = intersect_spans(map(_sparse, a.vectors()), map(_sparse, b.vectors()))
+    return Subspace.from_vectors(n, [[r.get(j, ZERO) for j in range(n)] for r in rows])
 
 
 def complement(a: Subspace, inside: Subspace | None = None) -> Subspace:
@@ -459,14 +379,14 @@ def complement(a: Subspace, inside: Subspace | None = None) -> Subspace:
         if inside.contains(e):
             candidates.append(e)
     candidates.extend(inside.vectors())
-    span = RowEchelon(a.ambient_dim)
+    span = SparseEchelon()
     for v in a.vectors():
-        span.insert(v)
+        span.insert(_sparse(v))
     picked = []
     for cand in candidates:
         if span.rank == inside.dim:
             break
-        if span.insert(cand):
+        if span.insert(_sparse(cand)):
             picked.append(cand)
     if span.rank != inside.dim:
         raise PreconditionError("failed to complete a complement (should be impossible)")

@@ -86,6 +86,8 @@ class DeformationField:
 
     def __init__(self, omega: PolyForm, omega0: PolyForm, alpha: PolyForm,
                  solve_tol: float = DEFAULT_SOLVE_TOL):
+        if not (solve_tol > 0 and math.isfinite(solve_tol)):
+            raise PreconditionError(f"solve tolerance must be positive and finite, got {solve_tol}")
         self.dim = omega.dim
         self.x_dim = omega.x_dim
         self.solve_tol = solve_tol
@@ -263,11 +265,7 @@ def verify_darboux(omega: PolyForm, omega0: PolyForm, sample_points, steps: int 
     The correction form is exact; the only approximations are the linear
     solves along the trajectory and the Runge-Kutta discretization.
     """
-    if not exterior_d(omega).is_zero():
-        raise PreconditionError("form is not closed")
-    alpha = moser_potential(omega, omega0)
-    if exterior_d(alpha) != pf_sub(omega0, omega):
-        raise PreconditionError("correction form does not differentiate to the difference")
+    alpha = moser_potential(omega, omega0)  # checks d(omega) = 0 and proves d(alpha)
     solver = DeformationField(omega, omega0, alpha, solve_tol)
     base = {m: float(c.eval_float([0.0] * omega.dim)) for m, c in omega0.coeffs.items()}
     pts = np.array([np.asarray(p, dtype=float) for p in sample_points])
@@ -393,6 +391,8 @@ def perturbed_multisymplectic(seed: int = 1, amplitude: Fraction = Fraction(1, 2
 
 
 def ball_sample_points(dim: int, count: int, radius: float, seed: int = 20070):
+    if count < 1:
+        raise PreconditionError(f"sample count must be at least 1, got {count}")
     if not (radius > 0 and math.isfinite(radius)):
         raise PreconditionError(f"sample radius must be positive and finite, got {radius}")
     rng = random.Random(seed)

@@ -1,9 +1,13 @@
-"""Sparse echelon spans over sortable keys.
+"""The incremental exact echelon, on sparse vectors over sortable keys.
 
-The structure tests compare spans of contraction images inside large
-monomial coordinate spaces.  Those vectors are sparse dictionaries keyed
-by (component, monomial-mask) pairs; a dense matrix would mostly hold
-zeros, so elimination is done directly on the dictionaries.
+Vectors are dictionaries from sortable keys to rationals: column indices
+for coordinate vectors, (component, monomial-mask) pairs for the stacked
+coefficients of forms, whose spaces are large and mostly zero.
+``SparseEchelon`` grows a span one vector at a time and keeps it as the
+unique reduced row echelon form in key order; the solver, the span
+intersection and, through ``linalg``, the complements and intersections
+of subspaces and the greedy isotropic growth all run on it.  Batch
+elimination of whole matrices stays in ``linalg``.
 """
 
 from __future__ import annotations
@@ -22,21 +26,33 @@ def _axpy(target: dict, c, source: dict):
             target.pop(k, None)
 
 
+def _sparse(row) -> SparseVec:
+    """A dense row as a sparse vector keyed by column index."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
 class SparseEchelon:
-    """Row echelon basis of a span of sparse vectors."""
+    """Reduced row echelon basis of a span of sparse vectors.
+
+    Each row is monic at its pivot, the smallest key it holds, and is zero
+    at every other row's pivot.  Reducing a vector therefore takes one
+    pass over its own keys: subtracting one row never touches another
+    row's pivot.
+    """
 
     def __init__(self):
-        self.rows: list[tuple[object, dict]] = []  # (pivot key, monic reduced row)
+        self.rows: dict = {}  # pivot key -> monic, fully reduced row
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def reduce(self, v: SparseVec) -> SparseVec:
+        """Residue of v modulo the span; zero exactly when v lies in it."""
         r = dict(v)
-        for key, row in self.rows:
-            c = r.get(key)
-            if c:
+        for k, c in v.items():
+            row = self.rows.get(k)
+            if row is not None:
                 _axpy(r, c, row)
         return r
 
@@ -47,65 +63,63 @@ class SparseEchelon:
             return False
         pivot = min(r)
         inv = Fraction(1) / Fraction(r[pivot])
-        row = {k: x * inv for k, x in r.items()}
-        self.rows.append((pivot, row))
-        self.rows.sort(key=lambda t: t[0])
+        new = {k: x * inv for k, x in r.items()}
+        for row in self.rows.values():
+            c = row.get(pivot)
+            if c:
+                _axpy(row, c, new)
+        self.rows[pivot] = new
         return True
 
     def contains(self, v: SparseVec) -> bool:
         return not self.reduce(v)
 
-    def canonical(self) -> tuple:
-        """Fully reduced representation; equal spans give equal values."""
-        rows = [dict(row) for _, row in self.rows]
-        pivots = [p for p, _ in self.rows]
-        for i in range(len(rows)):
-            for j in range(len(rows)):
-                if i == j:
-                    continue
-                c = rows[i].get(pivots[j])
+    def kernel_vectors(self, cols: int) -> list[list[Fraction]]:
+        """Dense basis of {x : row . x = 0 for every row}, rows keyed 0..cols-1.
+
+        One vector per free column f, in increasing order: a one at f and
+        minus each row's entry at f at that row's pivot.
+        """
+        out = []
+        for f in range(cols):
+            if f in self.rows:
+                continue
+            x = [Fraction(0)] * cols
+            x[f] = Fraction(1)
+            for p, row in self.rows.items():
+                c = row.get(f)
                 if c:
-                    _axpy(rows[i], c, rows[j])
-        return tuple(sorted(tuple(sorted(r.items())) for r in rows))
+                    x[p] = -c
+            out.append(x)
+        return out
 
 
-class SparseSolver:
-    """Express targets as combinations of sparse generator vectors."""
+class SparseSolver(SparseEchelon):
+    """Express targets as combinations of sparse generator vectors.
+
+    Generator j goes in as its entries under keys (0, k) plus a tag key
+    (1, j) with entry 1, so every row carries the combination of
+    generators it stands for.  A target is a combination exactly when its
+    (0, ·) part reduces to zero, and the combination is minus the tag part
+    of its residue.
+    """
 
     def __init__(self):
-        self.rows: list[tuple[object, dict, dict]] = []  # (pivot, row, generator tags)
+        super().__init__()
         self.ngen = 0
 
     def add_generator(self, v: SparseVec):
-        j = self.ngen
+        tagged = {(0, k): x for k, x in v.items()}
+        tagged[(1, self.ngen)] = 1
         self.ngen += 1
-        r = dict(v)
-        tags = {j: Fraction(1)}
-        for key, row, rtags in self.rows:
-            c = r.get(key)
-            if c:
-                _axpy(r, c, row)
-                _axpy(tags, c, rtags)
-        if not r:
-            return
-        pivot = min(r)
-        inv = Fraction(1) / Fraction(r[pivot])
-        self.rows.append((pivot, {k: x * inv for k, x in r.items()},
-                          {k: x * inv for k, x in tags.items()}))
-        self.rows.sort(key=lambda t: t[0])
+        self.insert(tagged)
 
     def solve(self, target: SparseVec) -> list[Fraction] | None:
         """Coefficients c with sum c_j * generator_j = target, or None."""
-        r = dict(target)
-        combo: dict = {}
-        for key, row, rtags in self.rows:
-            c = r.get(key)
-            if c:
-                _axpy(r, c, row)
-                _axpy(combo, -c, rtags)
-        if r:
+        r = self.reduce({(0, k): x for k, x in target.items()})
+        if any(half == 0 for half, _ in r):
             return None
-        return [Fraction(combo.get(j, 0)) for j in range(self.ngen)]
+        return [-Fraction(r.get((1, j), 0)) for j in range(self.ngen)]
 
 
 def span_of(vectors) -> SparseEchelon:
@@ -126,33 +140,17 @@ def span_equal(vectors_a, vectors_b) -> bool:
 def intersect_spans(vectors_a, vectors_b) -> list[SparseVec]:
     """Basis of (span a) ∩ (span b), as sparse vectors.
 
-    Solved through the kernel of the concatenated coefficient map
-    (s, t) -> sum s_i a_i - sum t_j b_j.
+    Zassenhaus: the echelon of the rows (a, a) and (b, 0), with every
+    key of the first half before every key of the second.  Its rows
+    whose pivot lies in the second half are zero in the first, and their
+    second halves span the intersection.
     """
-    from .linalg import kernel_basis, ZERO
-
-    va = list(vectors_a)
-    vb = list(vectors_b)
-    if not va or not vb:
-        return []
-    support = sorted({k for v in va + vb for k in v})
-    p, q = len(va), len(vb)
-    rows = []
-    for k in support:
-        row = [ZERO] * (p + q)
-        for i, v in enumerate(va):
-            if k in v:
-                row[i] = Fraction(v[k])
-        for j, w in enumerate(vb):
-            if k in w:
-                row[p + j] = -Fraction(w[k])
-        rows.append(row)
-    out = []
-    for sol in kernel_basis(rows, p + q):
-        combo: dict = {}
-        for i, c in enumerate(sol[:p]):
-            if c:
-                _axpy(combo, -c, va[i])
-        if combo:
-            out.append(combo)
-    return out
+    ech = SparseEchelon()
+    for v in vectors_a:
+        both = {(0, k): x for k, x in v.items()}
+        both.update({(1, k): x for k, x in v.items()})
+        ech.insert(both)
+    for w in vectors_b:
+        ech.insert({(0, k): x for k, x in w.items()})
+    return [{k: x for (_, k), x in row.items()}
+            for (half, _), row in ech.rows.items() if half == 1]

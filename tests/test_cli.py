@@ -209,6 +209,24 @@ def test_moser_rejects_bad_radius(capsys):
         assert "radius" in capsys.readouterr().err
 
 
+def test_moser_rejects_bad_sample_count(capsys):
+    doc = CORPUS["perturbed_multisymplectic.json"]
+    for samples in ("0", "-3"):
+        assert main(["moser", doc, "--steps", "2", "--samples", samples]) == 1
+        err = capsys.readouterr().err
+        assert "sample count must be at least 1" in err
+        assert "Traceback" not in err
+
+
+def test_moser_rejects_bad_solve_tolerance(capsys):
+    doc = CORPUS["perturbed_multisymplectic.json"]
+    for tol in ("nan", "inf", "0", "-1e-10"):
+        assert main(["moser", doc, "--steps", "2", "--samples", "1", f"--tol={tol}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "solve tolerance must be positive and finite" in err
+
+
 # ---------------------------------------------------------------------------
 # byte-identity goldens: sha256 of exit code, stdout and any written file,
 # recorded before the exact primitives and the report writer were rewritten.
@@ -295,3 +313,22 @@ def test_reports_match_goldens(tmp_path, capsys):
     for name, argv in cases:
         code, out = run_cli(argv, capsys)
         assert report_digest(code, out, argv) == GOLDEN[name], name
+
+
+# darboux on multi models with r >= 2 and two or more vertical complement
+# vectors: the lifted vertical vectors set the order of the basis columns.
+# Digests of exit code and stdout, recorded before the lift was shared.
+VERTICAL_ORDER_GOLDEN = {
+    ("3", "2", "2", "2"): "e616ed3215c548e12a71587cfe8fdfaf222be6f6c89af19e615b0c6d7b62b0ab",
+    ("2", "3", "2", "3"): "b573fbf12d9b19518d9ca465fb876dd5c664dbeebf2cd1e1548560439378f052",
+}
+
+
+def test_darboux_multi_keeps_the_vertical_column_order(tmp_path, capsys):
+    for params, want in VERTICAL_ORDER_GOLDEN.items():
+        doc = str(tmp_path / "multi.json")
+        assert run_cli(["canonical", "multi", *params, "--shuffle-seed", "5", "-o", doc],
+                       capsys)[0] == 0
+        argv = ["darboux", doc]
+        code, out = run_cli(argv, capsys)
+        assert report_digest(code, out, argv) == want, params

@@ -1,7 +1,8 @@
 """Differential tests: greedy isotropic growth against the code it replaced.
 
 The oracles below are the previous implementations: the greedy loop that
-rebuilt the span and the complement after every pick, the dense
+rebuilt the span and the complement after every pick (on the dense
+Fraction ``RowEchelon`` it used), the dense
 ``Subspace.reduce`` that did Fraction work on every entry, and
 ``rank_2form`` as the rank of the Fraction kernel constraint rows.  The
 resource budgets of the rank certificates are tested here as well.
@@ -27,7 +28,8 @@ from polydarboux.lagrangian import (MAX_RANK_SAMPLES, MAX_WEDGE_TERMS, _kernel_c
                                     _unit_vector, as_vector_form, greedy_maximal_isotropic,
                                     is_isotropic, is_maximal_isotropic, orthogonal_complement,
                                     rank_2form, uniform_rank)
-from polydarboux.linalg import Matrix, RowEchelon, Subspace, annihilator, row_rank, vec
+from polydarboux.linalg import Matrix, Subspace, annihilator, row_rank, vec
+from polydarboux.sparse import SparseEchelon, _sparse
 
 ZERO = Fraction(0)
 BIG = 10 ** 13
@@ -51,6 +53,58 @@ def oracle_reduce(sub: Subspace, v) -> list[Fraction]:
 
 def oracle_contains(sub: Subspace, v) -> bool:
     return not any(oracle_reduce(sub, v))
+
+
+class RowEchelon:
+    """The dense Fraction incremental echelon the greedy used to run on."""
+
+    def __init__(self, cols: int):
+        self.cols = cols
+        self.pivots: list[int] = []
+        self.rows: list[list[Fraction]] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, row) -> list[Fraction]:
+        r = list(row)
+        for pc, prow in zip(self.pivots, self.rows):
+            c = r[pc]
+            if c:
+                r = [a - c * b if b else a for a, b in zip(r, prow)]
+        return r
+
+    def contains(self, row) -> bool:
+        return not any(self.reduce(row))
+
+    def insert(self, row) -> bool:
+        r = self.reduce(row)
+        lead = next((j for j, x in enumerate(r) if x), None)
+        if lead is None:
+            return False
+        inv = Fraction(1) / r[lead]
+        r = [x * inv if x else x for x in r]
+        for i, pc in enumerate(self.pivots):
+            c = self.rows[i][lead]
+            if c:
+                self.rows[i] = [a - c * b if b else a for a, b in zip(self.rows[i], r)]
+        at = next((i for i, pc in enumerate(self.pivots) if pc > lead), len(self.pivots))
+        self.pivots.insert(at, lead)
+        self.rows.insert(at, r)
+        return True
+
+    def kernel_vectors(self) -> list[list[Fraction]]:
+        pivot_set = set(self.pivots)
+        free = [j for j in range(self.cols) if j not in pivot_set]
+        out = []
+        for f in free:
+            v = [ZERO] * self.cols
+            v[f] = Fraction(1)
+            for pc, r in zip(self.pivots, self.rows):
+                v[pc] = -r[f]
+            out.append(v)
+        return out
 
 
 def oracle_greedy(omega, seed: Subspace, within: Subspace | None = None,
@@ -273,9 +327,9 @@ def test_greedy_builds_once_per_complement_change(monkeypatch):
 def test_row_echelon_contains_matches_dense_reduce(data):
     dim = data.draw(st.integers(1, 8))
     rows = data.draw(st.lists(st.lists(coefficients, min_size=dim, max_size=dim), max_size=6))
-    ech = RowEchelon(dim)
+    ech = SparseEchelon()
     for r in rows:
-        ech.insert(r)
+        ech.insert(_sparse(r))
     sub = Subspace.from_vectors(dim, rows)
     queries = data.draw(st.lists(st.lists(coefficients, min_size=dim, max_size=dim),
                                  min_size=1, max_size=4))
@@ -283,9 +337,9 @@ def test_row_echelon_contains_matches_dense_reduce(data):
         queries.append([x + 2 * y for x, y in zip(rows[0], rows[1])])
     for q in queries:
         want = oracle_reduce(sub, q)
-        assert ech.reduce(q) == want
+        assert ech.reduce(_sparse(q)) == _sparse(want)
         assert sub.reduce(q) == want
-        assert ech.contains(q) == oracle_contains(sub, q) == sub.contains(q)
+        assert ech.contains(_sparse(q)) == oracle_contains(sub, q) == sub.contains(q)
 
 
 @settings(settings.get_profile("greedy_oracle"))

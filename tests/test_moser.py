@@ -128,8 +128,27 @@ def test_verify_darboux_small_residual(fixture):
 def test_verify_darboux_rejects_non_closed(fixture):
     from polydarboux.polyforms import poly_var
     bad = PolyForm(6, 3, (3, 3), {0b000111: poly_var(6, 4)})
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^form is not closed$"):
         verify_darboux(bad, constant_spread(bad), [np.zeros(6)], steps=2)
+
+
+def test_moser_command_differentiates_twice(monkeypatch, capsys):
+    # once for d(omega) = 0 in moser_potential, once for the primitive's post-check
+    from polydarboux import cli, moser, polyforms
+    from polydarboux.corpus import corpus_files
+    doc = next(p for p in corpus_files() if p.endswith("perturbed_multisymplectic.json"))
+    calls = []
+    original = polyforms.exterior_d
+
+    def counted(a):
+        calls.append(a.degree)
+        return original(a)
+
+    monkeypatch.setattr(polyforms, "exterior_d", counted)
+    monkeypatch.setattr(moser, "exterior_d", counted)
+    assert cli.main(["moser", doc, "--steps", "2", "--samples", "2"]) == 0
+    capsys.readouterr()
+    assert calls == [3, 2]
 
 
 def test_intermediate_residuals_shrink_with_steps(fixture):

@@ -14,8 +14,10 @@ per metric, how many runs the last tree beat the first.
 Per tree, workload and metric the file holds every value, the min, the
 quartiles, the median and the spread (interquartile range over the
 median); per run it holds the report digest and whether every op was
-correct.  The Python version and the CPU count come from this
-interpreter.  Runs go one after another, never in parallel.
+correct.  Per tree it also holds ``src_lines``, the line count of
+``src/polydarboux/*.py`` (as ``wc -l`` counts it).  The Python version
+and the CPU count come from this interpreter.  Runs go one after
+another, never in parallel.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     digest = next((ln.split()[-1] for ln in lines if ln.startswith("report digest")), None)
     return {"seed": seed, "digest": digest, "correct": summary["correct"],
             "metrics": {k: v["value"] for k, v in summary["metrics"].items()}}
+
+
+def src_lines(tree: Path) -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "polydarboux").glob("*.py"))
 
 
 def describe(values: list) -> dict:
@@ -94,7 +100,8 @@ def write_record(args, spec: dict, trees: list, runs: dict, done: int) -> None:
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
     out = {"python": platform.python_version(), "cpu_count": os.cpu_count(),
            "run_seconds": spec["run_seconds"], "runs": done, "seed": args.seed,
-           "trees": [label for label, _ in trees], "workloads": {}}
+           "trees": [label for label, _ in trees],
+           "src_lines": {label: src_lines(path) for label, path in trees}, "workloads": {}}
     for w, by_tree in runs.items():
         entry = {}
         for label, rs in by_tree.items():
