@@ -26,8 +26,8 @@ from .lagrangian import (as_vector_form, check_multilagrangian, check_polylagran
                          search_polylagrangian, symbol, to_vertical_coordinates,
                          _stacked)
 from .linalg import (Matrix, Subspace, ZERO, ONE, complement, intersect, inverse,
-                     subspace_sum, transform_subspace)
-from .sparse import SparseEchelon, SparseSolver, _sparse
+                     transform_subspace)
+from .sparse import SparseEchelon, SparseSolver, _sparse, span_of
 
 # ---------------------------------------------------------------------------
 # canonical models
@@ -164,12 +164,13 @@ def canonical_multi_symbol(n_rank: int, n_base: int, k: int, r: int) -> VectorVa
 # inductive isotropic complement
 
 
-def _greedy_standard_completion(dim: int, avoid: Subspace, count: int) -> list:
-    """Standard basis vectors, in index order, independent modulo ``avoid``."""
+def _greedy_standard_completion(dim: int, avoid: SparseEchelon, count: int) -> list:
+    """Standard basis vectors, in index order, independent modulo ``avoid``.
+
+    The picks are tested in a copy, so ``avoid`` itself does not change.
+    """
     picked = []
-    span = SparseEchelon()
-    for v in avoid.vectors():
-        span.insert(_sparse(v))
+    span = avoid.copy()
     for i in range(dim):
         if len(picked) == count:
             break
@@ -180,6 +181,10 @@ def _greedy_standard_completion(dim: int, avoid: Subspace, count: int) -> list:
     if len(picked) != count:
         raise ConstructionError("could not complete a complement with standard vectors")
     return picked
+
+
+def _span_of_rows(*groups) -> SparseEchelon:
+    return span_of(_sparse(x) for rows in groups for x in rows)
 
 
 def _dual_rows(columns: list) -> list[tuple]:
@@ -241,8 +246,8 @@ def _extend_poly(v: VectorValuedForm, lagr: Subspace, e_vecs: list, l_prime: Sub
     dim = v.dim
     k = v.degree - 1
     n_rank = dim - lagr.dim
+    avoid = _span_of_rows(lagr.vectors(), e_vecs)
     while len(e_vecs) < n_rank:
-        avoid = subspace_sum(lagr, Subspace.from_vectors(dim, e_vecs))
         completion = _greedy_standard_completion(dim, avoid, n_rank - len(e_vecs))
         basis_c = e_vecs + completion
         candidate = completion[0]
@@ -258,6 +263,7 @@ def _extend_poly(v: VectorValuedForm, lagr: Subspace, e_vecs: list, l_prime: Sub
                 mom = _solve_momentum_vector(solver, l_prime, target)
                 u = [x - coeff * y for x, y in zip(u, mom)]
         e_vecs.append(u)
+        avoid.insert(_sparse(u))
     return e_vecs
 
 
@@ -274,13 +280,13 @@ def extend_isotropic_complement_multi(omega: AlternatingForm, lagr: Subspace, fl
     n_base = flag.dim_t
     h_vecs = [list(x) for x in start_h]
     slots = multi_slot_index(n_rank, n_base, k, r)
+    vert_avoid = _span_of_rows(flag.vertical.vectors(), e_vecs, h_vecs)
+    # u - candidate lies in L, so L + e + h + candidate is the span L + e + h + u
+    lagr_avoid = _span_of_rows(lagr.vectors(), e_vecs, h_vecs)
     while len(h_vecs) < n_base:
-        f_span = Subspace.from_vectors(dim, e_vecs + h_vecs)
-        candidate = _greedy_standard_completion(dim, subspace_sum(flag.vertical, f_span), 1)[0]
-        filler_avoid = subspace_sum(lagr, Subspace.from_vectors(
-            dim, e_vecs + h_vecs + [candidate]))
-        filler = _greedy_standard_completion(
-            dim, filler_avoid, n_base - len(h_vecs) - 1)
+        candidate = _greedy_standard_completion(dim, vert_avoid, 1)[0]
+        lagr_avoid.insert(_sparse(candidate))
+        filler = _greedy_standard_completion(dim, lagr_avoid, n_base - len(h_vecs) - 1)
         basis_c = e_vecs + h_vecs + [candidate] + filler
         duals = _dual_rows(basis_c + [list(x) for x in lagr.vectors()])[: n_rank + n_base]
         u = list(candidate)
@@ -294,6 +300,7 @@ def extend_isotropic_complement_multi(omega: AlternatingForm, lagr: Subspace, fl
             mom = _solve_momentum_vector(solver, l_prime, target)
             u = [x - coeff * y for x, y in zip(u, mom)]
         h_vecs.append(u)
+        vert_avoid.insert(_sparse(u))
     return h_vecs
 
 

@@ -304,10 +304,6 @@ class VectorValuedForm:
         return f"VectorValuedForm({self.value_dim} components, {self.components!r})"
 
 
-def vector_form(components: Sequence[AlternatingForm]) -> VectorValuedForm:
-    return VectorValuedForm(tuple(components))
-
-
 def project(omega: VectorValuedForm, t_star: Sequence) -> AlternatingForm:
     """Projection along a covector on the value space: sum t_a omega^a."""
     ts = vec(t_star)
@@ -463,11 +459,6 @@ class Flag:
     def adapted_matrix(self) -> Matrix:
         """Columns: splitting image first, then the vertical basis."""
         return Matrix.from_cols(self.horizontal_cols() + list(self.vertical_rows()))
-
-    def quotient_projection(self, w: Sequence) -> tuple[Fraction, ...]:
-        residue = self.vertical.reduce(w)
-        free = self.free_columns()
-        return tuple(residue[j] for j in free)
 
 
 def coordinate_flag(total_dim: int, vertical_indices: Iterable[int]) -> Flag:

@@ -50,6 +50,20 @@ def _need(doc: dict, key: str):
     return doc[key]
 
 
+def _int(x, what: str) -> int:
+    """A JSON integer; bools, floats and strings are refused, not coerced."""
+    if type(x) is not int:
+        raise DocumentError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _ints(x, what: str) -> tuple[int, ...]:
+    """A JSON list of integers, as a tuple."""
+    if type(x) is not list or any(type(i) is not int for i in x):
+        raise DocumentError(f"{what} must be a list of integers, got {x!r}")
+    return tuple(x)
+
+
 def parse_document(doc: dict) -> FormDocument:
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
@@ -83,19 +97,19 @@ def parse_document(doc: dict) -> FormDocument:
 
 
 def _parse_alternating(doc: dict, kind: str):
-    dim = int(_need(doc, "dim"))
-    degree = int(_need(doc, "degree"))
-    value_dim = int(doc.get("value_dim", 1))
+    dim = _int(_need(doc, "dim"), "dim")
+    degree = _int(_need(doc, "degree"), "degree")
+    value_dim = _int(doc.get("value_dim", 1), "value_dim")
     if kind == "scalar_form" and value_dim != 1:
         raise DocumentError("scalar_form must have value_dim 1")
     buckets: list[dict] = [dict() for _ in range(value_dim)]
     for term in _need(doc, "terms"):
-        idx = tuple(int(i) for i in _need(term, "indices"))
+        idx = _ints(_need(term, "indices"), "indices")
         if list(idx) != sorted(set(idx)):
             raise DocumentError(f"indices must be strictly increasing: {idx}")
         if len(idx) != degree:
             raise DocumentError(f"multi-index {idx} does not match degree {degree}")
-        comp = int(term.get("component", 1))
+        comp = _int(term.get("component", 1), "component")
         if not 1 <= comp <= value_dim:
             raise DocumentError(f"component {comp} out of range")
         c = _rat(_need(term, "coefficient"))
@@ -107,16 +121,16 @@ def _parse_alternating(doc: dict, kind: str):
 
 
 def _parse_poly_form(doc: dict) -> PolyForm:
-    dim = int(_need(doc, "dim"))
-    degree = int(_need(doc, "degree"))
-    split = tuple(int(x) for x in _need(doc, "split"))
+    dim = _int(_need(doc, "dim"), "dim")
+    degree = _int(_need(doc, "degree"), "degree")
+    split = _ints(_need(doc, "split"), "split")
     if len(split) != 2:
         raise DocumentError("split must be a pair")
     if min(split) < 0:
         raise DocumentError(f"split entries must be nonnegative: {split}")
     coeffs: dict = {}
     for term in _need(doc, "terms"):
-        idx = tuple(int(i) for i in _need(term, "indices"))
+        idx = _ints(_need(term, "indices"), "indices")
         if list(idx) != sorted(set(idx)):
             raise DocumentError(f"indices must be strictly increasing: {idx}")
         if len(idx) != degree:
@@ -125,7 +139,7 @@ def _parse_poly_form(doc: dict) -> PolyForm:
             raise DocumentError(f"multi-index {idx} leaves the coordinates 1..{dim}")
         terms = {}
         for mono in _need(term, "polynomial"):
-            exps = tuple(int(e) for e in _need(mono, "exponents"))
+            exps = _ints(_need(mono, "exponents"), "exponents")
             if len(exps) != dim:
                 raise DocumentError("exponent tuple does not match dimension")
             if exps and min(exps) < 0:
@@ -143,17 +157,17 @@ def _parse_poly_form(doc: dict) -> PolyForm:
 
 
 def _parse_lie(doc: dict) -> LieAlgebra:
-    dim = int(_need(doc, "dim"))
+    dim = _int(_need(doc, "dim"), "dim")
     c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for entry in _need(doc, "structure_constants"):
-        a, b, k = (int(x) for x in _need(entry, "indices"))
+        a, b, k = _ints(_need(entry, "indices"), "indices")
         c[a - 1][b - 1][k - 1] = _rat(_need(entry, "value"))
     return lie_algebra(dim, c)
 
 
 def _parse_flag(flag_doc: dict, doc: dict) -> Flag:
-    dim = int(_need(doc, "dim"))
-    vertical = [int(i) for i in _need(flag_doc, "vertical_indices")]
+    dim = _int(_need(doc, "dim"), "dim")
+    vertical = _ints(_need(flag_doc, "vertical_indices"), "vertical_indices")
     flag = coordinate_flag(dim, vertical)
     if "splitting" in flag_doc and flag_doc["splitting"] is not None:
         cols = [[_rat(x) for x in col] for col in flag_doc["splitting"]]

@@ -20,7 +20,7 @@ from .errors import DimensionMismatch, InternalCheckError, PreconditionError
 from .exterior import (AlternatingForm, Flag, VectorValuedForm, contract, evaluate,
                        indices_of, project, pullback, wedge, wedge_power_by_exponent)
 from .linalg import (Matrix, Subspace, ZERO, ONE, annihilator, inverse, kernel_basis,
-                     row_rank, subspace_sum, complement)
+                     subspace_sum, complement)
 from .sparse import SparseEchelon, _sparse, span_equal, span_of, intersect_spans
 
 DEFAULT_SEED = 20070
@@ -594,19 +594,16 @@ def _integer_entries(forms) -> list[list[tuple[int, int, int]]]:
 def _half_rank(entries) -> int:
     """Half the rank of the antisymmetric integer matrix summing the entries.
 
-    Only the indices that occur get a row and a column: the others are
-    zero in the matrix and do not change its rank.
+    Each index that occurs gets a sparse integer row, inserted straight
+    into one echelon.
     """
-    pos: dict = {}
-    for i, j, _ in entries:
-        pos.setdefault(i, len(pos))
-        pos.setdefault(j, len(pos))
-    rows = [[0] * len(pos) for _ in pos]
+    rows: dict = {}
     for i, j, x in entries:
-        a, b = pos[i], pos[j]
-        rows[a][b] -= x
-        rows[b][a] += x
-    support = row_rank(rows)
+        ri = rows.setdefault(i, {})
+        rj = rows.setdefault(j, {})
+        ri[j] = ri.get(j, 0) - x
+        rj[i] = rj.get(i, 0) + x
+    support = span_of(rows.values()).rank
     if support & 1:
         raise InternalCheckError("odd support dimension for an alternating 2-form")
     return support // 2
@@ -616,8 +613,8 @@ def rank_2form(omega: AlternatingForm) -> int:
     """Half the dimension of the support of an alternating 2-form.
 
     The support dimension is the rank of the antisymmetric coefficient
-    matrix, the kernel constraint rows, found by forward elimination; no
-    kernel basis is built.  The rows are built as integers, scaled by the
+    matrix, the kernel constraint rows, read off the echelon; no kernel
+    basis is built.  The rows are built as integers, scaled by the
     lcm of the coefficient denominators, over the indices that occur.
     """
     if omega.degree != 2:
@@ -691,7 +688,7 @@ def constant_rank_sampled(omega: VectorValuedForm, sample_count: int,
     covector ranks its component with ``rank_2form``.  The random ones
     use the integer pencil: the components are scaled to integers once,
     by one lcm, and each covector, cleared of its denominators, ranks its
-    integer combination of them with ``row_rank``.  An exact certificate,
+    integer combination of them with ``_half_rank``.  An exact certificate,
     when it exists, comes from ``uniform_rank`` instead.
     """
     v = as_vector_form(omega)

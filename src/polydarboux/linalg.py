@@ -1,15 +1,15 @@
 """Exact rational linear algebra: matrices over `fractions.Fraction`,
 reduced row echelon forms, kernels, solves, and the subspace lattice.
 
-All arithmetic is exact.  Batch row reduction runs fraction-free: each
-row is scaled to primitive integers and eliminated with integer steps and
-gcd content removal.  The integer rows stay internal; every result is
-returned as the unique Fraction RREF.  Spans grown one vector at a time
-(complements, intersections) use ``sparse.SparseEchelon`` instead, the
-only other elimination in the package.  Subspaces are canonically
-represented by the RREF of a spanning set, so two subspaces are equal
-exactly when their representations are equal; that decidable equality is
-what the structure tests in the rest of the package lean on.
+All arithmetic is exact.  Every elimination here, rref, rank, kernel,
+solve, inverse and the subspace operations, runs on one kernel,
+``sparse.SparseEchelon``: rows are scaled to primitive integers and kept
+fully reduced with fraction-free steps.  The integer rows stay internal;
+every result is returned in Fractions, read off the echelon.  Subspaces
+are canonically represented by the RREF of a spanning set, so two
+subspaces are equal exactly when their representations are equal; that
+decidable equality is what the structure tests in the rest of the
+package lean on.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, PreconditionError
-from .sparse import SparseEchelon, _sparse, intersect_spans
+from .sparse import SparseEchelon, _sparse, intersect_spans, span_of
 
 Scalar = Fraction
 ZERO = Fraction(0)
@@ -120,115 +119,49 @@ class Matrix:
 # row reduction
 
 
-def _integer_row(raw) -> list[int]:
-    """The row scaled to primitive integers (all zeros for a zero row)."""
-    if raw and type(raw[0]) is int and all(type(x) is int for x in raw):
-        r = list(raw)  # already integers: only the content is removed
-    else:
-        dens = [x.denominator for x in raw]
-        scale = lcm(*dens)
-        if scale == 1:
-            r = [x.numerator for x in raw]
-        else:
-            r = [x.numerator * (scale // d) for x, d in zip(raw, dens)]
-    g = gcd(*r)
-    return [x // g for x in r] if g > 1 else r
+def _echelon(rows) -> SparseEchelon:
+    """The echelon of dense rows, keyed by column index."""
+    return span_of(map(_sparse, rows))
 
 
-def _eliminate(r: list[int], prow: list[int], col: int) -> list[int]:
-    """Fraction-free step: clear ``r[col]`` with the pivot row, keep r primitive."""
-    c, p = r[col], prow[col]
-    g = gcd(p, c)
-    c //= g
-    p //= g
-    if p == 1:
-        return [a - c * b if b else a for a, b in zip(r, prow)]
-    r = [p * a - c * b if b else p * a for a, b in zip(r, prow)]
-    g = gcd(*r)
-    return [x // g for x in r] if g > 1 else r
-
-
-def _forward_rows(rows) -> list[tuple[int, list[int]]]:
-    """Forward elimination: (pivot column, primitive integer row) pairs.
-
-    Rows are scaled to primitive integers and cleared below each pivot
-    with Bareiss-style ``p*r - c*prow`` steps and gcd content removal.
-    The pairs come sorted by pivot column, each lead positive; entries
-    above the pivots are left as they are, so the count is the rank.
-    """
-    pivots: list[tuple[int, list[int]]] = []
-    for raw in rows:
-        r = _integer_row(raw)
-        for pc, prow in pivots:
-            if r[pc]:
-                r = _eliminate(r, prow, pc)
-        lead = next((j for j, x in enumerate(r) if x), None)
-        if lead is None:
-            continue
-        if r[lead] < 0:
-            r = [-x for x in r]
-        pivots.append((lead, r))
-        pivots.sort(key=lambda t: t[0])
-    return pivots
-
-
-def _rref_rows(rows) -> tuple[list[list[Fraction]], list[int]]:
+def _rref_rows(rows, cols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Canonical RREF of a list of rows; returns (nonzero rows, pivot columns).
 
-    Elimination runs on primitive integer rows (``_forward_rows``, then
-    the same steps above each pivot); the unique Fraction RREF is built
-    only on return, with a new Fraction for nonzero entries alone.
+    Read off the integer echelon: each row divided by its pivot entry,
+    with a new Fraction for nonzero entries alone.
     """
-    pivots = _forward_rows(rows)
-    # clear above pivots
-    ordered = [p[1] for p in pivots]
-    cols = [p[0] for p in pivots]
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            if ordered[i][cols[j]]:
-                ordered[i] = _eliminate(ordered[i], ordered[j], cols[j])
+    ech = _echelon(rows)
+    pivots = sorted(ech.rows)
     out = []
-    for pc, r in zip(cols, ordered):
-        d = r[pc]
-        if d == 1:
-            out.append([Fraction(x) if x else ZERO for x in r])
-        else:
-            out.append([Fraction(x, d) if x else ZERO for x in r])
-        out[-1][pc] = ONE
-    return out, cols
+    for p in pivots:
+        row = ech.rows[p]
+        d = row[p]
+        r = [ZERO] * cols
+        for j, x in row.items():
+            r[j] = Fraction(x, d) if d != 1 else Fraction(x)
+        out.append(r)
+    return out, pivots
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Unique reduced row echelon form and rank."""
-    reduced, pivots = _rref_rows(m.row_list())
+    reduced, pivots = _rref_rows(m.row_list(), m.cols)
     out = reduced + [[ZERO] * m.cols for _ in range(m.rows - len(pivots))]
     return Matrix.from_rows(out) if m.rows else m, len(pivots)
 
 
 def rank(m: Matrix) -> int:
-    return len(_forward_rows(m.row_list()))
+    return _echelon(m.row_list()).rank
 
 
 def row_rank(rows) -> int:
-    """Rank of a list of rows, by forward elimination alone."""
-    return len(_forward_rows(rows))
+    """Rank of a list of rows."""
+    return _echelon(rows).rank
 
 
 def kernel_basis(rows: list[list[Fraction]], cols: int) -> list[list[Fraction]]:
     """Basis of {v : R v = 0} for constraint rows R, in RREF order."""
-    reduced, pivot_cols = _rref_rows(rows)
-    pivot_set = set(pivot_cols)
-    basis = []
-    for f in range(cols):
-        if f in pivot_set:
-            continue
-        v = [ZERO] * cols
-        v[f] = ONE
-        for pc, r in zip(pivot_cols, reduced):
-            if r[f]:
-                v[pc] = -r[f]
-        basis.append(v)
-    return basis
+    return _echelon(rows).kernel_vectors(cols)
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -241,13 +174,14 @@ def solve(m: Matrix, rhs: Sequence) -> tuple[Fraction, ...] | None:
     b = vec(rhs)
     if len(b) != m.rows:
         raise DimensionMismatch("right-hand side length does not match rows")
-    aug = [list(m.row(i)) + [b[i]] for i in range(m.rows)]
-    reduced, pivots = _rref_rows(aug)
-    if pivots and pivots[-1] == m.cols:
+    n = m.cols
+    ech = _echelon(list(m.row(i)) + [b[i]] for i in range(m.rows))
+    if n in ech.rows:
         return None
-    x = [ZERO] * m.cols
-    for pc, r in zip(pivots, reduced):
-        x[pc] = r[m.cols]
+    x = [ZERO] * n
+    for p, row in ech.rows.items():
+        if n in row:
+            x[p] = Fraction(row[n], row[p])
     return tuple(x)
 
 
@@ -255,11 +189,16 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices invert")
     n = m.rows
-    aug = [list(m.row(i)) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    reduced, pivots = _rref_rows(aug)
-    if len(pivots) != n or (pivots and pivots[-1] >= n):
+    ech = _echelon(list(m.row(i)) + [ONE if i == j else ZERO for j in range(n)]
+                   for i in range(n))
+    if any(p >= n for p in ech.rows):
         raise PreconditionError("matrix is singular")
-    return Matrix.from_rows([r[n:] for r in reduced])
+    out = []
+    for i in range(n):
+        row = ech.rows[i]
+        d = row[i]
+        out.extend(Fraction(row[j], d) if j in row else ZERO for j in range(n, 2 * n))
+    return Matrix(n, n, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +221,7 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise DimensionMismatch("vector length does not match ambient dimension")
-        reduced, pivots = _rref_rows(rows)
+        reduced, pivots = _rref_rows(rows, ambient_dim)
         return Subspace(ambient_dim, Matrix.from_rows(reduced) if pivots else Matrix(0, ambient_dim, ()))
 
     @staticmethod
@@ -318,19 +257,23 @@ class Subspace:
         return tuple(next(j for j, x in enumerate(self.basis.row(i)) if x)
                      for i in range(self.basis.rows))
 
-    def reduce(self, v: Sequence) -> list[Fraction]:
-        """Residue of v after elimination against the basis rows."""
-        r = list(vec(v))
+    @cached_property
+    def _span(self) -> SparseEchelon:
+        return _echelon(self.vectors())
+
+    def _sparse_vector(self, v: Sequence) -> dict:
+        r = vec(v)
         if len(r) != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        for pc, prow in zip(self.pivot_columns(), self.vectors()):
-            c = r[pc]
-            if c:  # zero entries of a row are skipped, so a sparse basis costs little
-                r = [a - c * b if b else a for a, b in zip(r, prow)]
-        return r
+        return _sparse(r)
+
+    def reduce(self, v: Sequence) -> list[Fraction]:
+        """Residue of v modulo the subspace: zero at every pivot column."""
+        res = self._span.reduce(self._sparse_vector(v))
+        return [res.get(j, ZERO) for j in range(self.ambient_dim)]
 
     def contains(self, v: Sequence) -> bool:
-        return not any(self.reduce(v))
+        return self._span.contains(self._sparse_vector(v))
 
     def contains_subspace(self, other: Subspace) -> bool:
         if other.ambient_dim != self.ambient_dim:

@@ -167,10 +167,6 @@ class PolyForm:
     def x_dim(self) -> int:
         return self.split[0]
 
-    @property
-    def y_dim(self) -> int:
-        return self.split[1]
-
     def y_count(self, mask: int) -> int:
         return (mask >> self.split[0]).bit_count()
 

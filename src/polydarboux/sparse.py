@@ -1,18 +1,20 @@
-"""The incremental exact echelon, on sparse vectors over sortable keys.
+"""The exact elimination kernel: an incremental echelon on integer rows.
 
 Vectors are dictionaries from sortable keys to rationals: column indices
 for coordinate vectors, (component, monomial-mask) pairs for the stacked
 coefficients of forms, whose spaces are large and mostly zero.
 ``SparseEchelon`` grows a span one vector at a time and keeps it as the
-unique reduced row echelon form in key order; the solver, the span
-intersection and, through ``linalg``, the complements and intersections
-of subspaces and the greedy isotropic growth all run on it.  Batch
-elimination of whole matrices stays in ``linalg``.
+unique reduced row echelon form in key order, each row scaled to
+primitive integers.  It is the only elimination in the package: the
+solver, the span intersection and, through ``linalg``, every rref, rank,
+kernel, solve, inverse and subspace run on it.  Rationals enter by one
+lcm per vector and leave as ``Fraction``s only in the answers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 SparseVec = dict
 
@@ -31,54 +33,101 @@ def _sparse(row) -> SparseVec:
     return {j: x for j, x in enumerate(row) if x}
 
 
-class SparseEchelon:
-    """Reduced row echelon basis of a span of sparse vectors.
+def _scaled(v: SparseVec) -> tuple[dict, int]:
+    """Integer numerators of v over one common denominator, and that denominator."""
+    s = lcm(*(x.denominator for x in v.values()))
+    if s == 1:
+        return {k: x.numerator for k, x in v.items() if x}, 1
+    return {k: x.numerator * (s // x.denominator) for k, x in v.items() if x}, s
 
-    Each row is monic at its pivot, the smallest key it holds, and is zero
-    at every other row's pivot.  Reducing a vector therefore takes one
-    pass over its own keys: subtracting one row never touches another
-    row's pivot.
+
+class SparseEchelon:
+    """Reduced row echelon basis of a span of sparse vectors, on integer rows.
+
+    Each row is a primitive integer vector with a positive entry at its
+    pivot, the smallest key it holds, and zero at every other row's pivot.
+    Reducing a vector therefore takes one pass over its own keys:
+    subtracting one row never touches another row's pivot.  The steps are
+    fraction-free, ``p*r - c*row`` after dividing out gcd(p, c), and the
+    residue carries the product of the multipliers as its scale.
     """
 
     def __init__(self):
-        self.rows: dict = {}  # pivot key -> monic, fully reduced row
+        self.rows: dict = {}  # pivot key -> primitive, fully reduced integer row
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v: SparseVec) -> SparseVec:
-        """Residue of v modulo the span; zero exactly when v lies in it."""
-        r = dict(v)
-        for k, c in v.items():
+    def copy(self) -> SparseEchelon:
+        out = SparseEchelon()
+        out.rows = {p: dict(row) for p, row in self.rows.items()}
+        return out
+
+    def _residue(self, v: SparseVec) -> tuple[dict, int]:
+        """(r, s): integer r with r / s the residue of v modulo the span."""
+        r, s = _scaled(v)
+        for k in v:
             row = self.rows.get(k)
-            if row is not None:
-                _axpy(r, c, row)
-        return r
+            if row is None:
+                continue
+            c = r.get(k)  # v's own entry, rescaled: other rows are zero here
+            if not c:
+                continue
+            p = row[k]
+            g = gcd(c, p)
+            if g != p:
+                p //= g
+                c //= g
+                for j in r:
+                    r[j] *= p
+                s *= p
+            else:
+                c //= p
+            _axpy(r, c, row)
+        return r, s
+
+    def reduce(self, v: SparseVec) -> dict[object, Fraction]:
+        """Residue of v modulo the span: zero at every pivot, empty exactly when v lies in it."""
+        r, s = self._residue(v)
+        return {k: Fraction(x, s) for k, x in r.items()}
 
     def insert(self, v: SparseVec) -> bool:
         """Add a vector to the span; returns True if the rank grew."""
-        r = self.reduce(v)
+        r, _ = self._residue(v)
         if not r:
             return False
         pivot = min(r)
-        inv = Fraction(1) / Fraction(r[pivot])
-        new = {k: x * inv for k, x in r.items()}
-        for row in self.rows.values():
+        g = gcd(*r.values())
+        if r[pivot] < 0:
+            g = -g
+        new = r if g == 1 else {k: x // g for k, x in r.items()}
+        p = new[pivot]
+        for key, row in self.rows.items():
             c = row.get(pivot)
-            if c:
-                _axpy(row, c, new)
+            if not c:
+                continue
+            g = gcd(c, p)
+            if g != p:
+                for j in row:
+                    row[j] *= p // g
+            _axpy(row, c // g, new)
+            if row[key] != 1:
+                g = gcd(*row.values())
+                if g != 1:
+                    for j in row:
+                        row[j] //= g
         self.rows[pivot] = new
         return True
 
     def contains(self, v: SparseVec) -> bool:
-        return not self.reduce(v)
+        return not self._residue(v)[0]
 
     def kernel_vectors(self, cols: int) -> list[list[Fraction]]:
         """Dense basis of {x : row . x = 0 for every row}, rows keyed 0..cols-1.
 
         One vector per free column f, in increasing order: a one at f and
-        minus each row's entry at f at that row's pivot.
+        minus each row's entry at f over its pivot entry, at that pivot.
         """
         out = []
         for f in range(cols):
@@ -89,7 +138,7 @@ class SparseEchelon:
             for p, row in self.rows.items():
                 c = row.get(f)
                 if c:
-                    x[p] = -c
+                    x[p] = Fraction(-c, row[p])
             out.append(x)
         return out
 
@@ -116,10 +165,10 @@ class SparseSolver(SparseEchelon):
 
     def solve(self, target: SparseVec) -> list[Fraction] | None:
         """Coefficients c with sum c_j * generator_j = target, or None."""
-        r = self.reduce({(0, k): x for k, x in target.items()})
+        r, s = self._residue({(0, k): x for k, x in target.items()})
         if any(half == 0 for half, _ in r):
             return None
-        return [-Fraction(r.get((1, j), 0)) for j in range(self.ngen)]
+        return [Fraction(-r.get((1, j), 0), s) for j in range(self.ngen)]
 
 
 def span_of(vectors) -> SparseEchelon:
@@ -138,7 +187,7 @@ def span_equal(vectors_a, vectors_b) -> bool:
 
 
 def intersect_spans(vectors_a, vectors_b) -> list[SparseVec]:
-    """Basis of (span a) ∩ (span b), as sparse vectors.
+    """Basis of (span a) ∩ (span b), as sparse integer vectors.
 
     Zassenhaus: the echelon of the rows (a, a) and (b, 0), with every
     key of the first half before every key of the second.  Its rows

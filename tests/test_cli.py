@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+import polydarboux
 from polydarboux.cli import main
 from polydarboux.corpus import corpus_files
 
@@ -125,9 +129,16 @@ def test_counterexamples_command(capsys):
     assert report_digest(code, out, ["counterexamples"]) == GOLDEN["counterexamples"]
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter, able to import the package under test."""
+    src = str(Path(polydarboux.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "polydarboux.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "polydarboux" in proc.stdout
 
@@ -140,8 +151,8 @@ def test_precondition_failures_exit_one(capsys):
 def test_reports_byte_identical_across_processes():
     cmd = [sys.executable, "-m", "polydarboux.cli", "analyze",
            CORPUS["appendix_a3.json"], "--json", "--seed", "9"]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    first = subprocess.run(cmd, capture_output=True, text=True, env=child_env())
+    second = subprocess.run(cmd, capture_output=True, text=True, env=child_env())
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
 
@@ -169,6 +180,50 @@ def test_malformed_fields_exit_two(tmp_path, capsys):
         for command in ("analyze", "symbol"):
             assert main([command, str(path)]) == 2, (command, bad)
             assert "document error" in capsys.readouterr().err
+
+
+FLAGGED = {"schema_version": "1", "kind": "scalar_form", "dim": 3, "degree": 2, "r": 1,
+           "terms": [{"indices": [1, 2], "coefficient": "1"}],
+           "flag": {"vertical_indices": [1]}}
+
+
+@pytest.mark.parametrize("source, command, where, value", [
+    ("appendix_a1.json", "analyze", ("dim",), 4.7),
+    ("appendix_a1.json", "darboux", ("dim",), "4"),
+    ("appendix_a1.json", "analyze", ("dim",), True),
+    ("appendix_a1.json", "analyze", ("degree",), 2.0),
+    ("appendix_a1.json", "analyze", ("value_dim",), "2"),
+    ("appendix_a1.json", "analyze", ("terms", 0, "component"), 1.0),
+    ("appendix_a1.json", "darboux", ("terms", 0, "indices"), "12"),
+    ("appendix_a1.json", "analyze", ("terms", 0, "indices", 1), 2.0),
+    ("appendix_a1.json", "analyze", ("terms", 0, "indices", 0), True),
+    ("flagged", "analyze", ("flag", "vertical_indices"), "1"),
+    ("flagged", "analyze", ("flag", "vertical_indices", 0), 1.0),
+    ("perturbed_multisymplectic.json", "homotopy", ("split",), "33"),
+    ("perturbed_multisymplectic.json", "homotopy", ("split", 0), 3.0),
+    ("perturbed_multisymplectic.json", "homotopy", ("terms", 0, "indices"), "123"),
+    ("perturbed_multisymplectic.json", "homotopy",
+     ("terms", 0, "polynomial", 0, "exponents", 2), "1"),
+    ("perturbed_multisymplectic.json", "moser",
+     ("terms", 0, "polynomial", 0, "exponents"), 0),
+    ("su2_frame.json", "analyze", ("structure_constants", 0, "indices"), "123"),
+    ("su2_frame.json", "analyze", ("structure_constants", 0, "indices", 2), 3.0),
+])
+def test_integer_fields_are_checked_not_coerced(tmp_path, capsys, source, command, where,
+                                                value):
+    doc = json.loads(json.dumps(FLAGGED) if source == "flagged"
+                     else Path(CORPUS[source]).read_text())
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) != 2, "the unmodified document parses"
+    capsys.readouterr()
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    assert "document error" in capsys.readouterr().err
 
 
 def test_malformed_poly_documents_exit_two(tmp_path, capsys):

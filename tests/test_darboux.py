@@ -1,4 +1,5 @@
 import random
+import sys
 from math import comb
 
 import pytest
@@ -207,3 +208,20 @@ def test_flag_preserving_conjugates_fix_vertical_space():
     model = canonical_multi_model(2, 2, 2, 2)
     _, _, cmap = conjugated_multi_instance(model, seed=77)
     assert transform_subspace(cmap.matrix, model.flag.vertical) == model.flag.vertical
+
+
+def test_poly_induction_sums_no_subspaces(monkeypatch):
+    # the avoid span L + span(e_1..e_j) grows by one insert per step instead
+    # of a subspace_sum and a Subspace rebuild each step
+    calls = []
+
+    def counted(a, b):
+        calls.append((a.dim, b.dim))
+        return subspace_sum(a, b)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("polydarboux") and getattr(mod, "subspace_sum", None) is subspace_sum:
+            monkeypatch.setattr(mod, "subspace_sum", counted)
+    moved, lagr, _ = conjugated_poly_instance(canonical_poly_model(4, 2, 1), 5)
+    assert darboux_basis_poly(moved, lagr).params == (4, 2, 1)
+    assert calls == []

@@ -7,12 +7,15 @@ the dense Fraction ``RowEchelon``, the sparse echelon that reduced
 against every row in pivot order, the solver with its own elimination
 loop and generator tags, the span intersection through a dense kernel of
 the concatenated coefficient map, and ``linalg.intersect`` through the
-kernel of the stacked annihilator constraints.
+kernel of the stacked annihilator constraints.  The echelon's rows are
+primitive integer vectors, so they are compared monic, each divided by its
+pivot entry, and their integer form is checked on its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -253,7 +256,19 @@ def with_combinations(draw, vectors: list[dict]) -> list[dict]:
 
 
 def canonical(ech: SparseEchelon) -> tuple:
-    return tuple(sorted(tuple(sorted(r.items())) for r in ech.rows.values()))
+    """The rows made monic, each divided by its pivot entry, in key order."""
+    return tuple(sorted(tuple(sorted((k, Fraction(x, r[p])) for k, x in r.items()))
+                        for p, r in ech.rows.items()))
+
+
+def assert_integer_echelon(ech: SparseEchelon):
+    """Each row: primitive integers, pivot at its smallest key with a positive
+    entry, and zero at every other row's pivot."""
+    for p, row in ech.rows.items():
+        assert row and all(type(x) is int and x for x in row.values())
+        assert min(row) == p and row[p] > 0
+        assert gcd(*row.values()) == 1
+        assert not any(q in row for q in ech.rows if q != p)
 
 
 def densify(v: dict, dim: int) -> list[Fraction]:
@@ -276,6 +291,7 @@ def test_int_keyed_echelon_matches_row_echelon(data):
         assert grew == dense.insert(densify(r, dim)) == old.insert(r)
         assert new.rank == dense.rank == old.rank
     assert canonical(new) == old.canonical()
+    assert_integer_echelon(new)
     assert sorted(new.rows) == dense.pivots
     got = Subspace.from_vectors(dim, new.kernel_vectors(dim))
     assert got == Subspace.from_vectors(dim, dense.kernel_vectors())
@@ -294,6 +310,7 @@ def test_stacked_echelon_matches_old_sparse_echelon(data):
         assert new.insert(v) == old.insert(v)
         assert new.rank == old.rank
     assert canonical(new) == old.canonical()
+    assert_integer_echelon(new)
     for q in data.draw(stacked_vectors(4)) + vectors[:2]:
         assert new.contains(q) == old.contains(q)
         # both bases share one pivot set, and the residue is the one vector of
@@ -413,3 +430,36 @@ def test_solver_answers_on_a_small_system():
     assert s.solve({(0, 3): 4, (1, 5): 5}) == [2, 1]
     assert s.solve({(0, 4): 1}) is None
     assert s.solve({}) == [0, 0]
+
+
+big_fraction = st.builds(Fraction, st.integers(-BIG, BIG).filter(bool),
+                         st.integers(BIG // 10, BIG - 1))
+
+
+@settings(PROFILE)
+@given(st.data())
+def test_solver_scale_with_thirteen_digit_denominators(data):
+    # generator j owns the key (3, j), so the combination is unique; every
+    # entry and coefficient has its own 13-digit denominator, so the residue's
+    # integer scale is far from 1 and must be divided out exactly
+    count = data.draw(st.integers(1, 5))
+    gens = []
+    for j in range(count):
+        g = data.draw(st.dictionaries(st.sampled_from(STACKED_KEYS), big_fraction, max_size=6))
+        g[(3, j)] = data.draw(big_fraction)
+        gens.append(g)
+    coeffs = [data.draw(big_fraction) for _ in gens]
+    target = combine(coeffs, gens)
+    new, old = SparseSolver(), OracleSparseSolver()
+    for g in gens:
+        new.add_generator(g)
+        old.add_generator(g)
+    assert new.solve(target) == coeffs == old.solve(target)
+    off = dict(target)
+    off[(3, count)] = data.draw(big_fraction)
+    assert new.solve(off) is None
+    ech = SparseEchelon()
+    for g in gens:
+        ech.insert(g)
+    assert ech.reduce(off) == {(3, count): off[(3, count)]}
+    assert_integer_echelon(ech)

@@ -1,15 +1,17 @@
 """Differential tests: the fraction-free elimination kernel and the rewritten
-Darboux helpers against the plain Fraction implementations they replaced.
+Darboux helpers against the implementations they replaced.
 
 The oracles below are the previous code, kept verbatim in spirit: Fraction
-row reduction, per-candidate ``Subspace`` rebuilds and dense products of
-elementary matrices.
+row reduction, the batch fraction-free kernel on dense integer rows that
+the integer echelon replaced, per-candidate ``Subspace`` rebuilds and
+dense products of elementary matrices.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from polydarboux.darboux import _greedy_standard_completion, seeded_conjugate
 from polydarboux.errors import ConstructionError, PreconditionError
 from polydarboux.linalg import (Matrix, Subspace, complement, inverse, kernel_basis, rank,
-                                rref, solve)
+                                row_rank, rref, solve)
+from polydarboux.sparse import _sparse, span_of
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -52,6 +55,77 @@ def oracle_rref_rows(rows):
             if c:
                 ordered[i] = [a - c * b if b else a for a, b in zip(ordered[i], ordered[j])]
     return ordered, len(ordered)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the batch fraction-free kernel (Bareiss-style forward elimination on
+# dense primitive integer rows, then the same steps above each pivot)
+
+
+def batch_integer_row(raw) -> list[int]:
+    """The row scaled to primitive integers (all zeros for a zero row)."""
+    if raw and type(raw[0]) is int and all(type(x) is int for x in raw):
+        r = list(raw)  # already integers: only the content is removed
+    else:
+        dens = [x.denominator for x in raw]
+        scale = lcm(*dens)
+        if scale == 1:
+            r = [x.numerator for x in raw]
+        else:
+            r = [x.numerator * (scale // d) for x, d in zip(raw, dens)]
+    g = gcd(*r)
+    return [x // g for x in r] if g > 1 else r
+
+
+def batch_eliminate(r: list[int], prow: list[int], col: int) -> list[int]:
+    """Fraction-free step: clear ``r[col]`` with the pivot row, keep r primitive."""
+    c, p = r[col], prow[col]
+    g = gcd(p, c)
+    c //= g
+    p //= g
+    if p == 1:
+        return [a - c * b if b else a for a, b in zip(r, prow)]
+    r = [p * a - c * b if b else p * a for a, b in zip(r, prow)]
+    g = gcd(*r)
+    return [x // g for x in r] if g > 1 else r
+
+
+def batch_forward_rows(rows) -> list[tuple[int, list[int]]]:
+    """(pivot column, primitive integer row) pairs, sorted by pivot column."""
+    pivots: list[tuple[int, list[int]]] = []
+    for raw in rows:
+        r = batch_integer_row(raw)
+        for pc, prow in pivots:
+            if r[pc]:
+                r = batch_eliminate(r, prow, pc)
+        lead = next((j for j, x in enumerate(r) if x), None)
+        if lead is None:
+            continue
+        if r[lead] < 0:
+            r = [-x for x in r]
+        pivots.append((lead, r))
+        pivots.sort(key=lambda t: t[0])
+    return pivots
+
+
+def batch_rref_rows(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Canonical Fraction RREF of a list of rows: (nonzero rows, pivot columns)."""
+    pivots = batch_forward_rows(rows)
+    ordered = [p[1] for p in pivots]
+    cols = [p[0] for p in pivots]
+    for i in range(len(ordered)):
+        for j in range(i + 1, len(ordered)):
+            if ordered[i][cols[j]]:
+                ordered[i] = batch_eliminate(ordered[i], ordered[j], cols[j])
+    out = []
+    for pc, r in zip(cols, ordered):
+        d = r[pc]
+        if d == 1:
+            out.append([Fraction(x) if x else ZERO for x in r])
+        else:
+            out.append([Fraction(x, d) if x else ZERO for x in r])
+        out[-1][pc] = ONE
+    return out, cols
 
 
 def oracle_kernel_basis(rows, cols):
@@ -152,7 +226,14 @@ def test_rref_rank_and_subspace_match_oracle(m):
     padded = reduced + [[ZERO] * m.cols for _ in range(m.rows - rk)]
     want = Matrix.from_rows(padded) if m.rows else m
     assert rref(m) == (want, rk)
-    assert rank(m) == rk
+    assert batch_rref_rows(m.row_list()) == (reduced, [next(j for j, x in enumerate(r) if x)
+                                                       for r in reduced])
+    assert rank(m) == rk == row_rank(m.row_list())
+    # the integer echelon's rows are the batch kernel's primitive rows, fully reduced
+    ech = span_of(map(_sparse, m.row_list()))
+    for pc, r in zip(*reversed(batch_rref_rows(m.row_list()))):
+        scale = lcm(*(x.denominator for x in r))
+        assert ech.rows[pc] == _sparse([int(x * scale) for x in r])
     sub = Subspace.from_vectors(m.cols, m.row_list())
     assert sub.basis == (Matrix.from_rows(reduced) if rk else Matrix(0, m.cols, ()))
     assert all(type(x) is Fraction for x in sub.basis.entries)
@@ -253,9 +334,12 @@ def test_complement_and_completion_match_rebuild(seed):
     assert complement(a) == oracle_complement(a, Subspace.full(dim))
     avoid = Subspace.from_vectors(dim, _random_vectors(rng, dim, rng.randint(0, dim)))
     count = rng.randint(0, dim - avoid.dim)
-    assert _greedy_standard_completion(dim, avoid, count) == oracle_completion(dim, avoid, count)
+    span = span_of(map(_sparse, avoid.vectors()))
+    rows = {p: dict(r) for p, r in span.rows.items()}
+    assert _greedy_standard_completion(dim, span, count) == oracle_completion(dim, avoid, count)
+    assert span.rows == rows  # the picks are made in a copy
     with pytest.raises(ConstructionError):
-        _greedy_standard_completion(dim, avoid, dim - avoid.dim + 1)
+        _greedy_standard_completion(dim, span, dim - avoid.dim + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ from polydarboux.exterior import VectorValuedForm, form, merge_sign, project, re
 from polydarboux.io import poly_form_to_document, report_json
 from polydarboux.lagrangian import (DEFAULT_SEED, constant_rank_sampled, random_covector,
                                     rank_2form)
-from polydarboux.linalg import _rref_rows, row_rank
+from polydarboux.linalg import row_rank
 from polydarboux.polyforms import (PolyForm, Polynomial, exterior_d, homotopy_primitive,
                                    max_vertical_factors, vertical_d)
+from test_elimination_oracle import batch_rref_rows
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -137,7 +138,7 @@ def oracle_rank_2form(omega) -> int:
         j = m.bit_length() - 1
         rows[i][j] = -c
         rows[j][i] = c
-    return len(_rref_rows(rows)[1]) // 2
+    return len(batch_rref_rows(rows)[1]) // 2
 
 
 def oracle_constant_rank_sampled(v: VectorValuedForm, sample_count: int, seed: int):
