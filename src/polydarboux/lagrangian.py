@@ -396,12 +396,13 @@ def greedy_maximal_isotropic(omega, seed: Subspace, within: Subspace | None = No
 # horizontal / multilagrangian tests
 
 
-def _adapted(omega: AlternatingForm, flag: Flag) -> tuple[AlternatingForm, Matrix, Matrix]:
-    """The form in flag-adapted coordinates (quotient first, vertical last)."""
+def _adapted(omega: AlternatingForm, flag: Flag) -> tuple[AlternatingForm, Matrix]:
+    """The form in flag-adapted coordinates (quotient first, vertical last),
+    with the adapted matrix."""
     if omega.dim != flag.total_dim:
         raise DimensionMismatch("form does not live on the flag's total space")
     b = flag.adapted_matrix()
-    return pullback(omega, b), b, inverse(b)
+    return pullback(omega, b), b
 
 
 def _vertical_count(mask: int, n_t: int) -> int:
@@ -446,7 +447,7 @@ def symbol(omega: AlternatingForm, flag: Flag, r: int) -> VectorValuedForm:
     n = flag.dim_t
     if k1 - r > n:
         raise PreconditionError("quotient too small for the requested horizontality")
-    aomega, _, _ = _adapted(omega, flag)
+    aomega, _ = _adapted(omega, flag)
     _check_horizontality(aomega, n, r)
     m_dim = flag.total_dim - n
     combos = list(itertools.combinations(range(1, n + 1), k1 - r))
@@ -478,8 +479,9 @@ def check_multilagrangian(sub: Subspace, omega: AlternatingForm, flag: Flag, r: 
         raise PreconditionError("quotient too small for the requested horizontality")
     if not flag.vertical.contains_subspace(sub):
         raise PreconditionError("candidate subspace is not vertical")
-    aomega, _, binv = _adapted(omega, flag)
+    aomega, b = _adapted(omega, flag)
     _check_horizontality(aomega, n, r)
+    binv = inverse(b)
     sub_a = Subspace.from_vectors(flag.total_dim, [binv.mul_vec(u) for u in sub.vectors()])
     return _check_multilagrangian_adapted(sub_a, aomega, n, r)
 
@@ -835,7 +837,7 @@ def detect_multilagrangian(omega: AlternatingForm, flag: Flag, r: int) -> Polyla
     n = flag.dim_t
     if k1 - r > n:
         raise PreconditionError("quotient too small for the requested horizontality")
-    aomega, _, _ = _adapted(omega, flag)
+    aomega, _ = _adapted(omega, flag)
     _check_horizontality(aomega, n, r)
     m_dim = flag.total_dim - n
 
@@ -895,7 +897,7 @@ def classify_horizontal_form(omega: AlternatingForm, flag: Flag, r: int | None =
     if omega.is_zero():
         return StructureReport(Subspace.full(omega.dim), True, None, None, "none", None,
                                ["form vanishes"], None, None, seed)
-    aomega, _, _ = _adapted(omega, flag)
+    aomega, _ = _adapted(omega, flag)
     n = flag.dim_t
     if r is None:
         r = max((_vertical_count(m, n) for m in aomega.coeffs), default=0)

@@ -64,15 +64,23 @@ class _CompiledPolys:
                 monos.setdefault(e, len(monos))
         if not monos:
             monos[(0,) * dim] = 0
-        self.exps = np.array(sorted(monos, key=monos.get), dtype=float)
+        self.exps = np.array(sorted(monos, key=monos.get), dtype=int)
+        self.powers = np.arange(int(self.exps.max()) + 1)
+        # flat position of x_v ** e in the (dim, len(powers)) power table
+        self.gather = np.arange(dim) * len(self.powers) + self.exps
         self.weights = np.zeros((len(polys), len(monos)))
         for i, p in enumerate(polys):
             for e, c in p.terms.items():
                 self.weights[i, monos[e]] = float(c)
 
     def eval(self, points: np.ndarray) -> np.ndarray:
-        """points: (batch, dim) -> values (batch, n_polys)."""
-        mono = np.prod(points[:, None, :] ** self.exps[None, :, :], axis=2)
+        """points: (batch, dim) -> values (batch, n_polys).
+
+        Each monomial gathers its factors from one power table, so every
+        float power is taken once per (point, variable, exponent).
+        """
+        table = (points[:, :, None] ** self.powers).reshape(points.shape[0], -1)
+        mono = np.prod(np.take(table, self.gather, axis=1), axis=2)
         return mono @ self.weights.T
 
 
@@ -80,8 +88,10 @@ class DeformationField:
     """Solves i_X omega_t = alpha for X in the fiber block, with Jacobian.
 
     Coefficient data is polynomial; values and exact partial derivatives
-    are evaluated through one precompiled monomial table, and the linear
-    solves are batched over trajectories.
+    are evaluated through one precompiled monomial table for the whole
+    batch of points.  Each point then needs one least-squares solve, which
+    yields the field and its Jacobian together; assembly and the rank and
+    residual checks are array operations over the batch.
     """
 
     def __init__(self, omega: PolyForm, omega0: PolyForm, alpha: PolyForm,
@@ -156,66 +166,62 @@ class DeformationField:
             b[:, self.rhs_rows] = vals[:, off:off + nr]
         da = np.zeros((batch, self.dim, self.n_rows, self.n_cols))
         db = np.zeros((batch, self.dim, self.n_rows))
-        for v in range(self.dim):
-            if ne:
-                seg = vals[:, ne * (1 + v):ne * (2 + v)]
-                da[:, v, self.entry_rows, self.entry_cols] = t * self.entry_signs * seg
-            if nr:
-                seg = vals[:, off + nr * (1 + v):off + nr * (2 + v)]
-                db[:, v, self.rhs_rows] = seg
+        if ne:
+            seg = vals[:, ne:ne * (1 + self.dim)].reshape(batch, self.dim, ne)
+            da[:, :, self.entry_rows, self.entry_cols] = t * self.entry_signs * seg
+        if nr:
+            seg = vals[:, off + nr:off + nr * (1 + self.dim)].reshape(batch, self.dim, nr)
+            db[:, :, self.rhs_rows] = seg
         return a, b, da, db
 
     def batch(self, points: np.ndarray, t: float, with_jacobian: bool = True):
-        """Field values (batch, dim) and Jacobians (batch, dim, dim)."""
+        """Field values (batch, dim) and Jacobians (batch, dim, dim).
+
+        The solve is linear in its right-hand side, so one least-squares
+        solve per point against the stacked columns [b | db^T | dA_c...]
+        gives the field and every Jacobian term:
+        A^+ (db^T - sum_c x_c dA_c) = A^+ db^T - sum_c x_c A^+ dA_c.
+        Failures are raised for the first failing point in batch order.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         a, b, da, db = self._systems(points, t)
         batch = points.shape[0]
-        x = np.zeros((batch, self.dim))
-        dx = np.zeros((batch, self.dim, self.dim)) if with_jacobian else None
+        rhs = b[:, :, None]
+        if with_jacobian:
+            da_cols = da.transpose(0, 2, 3, 1).reshape(batch, self.n_rows, self.n_cols * self.dim)
+            rhs = np.concatenate([rhs, db.transpose(0, 2, 1), da_cols], axis=2)
+        ys = np.empty((batch, self.n_cols, rhs.shape[2]))
+        ranks = np.empty(batch, dtype=int)
         for i in range(batch):
-            sol, _, rk, _ = np.linalg.lstsq(a[i], b[i], rcond=None)
-            if rk < self.n_cols:
+            ys[i], _, ranks[i], _ = np.linalg.lstsq(a[i], rhs[i], rcond=None)
+        sol = ys[:, :, 0]
+        resid = np.abs(np.einsum('brc,bc->br', a, sol) - b).max(axis=1, initial=0.0)
+        bad = (ranks < self.n_cols) | (resid > self.solve_tol)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if ranks[i] < self.n_cols:
                 raise MoserFlowError(f"deformation system is singular at t={t}")
-            resid = float(np.max(np.abs(a[i] @ sol - b[i]))) if self.n_rows else 0.0
-            if resid > self.solve_tol:
-                raise MoserFlowError(
-                    f"deformation solve residual {resid:.3e} exceeds {self.solve_tol:.1e}")
-            x[i, self.l_indices] = sol
-            if with_jacobian:
-                rhs = db[i].T - np.einsum('vrc,c->rv', da[i], sol)
-                corr, _, _, _ = np.linalg.lstsq(a[i], rhs, rcond=None)
-                dx[i][np.ix_(self.l_indices, range(self.dim))] = corr
+            raise MoserFlowError(
+                f"deformation solve residual {resid[i]:.3e} exceeds {self.solve_tol:.1e}")
+        x = np.zeros((batch, self.dim))
+        x[:, self.l_indices] = sol
+        if not with_jacobian:
+            return x, None
+        terms = ys[:, :, 1 + self.dim:].reshape(batch, self.n_cols, self.n_cols, self.dim)
+        dx = np.zeros((batch, self.dim, self.dim))
+        dx[:, self.l_indices] = ys[:, :, 1:1 + self.dim] - np.einsum('bc,bkcv->bkv', sol, terms)
         return x, dx
-
-    def field(self, p, t: float, with_jacobian: bool = True):
-        x, dx = self.batch(np.asarray(p, dtype=float)[None, :], t, with_jacobian)
-        return x[0], (dx[0] if with_jacobian else None)
-
-
-def integrate_flow(field, p0, steps: int, with_jacobian: bool = True) -> FlowState:
-    """Classical fourth-order Runge-Kutta from t=0 to t=1.
-
-    The variational equation for the Jacobian is integrated alongside the
-    point using the same stages; the Jacobian determinant is monitored.
-    """
-    states = integrate_flow_batch(
-        _as_batch_field(field), np.asarray(p0, dtype=float)[None, :], steps, with_jacobian)
-    return states[0]
-
-
-def _as_batch_field(field):
-    def run(points, t, with_jacobian=True):
-        xs, dxs = [], []
-        for p in points:
-            x, dx = field(p, t, with_jacobian)
-            xs.append(x)
-            dxs.append(dx)
-        return np.array(xs), (np.array(dxs) if with_jacobian else None)
-    return run
 
 
 def integrate_flow_batch(batch_field, p0s: np.ndarray, steps: int,
                          with_jacobian: bool = True, t_end: float = 1.0) -> list[FlowState]:
+    """Classical fourth-order Runge-Kutta from t=0 to t_end over a batch of points.
+
+    batch_field(points, t, with_jacobian) returns the field values and
+    their Jacobians at every point.  The variational equation for the
+    Jacobian is integrated alongside the points using the same stages;
+    the Jacobian determinant is monitored.
+    """
     if steps < 1:
         raise PreconditionError("need at least one step")
     pts = np.array(p0s, dtype=float)
@@ -245,17 +251,48 @@ def integrate_flow_batch(batch_field, p0s: np.ndarray, steps: int,
 
 
 def pullback_constant_float(coeffs: dict, jac: np.ndarray, degree: int, dim: int) -> dict:
-    """Coefficients of the pullback of a constant float form by a matrix."""
+    """Coefficients of the pullback of a constant float form by a matrix.
+
+    All minors come from one stacked determinant; each target coefficient
+    sums its terms in the order of ``coeffs``.
+    """
+    if not coeffs:
+        return {}
+    targets = list(itertools.combinations(range(dim), degree))
+    rows = np.array([[b for b in range(dim) if m & (1 << b)] for m in coeffs], dtype=int)
+    cols = np.array(targets, dtype=int)
+    minors = jac[rows[None, :, :, None], cols[:, None, None, :]]
+    dets = np.linalg.det(minors)
     out = {}
-    for target in itertools.combinations(range(dim), degree):
+    for target, row in zip(targets, dets):
         total = 0.0
-        for m, c in coeffs.items():
-            rows = [b for b in range(dim) if m & (1 << b)]
-            sub = jac[np.ix_(rows, list(target))]
-            total += c * float(np.linalg.det(sub))
+        for c, d in zip(coeffs.values(), row):
+            total += c * float(d)
         if total:
             out[sum(1 << t for t in target)] = total
     return out
+
+
+def _flow_residuals(omega: PolyForm, omega0: PolyForm, sample_points, steps: int,
+                    t_end: float, solve_tol: float, omega_t) -> tuple[list[float], float]:
+    """Flow each sample to t_end and compare (F_t)* omega_t with the constant form.
+
+    omega_t(point) gives the float coefficients of the interpolated form
+    at t_end.  Returns the max coefficient residual per sample and the
+    smallest Jacobian determinant seen along any trajectory.
+    """
+    alpha = moser_potential(omega, omega0)  # checks d(omega) = 0 and proves d(alpha)
+    solver = DeformationField(omega, omega0, alpha, solve_tol)
+    base = {m: float(c.eval_float([0.0] * omega.dim)) for m, c in omega0.coeffs.items()}
+    pts = np.array([np.asarray(p, dtype=float) for p in sample_points])
+    states = integrate_flow_batch(solver.batch, pts, steps, t_end=t_end)
+    residuals = []
+    for state in states:
+        pulled = pullback_constant_float(omega_t(state.point), state.jacobian,
+                                         omega.degree, omega.dim)
+        keys = set(base) | set(pulled)
+        residuals.append(max(abs(pulled.get(m, 0.0) - base.get(m, 0.0)) for m in keys))
+    return residuals, min((s.min_det for s in states), default=float("inf"))
 
 
 def verify_darboux(omega: PolyForm, omega0: PolyForm, sample_points, steps: int = DEFAULT_STEPS,
@@ -265,19 +302,8 @@ def verify_darboux(omega: PolyForm, omega0: PolyForm, sample_points, steps: int 
     The correction form is exact; the only approximations are the linear
     solves along the trajectory and the Runge-Kutta discretization.
     """
-    alpha = moser_potential(omega, omega0)  # checks d(omega) = 0 and proves d(alpha)
-    solver = DeformationField(omega, omega0, alpha, solve_tol)
-    base = {m: float(c.eval_float([0.0] * omega.dim)) for m, c in omega0.coeffs.items()}
-    pts = np.array([np.asarray(p, dtype=float) for p in sample_points])
-    states = integrate_flow_batch(solver.batch, pts, steps)
-    residuals = []
-    min_det = float("inf")
-    for state in states:
-        min_det = min(min_det, state.min_det)
-        val = omega.coeffs_float(state.point)
-        pulled = pullback_constant_float(val, state.jacobian, omega.degree, omega.dim)
-        keys = set(base) | set(pulled)
-        residuals.append(max(abs(pulled.get(m, 0.0) - base.get(m, 0.0)) for m in keys))
+    residuals, min_det = _flow_residuals(omega, omega0, sample_points, steps, 1.0, solve_tol,
+                                         omega.coeffs_float)
     return MoserReport(residuals, max(residuals) if residuals else 0.0, steps,
                        solve_tol, min_det, [list(map(float, p)) for p in sample_points])
 
@@ -290,21 +316,16 @@ def intermediate_residual(omega: PolyForm, omega0: PolyForm, sample_points,
     The interpolated form is constant along the flow up to discretization,
     so this residual shrinks at the integrator's order as steps grow.
     """
-    alpha = moser_potential(omega, omega0)
-    solver = DeformationField(omega, omega0, alpha, solve_tol)
     delta = pf_sub(omega, omega0)
-    base = {m: float(c.eval_float([0.0] * omega.dim)) for m, c in omega0.coeffs.items()}
-    pts = np.array([np.asarray(p, dtype=float) for p in sample_points])
-    states = integrate_flow_batch(solver.batch, pts, steps, t_end=t_end)
-    worst = 0.0
-    for state in states:
-        val = omega0.coeffs_float(state.point)
+
+    def omega_t(point):
+        val = omega0.coeffs_float(point)
         for m, c in delta.coeffs.items():
-            val[m] = val.get(m, 0.0) + t_end * c.eval_float(state.point)
-        pulled = pullback_constant_float(val, state.jacobian, omega.degree, omega.dim)
-        keys = set(base) | set(pulled)
-        worst = max(worst, max(abs(pulled.get(m, 0.0) - base.get(m, 0.0)) for m in keys))
-    return worst
+            val[m] = val.get(m, 0.0) + t_end * c.eval_float(point)
+        return val
+
+    residuals, _ = _flow_residuals(omega, omega0, sample_points, steps, t_end, solve_tol, omega_t)
+    return max(residuals, default=0.0)
 
 
 # ---------------------------------------------------------------------------

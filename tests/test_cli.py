@@ -285,7 +285,7 @@ def test_moser_rejects_bad_solve_tolerance(capsys):
 # ---------------------------------------------------------------------------
 # byte-identity goldens: sha256 of exit code, stdout and any written file,
 # recorded before the exact primitives and the report writer were rewritten.
-# moser is left out: its float digits depend on the BLAS build.
+# moser is left out: its float digits depend on the BLAS build (see MOSER_GOLDEN).
 
 
 def _closed_poly_document(path: Path) -> str:
@@ -368,6 +368,38 @@ def test_reports_match_goldens(tmp_path, capsys):
     for name, argv in cases:
         code, out = run_cli(argv, capsys)
         assert report_digest(code, out, argv) == GOLDEN[name], name
+
+
+# moser tolerance goldens: float digits depend on the BLAS build, so the
+# residuals are compared within 1e-12 and the 6-decimal Jacobian determinant
+# exactly.  Recorded before the deformation step made one least-squares solve
+# per point.  One coarse step at radius 0.8 keeps the residuals well above
+# the roundoff floor.
+MOSER_GOLDEN = {
+    1: ("7.333646e-09", ["1.666973e-10", "7.333646e-09", "3.096907e-10", "2.267218e-09"],
+        "0.940414"),
+    2: ("3.172446e-09", ["2.564483e-10", "1.700079e-10", "1.457580e-09", "3.172446e-09"],
+        "0.936737"),
+    3: ("1.229609e-11", ["2.431154e-13", "6.513566e-12", "6.160884e-12", "1.229609e-11"],
+        "0.994273"),
+}
+
+
+def test_moser_reports_match_tolerance_goldens(tmp_path, capsys):
+    from polydarboux.io import poly_form_to_document
+    from polydarboux.moser import perturbed_multisymplectic
+    for seed, (max_residual, residuals, min_det) in MOSER_GOLDEN.items():
+        doc = tmp_path / f"fixture{seed}.json"
+        doc.write_text(json.dumps(poly_form_to_document(perturbed_multisymplectic(seed=seed).omega)))
+        code, out = run_cli(["moser", str(doc), "--steps", "1", "--samples", "4", "--radius", "0.8",
+                             "--seed", str(seed), "--json"], capsys)
+        assert code == 0
+        rep = json.loads(out)["result"]
+        assert abs(float(rep["max_residual"]) - float(max_residual)) <= 1e-12, seed
+        assert len(rep["residuals"]) == len(residuals)
+        for got, want in zip(rep["residuals"], residuals):
+            assert abs(float(got) - float(want)) <= 1e-12, seed
+        assert rep["min_jacobian_det"] == min_det, seed
 
 
 # darboux on multi models with r >= 2 and two or more vertical complement

@@ -491,6 +491,35 @@ def test_detect_multilagrangian_on_conjugates():
             assert det.subspace == lagr
 
 
+def test_adapted_coordinates_invert_nothing(monkeypatch):
+    # only check_multilagrangian needs the inverse of the adapted matrix
+    import sys
+    from polydarboux import lagrangian
+    callers = []
+    original = lagrangian.inverse
+
+    def counted(m):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(m)
+
+    adapted = []
+    original_adapted = lagrangian._adapted
+
+    def counted_adapted(omega, flag):
+        adapted.append(1)
+        return original_adapted(omega, flag)
+
+    monkeypatch.setattr(lagrangian, "inverse", counted)
+    monkeypatch.setattr(lagrangian, "_adapted", counted_adapted)
+    model = canonical_multi_model(2, 2, 2, 2)
+    moved, _, _ = conjugated_multi_instance(model, seed=4)
+    symbol(moved, model.flag, 2)
+    assert detect_multilagrangian(moved, model.flag, 2).status == "found"
+    classify_horizontal_form(moved, model.flag, 2)
+    assert len(adapted) >= 3
+    assert "_adapted" not in callers
+
+
 def test_classify_reports():
     model = canonical_poly_model(2, 2, 1)
     rep = classify_vector_form(model.form)

@@ -7,7 +7,7 @@ import pytest
 
 from polydarboux.errors import PreconditionError
 from polydarboux.moser import (DeformationField, ball_sample_points,
-                               constant_poly_form, integrate_flow,
+                               constant_poly_form, integrate_flow_batch,
                                perturbed_multisymplectic, polynomial_map_pullback,
                                pullback_constant_float, verify_darboux)
 from polydarboux.polyforms import (PolyForm, constant_spread, exterior_d,
@@ -39,14 +39,14 @@ def test_field_vanishes_when_nothing_moves(fixture):
     omega0 = fixture.omega0
     alpha = moser_potential(omega0, constant_spread(omega0))
     solver = DeformationField(omega0, omega0, alpha)
-    x, dx = solver.field(np.zeros(6), 0.5)
+    x, dx = solver.batch(np.zeros((1, 6)), 0.5)
     assert np.allclose(x, 0) and np.allclose(dx, 0)
 
 
 def test_field_vanishes_at_origin(fixture):
     alpha = moser_potential(fixture.omega, fixture.omega0)
     solver = DeformationField(fixture.omega, fixture.omega0, alpha)
-    x, _ = solver.field(np.zeros(6), 0.3)
+    x = solver.batch(np.zeros((1, 6)), 0.3)[0][0]
     assert np.allclose(x, 0)
 
 
@@ -57,7 +57,7 @@ def test_field_lies_in_fiber_block_and_solves(fixture):
     for _ in range(5):
         p = rng.uniform(-0.1, 0.1, size=6)
         t = float(rng.uniform(0, 1))
-        x, _ = solver.field(p, t)
+        x = solver.batch(p[None, :], t)[0][0]
         assert np.allclose(x[:3], 0)
         # recontract: i_X omega_t(p) must reproduce alpha(p)
         coeffs_t = {m: c.eval_float(p) for m, c in fixture.omega0.coeffs.items()}
@@ -76,8 +76,8 @@ def test_field_lies_in_fiber_block_and_solves(fixture):
 
 def test_integrate_zero_field_is_identity():
     def field(p, t, with_jacobian=True):
-        return np.zeros(3), (np.zeros((3, 3)) if with_jacobian else None)
-    state = integrate_flow(field, np.array([0.5, -0.25, 1.0]), 10)
+        return np.zeros((1, 3)), (np.zeros((1, 3, 3)) if with_jacobian else None)
+    state = integrate_flow_batch(field, np.array([[0.5, -0.25, 1.0]]), 10)[0]
     assert np.allclose(state.point, [0.5, -0.25, 1.0])
     assert np.allclose(state.jacobian, np.eye(3))
 
@@ -87,10 +87,10 @@ def test_integrate_nilpotent_linear_field_matches_exponential():
     a = np.array([[0.0, 1.0, 0.5], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
 
     def field(p, t, with_jacobian=True):
-        return a @ p, (a.copy() if with_jacobian else None)
+        return p @ a.T, (a[None, :, :].copy() if with_jacobian else None)
 
     p0 = np.array([0.3, -0.2, 0.7])
-    state = integrate_flow(field, p0, 1000)
+    state = integrate_flow_batch(field, p0[None, :], 1000)[0]
     expm = np.eye(3) + a + (a @ a) / 2.0  # nilpotent: the series terminates
     assert np.max(np.abs(state.point - expm @ p0)) < 1e-8
     assert np.max(np.abs(state.jacobian - expm)) < 1e-8
@@ -100,13 +100,13 @@ def test_integrate_fourth_order_convergence():
     # scalar flow with oscillating rate; closed form p(1) = p0 * exp(1/2)
     def field(p, t, with_jacobian=True):
         rate = math.sin(2 * math.pi * t) ** 2
-        return rate * p, (np.array([[rate]]) if with_jacobian else None)
+        return rate * p, (np.array([[[rate]]]) if with_jacobian else None)
 
     p0 = np.array([1.0])
     exact = math.exp(0.5)
     errs = {}
     for steps in (500, 1000):
-        state = integrate_flow(field, p0, steps)
+        state = integrate_flow_batch(field, p0[None, :], steps)[0]
         errs[steps] = abs(state.point[0] - exact)
     ratio = errs[500] / errs[1000]
     assert 12 <= ratio <= 20
@@ -149,6 +149,26 @@ def test_moser_command_differentiates_twice(monkeypatch, capsys):
     assert cli.main(["moser", doc, "--steps", "2", "--samples", "2"]) == 0
     capsys.readouterr()
     assert calls == [3, 2]
+
+
+def test_moser_command_solves_once_per_point_and_stage(monkeypatch, capsys):
+    # four Runge-Kutta stages per step; one least-squares solve per sample gives
+    # both the field and its Jacobian
+    from polydarboux import cli
+    from polydarboux.corpus import corpus_files
+    doc = next(p for p in corpus_files() if p.endswith("perturbed_multisymplectic.json"))
+    calls = []
+    original = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    steps, samples = 3, 5
+    assert cli.main(["moser", doc, "--steps", str(steps), "--samples", str(samples)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 4 * steps * samples
 
 
 def test_intermediate_residuals_shrink_with_steps(fixture):
