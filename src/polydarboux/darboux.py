@@ -352,21 +352,21 @@ def darboux_basis_poly(omega, lagrangian: Subspace | None = None) -> DarbouxBasi
     a failure raises, so a returned basis is always correct.
     """
     v = as_vector_form(omega)
+    ker = kernel_of_form(v)
     if lagrangian is None:
-        search = search_polylagrangian(v)
+        search = search_polylagrangian(v, ker=ker)
         if search.status != "found":
             raise ConstructionError(
                 f"no polylagrangian subspace ({search.status}): " + "; ".join(search.diagnostics))
         lagr = search.subspace
     else:
-        if not check_polylagrangian(lagrangian, v):
+        if not check_polylagrangian(lagrangian, v, ker):
             raise PreconditionError("supplied subspace fails the contraction-image equality")
         lagr = lagrangian
     dim = v.dim
     k = v.degree - 1
     n_rank = dim - lagr.dim
     nhat = v.value_dim
-    ker = kernel_of_form(v)
     l_prime, solver = _lagrangian_solver(v, lagr, ker)
     e_vecs = _extend_poly(v, lagr, [], l_prime, solver)
     duals = _dual_rows(e_vecs + [list(x) for x in lagr.vectors()])[:n_rank]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .errors import DocumentError
+from .errors import DocumentError, PreconditionError
 from .exterior import AlternatingForm, Flag, VectorValuedForm, coordinate_flag, form, with_splitting
 from .lie import LieAlgebra, lie_algebra
 from .linalg import Matrix, Subspace, frac
@@ -24,6 +24,11 @@ from .polyforms import PolyForm, poly_from_terms
 SCHEMA_VERSION = "1"
 
 KINDS = ("scalar_form", "vector_valued_form", "poly_form", "lie_algebra")
+
+# Resource budget: the largest declared dimension a document may have.
+# Kernels and subspaces hold dense rows of that length, so a larger form
+# is refused while it is parsed, before any row is built.
+MAX_DIM = 1024
 
 
 @dataclass
@@ -75,6 +80,9 @@ def parse_document(doc: dict) -> FormDocument:
     r = doc.get("r")
     if r is not None and type(r) is not int:
         raise DocumentError(f"r must be an integer, got {r!r}")
+    dim = doc.get("dim")
+    if type(dim) is int and dim > MAX_DIM:
+        raise PreconditionError(f"dimension {dim} exceeds the budget of {MAX_DIM} (MAX_DIM)")
     try:
         if kind == "lie_algebra":
             payload = _parse_lie(doc)

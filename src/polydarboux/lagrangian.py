@@ -87,29 +87,21 @@ def _lperp_tensor_basis(sub: Subspace, k: int, value_dim: int) -> list[dict]:
 # kernels and orthogonal complements
 
 
-def _kernel_constraints(x) -> list[list[Fraction]]:
-    """Constraint rows whose kernel is {v : i_v x = 0}.
+def _kernel_constraints(x) -> list[dict]:
+    """Sparse constraint rows {column: coefficient} whose kernel is {v : i_v x = 0}.
 
     Row (a, mask) holds the coefficients of e^mask in i_v x^a.  Each entry
     comes from the single monomial mask | bit, so it is set, never summed.
     """
-    v = as_vector_form(x)
-    dim = v.dim
     rows: dict = {}
-    for a, compf in enumerate(v.components):
+    for a, compf in enumerate(as_vector_form(x).components):
         for m, c in compf.coeffs.items():
             mm = m
             while mm:
                 low = mm & -mm
                 mm ^= low
-                bit = low.bit_length() - 1
                 below = (m & (low - 1)).bit_count()
-                key = (a, m ^ low)
-                row = rows.get(key)
-                if row is None:
-                    row = [ZERO] * dim
-                    rows[key] = row
-                row[bit] = -c if below & 1 else c
+                rows.setdefault((a, m ^ low), {})[low.bit_length() - 1] = -c if below & 1 else c
     return list(rows.values())
 
 
@@ -128,7 +120,7 @@ def orthogonal_complement(sub: Subspace, omega, level: int) -> Subspace:
         raise DimensionMismatch("subspace does not live on the form's space")
     if not 1 <= level <= v.degree - 1:
         raise PreconditionError(f"contraction level must lie in 1..{v.degree - 1}")
-    rows: list[list[Fraction]] = []
+    rows: list[dict] = []
     for combo in itertools.combinations(sub.vectors(), level):
         partial = v
         for u in combo:
@@ -159,12 +151,13 @@ def is_maximal_isotropic(sub: Subspace, omega) -> bool:
 # polylagrangian tests
 
 
-def check_polylagrangian(sub: Subspace, omega) -> bool:
+def check_polylagrangian(sub: Subspace, omega, ker: Subspace | None = None) -> bool:
     """Does contracting the subspace fill every annihilating form value?
 
     When the equality holds, the dimension identity
     dim L = dim ker + value_dim * C(codim L, degree-1) is also asserted
-    as an internal consistency check.
+    as an internal consistency check.  A caller that holds the form's
+    kernel passes it as ``ker``.
     """
     v = as_vector_form(omega)
     if sub.ambient_dim != v.dim:
@@ -176,7 +169,7 @@ def check_polylagrangian(sub: Subspace, omega) -> bool:
         return False
     if not v.is_zero():
         # the counting identity is implied for non-vanishing forms
-        ker = kernel_of_form(v)
+        ker = ker if ker is not None else kernel_of_form(v)
         n_codim = v.dim - sub.dim
         expected = ker.dim + v.value_dim * comb(n_codim, k)
         if sub.dim != expected:
@@ -185,12 +178,12 @@ def check_polylagrangian(sub: Subspace, omega) -> bool:
     return True
 
 
-def dimension_criterion_poly(sub: Subspace, omega) -> bool:
+def dimension_criterion_poly(sub: Subspace, omega, ker: Subspace | None = None) -> bool:
     """Kernel containment + isotropy + the counting identity.
 
     Equivalent to the contraction-image equality; the equivalence itself
     is exercised by the test suite on true, conjugated and corrupted
-    instances.
+    instances.  ``ker``, when given, is the form's kernel.
     """
     v = as_vector_form(omega)
     k = v.degree - 1
@@ -198,7 +191,7 @@ def dimension_criterion_poly(sub: Subspace, omega) -> bool:
     if n_codim < k:
         raise PreconditionError(
             f"codimension {n_codim} is below the degree bound {k}; the criterion does not apply")
-    ker = kernel_of_form(v)
+    ker = ker if ker is not None else kernel_of_form(v)
     if not sub.contains_subspace(ker):
         return False
     if not is_isotropic(sub, v, 1):
@@ -232,26 +225,33 @@ def _sampled_kernel_span(v: VectorValuedForm) -> Subspace:
     return total
 
 
-def search_polylagrangian(omega, *, greedy_seed_limit: int | None = None) -> PolylagrangianSearch:
+# Default of an argument that the caller has not computed; None is a value.
+_UNKNOWN = object()
+
+
+def search_polylagrangian(omega, *, greedy_seed_limit: int | None = None,
+                          ker: Subspace | None = None, uni=_UNKNOWN) -> PolylagrangianSearch:
     """Locate the distinguished maximal isotropic subspace, if one exists.
 
     For two or more value components the subspace is pinned down by the
     kernels of the component projections, so failure of that candidate
     proves absence.  For a single component no construction is available;
     a seeded greedy search is used and a miss is reported as "not found".
+    A caller that already holds the form's kernel or its ``uniform_rank``
+    passes them as ``ker`` and ``uni``; neither is computed again.
     """
     v = as_vector_form(omega)
     if v.is_zero():
         raise PreconditionError("the zero form admits no distinguished subspace")
     k = v.degree - 1
     diagnostics: list[str] = []
-    ker = kernel_of_form(v)
+    ker = ker if ker is not None else kernel_of_form(v)
 
     if v.value_dim >= 2:
         comp_dims = []
         candidate = ker
         for a in range(v.value_dim):
-            rows: list[list[Fraction]] = []
+            rows: list[dict] = []
             for b, compf in enumerate(v.components):
                 if b != a:
                     rows.extend(_kernel_constraints(compf))
@@ -259,7 +259,7 @@ def search_polylagrangian(omega, *, greedy_seed_limit: int | None = None) -> Pol
             k_a = complement(ker, inside=inter)
             comp_dims.append(k_a.dim)
             candidate = subspace_sum(candidate, k_a)
-        if check_polylagrangian(candidate, v):
+        if check_polylagrangian(candidate, v, ker):
             return PolylagrangianSearch(candidate, "found", v.dim - candidate.dim,
                                         diagnostics, comp_dims)
         sampled = _sampled_kernel_span(v)
@@ -270,7 +270,7 @@ def search_polylagrangian(omega, *, greedy_seed_limit: int | None = None) -> Pol
                 f"kernel-sum candidate has dim {sampled.dim} and "
                 f"{'is' if is_isotropic(sampled, v, 1) else 'is not'} isotropic")
         if v.degree == 2:
-            nu = uniform_rank(v)
+            nu = uniform_rank(v) if uni is _UNKNOWN else uni
             if nu is not None:
                 required = ker.dim + v.value_dim * comb(nu, k)
                 dims = sorted({candidate.dim, sampled.dim})
@@ -283,23 +283,25 @@ def search_polylagrangian(omega, *, greedy_seed_limit: int | None = None) -> Pol
         return PolylagrangianSearch(None, "absent", None, diagnostics, comp_dims)
 
     # single component: greedy from seeded starts, verified exactly
-    for cand in scalar_polylagrangian_candidates(v, limit=greedy_seed_limit):
+    for cand in scalar_polylagrangian_candidates(v, limit=greedy_seed_limit, ker=ker):
         return PolylagrangianSearch(cand, "found", v.dim - cand.dim, diagnostics, [])
     diagnostics.append("not found - possibly nonexistent (single-component search is heuristic)")
     return PolylagrangianSearch(None, "not_found", None, diagnostics, [])
 
 
-def scalar_polylagrangian_candidates(omega, limit: int | None = None):
+def scalar_polylagrangian_candidates(omega, limit: int | None = None,
+                                     ker: Subspace | None = None):
     """Greedy maximal isotropic subspaces passing the exact subspace test.
 
     Seeds are all standard coordinate lines plus, for degree at least 3,
     all isotropic coordinate planes.  Every yielded subspace is verified
     through the contraction-image equality and the counting identity, so
     a yield is always correct; the enumeration may simply be incomplete.
+    ``ker``, when given, is the form's kernel.
     """
     v = as_vector_form(omega)
     k = v.degree - 1
-    ker = kernel_of_form(v)
+    ker = ker if ker is not None else kernel_of_form(v)
     seeds = _coordinate_seeds(v)
     if limit is not None:
         seeds = itertools.islice(seeds, limit)
@@ -315,7 +317,7 @@ def scalar_polylagrangian_candidates(omega, limit: int | None = None):
             continue
         if cand.dim != ker.dim + comb(n_codim, k):
             continue
-        if check_polylagrangian(cand, v):
+        if check_polylagrangian(cand, v, ker):
             yield cand
 
 
@@ -365,7 +367,7 @@ def greedy_maximal_isotropic(omega, seed: Subspace, within: Subspace | None = No
     for u in grown:
         span.insert(_sparse(u))
         for row in _kernel_constraints(contract(u, v)):
-            ech.insert(_sparse(row))
+            ech.insert(row)
     orth: list | None = None
     start = 0
     while True:
@@ -381,7 +383,7 @@ def greedy_maximal_isotropic(omega, seed: Subspace, within: Subspace | None = No
         span.insert(_sparse(nxt))
         grew = False
         for row in _kernel_constraints(contract(nxt, v)):
-            grew = ech.insert(_sparse(row)) or grew
+            grew = ech.insert(row) or grew
         if grew:
             orth = None
         else:
@@ -495,8 +497,7 @@ def _check_multilagrangian_adapted(sub_a: Subspace, aomega: AlternatingForm, n: 
     for i, w in enumerate(wedges):
         for m, c in w.coeffs.items():
             if _vertical_count(m, n) >= r:
-                row = bad_rows.setdefault(m, [ZERO] * len(wedges))
-                row[i] = c
+                bad_rows.setdefault(m, {})[i] = c
     combos = kernel_basis(list(bad_rows.values()), len(wedges)) if bad_rows else None
     rhs = []
     if combos is None:
@@ -517,8 +518,12 @@ def _check_multilagrangian_adapted(sub_a: Subspace, aomega: AlternatingForm, n: 
     return span_equal(lhs, rhs)
 
 
-def dimension_criterion_multi(sub: Subspace, omega: AlternatingForm, flag: Flag, r: int) -> bool:
-    """Kernel containment + isotropy + the horizontal counting identity."""
+def dimension_criterion_multi(sub: Subspace, omega: AlternatingForm, flag: Flag, r: int,
+                              ker: Subspace | None = None) -> bool:
+    """Kernel containment + isotropy + the horizontal counting identity.
+
+    ``ker``, when given, is the form's kernel.
+    """
     k1 = omega.degree
     k = k1 - 1
     n = flag.dim_t
@@ -528,7 +533,7 @@ def dimension_criterion_multi(sub: Subspace, omega: AlternatingForm, flag: Flag,
     if n_codim + n < k:
         raise PreconditionError(
             f"codimension {n_codim} plus quotient {n} is below the degree bound {k}")
-    ker = kernel_of_form(omega)
+    ker = ker if ker is not None else kernel_of_form(omega)
     if not sub.contains_subspace(ker):
         return False
     if not is_isotropic(sub, omega, 1):
@@ -553,10 +558,9 @@ def symbol_structure_check(omega: AlternatingForm, flag: Flag, r: int, sub: Subs
     sym = symbol(omega, flag, r)
     binv = inverse(flag.adapted_matrix())
     sub_v = to_vertical_coordinates(flag, sub, binv)
-    ok_poly = check_polylagrangian(sub_v, sym)
-    ker_w = kernel_of_form(omega)
-    ker_w_v = to_vertical_coordinates(flag, ker_w, binv)
     ker_sym = kernel_of_form(sym)
+    ok_poly = check_polylagrangian(sub_v, sym, ker_sym)
+    ker_w_v = to_vertical_coordinates(flag, kernel_of_form(omega), binv)
     contained = ker_sym.contains_subspace(ker_w_v)
     gap = ker_sym.dim - ker_w_v.dim
     presymplectic_case = (omega.degree - 1 == flag.dim_t and r == 2)
@@ -571,7 +575,7 @@ def symbol_structure_check(omega: AlternatingForm, flag: Flag, r: int, sub: Subs
 # Resource budgets: work beyond them is refused before it starts, or as
 # soon as it is exceeded, instead of running for hours or exhausting memory.
 MAX_RANK_SAMPLES = 10_000  # random covectors ranked by one sampled check
-MAX_WEDGE_TERMS = 500_000  # terms held in the wedge-power memo of uniform_rank
+MAX_WEDGE_TERMS = 500_000  # terms held in the wedge-power memo of uniform_rank (nhat >= 2)
 
 
 def check_sample_budget(samples: int) -> None:
@@ -579,6 +583,11 @@ def check_sample_budget(samples: int) -> None:
     if samples > MAX_RANK_SAMPLES:
         raise PreconditionError(f"{samples} rank samples exceed the budget of "
                                 f"{MAX_RANK_SAMPLES} (MAX_RANK_SAMPLES)")
+
+
+def _check_sample_count(samples: int) -> None:
+    if samples <= 0:
+        raise PreconditionError("sample count must be positive")
 
 
 def _integer_entries(forms) -> list[list[tuple[int, int, int]]]:
@@ -627,19 +636,28 @@ def rank_2form(omega: AlternatingForm) -> int:
 def uniform_rank(omega: VectorValuedForm) -> int | None:
     """The N with {omega^alpha : |alpha|=N} independent and all (N+1)-powers zero.
 
-    Walks the levels upward through one memo of wedge powers, leaving a
-    level at its first nonzero power.  Once every (N+1)-power vanishes so
-    does every higher power, so the first all-zero level N+1 is the only
-    place an answer can sit: N qualifies when its powers are nonzero and
-    independent, and otherwise there is none.
+    When it exists, every projection omega_t, t != 0, has half-rank
+    exactly N: the vanishing (N+1)-powers bound the rank of
+    omega_t by 2N, and (omega_t)^N = sum N!/alpha! t^alpha omega^alpha is
+    nonzero because the omega^alpha are independent.
 
-    The memo may hold at most ``MAX_WEDGE_TERMS`` terms; a form whose
-    powers need more is refused with a ``PreconditionError``.
+    One value component: omega^N is nonzero exactly up to its half-rank,
+    so N is half the rank of the component, one elimination (None for
+    the zero form).  Two or more: walks the levels upward through one
+    memo of wedge powers, leaving a level at its first nonzero power.
+    Once every (N+1)-power vanishes so does every higher power, so the
+    first all-zero level N+1 is the only place an answer can sit: N
+    qualifies when its powers are nonzero and independent, and otherwise
+    there is none.  The memo may hold at most ``MAX_WEDGE_TERMS`` terms;
+    a form whose powers need more is refused with a ``PreconditionError``.
     """
     v = as_vector_form(omega)
     if v.degree != 2:
         raise PreconditionError("uniform rank is defined for 2-forms")
     nhat = v.value_dim
+    if nhat == 1:
+        comp = v.components[0]
+        return None if comp.is_zero() else rank_2form(comp)
     memo: dict = {}
     terms = 0
 
@@ -690,14 +708,17 @@ def constant_rank_sampled(omega: VectorValuedForm, sample_count: int,
     covector ranks its component with ``rank_2form``.  The random ones
     use the integer pencil: the components are scaled to integers once,
     by one lcm, and each covector, cleared of its denominators, ranks its
-    integer combination of them with ``_half_rank``.  An exact certificate,
-    when it exists, comes from ``uniform_rank`` instead.
+    integer combination of them with ``_half_rank``.
+
+    When ``uniform_rank`` returns N, every covector has half-rank N, so
+    this returns N for every seed and count; ``classify_vector_form``
+    then reports N without sampling.  Sampling is needed only where
+    there is no uniform rank.
     """
     v = as_vector_form(omega)
     if v.degree != 2:
         raise PreconditionError("constant rank is defined for 2-forms")
-    if sample_count <= 0:
-        raise PreconditionError("sample count must be positive")
+    _check_sample_count(sample_count)
     common = None
     for comp in v.components:
         r = rank_2form(comp)
@@ -722,9 +743,10 @@ def polysymplectic_uniform_rank_check(omega: VectorValuedForm, sub: Subspace) ->
     v = as_vector_form(omega)
     if v.degree != 2:
         raise PreconditionError("check applies to 2-forms")
-    if kernel_of_form(v).dim != 0:
+    ker = kernel_of_form(v)
+    if ker.dim != 0:
         raise PreconditionError("check applies to non-degenerate forms")
-    if not check_polylagrangian(sub, v):
+    if not check_polylagrangian(sub, v, ker):
         raise PreconditionError("subspace fails the contraction-image equality")
     return uniform_rank(v) == v.dim - sub.dim
 
@@ -783,7 +805,15 @@ class StructureReport:
 
 
 def classify_vector_form(omega, *, seed: int = DEFAULT_SEED, samples: int = 25) -> StructureReport:
-    """Full classification pipeline for a (vector-valued) alternating form."""
+    """Full classification pipeline for a (vector-valued) alternating form.
+
+    The kernel and, for 2-forms, the uniform rank are computed once and
+    handed to the search and the dimension criterion.  A uniform rank N
+    certifies half-rank N at every nonzero covector, which is what the
+    sampler would report for any seed, so it is reported as the sampled
+    constant rank without sampling; the sampler runs only when there is
+    no uniform rank.
+    """
     v = as_vector_form(omega)
     diagnostics: list[str] = []
     if v.is_zero():
@@ -796,10 +826,14 @@ def classify_vector_form(omega, *, seed: int = DEFAULT_SEED, samples: int = 25) 
     if v.degree == 2:
         check_sample_budget(samples)
         uni = uniform_rank(v)
-        cons = constant_rank_sampled(v, samples, seed)
+        if uni is None:
+            cons = constant_rank_sampled(v, samples, seed)
+        else:
+            _check_sample_count(samples)
+            cons = uni
         diagnostics.append(f"uniform rank: {uni}; sampled constant rank: {cons} "
                            f"(seed {seed}, {samples} samples)")
-    search = search_polylagrangian(v)
+    search = search_polylagrangian(v, ker=ker, uni=uni)
     diagnostics.extend(search.diagnostics)
     if search.status != "found":
         label = "proved absent" if search.status == "absent" else "not found"
@@ -807,7 +841,7 @@ def classify_vector_form(omega, *, seed: int = DEFAULT_SEED, samples: int = 25) 
         return StructureReport(ker, degenerate, None, None, "none", None, diagnostics,
                                uni, cons, seed)
     sub = search.subspace
-    if not dimension_criterion_poly(sub, v):
+    if not dimension_criterion_poly(sub, v, ker):
         raise InternalCheckError("dimension criterion disagrees with the contraction test")
     k = v.degree - 1
     if k == 1:
@@ -903,11 +937,11 @@ def classify_horizontal_form(omega: AlternatingForm, flag: Flag, r: int | None =
         r = max((_vertical_count(m, n) for m in aomega.coeffs), default=0)
         diagnostics.append(f"horizontality parameter detected from the form: r = {r}")
     k1 = omega.degree
+    ker = kernel_of_form(omega)
     if r == 0 or k1 - r > n:
         diagnostics.append("form is outside the admissible horizontality range")
-        return StructureReport(kernel_of_form(omega), True, None, None, "none",
+        return StructureReport(ker, True, None, None, "none",
                                (r, k1 - r), diagnostics, None, None, seed)
-    ker = kernel_of_form(omega)
     degenerate = ker.dim > 0
     search = detect_multilagrangian(omega, flag, r)
     diagnostics.extend(search.diagnostics)
@@ -917,7 +951,7 @@ def classify_horizontal_form(omega: AlternatingForm, flag: Flag, r: int | None =
         return StructureReport(ker, degenerate, None, None, "none", (r, k1 - r),
                                diagnostics, None, None, seed)
     sub = search.subspace
-    if not dimension_criterion_multi(sub, omega, flag, r):
+    if not dimension_criterion_multi(sub, omega, flag, r, ker):
         raise InternalCheckError("dimension criterion disagrees with the contraction test")
     if k1 - 1 == n and r == 2:
         classification = "multipresymplectic" if degenerate else "multisymplectic"

@@ -120,8 +120,12 @@ class Matrix:
 
 
 def _echelon(rows) -> SparseEchelon:
-    """The echelon of dense rows, keyed by column index."""
-    return span_of(map(_sparse, rows))
+    """The echelon of rows keyed by column index.
+
+    A row is a dense sequence or a sparse ``{column: coefficient}`` dict;
+    a dict goes in as it is.
+    """
+    return span_of(r if type(r) is dict else _sparse(r) for r in rows)
 
 
 def _rref_rows(rows, cols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -159,8 +163,11 @@ def row_rank(rows) -> int:
     return _echelon(rows).rank
 
 
-def kernel_basis(rows: list[list[Fraction]], cols: int) -> list[list[Fraction]]:
-    """Basis of {v : R v = 0} for constraint rows R, in RREF order."""
+def kernel_basis(rows: list, cols: int) -> list[list[Fraction]]:
+    """Basis of {v : R v = 0} for constraint rows R, in RREF order.
+
+    Rows are dense or sparse, as ``_echelon`` takes them.
+    """
     return _echelon(rows).kernel_vectors(cols)
 
 

@@ -148,6 +148,33 @@ def test_precondition_failures_exit_one(capsys):
     assert run_cli(["darboux", CORPUS["appendix_a2.json"]], capsys)[0] == 1
 
 
+@pytest.mark.parametrize("kind, fields", [
+    ("scalar_form", {"degree": 2, "terms": [{"indices": [1, 2], "coefficient": "1"}]}),
+    ("vector_valued_form", {"degree": 2, "value_dim": 2,
+                            "terms": [{"indices": [1, 2], "coefficient": "1"}]}),
+    ("poly_form", {"degree": 0, "split": [1, 1], "terms": []}),
+    ("lie_algebra", {"structure_constants": []}),
+])
+def test_declared_dimension_beyond_the_budget_exits_one(tmp_path, capsys, kind, fields):
+    """R^200000 is refused while parsing; it used to run out of memory."""
+    from polydarboux.io import MAX_DIM
+    assert MAX_DIM >= 1024
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"schema_version": "1", "kind": kind, "dim": 200000, **fields}))
+    command = "homotopy" if kind == "poly_form" else "analyze"
+    assert main([command, str(path), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_DIM" in captured.err and str(MAX_DIM) in captured.err
+
+
+def test_declared_dimension_at_the_budget_parses():
+    from polydarboux.io import MAX_DIM, parse_document
+    doc = parse_document({"schema_version": "1", "kind": "scalar_form", "dim": MAX_DIM,
+                          "degree": 2, "terms": [{"indices": [1, MAX_DIM], "coefficient": "1"}]})
+    assert doc.payload.dim == MAX_DIM
+
+
 def test_reports_byte_identical_across_processes():
     cmd = [sys.executable, "-m", "polydarboux.cli", "analyze",
            CORPUS["appendix_a3.json"], "--json", "--seed", "9"]

@@ -107,6 +107,11 @@ class RowEchelon:
         return out
 
 
+def oracle_constraints(x, cols: int) -> list[list[Fraction]]:
+    """The kernel constraint rows, dense, as the old greedy received them."""
+    return [[row.get(j, ZERO) for j in range(cols)] for row in _kernel_constraints(x)]
+
+
 def oracle_greedy(omega, seed: Subspace, within: Subspace | None = None,
                   verify: bool = True) -> Subspace:
     v = as_vector_form(omega)
@@ -118,7 +123,7 @@ def oracle_greedy(omega, seed: Subspace, within: Subspace | None = None,
             ech.insert(row)
     cur = seed
     for u in seed.vectors():
-        for row in _kernel_constraints(contract(u, v)):
+        for row in oracle_constraints(contract(u, v), v.dim):
             ech.insert(row)
     while True:
         orth = Subspace.from_vectors(v.dim, ech.kernel_vectors())
@@ -130,7 +135,7 @@ def oracle_greedy(omega, seed: Subspace, within: Subspace | None = None,
         if nxt is None:
             break
         cur = Subspace.from_vectors(v.dim, cur.vectors() + [nxt])
-        for row in _kernel_constraints(contract(nxt, v)):
+        for row in oracle_constraints(contract(nxt, v), v.dim):
             ech.insert(row)
     if verify and within is None and not is_maximal_isotropic(cur, v):
         raise InternalCheckError("greedy termination did not yield a maximal isotropic subspace")

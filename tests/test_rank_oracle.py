@@ -3,12 +3,17 @@
 The oracles below are the previous implementations: the Fraction wedge,
 the left-fold wedge power, the level-by-level ``uniform_rank`` loop, the
 kernel-based ``rank_2form``, the eager ``constant_rank_sampled`` and the
-eager seed list of ``scalar_polylagrangian_candidates``.
+eager seed list of ``scalar_polylagrangian_candidates``; and the wedge-power
+memo ``uniform_rank``, the integer-pencil sampler and the classification
+that ran both for every 2-form, before a uniform rank certified the
+sampled rank and a single component skipped the memo.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -17,15 +22,21 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydarboux import exterior
-from polydarboux.darboux import canonical_poly_model, conjugated_poly_instance
+from polydarboux import cli, exterior, lagrangian
+from polydarboux.darboux import (canonical_multi_model, canonical_poly_model,
+                                 conjugated_multi_instance, conjugated_poly_instance)
 from polydarboux.exterior import (AlternatingForm, VectorValuedForm, add, form, merge_sign,
                                   poly_eval, project, scale, symmetric_poly, wedge,
                                   wedge_power_by_exponent, zero_form)
-from polydarboux.lagrangian import (DEFAULT_SEED, _coordinate_seeds, _exponents,
-                                    check_polylagrangian, constant_rank_sampled,
-                                    greedy_maximal_isotropic, is_isotropic, kernel_of_form,
-                                    random_covector, rank_2form, scalar_polylagrangian_candidates,
+from polydarboux.errors import InternalCheckError, PreconditionError
+from polydarboux.lagrangian import (DEFAULT_SEED, MAX_WEDGE_TERMS, StructureReport,
+                                    _coordinate_seeds, _exponents, _half_rank, _integer_entries,
+                                    check_polylagrangian, check_sample_budget,
+                                    classify_horizontal_form, classify_vector_form,
+                                    constant_rank_sampled,
+                                    dimension_criterion_poly, greedy_maximal_isotropic,
+                                    is_isotropic, kernel_of_form, random_covector, rank_2form,
+                                    scalar_polylagrangian_candidates, search_polylagrangian,
                                     uniform_rank)
 from polydarboux.linalg import Matrix, Subspace, rank, row_rank
 from polydarboux.sparse import span_of
@@ -98,6 +109,87 @@ def oracle_constant_rank_sampled(v: VectorValuedForm, sample_count: int, seed: i
     covs.extend(random_covector(rng, v.value_dim) for _ in range(sample_count))
     ranks = {oracle_rank_2form(project(v, t)) for t in covs}
     return ranks.pop() if len(ranks) == 1 else None
+
+
+def memo_uniform_rank(v: VectorValuedForm):
+    """The wedge-power memo walk, for every number of value components."""
+    nhat = v.value_dim
+    memo: dict = {}
+    terms = 0
+
+    def nonzero_power(alpha) -> bool:
+        nonlocal terms
+        stored = len(memo)
+        w = wedge_power_by_exponent(v, alpha, memo)
+        terms += sum(len(p.coeffs) for p in itertools.islice(memo.values(), stored, None))
+        if terms > MAX_WEDGE_TERMS:
+            raise PreconditionError("MAX_WEDGE_TERMS")
+        return not w.is_zero()
+
+    level = 2
+    while any(nonzero_power(alpha) for alpha in _exponents(nhat, level)):
+        level += 1
+    powers = [memo[alpha] for alpha in _exponents(nhat, level - 1)]
+    if any(w.is_zero() for w in powers):
+        return None
+    return level - 1 if span_of(dict(w.coeffs) for w in powers).rank == len(powers) else None
+
+
+def pencil_sampler(v: VectorValuedForm, sample_count: int, seed: int):
+    """The integer-pencil ``constant_rank_sampled``, which every 2-form ran."""
+    if sample_count <= 0:
+        raise PreconditionError("sample count must be positive")
+    common = None
+    for comp in v.components:
+        r = rank_2form(comp)
+        if common is None:
+            common = r
+        elif r != common:
+            return None
+    rng = random.Random(seed)
+    pencil = _integer_entries(v.components)
+    for _ in range(sample_count):
+        t = random_covector(rng, v.value_dim)
+        den = math.lcm(*(x.denominator for x in t))
+        ts = [x.numerator * (den // x.denominator) for x in t]
+        entries = [(i, j, s * x) for s, comp in zip(ts, pencil) if s for i, j, x in comp]
+        if _half_rank(entries) != common:
+            return None
+    return common
+
+
+def sampling_classify(v: VectorValuedForm, seed: int, samples: int) -> StructureReport:
+    """``classify_vector_form`` as it was: memo rank, sampler, fresh kernels."""
+    diagnostics: list[str] = []
+    if v.is_zero():
+        return StructureReport(Subspace.full(v.dim), True, None, None, "none", None,
+                               ["form vanishes; definitions require a non-vanishing form"],
+                               None, None, seed)
+    ker = kernel_of_form(v)
+    degenerate = ker.dim > 0
+    uni = cons = None
+    if v.degree == 2:
+        check_sample_budget(samples)
+        uni = memo_uniform_rank(v)
+        cons = pencil_sampler(v, samples, seed)
+        diagnostics.append(f"uniform rank: {uni}; sampled constant rank: {cons} "
+                           f"(seed {seed}, {samples} samples)")
+    search = search_polylagrangian(v)
+    diagnostics.extend(search.diagnostics)
+    if search.status != "found":
+        label = "proved absent" if search.status == "absent" else "not found"
+        diagnostics.append(f"distinguished subspace: {label}")
+        return StructureReport(ker, degenerate, None, None, "none", None, diagnostics,
+                               uni, cons, seed)
+    sub = search.subspace
+    if not dimension_criterion_poly(sub, v):
+        raise InternalCheckError("dimension criterion disagrees with the contraction test")
+    if v.degree == 2:
+        classification = "polypresymplectic" if degenerate else "polysymplectic"
+    else:
+        classification = "polylagrangian"
+    return StructureReport(ker, degenerate, search.rank, sub, classification, None,
+                           diagnostics, uni, cons, seed)
 
 
 def oracle_seeds(v: VectorValuedForm) -> list[Subspace]:
@@ -179,6 +271,7 @@ def canonical_2forms():
 
 
 any_2form = st.one_of(random_2forms(), block_2forms(), st.sampled_from(canonical_2forms()))
+single_2form = any_2form.map(lambda v: VectorValuedForm(v.components[:1]))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +387,124 @@ def test_uniform_rank_computes_each_power_once(monkeypatch):
     monkeypatch.setattr(exterior, "wedge", counting)
     assert uniform_rank(model.form) == 8
     assert len(calls) <= sum(len(list(_exponents(3, n))) for n in range(2, 10)) == 216
+
+
+# ---------------------------------------------------------------------------
+# certified ranks: one component without the memo, no sampling under a uniform rank
+
+
+@settings(settings.get_profile("rank_oracle"))
+@given(single_2form)
+def test_single_component_uniform_rank_matches_memo(v):
+    assert uniform_rank(v) == memo_uniform_rank(v)
+
+
+@pytest.mark.parametrize("params", [(1, 1, 1), (3, 1, 1), (6, 1, 1), (9, 1, 1)])
+def test_single_component_uniform_rank_matches_memo_on_models(params):
+    moved = conjugated_poly_instance(canonical_poly_model(*params), 3)[0]
+    assert uniform_rank(moved) == memo_uniform_rank(moved) == params[0]
+
+
+@settings(settings.get_profile("rank_oracle"))
+@given(any_2form, st.integers(1, 12), st.integers(0, 10 ** 6))
+def test_sampler_returns_the_uniform_rank_it_certifies(v, samples, seed):
+    n_rank = memo_uniform_rank(v)
+    if n_rank is not None:
+        assert pencil_sampler(v, samples, seed) == n_rank
+
+
+@settings(settings.get_profile("rank_oracle"))
+@given(any_2form, st.integers(1, 12), st.integers(0, 10 ** 6))
+def test_classification_matches_the_sampling_pipeline(v, samples, seed):
+    assert classify_vector_form(v, seed=seed, samples=samples) == sampling_classify(v, seed, samples)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_certified_rank_still_refuses_a_sample_count_below_one(samples):
+    v = canonical_poly_model(2, 2, 1).form
+    assert uniform_rank(v) == 2
+    with pytest.raises(PreconditionError, match="sample count must be positive"):
+        classify_vector_form(v, samples=samples)
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    real = getattr(lagrangian, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lagrangian, name, counting)
+    return calls
+
+
+def test_analyze_samples_nothing_and_computes_one_kernel(tmp_path, monkeypatch, capsys):
+    """poly 5 2 1 (shuffle seed 3): no sampled rank and one kernel per op.
+
+    Sampling every 2-form made 102 ``_half_rank`` calls here (two unit
+    covectors, 100 random ones), and four ``kernel_of_form`` calls.
+    """
+    doc = tmp_path / "p521.json"
+    assert cli.main(["canonical", "poly", "5", "2", "1", "--shuffle-seed", "3",
+                     "-o", str(doc)]) == 0
+    half_ranks = _count_calls(monkeypatch, "_half_rank")
+    kernels = _count_calls(monkeypatch, "kernel_of_form")
+    assert cli.main(["analyze", str(doc), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["constant_rank_sampled"] == 5
+    assert len(half_ranks) == 0
+    assert len(kernels) == 1
+
+
+@pytest.mark.parametrize("model, kernels_before", [
+    (canonical_poly_model(4, 1, 1), 5),    # single component: greedy search
+    (canonical_poly_model(3, 2, 2), 4),    # degree 3, two components
+    (canonical_poly_model(3, 1, 2), 5),    # degree 3, single component
+])
+def test_classification_computes_the_kernel_once(model, kernels_before, monkeypatch):
+    moved = conjugated_poly_instance(model, 3)[0]
+    kernels = _count_calls(monkeypatch, "kernel_of_form")
+    rep = classify_vector_form(moved)
+    assert rep.lagrangian_subspace is not None
+    assert len(kernels) == 1 < kernels_before
+
+
+@pytest.mark.parametrize("params, kernels_before", [
+    ((1, 2, 2, 2), 4), ((2, 2, 2, 2), 4), ((2, 1, 2, 3), 6), ((2, 3, 2, 3), 6)])
+def test_horizontal_classification_computes_each_kernel_once(params, kernels_before,
+                                                             monkeypatch):
+    """One kernel of the form and one of its symbol."""
+    model = canonical_multi_model(*params)
+    moved = conjugated_multi_instance(model, 3)[0]
+    kernels = _count_calls(monkeypatch, "kernel_of_form")
+    rep = classify_horizontal_form(moved, model.flag, params[3])
+    assert rep.lagrangian_subspace is not None
+    assert len(kernels) == 2 < kernels_before
+
+
+@pytest.mark.parametrize("fixture", ["rank_gap_form", "area_triple_form", "small_candidates_form"])
+def test_absent_classification_computes_the_uniform_rank_once(fixture, request, monkeypatch):
+    """The search's size diagnostic reuses the pipeline's uniform rank (it made a second)."""
+    v = request.getfixturevalue(fixture)
+    ranks = _count_calls(monkeypatch, "uniform_rank")
+    rep = classify_vector_form(v)
+    assert len(ranks) == 1
+    assert rep.classification == "none"
+    assert rep == sampling_classify(v, DEFAULT_SEED, 25)
+
+
+def test_certified_rank_reaches_dimension_64(tmp_path, capsys):
+    """poly 32 1 1 (dim 64): the memo refused it with MAX_WEDGE_TERMS."""
+    doc = tmp_path / "p32.json"
+    assert cli.main(["canonical", "poly", "32", "1", "1", "--shuffle-seed", "3",
+                     "-o", str(doc)]) == 0
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert cli.main(["analyze", str(doc), "--json"]) == 0
+    assert time.perf_counter() - t0 < 10.0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["uniform_rank"] == result["constant_rank_sampled"] == 32
+    assert result["classification"] == "polysymplectic"
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,13 @@ Per tree, workload and metric the file holds every value, the min, the
 quartiles, the median and the spread (interquartile range over the
 median); per run it holds the report digest and whether every op was
 correct.  Per tree it also holds ``src_lines``, the line count of
-``src/polydarboux/*.py`` (as ``wc -l`` counts it).  The Python version
-and the CPU count come from this interpreter.  Runs go one after
-another, never in parallel.
+``src/polydarboux/*.py`` (as ``wc -l`` counts it), and ``sweep``, a
+dimension sweep run once after the workloads: the wall time and exit code
+of ``analyze --json`` on conjugated ``canonical poly N nhat 1`` (shuffle
+seed 3) for nhat = 1, 2, 3 and dimensions N * (nhat + 1) from 16 to 64,
+each under a timeout of ``SWEEP_TIMEOUT`` seconds (exit code null when it
+ran out).  The Python version and the CPU count come from this
+interpreter.  Runs go one after another, never in parallel.
 """
 
 from __future__ import annotations
@@ -29,9 +33,16 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# (N, nhat) of the sweep's models; the dimension is N * (nhat + 1)
+SWEEP = [(8, 1), (16, 1), (24, 1), (32, 1), (6, 2), (11, 2), (16, 2), (21, 2),
+         (4, 3), (8, 3), (12, 3), (16, 3)]
+SWEEP_TIMEOUT = 30.0
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -47,6 +58,30 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     digest = next((ln.split()[-1] for ln in lines if ln.startswith("report digest")), None)
     return {"seed": seed, "digest": digest, "correct": summary["correct"],
             "metrics": {k: v["value"] for k, v in summary["metrics"].items()}}
+
+
+def sweep(label: str, tree: Path) -> list:
+    """Time ``analyze`` on each sweep model, built by the tree's own ``canonical``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cli = [sys.executable, "-m", "polydarboux.cli"]
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, nhat in SWEEP:
+            doc = str(Path(tmp) / f"poly-{n}-{nhat}-1.json")
+            subprocess.run(cli + ["canonical", "poly", str(n), str(nhat), "1", "--shuffle-seed", "3",
+                                  "-o", doc], cwd=tree, env=env, capture_output=True, check=True)
+            t0 = time.perf_counter()
+            try:
+                code = subprocess.run(cli + ["analyze", doc, "--json"], cwd=tree, env=env,
+                                      capture_output=True, timeout=SWEEP_TIMEOUT).returncode
+            except subprocess.TimeoutExpired:
+                code = None
+            seconds = time.perf_counter() - t0
+            out.append({"N": n, "nhat": nhat, "k": 1, "dim": n * (nhat + 1),
+                        "seconds": round(seconds, 3), "exit": code})
+            print(f"sweep {label}: poly {n} {nhat} 1 (dim {n * (nhat + 1)}) "
+                  f"exit {code} in {seconds:.2f}s", flush=True)
+    return out
 
 
 def src_lines(tree: Path) -> int:
@@ -93,15 +128,20 @@ def main(argv=None) -> int:
                       f"digest {res['digest'][:12]} correct {res['correct']}", flush=True)
         # rewritten after every run, so an interrupted series keeps what it measured
         write_record(args, spec, trees, runs, i + 1)
+    sweeps = {label: sweep(label, path) for label, path in trees}
+    write_record(args, spec, trees, runs, args.runs, sweeps)
     return 0
 
 
-def write_record(args, spec: dict, trees: list, runs: dict, done: int) -> None:
+def write_record(args, spec: dict, trees: list, runs: dict, done: int,
+                 sweeps: dict | None = None) -> None:
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
     out = {"python": platform.python_version(), "cpu_count": os.cpu_count(),
            "run_seconds": spec["run_seconds"], "runs": done, "seed": args.seed,
            "trees": [label for label, _ in trees],
            "src_lines": {label: src_lines(path) for label, path in trees}, "workloads": {}}
+    if sweeps is not None:
+        out["sweep"] = sweeps
     for w, by_tree in runs.items():
         entry = {}
         for label, rs in by_tree.items():
