@@ -27,7 +27,7 @@ from .lagrangian import (as_vector_form, check_multilagrangian, check_polylagran
                          _stacked)
 from .linalg import (Matrix, Subspace, ZERO, ONE, complement, intersect, inverse,
                      transform_subspace)
-from .sparse import SparseEchelon, SparseSolver, _sparse, span_of
+from .sparse import SparseEchelon, SparseSolver, _sparse
 
 # ---------------------------------------------------------------------------
 # canonical models
@@ -183,8 +183,12 @@ def _greedy_standard_completion(dim: int, avoid: SparseEchelon, count: int) -> l
     return picked
 
 
-def _span_of_rows(*groups) -> SparseEchelon:
-    return span_of(_sparse(x) for rows in groups for x in rows)
+def _span_of_rows(start: Subspace, *groups) -> SparseEchelon:
+    """A copy of the echelon of ``start``, extended by the dense rows of each group."""
+    ech = start.echelon.copy()
+    for x in itertools.chain(*groups):
+        ech.insert(_sparse(x))
+    return ech
 
 
 def _dual_rows(columns: list) -> list[tuple]:
@@ -246,12 +250,12 @@ def _extend_poly(v: VectorValuedForm, lagr: Subspace, e_vecs: list, l_prime: Sub
     dim = v.dim
     k = v.degree - 1
     n_rank = dim - lagr.dim
-    avoid = _span_of_rows(lagr.vectors(), e_vecs)
+    avoid = _span_of_rows(lagr, e_vecs)
     while len(e_vecs) < n_rank:
         completion = _greedy_standard_completion(dim, avoid, n_rank - len(e_vecs))
         basis_c = e_vecs + completion
         candidate = completion[0]
-        duals = _dual_rows(basis_c + [list(x) for x in lagr.vectors()])[:n_rank]
+        duals = _dual_rows(basis_c + lagr.vectors())[:n_rank]
         u = list(candidate)
         for a in range(v.value_dim):
             contracted = contract(candidate, VectorValuedForm((v.components[a],)))
@@ -280,15 +284,15 @@ def extend_isotropic_complement_multi(omega: AlternatingForm, lagr: Subspace, fl
     n_base = flag.dim_t
     h_vecs = [list(x) for x in start_h]
     slots = multi_slot_index(n_rank, n_base, k, r)
-    vert_avoid = _span_of_rows(flag.vertical.vectors(), e_vecs, h_vecs)
+    vert_avoid = _span_of_rows(flag.vertical, e_vecs, h_vecs)
     # u - candidate lies in L, so L + e + h + candidate is the span L + e + h + u
-    lagr_avoid = _span_of_rows(lagr.vectors(), e_vecs, h_vecs)
+    lagr_avoid = _span_of_rows(lagr, e_vecs, h_vecs)
     while len(h_vecs) < n_base:
         candidate = _greedy_standard_completion(dim, vert_avoid, 1)[0]
         lagr_avoid.insert(_sparse(candidate))
         filler = _greedy_standard_completion(dim, lagr_avoid, n_base - len(h_vecs) - 1)
         basis_c = e_vecs + h_vecs + [candidate] + filler
-        duals = _dual_rows(basis_c + [list(x) for x in lagr.vectors()])[: n_rank + n_base]
+        duals = _dual_rows(basis_c + lagr.vectors())[: n_rank + n_base]
         u = list(candidate)
         contracted = contract(candidate, omega)
         for (s, idx, mu) in slots:
@@ -327,7 +331,7 @@ def extend_isotropic_complement(form_in, lagr: Subspace, start: Subspace,
     h_vecs = extend_isotropic_complement_multi(
         omega, lagr, flag, r, [list(x) for x in e_part.vectors()],
         [list(x) for x in h_part.vectors()], l_prime, solver)
-    return Subspace.from_vectors(omega.dim, list(e_part.vectors()) + h_vecs)
+    return Subspace.from_vectors(omega.dim, e_part.vectors() + h_vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +373,7 @@ def darboux_basis_poly(omega, lagrangian: Subspace | None = None) -> DarbouxBasi
     nhat = v.value_dim
     l_prime, solver = _lagrangian_solver(v, lagr, ker)
     e_vecs = _extend_poly(v, lagr, [], l_prime, solver)
-    duals = _dual_rows(e_vecs + [list(x) for x in lagr.vectors()])[:n_rank]
+    duals = _dual_rows(e_vecs + lagr.vectors())[:n_rank]
     columns = list(e_vecs)
     labels = [("q", (i,)) for i in range(1, n_rank + 1)]
     for a in range(nhat):
@@ -420,7 +424,7 @@ def darboux_basis_multi(omega: AlternatingForm, flag: Flag, r: int,
     l_prime, solver = _lagrangian_solver(as_vector_form(omega), lagr, ker)
     h_vecs = extend_isotropic_complement_multi(omega, lagr, flag, r, e_vecs, [], l_prime, solver)
 
-    duals = _dual_rows(e_vecs + h_vecs + [list(x) for x in lagr.vectors()])[: n_rank + n_base]
+    duals = _dual_rows(e_vecs + h_vecs + lagr.vectors())[: n_rank + n_base]
     columns = list(e_vecs) + list(h_vecs)
     labels = [("q", (i,)) for i in range(1, n_rank + 1)]
     labels += [("x", (mu,)) for mu in range(1, n_base + 1)]

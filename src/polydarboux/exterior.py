@@ -438,12 +438,9 @@ class Flag:
         piv = set(self.vertical.pivot_columns())
         return [j for j in range(self.total_dim) if j not in piv]
 
-    def vertical_rows(self) -> list[tuple[Fraction, ...]]:
-        return self.vertical.vectors()
-
     def lift_vertical(self, coords) -> list[list[Fraction]]:
         """Total-space vectors of vertical-coordinate vectors, in their order."""
-        rows = self.vertical_rows()
+        rows = self.vertical.vectors()
         out = []
         for u in coords:
             w = [ZERO] * self.total_dim
@@ -458,7 +455,7 @@ class Flag:
 
     def adapted_matrix(self) -> Matrix:
         """Columns: splitting image first, then the vertical basis."""
-        return Matrix.from_cols(self.horizontal_cols() + list(self.vertical_rows()))
+        return Matrix.from_cols(self.horizontal_cols() + self.vertical.vectors())
 
 
 def coordinate_flag(total_dim: int, vertical_indices: Iterable[int]) -> Flag:
@@ -487,7 +484,7 @@ def horizontality_degree(omega: AlternatingForm, flag: Flag) -> int:
         raise DimensionMismatch("form does not live on the flag's total space")
     if omega.is_zero():
         return 0
-    vert = flag.vertical_rows()
+    vert = flag.vertical.vectors()
     for s in range(omega.degree + 1):
         if s + 1 > len(vert):
             return s

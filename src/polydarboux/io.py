@@ -25,10 +25,11 @@ SCHEMA_VERSION = "1"
 
 KINDS = ("scalar_form", "vector_valued_form", "poly_form", "lie_algebra")
 
-# Resource budget: the largest declared dimension a document may have.
-# Kernels and subspaces hold dense rows of that length, so a larger form
-# is refused while it is parsed, before any row is built.
+# Budgets on the declared dimension, checked while a document is parsed,
+# before any row is built: kernels hold dense rows of length dim, and a Lie
+# algebra's dim^3 structure tensor takes about dim^4 steps to check.
 MAX_DIM = 1024
+MAX_LIE_DIM = 16
 
 
 @dataclass
@@ -42,30 +43,42 @@ class FormDocument:
     claims: dict = field(default_factory=dict)
 
 
+def _shown(x) -> str:
+    """repr(x), cut to its first 40 characters plus its length when longer."""
+    r = repr(x)
+    return r if len(r) <= 40 else f"{r[:40]}... ({len(r)} characters)"
+
+
 def _rat(s) -> Fraction:
     try:
         return frac(s)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise DocumentError(f"bad rational {s!r}: {exc}") from exc
+        shown = _shown(s)
+        raise DocumentError(f"bad rational {shown}: {str(exc).replace(repr(s), shown)}") from exc
 
 
-def _need(doc: dict, key: str):
+def _need(doc: dict, key: str, kind: type | None = None):
+    """The field ``key``; given ``kind``, of exactly that JSON type."""
     if key not in doc:
         raise DocumentError(f"missing field {key!r}")
+    if kind is not None and type(doc[key]) is not kind:
+        raise DocumentError(f"{key} must be a {kind.__name__}, got {_shown(doc[key])}")
     return doc[key]
 
 
 def _int(x, what: str) -> int:
     """A JSON integer; bools, floats and strings are refused, not coerced."""
     if type(x) is not int:
-        raise DocumentError(f"{what} must be an integer, got {x!r}")
+        raise DocumentError(f"{what} must be an integer, got {_shown(x)}")
     return x
 
 
-def _ints(x, what: str) -> tuple[int, ...]:
-    """A JSON list of integers, as a tuple."""
+def _ints(x, what: str, dim: int | None = None) -> tuple[int, ...]:
+    """A JSON list of integers, as a tuple; given ``dim``, each in 1..dim."""
     if type(x) is not list or any(type(i) is not int for i in x):
-        raise DocumentError(f"{what} must be a list of integers, got {x!r}")
+        raise DocumentError(f"{what} must be a list of integers, got {_shown(x)}")
+    if dim is not None and any(not 1 <= i <= dim for i in x):
+        raise DocumentError(f"{what} {_shown(x)} leave the coordinates 1..{dim}")
     return tuple(x)
 
 
@@ -83,6 +96,9 @@ def parse_document(doc: dict) -> FormDocument:
     dim = doc.get("dim")
     if type(dim) is int and dim > MAX_DIM:
         raise PreconditionError(f"dimension {dim} exceeds the budget of {MAX_DIM} (MAX_DIM)")
+    if kind == "lie_algebra" and type(dim) is int and dim > MAX_LIE_DIM:
+        raise PreconditionError(
+            f"Lie algebra dimension {dim} exceeds the budget of {MAX_LIE_DIM} (MAX_LIE_DIM)")
     try:
         if kind == "lie_algebra":
             payload = _parse_lie(doc)
@@ -111,7 +127,7 @@ def _parse_alternating(doc: dict, kind: str):
     if kind == "scalar_form" and value_dim != 1:
         raise DocumentError("scalar_form must have value_dim 1")
     buckets: list[dict] = [dict() for _ in range(value_dim)]
-    for term in _need(doc, "terms"):
+    for term in _need(doc, "terms", list):
         idx = _ints(_need(term, "indices"), "indices")
         if list(idx) != sorted(set(idx)):
             raise DocumentError(f"indices must be strictly increasing: {idx}")
@@ -137,16 +153,14 @@ def _parse_poly_form(doc: dict) -> PolyForm:
     if min(split) < 0:
         raise DocumentError(f"split entries must be nonnegative: {split}")
     coeffs: dict = {}
-    for term in _need(doc, "terms"):
-        idx = _ints(_need(term, "indices"), "indices")
+    for term in _need(doc, "terms", list):
+        idx = _ints(_need(term, "indices"), "indices", dim)
         if list(idx) != sorted(set(idx)):
             raise DocumentError(f"indices must be strictly increasing: {idx}")
         if len(idx) != degree:
             raise DocumentError(f"multi-index {idx} does not match degree {degree}")
-        if idx and (idx[0] < 1 or idx[-1] > dim):
-            raise DocumentError(f"multi-index {idx} leaves the coordinates 1..{dim}")
         terms = {}
-        for mono in _need(term, "polynomial"):
+        for mono in _need(term, "polynomial", list):
             exps = _ints(_need(mono, "exponents"), "exponents")
             if len(exps) != dim:
                 raise DocumentError("exponent tuple does not match dimension")
@@ -167,8 +181,8 @@ def _parse_poly_form(doc: dict) -> PolyForm:
 def _parse_lie(doc: dict) -> LieAlgebra:
     dim = _int(_need(doc, "dim"), "dim")
     c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for entry in _need(doc, "structure_constants"):
-        a, b, k = _ints(_need(entry, "indices"), "indices")
+    for entry in _need(doc, "structure_constants", list):
+        a, b, k = _ints(_need(entry, "indices"), "indices", dim)
         c[a - 1][b - 1][k - 1] = _rat(_need(entry, "value"))
     return lie_algebra(dim, c)
 
@@ -190,7 +204,7 @@ def load_document(path) -> FormDocument:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also: int-string limit, deep nesting
         raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
     return parse_document(doc)
 

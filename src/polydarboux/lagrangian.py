@@ -308,10 +308,9 @@ def scalar_polylagrangian_candidates(omega, limit: int | None = None,
     seen = set()
     for seed_sub in seeds:
         cand = greedy_maximal_isotropic(v, seed_sub, verify=False)
-        key = cand.basis.entries
-        if key in seen:
+        if cand in seen:
             continue
-        seen.add(key)
+        seen.add(cand)
         n_codim = v.dim - cand.dim
         if n_codim < k:
             continue
@@ -353,33 +352,27 @@ def greedy_maximal_isotropic(omega, seed: Subspace, within: Subspace | None = No
     image.  The complement's RREF is rebuilt only when those rows gained
     rank.  Otherwise it is unchanged and the scan resumes after the last
     pick: every vector before it was already in the smaller span.  The
-    returned subspace is built once, from seed and picks.
+    span's echelon, a copy of the seed's, becomes the returned subspace.
     """
     v = as_vector_form(omega)
     if not is_isotropic(seed, v, 1):
         raise PreconditionError("seed subspace is not isotropic")
-    ech = SparseEchelon()
-    if within is not None:
-        for row in annihilator(within).vectors():
-            ech.insert(_sparse(row))
-    span = SparseEchelon()
-    grown = list(seed.vectors())
-    for u in grown:
-        span.insert(_sparse(u))
+    ech = SparseEchelon() if within is None else annihilator(within).echelon.copy()
+    span = seed.echelon.copy()
+    for u in seed.vectors():
         for row in _kernel_constraints(contract(u, v)):
             ech.insert(row)
     orth: list | None = None
     start = 0
     while True:
         if orth is None:
-            orth = Subspace.from_vectors(v.dim, ech.kernel_vectors(v.dim)).vectors()
+            orth = Subspace(v.dim, span_of(ech.kernel(v.dim))).vectors()
             start = 0
         at = next((i for i in range(start, len(orth)) if not span.contains(_sparse(orth[i]))),
                   None)
         if at is None:
             break
         nxt = orth[at]
-        grown.append(nxt)
         span.insert(_sparse(nxt))
         grew = False
         for row in _kernel_constraints(contract(nxt, v)):
@@ -388,7 +381,7 @@ def greedy_maximal_isotropic(omega, seed: Subspace, within: Subspace | None = No
             orth = None
         else:
             start = at + 1
-    cur = Subspace.from_vectors(v.dim, grown)
+    cur = Subspace(v.dim, span)
     if verify and within is None and not is_maximal_isotropic(cur, v):
         raise InternalCheckError("greedy termination did not yield a maximal isotropic subspace")
     return cur
@@ -892,10 +885,9 @@ def detect_multilagrangian(omega: AlternatingForm, flag: Flag, r: int) -> Polyla
             if not is_isotropic(seed, aomega, 1):
                 continue
             cand_a = greedy_maximal_isotropic(aomega, seed, within=vert_a, verify=False)
-            key = cand_a.basis.entries
-            if key in seen:
+            if cand_a in seen:
                 continue
-            seen.add(key)
+            seen.add(cand_a)
             if _check_multilagrangian_adapted(cand_a, aomega, n, r):
                 sub_v = Subspace.from_vectors(m_dim, [u[n:] for u in cand_a.vectors()])
                 sub_w = from_vertical_coordinates(flag, sub_v)

@@ -4,16 +4,16 @@ reduced row echelon forms, kernels, solves, and the subspace lattice.
 All arithmetic is exact.  Every elimination here, rref, rank, kernel,
 solve, inverse and the subspace operations, runs on one kernel,
 ``sparse.SparseEchelon``: rows are scaled to primitive integers and kept
-fully reduced with fraction-free steps.  The integer rows stay internal;
-every result is returned in Fractions, read off the echelon.  Subspaces
-are canonically represented by the RREF of a spanning set, so two
-subspaces are equal exactly when their representations are equal; that
-decidable equality is what the structure tests in the rest of the
-package lean on.
+fully reduced with fraction-free steps.  A ``Subspace`` is that echelon
+alone: its rows are unique to the span, so two subspaces are equal
+exactly when their rows are equal; that decidable equality is what the
+structure tests in the rest of the package lean on.  Fractions appear
+only in answers: ``Subspace.vectors()`` and the matrices and solutions.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -128,30 +128,11 @@ def _echelon(rows) -> SparseEchelon:
     return span_of(r if type(r) is dict else _sparse(r) for r in rows)
 
 
-def _rref_rows(rows, cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Canonical RREF of a list of rows; returns (nonzero rows, pivot columns).
-
-    Read off the integer echelon: each row divided by its pivot entry,
-    with a new Fraction for nonzero entries alone.
-    """
-    ech = _echelon(rows)
-    pivots = sorted(ech.rows)
-    out = []
-    for p in pivots:
-        row = ech.rows[p]
-        d = row[p]
-        r = [ZERO] * cols
-        for j, x in row.items():
-            r[j] = Fraction(x, d) if d != 1 else Fraction(x)
-        out.append(r)
-    return out, pivots
-
-
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Unique reduced row echelon form and rank."""
-    reduced, pivots = _rref_rows(m.row_list(), m.cols)
-    out = reduced + [[ZERO] * m.cols for _ in range(m.rows - len(pivots))]
-    return Matrix.from_rows(out) if m.rows else m, len(pivots)
+    reduced = Subspace(m.cols, _echelon(m.row_list())).vectors()
+    out = reduced + [(ZERO,) * m.cols] * (m.rows - len(reduced))
+    return Matrix.from_rows(out) if m.rows else m, len(reduced)
 
 
 def rank(m: Matrix) -> int:
@@ -182,7 +163,7 @@ def solve(m: Matrix, rhs: Sequence) -> tuple[Fraction, ...] | None:
     if len(b) != m.rows:
         raise DimensionMismatch("right-hand side length does not match rows")
     n = m.cols
-    ech = _echelon(list(m.row(i)) + [b[i]] for i in range(m.rows))
+    ech = _echelon({**_sparse(m.row(i)), n: b[i]} for i in range(m.rows))
     if n in ech.rows:
         return None
     x = [ZERO] * n
@@ -196,8 +177,7 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices invert")
     n = m.rows
-    ech = _echelon(list(m.row(i)) + [ONE if i == j else ZERO for j in range(n)]
-                   for i in range(n))
+    ech = _echelon({**_sparse(m.row(i)), n + i: ONE} for i in range(n))
     if any(p >= n for p in ech.rows):
         raise PreconditionError("matrix is singular")
     out = []
@@ -212,61 +192,71 @@ def inverse(m: Matrix) -> Matrix:
 # subspaces
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
-    """Subspace of a coordinate space, held as an RREF basis matrix.
+    """Subspace of a coordinate space, held as its integer echelon.
 
-    The RREF representation is unique, so ``==`` decides subspace equality.
+    The rows are primitive, fully reduced and have positive pivots; that
+    form is unique, so ``==`` and ``hash`` compare rows.  The echelon is
+    never changed after construction: code extending a span copies it.
     """
 
     ambient_dim: int
-    basis: Matrix
+    echelon: SparseEchelon
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> Subspace:
-        rows = [list(vec(v)) for v in vectors]
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise DimensionMismatch("vector length does not match ambient dimension")
-        reduced, pivots = _rref_rows(rows, ambient_dim)
-        return Subspace(ambient_dim, Matrix.from_rows(reduced) if pivots else Matrix(0, ambient_dim, ()))
+        rows = [vec(v) for v in vectors]
+        if any(len(r) != ambient_dim for r in rows):
+            raise DimensionMismatch("vector length does not match ambient dimension")
+        return Subspace(ambient_dim, _echelon(rows))
 
     @staticmethod
     def zero(ambient_dim: int) -> Subspace:
-        return Subspace(ambient_dim, Matrix(0, ambient_dim, ()))
+        return Subspace(ambient_dim, SparseEchelon())
 
     @staticmethod
     def full(ambient_dim: int) -> Subspace:
-        return Subspace(ambient_dim, Matrix.identity(ambient_dim))
+        return Subspace(ambient_dim, SparseEchelon({i: {i: 1} for i in range(ambient_dim)}))
 
     @staticmethod
     def span_of_coordinates(ambient_dim: int, indices: Iterable[int]) -> Subspace:
         """Span of the standard basis vectors with the given 1-based indices."""
-        rows = []
-        for i in sorted(set(indices)):
-            if not 1 <= i <= ambient_dim:
-                raise DimensionMismatch("coordinate index out of range")
-            rows.append([ONE if j == i - 1 else ZERO for j in range(ambient_dim)])
-        return Subspace(ambient_dim, Matrix.from_rows(rows) if rows else Matrix(0, ambient_dim, ()))
+        indices = set(indices)
+        if any(not 1 <= i <= ambient_dim for i in indices):
+            raise DimensionMismatch("coordinate index out of range")
+        return Subspace(ambient_dim, SparseEchelon({i - 1: {i - 1: 1} for i in indices}))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
+                and self.echelon.rows == other.echelon.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, frozenset((p, frozenset(row.items()))
+                                                 for p, row in self.echelon.rows.items())))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
-
-    def vectors(self) -> list[tuple[Fraction, ...]]:
-        return [self.basis.row(i) for i in range(self.basis.rows)]
+        return self.echelon.rank
 
     def pivot_columns(self) -> tuple[int, ...]:
-        return self._pivot_columns
+        return tuple(sorted(self.echelon.rows))
+
+    def vectors(self) -> list[tuple[Fraction, ...]]:
+        """The RREF basis: each echelon row divided by its pivot entry."""
+        return list(self._rref)
 
     @cached_property
-    def _pivot_columns(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(self.basis.row(i)) if x)
-                     for i in range(self.basis.rows))
-
-    @cached_property
-    def _span(self) -> SparseEchelon:
-        return _echelon(self.vectors())
+    def _rref(self) -> tuple[tuple[Fraction, ...], ...]:
+        out = []
+        for p in self.pivot_columns():
+            row = self.echelon.rows[p]
+            d = row[p]
+            r = [ZERO] * self.ambient_dim
+            for j, x in row.items():
+                r[j] = Fraction(x, d) if d != 1 else Fraction(x)
+            out.append(tuple(r))
+        return tuple(out)
 
     def _sparse_vector(self, v: Sequence) -> dict:
         r = vec(v)
@@ -276,38 +266,39 @@ class Subspace:
 
     def reduce(self, v: Sequence) -> list[Fraction]:
         """Residue of v modulo the subspace: zero at every pivot column."""
-        res = self._span.reduce(self._sparse_vector(v))
+        res = self.echelon.reduce(self._sparse_vector(v))
         return [res.get(j, ZERO) for j in range(self.ambient_dim)]
 
     def contains(self, v: Sequence) -> bool:
-        return self._span.contains(self._sparse_vector(v))
+        return self.echelon.contains(self._sparse_vector(v))
 
     def contains_subspace(self, other: Subspace) -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        return all(self.contains(w) for w in other.vectors())
+        return all(map(self.echelon.contains, other.echelon.rows.values()))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    return Subspace.from_vectors(a.ambient_dim, a.vectors() + b.vectors())
+    ech = a.echelon.copy()
+    for row in b.echelon.rows.values():
+        ech.insert(row)
+    return Subspace(a.ambient_dim, ech)
 
 
 def annihilator(a: Subspace) -> Subspace:
-    """Covectors vanishing on the subspace, in dual coordinates."""
-    if a.dim == 0:
-        return Subspace.full(a.ambient_dim)
-    return kernel(a.basis)
+    """Covectors vanishing on the subspace, in dual coordinates: the kernel of its echelon."""
+    n = a.ambient_dim
+    return Subspace(n, span_of(a.echelon.kernel(n)))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of the two basis spans, by ``sparse.intersect_spans``."""
+    """Intersection of the two spans, by ``sparse.intersect_spans``."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    n = a.ambient_dim
-    rows = intersect_spans(map(_sparse, a.vectors()), map(_sparse, b.vectors()))
-    return Subspace.from_vectors(n, [[r.get(j, ZERO) for j in range(n)] for r in rows])
+    return Subspace(a.ambient_dim,
+                    span_of(intersect_spans(a.echelon.rows.values(), b.echelon.rows.values())))
 
 
 def complement(a: Subspace, inside: Subspace | None = None) -> Subspace:
@@ -322,25 +313,16 @@ def complement(a: Subspace, inside: Subspace | None = None) -> Subspace:
         raise DimensionMismatch("ambient dimensions differ")
     if not inside.contains_subspace(a):
         raise PreconditionError("first subspace is not contained in the second")
-    candidates: list[Sequence] = []
-    for i in range(a.ambient_dim):
-        e = [ZERO] * a.ambient_dim
-        e[i] = ONE
-        if inside.contains(e):
-            candidates.append(e)
-    candidates.extend(inside.vectors())
-    span = SparseEchelon()
-    for v in a.vectors():
-        span.insert(_sparse(v))
-    picked = []
-    for cand in candidates:
+    span, picked = a.echelon.copy(), SparseEchelon()
+    units = filter(inside.echelon.contains, ({i: 1} for i in range(a.ambient_dim)))
+    for cand in itertools.chain(units, map(inside.echelon.rows.get, inside.pivot_columns())):
         if span.rank == inside.dim:
             break
-        if span.insert(_sparse(cand)):
-            picked.append(cand)
+        if span.insert(cand):
+            picked.insert(cand)
     if span.rank != inside.dim:
         raise PreconditionError("failed to complete a complement (should be impossible)")
-    return Subspace.from_vectors(a.ambient_dim, picked)
+    return Subspace(a.ambient_dim, picked)
 
 
 def transform_subspace(m: Matrix, a: Subspace) -> Subspace:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 SparseVec = dict
+_ZERO = Fraction(0)
 
 
 def _axpy(target: dict, c, source: dict):
@@ -52,17 +53,16 @@ class SparseEchelon:
     residue carries the product of the multipliers as its scale.
     """
 
-    def __init__(self):
-        self.rows: dict = {}  # pivot key -> primitive, fully reduced integer row
+    def __init__(self, rows: dict | None = None):
+        # pivot key -> primitive, fully reduced integer row; given rows are taken as they are
+        self.rows: dict = {} if rows is None else rows
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def copy(self) -> SparseEchelon:
-        out = SparseEchelon()
-        out.rows = {p: dict(row) for p, row in self.rows.items()}
-        return out
+        return SparseEchelon({p: dict(row) for p, row in self.rows.items()})
 
     def _residue(self, v: SparseVec) -> tuple[dict, int]:
         """(r, s): integer r with r / s the residue of v modulo the span."""
@@ -123,24 +123,25 @@ class SparseEchelon:
     def contains(self, v: SparseVec) -> bool:
         return not self._residue(v)[0]
 
-    def kernel_vectors(self, cols: int) -> list[list[Fraction]]:
-        """Dense basis of {x : row . x = 0 for every row}, rows keyed 0..cols-1.
+    def kernel(self, cols: int):
+        """Sparse basis of {x : row . x = 0 for every row}, rows keyed 0..cols-1.
 
         One vector per free column f, in increasing order: a one at f and
         minus each row's entry at f over its pivot entry, at that pivot.
         """
-        out = []
         for f in range(cols):
             if f in self.rows:
                 continue
-            x = [Fraction(0)] * cols
-            x[f] = Fraction(1)
+            x = {f: Fraction(1)}
             for p, row in self.rows.items():
                 c = row.get(f)
                 if c:
                     x[p] = Fraction(-c, row[p])
-            out.append(x)
-        return out
+            yield x
+
+    def kernel_vectors(self, cols: int) -> list[list[Fraction]]:
+        """The vectors of ``kernel`` as dense rows."""
+        return [[x.get(j, _ZERO) for j in range(cols)] for x in self.kernel(cols)]
 
 
 class SparseSolver(SparseEchelon):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -168,6 +169,51 @@ def test_declared_dimension_beyond_the_budget_exits_one(tmp_path, capsys, kind, 
     assert "MAX_DIM" in captured.err and str(MAX_DIM) in captured.err
 
 
+def test_lie_algebra_beyond_its_budget_exits_one_before_the_tensor(tmp_path, capsys):
+    from polydarboux.io import MAX_LIE_DIM
+    assert MAX_LIE_DIM == 16
+    path = tmp_path / "lie.json"
+    path.write_text(json.dumps({"schema_version": "1", "kind": "lie_algebra",
+                                "dim": MAX_LIE_DIM + 1, "structure_constants": []}))
+    started = time.monotonic()
+    assert main(["analyze", str(path), "--json"]) == 1
+    assert time.monotonic() - started < 0.5  # dim 17 takes about 0.1 s once the tensor is built
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_LIE_DIM" in captured.err and str(MAX_LIE_DIM) in captured.err
+
+
+def test_lie_algebra_at_its_budget_parses():
+    from polydarboux.io import MAX_LIE_DIM, parse_document
+    doc = parse_document({"schema_version": "1", "kind": "lie_algebra", "dim": MAX_LIE_DIM,
+                          "structure_constants": [{"indices": [1, 2, 3], "value": "1"},
+                                                  {"indices": [2, 1, 3], "value": "-1"}]})
+    assert doc.payload.dim == MAX_LIE_DIM
+
+
+@pytest.mark.parametrize("coefficient", ['"' + "7" * 5000 + '"', "7" * 5000,
+                                         '"' + "x" * 5000 + '"'])
+def test_huge_coefficient_exits_two_with_a_short_message(tmp_path, capsys, coefficient):
+    """Past Python's int-string limit, as a string or a bare JSON number, or not a number."""
+    path = tmp_path / "huge.json"
+    path.write_text('{"schema_version": "1", "kind": "scalar_form", "dim": 2, "degree": 2, '
+                    '"terms": [{"indices": [1, 2], "coefficient": %s}]}' % coefficient)
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("document error")
+    assert "Traceback" not in captured.err
+    assert len(captured.err.encode()) < 300
+
+
+def test_deeply_nested_document_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"schema_version": "1", "kind": "scalar_form", "dim": 2, "degree": 2, '
+                    '"terms": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("document error: invalid JSON")
+
+
 def test_declared_dimension_at_the_budget_parses():
     from polydarboux.io import MAX_DIM, parse_document
     doc = parse_document({"schema_version": "1", "kind": "scalar_form", "dim": MAX_DIM,
@@ -235,6 +281,14 @@ FLAGGED = {"schema_version": "1", "kind": "scalar_form", "dim": 3, "degree": 2, 
      ("terms", 0, "polynomial", 0, "exponents"), 0),
     ("su2_frame.json", "analyze", ("structure_constants", 0, "indices"), "123"),
     ("su2_frame.json", "analyze", ("structure_constants", 0, "indices", 2), 3.0),
+    # list fields: an object or a string is refused even when empty, not read as no terms
+    ("appendix_a1.json", "analyze", ("terms",), {}),
+    ("appendix_a1.json", "darboux", ("terms",), ""),
+    ("flagged", "analyze", ("terms",), {}),
+    ("perturbed_multisymplectic.json", "homotopy", ("terms",), {}),
+    ("perturbed_multisymplectic.json", "moser", ("terms", 0, "polynomial"), {}),
+    ("su2_frame.json", "analyze", ("structure_constants",), {}),
+    ("su2_frame.json", "analyze", ("structure_constants", 0, "indices", 0), 0),
 ])
 def test_integer_fields_are_checked_not_coerced(tmp_path, capsys, source, command, where,
                                                 value):

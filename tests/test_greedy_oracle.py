@@ -43,10 +43,9 @@ settings.register_profile("greedy_oracle", deadline=None, max_examples=60, deran
 
 def oracle_reduce(sub: Subspace, v) -> list[Fraction]:
     r = list(vec(v))
-    for i, pc in enumerate(sub.pivot_columns()):
+    for pc, row in zip(sub.pivot_columns(), sub.vectors()):
         c = r[pc]
         if c:
-            row = sub.basis.row(i)
             r = [a - c * b for a, b in zip(r, row)]
     return r
 

@@ -143,4 +143,4 @@ def test_subspace_equality_is_representation_equality():
     a = Subspace.from_vectors(3, [[1, 1, 0], [0, 1, 1]])
     b = Subspace.from_vectors(3, [[1, 0, -1], [0, 1, 1]])
     assert a == b
-    assert a.basis == b.basis
+    assert a.vectors() == b.vectors()

@@ -521,9 +521,10 @@ def oracle_candidates(v: VectorValuedForm, limit):
     out = []
     for seed_sub in seeds:
         cand = greedy_maximal_isotropic(v, seed_sub, verify=False)
-        if cand.basis.entries in seen:
+        key = tuple(cand.vectors())  # the RREF rows, as the old dense key held them
+        if key in seen:
             continue
-        seen.add(cand.basis.entries)
+        seen.add(key)
         n_codim = v.dim - cand.dim
         if (n_codim >= k and cand.dim == ker.dim + comb(n_codim, k)
                 and check_polylagrangian(cand, v)):

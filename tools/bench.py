@@ -20,7 +20,10 @@ dimension sweep run once after the workloads: the wall time and exit code
 of ``analyze --json`` on conjugated ``canonical poly N nhat 1`` (shuffle
 seed 3) for nhat = 1, 2, 3 and dimensions N * (nhat + 1) from 16 to 64,
 each under a timeout of ``SWEEP_TIMEOUT`` seconds (exit code null when it
-ran out).  The Python version and the CPU count come from this
+ran out).  ``small_support`` is a record of the same kind: the wall time
+and exit code of ``analyze --json`` and ``darboux --json`` on the 2-form
+e13 + e24 declared in each dimension of ``SMALL_SUPPORT_DIMS``, where the
+work should not grow with the declared dimension.  The Python version and the CPU count come from this
 interpreter.  Runs go one after another, never in parallel.
 """
 
@@ -43,6 +46,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SWEEP = [(8, 1), (16, 1), (24, 1), (32, 1), (6, 2), (11, 2), (16, 2), (21, 2),
          (4, 3), (8, 3), (12, 3), (16, 3)]
 SWEEP_TIMEOUT = 30.0
+# declared dimensions of the small-support series
+SMALL_SUPPORT_DIMS = (128, 256, 512)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -60,27 +65,55 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: v["value"] for k, v in summary["metrics"].items()}}
 
 
+def _cli_env(tree: Path) -> tuple[list, dict]:
+    return [sys.executable, "-m", "polydarboux.cli"], dict(os.environ, PYTHONPATH=str(tree / "src"))
+
+
+def _timed(cmd: list, tree: Path, env: dict) -> tuple[float, int | None]:
+    """Wall seconds and exit code of one command; the code is None after a timeout."""
+    t0 = time.perf_counter()
+    try:
+        code = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
+                              timeout=SWEEP_TIMEOUT).returncode
+    except subprocess.TimeoutExpired:
+        code = None
+    return time.perf_counter() - t0, code
+
+
 def sweep(label: str, tree: Path) -> list:
     """Time ``analyze`` on each sweep model, built by the tree's own ``canonical``."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    cli = [sys.executable, "-m", "polydarboux.cli"]
+    cli, env = _cli_env(tree)
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         for n, nhat in SWEEP:
             doc = str(Path(tmp) / f"poly-{n}-{nhat}-1.json")
             subprocess.run(cli + ["canonical", "poly", str(n), str(nhat), "1", "--shuffle-seed", "3",
                                   "-o", doc], cwd=tree, env=env, capture_output=True, check=True)
-            t0 = time.perf_counter()
-            try:
-                code = subprocess.run(cli + ["analyze", doc, "--json"], cwd=tree, env=env,
-                                      capture_output=True, timeout=SWEEP_TIMEOUT).returncode
-            except subprocess.TimeoutExpired:
-                code = None
-            seconds = time.perf_counter() - t0
+            seconds, code = _timed(cli + ["analyze", doc, "--json"], tree, env)
             out.append({"N": n, "nhat": nhat, "k": 1, "dim": n * (nhat + 1),
                         "seconds": round(seconds, 3), "exit": code})
             print(f"sweep {label}: poly {n} {nhat} 1 (dim {n * (nhat + 1)}) "
                   f"exit {code} in {seconds:.2f}s", flush=True)
+    return out
+
+
+def small_support(label: str, tree: Path) -> list:
+    """Time ``analyze`` and ``darboux`` on e13 + e24 declared in growing dimensions."""
+    cli, env = _cli_env(tree)
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for dim in SMALL_SUPPORT_DIMS:
+            doc = Path(tmp) / f"e13-e24-{dim}.json"
+            doc.write_text(json.dumps({
+                "schema_version": "1", "kind": "scalar_form", "dim": dim, "degree": 2,
+                "terms": [{"indices": [1, 3], "coefficient": "1"},
+                          {"indices": [2, 4], "coefficient": "1"}]}))
+            for command in ("analyze", "darboux"):
+                seconds, code = _timed(cli + [command, str(doc), "--json"], tree, env)
+                out.append({"command": command, "dim": dim, "seconds": round(seconds, 3),
+                            "exit": code})
+                print(f"small support {label}: {command} in R^{dim} exit {code} "
+                      f"in {seconds:.2f}s", flush=True)
     return out
 
 
@@ -129,12 +162,13 @@ def main(argv=None) -> int:
         # rewritten after every run, so an interrupted series keeps what it measured
         write_record(args, spec, trees, runs, i + 1)
     sweeps = {label: sweep(label, path) for label, path in trees}
-    write_record(args, spec, trees, runs, args.runs, sweeps)
+    supports = {label: small_support(label, path) for label, path in trees}
+    write_record(args, spec, trees, runs, args.runs, sweeps, supports)
     return 0
 
 
 def write_record(args, spec: dict, trees: list, runs: dict, done: int,
-                 sweeps: dict | None = None) -> None:
+                 sweeps: dict | None = None, supports: dict | None = None) -> None:
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
     out = {"python": platform.python_version(), "cpu_count": os.cpu_count(),
            "run_seconds": spec["run_seconds"], "runs": done, "seed": args.seed,
@@ -142,6 +176,8 @@ def write_record(args, spec: dict, trees: list, runs: dict, done: int,
            "src_lines": {label: src_lines(path) for label, path in trees}, "workloads": {}}
     if sweeps is not None:
         out["sweep"] = sweeps
+    if supports is not None:
+        out["small_support"] = supports
     for w, by_tree in runs.items():
         entry = {}
         for label, rs in by_tree.items():
