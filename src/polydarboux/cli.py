@@ -16,10 +16,10 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .darboux import (canonical_multi_model, canonical_poly_model,
-                      conjugated_multi_instance, conjugated_poly_instance,
+from .darboux import (canonical_multi_model, canonical_poly_model, conjugating_map,
                       darboux_basis_multi, darboux_basis_poly)
 from .errors import DocumentError, InternalCheckError, PolydarbouxError
+from .exterior import pullback
 from .io import (alternating_to_document, load_document, matrix_to_rows,
                  poly_form_to_document, report_json, subspace_to_rows)
 from .lagrangian import (DEFAULT_SEED, as_vector_form, classify_horizontal_form,
@@ -146,7 +146,7 @@ def cmd_canonical(args) -> int:
     if args.family == "poly":
         model = canonical_poly_model(args.N, args.nhat, args.k)
         if args.shuffle_seed is not None:
-            moved, lagr, _ = conjugated_poly_instance(model, args.shuffle_seed)
+            moved = pullback(model.form, conjugating_map(model, args.shuffle_seed).matrix)
             doc = alternating_to_document(moved, description=(
                 f"poly model N={args.N} nhat={args.nhat} k={args.k}, "
                 f"conjugated with seed {args.shuffle_seed}"))
@@ -156,7 +156,7 @@ def cmd_canonical(args) -> int:
     else:
         model = canonical_multi_model(args.N, args.n, args.k, args.r)
         if args.shuffle_seed is not None:
-            moved, lagr, _ = conjugated_multi_instance(model, args.shuffle_seed)
+            moved = pullback(model.form, conjugating_map(model, args.shuffle_seed).matrix)
             doc = alternating_to_document(moved, flag=model.flag, r=args.r, description=(
                 f"multi model N={args.N} n={args.n} k={args.k} r={args.r}, "
                 f"flag-preserving conjugate with seed {args.shuffle_seed}"))

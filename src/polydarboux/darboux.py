@@ -519,21 +519,21 @@ def _int_matrix(rows: list[list[int]]) -> Matrix:
     return Matrix(len(rows), len(rows), tuple(Fraction(x) if x else ZERO for r in rows for x in r))
 
 
-def conjugated_poly_instance(model: CanonicalModel, seed: int):
-    """Pullback of a poly model by a seeded map, with the moved subspace."""
-    cmap = seeded_conjugate(model.dim, seed)
-    moved = pullback(model.form, cmap.matrix)
-    lagr = transform_subspace(cmap.inv, model.lagrangian)
-    return moved, lagr, cmap
-
-
-def conjugated_multi_instance(model: CanonicalModel, seed: int):
-    """Flag-preserving pullback of a multi model (the vertical space is fixed)."""
-    n_rank, n_base, k, r = model.params
-    dim = model.dim
+def conjugating_map(model: CanonicalModel, seed: int) -> ConjugateMap:
+    """The seeded map that conjugates a model; it fixes the vertical space of a multi model."""
+    if model.kind == "poly":
+        return seeded_conjugate(model.dim, seed)
+    n_rank, n_base, _, _ = model.params
     vertical = frozenset(list(range(1, n_rank + 1)) +
-                         list(range(n_rank + n_base + 1, dim + 1)))
-    cmap = seeded_conjugate(dim, seed, preserve=[vertical])
-    moved = pullback(model.form, cmap.matrix)
-    lagr = transform_subspace(cmap.inv, model.lagrangian)
-    return moved, lagr, cmap
+                         list(range(n_rank + n_base + 1, model.dim + 1)))
+    return seeded_conjugate(model.dim, seed, preserve=[vertical])
+
+
+def conjugated_poly_instance(model: CanonicalModel, seed: int):
+    """Pullback of a model by ``conjugating_map``, with the moved subspace and the map."""
+    cmap = conjugating_map(model, seed)
+    return pullback(model.form, cmap.matrix), transform_subspace(cmap.inv, model.lagrangian), cmap
+
+
+# one body serves both kinds: the map of a multi model fixes the vertical space
+conjugated_multi_instance = conjugated_poly_instance

@@ -206,6 +206,7 @@ class PolylagrangianSearch:
     rank: int | None
     diagnostics: list[str] = field(default_factory=list)
     component_complement_dims: list[int] = field(default_factory=list)
+    uniform_rank: int | None = None  # 2-forms with two or more components only
 
 
 def _covector_grid(nhat: int) -> list[list[Fraction]]:
@@ -225,20 +226,34 @@ def _sampled_kernel_span(v: VectorValuedForm) -> Subspace:
     return total
 
 
-# Default of an argument that the caller has not computed; None is a value.
-_UNKNOWN = object()
-
-
 def search_polylagrangian(omega, *, greedy_seed_limit: int | None = None,
-                          ker: Subspace | None = None, uni=_UNKNOWN) -> PolylagrangianSearch:
+                          ker: Subspace | None = None) -> PolylagrangianSearch:
     """Locate the distinguished maximal isotropic subspace, if one exists.
 
     For two or more value components the subspace is pinned down by the
     kernels of the component projections, so failure of that candidate
     proves absence.  For a single component no construction is available;
     a seeded greedy search is used and a miss is reported as "not found".
-    A caller that already holds the form's kernel or its ``uniform_rank``
-    passes them as ``ker`` and ``uni``; neither is computed again.
+    A caller that already holds the form's kernel passes it as ``ker``.
+
+    A 2-form with two or more components also gets its ``uniform_rank``:
+    N = codim L when L is found, with no wedge power built, and otherwise
+    the wedge-power ``uniform_rank``, which the size diagnostic needs
+    anyway.  "found" means ``check_polylagrangian(L)`` holds: the
+    contraction image of L is L0 (x) R^nhat, L0 the annihilator of L, of
+    dimension N.  That makes N the uniform rank:
+
+    * vanishing: the image lies in L0 (x) R^nhat, so L is isotropic for
+      every omega^a; each omega^a then lies in the ideal generated by L0,
+      and every (N+1)-fold product of components vanishes;
+    * independence: take e_1..e_N spanning a complement of L and the dual
+      covectors lambda_i in L0.  The image contains every lambda_i (x) u_a,
+      so some f^a_i in L has omega^b(f^a_i, .) = delta_ab lambda_i.  On
+      (e_1..e_N, f^a(1)_1..f^a(N)_N) the f-f pairings vanish, so each f
+      pairs with an e and only the identity matching survives: omega^alpha
+      evaluates to a nonzero number exactly when the multiset {a(i)} is
+      alpha.  The evaluation matrix of the N-powers is diagonal with a
+      nonzero diagonal, so they are independent.
     """
     v = as_vector_form(omega)
     if v.is_zero():
@@ -260,8 +275,9 @@ def search_polylagrangian(omega, *, greedy_seed_limit: int | None = None,
             comp_dims.append(k_a.dim)
             candidate = subspace_sum(candidate, k_a)
         if check_polylagrangian(candidate, v, ker):
-            return PolylagrangianSearch(candidate, "found", v.dim - candidate.dim,
-                                        diagnostics, comp_dims)
+            n_codim = v.dim - candidate.dim
+            return PolylagrangianSearch(candidate, "found", n_codim, diagnostics, comp_dims,
+                                        n_codim if v.degree == 2 else None)
         sampled = _sampled_kernel_span(v)
         if sampled.dim == v.dim and not is_isotropic(sampled, v, 1):
             diagnostics.append("sum of kernels = full space, not isotropic")
@@ -269,18 +285,17 @@ def search_polylagrangian(omega, *, greedy_seed_limit: int | None = None,
             diagnostics.append(
                 f"kernel-sum candidate has dim {sampled.dim} and "
                 f"{'is' if is_isotropic(sampled, v, 1) else 'is not'} isotropic")
-        if v.degree == 2:
-            nu = uniform_rank(v) if uni is _UNKNOWN else uni
-            if nu is not None:
-                required = ker.dim + v.value_dim * comb(nu, k)
-                dims = sorted({candidate.dim, sampled.dim})
-                if all(d < required for d in dims):
-                    dd = " and ".join(str(d) for d in dims)
-                    diagnostics.append(
-                        f"required polylagrangian dim {required} vs candidates of dim {dd}: "
-                        "both too small")
+        nu = uniform_rank(v) if v.degree == 2 else None
+        if nu is not None:
+            required = ker.dim + v.value_dim * comb(nu, k)
+            dims = sorted({candidate.dim, sampled.dim})
+            if all(d < required for d in dims):
+                dd = " and ".join(str(d) for d in dims)
+                diagnostics.append(
+                    f"required polylagrangian dim {required} vs candidates of dim {dd}: "
+                    "both too small")
         diagnostics.append("construction candidate fails the contraction-image equality")
-        return PolylagrangianSearch(None, "absent", None, diagnostics, comp_dims)
+        return PolylagrangianSearch(None, "absent", None, diagnostics, comp_dims, nu)
 
     # single component: greedy from seeded starts, verified exactly
     for cand in scalar_polylagrangian_candidates(v, limit=greedy_seed_limit, ker=ker):
@@ -800,12 +815,22 @@ class StructureReport:
 def classify_vector_form(omega, *, seed: int = DEFAULT_SEED, samples: int = 25) -> StructureReport:
     """Full classification pipeline for a (vector-valued) alternating form.
 
-    The kernel and, for 2-forms, the uniform rank are computed once and
-    handed to the search and the dimension criterion.  A uniform rank N
-    certifies half-rank N at every nonzero covector, which is what the
-    sampler would report for any seed, so it is reported as the sampled
-    constant rank without sampling; the sampler runs only when there is
-    no uniform rank.
+    The kernel is computed once and handed to the search and the
+    dimension criterion.  For a 2-form with one component the uniform
+    rank is half the rank of that component.  With two or more the
+    search runs first and carries the uniform rank.  When it finds L
+    that is N = codim L, with no wedge power built: the ⊆ half of
+    ``check_polylagrangian(L)`` puts every component in the ideal of the
+    N-dimensional annihilator of L, so the (N+1)-powers vanish, and its
+    ⊇ half gives vectors on which the N-powers evaluate to a diagonal
+    matrix with a nonzero diagonal, so they are independent (spelled out
+    at ``search_polylagrangian``).  Only when L is absent does the
+    wedge-power ``uniform_rank`` run, once, inside the search.
+
+    A uniform rank N certifies half-rank N at every nonzero covector,
+    which is what the sampler would report for any seed, so it is
+    reported as the sampled constant rank without sampling; the sampler
+    runs only when there is no uniform rank.
     """
     v = as_vector_form(omega)
     diagnostics: list[str] = []
@@ -815,10 +840,14 @@ def classify_vector_form(omega, *, seed: int = DEFAULT_SEED, samples: int = 25) 
                                None, None, seed)
     ker = kernel_of_form(v)
     degenerate = ker.dim > 0
-    uni = cons = None
+    uni = cons = search = None
     if v.degree == 2:
         check_sample_budget(samples)
-        uni = uniform_rank(v)
+        if v.value_dim == 1:
+            uni = uniform_rank(v)
+        else:
+            search = search_polylagrangian(v, ker=ker)
+            uni = search.uniform_rank
         if uni is None:
             cons = constant_rank_sampled(v, samples, seed)
         else:
@@ -826,7 +855,8 @@ def classify_vector_form(omega, *, seed: int = DEFAULT_SEED, samples: int = 25) 
             cons = uni
         diagnostics.append(f"uniform rank: {uni}; sampled constant rank: {cons} "
                            f"(seed {seed}, {samples} samples)")
-    search = search_polylagrangian(v, ker=ker, uni=uni)
+    if search is None:
+        search = search_polylagrangian(v, ker=ker)
     diagnostics.extend(search.diagnostics)
     if search.status != "found":
         label = "proved absent" if search.status == "absent" else "not found"

@@ -6,7 +6,8 @@ kernel-based ``rank_2form``, the eager ``constant_rank_sampled`` and the
 eager seed list of ``scalar_polylagrangian_candidates``; and the wedge-power
 memo ``uniform_rank``, the integer-pencil sampler and the classification
 that ran both for every 2-form, before a uniform rank certified the
-sampled rank and a single component skipped the memo.
+sampled rank, a single component skipped the memo and a found
+polylagrangian subspace gave the uniform rank as its codimension.
 """
 
 from __future__ import annotations
@@ -18,20 +19,23 @@ import random
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polydarboux import cli, exterior, lagrangian
+from polydarboux.corpus import corpus_files
 from polydarboux.darboux import (canonical_multi_model, canonical_poly_model,
                                  conjugated_multi_instance, conjugated_poly_instance)
 from polydarboux.exterior import (AlternatingForm, VectorValuedForm, add, form, merge_sign,
                                   poly_eval, project, scale, symmetric_poly, wedge,
                                   wedge_power_by_exponent, zero_form)
 from polydarboux.errors import InternalCheckError, PreconditionError
+from polydarboux.io import load_document
 from polydarboux.lagrangian import (DEFAULT_SEED, MAX_WEDGE_TERMS, StructureReport,
                                     _coordinate_seeds, _exponents, _half_rank, _integer_entries,
-                                    check_polylagrangian, check_sample_budget,
+                                    as_vector_form, check_polylagrangian, check_sample_budget,
                                     classify_horizontal_form, classify_vector_form,
                                     constant_rank_sampled,
                                     dimension_criterion_poly, greedy_maximal_isotropic,
@@ -482,28 +486,109 @@ def test_horizontal_classification_computes_each_kernel_once(params, kernels_bef
     assert len(kernels) == 2 < kernels_before
 
 
-@pytest.mark.parametrize("fixture", ["rank_gap_form", "area_triple_form", "small_candidates_form"])
-def test_absent_classification_computes_the_uniform_rank_once(fixture, request, monkeypatch):
-    """The search's size diagnostic reuses the pipeline's uniform rank (it made a second)."""
-    v = request.getfixturevalue(fixture)
-    ranks = _count_calls(monkeypatch, "uniform_rank")
-    rep = classify_vector_form(v)
-    assert len(ranks) == 1
-    assert rep.classification == "none"
-    assert rep == sampling_classify(v, DEFAULT_SEED, 25)
-
-
-def test_certified_rank_reaches_dimension_64(tmp_path, capsys):
-    """poly 32 1 1 (dim 64): the memo refused it with MAX_WEDGE_TERMS."""
-    doc = tmp_path / "p32.json"
-    assert cli.main(["canonical", "poly", "32", "1", "1", "--shuffle-seed", "3",
+def analyze_conjugated_model(n_rank: int, nhat: int, tmp_path, capsys) -> dict:
+    """The ``analyze --json`` result on conjugated ``poly N nhat 1``, asserted under 10 s."""
+    doc = tmp_path / "model.json"
+    assert cli.main(["canonical", "poly", str(n_rank), str(nhat), "1", "--shuffle-seed", "3",
                      "-o", str(doc)]) == 0
     capsys.readouterr()
     t0 = time.perf_counter()
     assert cli.main(["analyze", str(doc), "--json"]) == 0
     assert time.perf_counter() - t0 < 10.0
-    result = json.loads(capsys.readouterr().out)["result"]
+    return json.loads(capsys.readouterr().out)["result"]
+
+
+def test_certified_rank_reaches_dimension_64(tmp_path, capsys):
+    """poly 32 1 1 (dim 64): the memo refused it with MAX_WEDGE_TERMS."""
+    result = analyze_conjugated_model(32, 1, tmp_path, capsys)
     assert result["uniform_rank"] == result["constant_rank_sampled"] == 32
+    assert result["classification"] == "polysymplectic"
+
+
+# ---------------------------------------------------------------------------
+# uniform rank from the polylagrangian subspace: codim L, no wedge powers
+
+
+CORPUS = {Path(p).name: p for p in corpus_files()}
+
+
+def corpus_form(name: str) -> VectorValuedForm:
+    return as_vector_form(load_document(CORPUS[name]).payload)
+
+
+@st.composite
+def conjugated_models(draw):
+    """Conjugated ``poly N nhat 1`` with two or three components: L exists."""
+    model = canonical_poly_model(draw(st.integers(1, 4)), draw(st.integers(2, 3)), 1)
+    return conjugated_poly_instance(model, draw(st.integers(0, 99)))[0]
+
+
+# random and block forms are mostly without L, the conjugated models always have one
+multi_component_2form = st.one_of(random_2forms(), block_2forms(), conjugated_models()).filter(
+    lambda v: v.value_dim >= 2)
+
+
+@settings(settings.get_profile("rank_oracle"))
+@given(multi_component_2form, st.integers(1, 12), st.integers(0, 10 ** 6))
+def test_multi_component_classification_matches_the_memo_pipeline(v, samples, seed):
+    rep = classify_vector_form(v, seed=seed, samples=samples)
+    assert rep == sampling_classify(v, seed, samples)
+    assert rep.uniform_rank == memo_uniform_rank(v)
+
+
+@pytest.mark.parametrize("nhat", [2, 3])
+@pytest.mark.parametrize("n_rank", range(1, 7))
+@pytest.mark.parametrize("shuffle", [0, 3, 7])
+def test_uniform_rank_from_codim_matches_the_memo_on_models(n_rank, nhat, shuffle):
+    moved = conjugated_poly_instance(canonical_poly_model(n_rank, nhat, 1), shuffle)[0]
+    rep = classify_vector_form(moved, seed=shuffle, samples=5)
+    assert rep == sampling_classify(moved, shuffle, 5)
+    assert rep.uniform_rank == memo_uniform_rank(moved) == n_rank
+    assert rep.lagrangian_subspace is not None
+
+
+@pytest.mark.parametrize("params", [(2, 2, 1), (5, 3, 1), (4, 2, 2)])
+def test_search_carries_the_uniform_rank_of_a_found_2form(params):
+    """codim L for a 2-form; no uniform rank is defined past degree 2."""
+    moved = conjugated_poly_instance(canonical_poly_model(*params), 3)[0]
+    search = search_polylagrangian(moved)
+    assert search.status == "found"
+    assert search.uniform_rank == (moved.dim - search.subspace.dim if params[2] == 1 else None)
+
+
+def test_found_2form_builds_no_wedge_power(monkeypatch):
+    moved = conjugated_poly_instance(canonical_poly_model(5, 3, 1), 3)[0]
+    powers = _count_calls(monkeypatch, "wedge_power_by_exponent")
+    ranks = _count_calls(monkeypatch, "uniform_rank")
+    rep = classify_vector_form(moved)
+    assert rep.uniform_rank == rep.constant_rank_sampled == 5
+    assert rep.classification == "polysymplectic"
+    assert len(powers) == len(ranks) == 0
+
+
+@pytest.mark.parametrize("source", ["rank_gap_form", "area_triple_form", "small_candidates_form",
+                                    "appendix_a1.json", "appendix_a2.json", "appendix_a3.json"])
+def test_absent_classification_computes_the_uniform_rank_once(source, request, monkeypatch):
+    """Without L the memo answers, once, inside the search (the pipeline made a second).
+
+    The rank is the memo's, not the codim of a failed candidate: the
+    kernels of appendix_a2 span the whole space, at uniform rank 1.
+    """
+    v = corpus_form(source) if source.endswith(".json") else request.getfixturevalue(source)
+    assert search_polylagrangian(v).status == "absent"
+    powers = _count_calls(monkeypatch, "wedge_power_by_exponent")
+    ranks = _count_calls(monkeypatch, "uniform_rank")
+    rep = classify_vector_form(v)
+    assert len(ranks) == 1
+    assert len(powers) > 0
+    assert rep.classification == "none"
+    assert rep == sampling_classify(v, DEFAULT_SEED, 25)
+
+
+def test_codim_rank_answers_dimension_64_with_three_components(tmp_path, capsys):
+    """poly 16 3 1 (dim 64): the memo refused it with MAX_WEDGE_TERMS."""
+    result = analyze_conjugated_model(16, 3, tmp_path, capsys)
+    assert result["uniform_rank"] == result["constant_rank_sampled"] == result["rank"] == 16
     assert result["classification"] == "polysymplectic"
 
 

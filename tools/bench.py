@@ -17,13 +17,14 @@ median); per run it holds the report digest and whether every op was
 correct.  Per tree it also holds ``src_lines``, the line count of
 ``src/polydarboux/*.py`` (as ``wc -l`` counts it), and ``sweep``, a
 dimension sweep run once after the workloads: the wall time and exit code
-of ``analyze --json`` on conjugated ``canonical poly N nhat 1`` (shuffle
-seed 3) for nhat = 1, 2, 3 and dimensions N * (nhat + 1) from 16 to 64,
-each under a timeout of ``SWEEP_TIMEOUT`` seconds (exit code null when it
-ran out).  ``small_support`` is a record of the same kind: the wall time
-and exit code of ``analyze --json`` and ``darboux --json`` on the 2-form
-e13 + e24 declared in each dimension of ``SMALL_SUPPORT_DIMS``, where the
-work should not grow with the declared dimension.  The Python version and the CPU count come from this
+of ``analyze --json`` and of ``darboux --json`` on conjugated ``canonical
+poly N nhat 1`` (shuffle seed 3) for nhat = 1, 2, 3 and dimensions
+N * (nhat + 1) from 16 to 64, each under a timeout of ``SWEEP_TIMEOUT``
+seconds (exit code null when it ran out).  ``small_support`` is a record
+of the same kind: the wall time and exit code of ``analyze --json`` and
+``darboux --json`` on the 2-form e13 + e24 declared in each dimension of
+``SMALL_SUPPORT_DIMS``, where the work should not grow with the declared
+dimension.  The Python version and the CPU count come from this
 interpreter.  Runs go one after another, never in parallel.
 """
 
@@ -81,7 +82,7 @@ def _timed(cmd: list, tree: Path, env: dict) -> tuple[float, int | None]:
 
 
 def sweep(label: str, tree: Path) -> list:
-    """Time ``analyze`` on each sweep model, built by the tree's own ``canonical``."""
+    """Time ``analyze`` and ``darboux`` on each sweep model, built by the tree's own ``canonical``."""
     cli, env = _cli_env(tree)
     out = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -89,11 +90,12 @@ def sweep(label: str, tree: Path) -> list:
             doc = str(Path(tmp) / f"poly-{n}-{nhat}-1.json")
             subprocess.run(cli + ["canonical", "poly", str(n), str(nhat), "1", "--shuffle-seed", "3",
                                   "-o", doc], cwd=tree, env=env, capture_output=True, check=True)
-            seconds, code = _timed(cli + ["analyze", doc, "--json"], tree, env)
-            out.append({"N": n, "nhat": nhat, "k": 1, "dim": n * (nhat + 1),
-                        "seconds": round(seconds, 3), "exit": code})
-            print(f"sweep {label}: poly {n} {nhat} 1 (dim {n * (nhat + 1)}) "
-                  f"exit {code} in {seconds:.2f}s", flush=True)
+            for command in ("analyze", "darboux"):
+                seconds, code = _timed(cli + [command, doc, "--json"], tree, env)
+                out.append({"command": command, "N": n, "nhat": nhat, "k": 1,
+                            "dim": n * (nhat + 1), "seconds": round(seconds, 3), "exit": code})
+                print(f"sweep {label}: {command} poly {n} {nhat} 1 (dim {n * (nhat + 1)}) "
+                      f"exit {code} in {seconds:.2f}s", flush=True)
     return out
 
 
