@@ -2,11 +2,12 @@
 
 The canonical models pair a coordinate space with the standard structure
 form whose coefficients are the normal-form pattern; the construction
-routines rebuild exactly that pattern for an arbitrary structure form by
-the inductive isotropic-complement extension and a linear solve for the
-dual half of the basis.  Reconstruction is verified internally: the
-pullback of the input by the produced basis must reproduce the model
-coefficients with no error.
+rebuilds exactly that pattern for an arbitrary structure form by one
+induction for both kinds: it grows an isotropic frame complementing the
+distinguished subspace L, then solves for one momentum vector per slot of
+the model, the dual half of the basis.  Reconstruction is verified
+internally: the pullback of the input by the produced basis must reproduce
+the model coefficients with no error.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import ConstructionError, InternalCheckError, PreconditionError
 from .exterior import (AlternatingForm, Flag, VectorValuedForm, add, basis_covector,
                        contract, coordinate_flag, embed_in, evaluate, form, pullback,
                        restrict_to_leading, wedge_all, zero_form)
+from .io import MAX_DIM
 from .lagrangian import (as_vector_form, check_multilagrangian, check_polylagrangian,
                          detect_multilagrangian, is_isotropic, kernel_of_form,
                          search_polylagrangian, symbol, to_vertical_coordinates,
@@ -65,17 +67,16 @@ def canonical_poly_model(n_rank: int, nhat: int, k: int) -> CanonicalModel:
         raise PreconditionError("rank must be at least the form degree minus one")
     if nhat < 1:
         raise PreconditionError("value dimension must be positive")
-    c_nk = comb(n_rank, k)
-    dim = n_rank + nhat * c_nk
+    dim = n_rank + nhat * comb(n_rank, k)
+    if dim > MAX_DIM:
+        raise PreconditionError(f"model dimension {dim} exceeds the budget of {MAX_DIM} (MAX_DIM)")
     components = []
     pos = n_rank + 1
-    slots = []
     for a in range(nhat):
         coeffs = zero_form(dim, k + 1)
         for idx in itertools.combinations(range(1, n_rank + 1), k):
             w = wedge_all([basis_covector(dim, pos)] + [basis_covector(dim, i) for i in idx])
             coeffs = add(coeffs, w)
-            slots.append(pos)
             pos += 1
         components.append(coeffs)
     omega = VectorValuedForm(tuple(components))
@@ -133,8 +134,13 @@ def canonical_multi_model(n_rank: int, n_base: int, k: int, r: int) -> Canonical
         raise PreconditionError("base dimension too small for the horizontality degree")
     if n_rank < 1:
         raise PreconditionError("rank must be positive")
-    if not multi_slot_index(n_rank, n_base, k, r):
+    # the slot count of multi_slot_index, counted without enumerating the slots
+    n_slots = sum(comb(n_rank, s) * comb(n_base, k - s) for s in range(r))
+    if not n_slots:
         raise PreconditionError("parameters admit no momentum slots; the model form would vanish")
+    dim = n_rank + n_base + n_slots
+    if dim > MAX_DIM:
+        raise PreconditionError(f"model dimension {dim} exceeds the budget of {MAX_DIM} (MAX_DIM)")
     omega, lagr, e_sub, f_sub, flag = _multi_model_data(n_rank, n_base, k, r)
     return CanonicalModel("multi", (n_rank, n_base, k, r), omega, lagr, e_sub, f_sub,
                           flag, multi_coordinate_labels(n_rank, n_base, k, r))
@@ -161,7 +167,16 @@ def canonical_multi_symbol(n_rank: int, n_base: int, k: int, r: int) -> VectorVa
 
 
 # ---------------------------------------------------------------------------
-# inductive isotropic complement
+# the Darboux induction
+#
+# Both kinds run one induction over slots.  A slot (a, I) is a value
+# component a and increasing 1-based frame indices I; the model form pairs
+# the slot's momentum vector with the frame vectors I in component a.  The
+# poly model (N, n̂, k) has a slot (a, I) for every a < n̂ and every k-subset
+# I of 1..N.  The multi frame is E followed by the base, so the multi slots
+# are (0, I + (N + M)) for the (s, I, M) of ``multi_slot_index``: the
+# one-component poly model (N, 1, k) is the multi model with an empty base
+# and r = k + 1.
 
 
 def _greedy_standard_completion(dim: int, avoid: SparseEchelon, count: int) -> list:
@@ -183,155 +198,113 @@ def _greedy_standard_completion(dim: int, avoid: SparseEchelon, count: int) -> l
     return picked
 
 
-def _span_of_rows(start: Subspace, *groups) -> SparseEchelon:
-    """A copy of the echelon of ``start``, extended by the dense rows of each group."""
-    ech = start.echelon.copy()
-    for x in itertools.chain(*groups):
-        ech.insert(_sparse(x))
-    return ech
-
-
 def _dual_rows(columns: list) -> list[tuple]:
     """Rows of the inverse of the basis given by the columns."""
     inv = inverse(Matrix.from_cols(columns))
     return [inv.row(i) for i in range(inv.rows)]
 
 
-def _lagrangian_solver(v: VectorValuedForm, lagr: Subspace, ker: Subspace):
-    """Sparse solver over the contraction images of a complement of the kernel."""
-    l_prime = complement(ker, inside=lagr)
-    solver = SparseSolver()
-    for b in l_prime.vectors():
-        solver.add_generator(_stacked(contract(b, v)))
-    return l_prime, solver
+def _momentum_map(v: VectorValuedForm, lagr: Subspace, ker: Subspace):
+    """The map (duals, slot) -> the momentum vector of the slot.
 
-
-def _solve_momentum_vector(solver: SparseSolver, l_prime: Subspace, target: dict):
-    coeffs = solver.solve(target)
-    if coeffs is None:
-        raise ConstructionError(
-            "required dual vector does not exist; the subspace is not "
-            "poly/multilagrangian for the form")
-    out = [ZERO] * l_prime.ambient_dim
-    for c, b in zip(coeffs, l_prime.vectors()):
-        if c:
-            out = [x + c * y for x, y in zip(out, b)]
-    return out
-
-
-def _wedge_dual_target(duals: list, idx: tuple[int, ...], component: int, dim: int) -> dict:
-    factors = [form(dim, 1, {(j + 1,): x for j, x in enumerate(duals[i - 1]) if x})
-               for i in idx]
-    w = wedge_all(factors) if factors else form(dim, 0, {(): 1})
-    return {(component, m): c for m, c in w.coeffs.items()}
-
-
-def extend_isotropic_complement_poly(v, lagr: Subspace, start: list) -> list:
-    """One vector per induction step until the complement of L is filled.
-
-    Each step corrects the lowest-index standard vector outside the current
-    span by a momentum-block combination so the extension stays isotropic
-    at level degree-1.
+    That is the vector of L whose contraction with v is the wedge of the
+    slot's dual covectors in the slot's component, solved over the
+    contraction images of a complement of the kernel in L, so it is unique.
     """
-    v = as_vector_form(v)
-    e_vecs = [list(x) for x in start]
-    if e_vecs:
-        sub = Subspace.from_vectors(v.dim, e_vecs)
-        if sub.dim != len(e_vecs) or intersect(sub, lagr).dim != 0:
-            raise PreconditionError("start vectors must be independent from the subspace")
-        if not is_isotropic(sub, v, v.degree - 1):
-            raise PreconditionError("start subspace is not isotropic at the required level")
-    l_prime, solver = _lagrangian_solver(v, lagr, kernel_of_form(v))
-    return _extend_poly(v, lagr, e_vecs, l_prime, solver)
-
-
-def _extend_poly(v: VectorValuedForm, lagr: Subspace, e_vecs: list, l_prime: Subspace,
-                 solver: SparseSolver) -> list:
     dim = v.dim
-    k = v.degree - 1
-    n_rank = dim - lagr.dim
-    avoid = _span_of_rows(lagr, e_vecs)
-    while len(e_vecs) < n_rank:
-        completion = _greedy_standard_completion(dim, avoid, n_rank - len(e_vecs))
-        basis_c = e_vecs + completion
-        candidate = completion[0]
-        duals = _dual_rows(basis_c + lagr.vectors())[:n_rank]
-        u = list(candidate)
-        for a in range(v.value_dim):
-            contracted = contract(candidate, VectorValuedForm((v.components[a],)))
-            for idx in itertools.combinations(range(1, n_rank + 1), k):
-                coeff = evaluate(contracted.components[0], [basis_c[i - 1] for i in idx])
-                if not coeff:
-                    continue
-                target = _wedge_dual_target(duals, idx, a, dim)
-                mom = _solve_momentum_vector(solver, l_prime, target)
-                u = [x - coeff * y for x, y in zip(u, mom)]
-        e_vecs.append(u)
-        avoid.insert(_sparse(u))
-    return e_vecs
+    l_prime = complement(ker, inside=lagr).vectors()
+    solver = SparseSolver()
+    for b in l_prime:
+        solver.add_generator(_stacked(contract(b, v)))
+
+    def momentum(duals: list, slot: tuple) -> list:
+        a, idx = slot
+        factors = [form(dim, 1, {(j + 1,): x for j, x in enumerate(duals[i - 1]) if x})
+                   for i in idx]
+        w = wedge_all(factors) if factors else form(dim, 0, {(): 1})
+        coeffs = solver.solve({(a, m): c for m, c in w.coeffs.items()})
+        if coeffs is None:
+            raise ConstructionError(
+                "required dual vector does not exist; the subspace is not "
+                "poly/multilagrangian for the form")
+        out = [ZERO] * dim
+        for c, b in zip(coeffs, l_prime):
+            if c:
+                out = [x + c * y for x, y in zip(out, b)]
+        return out
+
+    return momentum
 
 
-def extend_isotropic_complement_multi(omega: AlternatingForm, lagr: Subspace, flag: Flag,
-                                      r: int, e_vecs: list, start_h: list,
-                                      l_prime: Subspace, solver: SparseSolver) -> list:
-    """Horizontal half of the multi induction; returns the appended vectors.
+def _induction(v: VectorValuedForm, lagr: Subspace, ker: Subspace, fixed: list,
+               flag: Flag | None = None, r: int | None = None):
+    """The frame, the slots and the momentum map of one Darboux induction.
 
-    ``l_prime`` and ``solver`` come from ``_lagrangian_solver`` for omega and L.
+    Without a flag the frame is a complement of L, with the poly slots;
+    with a flag it is E (given in ``fixed``) followed by the base, with the
+    multi slots.  The frame vectors ``fixed`` come first.  Each step
+    completes L + frame by standard vectors, takes the first one as the
+    candidate and, for every slot the candidate pairs with, subtracts the
+    pairing times the slot's momentum vector, so the new vector pairs with
+    no slot and the frame stays isotropic.  Momentum vectors lie in L, so
+    L + frame grows by the candidate.
     """
-    dim = omega.dim
-    k = omega.degree - 1
-    n_rank = len(e_vecs)
-    n_base = flag.dim_t
-    h_vecs = [list(x) for x in start_h]
-    slots = multi_slot_index(n_rank, n_base, k, r)
-    vert_avoid = _span_of_rows(flag.vertical, e_vecs, h_vecs)
-    # u - candidate lies in L, so L + e + h + candidate is the span L + e + h + u
-    lagr_avoid = _span_of_rows(lagr, e_vecs, h_vecs)
-    while len(h_vecs) < n_base:
-        candidate = _greedy_standard_completion(dim, vert_avoid, 1)[0]
-        lagr_avoid.insert(_sparse(candidate))
-        filler = _greedy_standard_completion(dim, lagr_avoid, n_base - len(h_vecs) - 1)
-        basis_c = e_vecs + h_vecs + [candidate] + filler
-        duals = _dual_rows(basis_c + lagr.vectors())[: n_rank + n_base]
-        u = list(candidate)
-        contracted = contract(candidate, omega)
-        for (s, idx, mu) in slots:
-            args = [basis_c[i - 1] for i in idx] + [basis_c[n_rank + m - 1] for m in mu]
-            coeff = evaluate(contracted, args)
-            if not coeff:
-                continue
-            target = _wedge_dual_target(duals, idx + tuple(n_rank + m for m in mu), 0, dim)
-            mom = _solve_momentum_vector(solver, l_prime, target)
-            u = [x - coeff * y for x, y in zip(u, mom)]
-        h_vecs.append(u)
-        vert_avoid.insert(_sparse(u))
-    return h_vecs
+    k = v.degree - 1
+    if flag is None:
+        n_rank = size = v.dim - lagr.dim
+        slots = [(a, idx) for a in range(v.value_dim)
+                 for idx in itertools.combinations(range(1, n_rank + 1), k)]
+    else:
+        n_rank = flag.vertical.dim - lagr.dim
+        size = n_rank + flag.dim_t
+        slots = [(0, idx + tuple(n_rank + m for m in mu))
+                 for (_, idx, mu) in multi_slot_index(n_rank, flag.dim_t, k, r)]
+    momentum = _momentum_map(v, lagr, ker)
+    lagr_vecs = lagr.vectors()
+    frame = [list(x) for x in fixed]
+    avoid = lagr.echelon.copy()
+    for x in frame:
+        avoid.insert(_sparse(x))
+    while len(frame) < size:
+        completion = _greedy_standard_completion(v.dim, avoid, size - len(frame))
+        basis_c = frame + completion
+        duals = _dual_rows(basis_c + lagr_vecs)[:size]
+        contracted = contract(completion[0], v)
+        u = list(completion[0])
+        for slot in slots:
+            a, idx = slot
+            coeff = evaluate(contracted.components[a], [basis_c[i - 1] for i in idx])
+            if coeff:
+                u = [x - coeff * y for x, y in zip(u, momentum(duals, slot))]
+        frame.append(u)
+        avoid.insert(_sparse(u))
+    return frame, slots, momentum
 
 
 def extend_isotropic_complement(form_in, lagr: Subspace, start: Subspace,
-                                mode: str = "poly", flag: Flag | None = None,
-                                r: int | None = None) -> Subspace:
-    """Public wrapper returning the completed isotropic complement subspace."""
-    if mode == "poly":
-        vecs = extend_isotropic_complement_poly(form_in, lagr, start.vectors())
-        return Subspace.from_vectors(as_vector_form(form_in).dim, vecs)
-    if mode != "multi":
-        raise PreconditionError("mode must be 'poly' or 'multi'")
-    if flag is None or r is None:
-        raise PreconditionError("multi mode needs a flag and the horizontality parameter")
-    omega = form_in
-    e_part = intersect(start, flag.vertical)
-    n_rank = flag.vertical.dim - lagr.dim
-    if e_part.dim != n_rank or intersect(e_part, lagr).dim != 0:
-        raise PreconditionError("start must meet the vertical space exactly in a complement of L")
-    if not is_isotropic(start, omega, min(omega.degree - 1, omega.degree - 1)):
+                                flag: Flag | None = None, r: int | None = None) -> Subspace:
+    """The isotropic complement of L grown from ``start``.
+
+    Without a flag ``start`` is part of a complement of L and the result
+    completes it.  With a flag ``start`` must meet the vertical space
+    exactly in a complement of L, and the result also spans the base.
+    """
+    v = as_vector_form(form_in)
+    if flag is None:
+        e_part, fixed = start, start.vectors()
+    else:
+        if r is None:
+            raise PreconditionError("the flagged extension needs the horizontality parameter")
+        e_part = intersect(start, flag.vertical)
+        if e_part.dim != flag.vertical.dim - lagr.dim:
+            raise PreconditionError("start must meet the vertical space exactly in a complement of L")
+        fixed = e_part.vectors() + complement(e_part, inside=start).vectors()
+    if intersect(e_part, lagr).dim != 0:
+        raise PreconditionError("start vectors must be independent from the subspace")
+    if start.dim and not is_isotropic(start, v, v.degree - 1):
         raise PreconditionError("start subspace is not isotropic at the required level")
-    h_part = complement(e_part, inside=start)
-    l_prime, solver = _lagrangian_solver(as_vector_form(omega), lagr, kernel_of_form(omega))
-    h_vecs = extend_isotropic_complement_multi(
-        omega, lagr, flag, r, [list(x) for x in e_part.vectors()],
-        [list(x) for x in h_part.vectors()], l_prime, solver)
-    return Subspace.from_vectors(omega.dim, e_part.vectors() + h_vecs)
+    frame = _induction(v, lagr, kernel_of_form(v), fixed, flag, r)[0]
+    return Subspace.from_vectors(v.dim, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +318,15 @@ class DarbouxBasis:
     lagrangian: Subspace
     params: tuple
     kind: str
+
+
+def _assemble(induction: tuple, lagr: Subspace, ker: Subspace, labels: tuple):
+    """The basis matrix and labels: the frame, one momentum vector per slot, the kernel."""
+    frame, slots, momentum = induction
+    duals = _dual_rows(frame + lagr.vectors())[:len(frame)]
+    columns = frame + [momentum(duals, slot) for slot in slots] + ker.vectors()
+    labels += tuple(("ker", (j,)) for j in range(1, ker.dim + 1))
+    return Matrix.from_cols(columns), labels
 
 
 def darboux_basis_poly(omega, lagrangian: Subspace | None = None) -> DarbouxBasis:
@@ -367,33 +349,22 @@ def darboux_basis_poly(omega, lagrangian: Subspace | None = None) -> DarbouxBasi
         if not check_polylagrangian(lagrangian, v, ker):
             raise PreconditionError("supplied subspace fails the contraction-image equality")
         lagr = lagrangian
-    dim = v.dim
-    k = v.degree - 1
-    n_rank = dim - lagr.dim
-    nhat = v.value_dim
-    l_prime, solver = _lagrangian_solver(v, lagr, ker)
-    e_vecs = _extend_poly(v, lagr, [], l_prime, solver)
-    duals = _dual_rows(e_vecs + lagr.vectors())[:n_rank]
-    columns = list(e_vecs)
-    labels = [("q", (i,)) for i in range(1, n_rank + 1)]
-    for a in range(nhat):
-        for idx in itertools.combinations(range(1, n_rank + 1), k):
-            target = _wedge_dual_target(duals, idx, a, dim)
-            columns.append(_solve_momentum_vector(solver, l_prime, target))
-            labels.append(("p", (a + 1,), idx))
-    for j, kv in enumerate(ker.vectors(), start=1):
-        columns.append(list(kv))
-        labels.append(("ker", (j,)))
-    basis = Matrix.from_cols(columns)
-    expected = embed_in(canonical_poly_model(n_rank, nhat, k).form, dim)
+    params = (v.dim - lagr.dim, v.value_dim, v.degree - 1)
+    basis, labels = _assemble(_induction(v, lagr, ker, []), lagr, ker,
+                              poly_coordinate_labels(*params))
+    expected = embed_in(canonical_poly_model(*params).form, v.dim)
     if pullback(v, basis) != expected:
         raise InternalCheckError("constructed basis does not reproduce the model coefficients")
-    return DarbouxBasis(basis, tuple(labels), lagr, (n_rank, nhat, k), "poly")
+    return DarbouxBasis(basis, labels, lagr, params, "poly")
 
 
 def darboux_basis_multi(omega: AlternatingForm, flag: Flag, r: int,
                         lagrangian: Subspace | None = None) -> DarbouxBasis:
-    """Canonical basis for a multilagrangian form on a flag."""
+    """Canonical basis for a multilagrangian form on a flag.
+
+    E is the poly induction on the symbol, lifted to the total space; the
+    flagged induction then adds the base and the momentum vectors.
+    """
     if lagrangian is None:
         search = detect_multilagrangian(omega, flag, r)
         if search.status != "found":
@@ -416,40 +387,26 @@ def darboux_basis_multi(omega: AlternatingForm, flag: Flag, r: int,
         lagr_v = to_vertical_coordinates(flag, lagr)
         if sym.is_zero():
             # every vertical subspace is isotropic for a vanishing symbol
-            e_v = [list(x) for x in complement(lagr_v).vectors()]
+            e_v = complement(lagr_v).vectors()
         else:
-            e_v = extend_isotropic_complement_poly(sym, lagr_v, [])
+            e_v = _induction(sym, lagr_v, kernel_of_form(sym), [])[0]
         e_vecs = flag.lift_vertical(e_v)
     ker = kernel_of_form(omega)
-    l_prime, solver = _lagrangian_solver(as_vector_form(omega), lagr, ker)
-    h_vecs = extend_isotropic_complement_multi(omega, lagr, flag, r, e_vecs, [], l_prime, solver)
-
-    duals = _dual_rows(e_vecs + h_vecs + lagr.vectors())[: n_rank + n_base]
-    columns = list(e_vecs) + list(h_vecs)
-    labels = [("q", (i,)) for i in range(1, n_rank + 1)]
-    labels += [("x", (mu,)) for mu in range(1, n_base + 1)]
-    slots = multi_slot_index(n_rank, n_base, k, r)
-    for (s, idx, mu) in slots:
-        target = _wedge_dual_target(duals, idx + tuple(n_rank + m for m in mu), 0, dim)
-        columns.append(_solve_momentum_vector(solver, l_prime, target))
-        labels.append(("p", idx, mu))
-    for j, kv in enumerate(ker.vectors(), start=1):
-        columns.append(list(kv))
-        labels.append(("ker", (j,)))
-    basis = Matrix.from_cols(columns)
+    induction = _induction(as_vector_form(omega), lagr, ker, e_vecs, flag, r)
+    basis, labels = _assemble(induction, lagr, ker, multi_coordinate_labels(n_rank, n_base, k, r))
 
     pulled = pullback(omega, basis)
     model_form = _multi_model_data(n_rank, n_base, k, r)[0]
     if pulled != embed_in(model_form, dim):
         raise InternalCheckError("constructed basis does not reproduce the model coefficients")
     # the symbol of the normalized form must match the model symbol pattern
-    core_dim = n_rank + n_base + len(slots)
+    core_dim = n_rank + n_base + len(induction[1])
     core = restrict_to_leading(pulled, core_dim)
     core_flag = coordinate_flag(core_dim, list(range(1, n_rank + 1)) +
                                 list(range(n_rank + n_base + 1, core_dim + 1)))
     if symbol(core, core_flag, r) != canonical_multi_symbol(n_rank, n_base, k, r):
         raise InternalCheckError("normalized form has an unexpected symbol pattern")
-    return DarbouxBasis(basis, tuple(labels), lagr, (n_rank, n_base, k, r), "multi")
+    return DarbouxBasis(basis, labels, lagr, (n_rank, n_base, k, r), "multi")
 
 
 # ---------------------------------------------------------------------------

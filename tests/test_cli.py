@@ -214,6 +214,26 @@ def test_deeply_nested_document_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("document error: invalid JSON")
 
 
+@pytest.mark.parametrize("model", [["poly", "30", "1", "15"], ["multi", "20", "20", "10", "5"],
+                                   ["poly", "1", "100000000", "1"]])
+def test_canonical_model_beyond_the_budget_exits_one(capsys, model):
+    """The dimension is counted before any form is built; these used to run for ever."""
+    started = time.monotonic()
+    assert main(["canonical", *model, "--shuffle-seed", "3"]) == 1
+    assert time.monotonic() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_DIM" in captured.err and "1024" in captured.err
+
+
+def test_canonical_model_at_the_budget_is_written(tmp_path, capsys):
+    from polydarboux.io import MAX_DIM
+    out = tmp_path / "big.json"
+    assert main(["canonical", "poly", "1", str(MAX_DIM - 1), "1", "--shuffle-seed", "3",
+                 "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["dim"] == MAX_DIM
+
+
 def test_declared_dimension_at_the_budget_parses():
     from polydarboux.io import MAX_DIM, parse_document
     doc = parse_document({"schema_version": "1", "kind": "scalar_form", "dim": MAX_DIM,

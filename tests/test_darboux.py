@@ -107,8 +107,7 @@ def test_extension_after_shuffle_fixing_lagrangian():
 def test_extension_multi_mode():
     model = canonical_multi_model(2, 2, 2, 2)
     out = extend_isotropic_complement(model.form, model.lagrangian,
-                                      model.isotropic_complement, mode="multi",
-                                      flag=model.flag, r=2)
+                                      model.isotropic_complement, flag=model.flag, r=2)
     assert out.dim == 4
     assert intersect(out, model.flag.vertical) == model.isotropic_complement
     assert is_isotropic(out, model.form, 2)
@@ -119,6 +118,19 @@ def test_extension_rejects_bad_start():
     with pytest.raises(PreconditionError):
         extend_isotropic_complement(model.form, model.lagrangian,
                                     Subspace.span_of_coordinates(model.dim, [3]))
+
+
+@pytest.mark.parametrize("vertical, message", [([1], "complement of L"),
+                                               ([1, 5], "independent from the subspace"),
+                                               ([5, 6], "independent from the subspace"),
+                                               ([1, 2, 5], "complement of L")])
+def test_flagged_extension_rejects_a_start_whose_vertical_part_is_no_complement(vertical, message):
+    # multi 2 2 2 2: E = e1, e2; base = e3, e4; L = e5..e9; so [1] is too small,
+    # [1, 5] and [5, 6] meet L and [1, 2, 5] is too large
+    model = canonical_multi_model(2, 2, 2, 2)
+    start = Subspace.span_of_coordinates(model.dim, vertical)
+    with pytest.raises(PreconditionError, match=message):
+        extend_isotropic_complement(model.form, model.lagrangian, start, flag=model.flag, r=2)
 
 
 # ---------------------------------------------------------------------------

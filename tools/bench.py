@@ -17,10 +17,12 @@ median); per run it holds the report digest and whether every op was
 correct.  Per tree it also holds ``src_lines``, the line count of
 ``src/polydarboux/*.py`` (as ``wc -l`` counts it), and ``sweep``, a
 dimension sweep run once after the workloads: the wall time and exit code
-of ``analyze --json`` and of ``darboux --json`` on conjugated ``canonical
-poly N nhat 1`` (shuffle seed 3) for nhat = 1, 2, 3 and dimensions
-N * (nhat + 1) from 16 to 64, each under a timeout of ``SWEEP_TIMEOUT``
-seconds (exit code null when it ran out).  ``small_support`` is a record
+of ``analyze --json`` and of ``darboux --json`` on each conjugated
+``canonical`` model of ``SWEEP`` (shuffle seed 3), each under a timeout of
+``SWEEP_TIMEOUT`` seconds (exit code null when it ran out).  The models
+are ``poly N nhat 1`` for nhat = 1, 2, 3 and dimensions N * (nhat + 1)
+from 16 to 64, then poly models with k = 2 and 3 (forms of degree 3 and 4)
+and multi models, of dimensions 15 to 64.  ``small_support`` is a record
 of the same kind: the wall time and exit code of ``analyze --json`` and
 ``darboux --json`` on the 2-form e13 + e24 declared in each dimension of
 ``SMALL_SUPPORT_DIMS``, where the work should not grow with the declared
@@ -43,9 +45,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (N, nhat) of the sweep's models; the dimension is N * (nhat + 1)
-SWEEP = [(8, 1), (16, 1), (24, 1), (32, 1), (6, 2), (11, 2), (16, 2), (21, 2),
-         (4, 3), (8, 3), (12, 3), (16, 3)]
+# the ``canonical`` arguments of the sweep's models
+SWEEP = [("poly", n, nhat, 1) for n, nhat in [(8, 1), (16, 1), (24, 1), (32, 1), (6, 2), (11, 2),
+                                              (16, 2), (21, 2), (4, 3), (8, 3), (12, 3), (16, 3)]]
+SWEEP += [("poly", n, 1, 3) for n in (5, 6, 7, 8)] + [("poly", 8, 1, 2), ("poly", 10, 1, 2)]
+SWEEP += [("multi", n, 2, 2, 2) for n in (4, 8, 12)] + [("multi", 8, 2, 2, 3)]
 SWEEP_TIMEOUT = 30.0
 # declared dimensions of the small-support series
 SMALL_SUPPORT_DIMS = (128, 256, 512)
@@ -86,16 +90,18 @@ def sweep(label: str, tree: Path) -> list:
     cli, env = _cli_env(tree)
     out = []
     with tempfile.TemporaryDirectory() as tmp:
-        for n, nhat in SWEEP:
-            doc = str(Path(tmp) / f"poly-{n}-{nhat}-1.json")
-            subprocess.run(cli + ["canonical", "poly", str(n), str(nhat), "1", "--shuffle-seed", "3",
-                                  "-o", doc], cwd=tree, env=env, capture_output=True, check=True)
+        for model in SWEEP:
+            name = " ".join(map(str, model))
+            doc = Path(tmp) / f"{name.replace(' ', '-')}.json"
+            subprocess.run(cli + ["canonical", *name.split(), "--shuffle-seed", "3", "-o", str(doc)],
+                           cwd=tree, env=env, capture_output=True, check=True)
+            dim = json.loads(doc.read_text())["dim"]
             for command in ("analyze", "darboux"):
-                seconds, code = _timed(cli + [command, doc, "--json"], tree, env)
-                out.append({"command": command, "N": n, "nhat": nhat, "k": 1,
-                            "dim": n * (nhat + 1), "seconds": round(seconds, 3), "exit": code})
-                print(f"sweep {label}: {command} poly {n} {nhat} 1 (dim {n * (nhat + 1)}) "
-                      f"exit {code} in {seconds:.2f}s", flush=True)
+                seconds, code = _timed(cli + [command, str(doc), "--json"], tree, env)
+                out.append({"command": command, "model": name, "dim": dim,
+                            "seconds": round(seconds, 3), "exit": code})
+                print(f"sweep {label}: {command} {name} (dim {dim}) exit {code} in {seconds:.2f}s",
+                      flush=True)
     return out
 
 
