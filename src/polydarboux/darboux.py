@@ -15,20 +15,21 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 
 from .errors import ConstructionError, InternalCheckError, PreconditionError
 from .exterior import (AlternatingForm, Flag, VectorValuedForm, add, basis_covector,
-                       contract, coordinate_flag, embed_in, evaluate, form, pullback,
-                       restrict_to_leading, wedge_all, zero_form)
+                       contract, coordinate_flag, embed_in, form, mask_of, pullback,
+                       pullback_rows, restrict_to_leading, wedge_all, zero_form)
 from .io import MAX_DIM
 from .lagrangian import (as_vector_form, check_multilagrangian, check_polylagrangian,
                          detect_multilagrangian, is_isotropic, kernel_of_form,
                          search_polylagrangian, symbol, to_vertical_coordinates,
                          _stacked)
-from .linalg import (Matrix, Subspace, ZERO, ONE, complement, intersect, inverse,
-                     transform_subspace)
+from .linalg import (Matrix, Subspace, ZERO, ONE, annihilator, complement, intersect,
+                     inverse, transform_subspace)
 from .sparse import SparseEchelon, SparseSolver, _sparse
 
 # ---------------------------------------------------------------------------
@@ -179,8 +180,8 @@ def canonical_multi_symbol(n_rank: int, n_base: int, k: int, r: int) -> VectorVa
 # and r = k + 1.
 
 
-def _greedy_standard_completion(dim: int, avoid: SparseEchelon, count: int) -> list:
-    """Standard basis vectors, in index order, independent modulo ``avoid``.
+def _greedy_standard_completion(dim: int, avoid: SparseEchelon, count: int) -> list[int]:
+    """0-based indices of standard basis vectors, in index order, independent modulo ``avoid``.
 
     The picks are tested in a copy, so ``avoid`` itself does not change.
     """
@@ -190,36 +191,92 @@ def _greedy_standard_completion(dim: int, avoid: SparseEchelon, count: int) -> l
         if len(picked) == count:
             break
         if span.insert({i: ONE}):
-            e = [ZERO] * dim
-            e[i] = ONE
-            picked.append(e)
+            picked.append(i)
     if len(picked) != count:
         raise ConstructionError("could not complete a complement with standard vectors")
     return picked
 
 
-def _dual_rows(columns: list) -> list[tuple]:
-    """Rows of the inverse of the basis given by the columns."""
-    inv = inverse(Matrix.from_cols(columns))
-    return [inv.row(i) for i in range(inv.rows)]
+class _Basis:
+    """The basis [frame | standard completion] of a complement of L.
+
+    Column i is the frame vector i once it is built and the standard
+    vector e_p, p = ``units[i]``, before.  A built vector differs from its
+    column's standard vector by a vector of L, so modulo L the basis is
+    the same at every step.  The induction reads the rows of the basis
+    matrix as sparse covectors on the columns: ``pullback_rows`` reads the
+    slot pairings off them.
+    """
+
+    def __init__(self, dim: int, lagr: Subspace, fixed: list, completion: list):
+        self.lagr = lagr
+        self.units = dict(enumerate(completion, start=len(fixed)))
+        self.mod_l = [_sparse(x) for x in fixed] + [{p: 1} for p in completion]
+        self.frame: list = []
+        self.rows: list = [{} for _ in range(dim)]  # over the frame columns only
+        for x in fixed:
+            self.append(list(x))
+
+    def append(self, u: list):
+        bit = 1 << len(self.frame)
+        self.units.pop(len(self.frame), None)
+        self.frame.append(u)
+        for j, x in enumerate(u):
+            if x:
+                self.rows[j][bit] = int(x) if x.denominator == 1 else x
+
+    def matrix_rows(self) -> list:
+        rows = list(self.rows)
+        for col, p in self.units.items():
+            rows[p] = {**rows[p], 1 << col: 1}
+        return rows
+
+    @cached_property
+    def duals(self) -> list[dict]:
+        """The covectors of L⁰ dual to the columns of the basis, as ``{coordinate: entry}``.
+
+        With α an annihilator basis of L and P the codim L square matrix
+        P[k][j] = α_k(column j), the duals are the rows of P⁻¹·α: they
+        vanish on L and pair to the identity with the columns.  They
+        depend on the columns only modulo L, so one list serves every step
+        and the finished frame.  It is built on first use: at the first
+        step whose candidate pairs with a slot, or for the assembly.
+        """
+        ann = annihilator(self.lagr)
+        alphas = [ann.echelon.rows[p] for p in ann.pivot_columns()]
+        c = len(alphas)
+        inv = inverse(Matrix(c, c, tuple(
+            Fraction(sum(alpha[j] * x for j, x in col.items() if j in alpha))
+            for alpha in alphas for col in self.mod_l)))
+        out = []
+        for i in range(c):
+            acc: dict = {}
+            for x, alpha in zip(inv.row(i), alphas):
+                if x:
+                    for j, a in alpha.items():
+                        acc[j] = acc.get(j, 0) + x * a
+            out.append({j: y for j, y in acc.items() if y})
+        return out
 
 
 def _momentum_map(v: VectorValuedForm, lagr: Subspace, ker: Subspace):
     """The map (duals, slot) -> the momentum vector of the slot.
 
     That is the vector of L whose contraction with v is the wedge of the
-    slot's dual covectors in the slot's component, solved over the
-    contraction images of a complement of the kernel in L, so it is unique.
+    slot's dual covectors (``duals[i - 1]`` for frame index i, sparse) in
+    the slot's component, solved over the contraction images of a
+    complement of the kernel in L, so it is unique.
     """
     dim = v.dim
     l_prime = complement(ker, inside=lagr).vectors()
     solver = SparseSolver()
     for b in l_prime:
         solver.add_generator(_stacked(contract(b, v)))
+    l_entries = [_sparse(b) for b in l_prime]
 
     def momentum(duals: list, slot: tuple) -> list:
         a, idx = slot
-        factors = [form(dim, 1, {(j + 1,): x for j, x in enumerate(duals[i - 1]) if x})
+        factors = [AlternatingForm(dim, 1, {1 << j: x for j, x in duals[i - 1].items()})
                    for i in idx]
         w = wedge_all(factors) if factors else form(dim, 0, {(): 1})
         coeffs = solver.solve({(a, m): c for m, c in w.coeffs.items()})
@@ -227,27 +284,34 @@ def _momentum_map(v: VectorValuedForm, lagr: Subspace, ker: Subspace):
             raise ConstructionError(
                 "required dual vector does not exist; the subspace is not "
                 "poly/multilagrangian for the form")
-        out = [ZERO] * dim
-        for c, b in zip(coeffs, l_prime):
+        acc: dict = {}
+        for c, b in zip(coeffs, l_entries):
             if c:
-                out = [x + c * y for x, y in zip(out, b)]
-        return out
+                for j, y in b.items():
+                    acc[j] = acc.get(j, ZERO) + c * y
+        return [acc.get(j, ZERO) for j in range(dim)]
 
     return momentum
 
 
 def _induction(v: VectorValuedForm, lagr: Subspace, ker: Subspace, fixed: list,
                flag: Flag | None = None, r: int | None = None):
-    """The frame, the slots and the momentum map of one Darboux induction.
+    """The basis, the slots and the momentum map of one Darboux induction.
 
     Without a flag the frame is a complement of L, with the poly slots;
     with a flag it is E (given in ``fixed``) followed by the base, with the
-    multi slots.  The frame vectors ``fixed`` come first.  Each step
-    completes L + frame by standard vectors, takes the first one as the
-    candidate and, for every slot the candidate pairs with, subtracts the
-    pairing times the slot's momentum vector, so the new vector pairs with
-    no slot and the frame stays isotropic.  Momentum vectors lie in L, so
-    L + frame grows by the candidate.
+    multi slots.  The frame vectors ``fixed`` come first; the standard
+    vectors completing L + fixed, picked once in index order, fill the
+    rest of the basis.  Step i takes the standard vector of column i as
+    the candidate and reads its pairings with every slot off the pullback
+    of its contraction by the basis rows.  For every slot it pairs with,
+    it subtracts the pairing times the slot's momentum vector, so the new
+    vector pairs with no slot and the frame stays isotropic.  The momentum
+    vectors need the duals of the basis, covectors of L⁰.  Momentum
+    vectors lie in L, so the new vector completes L + frame exactly as the
+    candidate did: the completion picked at the start stays valid to the
+    end, and the basis stays the same modulo L, so its duals are built
+    once, by one codim L inverse, at the first step that pairs.
     """
     k = v.degree - 1
     if flag is None:
@@ -259,26 +323,27 @@ def _induction(v: VectorValuedForm, lagr: Subspace, ker: Subspace, fixed: list,
         size = n_rank + flag.dim_t
         slots = [(0, idx + tuple(n_rank + m for m in mu))
                  for (_, idx, mu) in multi_slot_index(n_rank, flag.dim_t, k, r)]
+    if not lagr.contains_subspace(ker):
+        raise PreconditionError(
+            f"the subspace does not contain the kernel of the form (dimension {ker.dim}); "
+            "a Darboux basis needs L to contain the kernel")
     momentum = _momentum_map(v, lagr, ker)
-    lagr_vecs = lagr.vectors()
-    frame = [list(x) for x in fixed]
     avoid = lagr.echelon.copy()
-    for x in frame:
+    for x in fixed:
         avoid.insert(_sparse(x))
-    while len(frame) < size:
-        completion = _greedy_standard_completion(v.dim, avoid, size - len(frame))
-        basis_c = frame + completion
-        duals = _dual_rows(basis_c + lagr_vecs)[:size]
-        contracted = contract(completion[0], v)
-        u = list(completion[0])
-        for slot in slots:
-            a, idx = slot
-            coeff = evaluate(contracted.components[a], [basis_c[i - 1] for i in idx])
-            if coeff:
-                u = [x - coeff * y for x, y in zip(u, momentum(duals, slot))]
-        frame.append(u)
-        avoid.insert(_sparse(u))
-    return frame, slots, momentum
+    completion = _greedy_standard_completion(v.dim, avoid, size - len(fixed))
+    basis = _Basis(v.dim, lagr, fixed, completion)
+    slot_at = {(a, mask_of(idx)): (a, idx) for a, idx in slots}
+    for p in completion:
+        u = [ZERO] * v.dim
+        u[p] = ONE
+        pulled = pullback_rows(contract(u, v), basis.matrix_rows(), size)
+        for a, comp in enumerate(pulled.components):
+            for m, c in comp.coeffs.items():
+                if (a, m) in slot_at:
+                    u = [x - c * y for x, y in zip(u, momentum(basis.duals, slot_at[a, m]))]
+        basis.append(u)
+    return basis, slots, momentum
 
 
 def extend_isotropic_complement(form_in, lagr: Subspace, start: Subspace,
@@ -303,7 +368,7 @@ def extend_isotropic_complement(form_in, lagr: Subspace, start: Subspace,
         raise PreconditionError("start vectors must be independent from the subspace")
     if start.dim and not is_isotropic(start, v, v.degree - 1):
         raise PreconditionError("start subspace is not isotropic at the required level")
-    frame = _induction(v, lagr, kernel_of_form(v), fixed, flag, r)[0]
+    frame = _induction(v, lagr, kernel_of_form(v), fixed, flag, r)[0].frame
     return Subspace.from_vectors(v.dim, frame)
 
 
@@ -320,11 +385,14 @@ class DarbouxBasis:
     kind: str
 
 
-def _assemble(induction: tuple, lagr: Subspace, ker: Subspace, labels: tuple):
-    """The basis matrix and labels: the frame, one momentum vector per slot, the kernel."""
-    frame, slots, momentum = induction
-    duals = _dual_rows(frame + lagr.vectors())[:len(frame)]
-    columns = frame + [momentum(duals, slot) for slot in slots] + ker.vectors()
+def _assemble(induction: tuple, ker: Subspace, labels: tuple):
+    """The basis matrix and labels: the frame, one momentum vector per slot, the kernel.
+
+    The momentum vectors take the induction's duals, which the finished
+    frame shares modulo L.
+    """
+    basis, slots, momentum = induction
+    columns = basis.frame + [momentum(basis.duals, slot) for slot in slots] + ker.vectors()
     labels += tuple(("ker", (j,)) for j in range(1, ker.dim + 1))
     return Matrix.from_cols(columns), labels
 
@@ -350,7 +418,7 @@ def darboux_basis_poly(omega, lagrangian: Subspace | None = None) -> DarbouxBasi
             raise PreconditionError("supplied subspace fails the contraction-image equality")
         lagr = lagrangian
     params = (v.dim - lagr.dim, v.value_dim, v.degree - 1)
-    basis, labels = _assemble(_induction(v, lagr, ker, []), lagr, ker,
+    basis, labels = _assemble(_induction(v, lagr, ker, []), ker,
                               poly_coordinate_labels(*params))
     expected = embed_in(canonical_poly_model(*params).form, v.dim)
     if pullback(v, basis) != expected:
@@ -389,11 +457,11 @@ def darboux_basis_multi(omega: AlternatingForm, flag: Flag, r: int,
             # every vertical subspace is isotropic for a vanishing symbol
             e_v = complement(lagr_v).vectors()
         else:
-            e_v = _induction(sym, lagr_v, kernel_of_form(sym), [])[0]
+            e_v = _induction(sym, lagr_v, kernel_of_form(sym), [])[0].frame
         e_vecs = flag.lift_vertical(e_v)
     ker = kernel_of_form(omega)
     induction = _induction(as_vector_form(omega), lagr, ker, e_vecs, flag, r)
-    basis, labels = _assemble(induction, lagr, ker, multi_coordinate_labels(n_rank, n_base, k, r))
+    basis, labels = _assemble(induction, ker, multi_coordinate_labels(n_rank, n_base, k, r))
 
     pulled = pullback(omega, basis)
     model_form = _multi_model_data(n_rank, n_base, k, r)[0]

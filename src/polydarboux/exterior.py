@@ -389,12 +389,27 @@ def pullback(x, m: Matrix):
     target = x if isinstance(x, AlternatingForm) else x.components[0]
     if m.rows != target.dim:
         raise DimensionMismatch("matrix row count does not match form dimension")
-    rows = _row_forms(m)
+    return pullback_rows(x, _row_forms(m), m.cols)
+
+
+def pullback_rows(x, rows: Sequence[dict], new_dim: int):
+    """Pullback along a map given by its rows as sparse covectors.
+
+    ``rows[j]`` is coordinate j+1 of the old space as ``{1 << i: entry}``
+    on the new space of dimension ``new_dim``, as ``pullback`` reads them
+    off a matrix.  The coefficient of the result at an increasing index
+    set I is x evaluated on the columns I, so a caller that keeps the
+    rows of a growing map reads all such evaluations at once, with no
+    dense matrix.
+    """
+    target = x if isinstance(x, AlternatingForm) else x.components[0]
+    if len(rows) != target.dim:
+        raise DimensionMismatch("row count does not match form dimension")
     memo: dict = {(): {0: 1}}
     if isinstance(x, AlternatingForm):
-        return _pullback_scalar(x, rows, m.cols, memo)
+        return _pullback_scalar(x, rows, new_dim, memo)
     return VectorValuedForm(tuple(
-        _pullback_scalar(comp, rows, m.cols, memo) for comp in x.components))
+        _pullback_scalar(comp, rows, new_dim, memo) for comp in x.components))
 
 
 # ---------------------------------------------------------------------------

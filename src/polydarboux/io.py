@@ -10,6 +10,7 @@ space).  See the shipped corpus files for worked examples.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -19,7 +20,7 @@ from .errors import DocumentError, PreconditionError
 from .exterior import AlternatingForm, Flag, VectorValuedForm, coordinate_flag, form, with_splitting
 from .lie import LieAlgebra, lie_algebra
 from .linalg import Matrix, Subspace, frac
-from .polyforms import PolyForm, poly_from_terms
+from .polyforms import PolyForm, Polynomial
 
 SCHEMA_VERSION = "1"
 
@@ -55,6 +56,35 @@ def _rat(s) -> Fraction:
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         shown = _shown(s)
         raise DocumentError(f"bad rational {shown}: {str(exc).replace(repr(s), shown)}") from exc
+
+
+# a plain integer or p/q, ASCII digits only: ``_poly_rat`` reads these with int
+_PLAIN_RAT = re.compile(r"[-+]?[0-9]+(?:/[0-9]+)?")
+
+
+def _poly_rat(s, seen: dict) -> Fraction:
+    """A polynomial coefficient, as ``_rat`` reads it.
+
+    Plain ``p`` and ``p/q`` strings are read with ``int``, once per
+    distinct string in ``seen``, which the caller keeps for one document.
+    Every other value, and a plain string ``int`` cannot read or with a
+    zero denominator, goes to ``_rat``, so acceptance and every error text
+    stay those of ``Fraction``.
+    """
+    if type(s) is not str:
+        return _rat(s)
+    c = seen.get(s)
+    if c is None:
+        if _PLAIN_RAT.fullmatch(s):
+            num, _, den = s.partition("/")
+            try:
+                c = Fraction(int(num), int(den)) if den else Fraction(int(num))
+            except (ValueError, ZeroDivisionError):
+                c = _rat(s)  # raises with today's text
+        else:
+            c = _rat(s)
+        seen[s] = c
+    return c
 
 
 def _need(doc: dict, key: str, kind: type | None = None):
@@ -153,6 +183,7 @@ def _parse_poly_form(doc: dict) -> PolyForm:
     if min(split) < 0:
         raise DocumentError(f"split entries must be nonnegative: {split}")
     coeffs: dict = {}
+    seen: dict = {}
     for term in _need(doc, "terms", list):
         idx = _ints(_need(term, "indices"), "indices", dim)
         if list(idx) != sorted(set(idx)):
@@ -166,9 +197,9 @@ def _parse_poly_form(doc: dict) -> PolyForm:
                 raise DocumentError("exponent tuple does not match dimension")
             if exps and min(exps) < 0:
                 raise DocumentError(f"exponents must be nonnegative: {exps}")
-            c = _rat(_need(mono, "coefficient"))
+            c = _poly_rat(_need(mono, "coefficient"), seen)
             terms[exps] = terms[exps] + c if exps in terms else c  # repeats add up
-        p = poly_from_terms(dim, terms)
+        p = Polynomial(dim, {e: c for e, c in terms.items() if c})
         mask = 0
         for i in idx:
             mask |= 1 << (i - 1)

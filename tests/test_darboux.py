@@ -13,7 +13,8 @@ from polydarboux.errors import ConstructionError, PreconditionError
 from polydarboux.exterior import VectorValuedForm, embed_in, form, pullback
 from polydarboux.lagrangian import (check_multilagrangian, is_isotropic,
                                     kernel_of_form, symbol)
-from polydarboux.linalg import Matrix, Subspace, intersect, subspace_sum, transform_subspace
+from polydarboux.linalg import (Matrix, Subspace, intersect, inverse, subspace_sum,
+                               transform_subspace)
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +238,40 @@ def test_poly_induction_sums_no_subspaces(monkeypatch):
     moved, lagr, _ = conjugated_poly_instance(canonical_poly_model(4, 2, 1), 5)
     assert darboux_basis_poly(moved, lagr).params == (4, 2, 1)
     assert calls == []
+
+
+def test_poly_induction_inverts_codim_l_matrices_only_at_pairing_steps(monkeypatch):
+    # duals come from L⁰ through a codim L inverse, at most once per step whose
+    # candidate pairs with a slot plus once for the finished frame; since the
+    # basis is the same modulo L at every step, one inverse serves them all
+    import polydarboux.darboux as darboux_module
+    shapes = []
+
+    def counted(m):
+        shapes.append((m.rows, m.cols))
+        return inverse(m)
+
+    monkeypatch.setattr(darboux_module, "inverse", counted)
+    model = canonical_poly_model(16, 2, 1)
+    moved, lagr, _ = conjugated_poly_instance(model, 3)
+    basis = darboux_basis_poly(moved, lagr)
+    assert pullback(moved, basis.matrix) == model.form
+    # the candidates are the standard vectors completing L, in index order; one
+    # that pairs with no slot becomes its frame vector unchanged
+    candidates = darboux_module._greedy_standard_completion(model.dim, lagr.echelon, 16)
+    pairing_steps = sum(basis.matrix.col(j) != tuple(int(i == p) for i in range(model.dim))
+                        for j, p in enumerate(candidates))
+    assert 0 < pairing_steps < 16
+    assert shapes == [(16, 16)] and len(shapes) <= pairing_steps + 1
+
+
+def test_r1_model_subspace_missing_the_kernel_is_refused_by_name():
+    model = canonical_multi_model(2, 2, 2, 1)
+    ker = kernel_of_form(model.form)
+    assert (model.lagrangian.dim, ker.dim) == (1, 2)
+    assert check_multilagrangian(model.lagrangian, model.form, model.flag, 1)
+    with pytest.raises(PreconditionError, match=r"kernel of the form \(dimension 2\)"):
+        darboux_basis_multi(model.form, model.flag, 1, lagrangian=model.lagrangian)
+    # detection returns a subspace that contains the kernel and builds the basis
+    basis = darboux_basis_multi(model.form, model.flag, 1)
+    assert basis.lagrangian.contains_subspace(ker)

@@ -5,9 +5,12 @@ over slots, and ``darboux._assemble`` lays out both bases.  The oracles
 below are the previous code: the poly loop ``_extend_poly``, the multi loop
 ``extend_isotropic_complement_multi`` with its second (vertical) avoid
 span, the two hand-written basis assemblies, and the public wrapper with
-its ``mode`` string.  Bases must agree exactly, matrices and labels
-included, and a model that one side refuses must be refused by the other
-with the same error.
+its ``mode`` string.  They also keep the previous duals and pairings: a
+full inverse of [frame + completion | L] and one ``evaluate`` per slot at
+every step, where the induction now inverts one codim L matrix of
+annihilator pairings per induction.  Bases must agree exactly,
+matrices and labels included, and a model that one side refuses must be
+refused by the other with the same error.
 """
 
 from __future__ import annotations
@@ -270,8 +273,9 @@ def assert_multi_matches(params, seed):
     r = params[3]
     moved, lagr, _ = conjugated_multi_instance(model, seed)
     if r == 1:
-        # the model's L misses the kernel (the E block); both sides refuse it
-        # alike, so the detected subspace, which contains the kernel, is used
+        # the model's L misses the kernel (the E block) and is refused (see
+        # test_r1_model_subspace_is_refused_for_missing_the_kernel), so the
+        # detected subspace, which contains the kernel, is used
         lagr = detect_multilagrangian(moved, model.flag, r).subspace
     new = outcome(lambda: darboux_basis_multi(moved, model.flag, r, lagrangian=lagr))
     old = outcome(lambda: oracle_basis_multi(moved, model.flag, r, lagr))
@@ -288,6 +292,30 @@ def test_grid_bases_match_the_previous_induction():
     # every model with a momentum block gets a basis
     assert all(isinstance(res[0], Matrix) for res in built)
     assert len(built) == 2 * (len(POLY_GRID) + len(MULTI_GRID)) - 4
+
+
+@pytest.mark.parametrize("params", [(16, 2, 1), (32, 1, 1), (8, 1, 3)])
+def test_large_bases_match_the_previous_induction(params):
+    # dims 48-64: many steps, so a skipped pairing or duals of a wrong basis show
+    matrix, labels = assert_poly_matches(params, 3)
+    assert matrix.rows == canonical_poly_model(*params).dim
+
+
+def test_r1_model_subspace_is_refused_for_missing_the_kernel():
+    refused = 0
+    for seed in (3, 1003):
+        for params in MULTI_GRID:
+            model = multi_model_or_none(params)
+            if model is None or params[3] != 1:
+                continue
+            moved, lagr, _ = conjugated_multi_instance(model, seed)
+            ker = kernel_of_form(moved)
+            assert not lagr.contains_subspace(ker)
+            named = f"kernel of the form \\(dimension {ker.dim}\\)"
+            with pytest.raises(PreconditionError, match=named):
+                darboux_basis_multi(moved, model.flag, 1, lagrangian=lagr)
+            refused += 1
+    assert refused == 36
 
 
 @settings(PROFILE)

@@ -336,7 +336,9 @@ def test_complement_and_completion_match_rebuild(seed):
     count = rng.randint(0, dim - avoid.dim)
     span = span_of(map(_sparse, avoid.vectors()))
     rows = {p: dict(r) for p, r in span.rows.items()}
-    assert _greedy_standard_completion(dim, span, count) == oracle_completion(dim, avoid, count)
+    # the picks come as the indices of the standard vectors
+    assert _greedy_standard_completion(dim, span, count) == [
+        e.index(ONE) for e in oracle_completion(dim, avoid, count)]
     assert span.rows == rows  # the picks are made in a copy
     with pytest.raises(ConstructionError):
         _greedy_standard_completion(dim, span, dim - avoid.dim + 1)

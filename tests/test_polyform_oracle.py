@@ -18,15 +18,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydarboux import cli, polyforms
-from polydarboux.errors import InternalCheckError, PreconditionError
+from polydarboux import cli, io, polyforms
+from polydarboux.errors import DocumentError, InternalCheckError, PreconditionError
 from polydarboux.exterior import VectorValuedForm, form, merge_sign, project, removal_sign
 from polydarboux.io import poly_form_to_document, report_json
 from polydarboux.lagrangian import (DEFAULT_SEED, constant_rank_sampled, random_covector,
                                     rank_2form)
 from polydarboux.linalg import row_rank
 from polydarboux.polyforms import (PolyForm, Polynomial, exterior_d, homotopy_primitive,
-                                   max_vertical_factors, vertical_d)
+                                   max_vertical_factors, poly_from_terms, vertical_d)
 from test_elimination_oracle import batch_rref_rows
 
 ZERO = Fraction(0)
@@ -439,3 +439,87 @@ def test_writer_matches_json_dumps_on_edge_cases():
 def test_writer_rejects_other_types(bad):
     with pytest.raises(TypeError):
         report_json(bad)
+
+
+# ---------------------------------------------------------------------------
+# polynomial coefficient parsing
+
+
+def oracle_rat(s):
+    """The previous reading of a polynomial coefficient: ``_rat``, by ``frac``."""
+    try:
+        return io._rat(s)
+    except DocumentError as exc:
+        return str(exc)
+
+
+def new_rat(s, seen):
+    try:
+        return io._poly_rat(s, seen)
+    except DocumentError as exc:
+        return str(exc)
+
+
+plain_rats = st.from_regex(r"[-+]?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True)
+coefficient_values = st.one_of(
+    plain_rats,
+    st.text(alphabet="0123456789+-/ ._eEinfa", max_size=12),
+    st.text(max_size=8),
+    st.sampled_from(["1/0", "-0/0", "nan", "inf", "1e3", " 3", "3 ", "1_000", "+7/+2", "٣",
+                     "0/5", "-0", "007/010", "1" * 4301, "2/" + "3" * 4301, "-" + "9" * 4300]),
+    st.integers(-BIG, BIG), st.booleans(), st.none(), st.floats(), st.lists(st.integers()))
+
+
+@settings(settings.get_profile("polyform_oracle"))
+@given(st.lists(coefficient_values, min_size=1, max_size=6))
+def test_poly_coefficients_read_like_frac(values):
+    # one cache per document: repeats within it must read alike too
+    seen: dict = {}
+    for s in values + values:
+        got, want = new_rat(s, seen), oracle_rat(s)
+        assert got == want and type(got) is type(want), s
+
+
+def oracle_parse_poly_terms(doc):
+    """The previous assembly: ``_rat`` per coefficient, then ``poly_from_terms``."""
+    coeffs: dict = {}
+    for term in doc["terms"]:
+        terms: dict = {}
+        for mono in term["polynomial"]:
+            exps = tuple(mono["exponents"])
+            c = io._rat(mono["coefficient"])
+            terms[exps] = terms[exps] + c if exps in terms else c
+        p = poly_from_terms(doc["dim"], terms)
+        mask = sum(1 << (i - 1) for i in term["indices"])
+        if not p.is_zero():
+            cur = coeffs.get(mask)
+            coeffs[mask] = p if cur is None else cur + p
+    return {m: p for m, p in coeffs.items() if not p.is_zero()}
+
+
+# mostly plain strings, so that most documents parse; one in twenty any value
+doc_coefficients = st.integers(0, 19).flatmap(
+    lambda i: coefficient_values if i == 0 else plain_rats)
+
+
+@settings(settings.get_profile("polyform_oracle"))
+@given(st.lists(st.tuples(st.sampled_from([[1, 2], [1, 3], [2, 3]]),
+                          st.lists(st.tuples(st.lists(st.integers(0, 2), min_size=3,
+                                                      max_size=3),
+                                             doc_coefficients), max_size=4)),
+                max_size=4))
+def test_poly_documents_parse_like_the_frac_path(terms):
+    doc = {"schema_version": "1", "kind": "poly_form", "dim": 3, "degree": 2, "split": [1, 2],
+           "terms": [{"indices": idx, "polynomial": [{"exponents": e, "coefficient": c}
+                                                     for e, c in monos]}
+                     for idx, monos in terms]}
+    try:
+        want = oracle_parse_poly_terms(doc)
+    except DocumentError as exc:
+        with pytest.raises(DocumentError) as got:
+            io.parse_document(doc)
+        assert str(got.value) == str(exc)
+        return
+    got = io.parse_document(doc).payload.coeffs
+    assert got == want and list(got) == list(want)
+    assert all(list(got[m].terms.items()) == list(want[m].terms.items()) for m in got)
