@@ -30,7 +30,7 @@ from .lagrangian import (as_vector_form, check_multilagrangian, check_polylagran
                          _stacked)
 from .linalg import (Matrix, Subspace, ZERO, ONE, annihilator, complement, intersect,
                      inverse, transform_subspace)
-from .sparse import SparseEchelon, SparseSolver, _sparse
+from .sparse import SparseEchelon, SparseSolver, _axpy
 
 # ---------------------------------------------------------------------------
 # canonical models
@@ -203,27 +203,27 @@ class _Basis:
     Column i is the frame vector i once it is built and the standard
     vector e_p, p = ``units[i]``, before.  A built vector differs from its
     column's standard vector by a vector of L, so modulo L the basis is
-    the same at every step.  The induction reads the rows of the basis
-    matrix as sparse covectors on the columns: ``pullback_rows`` reads the
-    slot pairings off them.
+    the same at every step.  Frame vectors are sparse ``{coordinate:
+    entry}`` vectors.  The induction reads the rows of the basis matrix as
+    sparse covectors on the columns: ``pullback_rows`` reads the slot
+    pairings off them.
     """
 
     def __init__(self, dim: int, lagr: Subspace, fixed: list, completion: list):
         self.lagr = lagr
         self.units = dict(enumerate(completion, start=len(fixed)))
-        self.mod_l = [_sparse(x) for x in fixed] + [{p: 1} for p in completion]
+        self.mod_l = fixed + [{p: 1} for p in completion]
         self.frame: list = []
         self.rows: list = [{} for _ in range(dim)]  # over the frame columns only
         for x in fixed:
-            self.append(list(x))
+            self.append(x)
 
-    def append(self, u: list):
+    def append(self, u: dict):
         bit = 1 << len(self.frame)
         self.units.pop(len(self.frame), None)
         self.frame.append(u)
-        for j, x in enumerate(u):
-            if x:
-                self.rows[j][bit] = int(x) if x.denominator == 1 else x
+        for j, x in u.items():
+            self.rows[j][bit] = int(x) if x.denominator == 1 else x
 
     def matrix_rows(self) -> list:
         rows = list(self.rows)
@@ -265,16 +265,16 @@ def _momentum_map(v: VectorValuedForm, lagr: Subspace, ker: Subspace):
     That is the vector of L whose contraction with v is the wedge of the
     slot's dual covectors (``duals[i - 1]`` for frame index i, sparse) in
     the slot's component, solved over the contraction images of a
-    complement of the kernel in L, so it is unique.
+    complement of the kernel in L, so it is unique: the generators are
+    the complement's echelon rows, and the momentum vector is sparse.
     """
     dim = v.dim
-    l_prime = complement(ker, inside=lagr).vectors()
+    l_prime = complement(ker, inside=lagr).rows()
     solver = SparseSolver()
     for b in l_prime:
         solver.add_generator(_stacked(contract(b, v)))
-    l_entries = [_sparse(b) for b in l_prime]
 
-    def momentum(duals: list, slot: tuple) -> list:
+    def momentum(duals: list, slot: tuple) -> dict:
         a, idx = slot
         factors = [AlternatingForm(dim, 1, {1 << j: x for j, x in duals[i - 1].items()})
                    for i in idx]
@@ -285,11 +285,10 @@ def _momentum_map(v: VectorValuedForm, lagr: Subspace, ker: Subspace):
                 "required dual vector does not exist; the subspace is not "
                 "poly/multilagrangian for the form")
         acc: dict = {}
-        for c, b in zip(coeffs, l_entries):
+        for c, b in zip(coeffs, l_prime):
             if c:
-                for j, y in b.items():
-                    acc[j] = acc.get(j, ZERO) + c * y
-        return [acc.get(j, ZERO) for j in range(dim)]
+                _axpy(acc, -c, b)
+        return acc
 
     return momentum
 
@@ -330,18 +329,17 @@ def _induction(v: VectorValuedForm, lagr: Subspace, ker: Subspace, fixed: list,
     momentum = _momentum_map(v, lagr, ker)
     avoid = lagr.echelon.copy()
     for x in fixed:
-        avoid.insert(_sparse(x))
+        avoid.insert(x)
     completion = _greedy_standard_completion(v.dim, avoid, size - len(fixed))
     basis = _Basis(v.dim, lagr, fixed, completion)
     slot_at = {(a, mask_of(idx)): (a, idx) for a, idx in slots}
     for p in completion:
-        u = [ZERO] * v.dim
-        u[p] = ONE
+        u = {p: ONE}
         pulled = pullback_rows(contract(u, v), basis.matrix_rows(), size)
         for a, comp in enumerate(pulled.components):
             for m, c in comp.coeffs.items():
                 if (a, m) in slot_at:
-                    u = [x - c * y for x, y in zip(u, momentum(basis.duals, slot_at[a, m]))]
+                    _axpy(u, c, momentum(basis.duals, slot_at[a, m]))
         basis.append(u)
     return basis, slots, momentum
 
@@ -353,17 +351,20 @@ def extend_isotropic_complement(form_in, lagr: Subspace, start: Subspace,
     Without a flag ``start`` is part of a complement of L and the result
     completes it.  With a flag ``start`` must meet the vertical space
     exactly in a complement of L, and the result also spans the base.
+    The frame starts from the echelon rows of ``start``: scaling a frame
+    vector scales its pairings and, inversely, its duals and momentum
+    vectors, so the vectors the induction adds do not change.
     """
     v = as_vector_form(form_in)
     if flag is None:
-        e_part, fixed = start, start.vectors()
+        e_part, fixed = start, start.rows()
     else:
         if r is None:
             raise PreconditionError("the flagged extension needs the horizontality parameter")
         e_part = intersect(start, flag.vertical)
         if e_part.dim != flag.vertical.dim - lagr.dim:
             raise PreconditionError("start must meet the vertical space exactly in a complement of L")
-        fixed = e_part.vectors() + complement(e_part, inside=start).vectors()
+        fixed = e_part.rows() + complement(e_part, inside=start).rows()
     if intersect(e_part, lagr).dim != 0:
         raise PreconditionError("start vectors must be independent from the subspace")
     if start.dim and not is_isotropic(start, v, v.degree - 1):
@@ -389,10 +390,13 @@ def _assemble(induction: tuple, ker: Subspace, labels: tuple):
     """The basis matrix and labels: the frame, one momentum vector per slot, the kernel.
 
     The momentum vectors take the induction's duals, which the finished
-    frame shares modulo L.
+    frame shares modulo L.  The sparse frame and momentum vectors become
+    dense columns only here.
     """
     basis, slots, momentum = induction
-    columns = basis.frame + [momentum(basis.duals, slot) for slot in slots] + ker.vectors()
+    dim = ker.ambient_dim
+    sparse_cols = basis.frame + [momentum(basis.duals, slot) for slot in slots]
+    columns = [[u.get(j, ZERO) for j in range(dim)] for u in sparse_cols] + ker.vectors()
     labels += tuple(("ker", (j,)) for j in range(1, ker.dim + 1))
     return Matrix.from_cols(columns), labels
 

@@ -21,7 +21,8 @@ from math import comb, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, PreconditionError
-from .linalg import Matrix, Subspace, ZERO, ONE, frac, vec
+from .linalg import Matrix, Subspace, ZERO, ONE, _sparse_vector, frac, vec
+from .sparse import _axpy
 
 # ---------------------------------------------------------------------------
 # multi-index masks
@@ -219,7 +220,7 @@ def wedge_all(factors: Sequence[AlternatingForm]) -> AlternatingForm:
     return out
 
 
-def _contract_scalar(v: Sequence[Fraction], a: AlternatingForm) -> AlternatingForm:
+def _contract_scalar(v: dict, a: AlternatingForm) -> AlternatingForm:
     out: dict = {}
     for m, c in a.coeffs.items():
         mm = m
@@ -227,7 +228,7 @@ def _contract_scalar(v: Sequence[Fraction], a: AlternatingForm) -> AlternatingFo
             low = mm & -mm
             mm ^= low
             bit = low.bit_length() - 1
-            comp = v[bit]
+            comp = v.get(bit)
             if not comp:
                 continue
             key = m ^ low
@@ -240,12 +241,10 @@ def _contract_scalar(v: Sequence[Fraction], a: AlternatingForm) -> AlternatingFo
     return AlternatingForm(a.dim, a.degree - 1, out)
 
 
-def contract(v: Sequence, x):
-    """Interior product i_v, for scalar or vector-valued forms."""
+def contract(v, x):
+    """Interior product i_v, for scalar or vector-valued forms; v sparse or dense."""
     target = x if isinstance(x, AlternatingForm) else x.components[0]
-    vv = vec(v)
-    if len(vv) != target.dim:
-        raise DimensionMismatch("vector length does not match form dimension")
+    vv = _sparse_vector(v, target.dim)
     if target.degree == 0:
         raise PreconditionError("cannot contract a degree-0 form")
     if isinstance(x, AlternatingForm):
@@ -253,15 +252,13 @@ def contract(v: Sequence, x):
     return VectorValuedForm(tuple(_contract_scalar(vv, comp) for comp in x.components))
 
 
-def evaluate(a: AlternatingForm, vectors: Sequence[Sequence]) -> Fraction:
-    """Multilinear evaluation a(v_1, ..., v_k)."""
+def evaluate(a: AlternatingForm, vectors: Sequence) -> Fraction:
+    """Multilinear evaluation a(v_1, ..., v_k); each v_i sparse or dense, as ``contract`` takes it."""
     if len(vectors) != a.degree:
         raise DimensionMismatch("argument count does not match degree")
     cur = a
-    for v in vectors:
-        if cur.degree == 0:
-            break
-        cur = _contract_scalar(vec(v), cur)
+    for u in [_sparse_vector(v, a.dim) for v in vectors]:
+        cur = _contract_scalar(u, cur)
     return cur.coeffs.get(0, ZERO)
 
 
@@ -453,15 +450,14 @@ class Flag:
         piv = set(self.vertical.pivot_columns())
         return [j for j in range(self.total_dim) if j not in piv]
 
-    def lift_vertical(self, coords) -> list[list[Fraction]]:
-        """Total-space vectors of vertical-coordinate vectors, in their order."""
-        rows = self.vertical.vectors()
+    def lift_vertical(self, coords) -> list[dict]:
+        """Sparse total-space vectors of coordinate vectors over the vertical RREF basis."""
+        pivots, rows = self.vertical.pivot_columns(), self.vertical.rows()
         out = []
         for u in coords:
-            w = [ZERO] * self.total_dim
-            for c, row in zip(u, rows):
-                if c:
-                    w = [x + c * y for x, y in zip(w, row)]
+            w: dict = {}
+            for i, c in _sparse_vector(u, len(rows)).items():
+                _axpy(w, -Fraction(c) / rows[i][pivots[i]], rows[i])
             out.append(w)
         return out
 
@@ -499,7 +495,7 @@ def horizontality_degree(omega: AlternatingForm, flag: Flag) -> int:
         raise DimensionMismatch("form does not live on the flag's total space")
     if omega.is_zero():
         return 0
-    vert = flag.vertical.vectors()
+    vert = flag.vertical.rows()
     for s in range(omega.degree + 1):
         if s + 1 > len(vert):
             return s
@@ -507,7 +503,7 @@ def horizontality_degree(omega: AlternatingForm, flag: Flag) -> int:
         for combo in itertools.combinations(vert, s + 1):
             cur = omega
             for v in combo:
-                cur = _contract_scalar(vec(v), cur)
+                cur = _contract_scalar(v, cur)
                 if cur.is_zero():
                     break
             if not cur.is_zero():

@@ -18,10 +18,10 @@ from math import comb, lcm
 
 from .errors import DimensionMismatch, InternalCheckError, PreconditionError
 from .exterior import (AlternatingForm, Flag, VectorValuedForm, contract, evaluate,
-                       indices_of, project, pullback, wedge, wedge_power_by_exponent)
+                       indices_of, project, pullback, wedge_all, wedge_power_by_exponent)
 from .linalg import (Matrix, Subspace, ZERO, ONE, annihilator, inverse, kernel_basis,
-                     subspace_sum, complement)
-from .sparse import SparseEchelon, _sparse, span_equal, span_of, intersect_spans
+                     kernel_subspace, subspace_sum, complement, transform_subspace)
+from .sparse import SparseEchelon, _axpy, span_equal, span_of, intersect_spans
 
 DEFAULT_SEED = 20070
 
@@ -31,13 +31,6 @@ DEFAULT_SEED = 20070
 
 def as_vector_form(x) -> VectorValuedForm:
     return x if isinstance(x, VectorValuedForm) else VectorValuedForm((x,))
-
-
-def _unit_vector(dim: int, i: int) -> list[Fraction]:
-    """The standard basis vector with a one at 0-based position ``i``."""
-    e = [ZERO] * dim
-    e[i] = ONE
-    return e
 
 
 def _stacked(x) -> dict:
@@ -59,15 +52,12 @@ def _annihilator_wedges(sub: Subspace, k: int) -> list[AlternatingForm]:
     """Basis of the k-th exterior power of the annihilator of ``sub``."""
     ann = annihilator(sub)
     dim = sub.ambient_dim
-    rows = [AlternatingForm(dim, 1, {1 << j: x for j, x in enumerate(r) if x})
-            for r in ann.vectors()]
+    rows = [AlternatingForm(dim, 1, {1 << j: x for j, x in r.items()}) for r in ann.rows()]
     if k == 0:
         return [AlternatingForm(dim, 0, {0: ONE})]
     out = []
     for combo in itertools.combinations(rows, k):
-        w = combo[0]
-        for f in combo[1:]:
-            w = wedge(w, f)
+        w = wedge_all(combo)
         if not w.is_zero():
             out.append(w)
     return out
@@ -110,7 +100,7 @@ def kernel_of_form(x) -> Subspace:
     v = as_vector_form(x)
     if v.degree == 0:
         return Subspace.full(v.dim)
-    return Subspace.from_vectors(v.dim, kernel_basis(_kernel_constraints(v), v.dim))
+    return kernel_subspace(_kernel_constraints(v), v.dim)
 
 
 def orthogonal_complement(sub: Subspace, omega, level: int) -> Subspace:
@@ -121,13 +111,13 @@ def orthogonal_complement(sub: Subspace, omega, level: int) -> Subspace:
     if not 1 <= level <= v.degree - 1:
         raise PreconditionError(f"contraction level must lie in 1..{v.degree - 1}")
     rows: list[dict] = []
-    for combo in itertools.combinations(sub.vectors(), level):
+    for combo in itertools.combinations(sub.rows(), level):
         partial = v
         for u in combo:
             partial = contract(u, partial)
         if not partial.is_zero():
             rows.extend(_kernel_constraints(partial))
-    return Subspace.from_vectors(v.dim, kernel_basis(rows, v.dim))
+    return kernel_subspace(rows, v.dim)
 
 
 def is_isotropic(sub: Subspace, omega, level: int = 1) -> bool:
@@ -141,8 +131,8 @@ def is_maximal_isotropic(sub: Subspace, omega) -> bool:
     k = v.degree - 1
     if not sub.contains_subspace(kernel_of_form(v)):
         return False
-    lhs = flat_image_vectors(v, sub.vectors())
-    full = flat_image_vectors(v, Subspace.full(v.dim).vectors())
+    lhs = flat_image_vectors(v, sub.rows())
+    full = flat_image_vectors(v, Subspace.full(v.dim).rows())
     rhs = intersect_spans(full, _lperp_tensor_basis(sub, k, v.value_dim))
     return span_equal(lhs, rhs)
 
@@ -163,7 +153,7 @@ def check_polylagrangian(sub: Subspace, omega, ker: Subspace | None = None) -> b
     if sub.ambient_dim != v.dim:
         raise DimensionMismatch("subspace does not live on the form's space")
     k = v.degree - 1
-    lhs = flat_image_vectors(v, sub.vectors())
+    lhs = flat_image_vectors(v, sub.rows())
     rhs = _lperp_tensor_basis(sub, k, v.value_dim)
     if not span_equal(lhs, rhs):
         return False
@@ -256,6 +246,10 @@ def search_polylagrangian(omega, *, greedy_seed_limit: int | None = None,
       nonzero diagonal, so they are independent.
     """
     v = as_vector_form(omega)
+    if v.degree < 2:
+        raise PreconditionError(
+            f"the form has degree {v.degree}; poly- and multisymplectic structures "
+            "need degree at least 2")
     if v.is_zero():
         raise PreconditionError("the zero form admits no distinguished subspace")
     k = v.degree - 1
@@ -270,7 +264,7 @@ def search_polylagrangian(omega, *, greedy_seed_limit: int | None = None,
             for b, compf in enumerate(v.components):
                 if b != a:
                     rows.extend(_kernel_constraints(compf))
-            inter = Subspace.from_vectors(v.dim, kernel_basis(rows, v.dim))
+            inter = kernel_subspace(rows, v.dim)
             k_a = complement(ker, inside=inter)
             comp_dims.append(k_a.dim)
             candidate = subspace_sum(candidate, k_a)
@@ -340,11 +334,11 @@ def _coordinate_seeds(v: VectorValuedForm):
 
     Built lazily, so a search that stops early tests no further planes.
     """
-    for i in range(v.dim):
-        yield Subspace.from_vectors(v.dim, [_unit_vector(v.dim, i)])
+    for i in range(1, v.dim + 1):
+        yield Subspace.span_of_coordinates(v.dim, [i])
     if v.degree >= 3:
-        for i, j in itertools.combinations(range(v.dim), 2):
-            pair = Subspace.from_vectors(v.dim, [_unit_vector(v.dim, i), _unit_vector(v.dim, j)])
+        for i, j in itertools.combinations(range(1, v.dim + 1), 2):
+            pair = Subspace.span_of_coordinates(v.dim, [i, j])
             if is_isotropic(pair, v, 1):
                 yield pair
 
@@ -357,38 +351,39 @@ def greedy_maximal_isotropic(omega, seed: Subspace, within: Subspace | None = No
                              verify: bool = True) -> Subspace:
     """Grow an isotropic subspace until it equals its level-1 complement.
 
-    Extends by the first RREF basis vector of the current complement that
-    is not already in the span; deterministic given the seed.  ``within``
-    restricts the growth (used for vertical-space searches).
+    Extends by the first basis vector of the current complement, in pivot
+    order, that is not already in the span; deterministic given the seed.
+    ``within`` restricts the growth (used for vertical-space searches).
 
     Two incremental echelons carry the growth: the span of seed and picks,
     which answers membership, and the constraint rows of the complement,
     to which each pick adds only the conditions from its own contraction
-    image.  The complement's RREF is rebuilt only when those rows gained
+    image.  The complement's echelon is rebuilt only when those rows gained
     rank.  Otherwise it is unchanged and the scan resumes after the last
-    pick: every vector before it was already in the smaller span.  The
-    span's echelon, a copy of the seed's, becomes the returned subspace.
+    pick: every row before it was already in the smaller span.  The rows
+    are scanned as they are, sparse integer multiples of the RREF rows, so
+    the picks span what the RREF picks would.  The span's echelon, a copy
+    of the seed's, becomes the returned subspace.
     """
     v = as_vector_form(omega)
     if not is_isotropic(seed, v, 1):
         raise PreconditionError("seed subspace is not isotropic")
     ech = SparseEchelon() if within is None else annihilator(within).echelon.copy()
     span = seed.echelon.copy()
-    for u in seed.vectors():
+    for u in seed.rows():
         for row in _kernel_constraints(contract(u, v)):
             ech.insert(row)
     orth: list | None = None
     start = 0
     while True:
         if orth is None:
-            orth = Subspace(v.dim, span_of(ech.kernel(v.dim))).vectors()
+            orth = Subspace(v.dim, span_of(ech.kernel(v.dim))).rows()
             start = 0
-        at = next((i for i in range(start, len(orth)) if not span.contains(_sparse(orth[i]))),
-                  None)
+        at = next((i for i in range(start, len(orth)) if not span.contains(orth[i])), None)
         if at is None:
             break
         nxt = orth[at]
-        span.insert(_sparse(nxt))
+        span.insert(nxt)
         grew = False
         for row in _kernel_constraints(contract(nxt, v)):
             grew = ech.insert(row) or grew
@@ -431,7 +426,7 @@ def to_vertical_coordinates(flag: Flag, sub: Subspace, binv: Matrix | None = Non
     binv = binv if binv is not None else inverse(flag.adapted_matrix())
     n = flag.dim_t
     rows = []
-    for u in sub.vectors():
+    for u in sub.rows():
         coords = binv.mul_vec(u)
         if any(coords[:n]):
             raise PreconditionError("subspace is not contained in the vertical space")
@@ -440,7 +435,7 @@ def to_vertical_coordinates(flag: Flag, sub: Subspace, binv: Matrix | None = Non
 
 
 def from_vertical_coordinates(flag: Flag, sub: Subspace) -> Subspace:
-    return Subspace.from_vectors(flag.total_dim, flag.lift_vertical(sub.vectors()))
+    return Subspace.from_vectors(flag.total_dim, flag.lift_vertical(sub.rows()))
 
 
 def symbol(omega: AlternatingForm, flag: Flag, r: int) -> VectorValuedForm:
@@ -491,14 +486,12 @@ def check_multilagrangian(sub: Subspace, omega: AlternatingForm, flag: Flag, r: 
         raise PreconditionError("candidate subspace is not vertical")
     aomega, b = _adapted(omega, flag)
     _check_horizontality(aomega, n, r)
-    binv = inverse(b)
-    sub_a = Subspace.from_vectors(flag.total_dim, [binv.mul_vec(u) for u in sub.vectors()])
-    return _check_multilagrangian_adapted(sub_a, aomega, n, r)
+    return _check_multilagrangian_adapted(transform_subspace(inverse(b), sub), aomega, n, r)
 
 
 def _check_multilagrangian_adapted(sub_a: Subspace, aomega: AlternatingForm, n: int, r: int) -> bool:
     k = aomega.degree - 1
-    lhs = flat_image_vectors(aomega, sub_a.vectors())
+    lhs = flat_image_vectors(aomega, sub_a.rows())
     wedges = _annihilator_wedges(sub_a, k)
     # cut the annihilator wedges down to the (k+1-r)-horizontal monomials
     bad_rows: dict = {}
@@ -506,23 +499,16 @@ def _check_multilagrangian_adapted(sub_a: Subspace, aomega: AlternatingForm, n: 
         for m, c in w.coeffs.items():
             if _vertical_count(m, n) >= r:
                 bad_rows.setdefault(m, {})[i] = c
-    combos = kernel_basis(list(bad_rows.values()), len(wedges)) if bad_rows else None
+    stacked = [{(0, m): c for m, c in w.coeffs.items()} for w in wedges]
+    if not bad_rows:
+        return span_equal(lhs, stacked)
     rhs = []
-    if combos is None:
-        rhs = [{(0, m): c for m, c in w.coeffs.items()} for w in wedges]
-    else:
-        for sol in combos:
-            acc: dict = {}
-            for coef, w in zip(sol, wedges):
-                if coef:
-                    for m, c in w.coeffs.items():
-                        nv = acc.get((0, m), ZERO) + coef * c
-                        if nv:
-                            acc[(0, m)] = nv
-                        else:
-                            acc.pop((0, m), None)
-            if acc:
-                rhs.append(acc)
+    for sol in kernel_basis(list(bad_rows.values()), len(wedges)):
+        acc: dict = {}
+        for i, coef in sol.items():
+            _axpy(acc, -coef, stacked[i])
+        if acc:
+            rhs.append(acc)
     return span_equal(lhs, rhs)
 
 
@@ -765,8 +751,8 @@ def kernels_orthogonal_under(omega: VectorValuedForm, t1, t2, t3) -> bool:
     k1 = kernel_of_form(project(v, t1))
     k2 = kernel_of_form(project(v, t2))
     p3 = project(v, t3)
-    for u in k1.vectors():
-        for w in k2.vectors():
+    for u in k1.rows():
+        for w in k2.rows():
             if evaluate(p3, [u, w]) != 0:
                 return False
     return True
@@ -787,8 +773,8 @@ def projection_kernel_isotropy_check(omega: VectorValuedForm) -> bool:
         ker1 = kernel_of_form(p1)
         for t2 in grid:
             p2 = project(v, t2)
-            for u in ker1.vectors():
-                for w in ker1.vectors():
+            for u in ker1.rows():
+                for w in ker1.rows():
                     if evaluate(p2, [u, w]) != 0:
                         return False
     return True
@@ -899,7 +885,7 @@ def detect_multilagrangian(omega: AlternatingForm, flag: Flag, r: int) -> Polyla
     m_dim = flag.total_dim - n
 
     def adapted_candidate(sub_v: Subspace) -> Subspace:
-        rows = [[ZERO] * n + list(u) for u in sub_v.vectors()]
+        rows = [{j + n: x for j, x in u.items()} for u in sub_v.rows()]
         return Subspace.from_vectors(flag.total_dim, rows)
 
     def check_vertical(sub_v: Subspace) -> bool:
@@ -911,7 +897,7 @@ def detect_multilagrangian(omega: AlternatingForm, flag: Flag, r: int) -> Polyla
         vert_a = Subspace.span_of_coordinates(flag.total_dim, range(n + 1, flag.total_dim + 1))
         seen = set()
         for i in range(m_dim):
-            seed = Subspace.from_vectors(flag.total_dim, [_unit_vector(flag.total_dim, n + i)])
+            seed = Subspace.span_of_coordinates(flag.total_dim, [n + i + 1])
             if not is_isotropic(seed, aomega, 1):
                 continue
             cand_a = greedy_maximal_isotropic(aomega, seed, within=vert_a, verify=False)
@@ -919,7 +905,8 @@ def detect_multilagrangian(omega: AlternatingForm, flag: Flag, r: int) -> Polyla
                 continue
             seen.add(cand_a)
             if _check_multilagrangian_adapted(cand_a, aomega, n, r):
-                sub_v = Subspace.from_vectors(m_dim, [u[n:] for u in cand_a.vectors()])
+                sub_v = Subspace.from_vectors(m_dim, [{j - n: x for j, x in u.items()}
+                                                      for u in cand_a.rows()])
                 sub_w = from_vertical_coordinates(flag, sub_v)
                 return PolylagrangianSearch(sub_w, "found", flag.vertical.dim - sub_w.dim,
                                             ["symbol vanishes; vertical greedy search"], [])

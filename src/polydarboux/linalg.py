@@ -7,8 +7,10 @@ solve, inverse and the subspace operations, runs on one kernel,
 fully reduced with fraction-free steps.  A ``Subspace`` is that echelon
 alone: its rows are unique to the span, so two subspaces are equal
 exactly when their rows are equal; that decidable equality is what the
-structure tests in the rest of the package lean on.  Fractions appear
-only in answers: ``Subspace.vectors()`` and the matrices and solutions.
+structure tests in the rest of the package lean on.  Vectors are sparse
+``{coordinate: coefficient}`` dicts, the echelon's row format; a dense
+sequence is converted once, where it enters.  Dense ``Fraction`` rows
+exist only in answers: ``Subspace.vectors()``, matrices and solutions.
 """
 
 from __future__ import annotations
@@ -38,6 +40,18 @@ def frac(value) -> Fraction:
 
 def vec(values) -> tuple[Fraction, ...]:
     return tuple(v if type(v) is Fraction else frac(v) for v in values)
+
+
+def _sparse_vector(v, dim: int) -> dict:
+    """A dict with keys in 0..dim-1 as it is, or a dense sequence of length dim converted."""
+    if type(v) is dict:
+        if any(not (type(j) is int and 0 <= j < dim) for j in v):
+            raise DimensionMismatch(f"vector coordinate outside 0..{dim - 1}")
+        return v
+    r = vec(v)
+    if len(r) != dim:
+        raise DimensionMismatch(f"vector length {len(r)} does not match dimension {dim}")
+    return _sparse(r)
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +118,11 @@ class Matrix:
                 out.append(sum((a * b for a, b in zip(r, c) if a and b), ZERO))
         return Matrix(self.rows, other.cols, tuple(out))
 
-    def mul_vec(self, v: Sequence) -> tuple[Fraction, ...]:
-        v = vec(v)
-        if len(v) != self.cols:
-            raise DimensionMismatch("vector length does not match matrix columns")
-        return tuple(sum((a * b for a, b in zip(self.row(i), v) if a and b), ZERO)
+    def mul_vec(self, v) -> tuple[Fraction, ...]:
+        """The product with a dense or sparse vector, as a dense tuple."""
+        x = _sparse_vector(v, self.cols)
+        e, n = self.entries, self.cols
+        return tuple(sum((e[i * n + j] * c for j, c in x.items() if e[i * n + j]), ZERO)
                      for i in range(self.rows))
 
     def is_zero(self) -> bool:
@@ -144,17 +158,22 @@ def row_rank(rows) -> int:
     return _echelon(rows).rank
 
 
-def kernel_basis(rows: list, cols: int) -> list[list[Fraction]]:
-    """Basis of {v : R v = 0} for constraint rows R, in RREF order.
+def kernel_basis(rows: list, cols: int) -> list[dict]:
+    """Sparse basis of {v : R v = 0}, one vector per free column (``SparseEchelon.kernel``).
 
     Rows are dense or sparse, as ``_echelon`` takes them.
     """
-    return _echelon(rows).kernel_vectors(cols)
+    return list(_echelon(rows).kernel(cols))
+
+
+def kernel_subspace(rows: list, cols: int) -> Subspace:
+    """{v : R v = 0} as a subspace: every kernel the package builds comes from here."""
+    return Subspace.from_vectors(cols, kernel_basis(rows, cols))
 
 
 def kernel(m: Matrix) -> Subspace:
     """Kernel of the linear map v -> m v, as a subspace of the column space."""
-    return Subspace.from_vectors(m.cols, kernel_basis(m.row_list(), m.cols))
+    return kernel_subspace(m.row_list(), m.cols)
 
 
 def solve(m: Matrix, rhs: Sequence) -> tuple[Fraction, ...] | None:
@@ -205,11 +224,9 @@ class Subspace:
     echelon: SparseEchelon
 
     @staticmethod
-    def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> Subspace:
-        rows = [vec(v) for v in vectors]
-        if any(len(r) != ambient_dim for r in rows):
-            raise DimensionMismatch("vector length does not match ambient dimension")
-        return Subspace(ambient_dim, _echelon(rows))
+    def from_vectors(ambient_dim: int, vectors: Iterable) -> Subspace:
+        """The span of dense or sparse vectors."""
+        return Subspace(ambient_dim, span_of(_sparse_vector(v, ambient_dim) for v in vectors))
 
     @staticmethod
     def zero(ambient_dim: int) -> Subspace:
@@ -242,15 +259,18 @@ class Subspace:
     def pivot_columns(self) -> tuple[int, ...]:
         return tuple(sorted(self.echelon.rows))
 
+    def rows(self) -> list[dict]:
+        """The echelon rows in pivot order: each its RREF row times a positive integer."""
+        return [self.echelon.rows[p] for p in self.pivot_columns()]
+
     def vectors(self) -> list[tuple[Fraction, ...]]:
-        """The RREF basis: each echelon row divided by its pivot entry."""
+        """The RREF basis as dense rows: each echelon row divided by its pivot entry."""
         return list(self._rref)
 
     @cached_property
     def _rref(self) -> tuple[tuple[Fraction, ...], ...]:
         out = []
-        for p in self.pivot_columns():
-            row = self.echelon.rows[p]
+        for p, row in zip(self.pivot_columns(), self.rows()):
             d = row[p]
             r = [ZERO] * self.ambient_dim
             for j, x in row.items():
@@ -258,19 +278,13 @@ class Subspace:
             out.append(tuple(r))
         return tuple(out)
 
-    def _sparse_vector(self, v: Sequence) -> dict:
-        r = vec(v)
-        if len(r) != self.ambient_dim:
-            raise DimensionMismatch("vector length does not match ambient dimension")
-        return _sparse(r)
-
-    def reduce(self, v: Sequence) -> list[Fraction]:
+    def reduce(self, v) -> list[Fraction]:
         """Residue of v modulo the subspace: zero at every pivot column."""
-        res = self.echelon.reduce(self._sparse_vector(v))
+        res = self.echelon.reduce(_sparse_vector(v, self.ambient_dim))
         return [res.get(j, ZERO) for j in range(self.ambient_dim)]
 
-    def contains(self, v: Sequence) -> bool:
-        return self.echelon.contains(self._sparse_vector(v))
+    def contains(self, v) -> bool:
+        return self.echelon.contains(_sparse_vector(v, self.ambient_dim))
 
     def contains_subspace(self, other: Subspace) -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -289,8 +303,7 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 def annihilator(a: Subspace) -> Subspace:
     """Covectors vanishing on the subspace, in dual coordinates: the kernel of its echelon."""
-    n = a.ambient_dim
-    return Subspace(n, span_of(a.echelon.kernel(n)))
+    return kernel_subspace(a.rows(), a.ambient_dim)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -315,7 +328,7 @@ def complement(a: Subspace, inside: Subspace | None = None) -> Subspace:
         raise PreconditionError("first subspace is not contained in the second")
     span, picked = a.echelon.copy(), SparseEchelon()
     units = filter(inside.echelon.contains, ({i: 1} for i in range(a.ambient_dim)))
-    for cand in itertools.chain(units, map(inside.echelon.rows.get, inside.pivot_columns())):
+    for cand in itertools.chain(units, inside.rows()):
         if span.rank == inside.dim:
             break
         if span.insert(cand):
@@ -329,4 +342,4 @@ def transform_subspace(m: Matrix, a: Subspace) -> Subspace:
     """Image of ``a`` under the linear map given by ``m``."""
     if m.cols != a.ambient_dim:
         raise DimensionMismatch("matrix does not act on the subspace ambient")
-    return Subspace.from_vectors(m.rows, [m.mul_vec(v) for v in a.vectors()])
+    return Subspace.from_vectors(m.rows, [m.mul_vec(v) for v in a.rows()])

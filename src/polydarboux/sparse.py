@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 SparseVec = dict
-_ZERO = Fraction(0)
 
 
 def _axpy(target: dict, c, source: dict):
@@ -138,10 +137,6 @@ class SparseEchelon:
                 if c:
                     x[p] = Fraction(-c, row[p])
             yield x
-
-    def kernel_vectors(self, cols: int) -> list[list[Fraction]]:
-        """The vectors of ``kernel`` as dense rows."""
-        return [[x.get(j, _ZERO) for j in range(cols)] for x in self.kernel(cols)]
 
 
 class SparseSolver(SparseEchelon):

@@ -149,6 +149,21 @@ def test_precondition_failures_exit_one(capsys):
     assert run_cli(["darboux", CORPUS["appendix_a2.json"]], capsys)[0] == 1
 
 
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize("command", ["analyze", "darboux"])
+def test_forms_below_degree_two_are_refused_by_name(tmp_path, capsys, degree, command):
+    path = tmp_path / f"degree{degree}.json"
+    path.write_text(json.dumps({"schema_version": "1", "kind": "scalar_form", "dim": 3,
+                                "degree": degree,
+                                "terms": [{"indices": list(range(1, degree + 1)),
+                                           "coefficient": "1"}]}))
+    assert main([command, str(path), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"degree {degree}" in captured.err and "degree at least 2" in captured.err
+    assert "Traceback" not in captured.err and "contraction level" not in captured.err
+
+
 @pytest.mark.parametrize("kind, fields", [
     ("scalar_form", {"degree": 2, "terms": [{"indices": [1, 2], "coefficient": "1"}]}),
     ("vector_valued_form", {"degree": 2, "value_dim": 2,

@@ -12,7 +12,7 @@ from polydarboux.darboux import (canonical_multi_model,
 from polydarboux.errors import ConstructionError, PreconditionError
 from polydarboux.exterior import VectorValuedForm, embed_in, form, pullback
 from polydarboux.lagrangian import (check_multilagrangian, is_isotropic,
-                                    kernel_of_form, symbol)
+                                    kernel_of_form, search_polylagrangian, symbol)
 from polydarboux.linalg import (Matrix, Subspace, intersect, inverse, subspace_sum,
                                transform_subspace)
 
@@ -263,6 +263,26 @@ def test_poly_induction_inverts_codim_l_matrices_only_at_pairing_steps(monkeypat
                         for j, p in enumerate(candidates))
     assert 0 < pairing_steps < 16
     assert shapes == [(16, 16)] and len(shapes) <= pairing_steps + 1
+
+
+def test_search_and_induction_read_no_dense_rows(monkeypatch):
+    # vectors stay sparse from the kernel to the basis: the search reads no
+    # dense RREF row, and the construction reads only the kernel's, as the
+    # last columns of the basis matrix
+    moved, _, _ = conjugated_poly_instance(canonical_poly_model(32, 1, 1), 3)
+    read = []
+    vectors = Subspace.vectors
+
+    def counted(self):
+        read.append(self)
+        return vectors(self)
+
+    monkeypatch.setattr(Subspace, "vectors", counted)
+    assert search_polylagrangian(moved).status == "found"
+    assert read == []
+    basis = darboux_basis_poly(moved)
+    assert basis.params == (32, 1, 1)
+    assert read == [kernel_of_form(moved)]
 
 
 def test_r1_model_subspace_missing_the_kernel_is_refused_by_name():

@@ -213,7 +213,8 @@ def oracle_basis_multi(omega, flag, r, lagr):
         else:
             l_prime_v, solver_v = oracle_lagrangian_solver(sym, lagr_v, kernel_of_form(sym))
             e_v = oracle_extend_poly(sym, lagr_v, [], l_prime_v, solver_v)
-        e_vecs = flag.lift_vertical(e_v)
+        # lift_vertical returns sparse vectors; the oracle works on dense ones
+        e_vecs = [[x.get(j, ZERO) for j in range(dim)] for x in flag.lift_vertical(e_v)]
     ker = kernel_of_form(omega)
     l_prime, solver = oracle_lagrangian_solver(as_vector_form(omega), lagr, ker)
     h_vecs = oracle_extend_multi(omega, lagr, flag, r, e_vecs, [], l_prime, solver)

@@ -191,7 +191,7 @@ def oracle_intersect_spans(vectors_a, vectors_b) -> list[dict]:
     out = []
     for sol in kernel_basis(rows, p + q):
         combo: dict = {}
-        for i, c in enumerate(sol[:p]):
+        for i, c in enumerate(densify(sol, p + q)[:p]):
             if c:
                 _axpy(combo, -c, va[i])
         if combo:
@@ -293,7 +293,7 @@ def test_int_keyed_echelon_matches_row_echelon(data):
     assert canonical(new) == old.canonical()
     assert_integer_echelon(new)
     assert sorted(new.rows) == dense.pivots
-    got = Subspace.from_vectors(dim, new.kernel_vectors(dim))
+    got = Subspace.from_vectors(dim, [densify(x, dim) for x in new.kernel(dim)])
     assert got == Subspace.from_vectors(dim, dense.kernel_vectors())
     queries = data.draw(dense_rows(dim, 4)) + [densify(r, dim) for r in rows[:2]]
     for q in queries:
@@ -319,9 +319,9 @@ def test_stacked_echelon_matches_old_sparse_echelon(data):
 
 
 def test_kernel_vectors_of_an_empty_echelon_are_the_unit_vectors():
-    assert SparseEchelon().kernel_vectors(3) == [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO],
-                                                [ZERO, ZERO, ONE]]
-    assert SparseEchelon().kernel_vectors(0) == []
+    assert [densify(x, 3) for x in SparseEchelon().kernel(3)] == [
+        [ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
+    assert list(SparseEchelon().kernel(0)) == []
 
 
 # ---------------------------------------------------------------------------

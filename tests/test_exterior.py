@@ -8,7 +8,7 @@ from conftest import (count_horizontal_monomials, eval_wedge_oracle, random_form
                       random_vector, std_vector)
 from polydarboux.darboux import canonical_multi_model, canonical_poly_model
 from polydarboux.errors import DimensionMismatch, PreconditionError
-from polydarboux.exterior import (VectorValuedForm, add, basis_covector, contract,
+from polydarboux.exterior import (Flag, VectorValuedForm, add, basis_covector, contract,
                                   coordinate_flag, evaluate, flat_matrix, form,
                                   horizontal_dim, horizontality_degree, poly_eval,
                                   project, pullback, scale, symmetric_poly, wedge,
@@ -268,6 +268,44 @@ def test_fully_summed_input_collapses_to_single_stored_coefficient():
     summed = form(3, 2, {(1, 2): 3 * half, (2, 1): -3 * half,
                          (1, 3): half, (3, 1): -half})
     assert summed == form(3, 2, {(1, 2): 3, (1, 3): 1})
+
+
+@pytest.mark.parametrize("bad", [
+    [1, 0, 0, 5, 6],   # long: evaluate used to cut it silently
+    [1, 0],            # short: evaluate used to raise a bare IndexError
+    {0: 1, 3: 5},      # a coordinate at dim
+    {2: 1, -1: 1},     # a negative coordinate
+])
+@pytest.mark.parametrize("at", [0, 1])
+def test_evaluate_checks_every_vector_as_contract_does(bad, at):
+    a = form(3, 2, {(1, 3): 1})
+    vectors = [[1, 0, 0], [0, 0, 1]]
+    vectors[at] = bad
+    with pytest.raises(DimensionMismatch):
+        evaluate(a, vectors)
+    with pytest.raises(DimensionMismatch):
+        contract(bad, a)
+
+
+def test_lift_vertical_combines_the_rref_basis():
+    # vertical spaces with pivot entries other than 1, unlike any coordinate flag
+    rng = random.Random(5)
+    for _ in range(20):
+        rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(rng.randint(1, 4))]
+        vert = Subspace.from_vectors(5, rows)
+        if vert.dim == 0:
+            continue
+        free = [j for j in range(5) if j not in vert.pivot_columns()]
+        splitting = (Matrix.from_cols([[int(i == j) for i in range(5)] for j in free]) if free
+                     else Matrix(5, 0, ()))
+        flag = Flag(5, vert, splitting)
+        coords = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(vert.dim)]
+                  for _ in range(3)]
+        want = [[sum((c * x[j] for c, x in zip(u, vert.vectors())), Fraction(0)) for j in range(5)]
+                for u in coords]
+        got = flag.lift_vertical(coords)
+        assert [[w.get(j, 0) for j in range(5)] for w in got] == want
+        assert flag.lift_vertical([{i: c for i, c in enumerate(u) if c} for u in coords]) == got
 
 
 def test_dimension_mismatch_errors():

@@ -58,8 +58,10 @@ def test_annihilator_wedges_match_contraction_kernel():
                 for m2, c2 in image.coeffs.items():
                     by_target.setdefault(m2, [Fraction(0)] * len(monos))[j] = c2
             rows.extend(by_target.values())
-        sols = kernel_basis(rows, len(monos)) if rows else \
-            [[Fraction(1 if i == j else 0) for j in range(len(monos))] for i in range(len(monos))]
+        sols = ([[x.get(j, Fraction(0)) for j in range(len(monos))]
+                 for x in kernel_basis(rows, len(monos))] if rows else
+                [[Fraction(1 if i == j else 0) for j in range(len(monos))]
+                 for i in range(len(monos))])
         expected = []
         for sol in sols:
             vecdict = {(0, mask_of(monos[j])): c for j, c in enumerate(sol) if c}

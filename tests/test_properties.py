@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -46,6 +47,32 @@ def test_interior_product_antiderivation(a, b, v):
 @given(forms(4, 2), vectors(4), vectors(4))
 def test_contract_evaluates_first_slot(a, v, w):
     assert evaluate(a, [v, w]) == evaluate(contract(v, a), [w])
+
+
+@st.composite
+def forms_with_a_vector(draw):
+    """A scalar or two-component form of degree 1..dim on R^dim, dim 1..6, and a vector."""
+    dim = draw(st.integers(1, 6))
+    degree = draw(st.integers(1, dim))
+    comps = draw(st.lists(forms(dim, degree), min_size=1, max_size=2))
+    x = comps[0] if len(comps) == 1 else VectorValuedForm(tuple(comps))
+    return x, draw(vectors(dim))
+
+
+@given(forms_with_a_vector(), st.booleans())
+def test_contract_on_a_dict_equals_contract_on_the_dense_list(case, keep_zeros):
+    x, v = case
+    assert contract({j: c for j, c in enumerate(v) if c or keep_zeros}, x) == contract(v, x)
+    # integer entries, as echelon rows hold them, against the equal Fraction list
+    scale = lcm(*(c.denominator for c in v))
+    ints = {j: int(c * scale) for j, c in enumerate(v) if c}
+    assert contract(ints, x) == contract([c * scale for c in v], x)
+
+
+@given(forms(4, 2), vectors(4), vectors(4))
+def test_evaluate_on_dicts_equals_evaluate_on_dense_lists(a, v, w):
+    sparse = [{j: c for j, c in enumerate(u) if c} for u in (v, w)]
+    assert evaluate(a, sparse) == evaluate(a, [v, w])
 
 
 @given(forms(4, 2), forms(4, 2), st.lists(rationals, min_size=2, max_size=2), vectors(4))

@@ -27,8 +27,13 @@ dimensions 96 to 256.  ``small_support`` is a record
 of the same kind: the wall time and exit code of ``analyze --json`` and
 ``darboux --json`` on the 2-form e13 + e24 declared in each dimension of
 ``SMALL_SUPPORT_DIMS``, where the work should not grow with the declared
-dimension.  The Python version and the CPU count come from this
-interpreter.  Runs go one after another, never in parallel.
+dimension.  ``traced`` holds, per tree and workload, one traced pass run
+after the series, ``perfbench/run.py --trace 1 --seed 7 --seconds 5``:
+its report digest, whether it printed ``TRACE CHECK FAILED`` (a
+``must_fire`` function that never ran, a report that tracing changed, or
+counts that differ between its two passes) and its per-layer metrics.
+The Python version and the CPU count come from this interpreter.  Runs
+go one after another, never in parallel.
 """
 
 from __future__ import annotations
@@ -55,12 +60,14 @@ SWEEP += [("poly", n, nhat, 1) for n, nhat in [(48, 1), (32, 2), (24, 3), (64, 2
 SWEEP_TIMEOUT = 30.0
 # declared dimensions of the small-support series
 SMALL_SUPPORT_DIMS = (128, 256, 512)
+# the traced pass run once per tree and workload after the series
+TRACED_SEED, TRACED_SECONDS = 7, 5.0
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -68,8 +75,21 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                            f"{proc.stdout}{proc.stderr}")
     summary = json.loads(lines[-1])
     digest = next((ln.split()[-1] for ln in lines if ln.startswith("report digest")), None)
-    return {"seed": seed, "digest": digest, "correct": summary["correct"],
-            "metrics": {k: v["value"] for k, v in summary["metrics"].items()}}
+    out = {"seed": seed, "digest": digest, "correct": summary["correct"],
+           "metrics": {k: v["value"] for k, v in summary["metrics"].items()}}
+    if trace:
+        out["trace_check_failed"] = [ln for ln in lines if ln.startswith("TRACE CHECK FAILED")]
+    return out
+
+
+def traced(label: str, tree: Path, workloads: list) -> dict:
+    """One traced pass per workload: digest, failed trace checks and per-layer metrics."""
+    out = {}
+    for w in workloads:
+        out[w] = res = run_once(tree, w, TRACED_SEED, TRACED_SECONDS, trace=1)
+        print(f"traced {w} {label}: digest {res['digest'][:12]} "
+              f"{'TRACE CHECK FAILED' if res['trace_check_failed'] else 'checks hold'}", flush=True)
+    return out
 
 
 def _cli_env(tree: Path) -> tuple[list, dict]:
@@ -171,14 +191,17 @@ def main(argv=None) -> int:
                       f"digest {res['digest'][:12]} correct {res['correct']}", flush=True)
         # rewritten after every run, so an interrupted series keeps what it measured
         write_record(args, spec, trees, runs, i + 1)
+    traces = {label: traced(label, path, workloads) for label, path in trees}
+    write_record(args, spec, trees, runs, args.runs, traces=traces)
     sweeps = {label: sweep(label, path) for label, path in trees}
     supports = {label: small_support(label, path) for label, path in trees}
-    write_record(args, spec, trees, runs, args.runs, sweeps, supports)
+    write_record(args, spec, trees, runs, args.runs, sweeps, supports, traces)
     return 0
 
 
 def write_record(args, spec: dict, trees: list, runs: dict, done: int,
-                 sweeps: dict | None = None, supports: dict | None = None) -> None:
+                 sweeps: dict | None = None, supports: dict | None = None,
+                 traces: dict | None = None) -> None:
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
     out = {"python": platform.python_version(), "cpu_count": os.cpu_count(),
            "run_seconds": spec["run_seconds"], "runs": done, "seed": args.seed,
@@ -188,6 +211,8 @@ def write_record(args, spec: dict, trees: list, runs: dict, done: int,
         out["sweep"] = sweeps
     if supports is not None:
         out["small_support"] = supports
+    if traces is not None:
+        out["traced"] = traces
     for w, by_tree in runs.items():
         entry = {}
         for label, rs in by_tree.items():
@@ -203,6 +228,9 @@ def write_record(args, spec: dict, trees: list, runs: dict, done: int,
                                 entry[last]["metrics"][m]["values"], higher.get(m, True))
                 for m in entry[first]["metrics"]}
             entry["digests_equal"] = entry[first]["digests"] == entry[last]["digests"]
+            if traces is not None:
+                entry["traced_digests_equal"] = (traces[first][w]["digest"]
+                                                 == traces[last][w]["digest"])
         out["workloads"][w] = entry
     Path(args.out).write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
 
