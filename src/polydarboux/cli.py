@@ -10,6 +10,7 @@ consistency failure (a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -223,7 +224,9 @@ def cmd_counterexamples(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``main`` dispatches by command name."""
     parser = argparse.ArgumentParser(prog="polydarboux", description=__doc__)
     parser.add_argument("--version", action="version", version=f"polydarboux {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -236,16 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("analyze", help="classify a form document"))
     p.add_argument("file")
     p.add_argument("--samples", type=int, default=100)
-    p.set_defaults(func=cmd_analyze)
 
     p = common(sub.add_parser("darboux", help="construct a canonical basis"))
     p.add_argument("file")
-    p.set_defaults(func=cmd_darboux)
 
     p = common(sub.add_parser("symbol", help="emit the symbol of a flagged form"))
     p.add_argument("file")
     p.add_argument("--r", type=int, default=None)
-    p.set_defaults(func=cmd_symbol)
 
     p = sub.add_parser("canonical", help="generate a canonical model document")
     fam = p.add_subparsers(dest="family", required=True)
@@ -261,12 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     for q in (pp, pm):
         q.add_argument("--shuffle-seed", type=int, default=None)
         q.add_argument("-o", "--output", default=None)
-        q.set_defaults(func=cmd_canonical)
 
     p = common(sub.add_parser("homotopy", help="exact primitive of a closed polynomial form"))
     p.add_argument("file")
     p.add_argument("--r", type=int, default=None)
-    p.set_defaults(func=cmd_homotopy)
 
     p = common(sub.add_parser("moser", help="run the deformation-flow demonstrator"))
     p.add_argument("file")
@@ -274,21 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--radius", type=float, default=0.1)
-    p.set_defaults(func=cmd_moser)
 
     p = sub.add_parser("counterexamples", help="replay the bundled claim corpus")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--samples", type=int, default=100)
-    p.set_defaults(func=cmd_counterexamples)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        code = args.func(args)
+        # looked up at call time, so a rebound ``cmd_*`` (a tracer, a test) is the one that runs
+        code = globals()[f"cmd_{args.command}"](args)
     except DocumentError as exc:
         print(f"document error: {exc}", file=sys.stderr)
         return 2

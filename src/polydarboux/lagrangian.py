@@ -14,14 +14,14 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .errors import DimensionMismatch, InternalCheckError, PreconditionError
 from .exterior import (AlternatingForm, Flag, VectorValuedForm, contract, evaluate,
                        indices_of, project, pullback, wedge_all, wedge_power_by_exponent)
 from .linalg import (Matrix, Subspace, ZERO, ONE, annihilator, inverse, kernel_basis,
                      kernel_subspace, subspace_sum, complement, transform_subspace)
-from .sparse import SparseEchelon, _axpy, span_equal, span_of, intersect_spans
+from .sparse import _axpy, _scaled, span_equal, span_of, intersect_spans
 
 DEFAULT_SEED = 20070
 
@@ -103,25 +103,32 @@ def kernel_of_form(x) -> Subspace:
     return kernel_subspace(_kernel_constraints(v), v.dim)
 
 
-def orthogonal_complement(sub: Subspace, omega, level: int) -> Subspace:
-    """Vectors annihilating omega after ``level`` contractions with the subspace."""
+def _dot(r: dict, u: dict):
+    if len(u) < len(r):
+        r, u = u, r
+    return sum(x * u[k] for k, x in r.items() if k in u)
+
+
+def is_isotropic(sub: Subspace, omega, level: int = 1) -> bool:
+    """Does omega vanish after ``level`` contractions with the subspace and one more?
+
+    Tested without building the level-l complement: every constraint row
+    of each l-fold contraction of its rows must dot to zero with every row
+    after the last one contracted (on the others the form alternates to 0).
+    """
     v = as_vector_form(omega)
     if sub.ambient_dim != v.dim:
         raise DimensionMismatch("subspace does not live on the form's space")
     if not 1 <= level <= v.degree - 1:
         raise PreconditionError(f"contraction level must lie in 1..{v.degree - 1}")
-    rows: list[dict] = []
-    for combo in itertools.combinations(sub.rows(), level):
+    rows = sub.rows()
+    for combo in itertools.combinations(range(len(rows)), level):
         partial = v
-        for u in combo:
-            partial = contract(u, partial)
-        if not partial.is_zero():
-            rows.extend(_kernel_constraints(partial))
-    return kernel_subspace(rows, v.dim)
-
-
-def is_isotropic(sub: Subspace, omega, level: int = 1) -> bool:
-    return orthogonal_complement(sub, omega, level).contains_subspace(sub)
+        for i in combo:
+            partial = contract(rows[i], partial)
+        if any(_dot(r, u) for r in _kernel_constraints(partial) for u in rows[combo[-1] + 1:]):
+            return False
+    return True
 
 
 def is_maximal_isotropic(sub: Subspace, omega) -> bool:
@@ -347,6 +354,28 @@ def find_polylagrangian(omega) -> Subspace | None:
     return search_polylagrangian(omega).subspace
 
 
+def _cut(orth: dict, r: dict):
+    """Cut the reduced echelon ``orth``, {pivot: primitive integer row}, by r . x = 0 in place.
+
+    Of the rows with c_i = r . K_i != 0, the one of largest pivot, K_j, is
+    dropped and each other becomes c_j K_i - c_i K_j, primitive with a
+    positive pivot.  K_j is zero at every other pivot and has no key below
+    its own, so the rows keep their pivots and stay reduced: the unique
+    reduced echelon of the cut space, as a rebuild would give it.
+    """
+    r = _scaled(r)[0]
+    hit = {p: c for p, row in orth.items() if (c := _dot(r, row))}
+    if not hit:
+        return
+    top = max(hit)
+    c_top, row_top = hit.pop(top), orth.pop(top)
+    for p, c in hit.items():
+        new = {j: c_top * x for j, x in orth[p].items()}
+        _axpy(new, c, row_top)
+        g = gcd(*new.values()) if new[p] > 0 else -gcd(*new.values())
+        orth[p] = new if g == 1 else {j: x // g for j, x in new.items()}
+
+
 def greedy_maximal_isotropic(omega, seed: Subspace, within: Subspace | None = None,
                              verify: bool = True) -> Subspace:
     """Grow an isotropic subspace until it equals its level-1 complement.
@@ -355,42 +384,29 @@ def greedy_maximal_isotropic(omega, seed: Subspace, within: Subspace | None = No
     order, that is not already in the span; deterministic given the seed.
     ``within`` restricts the growth (used for vertical-space searches).
 
-    Two incremental echelons carry the growth: the span of seed and picks,
-    which answers membership, and the constraint rows of the complement,
-    to which each pick adds only the conditions from its own contraction
-    image.  The complement's echelon is rebuilt only when those rows gained
-    rank.  Otherwise it is unchanged and the scan resumes after the last
-    pick: every row before it was already in the smaller span.  The rows
-    are scanned as they are, sparse integer multiples of the RREF rows, so
-    the picks span what the RREF picks would.  The span's echelon, a copy
-    of the seed's, becomes the returned subspace.
+    The complement is held as its reduced echelon rows, starting from the
+    unit rows or the rows of ``within``, and each constraint row of a
+    pick's contraction image cuts it in place (``_cut``); nothing is
+    rebuilt.  Scanned rows leave it: each lies in the isotropic span, so
+    every later constraint vanishes on it and no cut would touch it.  The
+    span of seed and picks, an incremental echelon copied from the seed's,
+    answers membership and becomes the returned subspace.
     """
     v = as_vector_form(omega)
     if not is_isotropic(seed, v, 1):
         raise PreconditionError("seed subspace is not isotropic")
-    ech = SparseEchelon() if within is None else annihilator(within).echelon.copy()
+    base = within if within is not None else Subspace.full(v.dim)
+    orth = dict(sorted(base.echelon.rows.items()))
     span = seed.echelon.copy()
     for u in seed.rows():
         for row in _kernel_constraints(contract(u, v)):
-            ech.insert(row)
-    orth: list | None = None
-    start = 0
-    while True:
-        if orth is None:
-            orth = Subspace(v.dim, span_of(ech.kernel(v.dim))).rows()
-            start = 0
-        at = next((i for i in range(start, len(orth)) if not span.contains(orth[i])), None)
-        if at is None:
-            break
-        nxt = orth[at]
-        span.insert(nxt)
-        grew = False
-        for row in _kernel_constraints(contract(nxt, v)):
-            grew = ech.insert(row) or grew
-        if grew:
-            orth = None
-        else:
-            start = at + 1
+            _cut(orth, row)
+    while orth:
+        row = orth.pop(next(iter(orth)))
+        if not span.contains(row):
+            span.insert(row)
+            for r in _kernel_constraints(contract(row, v)):
+                _cut(orth, r)
     cur = Subspace(v.dim, span)
     if verify and within is None and not is_maximal_isotropic(cur, v):
         raise InternalCheckError("greedy termination did not yield a maximal isotropic subspace")

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from polydarboux.exterior import AlternatingForm, VectorValuedForm, evaluate, form
-from polydarboux.linalg import ZERO, ONE
+from polydarboux.errors import DimensionMismatch, PreconditionError
+from polydarboux.exterior import AlternatingForm, VectorValuedForm, contract, evaluate, form
+from polydarboux.lagrangian import _kernel_constraints, as_vector_form
+from polydarboux.linalg import ZERO, ONE, Subspace, kernel_subspace
 
 
 @pytest.fixture
@@ -81,3 +83,25 @@ def random_form(rng, dim: int, degree: int, *, density=0.6, span=4) -> Alternati
 
 def random_vector(rng, dim: int, span=3):
     return [Fraction(rng.randint(-span, span), rng.randint(1, 2)) for _ in range(dim)]
+
+
+def orthogonal_complement(sub: Subspace, omega, level: int) -> Subspace:
+    """Vectors annihilating omega after ``level`` contractions with the subspace.
+
+    The level-l complement as the isotropy test used to build it: the
+    kernel of the constraint rows of every l-fold contraction of the
+    subspace's rows.  ``is_isotropic`` is containment in it.
+    """
+    v = as_vector_form(omega)
+    if sub.ambient_dim != v.dim:
+        raise DimensionMismatch("subspace does not live on the form's space")
+    if not 1 <= level <= v.degree - 1:
+        raise PreconditionError(f"contraction level must lie in 1..{v.degree - 1}")
+    rows: list[dict] = []
+    for combo in itertools.combinations(sub.rows(), level):
+        partial = v
+        for u in combo:
+            partial = contract(u, partial)
+        if not partial.is_zero():
+            rows.extend(_kernel_constraints(partial))
+    return kernel_subspace(rows, v.dim)

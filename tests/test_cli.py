@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import polydarboux
+from polydarboux import cli
 from polydarboux.cli import main
 from polydarboux.corpus import corpus_files
 
@@ -484,6 +486,44 @@ def test_reports_match_goldens(tmp_path, capsys):
     for name, argv in cases:
         code, out = run_cli(argv, capsys)
         assert report_digest(code, out, argv) == GOLDEN[name], name
+
+
+def test_one_parser_serves_every_command_in_a_process(tmp_path, capsys, monkeypatch):
+    """Every subcommand in sequence, with --version and a bad argument between each."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "polydarboux":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    cases = golden_cases(tmp_path) + [("counterexamples", ["counterexamples"]),
+                                      ("moser", ["moser", CORPUS["perturbed_multisymplectic.json"],
+                                                 "--steps", "5", "--samples", "2"])]
+    for name, argv in cases:
+        code, out = run_cli(argv, capsys)
+        assert (code == 0 if name == "moser"
+                else report_digest(code, out, argv) == GOLDEN[name]), name
+        with pytest.raises(SystemExit) as version:
+            main(["--version"])
+        assert version.value.code == 0
+        assert capsys.readouterr().out == f"polydarboux {polydarboux.__version__}\n"
+        with pytest.raises(SystemExit) as bad:
+            main(argv + ["--no-such-flag"])
+        assert bad.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert len(built) == 1
+
+
+def test_a_command_rebound_after_the_parser_is_built_runs(monkeypatch, capsys):
+    assert run_cli(["canonical", "poly", "1", "1", "1"], capsys)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.file) or 7)
+    assert main(["analyze", "doc.json"]) == 7
+    assert seen == ["doc.json"]
 
 
 # moser tolerance goldens: float digits depend on the BLAS build, so the

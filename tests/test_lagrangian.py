@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from conftest import random_form, std_vector
+from conftest import orthogonal_complement, random_form, std_vector
 from polydarboux.darboux import (canonical_multi_model, canonical_poly_model,
                                  conjugated_multi_instance, conjugated_poly_instance,
                                  seeded_conjugate)
@@ -18,7 +18,7 @@ from polydarboux.lagrangian import (check_multilagrangian,
                                     dimension_criterion_poly, find_polylagrangian,
                                     greedy_maximal_isotropic, is_isotropic,
                                     is_maximal_isotropic, kernel_of_form,
-                                    kernels_orthogonal_under, orthogonal_complement,
+                                    kernels_orthogonal_under,
                                     polysymplectic_uniform_rank_check,
                                     projection_kernel_isotropy_check, rank_2form,
                                     search_polylagrangian, symbol,

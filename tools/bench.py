@@ -23,7 +23,7 @@ of ``analyze --json`` and of ``darboux --json`` on each conjugated
 are ``poly N nhat 1`` for nhat = 1, 2, 3 and dimensions N * (nhat + 1)
 from 16 to 64, then poly models with k = 2 and 3 (forms of degree 3 and 4)
 and multi models, of dimensions 15 to 64, then ``poly N nhat 1`` models of
-dimensions 96 to 256.  ``small_support`` is a record
+dimensions 96 to 1 024.  ``small_support`` is a record
 of the same kind: the wall time and exit code of ``analyze --json`` and
 ``darboux --json`` on the 2-form e13 + e24 declared in each dimension of
 ``SMALL_SUPPORT_DIMS``, where the work should not grow with the declared
@@ -56,7 +56,8 @@ SWEEP = [("poly", n, nhat, 1) for n, nhat in [(8, 1), (16, 1), (24, 1), (32, 1),
                                               (16, 2), (21, 2), (4, 3), (8, 3), (12, 3), (16, 3)]]
 SWEEP += [("poly", n, 1, 3) for n in (5, 6, 7, 8)] + [("poly", 8, 1, 2), ("poly", 10, 1, 2)]
 SWEEP += [("multi", n, 2, 2, 2) for n in (4, 8, 12)] + [("multi", 8, 2, 2, 3)]
-SWEEP += [("poly", n, nhat, 1) for n, nhat in [(48, 1), (32, 2), (24, 3), (64, 2), (128, 1)]]
+SWEEP += [("poly", n, nhat, 1) for n, nhat in [(48, 1), (32, 2), (24, 3), (64, 2), (128, 1),
+                                              (256, 1), (512, 1)]]
 SWEEP_TIMEOUT = 30.0
 # declared dimensions of the small-support series
 SMALL_SUPPORT_DIMS = (128, 256, 512)
