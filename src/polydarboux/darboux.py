@@ -20,9 +20,9 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ConstructionError, InternalCheckError, PreconditionError
-from .exterior import (AlternatingForm, Flag, VectorValuedForm, add, basis_covector,
-                       contract, coordinate_flag, embed_in, form, mask_of, pullback,
-                       pullback_rows, restrict_to_leading, wedge_all, zero_form)
+from .exterior import (AlternatingForm, Flag, VectorValuedForm, contract, coordinate_flag,
+                       embed_in, form, mask_of, pullback, pullback_rows, restrict_to_leading,
+                       wedge_all)
 from .io import MAX_DIM
 from .lagrangian import (as_vector_form, check_multilagrangian, check_polylagrangian,
                          detect_multilagrangian, is_isotropic, kernel_of_form,
@@ -71,16 +71,12 @@ def canonical_poly_model(n_rank: int, nhat: int, k: int) -> CanonicalModel:
     dim = n_rank + nhat * comb(n_rank, k)
     if dim > MAX_DIM:
         raise PreconditionError(f"model dimension {dim} exceeds the budget of {MAX_DIM} (MAX_DIM)")
-    components = []
-    pos = n_rank + 1
-    for a in range(nhat):
-        coeffs = zero_form(dim, k + 1)
-        for idx in itertools.combinations(range(1, n_rank + 1), k):
-            w = wedge_all([basis_covector(dim, pos)] + [basis_covector(dim, i) for i in idx])
-            coeffs = add(coeffs, w)
-            pos += 1
-        components.append(coeffs)
-    omega = VectorValuedForm(tuple(components))
+    combos = list(itertools.combinations(range(1, n_rank + 1), k))
+    # component a pairs slot n_rank + 1 + a * C(N, k) + i with the i-th k-index
+    omega = VectorValuedForm(tuple(
+        form(dim, k + 1, {(n_rank + 1 + a * len(combos) + i,) + idx: 1
+                          for i, idx in enumerate(combos)})
+        for a in range(nhat)))
     lagr = Subspace.span_of_coordinates(dim, range(n_rank + 1, dim + 1))
     e_sub = Subspace.span_of_coordinates(dim, range(1, n_rank + 1))
     return CanonicalModel("poly", (n_rank, nhat, k), omega, lagr, e_sub, None, None,
@@ -108,15 +104,10 @@ def multi_coordinate_labels(n_rank: int, n_base: int, k: int, r: int) -> tuple:
 
 def _multi_model_data(n_rank: int, n_base: int, k: int, r: int):
     slots = multi_slot_index(n_rank, n_base, k, r)
-    dim = n_rank + n_base + len(slots)
-    coeffs = zero_form(dim, k + 1)
-    pos = n_rank + n_base + 1
-    for (_, idx, mu) in slots:
-        factors = [basis_covector(dim, pos)]
-        factors += [basis_covector(dim, i) for i in idx]
-        factors += [basis_covector(dim, n_rank + m) for m in mu]
-        coeffs = add(coeffs, wedge_all(factors))
-        pos += 1
+    first = n_rank + n_base + 1
+    dim = first - 1 + len(slots)
+    coeffs = form(dim, k + 1, {(first + i,) + idx + tuple(n_rank + m for m in mu): 1
+                               for i, (_, idx, mu) in enumerate(slots)})
     vertical = list(range(1, n_rank + 1)) + list(range(n_rank + n_base + 1, dim + 1))
     flag = coordinate_flag(dim, vertical)
     lagr = Subspace.span_of_coordinates(dim, range(n_rank + n_base + 1, dim + 1))
@@ -129,6 +120,9 @@ def canonical_multi_model(n_rank: int, n_base: int, k: int, r: int) -> Canonical
     """Standard model over a flag: momentum slots run over mixed increasing
     indices with up to r-1 vertical factors.  Degenerate exactly when r = 1,
     with kernel the E block."""
+    if k < 1:
+        raise PreconditionError(f"the model form would have degree {k + 1}; "
+                                "multisymplectic structures need degree at least 2")
     if not 1 <= r <= k + 1:
         raise PreconditionError("horizontality parameter out of range")
     if k + 1 - r > n_base:
@@ -156,15 +150,11 @@ def canonical_multi_symbol(n_rank: int, n_base: int, k: int, r: int) -> VectorVa
     slots = multi_slot_index(n_rank, n_base, k, r)
     v_dim = n_rank + len(slots)
     combos = list(itertools.combinations(range(1, n_base + 1), k + 1 - r))
-    comps = [zero_form(v_dim, r) for _ in combos]
-    pos_of = {c: i for i, c in enumerate(combos)}
+    terms: dict = {mu: {} for mu in combos}
     for slot, (s, idx, mu) in enumerate(slots):
-        if s != r - 1:
-            continue
-        factors = [basis_covector(v_dim, n_rank + slot + 1)]
-        factors += [basis_covector(v_dim, i) for i in idx]
-        comps[pos_of[mu]] = add(comps[pos_of[mu]], wedge_all(factors))
-    return VectorValuedForm(tuple(comps))
+        if s == r - 1:
+            terms[mu][(n_rank + slot + 1,) + idx] = 1
+    return VectorValuedForm(tuple(form(v_dim, r, terms[mu]) for mu in combos))
 
 
 # ---------------------------------------------------------------------------

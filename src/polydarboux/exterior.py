@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -101,6 +102,12 @@ class AlternatingForm:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    @cached_property
+    def _images(self) -> dict:
+        """Contraction images by vector items, filled by ``_contract_scalar``;
+        outside ``==`` and ``repr``."""
+        return {}
 
     def coefficient(self, indices: Sequence[int]) -> Fraction:
         """Signed coefficient at a multi-index (any order, distinct entries)."""
@@ -221,6 +228,21 @@ def wedge_all(factors: Sequence[AlternatingForm]) -> AlternatingForm:
 
 
 def _contract_scalar(v: dict, a: AlternatingForm) -> AlternatingForm:
+    """i_v a for a sparse v, remembered on ``a`` by the items of v.
+
+    A pipeline contracts one form with the same vector many times: the
+    search, the checks and the induction each walk the form's terms
+    again otherwise.  Equal items give equal images, so ints and equal
+    ``Fraction`` entries share one.
+    """
+    key = frozenset(v.items())
+    image = a._images.get(key)
+    if image is None:
+        image = a._images[key] = _contraction_walk(v, a)
+    return image
+
+
+def _contraction_walk(v: dict, a: AlternatingForm) -> AlternatingForm:
     out: dict = {}
     for m, c in a.coeffs.items():
         mm = m
@@ -465,8 +487,18 @@ class Flag:
         return [self.splitting.col(j) for j in range(self.dim_t)]
 
     def adapted_matrix(self) -> Matrix:
-        """Columns: splitting image first, then the vertical basis."""
+        """Columns: splitting image first, then the vertical basis; built once per flag."""
+        return self._adapted_matrix
+
+    @cached_property
+    def _adapted_matrix(self) -> Matrix:
         return Matrix.from_cols(self.horizontal_cols() + self.vertical.vectors())
+
+    @cached_property
+    def _adapted_forms(self) -> dict:
+        """Forms in adapted coordinates, ``{id(form): (form, pulled back form)}``,
+        filled by ``lagrangian._adapted``; holding the form keeps its id its own."""
+        return {}
 
 
 def coordinate_flag(total_dim: int, vertical_indices: Iterable[int]) -> Flag:

@@ -223,6 +223,13 @@ def _sampled_kernel_span(v: VectorValuedForm) -> Subspace:
     return total
 
 
+def _require_degree_two(degree: int) -> None:
+    if degree < 2:
+        raise PreconditionError(
+            f"the form has degree {degree}; poly- and multisymplectic structures "
+            "need degree at least 2")
+
+
 def search_polylagrangian(omega, *, greedy_seed_limit: int | None = None,
                           ker: Subspace | None = None) -> PolylagrangianSearch:
     """Locate the distinguished maximal isotropic subspace, if one exists.
@@ -253,10 +260,7 @@ def search_polylagrangian(omega, *, greedy_seed_limit: int | None = None,
       nonzero diagonal, so they are independent.
     """
     v = as_vector_form(omega)
-    if v.degree < 2:
-        raise PreconditionError(
-            f"the form has degree {v.degree}; poly- and multisymplectic structures "
-            "need degree at least 2")
+    _require_degree_two(v.degree)
     if v.is_zero():
         raise PreconditionError("the zero form admits no distinguished subspace")
     k = v.degree - 1
@@ -419,11 +423,14 @@ def greedy_maximal_isotropic(omega, seed: Subspace, within: Subspace | None = No
 
 def _adapted(omega: AlternatingForm, flag: Flag) -> tuple[AlternatingForm, Matrix]:
     """The form in flag-adapted coordinates (quotient first, vertical last),
-    with the adapted matrix."""
+    with the adapted matrix; pulled back once per (form, flag), on the flag."""
     if omega.dim != flag.total_dim:
         raise DimensionMismatch("form does not live on the flag's total space")
     b = flag.adapted_matrix()
-    return pullback(omega, b), b
+    hit = flag._adapted_forms.get(id(omega))
+    if hit is None:
+        hit = flag._adapted_forms[id(omega)] = (omega, pullback(omega, b))
+    return hit[1], b
 
 
 def _vertical_count(mask: int, n_t: int) -> int:
@@ -885,6 +892,7 @@ def detect_multilagrangian(omega: AlternatingForm, flag: Flag, r: int) -> Polyla
     a proof of absence; with a scalar symbol the search is heuristic and
     a miss is only "not found".
     """
+    _require_degree_two(omega.degree)
     if r == 1:
         # a k-horizontal form has the whole vertical space as its subspace
         sub = flag.vertical
@@ -956,6 +964,7 @@ def classify_horizontal_form(omega: AlternatingForm, flag: Flag, r: int | None =
     if omega.is_zero():
         return StructureReport(Subspace.full(omega.dim), True, None, None, "none", None,
                                ["form vanishes"], None, None, seed)
+    _require_degree_two(omega.degree)
     aomega, _ = _adapted(omega, flag)
     n = flag.dim_t
     if r is None:

@@ -431,11 +431,14 @@ def _primitive(omega: PolyForm, r: int) -> PolyForm:
 
 
 def constant_spread(omega: PolyForm) -> PolyForm:
-    """The value at the origin, spread out as a constant form."""
-    origin = [ZERO] * omega.dim
-    val = omega.evaluate_at(origin)
+    """The value at the origin, spread out as a constant form.
+
+    The value of a coefficient at the origin is its constant term.
+    """
+    origin = (0,) * omega.dim
     return PolyForm(omega.dim, omega.degree, omega.split,
-                    {m: poly_const(omega.dim, c) for m, c in val.coeffs.items()})
+                    {m: poly_const(omega.dim, c) for m, p in omega.coeffs.items()
+                     if (c := p.terms.get(origin))})
 
 
 def moser_potential(omega: PolyForm, omega0: PolyForm) -> PolyForm:

@@ -105,3 +105,20 @@ def orthogonal_complement(sub: Subspace, omega, level: int) -> Subspace:
         if not partial.is_zero():
             rows.extend(_kernel_constraints(partial))
     return kernel_subspace(rows, v.dim)
+
+
+def contraction_oracle(v: dict, a: AlternatingForm) -> AlternatingForm:
+    """i_v a by a fresh walk over the terms of a, remembering nothing.
+
+    Written on index tuples, not masks: the entry of v at 0-based
+    coordinate i - 1 meets index i at position p of an increasing tuple
+    and adds (-1)^p v c to the tuple without it.
+    """
+    terms: dict = {}
+    for idx, c in a.terms():
+        for p, i in enumerate(idx):
+            x = v.get(i - 1)
+            if x:
+                rest = idx[:p] + idx[p + 1:]
+                terms[rest] = terms.get(rest, 0) + (-1) ** p * x * c
+    return form(a.dim, a.degree - 1, terms)

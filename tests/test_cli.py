@@ -166,6 +166,35 @@ def test_forms_below_degree_two_are_refused_by_name(tmp_path, capsys, degree, co
     assert "Traceback" not in captured.err and "contraction level" not in captured.err
 
 
+def test_a_degree_one_multi_model_is_refused(tmp_path, capsys):
+    out = tmp_path / "model.json"
+    assert main(["canonical", "multi", "1", "1", "0", "1", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert "degree 1" in captured.err and "degree at least 2" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command, degree, r", [
+    ("analyze", 1, 1), ("darboux", 1, 1), ("analyze", 0, 1), ("darboux", 0, 1),
+    ("analyze", 1, None), ("analyze", 0, None)])
+def test_flagged_forms_below_degree_two_are_refused_by_name(tmp_path, capsys, command, degree, r):
+    """Degree 1 with r = 1 is the document ``canonical multi 1 1 0 1`` used to write;
+    ``analyze`` exited 3 on it.  Without r, ``analyze`` reads r off the form."""
+    path = tmp_path / f"degree{degree}.json"
+    doc = {"schema_version": "1", "kind": "scalar_form", "dim": 3, "degree": degree,
+           "flag": {"vertical_indices": [1, 3], "splitting": [["0", "1", "0"]]},
+           "terms": [{"indices": [3][:degree], "coefficient": "1"}]}
+    if r is not None:
+        doc["r"] = r
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"degree {degree}" in captured.err and "degree at least 2" in captured.err
+    assert "Traceback" not in captured.err and "internal consistency" not in captured.err
+
+
 @pytest.mark.parametrize("kind, fields", [
     ("scalar_form", {"degree": 2, "terms": [{"indices": [1, 2], "coefficient": "1"}]}),
     ("vector_valued_form", {"degree": 2, "value_dim": 2,

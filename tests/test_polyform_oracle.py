@@ -25,8 +25,9 @@ from polydarboux.io import poly_form_to_document, report_json
 from polydarboux.lagrangian import (DEFAULT_SEED, constant_rank_sampled, random_covector,
                                     rank_2form)
 from polydarboux.linalg import row_rank
-from polydarboux.polyforms import (PolyForm, Polynomial, exterior_d, homotopy_primitive,
-                                   max_vertical_factors, poly_from_terms, vertical_d)
+from polydarboux.polyforms import (PolyForm, Polynomial, constant_spread, exterior_d,
+                                   homotopy_primitive, max_vertical_factors, poly_const,
+                                   poly_from_terms, vertical_d)
 from test_elimination_oracle import batch_rref_rows
 
 ZERO = Fraction(0)
@@ -222,6 +223,33 @@ def closed_forms(draw):
     r = draw(st.integers(1, degree))
     beta = draw(poly_forms(dim=dim, degree=degree - 1, max_y=r - 1))
     return oracle_exterior_d(beta), r
+
+
+# ---------------------------------------------------------------------------
+# the constant spread
+
+
+@settings(settings.get_profile("polyform_oracle"))
+@given(st.data())
+def test_constant_spread_reads_the_constant_terms(data):
+    """Equal, in the same layout, to the value at the origin as it used to be computed."""
+    a = data.draw(poly_forms())
+    origin = (0,) * a.dim
+    coeffs = {}
+    for m, p in a.coeffs.items():
+        terms = dict(p.terms)
+        choice = data.draw(st.sampled_from(["keep", "add", "drop"]))
+        if choice == "add":
+            terms[origin] = data.draw(coefficients)
+        elif choice == "drop":
+            terms.pop(origin, None)
+        if terms:
+            coeffs[m] = Polynomial(a.dim, terms)
+    omega = PolyForm(a.dim, a.degree, a.split, coeffs)
+    value = omega.evaluate_at([ZERO] * omega.dim)
+    want = PolyForm(omega.dim, omega.degree, omega.split,
+                    {m: poly_const(omega.dim, c) for m, c in value.coeffs.items()})
+    assert same_layout(constant_spread(omega), want)
 
 
 # ---------------------------------------------------------------------------

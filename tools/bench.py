@@ -19,16 +19,20 @@ correct.  Per tree it also holds ``src_lines``, the line count of
 dimension sweep run once after the workloads: the wall time and exit code
 of ``analyze --json`` and of ``darboux --json`` on each conjugated
 ``canonical`` model of ``SWEEP`` (shuffle seed 3), each under a timeout of
-``SWEEP_TIMEOUT`` seconds (exit code null when it ran out).  The models
-are ``poly N nhat 1`` for nhat = 1, 2, 3 and dimensions N * (nhat + 1)
-from 16 to 64, then poly models with k = 2 and 3 (forms of degree 3 and 4)
-and multi models, of dimensions 15 to 64, then ``poly N nhat 1`` models of
-dimensions 96 to 1 024.  ``small_support`` is a record
-of the same kind: the wall time and exit code of ``analyze --json`` and
-``darboux --json`` on the 2-form e13 + e24 declared in each dimension of
-``SMALL_SUPPORT_DIMS``, where the work should not grow with the declared
-dimension.  ``traced`` holds, per tree and workload, one traced pass run
-after the series, ``perfbench/run.py --trace 1 --seed 7 --seconds 5``:
+``SWEEP_TIMEOUT`` seconds (exit code null when it ran out), with the
+sha256 of its stdout and its peak RSS (``ru_maxrss`` from ``os.wait4``
+on the command, forked from a small helper).  The models are
+``poly N nhat 1`` for nhat = 1, 2, 3 and dimensions N * (nhat + 1) from
+16 to 64, then poly models with k = 2 and 3 (forms of degree 3 and 4) and
+multi models, of dimensions 15 to 64, then ``poly N nhat 1`` models of
+dimensions 96 to 1 024.
+``small_support`` is a record of the same kind on the 2-form e13 + e24
+declared in each dimension of ``SMALL_SUPPORT_DIMS``, where the work
+should not grow with the declared dimension.  With two or more trees,
+``sweep_digests_equal`` and ``small_support_digests_equal`` say whether
+the first and the last tree printed the same bytes on every command.
+``traced`` holds, per tree and workload, one traced pass run after the
+series, ``perfbench/run.py --trace 1 --seed 7 --seconds 5``:
 its report digest, whether it printed ``TRACE CHECK FAILED`` (a
 ``must_fire`` function that never ran, a report that tracing changed, or
 counts that differ between its two passes) and its per-layer metrics.
@@ -39,9 +43,11 @@ go one after another, never in parallel.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -60,7 +66,7 @@ SWEEP += [("poly", n, nhat, 1) for n, nhat in [(48, 1), (32, 2), (24, 3), (64, 2
                                               (256, 1), (512, 1)]]
 SWEEP_TIMEOUT = 30.0
 # declared dimensions of the small-support series
-SMALL_SUPPORT_DIMS = (128, 256, 512)
+SMALL_SUPPORT_DIMS = (128, 256, 512, 1024)
 # the traced pass run once per tree and workload after the series
 TRACED_SEED, TRACED_SECONDS = 7, 5.0
 
@@ -97,15 +103,45 @@ def _cli_env(tree: Path) -> tuple[list, dict]:
     return [sys.executable, "-m", "polydarboux.cli"], dict(os.environ, PYTHONPATH=str(tree / "src"))
 
 
-def _timed(cmd: list, tree: Path, env: dict) -> tuple[float, int | None]:
-    """Wall seconds and exit code of one command; the code is None after a timeout."""
-    t0 = time.perf_counter()
-    try:
-        code = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
-                              timeout=SWEEP_TIMEOUT).returncode
-    except subprocess.TimeoutExpired:
-        code = None
-    return time.perf_counter() - t0, code
+# Runs argv[1:] in a forked child and prints its wall seconds and ru_maxrss (KiB) on the
+# last line of stderr.  Linux carries a process's RSS high-water mark across exec, so a
+# command spawned straight from this process would read at least this process's RSS;
+# forked from the small helper, it reads its own.
+_RSS_HELPER = """\
+import os, sys, time
+t0 = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.argv[1], sys.argv[1:])
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter() - t0, usage.ru_maxrss, file=sys.stderr)
+sys.exit(os.waitstatus_to_exitcode(status) & 255)
+"""
+
+
+def _timed(cmd: list, tree: Path, env: dict) -> dict:
+    """Wall seconds, exit code, sha256 of stdout and peak RSS of one command.
+
+    The command runs under ``_RSS_HELPER``, in its own session, and is
+    reaped there with ``os.wait4``.  After ``SWEEP_TIMEOUT`` seconds the
+    session is killed, and the exit code, the digest and the peak are null.
+    """
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-c", _RSS_HELPER, *cmd], cwd=tree, env=env,
+                                stdout=out, stderr=err, start_new_session=True)
+        try:
+            code = proc.wait(timeout=SWEEP_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            return {"seconds": SWEEP_TIMEOUT, "exit": None, "stdout_sha256": None,
+                    "peak_rss_mb": None}
+        out.seek(0)
+        digest = hashlib.file_digest(out, "sha256").hexdigest()
+        err.seek(0)
+        seconds, rss_kib = err.read().split()[-2:]
+    return {"seconds": round(float(seconds), 3), "exit": code, "stdout_sha256": digest,
+            "peak_rss_mb": round(int(rss_kib) / 1024, 1)}
 
 
 def sweep(label: str, tree: Path) -> list:
@@ -120,11 +156,10 @@ def sweep(label: str, tree: Path) -> list:
                            cwd=tree, env=env, capture_output=True, check=True)
             dim = json.loads(doc.read_text())["dim"]
             for command in ("analyze", "darboux"):
-                seconds, code = _timed(cli + [command, str(doc), "--json"], tree, env)
-                out.append({"command": command, "model": name, "dim": dim,
-                            "seconds": round(seconds, 3), "exit": code})
-                print(f"sweep {label}: {command} {name} (dim {dim}) exit {code} in {seconds:.2f}s",
-                      flush=True)
+                res = _timed(cli + [command, str(doc), "--json"], tree, env)
+                out.append({"command": command, "model": name, "dim": dim, **res})
+                print(f"sweep {label}: {command} {name} (dim {dim}) exit {res['exit']} "
+                      f"in {res['seconds']:.2f}s, {res['peak_rss_mb']} MB", flush=True)
     return out
 
 
@@ -140,11 +175,10 @@ def small_support(label: str, tree: Path) -> list:
                 "terms": [{"indices": [1, 3], "coefficient": "1"},
                           {"indices": [2, 4], "coefficient": "1"}]}))
             for command in ("analyze", "darboux"):
-                seconds, code = _timed(cli + [command, str(doc), "--json"], tree, env)
-                out.append({"command": command, "dim": dim, "seconds": round(seconds, 3),
-                            "exit": code})
-                print(f"small support {label}: {command} in R^{dim} exit {code} "
-                      f"in {seconds:.2f}s", flush=True)
+                res = _timed(cli + [command, str(doc), "--json"], tree, env)
+                out.append({"command": command, "dim": dim, **res})
+                print(f"small support {label}: {command} in R^{dim} exit {res['exit']} "
+                      f"in {res['seconds']:.2f}s, {res['peak_rss_mb']} MB", flush=True)
     return out
 
 
@@ -208,10 +242,13 @@ def write_record(args, spec: dict, trees: list, runs: dict, done: int,
            "run_seconds": spec["run_seconds"], "runs": done, "seed": args.seed,
            "trees": [label for label, _ in trees],
            "src_lines": {label: src_lines(path) for label, path in trees}, "workloads": {}}
-    if sweeps is not None:
-        out["sweep"] = sweeps
-    if supports is not None:
-        out["small_support"] = supports
+    first, last = trees[0][0], trees[-1][0]
+    for key, record in (("sweep", sweeps), ("small_support", supports)):
+        if record is not None:
+            out[key] = record
+            if len(trees) > 1:
+                out[f"{key}_digests_equal"] = ([r["stdout_sha256"] for r in record[first]]
+                                               == [r["stdout_sha256"] for r in record[last]])
     if traces is not None:
         out["traced"] = traces
     for w, by_tree in runs.items():
@@ -223,7 +260,6 @@ def write_record(args, spec: dict, trees: list, runs: dict, done: int,
                 "correct": [r["correct"] for r in rs],
             }
         if len(trees) > 1:
-            first, last = trees[0][0], trees[-1][0]
             entry[f"{last}_better_than_{first}"] = {
                 m: better_count(entry[first]["metrics"][m]["values"],
                                 entry[last]["metrics"][m]["values"], higher.get(m, True))
