@@ -21,7 +21,7 @@ from .darboux import (canonical_multi_model, canonical_poly_model, conjugating_m
                       darboux_basis_multi, darboux_basis_poly)
 from .errors import DocumentError, InternalCheckError, PolydarbouxError
 from .exterior import pullback
-from .io import (alternating_to_document, load_document, matrix_to_rows,
+from .io import (alternating_to_document, load_document, matrix_columns,
                  poly_form_to_document, report_json, subspace_to_rows)
 from .lagrangian import (DEFAULT_SEED, as_vector_form, classify_horizontal_form,
                          classify_vector_form, symbol)
@@ -120,7 +120,7 @@ def cmd_darboux(args) -> int:
         "kind": basis.kind,
         "params": list(basis.params),
         "labels": [list(map(str, lab)) for lab in basis.labels],
-        "basis_columns": matrix_to_rows(basis.matrix.transpose()),
+        "basis_columns": matrix_columns(basis.matrix),
         "lagrangian_subspace": subspace_to_rows(basis.lagrangian),
         "canonical_pattern_match": True,  # construction raises otherwise
     }

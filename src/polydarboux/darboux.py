@@ -28,7 +28,7 @@ from .lagrangian import (as_vector_form, check_multilagrangian, check_polylagran
                          detect_multilagrangian, is_isotropic, kernel_of_form,
                          search_polylagrangian, symbol, to_vertical_coordinates,
                          _stacked)
-from .linalg import (Matrix, Subspace, ZERO, ONE, annihilator, complement, intersect,
+from .linalg import (Matrix, Subspace, ONE, annihilator, complement, intersect,
                      inverse, transform_subspace)
 from .sparse import SparseEchelon, SparseSolver, _axpy
 
@@ -226,25 +226,25 @@ class _Basis:
         """The covectors of L⁰ dual to the columns of the basis, as ``{coordinate: entry}``.
 
         With α an annihilator basis of L and P the codim L square matrix
-        P[k][j] = α_k(column j), the duals are the rows of P⁻¹·α: they
+        P[k][j] = α_k(column j), the duals are the rows of P⁻¹·α, read off
+        as the columns of (Pᵀ)⁻¹, whose column k is row k of P: they
         vanish on L and pair to the identity with the columns.  They
         depend on the columns only modulo L, so one list serves every step
         and the finished frame.  It is built on first use: at the first
         step whose candidate pairs with a slot, or for the assembly.
         """
         ann = annihilator(self.lagr)
-        alphas = [ann.echelon.rows[p] for p in ann.pivot_columns()]
-        c = len(alphas)
-        inv = inverse(Matrix(c, c, tuple(
-            Fraction(sum(alpha[j] * x for j, x in col.items() if j in alpha))
-            for alpha in alphas for col in self.mod_l)))
+        alphas = ann.rows()
+        inv = inverse(Matrix(len(alphas), tuple(
+            {j: x for j, col in enumerate(self.mod_l)
+             if (x := sum(alpha[i] * y for i, y in col.items() if i in alpha))}
+            for alpha in alphas)))
         out = []
-        for i in range(c):
+        for col in inv.columns:
             acc: dict = {}
-            for x, alpha in zip(inv.row(i), alphas):
-                if x:
-                    for j, a in alpha.items():
-                        acc[j] = acc.get(j, 0) + x * a
+            for k, x in col.items():
+                for j, a in alphas[k].items():
+                    acc[j] = acc.get(j, 0) + x * a
             out.append({j: y for j, y in acc.items() if y})
         return out
 
@@ -380,15 +380,12 @@ def _assemble(induction: tuple, ker: Subspace, labels: tuple):
     """The basis matrix and labels: the frame, one momentum vector per slot, the kernel.
 
     The momentum vectors take the induction's duals, which the finished
-    frame shares modulo L.  The sparse frame and momentum vectors become
-    dense columns only here.
+    frame shares modulo L.  Every column is a sparse vector as it stands.
     """
     basis, slots, momentum = induction
-    dim = ker.ambient_dim
-    sparse_cols = basis.frame + [momentum(basis.duals, slot) for slot in slots]
-    columns = [[u.get(j, ZERO) for j in range(dim)] for u in sparse_cols] + ker.vectors()
+    columns = basis.frame + [momentum(basis.duals, slot) for slot in slots] + ker.unit_rows()
     labels += tuple(("ker", (j,)) for j in range(1, ker.dim + 1))
-    return Matrix.from_cols(columns), labels
+    return Matrix(ker.ambient_dim, tuple(columns)), labels
 
 
 def darboux_basis_poly(omega, lagrangian: Subspace | None = None) -> DarbouxBasis:
@@ -449,7 +446,7 @@ def darboux_basis_multi(omega: AlternatingForm, flag: Flag, r: int,
         lagr_v = to_vertical_coordinates(flag, lagr)
         if sym.is_zero():
             # every vertical subspace is isotropic for a vanishing symbol
-            e_v = complement(lagr_v).vectors()
+            e_v = complement(lagr_v).unit_rows()
         else:
             e_v = _induction(sym, lagr_v, kernel_of_form(sym), [])[0].frame
         e_vecs = flag.lift_vertical(e_v)
@@ -535,7 +532,9 @@ def seeded_conjugate(dim: int, seed: int, *, preserve: list[frozenset] | None = 
 
 
 def _int_matrix(rows: list[list[int]]) -> Matrix:
-    return Matrix(len(rows), len(rows), tuple(Fraction(x) if x else ZERO for r in rows for x in r))
+    """The square matrix of integer rows, with a ``Fraction`` for each nonzero int only."""
+    return Matrix(len(rows), tuple({i: Fraction(x) for i, x in enumerate(col) if x}
+                                   for col in zip(*rows)))
 
 
 def conjugating_map(model: CanonicalModel, seed: int) -> ConjugateMap:

@@ -346,14 +346,14 @@ def flat_matrix(omega: VectorValuedForm, domain: Subspace) -> Matrix:
         raise DimensionMismatch("domain ambient does not match form dimension")
     if omega.degree == 0:
         raise PreconditionError("cannot contract a degree-0 form")
-    images = [contract(v, omega) for v in domain.vectors()]
-    monomials = list(itertools.combinations(range(1, omega.dim + 1), omega.degree - 1))
-    entries = []
-    for a in range(omega.value_dim):
-        for mono in monomials:
-            m = mask_of(mono)
-            entries.extend(img.components[a].coeffs.get(m, ZERO) for img in images)
-    return Matrix(omega.value_dim * len(monomials), domain.dim, tuple(entries))
+    monomials = itertools.combinations(range(1, omega.dim + 1), omega.degree - 1)
+    row_of = {mask_of(mono): i for i, mono in enumerate(monomials)}
+    columns = []
+    for v in domain.unit_rows():
+        img = contract(v, omega)
+        columns.append({a * len(row_of) + row_of[m]: x
+                        for a, comp in enumerate(img.components) for m, x in comp.coeffs.items()})
+    return Matrix(omega.value_dim * len(row_of), tuple(columns))
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +366,10 @@ def _row_forms(m: Matrix) -> list[dict]:
     Integer entries stay plain ints: the wedge accumulation then runs in
     integer arithmetic, which matters on the large round-trip checks.
     """
-    rows = []
-    for i in range(m.rows):
-        row = {}
-        for j, x in enumerate(m.row(i)):
-            if x:
-                row[1 << j] = int(x) if x.denominator == 1 else x
-        rows.append(row)
+    rows: list[dict] = [{} for _ in range(m.rows)]
+    for j, col in enumerate(m.columns):
+        for i, x in col.items():
+            rows[i][1 << j] = int(x) if x.denominator == 1 else x
     return rows
 
 
@@ -453,14 +450,10 @@ class Flag:
     def __post_init__(self):
         if self.vertical.ambient_dim != self.total_dim:
             raise DimensionMismatch("vertical subspace lives in a different space")
-        n = self.total_dim - self.vertical.dim
-        if (self.splitting.rows, self.splitting.cols) != (self.total_dim, n):
+        if (self.splitting.rows, self.splitting.cols) != (self.total_dim, self.dim_t):
             raise DimensionMismatch("splitting must map quotient coordinates into the total space")
-        free = self.free_columns()
-        for j in range(n):
-            residue = self.vertical.reduce(self.splitting.col(j))
-            expected = [ONE if i == free[j] else ZERO for i in range(self.total_dim)]
-            if residue != expected:
+        for f, col in zip(self.free_columns(), self.splitting.columns):
+            if self.vertical.echelon.reduce(col) != {f: 1}:
                 raise PreconditionError(
                     "splitting composed with the quotient projection is not the identity")
 
@@ -483,8 +476,9 @@ class Flag:
             out.append(w)
         return out
 
-    def horizontal_cols(self) -> list[tuple[Fraction, ...]]:
-        return [self.splitting.col(j) for j in range(self.dim_t)]
+    def horizontal_cols(self) -> list[dict]:
+        """The splitting's columns, sparse."""
+        return list(self.splitting.columns)
 
     def adapted_matrix(self) -> Matrix:
         """Columns: splitting image first, then the vertical basis; built once per flag."""
@@ -492,7 +486,7 @@ class Flag:
 
     @cached_property
     def _adapted_matrix(self) -> Matrix:
-        return Matrix.from_cols(self.horizontal_cols() + self.vertical.vectors())
+        return Matrix(self.total_dim, tuple(self.horizontal_cols() + self.vertical.unit_rows()))
 
     @cached_property
     def _adapted_forms(self) -> dict:
@@ -505,12 +499,7 @@ def coordinate_flag(total_dim: int, vertical_indices: Iterable[int]) -> Flag:
     """Flag whose vertical space is a span of standard coordinates."""
     vert = Subspace.span_of_coordinates(total_dim, vertical_indices)
     free = [j for j in range(total_dim) if j not in set(vert.pivot_columns())]
-    cols = []
-    for j in free:
-        col = [ZERO] * total_dim
-        col[j] = ONE
-        cols.append(col)
-    return Flag(total_dim, vert, Matrix.from_cols(cols) if cols else Matrix(total_dim, 0, ()))
+    return Flag(total_dim, vert, Matrix(total_dim, tuple({j: ONE} for j in free)))
 
 
 def with_splitting(flag: Flag, splitting: Matrix) -> Flag:

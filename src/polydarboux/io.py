@@ -317,10 +317,6 @@ def _write_json(obj, out: list, newline: str) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _rat_str(c: Fraction) -> str:
-    return str(c)
-
-
 def alternating_to_document(x, *, flag: Flag | None = None, r: int | None = None,
                             description: str = "", claims: dict | None = None) -> dict:
     if isinstance(x, AlternatingForm):
@@ -332,7 +328,7 @@ def alternating_to_document(x, *, flag: Flag | None = None, r: int | None = None
     terms = []
     for a, comp in enumerate(comps, start=1):
         for idx, c in comp.terms():
-            t = {"indices": list(idx), "coefficient": _rat_str(c)}
+            t = {"indices": list(idx), "coefficient": str(c)}
             if kind == "vector_valued_form":
                 t["component"] = a
             terms.append(t)
@@ -362,7 +358,7 @@ def poly_form_to_document(x: PolyForm, *, description: str = "",
     for idx, p in x.terms():
         terms.append({
             "indices": list(idx),
-            "polynomial": [{"exponents": list(e), "coefficient": _rat_str(c)}
+            "polynomial": [{"exponents": list(e), "coefficient": str(c)}
                            for e, c in sorted(p.terms.items())],
         })
     doc = {
@@ -382,13 +378,20 @@ def poly_form_to_document(x: PolyForm, *, description: str = "",
 
 def flag_to_document(flag: Flag) -> dict:
     vertical = [p + 1 for p in flag.vertical.pivot_columns()]
-    cols = [[_rat_str(x) for x in flag.splitting.col(j)] for j in range(flag.dim_t)]
-    return {"vertical_indices": vertical, "splitting": cols}
+    return {"vertical_indices": vertical, "splitting": matrix_columns(flag.splitting)}
 
 
 def subspace_to_rows(sub: Subspace) -> list[list[str]]:
-    return [[_rat_str(x) for x in row] for row in sub.vectors()]
+    """The RREF rows, written as ``matrix_columns`` writes columns."""
+    return matrix_columns(Matrix(sub.ambient_dim, tuple(sub.unit_rows())))
 
 
-def matrix_to_rows(m: Matrix) -> list[list[str]]:
-    return [[_rat_str(x) for x in m.row(i)] for i in range(m.rows)]
+def matrix_columns(m: Matrix) -> list[list[str]]:
+    """The columns, written entry by entry: ``str`` of a stored entry, "0" for an absent one."""
+    out = []
+    for col in m.columns:
+        written = ["0"] * m.rows
+        for i, x in col.items():
+            written[i] = str(x)
+        out.append(written)
+    return out

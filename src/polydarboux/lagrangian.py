@@ -450,10 +450,10 @@ def to_vertical_coordinates(flag: Flag, sub: Subspace, binv: Matrix | None = Non
     n = flag.dim_t
     rows = []
     for u in sub.rows():
-        coords = binv.mul_vec(u)
-        if any(coords[:n]):
+        coords = binv.apply(u)
+        if any(i < n for i in coords):
             raise PreconditionError("subspace is not contained in the vertical space")
-        rows.append(coords[n:])
+        rows.append({i - n: x for i, x in coords.items()})
     return Subspace.from_vectors(flag.total_dim - n, rows)
 
 
@@ -591,14 +591,14 @@ def symbol_structure_check(omega: AlternatingForm, flag: Flag, r: int, sub: Subs
 
 # Resource budgets: work beyond them is refused before it starts, or as
 # soon as it is exceeded, instead of running for hours or exhausting memory.
-MAX_RANK_SAMPLES = 10_000  # random covectors ranked by one sampled check
+MAX_RANK_SAMPLES = 10_000  # random covectors ranked by one sampled check, or moser's points
 MAX_WEDGE_TERMS = 500_000  # terms held in the wedge-power memo of uniform_rank (nhat >= 2)
 
 
 def check_sample_budget(samples: int) -> None:
-    """Refuse a sampled rank check of more than ``MAX_RANK_SAMPLES`` covectors."""
+    """Refuse more than ``MAX_RANK_SAMPLES`` sampled covectors, or ``moser`` points."""
     if samples > MAX_RANK_SAMPLES:
-        raise PreconditionError(f"{samples} rank samples exceed the budget of "
+        raise PreconditionError(f"{samples} samples exceed the budget of "
                                 f"{MAX_RANK_SAMPLES} (MAX_RANK_SAMPLES)")
 
 

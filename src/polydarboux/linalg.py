@@ -9,22 +9,20 @@ alone: its rows are unique to the span, so two subspaces are equal
 exactly when their rows are equal; that decidable equality is what the
 structure tests in the rest of the package lean on.  Vectors are sparse
 ``{coordinate: coefficient}`` dicts, the echelon's row format; a dense
-sequence is converted once, where it enters.  Dense ``Fraction`` rows
-exist only in answers: ``Subspace.vectors()``, matrices and solutions.
+sequence is converted once, where it enters, and a ``Matrix`` is a tuple
+of them, its columns.  Dense rows exist only where a caller asks for them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, PreconditionError
-from .sparse import SparseEchelon, _sparse, intersect_spans, span_of
+from .sparse import SparseEchelon, _axpy, _sparse, intersect_spans, span_of
 
-Scalar = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -60,73 +58,77 @@ def _sparse_vector(v, dim: int) -> dict:
 
 @dataclass(frozen=True, eq=True)
 class Matrix:
-    """Dense rational matrix, row-major."""
+    """Rational matrix held as its sparse columns, ``{row: entry}`` with no zero stored.
+
+    A basis matrix is its list of basis vectors.  Dict columns make a matrix unhashable.
+    """
 
     rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
+    columns: tuple[dict, ...]
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> Matrix:
-        rows = [vec(r) for r in rows]
-        n = len(rows[0]) if rows else 0
-        if any(len(r) != n for r in rows):
-            raise ValueError("ragged rows")
-        return Matrix(len(rows), n, tuple(x for r in rows for x in r))
+        return Matrix.from_cols(rows).transpose()
 
     @staticmethod
     def from_cols(cols: Sequence[Sequence]) -> Matrix:
-        return Matrix.from_rows(cols).transpose() if cols else Matrix(0, 0, ())
+        cols = [vec(c) for c in cols]
+        n = len(cols[0]) if cols else 0
+        if any(len(c) != n for c in cols):
+            raise ValueError("ragged rows")
+        return Matrix(n, tuple(map(_sparse, cols)))
 
     @staticmethod
     def identity(n: int) -> Matrix:
-        return Matrix(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+        return Matrix(n, tuple({i: ONE} for i in range(n)))
 
     @staticmethod
     def zero(rows: int, cols: int) -> Matrix:
-        return Matrix(rows, cols, (ZERO,) * (rows * cols))
+        return Matrix(rows, tuple({} for _ in range(cols)))
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        return self.columns[j].get(i, ZERO)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(c.get(i, ZERO) for c in self.columns)
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        c = self.columns[j]
+        return tuple(c.get(i, ZERO) for i in range(self.rows))
 
     def row_list(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> Matrix:
-        return Matrix(self.cols, self.rows,
-                      tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
+        out = tuple({} for _ in range(self.rows))
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                out[i][j] = x
+        return Matrix(self.cols, out)
 
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ot = other.transpose()
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            for j in range(other.cols):
-                c = ot.row(j)
-                out.append(sum((a * b for a, b in zip(r, c) if a and b), ZERO))
-        return Matrix(self.rows, other.cols, tuple(out))
+        return Matrix(self.rows, tuple(map(self.apply, other.columns)))
+
+    def apply(self, v) -> dict:
+        """The product with a dense or sparse vector, as a sparse vector."""
+        out: dict = {}
+        for j, c in _sparse_vector(v, self.cols).items():
+            _axpy(out, -c, self.columns[j])
+        return out
 
     def mul_vec(self, v) -> tuple[Fraction, ...]:
         """The product with a dense or sparse vector, as a dense tuple."""
-        x = _sparse_vector(v, self.cols)
-        e, n = self.entries, self.cols
-        return tuple(sum((e[i * n + j] * c for j, c in x.items() if e[i * n + j]), ZERO)
-                     for i in range(self.rows))
+        out = self.apply(v)
+        return tuple(out.get(i, ZERO) for i in range(self.rows))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(self.columns)
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +146,14 @@ def _echelon(rows) -> SparseEchelon:
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Unique reduced row echelon form and rank."""
-    reduced = Subspace(m.cols, _echelon(m.row_list())).vectors()
-    out = reduced + [(ZERO,) * m.cols] * (m.rows - len(reduced))
-    return Matrix.from_rows(out) if m.rows else m, len(reduced)
+    reduced = Subspace(m.cols, _echelon(m.transpose().columns)).unit_rows()
+    padding = ({},) * (m.rows - len(reduced))
+    return Matrix(m.cols, tuple(reduced) + padding).transpose(), len(reduced)
 
 
 def rank(m: Matrix) -> int:
-    return _echelon(m.row_list()).rank
+    """The rank, as the rank of the columns."""
+    return _echelon(m.columns).rank
 
 
 def row_rank(rows) -> int:
@@ -173,7 +176,7 @@ def kernel_subspace(rows: list, cols: int) -> Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """Kernel of the linear map v -> m v, as a subspace of the column space."""
-    return kernel_subspace(m.row_list(), m.cols)
+    return kernel_subspace(m.transpose().columns, m.cols)
 
 
 def solve(m: Matrix, rhs: Sequence) -> tuple[Fraction, ...] | None:
@@ -182,7 +185,7 @@ def solve(m: Matrix, rhs: Sequence) -> tuple[Fraction, ...] | None:
     if len(b) != m.rows:
         raise DimensionMismatch("right-hand side length does not match rows")
     n = m.cols
-    ech = _echelon({**_sparse(m.row(i)), n: b[i]} for i in range(m.rows))
+    ech = _echelon({**row, n: x} for row, x in zip(m.transpose().columns, b))
     if n in ech.rows:
         return None
     x = [ZERO] * n
@@ -193,18 +196,15 @@ def solve(m: Matrix, rhs: Sequence) -> tuple[Fraction, ...] | None:
 
 
 def inverse(m: Matrix) -> Matrix:
+    """The inverse, by reducing [mᵀ | I]: row i of the echelon is column i of the inverse."""
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices invert")
     n = m.rows
-    ech = _echelon({**_sparse(m.row(i)), n + i: ONE} for i in range(n))
+    ech = _echelon({**col, n + i: ONE} for i, col in enumerate(m.columns))
     if any(p >= n for p in ech.rows):
         raise PreconditionError("matrix is singular")
-    out = []
-    for i in range(n):
-        row = ech.rows[i]
-        d = row[i]
-        out.extend(Fraction(row[j], d) if j in row else ZERO for j in range(n, 2 * n))
-    return Matrix(n, n, tuple(out))
+    return Matrix(n, tuple({j - n: Fraction(x, row[i]) for j, x in row.items() if j >= n}
+                           for i, row in sorted(ech.rows.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -263,20 +263,14 @@ class Subspace:
         """The echelon rows in pivot order: each its RREF row times a positive integer."""
         return [self.echelon.rows[p] for p in self.pivot_columns()]
 
-    def vectors(self) -> list[tuple[Fraction, ...]]:
-        """The RREF basis as dense rows: each echelon row divided by its pivot entry."""
-        return list(self._rref)
+    def unit_rows(self) -> list[dict]:
+        """The RREF basis as sparse vectors: each echelon row divided by its pivot entry."""
+        return [{j: Fraction(x, row[p]) for j, x in row.items()}
+                for p, row in zip(self.pivot_columns(), self.rows())]
 
-    @cached_property
-    def _rref(self) -> tuple[tuple[Fraction, ...], ...]:
-        out = []
-        for p, row in zip(self.pivot_columns(), self.rows()):
-            d = row[p]
-            r = [ZERO] * self.ambient_dim
-            for j, x in row.items():
-                r[j] = Fraction(x, d) if d != 1 else Fraction(x)
-            out.append(tuple(r))
-        return tuple(out)
+    def vectors(self) -> list[tuple[Fraction, ...]]:
+        """The RREF basis as dense rows."""
+        return [tuple(r.get(j, ZERO) for j in range(self.ambient_dim)) for r in self.unit_rows()]
 
     def reduce(self, v) -> list[Fraction]:
         """Residue of v modulo the subspace: zero at every pivot column."""
@@ -342,4 +336,4 @@ def transform_subspace(m: Matrix, a: Subspace) -> Subspace:
     """Image of ``a`` under the linear map given by ``m``."""
     if m.cols != a.ambient_dim:
         raise DimensionMismatch("matrix does not act on the subspace ambient")
-    return Subspace.from_vectors(m.rows, [m.mul_vec(v) for v in a.rows()])
+    return Subspace.from_vectors(m.rows, [m.apply(v) for v in a.rows()])

@@ -21,6 +21,7 @@ import numpy as np
 from .darboux import canonical_multi_model
 from .errors import PolydarbouxError, PreconditionError
 from .exterior import indices_of, removal_sign
+from .lagrangian import check_sample_budget
 from .linalg import ZERO
 from .polyforms import (PolyForm, Polynomial, constant_spread, exterior_d,
                         moser_potential, pf_add, pf_scale, pf_sub, pf_wedge, pf_zero,
@@ -34,6 +35,7 @@ class MoserFlowError(PolydarbouxError, RuntimeError):
 DEFAULT_SOLVE_TOL = 1e-10
 DEFAULT_ACCEPT_TOL = 1e-6
 DEFAULT_STEPS = 1000
+MAX_BALL_DRAWS = 100_000  # cube draws of ball_sample_points: about 0.7 s at any dimension
 
 
 @dataclass
@@ -412,13 +414,23 @@ def perturbed_multisymplectic(seed: int = 1, amplitude: Fraction = Fraction(1, 2
 
 
 def ball_sample_points(dim: int, count: int, radius: float, seed: int = 20070):
+    """``count`` points of the ball, drawn from the cube until they land in it.
+
+    A draw lands with probability pi^(d/2) / (Gamma(d/2 + 1) 2^d), 2.5e-8 at d = 20:
+    draws beyond ``MAX_BALL_DRAWS`` are refused, and a count beyond ``MAX_RANK_SAMPLES``."""
     if count < 1:
         raise PreconditionError(f"sample count must be at least 1, got {count}")
+    check_sample_budget(count)
     if not (radius > 0 and math.isfinite(radius)):
         raise PreconditionError(f"sample radius must be positive and finite, got {radius}")
     rng = random.Random(seed)
     pts = []
+    draws = 0
     while len(pts) < count:
+        if draws == MAX_BALL_DRAWS:
+            raise PreconditionError(f"{count} points of the ball in dimension {dim} took more than "
+                                    f"{MAX_BALL_DRAWS} draws from the cube (MAX_BALL_DRAWS)")
+        draws += 1
         p = np.array([rng.uniform(-radius, radius) for _ in range(dim)])
         if np.linalg.norm(p) <= radius:
             pts.append(p)

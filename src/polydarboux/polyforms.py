@@ -576,7 +576,7 @@ def involutive_report(fields: Sequence[Sequence[Polynomial]],
     sym_rank = poly_matrix_rank(matrix_rows)
     points = region_points if region_points is not None else _default_region_points(dim)
     for p in points:
-        m = Matrix.from_rows([[f[i].eval(p) for f in fields] for i in range(dim)])
+        m = Matrix.from_cols([[f[i].eval(p) for i in range(dim)] for f in fields])
         if rank(m) != sym_rank:
             raise PreconditionError(
                 f"rank drop detected at {p}: pointwise rank {rank(m)} != generic rank {sym_rank}")

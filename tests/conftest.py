@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ import pytest
 from polydarboux.errors import DimensionMismatch, PreconditionError
 from polydarboux.exterior import AlternatingForm, VectorValuedForm, contract, evaluate, form
 from polydarboux.lagrangian import _kernel_constraints, as_vector_form
-from polydarboux.linalg import ZERO, ONE, Subspace, kernel_subspace
+from polydarboux.linalg import (ZERO, ONE, Subspace, _echelon, _sparse_vector, kernel_subspace,
+                                vec)
+from polydarboux.sparse import _sparse
 
 
 @pytest.fixture
@@ -122,3 +125,123 @@ def contraction_oracle(v: dict, a: AlternatingForm) -> AlternatingForm:
                 rest = idx[:p] + idx[p + 1:]
                 terms[rest] = terms.get(rest, 0) + (-1) ** p * x * c
     return form(a.dim, a.degree - 1, terms)
+
+
+# ---------------------------------------------------------------------------
+# the dense row-major matrix that the sparse-column ``Matrix`` replaced, with
+# the elimination entry points as they read it: the oracle of
+# tests/test_matrix_oracle.py
+
+
+@dataclass(frozen=True, eq=True)
+class DenseMatrix:
+    """Dense rational matrix, row-major."""
+
+    rows: int
+    cols: int
+    entries: tuple
+
+    def __post_init__(self):
+        if len(self.entries) != self.rows * self.cols:
+            raise ValueError("entry count does not match shape")
+
+    @staticmethod
+    def from_rows(rows) -> DenseMatrix:
+        rows = [vec(r) for r in rows]
+        n = len(rows[0]) if rows else 0
+        if any(len(r) != n for r in rows):
+            raise ValueError("ragged rows")
+        return DenseMatrix(len(rows), n, tuple(x for r in rows for x in r))
+
+    @staticmethod
+    def from_cols(cols) -> DenseMatrix:
+        return DenseMatrix.from_rows(cols).transpose() if cols else DenseMatrix(0, 0, ())
+
+    @staticmethod
+    def identity(n: int) -> DenseMatrix:
+        return DenseMatrix(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+
+    @staticmethod
+    def zero(rows: int, cols: int) -> DenseMatrix:
+        return DenseMatrix(rows, cols, (ZERO,) * (rows * cols))
+
+    def at(self, i: int, j: int) -> Fraction:
+        return self.entries[i * self.cols + j]
+
+    def row(self, i: int) -> tuple:
+        return self.entries[i * self.cols : (i + 1) * self.cols]
+
+    def col(self, j: int) -> tuple:
+        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+
+    def row_list(self) -> list:
+        return [list(self.row(i)) for i in range(self.rows)]
+
+    def transpose(self) -> DenseMatrix:
+        return DenseMatrix(self.cols, self.rows,
+                           tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
+
+    def __matmul__(self, other: DenseMatrix) -> DenseMatrix:
+        if self.cols != other.rows:
+            raise DimensionMismatch("cannot multiply")
+        ot = other.transpose()
+        out = []
+        for i in range(self.rows):
+            r = self.row(i)
+            for j in range(other.cols):
+                c = ot.row(j)
+                out.append(sum((a * b for a, b in zip(r, c) if a and b), ZERO))
+        return DenseMatrix(self.rows, other.cols, tuple(out))
+
+    def mul_vec(self, v) -> tuple:
+        x = _sparse_vector(v, self.cols)
+        e, n = self.entries, self.cols
+        return tuple(sum((e[i * n + j] * c for j, c in x.items() if e[i * n + j]), ZERO)
+                     for i in range(self.rows))
+
+    def is_zero(self) -> bool:
+        return all(x == 0 for x in self.entries)
+
+
+def dense_rref(m: DenseMatrix):
+    reduced = Subspace(m.cols, _echelon(m.row_list())).vectors()
+    out = reduced + [(ZERO,) * m.cols] * (m.rows - len(reduced))
+    return DenseMatrix.from_rows(out) if m.rows else m, len(reduced)
+
+
+def dense_rank(m: DenseMatrix) -> int:
+    return _echelon(m.row_list()).rank
+
+
+def dense_kernel(m: DenseMatrix) -> Subspace:
+    return kernel_subspace(m.row_list(), m.cols)
+
+
+def dense_solve(m: DenseMatrix, rhs):
+    b = vec(rhs)
+    if len(b) != m.rows:
+        raise DimensionMismatch("right-hand side length does not match rows")
+    n = m.cols
+    ech = _echelon({**_sparse(m.row(i)), n: b[i]} for i in range(m.rows))
+    if n in ech.rows:
+        return None
+    x = [ZERO] * n
+    for p, row in ech.rows.items():
+        if n in row:
+            x[p] = Fraction(row[n], row[p])
+    return tuple(x)
+
+
+def dense_inverse(m: DenseMatrix) -> DenseMatrix:
+    if m.rows != m.cols:
+        raise DimensionMismatch("only square matrices invert")
+    n = m.rows
+    ech = _echelon({**_sparse(m.row(i)), n + i: ONE} for i in range(n))
+    if any(p >= n for p in ech.rows):
+        raise PreconditionError("matrix is singular")
+    out = []
+    for i in range(n):
+        row = ech.rows[i]
+        d = row[i]
+        out.extend(Fraction(row[j], d) if j in row else ZERO for j in range(n, 2 * n))
+    return DenseMatrix(n, n, tuple(out))

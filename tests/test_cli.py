@@ -420,6 +420,40 @@ def test_moser_rejects_bad_sample_count(capsys):
         assert "Traceback" not in err
 
 
+def _constant_poly_document(path: Path, dim: int) -> str:
+    """The constant form dx^1 ^ dx^(dim/2 + 1) on R^dim."""
+    half = dim // 2
+    path.write_text(json.dumps({
+        "schema_version": "1", "kind": "poly_form", "dim": dim, "degree": 2, "split": [half, half],
+        "terms": [{"indices": [1, half + 1],
+                   "polynomial": [{"exponents": [0] * dim, "coefficient": "1"}]}]}))
+    return str(path)
+
+
+def test_moser_refuses_a_ball_it_cannot_sample_within_seconds(tmp_path, capsys):
+    # at d = 24 about one cube draw in 10^10 lands in the ball: the draws are budgeted
+    doc = _constant_poly_document(tmp_path / "d24.json", 24)
+    started = time.monotonic()
+    assert main(["moser", doc, "--steps", "10", "--samples", "3"]) == 1
+    assert time.monotonic() - started < 10
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "100000 draws" in err and "(MAX_BALL_DRAWS)" in err
+    assert "Traceback" not in err
+
+
+def test_moser_sample_count_meets_the_budget_before_any_draw(tmp_path, capsys):
+    # on the d = 24 document a draw would run into MAX_BALL_DRAWS first
+    doc = _constant_poly_document(tmp_path / "d24.json", 24)
+    started = time.monotonic()
+    assert main(["moser", doc, "--samples", "10001"]) == 1
+    assert time.monotonic() - started < 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "10001 samples exceed the budget of 10000 (MAX_RANK_SAMPLES)" in err
+    assert "MAX_BALL_DRAWS" not in err and "Traceback" not in err
+
+
 def test_moser_rejects_bad_solve_tolerance(capsys):
     doc = CORPUS["perturbed_multisymplectic.json"]
     for tol in ("nan", "inf", "0", "-1e-10"):

@@ -152,7 +152,8 @@ def test_adapted_matrix_is_built_once_per_flag():
     for flag in _flags(6) + [canonical_multi_model(2, 2, 2, 2).flag]:
         b = flag.adapted_matrix()
         assert flag.adapted_matrix() is b
-        assert b == Matrix.from_cols(flag.horizontal_cols() + flag.vertical.vectors())
+        assert b == Matrix.from_cols([flag.splitting.col(j) for j in range(flag.dim_t)]
+                                     + flag.vertical.vectors())
 
 
 def test_darboux_multi_adapts_once_per_flag(monkeypatch):

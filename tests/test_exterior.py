@@ -297,7 +297,7 @@ def test_lift_vertical_combines_the_rref_basis():
             continue
         free = [j for j in range(5) if j not in vert.pivot_columns()]
         splitting = (Matrix.from_cols([[int(i == j) for i in range(5)] for j in free]) if free
-                     else Matrix(5, 0, ()))
+                     else Matrix.zero(5, 0))
         flag = Flag(5, vert, splitting)
         coords = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(vert.dim)]
                   for _ in range(3)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polydarboux.errors import PreconditionError
-from polydarboux.moser import (DeformationField, ball_sample_points,
+from polydarboux.moser import (MAX_BALL_DRAWS, DeformationField, ball_sample_points,
                                constant_poly_form, integrate_flow_batch,
                                perturbed_multisymplectic, polynomial_map_pullback,
                                pullback_constant_float, verify_darboux)
@@ -218,3 +218,43 @@ def test_fixture_seeds_differ():
     fx2 = perturbed_multisymplectic(seed=2)
     assert fx1.omega != fx2.omega
     assert fx1.omega0 == fx2.omega0
+
+
+def _unbudgeted_ball_points(dim, count, radius, seed):
+    """The rejection sampler without its budgets: the draws of every accepted run."""
+    rng = random.Random(seed)
+    pts = []
+    while len(pts) < count:
+        p = np.array([rng.uniform(-radius, radius) for _ in range(dim)])
+        if np.linalg.norm(p) <= radius:
+            pts.append(p)
+    return pts
+
+
+@pytest.mark.parametrize("dim, count, radius, seed", [(6, 10, 0.1, 1), (6, 4, 0.8, 3),
+                                                      (2, 50, 1.0, 7), (10, 5, 0.1, 20070),
+                                                      (1, 1, 0.5, 0)])
+def test_budgeted_ball_sampler_keeps_the_draws_of_accepted_runs(dim, count, radius, seed):
+    got = ball_sample_points(dim, count, radius, seed)
+    want = _unbudgeted_ball_points(dim, count, radius, seed)
+    assert len(got) == count and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_ball_sampler_refuses_at_the_draw_budget(monkeypatch):
+    import polydarboux.moser as moser
+    # with seed 7, the 50 points in the unit 2-ball take more than 50 draws
+    monkeypatch.setattr(moser, "MAX_BALL_DRAWS", 50)
+    with pytest.raises(PreconditionError,
+                       match=r"more than 50 draws from the cube \(MAX_BALL_DRAWS\)"):
+        ball_sample_points(2, 50, 1.0, 7)
+    # a run that needs exactly the budget is accepted
+    rng, draws, hits = random.Random(7), 0, 0
+    while hits < 5:
+        draws += 1
+        hits += np.linalg.norm([rng.uniform(-1, 1) for _ in range(2)]) <= 1
+    monkeypatch.setattr(moser, "MAX_BALL_DRAWS", draws)
+    assert len(ball_sample_points(2, 5, 1.0, 7)) == 5
+    monkeypatch.setattr(moser, "MAX_BALL_DRAWS", draws - 1)
+    with pytest.raises(PreconditionError, match="MAX_BALL_DRAWS"):
+        ball_sample_points(2, 5, 1.0, 7)
+    assert MAX_BALL_DRAWS == 100_000

@@ -359,7 +359,7 @@ def test_rank_matches_rref_pivot_count(data):
     if rows >= 2 and data.draw(st.booleans()):
         raw[-1] = [x + y for x, y in zip(raw[0], raw[1])]
     want = len(batch_rref_rows(raw)[1])
-    assert rank(Matrix.from_rows(raw) if rows else Matrix(0, cols, ())) == want
+    assert rank(Matrix.from_rows(raw) if rows else Matrix.zero(0, cols)) == want
     assert row_rank(raw) == want
 
 

@@ -28,7 +28,10 @@ multi models, of dimensions 15 to 64, then ``poly N nhat 1`` models of
 dimensions 96 to 1 024.
 ``small_support`` is a record of the same kind on the 2-form e13 + e24
 declared in each dimension of ``SMALL_SUPPORT_DIMS``, where the work
-should not grow with the declared dimension.  With two or more trees,
+should not grow with the declared dimension.  Each of its commands runs
+``SMALL_SUPPORT_REPEATS`` times: ``seconds`` and ``peak_rss_mb`` list
+every repeat, with ``*_min`` and ``*_max`` beside them, and the repeats
+must print the same bytes (the tool stops otherwise).  With two or more trees,
 ``sweep_digests_equal`` and ``small_support_digests_equal`` say whether
 the first and the last tree printed the same bytes on every command.
 ``traced`` holds, per tree and workload, one traced pass run after the
@@ -67,6 +70,8 @@ SWEEP += [("poly", n, nhat, 1) for n, nhat in [(48, 1), (32, 2), (24, 3), (64, 2
 SWEEP_TIMEOUT = 30.0
 # declared dimensions of the small-support series
 SMALL_SUPPORT_DIMS = (128, 256, 512, 1024)
+# runs of each small-support command: its RSS at R^1024 moves by tens of MB from run to run
+SMALL_SUPPORT_REPEATS = 3
 # the traced pass run once per tree and workload after the series
 TRACED_SEED, TRACED_SECONDS = 7, 5.0
 
@@ -175,10 +180,25 @@ def small_support(label: str, tree: Path) -> list:
                 "terms": [{"indices": [1, 3], "coefficient": "1"},
                           {"indices": [2, 4], "coefficient": "1"}]}))
             for command in ("analyze", "darboux"):
-                res = _timed(cli + [command, str(doc), "--json"], tree, env)
+                res = _repeated(cli + [command, str(doc), "--json"], tree, env)
                 out.append({"command": command, "dim": dim, **res})
-                print(f"small support {label}: {command} in R^{dim} exit {res['exit']} "
-                      f"in {res['seconds']:.2f}s, {res['peak_rss_mb']} MB", flush=True)
+                print(f"small support {label}: {command} in R^{dim} exit {res['exit']} in "
+                      f"{res['seconds_min']:.2f}-{res['seconds_max']:.2f}s, "
+                      f"{res['peak_rss_mb_min']}-{res['peak_rss_mb_max']} MB", flush=True)
+    return out
+
+
+def _repeated(cmd: list, tree: Path, env: dict) -> dict:
+    """``_timed`` run ``SMALL_SUPPORT_REPEATS`` times, with the min and max of its figures."""
+    runs = [_timed(cmd, tree, env) for _ in range(SMALL_SUPPORT_REPEATS)]
+    if len({(r["exit"], r["stdout_sha256"]) for r in runs}) != 1:
+        raise RuntimeError(f"{tree}: {' '.join(cmd[3:])} printed different bytes across repeats")
+    out = {"exit": runs[0]["exit"], "stdout_sha256": runs[0]["stdout_sha256"]}
+    for key in ("seconds", "peak_rss_mb"):
+        values = [r[key] for r in runs]
+        known = [v for v in values if v is not None]
+        out.update({key: values, f"{key}_min": min(known, default=None),
+                    f"{key}_max": max(known, default=None)})
     return out
 
 
