@@ -177,7 +177,9 @@ def cmd_homotopy(args) -> int:
     if parsed.kind != "poly_form":
         raise PolydarbouxError("homotopy needs a poly_form document")
     omega = parsed.payload
-    r = args.r if args.r is not None else (parsed.r or max_vertical_factors(omega))
+    r = args.r if args.r is not None else parsed.r
+    if r is None:
+        r = max_vertical_factors(omega)
     theta = homotopy_primitive(omega, r)  # raises unless d(theta) == omega
     report = _report_header("homotopy", args.file, args.seed)
     report["result"] = {

@@ -18,12 +18,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm
+from math import comb, gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, PreconditionError
 from .linalg import Matrix, Subspace, ZERO, ONE, _sparse_vector, frac, vec
-from .sparse import _axpy
+from .sparse import _axpy, _scaled
 
 # ---------------------------------------------------------------------------
 # multi-index masks
@@ -109,6 +109,12 @@ class AlternatingForm:
         outside ``==`` and ``repr``."""
         return {}
 
+    @cached_property
+    def _numerators(self) -> tuple[dict, int]:
+        """``({mask: n}, den)``, n / den the coefficient and den the lcm of the
+        denominators; seeded by results born from integers, outside ``==`` and ``repr``."""
+        return _scaled(self.coeffs)
+
     def coefficient(self, indices: Sequence[int]) -> Fraction:
         """Signed coefficient at a multi-index (any order, distinct entries)."""
         sign, srt = sorted_sign(indices)
@@ -147,6 +153,17 @@ def form(dim: int, degree: int, terms: Mapping[Sequence[int], object] | None = N
         else:
             coeffs.pop(m, None)
     return AlternatingForm(dim, degree, coeffs)
+
+
+def _seeded(dim: int, degree: int, nums: dict, den: int) -> AlternatingForm:
+    """The form with coefficients n / den over nonzero ``nums``, its integer view seeded."""
+    g = gcd(den, *nums.values())
+    if g != 1:
+        den //= g
+        nums = {m: n // g for m, n in nums.items()}
+    out = AlternatingForm(dim, degree, {m: Fraction(n, den) for m, n in nums.items()})
+    out.__dict__["_numerators"] = nums, den
+    return out
 
 
 def zero_form(dim: int, degree: int) -> AlternatingForm:
@@ -201,21 +218,13 @@ def _dict_wedge(a: dict, b: dict) -> dict:
     return out
 
 
-def _integer_coeffs(coeffs: dict) -> tuple[dict, int]:
-    """Integer numerators over the common denominator, and that denominator."""
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}, den
-
-
 def wedge(a: AlternatingForm, b: AlternatingForm) -> AlternatingForm:
-    """Wedge product, accumulated on integers over the two common denominators."""
+    """Wedge product, accumulated on the integer views of the operands."""
     if a.dim != b.dim:
         raise DimensionMismatch("wedge operands live on different spaces")
-    deg = a.degree + b.degree
-    na, da = _integer_coeffs(a.coeffs)
-    nb, db = _integer_coeffs(b.coeffs)
-    den = da * db
-    return AlternatingForm(a.dim, deg, {m: Fraction(c, den) for m, c in _dict_wedge(na, nb).items()})
+    na, da = a._numerators
+    nb, db = b._numerators
+    return _seeded(a.dim, a.degree + b.degree, _dict_wedge(na, nb), da * db)
 
 
 def wedge_all(factors: Sequence[AlternatingForm]) -> AlternatingForm:
@@ -243,24 +252,27 @@ def _contract_scalar(v: dict, a: AlternatingForm) -> AlternatingForm:
 
 
 def _contraction_walk(v: dict, a: AlternatingForm) -> AlternatingForm:
+    """i_v a on integers: v scaled by its own lcm, a read through its view."""
+    nums, den = a._numerators
+    vv, scale = _scaled(v)
     out: dict = {}
-    for m, c in a.coeffs.items():
+    for m, c in nums.items():
         mm = m
         while mm:
             low = mm & -mm
             mm ^= low
             bit = low.bit_length() - 1
-            comp = v.get(bit)
+            comp = vv.get(bit)
             if not comp:
                 continue
             key = m ^ low
             s = removal_sign(m, bit)
-            nv = out.get(key, ZERO) + (comp * c if s > 0 else -comp * c)
+            nv = out.get(key, 0) + (comp * c if s > 0 else -comp * c)
             if nv:
                 out[key] = nv
             else:
-                out.pop(key, None)
-    return AlternatingForm(a.dim, a.degree - 1, out)
+                del out[key]
+    return _seeded(a.dim, a.degree - 1, out, den * scale)
 
 
 def contract(v, x):
@@ -374,8 +386,9 @@ def _row_forms(m: Matrix) -> list[dict]:
 
 
 def _pullback_scalar(a: AlternatingForm, rows: list[dict], new_dim: int, memo: dict) -> AlternatingForm:
+    nums, den = a._numerators
     out: dict = {}
-    for m, c in a.coeffs.items():
+    for m, c in nums.items():
         idx = indices_of(m)
         key = idx
         w = memo.get(key)
@@ -394,7 +407,7 @@ def _pullback_scalar(a: AlternatingForm, rows: list[dict], new_dim: int, memo: d
                 out[mm] = nv
             else:
                 del out[mm]
-    return AlternatingForm(new_dim, a.degree, {m: frac(x) for m, x in out.items()})
+    return AlternatingForm(new_dim, a.degree, {m: Fraction(x, den) for m, x in out.items()})
 
 
 def pullback(x, m: Matrix):

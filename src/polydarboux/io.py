@@ -105,9 +105,9 @@ def _int(x, what: str) -> int:
 
 def _ints(x, what: str, dim: int | None = None) -> tuple[int, ...]:
     """A JSON list of integers, as a tuple; given ``dim``, each in 1..dim."""
-    if type(x) is not list or any(type(i) is not int for i in x):
+    if type(x) is not list or not {int}.issuperset(map(type, x)):
         raise DocumentError(f"{what} must be a list of integers, got {_shown(x)}")
-    if dim is not None and any(not 1 <= i <= dim for i in x):
+    if dim is not None and x and not (1 <= min(x) and max(x) <= dim):
         raise DocumentError(f"{what} {_shown(x)} leave the coordinates 1..{dim}")
     return tuple(x)
 

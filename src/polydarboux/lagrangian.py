@@ -34,7 +34,7 @@ def as_vector_form(x) -> VectorValuedForm:
 
 
 def _stacked(x) -> dict:
-    """Sparse coefficient vector of a (vector-valued) form, keyed (a, mask)."""
+    """Sparse coefficient vector of a (vector-valued) form, keyed (a, mask), at its true values."""
     v = as_vector_form(x)
     out = {}
     for a, compf in enumerate(v.components):
@@ -44,8 +44,15 @@ def _stacked(x) -> dict:
 
 
 def flat_image_vectors(omega, vectors) -> list[dict]:
-    """Sparse images i_v omega for each v, in stacked coordinates."""
-    return [_stacked(contract(v, as_vector_form(omega))) for v in vectors]
+    """Images i_v omega in stacked coordinates, for spans only: each on integers at one
+    scale, the lcm of its component denominators (a scale per component changes the span)."""
+    out = []
+    for v in vectors:
+        views = [c._numerators for c in contract(v, as_vector_form(omega)).components]
+        scale = lcm(*(den for _, den in views))
+        out.append({(a, m): n * (scale // den)
+                    for a, (nums, den) in enumerate(views) for m, n in nums.items()})
+    return out
 
 
 def _annihilator_wedges(sub: Subspace, k: int) -> list[AlternatingForm]:
@@ -78,14 +85,15 @@ def _lperp_tensor_basis(sub: Subspace, k: int, value_dim: int) -> list[dict]:
 
 
 def _kernel_constraints(x) -> list[dict]:
-    """Sparse constraint rows {column: coefficient} whose kernel is {v : i_v x = 0}.
+    """Sparse integer constraint rows {column: n} whose kernel is {v : i_v x = 0}.
 
-    Row (a, mask) holds the coefficients of e^mask in i_v x^a.  Each entry
-    comes from the single monomial mask | bit, so it is set, never summed.
+    Row (a, mask) holds the coefficients of e^mask in i_v x^a on the integer
+    view of x^a, a multiple of the true row.  Each entry comes from the
+    single monomial mask | bit, so it is set, never summed.
     """
     rows: dict = {}
     for a, compf in enumerate(as_vector_form(x).components):
-        for m, c in compf.coeffs.items():
+        for m, c in compf._numerators[0].items():
             mm = m
             while mm:
                 low = mm & -mm
@@ -614,9 +622,10 @@ def _integer_entries(forms) -> list[list[tuple[int, int, int]]]:
     denominators, so integer combinations of the lists keep the ranks of
     the matching rational combinations of the forms.
     """
-    scale = lcm(*(c.denominator for f in forms for c in f.coeffs.values()))
-    return [[((m & -m).bit_length() - 1, m.bit_length() - 1, c.numerator * (scale // c.denominator))
-             for m, c in f.coeffs.items()] for f in forms]
+    views = [f._numerators for f in forms]
+    scale = lcm(*(den for _, den in views))
+    return [[((m & -m).bit_length() - 1, m.bit_length() - 1, n * (scale // den))
+             for m, n in nums.items()] for nums, den in views]
 
 
 def _half_rank(entries) -> int:

@@ -16,7 +16,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, InternalCheckError, PreconditionError
@@ -163,6 +164,14 @@ class PolyForm:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    @cached_property
+    def _numerators(self) -> tuple[dict, int]:
+        """``({mask: {exponents: n}}, den)``, n / den the coefficient and den the lcm
+        of the denominators; seeded by results born from integers, outside ``==`` and ``repr``."""
+        den = lcm(*(c.denominator for p in self.coeffs.values() for c in p.terms.values()))
+        return {m: {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+                for m, p in self.coeffs.items()}, den
+
     @property
     def x_dim(self) -> int:
         return self.split[0]
@@ -188,6 +197,18 @@ class PolyForm:
     def __repr__(self):
         body = ", ".join(f"{list(i)}: {p!r}" for i, p in self.terms())
         return f"PolyForm(dim={self.dim}, degree={self.degree}, {{{body}}})"
+
+
+def _pf_seeded(dim: int, degree: int, split: tuple[int, int], nums: dict, den: int) -> PolyForm:
+    """The form with coefficients n / den over zero-free ``nums`` slots, its integer view seeded."""
+    g = gcd(den, *(n for slot in nums.values() for n in slot.values()))
+    if g != 1:
+        den //= g
+        nums = {m: {e: n // g for e, n in slot.items()} for m, slot in nums.items()}
+    out = PolyForm(dim, degree, split, {
+        m: Polynomial(dim, {e: Fraction(n, den) for e, n in slot.items()}) for m, slot in nums.items()})
+    out.__dict__["_numerators"] = nums, den
+    return out
 
 
 def pf_zero(dim: int, degree: int, split: tuple[int, int]) -> PolyForm:
@@ -263,20 +284,19 @@ def pf_contract_basis(a: PolyForm, index: int) -> PolyForm:
 def _d_along(a: PolyForm, variables) -> PolyForm:
     """Sum over the given 0-based variables v of dx_v ∧ ∂a/∂x_v.
 
-    Accumulates integer numerators over the lcm of the coefficient
-    denominators, one flat exponent dict per output mask, and builds one
-    Fraction per surviving term.  Terms and masks that cancel are dropped
-    as they cancel, so the dict order matches a left-to-right Fraction sum.
+    Accumulates on the integer view of a, one flat exponent dict per
+    output mask, and builds one Fraction per surviving term.  Terms and
+    masks that cancel are dropped as they cancel, so the dict order
+    matches a left-to-right Fraction sum.
     """
-    scale = lcm(*(c.denominator for p in a.coeffs.values() for c in p.terms.values()))
+    nums, scale = a._numerators
     out: dict = {}
-    for m, p in a.coeffs.items():
+    for m, p in nums.items():
         # 0-based variable -> [(exponents, numerator of the partial)], in term order
         partials: dict = {}
-        for e, c in p.terms.items():
-            n = c.numerator * (scale // c.denominator)
+        for e, n in p.items():
             for v, k in enumerate(e):
-                if k and n:
+                if k:
                     partials.setdefault(v, []).append((e, n * k))
         for v in variables:
             bit = 1 << v
@@ -296,9 +316,7 @@ def _d_along(a: PolyForm, variables) -> PolyForm:
                     del slot[ne]
             if not slot:
                 del out[key]
-    coeffs = {m: Polynomial(a.dim, {e: Fraction(n, scale) for e, n in slot.items()})
-              for m, slot in out.items()}
-    return PolyForm(a.dim, a.degree + 1, a.split, coeffs)
+    return _pf_seeded(a.dim, a.degree + 1, a.split, out, scale)
 
 
 def exterior_d(a: PolyForm) -> PolyForm:
@@ -382,7 +400,7 @@ def _primitive(omega: PolyForm, r: int) -> PolyForm:
                 if power < 0:
                     raise InternalCheckError("negative scale power in the base part")
                 powers.add(power)
-    scale = lcm(*(c.denominator for p in omega.coeffs.values() for c in p.terms.values()))
+    nums, scale = omega._numerators
     weights = lcm(*(power + 1 for power in powers))
     acc: dict = {}
 
@@ -396,10 +414,9 @@ def _primitive(omega: PolyForm, r: int) -> PolyForm:
         else:
             del slot[exps]
 
-    for m, p in omega.coeffs.items():
+    for m, p in nums.items():
         s_l = omega.y_count(m)
-        for exps, c in p.terms.items():
-            n = c.numerator * (scale // c.denominator)
+        for exps, n in p.items():
             y_deg = sum(exps[x_dim:])
             # y-block scaling part: contract the fiber scaling field
             if s_l:
@@ -422,9 +439,8 @@ def _primitive(omega: PolyForm, r: int) -> PolyForm:
                     ne = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
                     put(m ^ (1 << i), ne, w if removal_sign(m, i) > 0 else -w)
 
-    coeffs = {m: Polynomial(omega.dim, {e: Fraction(n, scale * weights) for e, n in slot.items()})
-              for m, slot in acc.items() if slot}
-    theta = PolyForm(omega.dim, k - 1, omega.split, coeffs)
+    theta = _pf_seeded(omega.dim, k - 1, omega.split, {m: slot for m, slot in acc.items() if slot},
+                       scale * weights)
     if max_vertical_factors(theta) > max(r - 1, 0):
         raise InternalCheckError("primitive exceeds the expected vertical bound")
     return theta

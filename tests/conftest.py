@@ -5,12 +5,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from polydarboux.errors import DimensionMismatch, PreconditionError
 from polydarboux.exterior import AlternatingForm, VectorValuedForm, contract, evaluate, form
-from polydarboux.lagrangian import _kernel_constraints, as_vector_form
+from polydarboux.lagrangian import _kernel_constraints, _stacked, as_vector_form
 from polydarboux.linalg import (ZERO, ONE, Subspace, _echelon, _sparse_vector, kernel_subspace,
                                 vec)
 from polydarboux.sparse import _sparse
@@ -125,6 +126,44 @@ def contraction_oracle(v: dict, a: AlternatingForm) -> AlternatingForm:
                 rest = idx[:p] + idx[p + 1:]
                 terms[rest] = terms.get(rest, 0) + (-1) ** p * x * c
     return form(a.dim, a.degree - 1, terms)
+
+
+# ---------------------------------------------------------------------------
+# the integer numerators each caller computed for itself, and the Fraction
+# constraint rows and images, before forms kept one integer view: the
+# oracles of tests/test_integer_views.py
+
+
+def integer_coeffs_oracle(coeffs: dict) -> tuple[dict, int]:
+    """``exterior._integer_coeffs``, which ``wedge`` called on both operands per call."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}, den
+
+
+def poly_numerators_oracle(a) -> tuple[dict, int]:
+    """The lcm and numerators that ``_d_along`` and ``_primitive`` each built per call."""
+    den = lcm(*(c.denominator for p in a.coeffs.values() for c in p.terms.values()))
+    return {m: {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+            for m, p in a.coeffs.items()}, den
+
+
+def kernel_constraints_oracle(x) -> list[dict]:
+    """Constraint rows of {v : i_v x = 0} at their true ``Fraction`` values."""
+    rows: dict = {}
+    for a, compf in enumerate(as_vector_form(x).components):
+        for m, c in compf.coeffs.items():
+            mm = m
+            while mm:
+                low = mm & -mm
+                mm ^= low
+                below = (m & (low - 1)).bit_count()
+                rows.setdefault((a, m ^ low), {})[low.bit_length() - 1] = -c if below & 1 else c
+    return list(rows.values())
+
+
+def flat_image_vectors_oracle(omega, vectors) -> list[dict]:
+    """Images i_v omega stacked at their true ``Fraction`` values."""
+    return [_stacked(contract(v, as_vector_form(omega))) for v in vectors]
 
 
 # ---------------------------------------------------------------------------

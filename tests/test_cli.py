@@ -392,6 +392,48 @@ def test_malformed_poly_documents_exit_two(tmp_path, capsys):
     assert main(["homotopy", str(path), "--json"]) == 0
 
 
+def _poly_doc(indices, exponents=(0, 0)) -> dict:
+    return {"schema_version": "1", "kind": "poly_form", "dim": 2, "degree": 2, "split": [1, 1],
+            "terms": [{"indices": indices, "polynomial": [
+                {"exponents": list(exponents), "coefficient": "1"}]}]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_poly_doc([True, 2]), "indices must be a list of integers, got [True, 2]"),
+    (_poly_doc([1.0, 2]), "indices must be a list of integers, got [1.0, 2]"),
+    (_poly_doc(["1", 2]), "indices must be a list of integers, got ['1', 2]"),
+    (_poly_doc([0, 1]), "indices [0, 1] leave the coordinates 1..2"),
+    (_poly_doc([2, 3]), "indices [2, 3] leave the coordinates 1..2"),
+    (_poly_doc([1, 2], exponents=(0, -1)), "exponents must be nonnegative: (0, -1)"),
+])
+def test_integer_lists_are_refused_with_their_texts(doc, message):
+    from polydarboux.errors import DocumentError
+    from polydarboux.io import parse_document
+    with pytest.raises(DocumentError) as err:
+        parse_document(doc)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("given_as", ["document", "option"])
+def test_homotopy_takes_r_zero_as_given(tmp_path, capsys, given_as):
+    """r = 0 is a value, not an absent r: d(x1 x3 dx4) on R^2 x R^2 carries one
+    vertical differential, so the primitive is refused however r = 0 is given."""
+    from polydarboux.io import poly_form_to_document
+    from polydarboux.polyforms import PolyForm, exterior_d, poly_from_terms
+    omega = exterior_d(PolyForm(4, 1, (2, 2), {0b1000: poly_from_terms(4, {(1, 0, 1, 0): 1})}))
+    doc = poly_form_to_document(omega)
+    if given_as == "document":
+        doc["r"] = 0
+    path = tmp_path / "r0.json"
+    path.write_text(json.dumps(doc))
+    argv = ["homotopy", str(path), "--json"] + (["--r", "0"] if given_as == "option" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a monomial carries more than 0 vertical differentials" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_repeated_monomials_add_up(tmp_path):
     from polydarboux.io import load_document
     doc = {"schema_version": "1", "kind": "poly_form", "dim": 2, "degree": 2, "split": [1, 1],

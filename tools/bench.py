@@ -39,6 +39,11 @@ series, ``perfbench/run.py --trace 1 --seed 7 --seconds 5``:
 its report digest, whether it printed ``TRACE CHECK FAILED`` (a
 ``must_fire`` function that never ran, a report that tracing changed, or
 counts that differ between its two passes) and its per-layer metrics.
+``fractions_per_op`` holds, per tree and workload, the number of
+``fractions.Fraction`` objects built per op over one seed-1 round, counted
+in a child interpreter that builds the round as perfbench does and wraps
+``Fraction.__new__`` only while the ops run.  It is deterministic: a
+record, not a gate.
 The Python version and the CPU count come from this interpreter.  Runs
 go one after another, never in parallel.
 """
@@ -102,6 +107,38 @@ def traced(label: str, tree: Path, workloads: list) -> dict:
         print(f"traced {w} {label}: digest {res['digest'][:12]} "
               f"{'TRACE CHECK FAILED' if res['trace_check_failed'] else 'checks hold'}", flush=True)
     return out
+
+
+# Builds one seed-1 round of a workload with the tree's own perfbench, runs its ops with
+# ``Fraction.__new__`` wrapped and prints the Fractions built per op.
+_FRACTION_COUNTER = """\
+import sys, tempfile
+from fractions import Fraction
+from pathlib import Path
+sys.path.insert(0, "perfbench")
+import run
+cli = run.import_program()
+from workloads import WORKLOADS
+wl = WORKLOADS[sys.argv[1]]
+with tempfile.TemporaryDirectory() as tmp:
+    ops = [op for panel in wl.build(1, wl.panels, Path(tmp)) for op in panel]
+    run.run_op(cli, run.WARMUP)
+    built, new = 0, Fraction.__new__
+    def counted(cls, *args, **kwargs):
+        global built
+        built += 1
+        return new(cls, *args, **kwargs)
+    Fraction.__new__ = counted
+    for op in ops:
+        run.run_op(cli, op.argvs)
+print(built / len(ops))
+"""
+
+
+def fractions_per_op(tree: Path, workload: str) -> float:
+    proc = subprocess.run([sys.executable, "-c", _FRACTION_COUNTER, workload], cwd=tree,
+                          capture_output=True, text=True, check=True)
+    return float(proc.stdout.split()[-1])
 
 
 def _cli_env(tree: Path) -> tuple[list, dict]:
@@ -235,6 +272,8 @@ def main(argv=None) -> int:
     trees = [t.split("=", 1) for t in (args.tree or [f"tree={ROOT}"])]
     trees = [(label, Path(path).resolve()) for label, path in trees]
 
+    fractions = {label: {w: fractions_per_op(path, w) for w in workloads} for label, path in trees}
+    print(f"fractions per op: {json.dumps(fractions)}", flush=True)
     runs = {w: {label: [] for label, _ in trees} for w in workloads}
     for i in range(args.runs):
         order = trees if i % 2 == 0 else trees[::-1]
@@ -245,23 +284,24 @@ def main(argv=None) -> int:
                 print(f"run {i} {w} {label}: ops_per_kru {res['metrics']['ops_per_kru']:.4g} "
                       f"digest {res['digest'][:12]} correct {res['correct']}", flush=True)
         # rewritten after every run, so an interrupted series keeps what it measured
-        write_record(args, spec, trees, runs, i + 1)
+        write_record(args, spec, trees, runs, i + 1, fractions)
     traces = {label: traced(label, path, workloads) for label, path in trees}
-    write_record(args, spec, trees, runs, args.runs, traces=traces)
+    write_record(args, spec, trees, runs, args.runs, fractions, traces=traces)
     sweeps = {label: sweep(label, path) for label, path in trees}
     supports = {label: small_support(label, path) for label, path in trees}
-    write_record(args, spec, trees, runs, args.runs, sweeps, supports, traces)
+    write_record(args, spec, trees, runs, args.runs, fractions, sweeps, supports, traces)
     return 0
 
 
-def write_record(args, spec: dict, trees: list, runs: dict, done: int,
+def write_record(args, spec: dict, trees: list, runs: dict, done: int, fractions: dict,
                  sweeps: dict | None = None, supports: dict | None = None,
                  traces: dict | None = None) -> None:
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
     out = {"python": platform.python_version(), "cpu_count": os.cpu_count(),
            "run_seconds": spec["run_seconds"], "runs": done, "seed": args.seed,
            "trees": [label for label, _ in trees],
-           "src_lines": {label: src_lines(path) for label, path in trees}, "workloads": {}}
+           "src_lines": {label: src_lines(path) for label, path in trees},
+           "fractions_per_op": fractions, "workloads": {}}
     first, last = trees[0][0], trees[-1][0]
     for key, record in (("sweep", sweeps), ("small_support", supports)):
         if record is not None:
