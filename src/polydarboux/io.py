@@ -14,10 +14,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from pathlib import Path
 
 from .errors import DocumentError, PreconditionError
-from .exterior import AlternatingForm, Flag, VectorValuedForm, coordinate_flag, form, with_splitting
+from .exterior import (AlternatingForm, Flag, VectorValuedForm, coordinate_flag, form,
+                       indices_of, with_splitting)
 from .lie import LieAlgebra, lie_algebra
 from .linalg import Matrix, Subspace, frac
 from .polyforms import PolyForm, Polynomial
@@ -295,6 +297,14 @@ def _write_json(obj, out: list, newline: str) -> None:
             head = (sep if i else inner) + encode_basestring_ascii(key) + ": "
             x = obj[key]
             encode = _LEAVES.get(type(x))
+            if encode is None and type(x) is list and x:
+                kinds = set(map(type, x))  # a list of one leaf type is written in place
+                encode = _LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
+                if encode is not None:
+                    deeper = inner + "  "
+                    out.append(head + "[" + deeper + ("," + deeper).join(map(encode, x))
+                               + inner + "]")
+                    continue
             if encode is None:
                 out.append(head)
                 _write_json(x, out, inner)
@@ -352,14 +362,21 @@ def alternating_to_document(x, *, flag: Flag | None = None, r: int | None = None
     return doc
 
 
+def _ratio_str(n: int, den: int) -> str:
+    """``str(Fraction(n, den))`` for den > 0, built from the ints."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
 def poly_form_to_document(x: PolyForm, *, description: str = "",
                           claims: dict | None = None) -> dict:
+    nums, den = x._numerators  # written from the integer view, in ``terms()`` order
     terms = []
-    for idx, p in x.terms():
+    for m in sorted(nums):
         terms.append({
-            "indices": list(idx),
-            "polynomial": [{"exponents": list(e), "coefficient": str(c)}
-                           for e, c in sorted(p.terms.items())],
+            "indices": list(indices_of(m)),
+            "polynomial": [{"exponents": list(e), "coefficient": _ratio_str(n, den)}
+                           for e, n in sorted(nums[m].items())],
         })
     doc = {
         "schema_version": SCHEMA_VERSION,

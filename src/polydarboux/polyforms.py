@@ -157,17 +157,30 @@ class PolyForm:
             raise DimensionMismatch("split does not sum to the dimension")
 
     def __eq__(self, other):
-        return (isinstance(other, PolyForm) and self.dim == other.dim
-                and self.degree == other.degree and self.split == other.split
-                and self.coeffs == other.coeffs)
+        if not (isinstance(other, PolyForm) and self.dim == other.dim
+                and self.degree == other.degree and self.split == other.split):
+            return False
+        if "coeffs" in self.__dict__ and "coeffs" in other.__dict__:
+            return self.coeffs == other.coeffs
+        return self._numerators == other._numerators  # a view is reduced, hence unique
+
+    def __getattr__(self, name):
+        # a form born from integers builds its coefficients from its view on first read
+        if name != "coeffs" or "_numerators" not in self.__dict__:
+            raise AttributeError(name)
+        nums, den = self._numerators
+        coeffs = self.__dict__["coeffs"] = {
+            m: Polynomial(self.dim, {e: Fraction(n, den) for e, n in slot.items()})
+            for m, slot in nums.items()}
+        return coeffs
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._numerators[0]
 
     @cached_property
     def _numerators(self) -> tuple[dict, int]:
         """``({mask: {exponents: n}}, den)``, n / den the coefficient and den the lcm
-        of the denominators; seeded by results born from integers, outside ``==`` and ``repr``."""
+        of the denominators; seeded by results born from integers, outside ``repr``."""
         den = lcm(*(c.denominator for p in self.coeffs.values() for c in p.terms.values()))
         return {m: {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
                 for m, p in self.coeffs.items()}, den
@@ -200,14 +213,14 @@ class PolyForm:
 
 
 def _pf_seeded(dim: int, degree: int, split: tuple[int, int], nums: dict, den: int) -> PolyForm:
-    """The form with coefficients n / den over zero-free ``nums`` slots, its integer view seeded."""
+    """The form with coefficients n / den over zero-free ``nums`` slots, held as its integer
+    view only: ``coeffs`` is built on first read."""
     g = gcd(den, *(n for slot in nums.values() for n in slot.values()))
     if g != 1:
         den //= g
         nums = {m: {e: n // g for e, n in slot.items()} for m, slot in nums.items()}
-    out = PolyForm(dim, degree, split, {
-        m: Polynomial(dim, {e: Fraction(n, den) for e, n in slot.items()}) for m, slot in nums.items()})
-    out.__dict__["_numerators"] = nums, den
+    out = object.__new__(PolyForm)
+    out.__dict__.update(dim=dim, degree=degree, split=split, _numerators=(nums, den))
     return out
 
 
@@ -285,29 +298,25 @@ def _d_along(a: PolyForm, variables) -> PolyForm:
     """Sum over the given 0-based variables v of dx_v ∧ ∂a/∂x_v.
 
     Accumulates on the integer view of a, one flat exponent dict per
-    output mask, and builds one Fraction per surviving term.  Terms and
-    masks that cancel are dropped as they cancel, so the dict order
-    matches a left-to-right Fraction sum.
+    output mask.  Terms and masks that cancel are dropped as they cancel,
+    so the dict order matches a left-to-right Fraction sum.
     """
     nums, scale = a._numerators
     out: dict = {}
     for m, p in nums.items():
-        # 0-based variable -> [(exponents, numerator of the partial)], in term order
-        partials: dict = {}
-        for e, n in p.items():
-            for v, k in enumerate(e):
-                if k:
-                    partials.setdefault(v, []).append((e, n * k))
         for v in variables:
             bit = 1 << v
-            if m & bit or v not in partials:
+            if m & bit:
+                continue
+            hits = [(e, n * e[v]) for e, n in p.items() if e[v]]
+            if not hits:
                 continue
             neg = removal_sign(m, v) < 0
             key = m | bit
             slot = out.get(key)
             if slot is None:
                 slot = out[key] = {}
-            for e, n in partials[v]:
+            for e, n in hits:
                 ne = e[:v] + (e[v] - 1,) + e[v + 1:]
                 nv = slot.get(ne, 0) + (-n if neg else n)
                 if nv:
@@ -331,14 +340,14 @@ def vertical_d(a: PolyForm) -> PolyForm:
     equivalence classes; the straightened chart fixes this representative),
     while its coefficients may still depend on the x-variables.
     """
-    for m in a.coeffs:
+    for m in a._numerators[0]:
         if m & ((1 << a.x_dim) - 1):
             raise PreconditionError("vertical forms must carry y-differentials only")
     return _d_along(a, range(a.x_dim, a.dim))
 
 
 def max_vertical_factors(a: PolyForm) -> int:
-    return max((a.y_count(m) for m in a.coeffs), default=0)
+    return max((a.y_count(m) for m in a._numerators[0]), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +371,8 @@ def homotopy_primitive(omega: PolyForm, r: int) -> PolyForm:
     not closed (``PreconditionError``) from a construction fault
     (``InternalCheckError``).
     """
+    if r < 0:
+        raise PreconditionError(f"the vertical bound r must be nonnegative, got {r}")
     k = omega.degree
     if k < 1:
         raise PreconditionError("primitive construction needs degree at least 1")
@@ -382,13 +393,14 @@ def _primitive(omega: PolyForm, r: int) -> PolyForm:
     """The homotopy construction of ``homotopy_primitive``, unverified."""
     k = omega.degree
     x_dim = omega.x_dim
+    nums, scale = omega._numerators
     # each monomial integrates one power of the scale parameter, with
     # weight 1/(power+1); the numerators share the denominator
-    # scale * lcm(power+1), built into Fractions once at the end
+    # scale * lcm(power+1)
     powers = set()
-    for m, p in omega.coeffs.items():
+    for m, p in nums.items():
         s_l = omega.y_count(m)
-        for exps in p.terms:
+        for exps in p:
             y_deg = sum(exps[x_dim:])
             if s_l:
                 power = y_deg + s_l - 1
@@ -400,44 +412,37 @@ def _primitive(omega: PolyForm, r: int) -> PolyForm:
                 if power < 0:
                     raise InternalCheckError("negative scale power in the base part")
                 powers.add(power)
-    nums, scale = omega._numerators
     weights = lcm(*(power + 1 for power in powers))
     acc: dict = {}
-
-    def put(mask: int, exps: tuple, n: int):
-        if not n:
-            return
-        slot = acc.setdefault(mask, {})
-        nv = slot.get(exps, 0) + n
-        if nv:
-            slot[exps] = nv
-        else:
-            del slot[exps]
-
     for m, p in nums.items():
         s_l = omega.y_count(m)
+        # the fiber scaling field contracts the y-bits of m; the base one,
+        # acting on the fiber-restricted form, the x-bits of an x-only m
+        mm = m >> x_dim << x_dim if s_l else m
+        bits = []
+        while mm:
+            low = mm & -mm
+            mm ^= low
+            j = low.bit_length() - 1  # 0-based coordinate
+            bits.append((j, m ^ low, removal_sign(m, j) < 0))
         for exps, n in p.items():
             y_deg = sum(exps[x_dim:])
-            # y-block scaling part: contract the fiber scaling field
             if s_l:
                 w = n * (weights // (y_deg + s_l))
-                mm = m >> x_dim
-                while mm:
-                    low = mm & -mm
-                    mm ^= low
-                    j = low.bit_length() - 1 + x_dim  # 0-based coordinate
-                    ne = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
-                    put(m ^ (1 << j), ne, w if removal_sign(m, j) > 0 else -w)
-            # x-block scaling part acts on the fiber-restricted form
-            if s_l == 0 and y_deg == 0:
+            elif y_deg == 0:
                 w = n * (weights // (sum(exps) + k))
-                mm = m
-                while mm:
-                    low = mm & -mm
-                    mm ^= low
-                    i = low.bit_length() - 1
-                    ne = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
-                    put(m ^ (1 << i), ne, w if removal_sign(m, i) > 0 else -w)
+            else:
+                continue
+            for j, key, neg in bits:
+                ne = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
+                slot = acc.get(key)
+                if slot is None:
+                    slot = acc[key] = {}
+                nv = slot.get(ne, 0) + (-w if neg else w)
+                if nv:
+                    slot[ne] = nv
+                else:
+                    del slot[ne]
 
     theta = _pf_seeded(omega.dim, k - 1, omega.split, {m: slot for m, slot in acc.items() if slot},
                        scale * weights)

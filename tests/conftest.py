@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -145,6 +145,20 @@ def poly_numerators_oracle(a) -> tuple[dict, int]:
     den = lcm(*(c.denominator for p in a.coeffs.values() for c in p.terms.values()))
     return {m: {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
             for m, p in a.coeffs.items()}, den
+
+
+def pf_seeded_oracle(dim: int, degree: int, split: tuple, nums: dict, den: int):
+    """``polyforms._pf_seeded`` as it was before coefficients were built on first read:
+    the reduced view seeded, the ``Fraction`` coefficients built at once."""
+    from polydarboux.polyforms import PolyForm, Polynomial
+    g = gcd(den, *(n for slot in nums.values() for n in slot.values()))
+    if g != 1:
+        den //= g
+        nums = {m: {e: n // g for e, n in slot.items()} for m, slot in nums.items()}
+    out = PolyForm(dim, degree, split, {
+        m: Polynomial(dim, {e: Fraction(n, den) for e, n in slot.items()}) for m, slot in nums.items()})
+    out.__dict__["_numerators"] = nums, den
+    return out
 
 
 def kernel_constraints_oracle(x) -> list[dict]:

@@ -434,6 +434,26 @@ def test_homotopy_takes_r_zero_as_given(tmp_path, capsys, given_as):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("given_as", ["document", "option"])
+def test_homotopy_refuses_a_negative_r_by_name(tmp_path, capsys, given_as):
+    """A negative vertical bound is refused as such, before any other check."""
+    from polydarboux.io import poly_form_to_document
+    from polydarboux.polyforms import PolyForm, exterior_d, poly_from_terms
+    omega = exterior_d(PolyForm(4, 1, (2, 2), {0b1000: poly_from_terms(4, {(1, 0, 1, 0): 1})}))
+    doc = poly_form_to_document(omega)
+    if given_as == "document":
+        doc["r"] = -1
+    path = tmp_path / "r-negative.json"
+    path.write_text(json.dumps(doc))
+    argv = ["homotopy", str(path), "--json"] + (["--r", "-1"] if given_as == "option" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the vertical bound r must be nonnegative, got -1" in captured.err
+    assert "vertical differentials" not in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_repeated_monomials_add_up(tmp_path):
     from polydarboux.io import load_document
     doc = {"schema_version": "1", "kind": "poly_form", "dim": 2, "degree": 2, "split": [1, 1],

@@ -3,7 +3,10 @@
 ``AlternatingForm._numerators`` and ``PolyForm._numerators`` are compared
 with the numerators their callers used to build per call, and every view
 seeded by a result (contraction images, wedge products, exterior
-derivatives and primitives) with a fresh one.  The pipelines that read
+derivatives and primitives) with a fresh one.  A polynomial form born
+from integers holds only its view and builds its ``Fraction``
+coefficients on first read; they are compared with the eager build of
+``conftest.pf_seeded_oracle``.  The pipelines that read
 the views (kernels, isotropy, maximality, the polylagrangian check and
 the Darboux basis) are compared with the same pipelines run on the
 ``Fraction`` constraint rows and images, which ``conftest`` keeps as
@@ -14,6 +17,7 @@ image with one scale per component instead of one per image is caught.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -21,8 +25,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (contraction_oracle, flat_image_vectors_oracle, integer_coeffs_oracle,
-                      kernel_constraints_oracle, poly_numerators_oracle)
+                      kernel_constraints_oracle, pf_seeded_oracle, poly_numerators_oracle)
 from polydarboux import lagrangian, polyforms
+from polydarboux.cli import main
 from polydarboux.darboux import (canonical_poly_model, conjugated_poly_instance,
                                  darboux_basis_poly)
 from polydarboux.exterior import (AlternatingForm, VectorValuedForm, contract, form, pullback,
@@ -30,11 +35,13 @@ from polydarboux.exterior import (AlternatingForm, VectorValuedForm, contract, f
 from polydarboux.lagrangian import (_kernel_constraints, check_polylagrangian,
                                     flat_image_vectors, greedy_maximal_isotropic, is_isotropic,
                                     is_maximal_isotropic, kernel_of_form)
+from polydarboux.io import _ratio_str, poly_form_to_document
 from polydarboux.linalg import Subspace, kernel_subspace
-from polydarboux.polyforms import (PolyForm, exterior_d, homotopy_primitive,
-                                   max_vertical_factors, poly_from_terms, vertical_d)
+from polydarboux.polyforms import (PolyForm, _pf_seeded, exterior_d, homotopy_primitive,
+                                   max_vertical_factors, pf_scale, pf_zero, poly_from_terms,
+                                   vertical_d)
 from polydarboux.sparse import span_equal
-from test_polyform_oracle import oracle_d_along, oracle_exterior_d
+from test_polyform_oracle import oracle_d_along, oracle_exterior_d, same_layout
 
 settings.register_profile("integer_views", deadline=None, max_examples=100, derandomize=True)
 PROFILE = settings.get_profile("integer_views")
@@ -347,3 +354,160 @@ def test_pipelines_agree_on_random_integer_and_mixed_forms():
         v = VectorValuedForm(tuple(comps))
         sub = Subspace.from_vectors(dim, kernel_of_form(v).rows() + [{0: 1}])
         _assert_pipelines_agree(v, sub)
+
+
+# ---------------------------------------------------------------------------
+# polynomial forms born from integers build their coefficients on first read
+
+
+def _lazy(a: PolyForm) -> PolyForm:
+    """a as a form born from integers: its view only, no ``coeffs``."""
+    return _pf_seeded(a.dim, a.degree, a.split, *poly_numerators_oracle(a))
+
+
+def _plain(a: PolyForm) -> PolyForm:
+    return PolyForm(a.dim, a.degree, a.split, dict(a.coeffs))
+
+
+@st.composite
+def raw_views(draw):
+    """Zero-free numerator slots over a den sharing factors with them, as results hold before
+    ``_pf_seeded`` reduces them."""
+    dim = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, dim))
+    factor = draw(st.sampled_from([1, 2, 6, 10 ** 13]))
+    masks = [sum(1 << (i - 1) for i in idx)
+             for idx in itertools.combinations(range(1, dim + 1), degree)]
+    nums = {}
+    for m in draw(st.lists(st.sampled_from(masks), unique=True, max_size=3)):
+        slot = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * dim),
+                                    st.integers(-9, 9).filter(bool).map(lambda n: n * factor),
+                                    min_size=1, max_size=3))
+        nums[m] = slot
+    x_dim = draw(st.integers(0, dim))
+    return dim, degree, (x_dim, dim - x_dim), nums, factor * draw(st.integers(1, 7))
+
+
+@settings(PROFILE)
+@given(raw_views())
+def test_lazy_coefficients_are_the_eager_ones(view):
+    dim, degree, split, nums, den = view
+    lazy = _pf_seeded(dim, degree, split, nums, den)
+    want = pf_seeded_oracle(dim, degree, split, nums, den)
+    assert "coeffs" not in lazy.__dict__
+    assert lazy._numerators == want._numerators
+    assert lazy.is_zero() == want.is_zero() and lazy == want
+    assert "coeffs" not in lazy.__dict__  # neither == nor is_zero builds them
+    assert same_layout(lazy, want) and lazy.coeffs is lazy.__dict__["coeffs"]
+    assert all(type(c) is Fraction for p in lazy.coeffs.values() for c in p.terms.values())
+    assert repr(lazy) == repr(want) and lazy.terms() == want.terms()
+
+
+@settings(PROFILE)
+@given(poly_forms())
+def test_derivatives_build_the_eager_coefficients_on_first_read(a):
+    d = exterior_d(a)
+    assert "coeffs" not in d.__dict__
+    assert same_layout(d, pf_seeded_oracle(d.dim, d.degree, d.split, *d._numerators))
+    assert same_layout(d, oracle_exterior_d(a))
+
+
+@settings(PROFILE)
+@given(poly_forms())
+def test_primitives_are_checked_and_written_without_coefficients(a):
+    omega = exterior_d(a)
+    if omega.degree < 1 or omega.is_zero():
+        return
+    r = max_vertical_factors(omega)
+    built = []
+    original = polyforms.exterior_d
+
+    def kept(x):
+        built.append(original(x))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyforms, "exterior_d", kept)
+        theta = homotopy_primitive(omega, r)
+    doc = poly_form_to_document(theta)
+    assert [x.degree for x in built] == [omega.degree]  # the post-check's d(theta)
+    for x in (theta, *built):
+        assert "coeffs" not in x.__dict__
+    assert doc == poly_form_to_document(_plain(theta))
+    assert built[0] == omega and exterior_d(_plain(theta)) == omega
+
+
+def _pairs(a: PolyForm, b: PolyForm):
+    """(x, y) for x a lazy or plain a, y a lazy or plain b, fresh per pair."""
+    makers = (_lazy, _plain)
+    for make_a, make_b in itertools.product(makers, makers):
+        yield make_a(a), make_b(b)
+
+
+def _assert_equality_agrees(a: PolyForm, b: PolyForm):
+    same = ((a.dim, a.degree, a.split) == (b.dim, b.degree, b.split)
+            and a.coeffs == b.coeffs)
+    for x, y in _pairs(a, b):
+        assert (x == y) is same and (y == x) is same
+        assert (x != y) is not same and (y != x) is not same
+
+
+@settings(PROFILE)
+@given(st.data())
+def test_equality_agrees_on_lazy_and_plain_forms(data):
+    a = data.draw(poly_forms())
+    half = pf_scale(a, Fraction(1, 2))  # same numerators as a where one of them is odd
+    shaped = [PolyForm(a.dim, a.degree + 1, a.split, {}),
+              PolyForm(a.dim, a.degree, a.split[::-1], dict(a.coeffs))
+              if a.split[0] != a.split[1] else pf_zero(a.dim, a.degree, a.split)]
+    for b in (a, half, pf_scale(a, 2), data.draw(poly_forms()), *shaped):
+        _assert_equality_agrees(a, b)
+
+
+def test_equality_tells_equal_numerators_over_other_denominators_apart():
+    a = PolyForm(2, 1, (1, 1), {0b01: poly_from_terms(2, {(1, 0): 1, (0, 1): Fraction(3, 2)})})
+    b = pf_scale(a, Fraction(1, 3))
+    assert _lazy(a)._numerators[0] == _lazy(b)._numerators[0]
+    _assert_equality_agrees(a, b)
+
+
+def test_zero_forms_of_other_degree_or_split_differ_lazy_or_plain():
+    zeros = [pf_zero(4, 1, (2, 2)), pf_zero(4, 2, (2, 2)), pf_zero(4, 1, (1, 3)),
+             pf_zero(3, 1, (2, 1))]
+    for a, b in itertools.product(zeros, zeros):
+        _assert_equality_agrees(a, b)
+    lazy = _pf_seeded(4, 1, (2, 2), {}, 5)
+    assert lazy.is_zero() and lazy == zeros[0] and zeros[0] == lazy and lazy != zeros[1]
+
+
+@settings(PROFILE)
+@given(st.integers(-10 ** 13, 10 ** 13),
+       st.one_of(st.just(1), st.integers(1, 60), st.integers(10 ** 12, 10 ** 13)))
+def test_ratio_str_is_str_of_the_fraction(n, den):
+    assert _ratio_str(n, den) == str(Fraction(n, den))
+    assert _ratio_str(n * 7, den * 7) == str(Fraction(n, den))
+
+
+def test_homotopy_op_builds_one_fraction_per_distinct_coefficient(tmp_path, capsys):
+    beta = PolyForm(6, 2, (3, 3), {
+        0b000011: poly_from_terms(6, {(1, 0, 2, 1, 0, 0): Fraction(2, 3), (0, 0, 0, 1, 0, 0): 5}),
+        0b001001: poly_from_terms(6, {(0, 1, 0, 0, 2, 1): Fraction(-7, 10 ** 13),
+                                      (2, 0, 0, 0, 0, 0): Fraction(2, 3)}),
+        0b000110: poly_from_terms(6, {(1, 1, 1, 0, 0, 0): -1}),
+    })
+    doc = poly_form_to_document(exterior_d(beta))
+    path = tmp_path / "closed.json"
+    path.write_text(json.dumps(doc))
+    distinct = {mono["coefficient"] for t in doc["terms"] for mono in t["polynomial"]}
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", counted)
+        code = main(["homotopy", str(path), "--json"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["result"]["derivative_matches"]
+    assert len(built) == len(distinct) > 3

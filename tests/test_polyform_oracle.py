@@ -462,6 +462,20 @@ def test_writer_matches_json_dumps_on_edge_cases():
         assert report_json(case) == json.dumps(case, sort_keys=True, indent=2)
 
 
+LEAF_LISTS = [[1, 2], ["x"], [True, 1], [1, "x"], [], (1, 2), [None], [1.5],
+              [-(10 ** 30), 0], ["é", "\"", ""]]
+
+
+@pytest.mark.parametrize("leaf", LEAF_LISTS, ids=repr)
+def test_writer_inlines_leaf_lists(leaf):
+    """Dict values that are lists of one leaf type are written in place, at every depth."""
+    for depth in (1, 2, 3):
+        tree = {"k": leaf, "a": 1, "z": [leaf, {"k": leaf}]}
+        for _ in range(depth - 1):
+            tree = {"m": tree, "n": [tree]}
+        assert report_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
 @pytest.mark.parametrize("bad", [{1: "x"}, {None: 1}, {("a",): 1}, {"a": {2.5: 1}},
                                  {1, 2}, b"x", Fraction(1, 2), object(), [complex(1, 2)]])
 def test_writer_rejects_other_types(bad):

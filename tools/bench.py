@@ -39,6 +39,10 @@ series, ``perfbench/run.py --trace 1 --seed 7 --seconds 5``:
 its report digest, whether it printed ``TRACE CHECK FAILED`` (a
 ``must_fire`` function that never ran, a report that tracing changed, or
 counts that differ between its two passes) and its per-layer metrics.
+``homotopy_sweep`` is a record of the same kind for ``homotopy --json``
+on the closed forms d(beta) of ``HOMOTOPY_SWEEP`` (dims 8 to 24, degrees
+3 and 4), written once by the first tree and read by every tree;
+``homotopy_digests_equal`` compares the first and the last tree on it.
 ``fractions_per_op`` holds, per tree and workload, the number of
 ``fractions.Fraction`` objects built per op over one seed-1 round, counted
 in a child interpreter that builds the round as perfbench does and wraps
@@ -77,6 +81,8 @@ SWEEP_TIMEOUT = 30.0
 SMALL_SUPPORT_DIMS = (128, 256, 512, 1024)
 # runs of each small-support command: its RSS at R^1024 moves by tens of MB from run to run
 SMALL_SUPPORT_REPEATS = 3
+# the (dim, degree) of the homotopy sweep's closed forms
+HOMOTOPY_SWEEP = [(dim, k) for dim in (8, 12, 16, 20, 24) for k in (3, 4)]
 # the traced pass run once per tree and workload after the series
 TRACED_SEED, TRACED_SECONDS = 7, 5.0
 
@@ -225,6 +231,58 @@ def small_support(label: str, tree: Path) -> list:
     return out
 
 
+# Writes, per (dim, k) of argv[2], d(beta) for a seeded random (k-1)-form beta on the split
+# (dim/2, dim/2) with at most one fiber factor per monomial, as a poly_form document with
+# r = 2, into the directory argv[1]: up to 10 * dim monomials of beta, each with 2 to 6
+# terms of degree at most 5.
+_HOMOTOPY_DOCS = """\
+import itertools, json, random, sys
+from fractions import Fraction
+from pathlib import Path
+from polydarboux.io import poly_form_to_document
+from polydarboux.polyforms import PolyForm, exterior_d, poly_from_terms
+for dim, k in json.loads(sys.argv[2]):
+    rng = random.Random(100 * dim + k)
+    x_dim = dim // 2
+    masks = [sum(1 << i for i in c) for c in itertools.combinations(range(dim), k - 1)
+             if sum(i >= x_dim for i in c) <= 1]
+    coeffs = {}
+    for m in rng.sample(masks, min(len(masks), 10 * dim)):
+        terms = {}
+        for _ in range(rng.randint(2, 6)):
+            e = [0] * dim
+            for _ in range(rng.randint(0, 5)):
+                e[rng.randrange(dim)] += 1
+            terms[tuple(e)] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        p = poly_from_terms(dim, terms)
+        if p.terms:
+            coeffs[m] = p
+    doc = poly_form_to_document(exterior_d(PolyForm(dim, k - 1, (x_dim, dim - x_dim), coeffs)))
+    doc["r"] = 2
+    (Path(sys.argv[1]) / f"d-beta-{dim}-{k}.json").write_text(json.dumps(doc))
+"""
+
+
+def homotopy_documents(tree: Path, out: Path) -> list:
+    """Write the homotopy sweep's documents into ``out`` with the tree's own program."""
+    _, env = _cli_env(tree)
+    subprocess.run([sys.executable, "-c", _HOMOTOPY_DOCS, str(out), json.dumps(HOMOTOPY_SWEEP)],
+                   cwd=tree, env=env, capture_output=True, check=True)
+    return [(dim, k, out / f"d-beta-{dim}-{k}.json") for dim, k in HOMOTOPY_SWEEP]
+
+
+def homotopy_sweep(label: str, tree: Path, documents: list) -> list:
+    """Time ``homotopy --json`` on each sweep document."""
+    cli, env = _cli_env(tree)
+    out = []
+    for dim, k, doc in documents:
+        res = _timed(cli + ["homotopy", str(doc), "--json"], tree, env)
+        out.append({"dim": dim, "degree": k, "bytes": doc.stat().st_size, **res})
+        print(f"homotopy sweep {label}: dim {dim} degree {k} exit {res['exit']} "
+              f"in {res['seconds']:.2f}s, {res['peak_rss_mb']} MB", flush=True)
+    return out
+
+
 def _repeated(cmd: list, tree: Path, env: dict) -> dict:
     """``_timed`` run ``SMALL_SUPPORT_REPEATS`` times, with the min and max of its figures."""
     runs = [_timed(cmd, tree, env) for _ in range(SMALL_SUPPORT_REPEATS)]
@@ -289,13 +347,17 @@ def main(argv=None) -> int:
     write_record(args, spec, trees, runs, args.runs, fractions, traces=traces)
     sweeps = {label: sweep(label, path) for label, path in trees}
     supports = {label: small_support(label, path) for label, path in trees}
-    write_record(args, spec, trees, runs, args.runs, fractions, sweeps, supports, traces)
+    with tempfile.TemporaryDirectory() as tmp:
+        documents = homotopy_documents(trees[0][1], Path(tmp))
+        homotopies = {label: homotopy_sweep(label, path, documents) for label, path in trees}
+    write_record(args, spec, trees, runs, args.runs, fractions, sweeps, supports, traces,
+                 homotopies)
     return 0
 
 
 def write_record(args, spec: dict, trees: list, runs: dict, done: int, fractions: dict,
                  sweeps: dict | None = None, supports: dict | None = None,
-                 traces: dict | None = None) -> None:
+                 traces: dict | None = None, homotopies: dict | None = None) -> None:
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
     out = {"python": platform.python_version(), "cpu_count": os.cpu_count(),
            "run_seconds": spec["run_seconds"], "runs": done, "seed": args.seed,
@@ -303,12 +365,14 @@ def write_record(args, spec: dict, trees: list, runs: dict, done: int, fractions
            "src_lines": {label: src_lines(path) for label, path in trees},
            "fractions_per_op": fractions, "workloads": {}}
     first, last = trees[0][0], trees[-1][0]
-    for key, record in (("sweep", sweeps), ("small_support", supports)):
+    for key, equal, record in (("sweep", "sweep", sweeps),
+                               ("small_support", "small_support", supports),
+                               ("homotopy_sweep", "homotopy", homotopies)):
         if record is not None:
             out[key] = record
             if len(trees) > 1:
-                out[f"{key}_digests_equal"] = ([r["stdout_sha256"] for r in record[first]]
-                                               == [r["stdout_sha256"] for r in record[last]])
+                out[f"{equal}_digests_equal"] = ([r["stdout_sha256"] for r in record[first]]
+                                                 == [r["stdout_sha256"] for r in record[last]])
     if traces is not None:
         out["traced"] = traces
     for w, by_tree in runs.items():
