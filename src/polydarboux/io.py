@@ -297,14 +297,6 @@ def _write_json(obj, out: list, newline: str) -> None:
             head = (sep if i else inner) + encode_basestring_ascii(key) + ": "
             x = obj[key]
             encode = _LEAVES.get(type(x))
-            if encode is None and type(x) is list and x:
-                kinds = set(map(type, x))  # a list of one leaf type is written in place
-                encode = _LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
-                if encode is not None:
-                    deeper = inner + "  "
-                    out.append(head + "[" + deeper + ("," + deeper).join(map(encode, x))
-                               + inner + "]")
-                    continue
             if encode is None:
                 out.append(head)
                 _write_json(x, out, inner)

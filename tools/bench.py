@@ -42,7 +42,7 @@ counts that differ between its two passes) and its per-layer metrics.
 ``homotopy_sweep`` is a record of the same kind for ``homotopy --json``
 on the closed forms d(beta) of ``HOMOTOPY_SWEEP`` (dims 8 to 24, degrees
 3 and 4), written once by the first tree and read by every tree;
-``homotopy_digests_equal`` compares the first and the last tree on it.
+``homotopy_sweep_digests_equal`` compares the first and the last tree on it.
 ``fractions_per_op`` holds, per tree and workload, the number of
 ``fractions.Fraction`` objects built per op over one seed-1 round, counted
 in a child interpreter that builds the round as perfbench does and wraps
@@ -365,14 +365,13 @@ def write_record(args, spec: dict, trees: list, runs: dict, done: int, fractions
            "src_lines": {label: src_lines(path) for label, path in trees},
            "fractions_per_op": fractions, "workloads": {}}
     first, last = trees[0][0], trees[-1][0]
-    for key, equal, record in (("sweep", "sweep", sweeps),
-                               ("small_support", "small_support", supports),
-                               ("homotopy_sweep", "homotopy", homotopies)):
+    for key, record in (("sweep", sweeps), ("small_support", supports),
+                        ("homotopy_sweep", homotopies)):
         if record is not None:
             out[key] = record
             if len(trees) > 1:
-                out[f"{equal}_digests_equal"] = ([r["stdout_sha256"] for r in record[first]]
-                                                 == [r["stdout_sha256"] for r in record[last]])
+                out[f"{key}_digests_equal"] = ([r["stdout_sha256"] for r in record[first]]
+                                               == [r["stdout_sha256"] for r in record[last]])
     if traces is not None:
         out["traced"] = traces
     for w, by_tree in runs.items():
