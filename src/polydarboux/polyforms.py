@@ -4,10 +4,11 @@ distributions.
 
 The coordinate space is ordered (x-block, y-block); the y-block plays the
 role of the straightened foliation, so horizontality and verticality are
-monomial properties.  The primitive construction contracts against the
-scaling fields of the two blocks and integrates the scale parameter
-exactly, one monomial at a time; only nonnegative powers ever occur,
-which is asserted at runtime.
+monomial properties.  A polynomial form is its reduced integer view, and
+every operation on forms accumulates on it.  The primitive construction
+contracts against the scaling fields of the two blocks and integrates the
+scale parameter exactly, one monomial at a time; only nonnegative powers
+ever occur, which is asserted at runtime.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import add
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, InternalCheckError, PreconditionError
-from .exterior import AlternatingForm, indices_of, mask_of, merge_sign, removal_sign
+from .exterior import indices_of, mask_of, merge_sign, removal_sign
 from .linalg import Matrix, ZERO, ONE, frac, rank
 
 # ---------------------------------------------------------------------------
@@ -143,47 +145,37 @@ def poly_from_terms(nvars: int, terms: Mapping[Sequence[int], object]) -> Polyno
 # polynomial forms
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False)
 class PolyForm:
-    """Polynomial-coefficient form on a space split as x-block + y-block."""
+    """Polynomial-coefficient form on a space split as x-block + y-block.
+
+    Built from mask -> ``Polynomial`` coefficients, it is stored as its integer view
+    ``({mask: {exponents: n}}, den)``: coefficient n / den, den the lcm of the denominators,
+    and no slot or n zero (zero coefficients are dropped).  So the view is unique to the form
+    and equality compares it; ``coeffs`` is built from it, in its order, on first read."""
 
     dim: int
     degree: int
     split: tuple[int, int]
-    coeffs: dict  # mask -> Polynomial
+    _numerators: tuple[dict, int]
+    __hash__ = None  # the view holds dicts
 
-    def __post_init__(self):
-        if sum(self.split) != self.dim:
+    def __init__(self, dim: int, degree: int, split: tuple[int, int], coeffs: Mapping):
+        if sum(split) != dim:
             raise DimensionMismatch("split does not sum to the dimension")
+        den = lcm(*(c.denominator for p in coeffs.values() for c in p.terms.values()))
+        nums = {m: {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+                for m, p in coeffs.items() if not p.is_zero()}
+        self.__dict__.update(dim=dim, degree=degree, split=split, _numerators=(nums, den))
 
-    def __eq__(self, other):
-        if not (isinstance(other, PolyForm) and self.dim == other.dim
-                and self.degree == other.degree and self.split == other.split):
-            return False
-        if "coeffs" in self.__dict__ and "coeffs" in other.__dict__:
-            return self.coeffs == other.coeffs
-        return self._numerators == other._numerators  # a view is reduced, hence unique
-
-    def __getattr__(self, name):
-        # a form born from integers builds its coefficients from its view on first read
-        if name != "coeffs" or "_numerators" not in self.__dict__:
-            raise AttributeError(name)
+    @cached_property
+    def coeffs(self) -> dict:
         nums, den = self._numerators
-        coeffs = self.__dict__["coeffs"] = {
-            m: Polynomial(self.dim, {e: Fraction(n, den) for e, n in slot.items()})
-            for m, slot in nums.items()}
-        return coeffs
+        return {m: Polynomial(self.dim, {e: Fraction(n, den) for e, n in slot.items()})
+                for m, slot in nums.items()}
 
     def is_zero(self) -> bool:
         return not self._numerators[0]
-
-    @cached_property
-    def _numerators(self) -> tuple[dict, int]:
-        """``({mask: {exponents: n}}, den)``, n / den the coefficient and den the lcm
-        of the denominators; seeded by results born from integers, outside ``repr``."""
-        den = lcm(*(c.denominator for p in self.coeffs.values() for c in p.terms.values()))
-        return {m: {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-                for m, p in self.coeffs.items()}, den
 
     @property
     def x_dim(self) -> int:
@@ -195,15 +187,6 @@ class PolyForm:
     def terms(self):
         return [(indices_of(m), p) for m, p in sorted(self.coeffs.items())]
 
-    def evaluate_at(self, point: Sequence) -> AlternatingForm:
-        """Exact value at a rational point, as a constant alternating form."""
-        out = {}
-        for m, p in self.coeffs.items():
-            v = p.eval(point)
-            if v:
-                out[m] = v
-        return AlternatingForm(self.dim, self.degree, out)
-
     def coeffs_float(self, point: Sequence[float]) -> dict:
         return {m: p.eval_float(point) for m, p in self.coeffs.items()}
 
@@ -213,8 +196,8 @@ class PolyForm:
 
 
 def _pf_seeded(dim: int, degree: int, split: tuple[int, int], nums: dict, den: int) -> PolyForm:
-    """The form with coefficients n / den over zero-free ``nums`` slots, held as its integer
-    view only: ``coeffs`` is built on first read."""
+    """The form with coefficients n / den over zero-free ``nums`` slots and den > 0: the view,
+    reduced by the gcd of den and every n so that it is the form's unique one."""
     g = gcd(den, *(n for slot in nums.values() for n in slot.values()))
     if g != 1:
         den //= g
@@ -224,6 +207,18 @@ def _pf_seeded(dim: int, degree: int, split: tuple[int, int], nums: dict, den: i
     return out
 
 
+def _add_into(out: dict, mask: int, exps: tuple, n: int) -> None:
+    """Add n to the term ``exps`` of ``out[mask]``, dropping the term if it cancels; a slot
+    left empty keeps its place for later terms, and the caller drops it."""
+    slot = out.get(mask)
+    if slot is None:
+        out[mask] = {exps: n}
+    elif nv := slot.get(exps, 0) + n:
+        slot[exps] = nv
+    else:
+        del slot[exps]
+
+
 def pf_zero(dim: int, degree: int, split: tuple[int, int]) -> PolyForm:
     return PolyForm(dim, degree, split, {})
 
@@ -231,22 +226,26 @@ def pf_zero(dim: int, degree: int, split: tuple[int, int]) -> PolyForm:
 def pf_add(a: PolyForm, b: PolyForm) -> PolyForm:
     if (a.dim, a.degree, a.split) != (b.dim, b.degree, b.split):
         raise DimensionMismatch("cannot add polynomial forms of different shape")
-    out = dict(a.coeffs)
-    for m, p in b.coeffs.items():
-        s = out.get(m)
-        ns = p if s is None else s + p
-        if ns.is_zero():
-            out.pop(m, None)
-        else:
-            out[m] = ns
-    return PolyForm(a.dim, a.degree, a.split, out)
+    (na, da), (nb, db) = a._numerators, b._numerators
+    den = lcm(da, db)
+    fa, fb = den // da, den // db
+    out = {m: {e: n * fa for e, n in slot.items()} for m, slot in na.items()}
+    for m, slot in nb.items():
+        for e, n in slot.items():
+            _add_into(out, m, e, n * fb)
+        if not out[m]:
+            del out[m]
+    return _pf_seeded(a.dim, a.degree, a.split, out, den)
 
 
 def pf_scale(a: PolyForm, c) -> PolyForm:
     c = frac(c)
     if not c:
         return pf_zero(a.dim, a.degree, a.split)
-    return PolyForm(a.dim, a.degree, a.split, {m: p * c for m, p in a.coeffs.items()})
+    nums, den = a._numerators
+    return _pf_seeded(a.dim, a.degree, a.split,
+                      {m: {e: n * c.numerator for e, n in slot.items()} for m, slot in nums.items()},
+                      den * c.denominator)
 
 
 def pf_sub(a: PolyForm, b: PolyForm) -> PolyForm:
@@ -256,42 +255,33 @@ def pf_sub(a: PolyForm, b: PolyForm) -> PolyForm:
 def pf_wedge(a: PolyForm, b: PolyForm) -> PolyForm:
     if a.dim != b.dim or a.split != b.split:
         raise DimensionMismatch("wedge operands live on different spaces")
+    (na, da), (nb, db) = a._numerators, b._numerators
     out: dict = {}
-    for ma, pa in a.coeffs.items():
-        for mb, pb in b.coeffs.items():
+    for ma, pa in na.items():
+        for mb, pb in nb.items():
             s = merge_sign(ma, mb)
             if not s:
                 continue
-            prod = pa * pb
-            if s < 0:
-                prod = -prod
             key = ma | mb
-            cur = out.get(key)
-            ns = prod if cur is None else cur + prod
-            if ns.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = ns
-    return PolyForm(a.dim, a.degree + b.degree, a.split, out)
+            prod: dict = {}  # whole before it joins out[key]: out[key]'s terms keep their places
+            for ea, x in pa.items():
+                for eb, y in pb.items():
+                    _add_into(prod, key, tuple(map(add, ea, eb)), s * x * y)
+            if prod.get(key):
+                for e, n in prod[key].items():
+                    _add_into(out, key, e, n)
+                if not out[key]:
+                    del out[key]
+    return _pf_seeded(a.dim, a.degree + b.degree, a.split, out, da * db)
 
 
 def pf_contract_basis(a: PolyForm, index: int) -> PolyForm:
     """Interior product with the coordinate field of the 1-based index."""
     bit = 1 << (index - 1)
-    out: dict = {}
-    for m, p in a.coeffs.items():
-        if not (m & bit):
-            continue
-        s = removal_sign(m, index - 1)
-        q = p if s > 0 else -p
-        key = m ^ bit
-        cur = out.get(key)
-        ns = q if cur is None else cur + q
-        if ns.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = ns
-    return PolyForm(a.dim, a.degree - 1, a.split, out)
+    nums, den = a._numerators
+    return _pf_seeded(a.dim, a.degree - 1, a.split, {
+        m ^ bit: slot if removal_sign(m, index - 1) > 0 else {e: -n for e, n in slot.items()}
+        for m, slot in nums.items() if m & bit}, den)
 
 
 def _d_along(a: PolyForm, variables) -> PolyForm:
@@ -313,17 +303,9 @@ def _d_along(a: PolyForm, variables) -> PolyForm:
                 continue
             neg = removal_sign(m, v) < 0
             key = m | bit
-            slot = out.get(key)
-            if slot is None:
-                slot = out[key] = {}
             for e, n in hits:
-                ne = e[:v] + (e[v] - 1,) + e[v + 1:]
-                nv = slot.get(ne, 0) + (-n if neg else n)
-                if nv:
-                    slot[ne] = nv
-                else:
-                    del slot[ne]
-            if not slot:
+                _add_into(out, key, e[:v] + (e[v] - 1,) + e[v + 1:], -n if neg else n)
+            if not out[key]:
                 del out[key]
     return _pf_seeded(a.dim, a.degree + 1, a.split, out, scale)
 
@@ -434,15 +416,7 @@ def _primitive(omega: PolyForm, r: int) -> PolyForm:
             else:
                 continue
             for j, key, neg in bits:
-                ne = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
-                slot = acc.get(key)
-                if slot is None:
-                    slot = acc[key] = {}
-                nv = slot.get(ne, 0) + (-w if neg else w)
-                if nv:
-                    slot[ne] = nv
-                else:
-                    del slot[ne]
+                _add_into(acc, key, exps[:j] + (exps[j] + 1,) + exps[j + 1:], -w if neg else w)
 
     theta = _pf_seeded(omega.dim, k - 1, omega.split, {m: slot for m, slot in acc.items() if slot},
                        scale * weights)
@@ -457,9 +431,9 @@ def constant_spread(omega: PolyForm) -> PolyForm:
     The value of a coefficient at the origin is its constant term.
     """
     origin = (0,) * omega.dim
-    return PolyForm(omega.dim, omega.degree, omega.split,
-                    {m: poly_const(omega.dim, c) for m, p in omega.coeffs.items()
-                     if (c := p.terms.get(origin))})
+    nums, den = omega._numerators
+    return _pf_seeded(omega.dim, omega.degree, omega.split,
+                      {m: {origin: n} for m, slot in nums.items() if (n := slot.get(origin))}, den)
 
 
 def moser_potential(omega: PolyForm, omega0: PolyForm) -> PolyForm:

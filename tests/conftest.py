@@ -5,15 +5,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import pytest
 
 from polydarboux.errors import DimensionMismatch, PreconditionError
-from polydarboux.exterior import AlternatingForm, VectorValuedForm, contract, evaluate, form
+from polydarboux.exterior import (AlternatingForm, VectorValuedForm, contract, evaluate, form,
+                                  merge_sign, removal_sign)
 from polydarboux.lagrangian import _kernel_constraints, _stacked, as_vector_form
 from polydarboux.linalg import (ZERO, ONE, Subspace, _echelon, _sparse_vector, kernel_subspace,
                                 vec)
+from polydarboux.polyforms import PolyForm, Polynomial, poly_const
 from polydarboux.sparse import _sparse
 
 
@@ -148,17 +150,76 @@ def poly_numerators_oracle(a) -> tuple[dict, int]:
 
 
 def pf_seeded_oracle(dim: int, degree: int, split: tuple, nums: dict, den: int):
-    """``polyforms._pf_seeded`` as it was before coefficients were built on first read:
-    the reduced view seeded, the ``Fraction`` coefficients built at once."""
-    from polydarboux.polyforms import PolyForm, Polynomial
-    g = gcd(den, *(n for slot in nums.values() for n in slot.values()))
-    if g != 1:
-        den //= g
-        nums = {m: {e: n // g for e, n in slot.items()} for m, slot in nums.items()}
-    out = PolyForm(dim, degree, split, {
+    """The form with coefficients n / den over ``nums``, built at once from its ``Fraction``
+    coefficients, in the order of ``nums``."""
+    return PolyForm(dim, degree, split, {
         m: Polynomial(dim, {e: Fraction(n, den) for e, n in slot.items()}) for m, slot in nums.items()})
-    out.__dict__["_numerators"] = nums, den
-    return out
+
+
+# ``polyforms.pf_add``, ``pf_scale``, ``pf_wedge``, ``pf_contract_basis`` and ``constant_spread``
+# as they were on ``Polynomial`` coefficients, before forms were their integer views
+
+
+def pf_add_oracle(a, b):
+    out = dict(a.coeffs)
+    for m, p in b.coeffs.items():
+        s = out.get(m)
+        ns = p if s is None else s + p
+        if ns.is_zero():
+            out.pop(m, None)
+        else:
+            out[m] = ns
+    return PolyForm(a.dim, a.degree, a.split, out)
+
+
+def pf_scale_oracle(a, c):
+    c = Fraction(c)
+    return PolyForm(a.dim, a.degree, a.split, {m: p * c for m, p in a.coeffs.items()} if c else {})
+
+
+def pf_wedge_oracle(a, b):
+    out: dict = {}
+    for ma, pa in a.coeffs.items():
+        for mb, pb in b.coeffs.items():
+            s = merge_sign(ma, mb)
+            if not s:
+                continue
+            prod = pa * pb
+            if s < 0:
+                prod = -prod
+            key = ma | mb
+            cur = out.get(key)
+            ns = prod if cur is None else cur + prod
+            if ns.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = ns
+    return PolyForm(a.dim, a.degree + b.degree, a.split, out)
+
+
+def pf_contract_basis_oracle(a, index: int):
+    bit = 1 << (index - 1)
+    out: dict = {}
+    for m, p in a.coeffs.items():
+        if not (m & bit):
+            continue
+        s = removal_sign(m, index - 1)
+        q = p if s > 0 else -p
+        key = m ^ bit
+        cur = out.get(key)
+        ns = q if cur is None else cur + q
+        if ns.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = ns
+    return PolyForm(a.dim, a.degree - 1, a.split, out)
+
+
+def constant_spread_oracle(omega):
+    origin = (0,) * omega.dim
+    return PolyForm(omega.dim, omega.degree, omega.split,
+                    {m: poly_const(omega.dim, c) for m, p in omega.coeffs.items()
+                     if (c := p.terms.get(origin))})
 
 
 def kernel_constraints_oracle(x) -> list[dict]:

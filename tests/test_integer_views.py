@@ -3,9 +3,10 @@
 ``AlternatingForm._numerators`` and ``PolyForm._numerators`` are compared
 with the numerators their callers used to build per call, and every view
 seeded by a result (contraction images, wedge products, exterior
-derivatives and primitives) with a fresh one.  A polynomial form born
-from integers holds only its view and builds its ``Fraction``
-coefficients on first read; they are compared with the eager build of
+derivatives and primitives) with a fresh one.  A polynomial form is its
+view, whether it was built from ``Polynomial`` coefficients or born from
+integers, and builds its ``Fraction`` coefficients on first read, in the
+view's order; they are compared with the eager build of
 ``conftest.pf_seeded_oracle``.  The pipelines that read
 the views (kernels, isotropy, maximality, the polylagrangian check and
 the Darboux basis) are compared with the same pipelines run on the
@@ -37,9 +38,9 @@ from polydarboux.lagrangian import (_kernel_constraints, check_polylagrangian,
                                     is_maximal_isotropic, kernel_of_form)
 from polydarboux.io import _ratio_str, poly_form_to_document
 from polydarboux.linalg import Subspace, kernel_subspace
-from polydarboux.polyforms import (PolyForm, _pf_seeded, exterior_d, homotopy_primitive,
-                                   max_vertical_factors, pf_scale, pf_zero, poly_from_terms,
-                                   vertical_d)
+from polydarboux.polyforms import (PolyForm, Polynomial, _pf_seeded, exterior_d,
+                                   homotopy_primitive, max_vertical_factors, pf_scale, pf_zero,
+                                   poly_from_terms, poly_var, poly_zero, vertical_d)
 from polydarboux.sparse import span_equal
 from test_polyform_oracle import oracle_d_along, oracle_exterior_d, same_layout
 
@@ -101,16 +102,18 @@ def poly_forms(draw):
 
 
 def assert_seeded_and_exact(x):
-    """x carries a seeded view, equal to the numerators computed afresh, in term order."""
-    assert "_numerators" in x.__dict__, "the result's view was not seeded"
-    nums, den = x.__dict__["_numerators"]
+    """x's view equals the numerators computed afresh, in term order; an ``AlternatingForm``
+    result carries it seeded (a ``PolyForm`` is its view)."""
     if isinstance(x, PolyForm):
+        nums, den = x._numerators
         want = poly_numerators_oracle(x)
         flat = [(m, e, n) for m, slot in nums.items() for e, n in slot.items()]
         assert all(Fraction(n, den) == x.coeffs[m].terms[e] for m, e, n in flat)
         assert all(n for _, _, n in flat) and all(nums.values())
         assert [list(slot) for slot in nums.values()] == [list(p.terms) for p in x.coeffs.values()]
     else:
+        assert "_numerators" in x.__dict__, "the result's view was not seeded"
+        nums, den = x.__dict__["_numerators"]
         want = integer_coeffs_oracle(x.coeffs)
         assert all(n and Fraction(n, den) == x.coeffs[m] for m, n in nums.items())
     assert (nums, den) == want
@@ -236,7 +239,6 @@ def test_views_take_no_part_in_equality_or_repr():
     assert twin._numerators == image._numerators and image == twin
     theta = homotopy_primitive(exterior_d(PolyForm(3, 1, (2, 1), {
         0b001: poly_from_terms(3, {(0, 1, 1): Fraction(3, 4)})})), 1)
-    assert "_numerators" in theta.__dict__
     plain = PolyForm(theta.dim, theta.degree, theta.split, dict(theta.coeffs))
     assert theta == plain and plain == theta and repr(theta) == repr(plain)
 
@@ -357,15 +359,16 @@ def test_pipelines_agree_on_random_integer_and_mixed_forms():
 
 
 # ---------------------------------------------------------------------------
-# polynomial forms born from integers build their coefficients on first read
+# a polynomial form is its view and builds its coefficients on first read
 
 
-def _lazy(a: PolyForm) -> PolyForm:
-    """a as a form born from integers: its view only, no ``coeffs``."""
+def _seeded(a: PolyForm) -> PolyForm:
+    """a as a result born from integers: built from its view by ``_pf_seeded``."""
     return _pf_seeded(a.dim, a.degree, a.split, *poly_numerators_oracle(a))
 
 
-def _plain(a: PolyForm) -> PolyForm:
+def _built(a: PolyForm) -> PolyForm:
+    """a as a caller builds it: from its ``Polynomial`` coefficients."""
     return PolyForm(a.dim, a.degree, a.split, dict(a.coeffs))
 
 
@@ -398,9 +401,33 @@ def test_lazy_coefficients_are_the_eager_ones(view):
     assert lazy._numerators == want._numerators
     assert lazy.is_zero() == want.is_zero() and lazy == want
     assert "coeffs" not in lazy.__dict__  # neither == nor is_zero builds them
+    assert [(m, list(p.terms)) for m, p in lazy.coeffs.items()] == \
+        [(m, list(slot)) for m, slot in nums.items()]  # in the order of the view
     assert same_layout(lazy, want) and lazy.coeffs is lazy.__dict__["coeffs"]
     assert all(type(c) is Fraction for p in lazy.coeffs.values() for c in p.terms.values())
     assert repr(lazy) == repr(want) and lazy.terms() == want.terms()
+
+
+@settings(PROFILE)
+@given(st.data())
+def test_coefficients_come_out_in_the_order_they_went_in(data):
+    a = data.draw(poly_forms())
+    given = {m: Polynomial(a.dim, dict(data.draw(st.permutations(list(a.coeffs[m].terms.items())))))
+             for m in data.draw(st.permutations(list(a.coeffs)))}
+    x = PolyForm(a.dim, a.degree, a.split, given)
+    assert "coeffs" not in x.__dict__ and x == a
+    assert [(m, list(p.terms.items())) for m, p in x.coeffs.items()] == \
+        [(m, list(p.terms.items())) for m, p in given.items()]
+
+
+def test_a_zero_coefficient_is_dropped_when_the_form_is_built():
+    x = PolyForm(2, 2, (1, 1), {0b11: poly_zero(2)})
+    assert x.is_zero() and x == pf_zero(2, 2, (1, 1)) and x.coeffs == {}
+    y = PolyForm(2, 1, (1, 1), {0b01: poly_zero(2), 0b10: poly_var(2, 1)})
+    assert list(y.coeffs) == [0b10] and y == PolyForm(2, 1, (1, 1), {0b10: poly_var(2, 1)})
+    assert PolyForm.__hash__ is None  # the view holds dicts
+    with pytest.raises(TypeError):
+        hash(x)
 
 
 @settings(PROFILE)
@@ -433,13 +460,13 @@ def test_primitives_are_checked_and_written_without_coefficients(a):
     assert [x.degree for x in built] == [omega.degree]  # the post-check's d(theta)
     for x in (theta, *built):
         assert "coeffs" not in x.__dict__
-    assert doc == poly_form_to_document(_plain(theta))
-    assert built[0] == omega and exterior_d(_plain(theta)) == omega
+    assert doc == poly_form_to_document(_built(theta))
+    assert built[0] == omega and exterior_d(_built(theta)) == omega
 
 
 def _pairs(a: PolyForm, b: PolyForm):
-    """(x, y) for x a lazy or plain a, y a lazy or plain b, fresh per pair."""
-    makers = (_lazy, _plain)
+    """(x, y) for x a seeded or built a, y a seeded or built b, fresh per pair."""
+    makers = (_seeded, _built)
     for make_a, make_b in itertools.product(makers, makers):
         yield make_a(a), make_b(b)
 
@@ -450,11 +477,12 @@ def _assert_equality_agrees(a: PolyForm, b: PolyForm):
     for x, y in _pairs(a, b):
         assert (x == y) is same and (y == x) is same
         assert (x != y) is not same and (y != x) is not same
+        assert "coeffs" not in x.__dict__ and "coeffs" not in y.__dict__  # == reads the views
 
 
 @settings(PROFILE)
 @given(st.data())
-def test_equality_agrees_on_lazy_and_plain_forms(data):
+def test_equality_agrees_on_seeded_and_built_forms(data):
     a = data.draw(poly_forms())
     half = pf_scale(a, Fraction(1, 2))  # same numerators as a where one of them is odd
     shaped = [PolyForm(a.dim, a.degree + 1, a.split, {}),
@@ -467,17 +495,17 @@ def test_equality_agrees_on_lazy_and_plain_forms(data):
 def test_equality_tells_equal_numerators_over_other_denominators_apart():
     a = PolyForm(2, 1, (1, 1), {0b01: poly_from_terms(2, {(1, 0): 1, (0, 1): Fraction(3, 2)})})
     b = pf_scale(a, Fraction(1, 3))
-    assert _lazy(a)._numerators[0] == _lazy(b)._numerators[0]
+    assert a._numerators[0] == b._numerators[0]
     _assert_equality_agrees(a, b)
 
 
-def test_zero_forms_of_other_degree_or_split_differ_lazy_or_plain():
+def test_zero_forms_of_other_degree_or_split_differ_seeded_or_built():
     zeros = [pf_zero(4, 1, (2, 2)), pf_zero(4, 2, (2, 2)), pf_zero(4, 1, (1, 3)),
              pf_zero(3, 1, (2, 1))]
     for a, b in itertools.product(zeros, zeros):
         _assert_equality_agrees(a, b)
-    lazy = _pf_seeded(4, 1, (2, 2), {}, 5)
-    assert lazy.is_zero() and lazy == zeros[0] and zeros[0] == lazy and lazy != zeros[1]
+    seeded = _pf_seeded(4, 1, (2, 2), {}, 5)
+    assert seeded.is_zero() and seeded == zeros[0] and zeros[0] == seeded and seeded != zeros[1]
 
 
 @settings(PROFILE)

@@ -4,7 +4,9 @@ against the code they replaced.
 The oracles below are the previous implementations: the Fraction
 ``_d_along`` built on ``Polynomial.diff``, the ``homotopy_primitive``
 with its closedness pre-check and Fraction accumulator, and the sampler
-that projected each covector and ranked the projection.  The writer is
+that projected each covector and ranked the projection.  The form
+arithmetic on integer views is compared with its ``Polynomial`` path,
+which ``conftest`` keeps as oracles.  The writer is
 compared with ``json.dumps(sort_keys=True, indent=2)`` itself.
 """
 
@@ -18,6 +20,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import (constant_spread_oracle, pf_add_oracle, pf_contract_basis_oracle,
+                      pf_scale_oracle, pf_wedge_oracle)
 from polydarboux import cli, io, polyforms
 from polydarboux.errors import DocumentError, InternalCheckError, PreconditionError
 from polydarboux.exterior import VectorValuedForm, form, merge_sign, project, removal_sign
@@ -26,7 +30,8 @@ from polydarboux.lagrangian import (DEFAULT_SEED, constant_rank_sampled, random_
                                     rank_2form)
 from polydarboux.linalg import row_rank
 from polydarboux.polyforms import (PolyForm, Polynomial, constant_spread, exterior_d,
-                                   homotopy_primitive, max_vertical_factors, poly_const,
+                                   homotopy_primitive, max_vertical_factors, pf_add,
+                                   pf_contract_basis, pf_scale, pf_wedge, poly_const,
                                    poly_from_terms, vertical_d)
 from test_elimination_oracle import batch_rref_rows
 
@@ -246,10 +251,68 @@ def test_constant_spread_reads_the_constant_terms(data):
         if terms:
             coeffs[m] = Polynomial(a.dim, terms)
     omega = PolyForm(a.dim, a.degree, a.split, coeffs)
-    value = omega.evaluate_at([ZERO] * omega.dim)
+    origin = [ZERO] * omega.dim
     want = PolyForm(omega.dim, omega.degree, omega.split,
-                    {m: poly_const(omega.dim, c) for m, c in value.coeffs.items()})
+                    {m: poly_const(omega.dim, p.eval(origin)) for m, p in omega.coeffs.items()})
     assert same_layout(constant_spread(omega), want)
+
+
+# ---------------------------------------------------------------------------
+# form arithmetic
+
+
+@st.composite
+def partners(draw, a: PolyForm):
+    """A form of a's shape that cancels some masks of a whole, cancels others and then refills
+    them with new terms, and brings masks of its own, in a drawn order."""
+    coeffs = {}
+    for m, p in a.coeffs.items():
+        choice = draw(st.sampled_from(["cancel", "refill", "other", "none"]))
+        if choice == "cancel":
+            coeffs[m] = -p
+        elif choice == "refill":
+            coeffs[m] = -p + draw(polynomials(a.dim))
+        elif choice == "other":
+            coeffs[m] = draw(polynomials(a.dim))
+    for m, p in draw(poly_forms(dim=a.dim, degree=a.degree)).coeffs.items():
+        coeffs.setdefault(m, p)
+    return PolyForm(a.dim, a.degree, a.split, dict(draw(st.permutations(list(coeffs.items())))))
+
+
+@settings(settings.get_profile("polyform_oracle"))
+@given(st.data())
+def test_form_arithmetic_matches_the_polynomial_path(data):
+    """Equal, in the same layout, to the arithmetic on ``Polynomial`` coefficients."""
+    a = data.draw(poly_forms())
+    b = data.draw(partners(a))
+    w = data.draw(poly_forms(dim=a.dim, degree=data.draw(st.integers(0, a.dim - a.degree))))
+    w = PolyForm(a.dim, w.degree, a.split, w.coeffs)
+    cases = [(pf_add(a, b), pf_add_oracle(a, b)), (pf_add(b, a), pf_add_oracle(b, a)),
+             (pf_wedge(a, w), pf_wedge_oracle(a, w)), (pf_wedge(w, b), pf_wedge_oracle(w, b)),
+             (pf_wedge(a, a), pf_wedge_oracle(a, a)), (constant_spread(a), constant_spread_oracle(a))]
+    cases += [(pf_scale(a, c), pf_scale_oracle(a, c)) for c in (0, -1, data.draw(coefficients))]
+    cases += [(pf_contract_basis(a, i), pf_contract_basis_oracle(a, i)) for i in range(1, a.dim + 1)]
+    for got, want in cases:
+        assert same_layout(got, want)
+
+
+def test_sums_and_products_keep_the_layout_of_the_polynomial_path():
+    def poly(*terms):
+        return poly_from_terms(3, dict(terms))
+
+    x2, y, x, x3, one = (2, 0, 0), (0, 1, 0), (1, 0, 0), (3, 0, 0), (0, 0, 0)
+    # b empties a's first mask and refills it: the mask keeps its place
+    a = PolyForm(3, 1, (2, 1), {0b001: poly((x, 1)), 0b010: poly((y, 2))})
+    b = PolyForm(3, 1, (2, 1), {0b001: poly((x, -1), (y, 5))})
+    assert list(pf_add(a, b).coeffs) == [0b001, 0b010]
+    assert same_layout(pf_add(a, b), pf_add_oracle(a, b))
+    # p2 q1 cancels x^2 within itself, against the x^2 that p1 q2 left in the sum: the
+    # product is added whole, so that x^2 keeps its place
+    a = PolyForm(3, 1, (2, 1), {0b001: poly((x, 1), (y, 1)), 0b010: poly((x, 1), (one, 1))})
+    b = PolyForm(3, 1, (2, 1), {0b001: poly((x, 1), (x2, -1)), 0b010: poly((x, 1))})
+    got = pf_wedge(a, b)
+    assert list(got.coeffs[0b011].terms) == [x2, (1, 1, 0), x3, x]
+    assert same_layout(got, pf_wedge_oracle(a, b))
 
 
 # ---------------------------------------------------------------------------

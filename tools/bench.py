@@ -9,7 +9,12 @@ a fresh interpreter, started in the root of its checkout, so every tree
 is measured with its own benchmark files, unedited.  Run i uses seed
 ``--seed + i`` for every tree.  With two or more trees the order inside a
 run alternates (the first tree leads on even runs), and the file records,
-per metric, how many runs the last tree beat the first.
+per metric, how many runs the last tree beat the first.  The sweeps below
+alternate the same way, per model and per repeat.  Every command of a
+tree runs with the tree's own bytecode cache (``PYTHONPYCACHEPREFIX``),
+empty at the start and written as the tree's modules are first imported,
+so that no tree recompiles a module at every import because of stale
+bytecode beside its source.
 
 Per tree, workload and metric the file holds every value, the min, the
 quartiles, the median and the spread (interquartile range over the
@@ -87,11 +92,19 @@ HOMOTOPY_SWEEP = [(dim, k) for dim in (8, 12, 16, 20, 24) for k in (3, 4)]
 TRACED_SEED, TRACED_SECONDS = 7, 5.0
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+def tree_env(tree: Path, pycache: Path) -> dict:
+    """The environment of every command run on ``tree``: its ``src`` and its bytecode cache."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONPYCACHEPREFIX=str(pycache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def run_once(tree: Path, env: dict, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True)
+        cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{tree}: {workload} seed {seed} exited {proc.returncode}:\n"
@@ -105,11 +118,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 
     return out
 
 
-def traced(label: str, tree: Path, workloads: list) -> dict:
+def traced(label: str, tree: Path, env: dict, workloads: list) -> dict:
     """One traced pass per workload: digest, failed trace checks and per-layer metrics."""
     out = {}
     for w in workloads:
-        out[w] = res = run_once(tree, w, TRACED_SEED, TRACED_SECONDS, trace=1)
+        out[w] = res = run_once(tree, env, w, TRACED_SEED, TRACED_SECONDS, trace=1)
         print(f"traced {w} {label}: digest {res['digest'][:12]} "
               f"{'TRACE CHECK FAILED' if res['trace_check_failed'] else 'checks hold'}", flush=True)
     return out
@@ -141,14 +154,13 @@ print(built / len(ops))
 """
 
 
-def fractions_per_op(tree: Path, workload: str) -> float:
-    proc = subprocess.run([sys.executable, "-c", _FRACTION_COUNTER, workload], cwd=tree,
+def fractions_per_op(tree: Path, env: dict, workload: str) -> float:
+    proc = subprocess.run([sys.executable, "-c", _FRACTION_COUNTER, workload], cwd=tree, env=env,
                           capture_output=True, text=True, check=True)
     return float(proc.stdout.split()[-1])
 
 
-def _cli_env(tree: Path) -> tuple[list, dict]:
-    return [sys.executable, "-m", "polydarboux.cli"], dict(os.environ, PYTHONPATH=str(tree / "src"))
+CLI = [sys.executable, "-m", "polydarboux.cli"]
 
 
 # Runs argv[1:] in a forked child and prints its wall seconds and ru_maxrss (KiB) on the
@@ -192,29 +204,35 @@ def _timed(cmd: list, tree: Path, env: dict) -> dict:
             "peak_rss_mb": round(int(rss_kib) / 1024, 1)}
 
 
-def sweep(label: str, tree: Path) -> list:
-    """Time ``analyze`` and ``darboux`` on each sweep model, built by the tree's own ``canonical``."""
-    cli, env = _cli_env(tree)
-    out = []
+def alternated(trees: list, i: int) -> list:
+    """The trees in the order of turn i: the first tree leads on even turns."""
+    return trees if i % 2 == 0 else trees[::-1]
+
+
+def sweep(trees: list) -> dict:
+    """Time ``analyze`` and ``darboux`` on each sweep model, built by each tree's own
+    ``canonical``, tree after tree per model."""
+    out = {label: [] for label, _, _ in trees}
     with tempfile.TemporaryDirectory() as tmp:
-        for model in SWEEP:
+        for i, model in enumerate(SWEEP):
             name = " ".join(map(str, model))
-            doc = Path(tmp) / f"{name.replace(' ', '-')}.json"
-            subprocess.run(cli + ["canonical", *name.split(), "--shuffle-seed", "3", "-o", str(doc)],
-                           cwd=tree, env=env, capture_output=True, check=True)
-            dim = json.loads(doc.read_text())["dim"]
-            for command in ("analyze", "darboux"):
-                res = _timed(cli + [command, str(doc), "--json"], tree, env)
-                out.append({"command": command, "model": name, "dim": dim, **res})
-                print(f"sweep {label}: {command} {name} (dim {dim}) exit {res['exit']} "
-                      f"in {res['seconds']:.2f}s, {res['peak_rss_mb']} MB", flush=True)
+            for label, tree, env in alternated(trees, i):
+                doc = Path(tmp) / f"{name.replace(' ', '-')}.json"
+                subprocess.run(CLI + ["canonical", *name.split(), "--shuffle-seed", "3", "-o",
+                                      str(doc)], cwd=tree, env=env, capture_output=True, check=True)
+                dim = json.loads(doc.read_text())["dim"]
+                for command in ("analyze", "darboux"):
+                    res = _timed(CLI + [command, str(doc), "--json"], tree, env)
+                    out[label].append({"command": command, "model": name, "dim": dim, **res})
+                    print(f"sweep {label}: {command} {name} (dim {dim}) exit {res['exit']} "
+                          f"in {res['seconds']:.2f}s, {res['peak_rss_mb']} MB", flush=True)
     return out
 
 
-def small_support(label: str, tree: Path) -> list:
-    """Time ``analyze`` and ``darboux`` on e13 + e24 declared in growing dimensions."""
-    cli, env = _cli_env(tree)
-    out = []
+def small_support(trees: list) -> dict:
+    """Time ``analyze`` and ``darboux`` on e13 + e24 declared in growing dimensions,
+    ``SMALL_SUPPORT_REPEATS`` times each, tree after tree per repeat."""
+    out = {label: [] for label, _, _ in trees}
     with tempfile.TemporaryDirectory() as tmp:
         for dim in SMALL_SUPPORT_DIMS:
             doc = Path(tmp) / f"e13-e24-{dim}.json"
@@ -223,11 +241,17 @@ def small_support(label: str, tree: Path) -> list:
                 "terms": [{"indices": [1, 3], "coefficient": "1"},
                           {"indices": [2, 4], "coefficient": "1"}]}))
             for command in ("analyze", "darboux"):
-                res = _repeated(cli + [command, str(doc), "--json"], tree, env)
-                out.append({"command": command, "dim": dim, **res})
-                print(f"small support {label}: {command} in R^{dim} exit {res['exit']} in "
-                      f"{res['seconds_min']:.2f}-{res['seconds_max']:.2f}s, "
-                      f"{res['peak_rss_mb_min']}-{res['peak_rss_mb_max']} MB", flush=True)
+                cmd = CLI + [command, str(doc), "--json"]
+                runs = {label: [] for label, _, _ in trees}
+                for i in range(SMALL_SUPPORT_REPEATS):
+                    for label, tree, env in alternated(trees, i):
+                        runs[label].append(_timed(cmd, tree, env))
+                for label, tree, _ in trees:
+                    res = _repeated(runs[label], tree, command)
+                    out[label].append({"command": command, "dim": dim, **res})
+                    print(f"small support {label}: {command} in R^{dim} exit {res['exit']} in "
+                          f"{res['seconds_min']:.2f}-{res['seconds_max']:.2f}s, "
+                          f"{res['peak_rss_mb_min']}-{res['peak_rss_mb_max']} MB", flush=True)
     return out
 
 
@@ -263,31 +287,28 @@ for dim, k in json.loads(sys.argv[2]):
 """
 
 
-def homotopy_documents(tree: Path, out: Path) -> list:
+def homotopy_documents(tree: Path, env: dict, out: Path) -> list:
     """Write the homotopy sweep's documents into ``out`` with the tree's own program."""
-    _, env = _cli_env(tree)
     subprocess.run([sys.executable, "-c", _HOMOTOPY_DOCS, str(out), json.dumps(HOMOTOPY_SWEEP)],
                    cwd=tree, env=env, capture_output=True, check=True)
     return [(dim, k, out / f"d-beta-{dim}-{k}.json") for dim, k in HOMOTOPY_SWEEP]
 
 
-def homotopy_sweep(label: str, tree: Path, documents: list) -> list:
+def homotopy_sweep(label: str, tree: Path, env: dict, documents: list) -> list:
     """Time ``homotopy --json`` on each sweep document."""
-    cli, env = _cli_env(tree)
     out = []
     for dim, k, doc in documents:
-        res = _timed(cli + ["homotopy", str(doc), "--json"], tree, env)
+        res = _timed(CLI + ["homotopy", str(doc), "--json"], tree, env)
         out.append({"dim": dim, "degree": k, "bytes": doc.stat().st_size, **res})
         print(f"homotopy sweep {label}: dim {dim} degree {k} exit {res['exit']} "
               f"in {res['seconds']:.2f}s, {res['peak_rss_mb']} MB", flush=True)
     return out
 
 
-def _repeated(cmd: list, tree: Path, env: dict) -> dict:
-    """``_timed`` run ``SMALL_SUPPORT_REPEATS`` times, with the min and max of its figures."""
-    runs = [_timed(cmd, tree, env) for _ in range(SMALL_SUPPORT_REPEATS)]
+def _repeated(runs: list, tree: Path, command: str) -> dict:
+    """The repeats of one ``_timed`` command, with the min and max of their figures."""
     if len({(r["exit"], r["stdout_sha256"]) for r in runs}) != 1:
-        raise RuntimeError(f"{tree}: {' '.join(cmd[3:])} printed different bytes across repeats")
+        raise RuntimeError(f"{tree}: {command} printed different bytes across repeats")
     out = {"exit": runs[0]["exit"], "stdout_sha256": runs[0]["stdout_sha256"]}
     for key in ("seconds", "peak_rss_mb"):
         values = [r[key] for r in runs]
@@ -328,31 +349,38 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     trees = [t.split("=", 1) for t in (args.tree or [f"tree={ROOT}"])]
-    trees = [(label, Path(path).resolve()) for label, path in trees]
+    with tempfile.TemporaryDirectory() as caches:
+        trees = [(label, Path(path).resolve(), tree_env(Path(path).resolve(), Path(caches) / str(i)))
+                 for i, (label, path) in enumerate(trees)]
+        series(args, spec, workloads, trees)
+    return 0
 
-    fractions = {label: {w: fractions_per_op(path, w) for w in workloads} for label, path in trees}
+
+def series(args, spec: dict, workloads: list, trees: list) -> None:
+    """Every measurement of ``main``, on (label, path, environment) trees."""
+    fractions = {label: {w: fractions_per_op(path, env, w) for w in workloads}
+                 for label, path, env in trees}
     print(f"fractions per op: {json.dumps(fractions)}", flush=True)
-    runs = {w: {label: [] for label, _ in trees} for w in workloads}
+    runs = {w: {label: [] for label, _, _ in trees} for w in workloads}
     for i in range(args.runs):
-        order = trees if i % 2 == 0 else trees[::-1]
         for w in workloads:
-            for label, path in order:
-                res = run_once(path, w, args.seed + i, spec["run_seconds"])
+            for label, path, env in alternated(trees, i):
+                res = run_once(path, env, w, args.seed + i, spec["run_seconds"])
                 runs[w][label].append(res)
                 print(f"run {i} {w} {label}: ops_per_kru {res['metrics']['ops_per_kru']:.4g} "
                       f"digest {res['digest'][:12]} correct {res['correct']}", flush=True)
         # rewritten after every run, so an interrupted series keeps what it measured
         write_record(args, spec, trees, runs, i + 1, fractions)
-    traces = {label: traced(label, path, workloads) for label, path in trees}
+    traces = {label: traced(label, path, env, workloads) for label, path, env in trees}
     write_record(args, spec, trees, runs, args.runs, fractions, traces=traces)
-    sweeps = {label: sweep(label, path) for label, path in trees}
-    supports = {label: small_support(label, path) for label, path in trees}
+    sweeps = sweep(trees)
+    supports = small_support(trees)
     with tempfile.TemporaryDirectory() as tmp:
-        documents = homotopy_documents(trees[0][1], Path(tmp))
-        homotopies = {label: homotopy_sweep(label, path, documents) for label, path in trees}
+        documents = homotopy_documents(trees[0][1], trees[0][2], Path(tmp))
+        homotopies = {label: homotopy_sweep(label, path, env, documents)
+                      for label, path, env in trees}
     write_record(args, spec, trees, runs, args.runs, fractions, sweeps, supports, traces,
                  homotopies)
-    return 0
 
 
 def write_record(args, spec: dict, trees: list, runs: dict, done: int, fractions: dict,
@@ -361,8 +389,8 @@ def write_record(args, spec: dict, trees: list, runs: dict, done: int, fractions
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
     out = {"python": platform.python_version(), "cpu_count": os.cpu_count(),
            "run_seconds": spec["run_seconds"], "runs": done, "seed": args.seed,
-           "trees": [label for label, _ in trees],
-           "src_lines": {label: src_lines(path) for label, path in trees},
+           "trees": [label for label, _, _ in trees],
+           "src_lines": {label: src_lines(path) for label, path, _ in trees},
            "fractions_per_op": fractions, "workloads": {}}
     first, last = trees[0][0], trees[-1][0]
     for key, record in (("sweep", sweeps), ("small_support", supports),
