@@ -14,15 +14,15 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
-from .errors import DocumentError, PreconditionError
+from .errors import DimensionMismatch, DocumentError, PreconditionError
 from .exterior import (AlternatingForm, Flag, VectorValuedForm, coordinate_flag, form,
-                       indices_of, with_splitting)
+                       indices_of, mask_of, with_splitting)
 from .lie import LieAlgebra, lie_algebra
 from .linalg import Matrix, Subspace, frac
-from .polyforms import PolyForm, Polynomial
+from .polyforms import PolyForm, _add_into, _pf_seeded
 
 SCHEMA_VERSION = "1"
 
@@ -60,33 +60,23 @@ def _rat(s) -> Fraction:
         raise DocumentError(f"bad rational {shown}: {str(exc).replace(repr(s), shown)}") from exc
 
 
-# a plain integer or p/q, ASCII digits only: ``_poly_rat`` reads these with int
+# a plain integer or p/q, ASCII digits only: ``_poly_pair`` reads these with int
 _PLAIN_RAT = re.compile(r"[-+]?[0-9]+(?:/[0-9]+)?")
 
 
-def _poly_rat(s, seen: dict) -> Fraction:
-    """A polynomial coefficient, as ``_rat`` reads it.
-
-    Plain ``p`` and ``p/q`` strings are read with ``int``, once per
-    distinct string in ``seen``, which the caller keeps for one document.
-    Every other value, and a plain string ``int`` cannot read or with a
-    zero denominator, goes to ``_rat``, so acceptance and every error text
-    stay those of ``Fraction``.
-    """
-    if type(s) is not str:
-        return _rat(s)
-    c = seen.get(s)
-    if c is None:
-        if _PLAIN_RAT.fullmatch(s):
-            num, _, den = s.partition("/")
-            try:
-                c = Fraction(int(num), int(den)) if den else Fraction(int(num))
-            except (ValueError, ZeroDivisionError):
-                c = _rat(s)  # raises with today's text
-        else:
-            c = _rat(s)
-        seen[s] = c
-    return c
+def _poly_pair(s) -> tuple[int, int]:
+    """A polynomial coefficient as ``_rat`` reads it, as (n, d) with d > 0: a plain ``p`` or
+    ``p/q`` string by ``int``, unreduced; any other value, or one ``int`` cannot read or with a
+    zero denominator, by ``_rat``, so acceptance and every error text stay those of ``Fraction``."""
+    if type(s) is str and _PLAIN_RAT.fullmatch(s):
+        num, _, den = s.partition("/")
+        try:
+            if d := int(den or 1):
+                return int(num), d
+        except ValueError:  # past the int-string limit
+            pass
+    c = _rat(s)
+    return c.numerator, c.denominator
 
 
 def _need(doc: dict, key: str, kind: type | None = None):
@@ -177,6 +167,7 @@ def _parse_alternating(doc: dict, kind: str):
 
 
 def _parse_poly_form(doc: dict) -> PolyForm:
+    """The form, read straight into its integer view over the lcm of the denominators."""
     dim = _int(_need(doc, "dim"), "dim")
     degree = _int(_need(doc, "degree"), "degree")
     split = _ints(_need(doc, "split"), "split")
@@ -184,31 +175,45 @@ def _parse_poly_form(doc: dict) -> PolyForm:
         raise DocumentError("split must be a pair")
     if min(split) < 0:
         raise DocumentError(f"split entries must be nonnegative: {split}")
-    coeffs: dict = {}
-    seen: dict = {}
+    seen: dict = {}  # coefficient string -> (n, d)
+    valid: set = set()  # exponent tuples of the right length and sign
+    den, parsed = 1, []
     for term in _need(doc, "terms", list):
         idx = _ints(_need(term, "indices"), "indices", dim)
         if list(idx) != sorted(set(idx)):
             raise DocumentError(f"indices must be strictly increasing: {idx}")
         if len(idx) != degree:
             raise DocumentError(f"multi-index {idx} does not match degree {degree}")
-        terms = {}
+        monos = []
         for mono in _need(term, "polynomial", list):
             exps = _ints(_need(mono, "exponents"), "exponents")
-            if len(exps) != dim:
-                raise DocumentError("exponent tuple does not match dimension")
-            if exps and min(exps) < 0:
-                raise DocumentError(f"exponents must be nonnegative: {exps}")
-            c = _poly_rat(_need(mono, "coefficient"), seen)
-            terms[exps] = terms[exps] + c if exps in terms else c  # repeats add up
-        p = Polynomial(dim, {e: c for e, c in terms.items() if c})
-        mask = 0
-        for i in idx:
-            mask |= 1 << (i - 1)
-        if not p.is_zero():
-            cur = coeffs.get(mask)
-            coeffs[mask] = p if cur is None else cur + p
-    return PolyForm(dim, degree, split, {m: p for m, p in coeffs.items() if not p.is_zero()})
+            if exps not in valid:
+                if len(exps) != dim:
+                    raise DocumentError("exponent tuple does not match dimension")
+                if exps and min(exps) < 0:
+                    raise DocumentError(f"exponents must be nonnegative: {exps}")
+                valid.add(exps)
+            s = _need(mono, "coefficient")
+            c = seen.get(s) if type(s) is str else None
+            if c is None:
+                c = _poly_pair(s)
+                den = lcm(den, c[1])
+                if type(s) is str:
+                    seen[s] = c
+            monos.append((exps, c))
+        parsed.append((mask_of(idx), monos))
+    if sum(split) != dim:
+        raise DimensionMismatch("split does not sum to the dimension")
+    nums: dict = {}
+    for mask, monos in parsed:
+        terms: dict = {}
+        for exps, (n, d) in monos:
+            n *= den // d
+            terms[exps] = terms[exps] + n if exps in terms else n  # repeats add up
+        for exps, n in terms.items():
+            if n:  # zeros are dropped at the term's end, cancellations as they happen
+                _add_into(nums, mask, exps, n)
+    return _pf_seeded(dim, degree, split, {m: slot for m, slot in nums.items() if slot}, den)
 
 
 def _parse_lie(doc: dict) -> LieAlgebra:
@@ -272,9 +277,12 @@ def _write_json(obj, out: list, newline: str) -> None:
         inner = newline + "  "
         sep = "," + inner
         kinds = set(map(type, obj))
-        encode = _LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
+        kind = kinds.pop() if len(kinds) == 1 else None
+        encode = _LEAVES.get(kind)
         if encode is not None:
             out.append("[" + inner + sep.join(map(encode, obj)) + newline + "]")
+            return
+        if kind is dict and _write_monomials(obj, out, newline):
             return
         out.append("[")
         for i, x in enumerate(obj):
@@ -317,6 +325,26 @@ def _write_json(obj, out: list, newline: str) -> None:
         out.append(json.dumps(obj))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write_monomials(obj: list, out: list, newline: str) -> bool:
+    """Write poly_form monomials ``{"coefficient": str, "exponents": [int, ...]}`` from one
+    template each, as ``_write_json`` would; on any other item write nothing, return False."""
+    inner = newline + "  "
+    deeper = inner + "  "
+    template = ("{" + deeper + '"coefficient": %s,' + deeper + '"exponents": [' + deeper
+                + "  %s" + deeper + "]" + inner + "}")
+    esep = "," + deeper + "  "
+    written = []
+    for mono in obj:
+        if len(mono) != 2:
+            return False
+        c, e = mono.get("coefficient"), mono.get("exponents")
+        if type(c) is not str or type(e) is not list or not e or not {int}.issuperset(map(type, e)):
+            return False
+        written.append(template % (encode_basestring_ascii(c), esep.join(map(int.__repr__, e))))
+    out.append("[" + inner + ("," + inner).join(written) + newline + "]")
+    return True
 
 
 def alternating_to_document(x, *, flag: Flag | None = None, r: int | None = None,

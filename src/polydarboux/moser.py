@@ -284,6 +284,9 @@ def _flow_residuals(omega: PolyForm, omega0: PolyForm, sample_points, steps: int
     smallest Jacobian determinant seen along any trajectory.
     """
     alpha = moser_potential(omega, omega0)  # checks d(omega) = 0 and proves d(alpha)
+    if omega.is_zero():  # as every form of degree above dim is, and so every form on R^0 here
+        raise PreconditionError(f"the flow needs a nonzero form, got the zero {omega.degree}-form "
+                                f"on R^{omega.dim}")
     solver = DeformationField(omega, omega0, alpha, solve_tol)
     base = {m: float(c.eval_float([0.0] * omega.dim)) for m, c in omega0.coeffs.items()}
     pts = np.array([np.asarray(p, dtype=float) for p in sample_points])

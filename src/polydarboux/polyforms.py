@@ -188,7 +188,11 @@ class PolyForm:
         return [(indices_of(m), p) for m, p in sorted(self.coeffs.items())]
 
     def coeffs_float(self, point: Sequence[float]) -> dict:
-        return {m: p.eval_float(point) for m, p in self.coeffs.items()}
+        # float coefficients off the view: n / den is float(Fraction(n, den)), both being the
+        # correctly rounded value of one rational
+        nums, den = self._numerators
+        return {m: Polynomial(self.dim, {e: n / den for e, n in slot.items()}).eval_float(point)
+                for m, slot in nums.items()}
 
     def __repr__(self):
         body = ", ".join(f"{list(i)}: {p!r}" for i, p in self.terms())
@@ -288,22 +292,25 @@ def _d_along(a: PolyForm, variables) -> PolyForm:
     """Sum over the given 0-based variables v of dx_v ∧ ∂a/∂x_v.
 
     Accumulates on the integer view of a, one flat exponent dict per
-    output mask.  Terms and masks that cancel are dropped as they cancel,
-    so the dict order matches a left-to-right Fraction sum.
+    output mask; one pass over a slot buckets its hits by variable, in term
+    order.  Terms and masks that cancel are dropped as they cancel, so the
+    dict order matches a left-to-right Fraction sum over the variables.
     """
     nums, scale = a._numerators
     out: dict = {}
     for m, p in nums.items():
-        for v in variables:
-            bit = 1 << v
-            if m & bit:
-                continue
-            hits = [(e, n * e[v]) for e, n in p.items() if e[v]]
+        buckets: dict = {v: [] for v in variables if not m >> v & 1}
+        for e, n in p.items():
+            for v, hits in buckets.items():
+                if e[v]:
+                    hits.append((e, n))
+        for v, hits in buckets.items():
             if not hits:
                 continue
             neg = removal_sign(m, v) < 0
-            key = m | bit
+            key = m | 1 << v
             for e, n in hits:
+                n *= e[v]
                 _add_into(out, key, e[:v] + (e[v] - 1,) + e[v + 1:], -n if neg else n)
             if not out[key]:
                 del out[key]

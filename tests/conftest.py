@@ -9,7 +9,8 @@ from math import lcm
 
 import pytest
 
-from polydarboux.errors import DimensionMismatch, PreconditionError
+from polydarboux import io
+from polydarboux.errors import DimensionMismatch, DocumentError, PreconditionError
 from polydarboux.exterior import (AlternatingForm, VectorValuedForm, contract, evaluate, form,
                                   merge_sign, removal_sign)
 from polydarboux.lagrangian import _kernel_constraints, _stacked, as_vector_form
@@ -239,6 +240,63 @@ def kernel_constraints_oracle(x) -> list[dict]:
 def flat_image_vectors_oracle(omega, vectors) -> list[dict]:
     """Images i_v omega stacked at their true ``Fraction`` values."""
     return [_stacked(contract(v, as_vector_form(omega))) for v in vectors]
+
+
+# ``io._parse_poly_form`` as it was before it parsed straight into the integer view: a
+# ``Fraction`` per distinct coefficient string, a ``Polynomial`` per term, then the
+# ``PolyForm`` constructor; the oracle of the parser tests in tests/test_polyform_oracle.py
+
+
+def _poly_rat_oracle(s, seen: dict) -> Fraction:
+    if type(s) is not str:
+        return io._rat(s)
+    c = seen.get(s)
+    if c is None:
+        if io._PLAIN_RAT.fullmatch(s):
+            num, _, den = s.partition("/")
+            try:
+                c = Fraction(int(num), int(den)) if den else Fraction(int(num))
+            except (ValueError, ZeroDivisionError):
+                c = io._rat(s)
+        else:
+            c = io._rat(s)
+        seen[s] = c
+    return c
+
+
+def parse_poly_form_oracle(doc: dict) -> PolyForm:
+    dim = io._int(io._need(doc, "dim"), "dim")
+    degree = io._int(io._need(doc, "degree"), "degree")
+    split = io._ints(io._need(doc, "split"), "split")
+    if len(split) != 2:
+        raise DocumentError("split must be a pair")
+    if min(split) < 0:
+        raise DocumentError(f"split entries must be nonnegative: {split}")
+    coeffs: dict = {}
+    seen: dict = {}
+    for term in io._need(doc, "terms", list):
+        idx = io._ints(io._need(term, "indices"), "indices", dim)
+        if list(idx) != sorted(set(idx)):
+            raise DocumentError(f"indices must be strictly increasing: {idx}")
+        if len(idx) != degree:
+            raise DocumentError(f"multi-index {idx} does not match degree {degree}")
+        terms = {}
+        for mono in io._need(term, "polynomial", list):
+            exps = io._ints(io._need(mono, "exponents"), "exponents")
+            if len(exps) != dim:
+                raise DocumentError("exponent tuple does not match dimension")
+            if exps and min(exps) < 0:
+                raise DocumentError(f"exponents must be nonnegative: {exps}")
+            c = _poly_rat_oracle(io._need(mono, "coefficient"), seen)
+            terms[exps] = terms[exps] + c if exps in terms else c
+        p = Polynomial(dim, {e: c for e, c in terms.items() if c})
+        mask = 0
+        for i in idx:
+            mask |= 1 << (i - 1)
+        if not p.is_zero():
+            cur = coeffs.get(mask)
+            coeffs[mask] = p if cur is None else cur + p
+    return PolyForm(dim, degree, split, {m: p for m, p in coeffs.items() if not p.is_zero()})
 
 
 # ---------------------------------------------------------------------------

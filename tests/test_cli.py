@@ -516,6 +516,22 @@ def test_moser_sample_count_meets_the_budget_before_any_draw(tmp_path, capsys):
     assert "MAX_BALL_DRAWS" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("dim, degree, split, message", [
+    (0, 2, [0, 0], "the flow needs a nonzero form, got the zero 2-form on R^0"),
+    (1, 2, [1, 0], "the flow needs a nonzero form, got the zero 2-form on R^1"),
+])
+def test_moser_refuses_forms_without_a_flow_by_name(tmp_path, capsys, dim, degree, split, message):
+    """A form on R^0 and a zero form whose degree exceeds the dimension: both used to end
+    in a ValueError traceback inside the flow."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"schema_version": "1", "kind": "poly_form", "dim": dim,
+                                "degree": degree, "split": split, "terms": []}))
+    assert main(["moser", str(path), "--steps", "2", "--samples", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_moser_rejects_bad_solve_tolerance(capsys):
     doc = CORPUS["perturbed_multisymplectic.json"]
     for tol in ("nan", "inf", "0", "-1e-10"):

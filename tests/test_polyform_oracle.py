@@ -6,8 +6,10 @@ The oracles below are the previous implementations: the Fraction
 with its closedness pre-check and Fraction accumulator, and the sampler
 that projected each covector and ranked the projection.  The form
 arithmetic on integer views is compared with its ``Polynomial`` path,
-which ``conftest`` keeps as oracles.  The writer is
-compared with ``json.dumps(sort_keys=True, indent=2)`` itself.
+which ``conftest`` keeps as oracles, and so is the parser that read
+documents into ``Fraction``s and ``Polynomial``s before it read them into
+the view.  The writer is compared with ``json.dumps(sort_keys=True,
+indent=2)`` itself.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (constant_spread_oracle, pf_add_oracle, pf_contract_basis_oracle,
-                      pf_scale_oracle, pf_wedge_oracle)
+from conftest import (constant_spread_oracle, parse_poly_form_oracle, pf_add_oracle,
+                      pf_contract_basis_oracle, pf_scale_oracle, pf_seeded_oracle,
+                      pf_wedge_oracle)
 from polydarboux import cli, io, polyforms
 from polydarboux.errors import DocumentError, InternalCheckError, PreconditionError
 from polydarboux.exterior import VectorValuedForm, form, merge_sign, project, removal_sign
@@ -340,6 +343,45 @@ def test_vertical_d_matches_fraction_d(data):
             vertical_d(a)
 
 
+def test_exterior_d_keeps_variable_then_term_order():
+    # dx3 with x2 + x1: the dx1 part comes first although x2 is hit first
+    a = PolyForm(3, 1, (3, 0), {0b100: poly_from_terms(3, {(0, 1, 0): 1, (1, 0, 0): 1})})
+    assert list(exterior_d(a)._numerators[0]) == [0b101, 0b110]
+    # dx3 with x1 x2 + x1: both hits of x1 keep their term order
+    b = PolyForm(3, 1, (3, 0), {0b100: poly_from_terms(3, {(1, 1, 0): 2, (1, 0, 0): 1})})
+    assert list(exterior_d(b)._numerators[0][0b101]) == [(0, 1, 0), (0, 0, 0)]
+    for x in (a, b):
+        assert same_layout(exterior_d(x), oracle_exterior_d(x))
+
+
+@settings(settings.get_profile("polyform_oracle"))
+@given(poly_forms(), st.lists(st.floats(-2, 2), min_size=6, max_size=6))
+def test_float_coefficients_are_read_off_the_view(a, point):
+    point = point[:a.dim]
+    want = {m: p.eval_float(point) for m, p in pf_seeded_oracle(
+        a.dim, a.degree, a.split, *a._numerators).coeffs.items()}
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", counted)
+        got = a.coeffs_float(point)
+    assert built == [] and list(got.items()) == list(want.items())
+
+
+def test_float_coefficients_round_each_rational_once():
+    # over the lcm, n and den pass 2^53: float(n) / float(den) would round three times
+    c = Fraction(1300214726908, 3585150118155)
+    a = PolyForm(2, 1, (1, 1), {0b01: poly_from_terms(2, {(0, 0): c}),
+                                0b10: poly_from_terms(2, {(0, 0): Fraction(1, 2736498861273)})})
+    assert a._numerators[1] > 2 ** 53
+    assert a.coeffs_float([0.0, 0.0])[0b01] == float(c)
+
+
 def test_exterior_d_cancels_to_the_zero_form():
     # d(d(beta)) = 0 with every term cancelling inside the accumulator
     beta = PolyForm(3, 1, (2, 1), {0b001: Polynomial(3, {(0, 2, 1): Fraction(5, 3)}),
@@ -539,6 +581,62 @@ def test_writer_inlines_leaf_lists(leaf):
         assert report_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
 
+def mono(c, e, **extra):
+    return {"coefficient": c, "exponents": e, **extra}
+
+
+# lists of poly_form monomials that the one-template path must leave to the generic writer,
+# each once at the top and once as a dict value inside a term
+MONOMIAL_FALLBACKS = {
+    "bool exponent": [mono("1", [True, 0])],  # True == 1 and hash(True) == hash(1)
+    "bool exponent later": [mono("1", [1, 0]), mono("2", [0, True])],
+    "float exponent": [mono("1", [1.0, 0])],
+    "only bool exponents": [mono("1", [False, False])],
+    "no exponents": [mono("1", [])],
+    "exponents a tuple": [mono("1", (1, 0))],
+    "extra key": [mono("1", [1, 0], extra=1)],
+    "missing coefficient": [{"exponents": [1, 0]}],
+    "missing exponents": [{"coefficient": "1"}],
+    "other key": [{"coefficient": "1", "exponent": [1, 0]}],
+    "int coefficient": [mono(1, [1, 0])],
+    "None coefficient": [mono(None, [1, 0])],
+    "stops halfway": [mono("1", [1, 0]), mono("1/2", [0, 1]), {"indices": [1, 2]}],
+    "stops halfway at a key": [mono("1", [1, 0]), mono("1/2", [0, 1], z=None), mono("3", [2])],
+}
+# and lists it writes itself, which must read the same
+MONOMIAL_LISTS = {
+    "plain": [mono("1", [1, 0]), mono("-13/1000000000039", [0, 2])],
+    "non-ASCII coefficient": [mono("é\"\\", [0]), mono("😀", [3, 0, 1])],
+    "big exponent": [mono("1", [10 ** 30, -1])],
+}
+
+
+@pytest.mark.parametrize("name", list(MONOMIAL_FALLBACKS) + list(MONOMIAL_LISTS))
+def test_writer_writes_monomial_lists_as_json_dumps(name):
+    monos = {**MONOMIAL_FALLBACKS, **MONOMIAL_LISTS}[name]
+    doc = {"terms": [{"indices": [1, 2], "polynomial": monos}], "kind": "poly_form"}
+    for tree in (monos, doc, [doc, monos]):
+        assert report_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+    out: list = []
+    assert io._write_monomials(monos, out, "\n") is (name in MONOMIAL_LISTS)
+    assert bool(out) is (name in MONOMIAL_LISTS)  # a fallback writes nothing
+
+
+monomial_like = st.fixed_dictionaries(
+    {"coefficient": st.one_of(st.sampled_from(["1", "-2/3", "é", ""]), st.integers(-2, 2)),
+     "exponents": st.lists(st.one_of(st.integers(0, 3), st.booleans()), max_size=3)},
+    optional={"extra": st.none()})
+
+
+@settings(settings.get_profile("polyform_oracle"))
+@given(st.lists(monomial_like, max_size=4), st.integers(0, 2))
+def test_writer_matches_json_dumps_on_monomial_like_lists(monos, depth):
+    tree = monos
+    for _ in range(depth):
+        tree = {"polynomial": tree, "indices": [1]}
+    assert report_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
 @pytest.mark.parametrize("bad", [{1: "x"}, {None: 1}, {("a",): 1}, {"a": {2.5: 1}},
                                  {1, 2}, b"x", Fraction(1, 2), object(), [complex(1, 2)]])
 def test_writer_rejects_other_types(bad):
@@ -558,9 +656,10 @@ def oracle_rat(s):
         return str(exc)
 
 
-def new_rat(s, seen):
+def new_rat(s):
+    """``io._poly_pair``'s int pair, as the ``Fraction`` it stands for."""
     try:
-        return io._poly_rat(s, seen)
+        return Fraction(*io._poly_pair(s))
     except DocumentError as exc:
         return str(exc)
 
@@ -578,10 +677,8 @@ coefficient_values = st.one_of(
 @settings(settings.get_profile("polyform_oracle"))
 @given(st.lists(coefficient_values, min_size=1, max_size=6))
 def test_poly_coefficients_read_like_frac(values):
-    # one cache per document: repeats within it must read alike too
-    seen: dict = {}
     for s in values + values:
-        got, want = new_rat(s, seen), oracle_rat(s)
+        got, want = new_rat(s), oracle_rat(s)
         assert got == want and type(got) is type(want), s
 
 
@@ -600,6 +697,108 @@ def oracle_parse_poly_terms(doc):
             cur = coeffs.get(mask)
             coeffs[mask] = p if cur is None else cur + p
     return {m: p for m, p in coeffs.items() if not p.is_zero()}
+
+
+def _parsed(parse, doc):
+    """The form ``parse`` reads from ``doc``, or the error text ``parse_document`` gives."""
+    try:
+        return parse(doc)
+    except DocumentError as exc:
+        return str(exc)
+    except Exception as exc:  # wrapped by parse_document
+        return f"invalid document: {exc}"
+
+
+# small pools, so that exponents and masks repeat, repeats cancel and masks are refilled
+PAIR_COEFFICIENTS = ["1", "-1", "2", "-2", "1/2", "-1/2", "2/4", "-3/6", "0", "-0", "+3",
+                     "1/1000000000039", "-1/1000000000039", "7/9999999999971", "1.5", " 2",
+                     "-1.5", "2 ", 1, -1, 0, True, False]
+BAD_COEFFICIENTS = ["x", "1/0", "1//2", "", 1.5, None, [1], {"n": 1}]
+
+
+def _negated(c):
+    if type(c) is str:
+        c = c.strip()
+        return c[1:] if c.startswith("-") else "-" + c.lstrip("+")
+    return -c if type(c) in (int, bool, float) else c
+
+
+@st.composite
+def poly_documents(draw):
+    """A poly_form document on R^1..R^3; about one in ten carries a malformed field."""
+    dim = draw(st.integers(1, 3))
+    degree = draw(st.integers(1, min(2, dim)))
+    bad = draw(st.integers(0, 9)) == 0
+
+    def maybe(good, wrong):
+        return draw(st.sampled_from(wrong)) if bad and draw(st.integers(0, 3)) == 0 else good
+
+    combos = [list(c) for c in itertools.combinations(range(1, dim + 1), degree)]
+    exponent_pool = draw(st.lists(st.lists(st.integers(0, 2), min_size=dim, max_size=dim),
+                                  min_size=1, max_size=3))
+    terms: list = []
+    for _ in range(draw(st.integers(0, 6))):
+        earlier = [t for t in terms if type(t["polynomial"]) is list and t["polynomial"]]
+        if earlier and draw(st.integers(0, 2)) == 0:
+            # an earlier term negated, cancelling it, and maybe a refill after it
+            old = draw(st.sampled_from(earlier))
+            monos = [{"exponents": m["exponents"], "coefficient": _negated(m["coefficient"])}
+                     for m in old["polynomial"]]
+            terms.append({"indices": old["indices"], "polynomial": monos})
+            continue
+        monos = []
+        for _ in range(draw(st.integers(1, 4))):
+            e = maybe(draw(st.sampled_from(exponent_pool)),
+                      [[True] + [0] * (dim - 1), [0] * (dim + 1), [-1] + [0] * (dim - 1),
+                       [0.0] * dim, "0" * dim, None])
+            c = maybe(draw(st.sampled_from(PAIR_COEFFICIENTS)), BAD_COEFFICIENTS)
+            monos.append({"exponents": e, "coefficient": c})
+            if draw(st.integers(0, 3)) == 0:  # the same exponents again in this term
+                monos.append({"exponents": e, "coefficient": _negated(c) if draw(st.booleans())
+                              else draw(st.sampled_from(PAIR_COEFFICIENTS))})
+        idx = maybe(draw(st.sampled_from(combos)),
+                    [[dim + 1] * degree, list(range(degree, 0, -1)), [1] * (degree + 1), [0], "1"])
+        terms.append({"indices": idx, "polynomial": maybe(monos, [{}, None])})
+    split = maybe([1, dim - 1], [[dim, 1], [dim], [-1, dim + 1], [1.0, dim - 1]])
+    return {"dim": dim, "degree": degree, "split": split, "terms": maybe(terms, [{}, "terms"])}
+
+
+@settings(settings.get_profile("polyform_oracle"), max_examples=300)
+@given(poly_documents())
+def test_poly_documents_parse_into_the_view_like_the_polynomial_path(doc):
+    got, want = _parsed(io._parse_poly_form, doc), _parsed(parse_poly_form_oracle, doc)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, PolyForm) and same_layout(got, want)
+        assert got._numerators == want._numerators
+
+
+def test_parser_keeps_the_layout_of_cancellations_and_refills():
+    x, y, one = [1, 0], [0, 1], [0, 0]
+    doc = {"dim": 2, "degree": 1, "split": [1, 1], "terms": [
+        {"indices": [1], "polynomial": [mono("1", x), mono("2", y)]},
+        # cancels x inside the slot, then y: the slot is empty and keeps its place
+        {"indices": [2], "polynomial": [mono("1/2", one)]},
+        {"indices": [1], "polynomial": [mono("-1", x), mono("-2", y)]},
+        # a term that cancels within itself adds nothing, and its zeros never reach the slot
+        {"indices": [1], "polynomial": [mono("3", one), mono("-3", one)]},
+        # the refill comes back in the first slot, x after y
+        {"indices": [1], "polynomial": [mono("5", y), mono("1/3", x)]},
+        # inside a term a "0" holds its place for later repeats
+        {"indices": [2], "polynomial": [mono("0", x), mono("1", y), mono("2", x)]},
+    ]}
+    inside = {"dim": 2, "degree": 1, "split": [1, 1], "terms": [
+        # and so does a repeat that cancels: zeros are dropped at the term's end
+        {"indices": [1], "polynomial": [mono("1", x), mono("1", y), mono("-1", x), mono("3", x)]},
+    ]}
+    got = io._parse_poly_form(doc)
+    assert list(got._numerators[0]) == [0b01, 0b10]
+    assert list(got._numerators[0][0b01]) == [(0, 1), (1, 0)]
+    assert list(got._numerators[0][0b10]) == [(0, 0), (1, 0), (0, 1)]
+    assert list(io._parse_poly_form(inside)._numerators[0][0b01]) == [(1, 0), (0, 1)]
+    for d in (doc, inside):
+        assert same_layout(io._parse_poly_form(d), parse_poly_form_oracle(d))
 
 
 # mostly plain strings, so that most documents parse; one in twenty any value

@@ -48,6 +48,14 @@ counts that differ between its two passes) and its per-layer metrics.
 on the closed forms d(beta) of ``HOMOTOPY_SWEEP`` (dims 8 to 24, degrees
 3 and 4), written once by the first tree and read by every tree;
 ``homotopy_sweep_digests_equal`` compares the first and the last tree on it.
+``detection`` holds, per tree, the ``not_found`` count of the single
+component searches on two grids of conjugated canonical models, per cell
+and in total: acceptance criterion 2's n-hat = 1 grid, (N, k) with
+k <= N <= 4 plus (5, 2), (5, 3) and (6, 2), ``search_polylagrangian`` on
+20 seeds each (``1000 * s + 7``), and criterion 3's grid,
+``detect_multilagrangian`` on 4 seeds each (``500 * s + 3``).  It is
+deterministic: a record of how far detection is from a decision, not a
+gate.
 ``fractions_per_op`` holds, per tree and workload, the number of
 ``fractions.Fraction`` objects built per op over one seed-1 round, counted
 in a child interpreter that builds the round as perfbench does and wraps
@@ -152,6 +160,39 @@ with tempfile.TemporaryDirectory() as tmp:
         run.run_op(cli, op.argvs)
 print(built / len(ops))
 """
+
+
+# Prints, as JSON, the seeds per cell and the not_found count per cell of the two grids of
+# ``detection``.
+_DETECTION = """\
+import itertools, json
+from polydarboux.darboux import (canonical_multi_model, canonical_poly_model,
+                                 conjugated_multi_instance, conjugated_poly_instance)
+from polydarboux.errors import PreconditionError
+from polydarboux.lagrangian import detect_multilagrangian, search_polylagrangian
+poly = {}
+for n, k in [(n, k) for k in (1, 2, 3) for n in range(k, 5)] + [(5, 2), (5, 3), (6, 2)]:
+    model = canonical_poly_model(n, 1, k)
+    poly[f"{n} {k}"] = sum(search_polylagrangian(conjugated_poly_instance(
+        model, seed=1000 * s + 7)[0]).status == "not_found" for s in range(20))
+multi = {}
+for n, b, k in itertools.product((1, 2, 3), repeat=3):
+    for r in range(max(2, k + 1 - b), k + 2):
+        try:
+            model = canonical_multi_model(n, b, k, r)
+        except PreconditionError:  # an empty momentum block
+            continue
+        multi[f"{n} {b} {k} {r}"] = sum(detect_multilagrangian(conjugated_multi_instance(
+            model, seed=500 * s + 3)[0], model.flag, r).status == "not_found" for s in range(4))
+print(json.dumps({"criterion_2_nhat_1": [20, poly], "criterion_3": [4, multi]}))
+"""
+
+
+def detection(tree: Path, env: dict) -> dict:
+    proc = subprocess.run([sys.executable, "-c", _DETECTION], cwd=tree, env=env,
+                          capture_output=True, text=True, check=True)
+    return {name: {"seeds": seeds, "not_found": cells, "not_found_total": sum(cells.values())}
+            for name, (seeds, cells) in json.loads(proc.stdout).items()}
 
 
 def fractions_per_op(tree: Path, env: dict, workload: str) -> float:
@@ -361,6 +402,10 @@ def series(args, spec: dict, workloads: list, trees: list) -> None:
     fractions = {label: {w: fractions_per_op(path, env, w) for w in workloads}
                  for label, path, env in trees}
     print(f"fractions per op: {json.dumps(fractions)}", flush=True)
+    detections = {label: detection(path, env) for label, path, env in trees}
+    print("detection not_found: " + json.dumps(
+        {label: {g: d["not_found_total"] for g, d in grids.items()}
+         for label, grids in detections.items()}), flush=True)
     runs = {w: {label: [] for label, _, _ in trees} for w in workloads}
     for i in range(args.runs):
         for w in workloads:
@@ -370,28 +415,28 @@ def series(args, spec: dict, workloads: list, trees: list) -> None:
                 print(f"run {i} {w} {label}: ops_per_kru {res['metrics']['ops_per_kru']:.4g} "
                       f"digest {res['digest'][:12]} correct {res['correct']}", flush=True)
         # rewritten after every run, so an interrupted series keeps what it measured
-        write_record(args, spec, trees, runs, i + 1, fractions)
+        write_record(args, spec, trees, runs, i + 1, fractions, detections)
     traces = {label: traced(label, path, env, workloads) for label, path, env in trees}
-    write_record(args, spec, trees, runs, args.runs, fractions, traces=traces)
+    write_record(args, spec, trees, runs, args.runs, fractions, detections, traces=traces)
     sweeps = sweep(trees)
     supports = small_support(trees)
     with tempfile.TemporaryDirectory() as tmp:
         documents = homotopy_documents(trees[0][1], trees[0][2], Path(tmp))
         homotopies = {label: homotopy_sweep(label, path, env, documents)
                       for label, path, env in trees}
-    write_record(args, spec, trees, runs, args.runs, fractions, sweeps, supports, traces,
-                 homotopies)
+    write_record(args, spec, trees, runs, args.runs, fractions, detections, sweeps, supports,
+                 traces, homotopies)
 
 
 def write_record(args, spec: dict, trees: list, runs: dict, done: int, fractions: dict,
-                 sweeps: dict | None = None, supports: dict | None = None,
+                 detections: dict, sweeps: dict | None = None, supports: dict | None = None,
                  traces: dict | None = None, homotopies: dict | None = None) -> None:
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
     out = {"python": platform.python_version(), "cpu_count": os.cpu_count(),
            "run_seconds": spec["run_seconds"], "runs": done, "seed": args.seed,
            "trees": [label for label, _, _ in trees],
            "src_lines": {label: src_lines(path) for label, path, _ in trees},
-           "fractions_per_op": fractions, "workloads": {}}
+           "fractions_per_op": fractions, "detection": detections, "workloads": {}}
     first, last = trees[0][0], trees[-1][0]
     for key, record in (("sweep", sweeps), ("small_support", supports),
                         ("homotopy_sweep", homotopies)):
