@@ -36,6 +36,10 @@ DEFAULT_SOLVE_TOL = 1e-10
 DEFAULT_ACCEPT_TOL = 1e-6
 DEFAULT_STEPS = 1000
 MAX_BALL_DRAWS = 100_000  # cube draws of ball_sample_points: about 0.7 s at any dimension
+# RK4 steps times samples of one flow: about 30 s with one sample on the six-dimensional
+# perturbed fixture, where a step costs most per sample
+MAX_POINT_STEPS = 60_000
+_BLOCK_ENTRIES = 1024  # entries of one block solve's matrix, beyond which blocks are no faster
 
 
 @dataclass
@@ -57,12 +61,13 @@ class MoserReport:
 
 
 class _CompiledPolys:
-    """Batch evaluator for a family of polynomials over shared monomials."""
+    """Batch evaluator for a family of float polynomials {exponents: weight} over shared
+    monomials."""
 
-    def __init__(self, polys: list[Polynomial], dim: int):
+    def __init__(self, polys: list[dict], dim: int):
         monos: dict[tuple, int] = {}
         for p in polys:
-            for e in p.terms:
+            for e in p:
                 monos.setdefault(e, len(monos))
         if not monos:
             monos[(0,) * dim] = 0
@@ -72,8 +77,8 @@ class _CompiledPolys:
         self.gather = np.arange(dim) * len(self.powers) + self.exps
         self.weights = np.zeros((len(polys), len(monos)))
         for i, p in enumerate(polys):
-            for e, c in p.terms.items():
-                self.weights[i, monos[e]] = float(c)
+            for e, w in p.items():
+                self.weights[i, monos[e]] = w
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         """points: (batch, dim) -> values (batch, n_polys).
@@ -86,14 +91,55 @@ class _CompiledPolys:
         return mono @ self.weights.T
 
 
+def _lstsq_blocks(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point least-squares solutions (batch, n_cols, k) and ranks of a (batch, n_rows,
+    n_cols) against rhs (batch, n_rows, k), with one solver call per block of points.
+
+    A block is solved as diag(A_1, ..., A_m), whose pseudo-inverse is diag(A_i^+).  Its
+    cutoff (rcond=None) is at least each A_i's own, so a full block rank m * n_cols proves
+    every A_i of full rank; otherwise the block's points are solved one at a time, as the
+    per-point solve would.  m keeps the block matrix near _BLOCK_ENTRIES entries."""
+    batch, n_rows, n_cols = a.shape
+    k = max(1, math.isqrt(_BLOCK_ENTRIES // max(1, n_rows * n_cols)))
+    width = rhs.shape[2]
+    ys = np.empty((batch, n_cols, width))
+    ranks = np.full(batch, n_cols)
+    for s in range(0, batch, k):
+        m = min(k, batch - s)
+        if m > 1:
+            block = np.zeros((m, n_rows, m, n_cols))
+            on = np.arange(m)
+            block[on, :, on, :] = a[s:s + m]
+            y, _, rank, _ = np.linalg.lstsq(block.reshape(m * n_rows, m * n_cols),
+                                            rhs[s:s + m].reshape(m * n_rows, width), rcond=None)
+            if rank == m * n_cols:
+                ys[s:s + m] = y.reshape(m, n_cols, width)
+                continue
+        for i in range(s, s + m):
+            ys[i], _, ranks[i], _ = np.linalg.lstsq(a[i], rhs[i], rcond=None)
+    return ys, ranks
+
+
+def _with_partials(slots: list[dict], den: int, dim: int) -> list[dict]:
+    """The float weights of the integer slots {exponents: n} over den, then those of their
+    partial derivatives, variable by variable: d(n x^e)/dx_v is e_v n at e - 1_v, whose
+    weight e_v n / den is float(Fraction(e_v n, den))."""
+    out = [{e: n / den for e, n in slot.items()} for slot in slots]
+    for v in range(dim):
+        out.extend({e[:v] + (e[v] - 1,) + e[v + 1:]: e[v] * n / den
+                    for e, n in slot.items() if e[v]} for slot in slots)
+    return out
+
+
 class DeformationField:
     """Solves i_X omega_t = alpha for X in the fiber block, with Jacobian.
 
     Coefficient data is polynomial; values and exact partial derivatives
     are evaluated through one precompiled monomial table for the whole
     batch of points.  Each point then needs one least-squares solve, which
-    yields the field and its Jacobian together; assembly and the rank and
-    residual checks are array operations over the batch.
+    yields the field and its Jacobian together, and a block of points shares
+    one solver call; assembly and the rank and residual checks are array
+    operations over the batch.
     """
 
     def __init__(self, omega: PolyForm, omega0: PolyForm, alpha: PolyForm,
@@ -105,18 +151,20 @@ class DeformationField:
         self.solve_tol = solve_tol
         self.l_indices = list(range(self.x_dim, self.dim))
         delta = pf_sub(omega, omega0)  # omega_t = omega0 + t * delta
-        masks = sorted(set(omega0.coeffs) | set(delta.coeffs))
+        (nums0, den0), (nums_d, den_d), (nums_a, den_a) = (
+            omega0._numerators, delta._numerators, alpha._numerators)
+        masks = sorted(set(nums0) | set(nums_d))
         rows = sorted({m ^ (1 << j) for m in masks
                        for j in self.l_indices if m & (1 << j)}
-                      | set(alpha.coeffs))
+                      | set(nums_a))
         self.row_pos = {m: i for i, m in enumerate(rows)}
         self.n_rows = len(rows)
         self.n_cols = len(self.l_indices)
 
         # static part of the system matrix, from the constant form
         self.a_const = np.zeros((self.n_rows, self.n_cols))
-        for m, p in omega0.coeffs.items():
-            val = float(p.terms.get((0,) * self.dim, ZERO))
+        for m, slot in nums0.items():
+            val = slot.get((0,) * self.dim, 0) / den0
             for col, j in enumerate(self.l_indices):
                 bit = 1 << j
                 if m & bit:
@@ -124,35 +172,24 @@ class DeformationField:
 
         # moving part: one polynomial value per (mask, fiber index) entry,
         # followed by its dim partial derivatives
-        entry_rows, entry_cols, entry_signs, polys = [], [], [], []
-        for m, p in delta.coeffs.items():
+        entry_rows, entry_cols, entry_signs, slots = [], [], [], []
+        for m, slot in nums_d.items():
             for col, j in enumerate(self.l_indices):
                 bit = 1 << j
                 if m & bit:
                     entry_rows.append(self.row_pos[m ^ bit])
                     entry_cols.append(col)
                     entry_signs.append(float(removal_sign(m, j)))
-                    polys.append(p)
+                    slots.append(slot)
         self.entry_rows = np.array(entry_rows, dtype=int)
         self.entry_cols = np.array(entry_cols, dtype=int)
         self.entry_signs = np.array(entry_signs)
-        self.n_entries = len(polys)
-
-        rhs_rows, rhs_polys = [], []
-        for m, p in alpha.coeffs.items():
-            rhs_rows.append(self.row_pos[m])
-            rhs_polys.append(p)
-        self.rhs_rows = np.array(rhs_rows, dtype=int)
-        self.n_rhs = len(rhs_polys)
-
-        stacked: list[Polynomial] = []
-        stacked.extend(polys)
-        for v in range(self.dim):
-            stacked.extend(p.diff(v + 1) for p in polys)
-        stacked.extend(rhs_polys)
-        for v in range(self.dim):
-            stacked.extend(p.diff(v + 1) for p in rhs_polys)
-        self.compiled = _CompiledPolys(stacked, self.dim)
+        self.n_entries = len(slots)
+        self.rhs_rows = np.array([self.row_pos[m] for m in nums_a], dtype=int)
+        self.n_rhs = len(nums_a)
+        self.compiled = _CompiledPolys(_with_partials(slots, den_d, self.dim)
+                                       + _with_partials(list(nums_a.values()), den_a, self.dim),
+                                       self.dim)
 
     def _systems(self, points: np.ndarray, t: float):
         """Batched (A, b, dA, db) at parameter t."""
@@ -183,6 +220,7 @@ class DeformationField:
         solve per point against the stacked columns [b | db^T | dA_c...]
         gives the field and every Jacobian term:
         A^+ (db^T - sum_c x_c dA_c) = A^+ db^T - sum_c x_c A^+ dA_c.
+        The points are solved a block at a time (``_lstsq_blocks``).
         Failures are raised for the first failing point in batch order.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -192,10 +230,7 @@ class DeformationField:
         if with_jacobian:
             da_cols = da.transpose(0, 2, 3, 1).reshape(batch, self.n_rows, self.n_cols * self.dim)
             rhs = np.concatenate([rhs, db.transpose(0, 2, 1), da_cols], axis=2)
-        ys = np.empty((batch, self.n_cols, rhs.shape[2]))
-        ranks = np.empty(batch, dtype=int)
-        for i in range(batch):
-            ys[i], _, ranks[i], _ = np.linalg.lstsq(a[i], rhs[i], rcond=None)
+        ys, ranks = _lstsq_blocks(a, rhs)
         sol = ys[:, :, 0]
         resid = np.abs(np.einsum('brc,bc->br', a, sol) - b).max(axis=1, initial=0.0)
         bad = (ranks < self.n_cols) | (resid > self.solve_tol)
@@ -283,12 +318,15 @@ def _flow_residuals(omega: PolyForm, omega0: PolyForm, sample_points, steps: int
     at t_end.  Returns the max coefficient residual per sample and the
     smallest Jacobian determinant seen along any trajectory.
     """
+    if steps * len(sample_points) > MAX_POINT_STEPS:
+        raise PreconditionError(f"{steps} steps of {len(sample_points)} samples exceed the budget "
+                                f"of {MAX_POINT_STEPS} point steps (MAX_POINT_STEPS)")
     alpha = moser_potential(omega, omega0)  # checks d(omega) = 0 and proves d(alpha)
     if omega.is_zero():  # as every form of degree above dim is, and so every form on R^0 here
         raise PreconditionError(f"the flow needs a nonzero form, got the zero {omega.degree}-form "
                                 f"on R^{omega.dim}")
     solver = DeformationField(omega, omega0, alpha, solve_tol)
-    base = {m: float(c.eval_float([0.0] * omega.dim)) for m, c in omega0.coeffs.items()}
+    base = omega0.coeffs_float([0.0] * omega.dim)
     pts = np.array([np.asarray(p, dtype=float) for p in sample_points])
     states = integrate_flow_batch(solver.batch, pts, steps, t_end=t_end)
     residuals = []
@@ -311,26 +349,6 @@ def verify_darboux(omega: PolyForm, omega0: PolyForm, sample_points, steps: int 
                                          omega.coeffs_float)
     return MoserReport(residuals, max(residuals) if residuals else 0.0, steps,
                        solve_tol, min_det, [list(map(float, p)) for p in sample_points])
-
-
-def intermediate_residual(omega: PolyForm, omega0: PolyForm, sample_points,
-                          steps: int, t_end: float,
-                          *, solve_tol: float = DEFAULT_SOLVE_TOL) -> float:
-    """Max coefficient residual of the partial flow: (F_s)* omega_s vs omega0.
-
-    The interpolated form is constant along the flow up to discretization,
-    so this residual shrinks at the integrator's order as steps grow.
-    """
-    delta = pf_sub(omega, omega0)
-
-    def omega_t(point):
-        val = omega0.coeffs_float(point)
-        for m, c in delta.coeffs.items():
-            val[m] = val.get(m, 0.0) + t_end * c.eval_float(point)
-        return val
-
-    residuals, _ = _flow_residuals(omega, omega0, sample_points, steps, t_end, solve_tol, omega_t)
-    return max(residuals, default=0.0)
 
 
 # ---------------------------------------------------------------------------

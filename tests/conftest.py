@@ -16,7 +16,8 @@ from polydarboux.exterior import (AlternatingForm, VectorValuedForm, contract, e
 from polydarboux.lagrangian import _kernel_constraints, _stacked, as_vector_form
 from polydarboux.linalg import (ZERO, ONE, Subspace, _echelon, _sparse_vector, kernel_subspace,
                                 vec)
-from polydarboux.polyforms import PolyForm, Polynomial, poly_const
+from polydarboux.moser import DEFAULT_SOLVE_TOL, _flow_residuals
+from polydarboux.polyforms import PolyForm, Polynomial, pf_sub, poly_const
 from polydarboux.sparse import _sparse
 
 
@@ -297,6 +298,29 @@ def parse_poly_form_oracle(doc: dict) -> PolyForm:
             cur = coeffs.get(mask)
             coeffs[mask] = p if cur is None else cur + p
     return PolyForm(dim, degree, split, {m: p for m, p in coeffs.items() if not p.is_zero()})
+
+
+# ``moser.intermediate_residual``, which only tests called: the partial flow's residual
+
+
+def intermediate_residual(omega: PolyForm, omega0: PolyForm, sample_points,
+                          steps: int, t_end: float,
+                          *, solve_tol: float = DEFAULT_SOLVE_TOL) -> float:
+    """Max coefficient residual of the partial flow: (F_s)* omega_s vs omega0.
+
+    The interpolated form is constant along the flow up to discretization,
+    so this residual shrinks at the integrator's order as steps grow.
+    """
+    delta = pf_sub(omega, omega0)
+
+    def omega_t(point):
+        val = omega0.coeffs_float(point)
+        for m, c in delta.coeffs.items():
+            val[m] = val.get(m, 0.0) + t_end * c.eval_float(point)
+        return val
+
+    residuals, _ = _flow_residuals(omega, omega0, sample_points, steps, t_end, solve_tol, omega_t)
+    return max(residuals, default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -504,6 +504,18 @@ def test_moser_refuses_a_ball_it_cannot_sample_within_seconds(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_moser_refuses_a_flow_beyond_the_point_step_budget(capsys):
+    # 10^8 steps of the default ten samples would run for days
+    started = time.monotonic()
+    assert main(["moser", CORPUS["perturbed_multisymplectic.json"], "--steps", "100000000"]) == 1
+    assert time.monotonic() - started < 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ("100000000 steps of 10 samples exceed the budget of 60000 point steps "
+            "(MAX_POINT_STEPS)") in err
+    assert "Traceback" not in err
+
+
 def test_moser_sample_count_meets_the_budget_before_any_draw(tmp_path, capsys):
     # on the d = 24 document a draw would run into MAX_BALL_DRAWS first
     doc = _constant_poly_document(tmp_path / "d24.json", 24)

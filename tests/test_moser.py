@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import intermediate_residual
 from polydarboux.errors import PreconditionError
-from polydarboux.moser import (MAX_BALL_DRAWS, DeformationField, ball_sample_points,
-                               constant_poly_form, integrate_flow_batch,
+from polydarboux.moser import (MAX_BALL_DRAWS, MAX_POINT_STEPS, DeformationField,
+                               ball_sample_points, constant_poly_form, integrate_flow_batch,
                                perturbed_multisymplectic, polynomial_map_pullback,
                                pullback_constant_float, verify_darboux)
 from polydarboux.polyforms import (PolyForm, constant_spread, exterior_d,
@@ -151,9 +152,11 @@ def test_moser_command_differentiates_twice(monkeypatch, capsys):
     assert calls == [3, 2]
 
 
-def test_moser_command_solves_once_per_point_and_stage(monkeypatch, capsys):
-    # four Runge-Kutta stages per step; one least-squares solve per sample gives
-    # both the field and its Jacobian
+def test_moser_command_solves_once_per_block_and_stage(monkeypatch, capsys):
+    # four Runge-Kutta stages per step; one least-squares solve per block of samples gives
+    # the field and its Jacobian at every sample of the block.  The fixture's systems are
+    # 3 x 3, so a block holds isqrt(1024 // 9) = 10 samples: 21 samples make blocks of 10,
+    # 10 and 1
     from polydarboux import cli
     from polydarboux.corpus import corpus_files
     doc = next(p for p in corpus_files() if p.endswith("perturbed_multisymplectic.json"))
@@ -165,10 +168,26 @@ def test_moser_command_solves_once_per_point_and_stage(monkeypatch, capsys):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "lstsq", counted)
-    steps, samples = 3, 5
+    steps, samples = 3, 21
+    block = max(1, math.isqrt(1024 // (3 * 3)))
     assert cli.main(["moser", doc, "--steps", str(steps), "--samples", str(samples)]) == 0
     capsys.readouterr()
-    assert len(calls) == 4 * steps * samples
+    assert len(calls) == 4 * steps * math.ceil(samples / block) == 36
+
+
+def test_flow_refuses_beyond_the_point_step_budget(monkeypatch, fixture):
+    import polydarboux.moser as moser
+    pts = ball_sample_points(6, 3, 0.1)
+    monkeypatch.setattr(moser, "MAX_POINT_STEPS", 6)
+    assert len(verify_darboux(fixture.omega, fixture.omega0, pts, steps=2).residuals) == 3
+    with pytest.raises(PreconditionError,
+                       match=r"3 steps of 3 samples exceed the budget of 6 point steps "
+                             r"\(MAX_POINT_STEPS\)"):
+        verify_darboux(fixture.omega, fixture.omega0, pts, steps=3)
+    with pytest.raises(PreconditionError, match="MAX_POINT_STEPS"):
+        intermediate_residual(fixture.omega, fixture.omega0, pts, 3, 0.5)
+    # the CLI defaults, 1 000 steps of 10 samples, are accepted
+    assert MAX_POINT_STEPS == 60_000 and 1000 * 10 <= MAX_POINT_STEPS
 
 
 def test_intermediate_residuals_shrink_with_steps(fixture):
@@ -184,7 +203,6 @@ def test_intermediate_residuals_shrink_with_steps(fixture):
 def test_interpolated_form_constant_along_flow(fixture):
     # at each intermediate time the partial pullback reproduces the constant
     # form up to a discretization error that is monotone in the step size
-    from polydarboux.moser import intermediate_residual
     pts = ball_sample_points(6, 3, 0.1)
     floor = 5e-14  # below this the measurement is float roundoff
     for t_end in (0.25, 0.5, 0.75):

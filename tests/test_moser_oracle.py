@@ -10,7 +10,9 @@ float ``pow`` over every (point, monomial, variable) triple, the
 per-variable fill, the two-solve loop per point and the per-minor
 determinant.  Where the arithmetic is unchanged the results must be
 equal; the solve now distributes A^+ over the Jacobian's right-hand side,
-so the field and its Jacobian agree within 1e-12.
+so the field and its Jacobian agree within 1e-12.  ``_lstsq_blocks`` solves
+a block of points with one call on diag(A_1, ..., A_m); its oracle is the
+per-point solve it replaced, and its solutions agree within 1e-12.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ import functools
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydarboux.moser import (DeformationField, MoserFlowError, perturbed_multisymplectic,
-                               pullback_constant_float)
+from polydarboux.moser import (DeformationField, MoserFlowError, _lstsq_blocks,
+                               perturbed_multisymplectic, pullback_constant_float)
 from polydarboux.polyforms import PolyForm, moser_potential, poly_var
 
 settings.register_profile("moser_oracle", deadline=None, max_examples=60, derandomize=True)
@@ -85,6 +88,15 @@ def oracle_batch(field: DeformationField, points, t, with_jacobian=True):
             corr, _, _, _ = np.linalg.lstsq(a[i], rhs, rcond=None)
             dx[i][np.ix_(field.l_indices, range(field.dim))] = corr
     return x, dx
+
+
+def oracle_lstsq(a, rhs):
+    """One least-squares solve per point: solutions and ranks."""
+    ys = np.empty((a.shape[0], a.shape[2], rhs.shape[2]))
+    ranks = np.empty(a.shape[0], dtype=int)
+    for i in range(a.shape[0]):
+        ys[i], _, ranks[i], _ = np.linalg.lstsq(a[i], rhs[i], rcond=None)
+    return ys, ranks
 
 
 def oracle_pullback(coeffs: dict, jac: np.ndarray, degree: int, dim: int) -> dict:
@@ -193,3 +205,76 @@ def test_failures_name_the_first_failing_point(points, t, solve_tol, with_jacobi
     err_want, _ = outcome(lambda: oracle_batch(field, pts, t, with_jacobian))
     err_got, _ = outcome(lambda: field.batch(pts, t, with_jacobian))
     assert err_got == err_want
+
+
+@st.composite
+def point_systems(draw):
+    """A batch of 1-25 systems (n_rows >= n_cols) with well-conditioned points, some of
+    them singular (a zero column) and some consistent, so that every flag varies."""
+    n_cols = draw(st.integers(1, 6))
+    n_rows = draw(st.integers(n_cols, 40))
+    batch = draw(st.integers(1, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.uniform(-0.5, 0.5, (batch, n_rows, n_cols)) / max(n_rows, n_cols)
+    a[:, :n_cols] += np.eye(n_cols)
+    rhs = rng.uniform(-1.0, 1.0, (batch, n_rows, draw(st.integers(1, 4))))
+    for i in draw(st.sets(st.integers(0, batch - 1))):
+        rhs[i] = a[i] @ rhs[i, :n_cols]
+    for i in draw(st.lists(st.integers(0, batch - 1), max_size=3)):
+        a[i, :, rng.integers(n_cols)] = 0.0
+    return a, rhs
+
+
+def solve_flags(a, rhs, ys, ranks):
+    resid = np.abs(np.einsum('brc,bc->br', a, ys[:, :, 0]) - rhs[:, :, 0]).max(axis=1)
+    return (ranks < a.shape[2]) | (resid > 1e-10)
+
+
+@settings(PROFILE, max_examples=200)
+@given(point_systems())
+def test_block_solve_matches_the_per_point_solve(system):
+    a, rhs = system
+    got_ys, got_ranks = _lstsq_blocks(a, rhs)
+    want_ys, want_ranks = oracle_lstsq(a, rhs)
+    assert np.max(np.abs(got_ys - want_ys)) <= TOL
+    assert np.array_equal(got_ranks, want_ranks)
+    assert np.array_equal(solve_flags(a, rhs, got_ys, got_ranks),
+                          solve_flags(a, rhs, want_ys, want_ranks))
+
+
+def test_block_solve_falls_back_where_only_the_block_cutoff_fails():
+    # one block of ten 3 x 3 points: 1e-15 * I is of full rank on its own, but below the
+    # block's cutoff eps * 30 * 1, set by the identity beside it
+    a = np.broadcast_to(np.eye(3), (10, 3, 3)).copy()
+    a[4] *= 1e-15
+    rhs = np.random.default_rng(3).uniform(-1.0, 1.0, (10, 3, 5))
+    block = np.zeros((30, 30))
+    for i in range(10):
+        block[3 * i:3 * i + 3, 3 * i:3 * i + 3] = a[i]
+    assert np.linalg.lstsq(block, np.zeros(30), rcond=None)[2] < 30
+    got_ys, got_ranks = _lstsq_blocks(a, rhs)
+    want_ys, want_ranks = oracle_lstsq(a, rhs)
+    assert np.array_equal(got_ranks, want_ranks) and (want_ranks == 3).all()
+    assert np.array_equal(got_ys, want_ys)
+
+
+@pytest.mark.parametrize("failing, message", [
+    # (index, x1, x2) of the points that fail; every other point is (0.5, 0) and solves
+    # exactly.  The systems are 2 x 1, so blocks hold 22 points: 0-21, then 22-24
+    ([(5, 0.0, 0.0), (23, 0.0, 0.0), (24, 0.5, 0.375)], "deformation system is singular at t=0.5"),
+    ([(3, 0.5, 0.25), (5, 0.0, 0.0)], "deformation solve residual 2.500e-01 exceeds 1.0e-10"),
+    ([(23, 0.0, 0.0), (24, 0.5, 0.375)], "deformation system is singular at t=0.5"),
+    ([(22, 0.5, 0.125), (23, 0.0, 0.0), (24, 0.5, 0.375)],
+     "deformation solve residual 1.250e-01 exceeds 1.0e-10"),
+    ([(10, 0.5, 0.375), (24, 0.5, 0.125)],
+     "deformation solve residual 3.750e-01 exceeds 1.0e-10"),
+])
+@pytest.mark.parametrize("with_jacobian", [True, False])
+def test_block_failures_name_the_first_failing_point(failing, message, with_jacobian):
+    field = failing_field(1e-10)
+    pts = np.tile([0.5, 0.0], (25, 1))
+    for i, x1, x2 in failing:
+        pts[i] = x1, x2
+    err_want, _ = outcome(lambda: oracle_batch(field, pts, 0.5, with_jacobian))
+    err_got, _ = outcome(lambda: field.batch(pts, 0.5, with_jacobian))
+    assert err_got == err_want == message

@@ -61,6 +61,11 @@ gate.
 in a child interpreter that builds the round as perfbench does and wraps
 ``Fraction.__new__`` only while the ops run.  It is deterministic: a
 record, not a gate.
+``moser_agreement`` holds, per tree, the ``numpy.linalg.lstsq`` calls per
+op over one seed-1 ``moser`` round, counted the same way, and against the
+first tree the largest |difference| of the printed residuals, op by op
+and sample by sample, and whether every ``min_jacobian_det`` string is
+equal: the flow's float answers may move in their last digits.
 The Python version and the CPU count come from this interpreter.  Runs
 go one after another, never in parallel.
 """
@@ -160,6 +165,49 @@ with tempfile.TemporaryDirectory() as tmp:
         run.run_op(cli, op.argvs)
 print(built / len(ops))
 """
+
+
+# Builds the seed-1 round of ``moser`` with the tree's own perfbench, runs its ops with
+# ``numpy.linalg.lstsq`` wrapped and prints, as JSON, the calls per op and each op's
+# residual and ``min_jacobian_det`` strings.
+_MOSER_ROUND = """\
+import json, sys, tempfile
+from pathlib import Path
+import numpy
+sys.path.insert(0, "perfbench")
+import run
+cli = run.import_program()
+from workloads import WORKLOADS
+wl = WORKLOADS["moser"]
+with tempfile.TemporaryDirectory() as tmp:
+    ops = [op for panel in wl.build(1, wl.panels, Path(tmp)) for op in panel]
+    run.run_op(cli, run.WARMUP)
+    calls, lstsq = 0, numpy.linalg.lstsq
+    def counted(*args, **kwargs):
+        global calls
+        calls += 1
+        return lstsq(*args, **kwargs)
+    numpy.linalg.lstsq = counted
+    reports = [json.loads(run.run_op(cli, op.argvs).stdout)["result"] for op in ops]
+print(json.dumps({"lstsq_calls_per_op": calls / len(ops),
+                  "residuals": [r["residuals"] for r in reports],
+                  "min_jacobian_det": [r["min_jacobian_det"] for r in reports]}))
+"""
+
+
+def moser_agreement(trees: list) -> dict:
+    rounds = [json.loads(subprocess.run([sys.executable, "-c", _MOSER_ROUND], cwd=path, env=env,
+                                        capture_output=True, text=True, check=True).stdout)
+              for _, path, env in trees]
+    first = rounds[0]
+    return {label: {
+        "lstsq_calls_per_op": r["lstsq_calls_per_op"],
+        "max_residual_delta": max(abs(float(a) - float(b))
+                                  for ops_a, ops_b in zip(r["residuals"], first["residuals"],
+                                                          strict=True)
+                                  for a, b in zip(ops_a, ops_b, strict=True)),
+        "min_jacobian_det_equal": r["min_jacobian_det"] == first["min_jacobian_det"],
+    } for (label, _, _), r in zip(trees, rounds)}
 
 
 # Prints, as JSON, the seeds per cell and the not_found count per cell of the two grids of
@@ -402,6 +450,8 @@ def series(args, spec: dict, workloads: list, trees: list) -> None:
     fractions = {label: {w: fractions_per_op(path, env, w) for w in workloads}
                  for label, path, env in trees}
     print(f"fractions per op: {json.dumps(fractions)}", flush=True)
+    moser = moser_agreement(trees) if "moser" in workloads else None
+    print(f"moser agreement: {json.dumps(moser)}", flush=True)
     detections = {label: detection(path, env) for label, path, env in trees}
     print("detection not_found: " + json.dumps(
         {label: {g: d["not_found_total"] for g, d in grids.items()}
@@ -415,22 +465,23 @@ def series(args, spec: dict, workloads: list, trees: list) -> None:
                 print(f"run {i} {w} {label}: ops_per_kru {res['metrics']['ops_per_kru']:.4g} "
                       f"digest {res['digest'][:12]} correct {res['correct']}", flush=True)
         # rewritten after every run, so an interrupted series keeps what it measured
-        write_record(args, spec, trees, runs, i + 1, fractions, detections)
+        write_record(args, spec, trees, runs, i + 1, fractions, detections, moser)
     traces = {label: traced(label, path, env, workloads) for label, path, env in trees}
-    write_record(args, spec, trees, runs, args.runs, fractions, detections, traces=traces)
+    write_record(args, spec, trees, runs, args.runs, fractions, detections, moser, traces=traces)
     sweeps = sweep(trees)
     supports = small_support(trees)
     with tempfile.TemporaryDirectory() as tmp:
         documents = homotopy_documents(trees[0][1], trees[0][2], Path(tmp))
         homotopies = {label: homotopy_sweep(label, path, env, documents)
                       for label, path, env in trees}
-    write_record(args, spec, trees, runs, args.runs, fractions, detections, sweeps, supports,
-                 traces, homotopies)
+    write_record(args, spec, trees, runs, args.runs, fractions, detections, moser, sweeps,
+                 supports, traces, homotopies)
 
 
 def write_record(args, spec: dict, trees: list, runs: dict, done: int, fractions: dict,
-                 detections: dict, sweeps: dict | None = None, supports: dict | None = None,
-                 traces: dict | None = None, homotopies: dict | None = None) -> None:
+                 detections: dict, moser: dict | None, sweeps: dict | None = None,
+                 supports: dict | None = None, traces: dict | None = None,
+                 homotopies: dict | None = None) -> None:
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
     out = {"python": platform.python_version(), "cpu_count": os.cpu_count(),
            "run_seconds": spec["run_seconds"], "runs": done, "seed": args.seed,
@@ -438,6 +489,8 @@ def write_record(args, spec: dict, trees: list, runs: dict, done: int, fractions
            "src_lines": {label: src_lines(path) for label, path, _ in trees},
            "fractions_per_op": fractions, "detection": detections, "workloads": {}}
     first, last = trees[0][0], trees[-1][0]
+    if moser is not None:
+        out["moser_agreement"] = moser
     for key, record in (("sweep", sweeps), ("small_support", supports),
                         ("homotopy_sweep", homotopies)):
         if record is not None:
