@@ -33,10 +33,9 @@ class MoserFlowError(PolydarbouxError, RuntimeError):
 
 
 DEFAULT_SOLVE_TOL = 1e-10
-DEFAULT_ACCEPT_TOL = 1e-6
 DEFAULT_STEPS = 1000
 MAX_BALL_DRAWS = 100_000  # cube draws of ball_sample_points: about 0.7 s at any dimension
-# RK4 steps times samples of one flow: about 30 s with one sample on the six-dimensional
+# RK4 steps times samples of one flow: about 23 s with one sample on the six-dimensional
 # perturbed fixture, where a step costs most per sample
 MAX_POINT_STEPS = 60_000
 _BLOCK_ENTRIES = 1024  # entries of one block solve's matrix, beyond which blocks are no faster
@@ -73,8 +72,8 @@ class _CompiledPolys:
             monos[(0,) * dim] = 0
         self.exps = np.array(sorted(monos, key=monos.get), dtype=int)
         self.powers = np.arange(int(self.exps.max()) + 1)
-        # flat position of x_v ** e in the (dim, len(powers)) power table
-        self.gather = np.arange(dim) * len(self.powers) + self.exps
+        # flat position of x_v ** e in the (dim, len(powers)) power table, variable-major
+        self.gather = np.arange(dim)[:, None] * len(self.powers) + self.exps.T
         self.weights = np.zeros((len(polys), len(monos)))
         for i, p in enumerate(polys):
             for e, w in p.items():
@@ -87,7 +86,7 @@ class _CompiledPolys:
         float power is taken once per (point, variable, exponent).
         """
         table = (points[:, :, None] ** self.powers).reshape(points.shape[0], -1)
-        mono = np.prod(np.take(table, self.gather, axis=1), axis=2)
+        mono = np.prod(np.take(table, self.gather, axis=1), axis=1)
         return mono @ self.weights.T
 
 
@@ -134,12 +133,12 @@ def _with_partials(slots: list[dict], den: int, dim: int) -> list[dict]:
 class DeformationField:
     """Solves i_X omega_t = alpha for X in the fiber block, with Jacobian.
 
-    Coefficient data is polynomial; values and exact partial derivatives
-    are evaluated through one precompiled monomial table for the whole
-    batch of points.  Each point then needs one least-squares solve, which
-    yields the field and its Jacobian together, and a block of points shares
-    one solver call; assembly and the rank and residual checks are array
-    operations over the batch.
+    With omega_t = omega0 + t delta the system at a point is [A0 + t D(x) | b(x)]: A0 from
+    the constant form, D from delta, b from alpha.  The cells of [D | b] and their partial
+    derivatives are one precompiled monomial table, evaluated for the whole batch of points
+    and read as (batch, 1 + dim, n_rows, n_cols + 1).  A block of points shares one
+    least-squares solver call, and the rank and residual checks are array operations over
+    the batch.
     """
 
     def __init__(self, omega: PolyForm, omega0: PolyForm, alpha: PolyForm,
@@ -149,104 +148,90 @@ class DeformationField:
         self.dim = omega.dim
         self.x_dim = omega.x_dim
         self.solve_tol = solve_tol
-        self.l_indices = list(range(self.x_dim, self.dim))
+        l_indices = range(self.x_dim, self.dim)
         delta = pf_sub(omega, omega0)  # omega_t = omega0 + t * delta
         (nums0, den0), (nums_d, den_d), (nums_a, den_a) = (
             omega0._numerators, delta._numerators, alpha._numerators)
         masks = sorted(set(nums0) | set(nums_d))
         rows = sorted({m ^ (1 << j) for m in masks
-                       for j in self.l_indices if m & (1 << j)}
+                       for j in l_indices if m & (1 << j)}
                       | set(nums_a))
-        self.row_pos = {m: i for i, m in enumerate(rows)}
+        row_pos = {m: i for i, m in enumerate(rows)}
         self.n_rows = len(rows)
-        self.n_cols = len(self.l_indices)
+        self.n_cols = len(l_indices)
 
-        # static part of the system matrix, from the constant form
+        # A0 from the constant form; a (mask, fiber index) pair names its cell alone
         self.a_const = np.zeros((self.n_rows, self.n_cols))
         for m, slot in nums0.items():
             val = slot.get((0,) * self.dim, 0) / den0
-            for col, j in enumerate(self.l_indices):
-                bit = 1 << j
-                if m & bit:
-                    self.a_const[self.row_pos[m ^ bit], col] += removal_sign(m, j) * val
+            for col, j in enumerate(l_indices):
+                if m & (1 << j):
+                    self.a_const[row_pos[m ^ (1 << j)], col] = removal_sign(m, j) * val
 
-        # moving part: one polynomial value per (mask, fiber index) entry,
-        # followed by its dim partial derivatives
-        entry_rows, entry_cols, entry_signs, slots = [], [], [], []
+        # the cells of [D | b] and their partial derivatives, laid out as (1 + dim, n_rows,
+        # n_cols + 1); a sign folded into a D cell's numerators is exact, and the table
+        # lists D's cells before b's, values before partials, as the monomials are numbered
+        width = self.n_cols + 1
+        cells, slots = [], []
         for m, slot in nums_d.items():
-            for col, j in enumerate(self.l_indices):
-                bit = 1 << j
-                if m & bit:
-                    entry_rows.append(self.row_pos[m ^ bit])
-                    entry_cols.append(col)
-                    entry_signs.append(float(removal_sign(m, j)))
-                    slots.append(slot)
-        self.entry_rows = np.array(entry_rows, dtype=int)
-        self.entry_cols = np.array(entry_cols, dtype=int)
-        self.entry_signs = np.array(entry_signs)
-        self.n_entries = len(slots)
-        self.rhs_rows = np.array([self.row_pos[m] for m in nums_a], dtype=int)
-        self.n_rhs = len(nums_a)
+            for col, j in enumerate(l_indices):
+                if m & (1 << j):
+                    cells.append(row_pos[m ^ (1 << j)] * width + col)
+                    sign = removal_sign(m, j)
+                    slots.append({e: sign * n for e, n in slot.items()})
+        b_cells = [row_pos[m] * width + self.n_cols for m in nums_a]
+        self.size = self.n_rows * width
+        self.places = np.array([v * self.size + c for group in (cells, b_cells)
+                                for v in range(1 + self.dim) for c in group], dtype=int)
         self.compiled = _CompiledPolys(_with_partials(slots, den_d, self.dim)
                                        + _with_partials(list(nums_a.values()), den_a, self.dim),
                                        self.dim)
 
-    def _systems(self, points: np.ndarray, t: float):
-        """Batched (A, b, dA, db) at parameter t."""
-        vals = self.compiled.eval(points)
-        ne, nr = self.n_entries, self.n_rhs
+    def _assemble(self, points: np.ndarray, t: float):
+        """A = A0 + t D and b at each point, with the table of [D | b] and its partials,
+        (batch, 1 + dim, n_rows, n_cols + 1)."""
         batch = points.shape[0]
-        a = np.broadcast_to(self.a_const, (batch, self.n_rows, self.n_cols)).copy()
-        if ne:
-            a[:, self.entry_rows, self.entry_cols] += t * self.entry_signs * vals[:, :ne]
-        b = np.zeros((batch, self.n_rows))
-        off = ne * (1 + self.dim)
-        if nr:
-            b[:, self.rhs_rows] = vals[:, off:off + nr]
-        da = np.zeros((batch, self.dim, self.n_rows, self.n_cols))
-        db = np.zeros((batch, self.dim, self.n_rows))
-        if ne:
-            seg = vals[:, ne:ne * (1 + self.dim)].reshape(batch, self.dim, ne)
-            da[:, :, self.entry_rows, self.entry_cols] = t * self.entry_signs * seg
-        if nr:
-            seg = vals[:, off + nr:off + nr * (1 + self.dim)].reshape(batch, self.dim, nr)
-            db[:, :, self.rhs_rows] = seg
-        return a, b, da, db
+        table = np.zeros((batch, (1 + self.dim) * self.size))
+        table[:, self.places] = self.compiled.eval(points)
+        table = table.reshape(batch, 1 + self.dim, self.n_rows, self.n_cols + 1)
+        return self.a_const + t * table[:, 0, :, :self.n_cols], table[:, 0, :, self.n_cols], table
 
     def batch(self, points: np.ndarray, t: float, with_jacobian: bool = True):
         """Field values (batch, dim) and Jacobians (batch, dim, dim).
 
-        The solve is linear in its right-hand side, so one least-squares
-        solve per point against the stacked columns [b | db^T | dA_c...]
-        gives the field and every Jacobian term:
-        A^+ (db^T - sum_c x_c dA_c) = A^+ db^T - sum_c x_c A^+ dA_c.
-        The points are solved a block at a time (``_lstsq_blocks``).
-        Failures are raised for the first failing point in batch order.
+        One solve per point against [b | I] gives the field X and the pseudo-inverse
+        P = A^+ together (against [b] alone without the Jacobian).  Differentiating
+        A X = b along x_v, with dA = t D_v, gives
+        dX_v = P (db_v - t D_v X) = P [D_v | db_v] [-t X; 1].
+        The points are solved a block at a time (``_lstsq_blocks``); failures are raised
+        for the first failing point in batch order, before P is read.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        a, b, da, db = self._systems(points, t)
         batch = points.shape[0]
+        n_rows, n_cols = self.n_rows, self.n_cols
+        a, b, table = self._assemble(points, t)
         rhs = b[:, :, None]
         if with_jacobian:
-            da_cols = da.transpose(0, 2, 3, 1).reshape(batch, self.n_rows, self.n_cols * self.dim)
-            rhs = np.concatenate([rhs, db.transpose(0, 2, 1), da_cols], axis=2)
+            rhs = np.concatenate([rhs, np.broadcast_to(np.eye(n_rows), (batch, n_rows, n_rows))],
+                                 axis=2)
         ys, ranks = _lstsq_blocks(a, rhs)
         sol = ys[:, :, 0]
         resid = np.abs(np.einsum('brc,bc->br', a, sol) - b).max(axis=1, initial=0.0)
-        bad = (ranks < self.n_cols) | (resid > self.solve_tol)
+        bad = (ranks < n_cols) | (resid > self.solve_tol)
         if bad.any():
             i = int(np.argmax(bad))
-            if ranks[i] < self.n_cols:
+            if ranks[i] < n_cols:
                 raise MoserFlowError(f"deformation system is singular at t={t}")
             raise MoserFlowError(
                 f"deformation solve residual {resid[i]:.3e} exceeds {self.solve_tol:.1e}")
         x = np.zeros((batch, self.dim))
-        x[:, self.l_indices] = sol
+        x[:, self.x_dim:] = sol
         if not with_jacobian:
             return x, None
-        terms = ys[:, :, 1 + self.dim:].reshape(batch, self.n_cols, self.n_cols, self.dim)
+        weights = np.concatenate([-t * sol, np.ones((batch, 1))], axis=1)
+        moved = np.einsum('bvrk,bk->bvr', table[:, 1:], weights)
         dx = np.zeros((batch, self.dim, self.dim))
-        dx[:, self.l_indices] = ys[:, :, 1:1 + self.dim] - np.einsum('bc,bkcv->bkv', sol, terms)
+        dx[:, self.x_dim:] = np.einsum('bcr,bvr->bcv', ys[:, :, 1:], moved)
         return x, dx
 
 

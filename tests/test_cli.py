@@ -544,6 +544,43 @@ def test_moser_refuses_forms_without_a_flow_by_name(tmp_path, capsys, dim, degre
     assert message in err and "Traceback" not in err
 
 
+def _moser_poly_document(path: Path, degree: int, split: list, terms: list) -> str:
+    """A poly_form on R^2 from (indices, [(exponents, coefficient), ...]) terms."""
+    path.write_text(json.dumps({
+        "schema_version": "1", "kind": "poly_form", "dim": 2, "degree": degree, "split": split,
+        "terms": [{"indices": indices, "polynomial": [
+            {"exponents": list(e), "coefficient": c} for e, c in poly]}
+                  for indices, poly in terms]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("degree, split, terms, message", [
+    # (1 + x1) dx1^dx2 on R^2 x R^0: no fiber column, so nothing solves the x1 dx2 row
+    (2, [2, 0], [([1, 2], [((0, 0), "1"), ((1, 0), "1")])],
+     "deformation solve residual 9.889e-04 exceeds 1.0e-10"),
+    # x1 dx1^dx2 on R^1 x R^1 vanishes at the origin, where the flow starts
+    (2, [1, 1], [([1, 2], [((1, 0), "1")])], "deformation system is singular at t=0.0"),
+    # 2 x1 dx1 = d(x1^2) contracts to zero along the fiber
+    (1, [1, 1], [([1], [((1, 0), "2")])], "deformation system is singular at t=0.0"),
+])
+def test_moser_names_a_degenerate_system(tmp_path, capsys, degree, split, terms, message):
+    doc = _moser_poly_document(tmp_path / "degenerate.json", degree, split, terms)
+    assert main(["moser", doc, "--steps", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {message}\n" in err and "Traceback" not in err
+
+
+def test_moser_flows_a_constant_form_without_fiber_directions(tmp_path, capsys):
+    # dx1^dx2 on R^2 x R^0: a 0 x 0 system at every point, and the flow is the identity
+    doc = _moser_poly_document(tmp_path / "constant.json", 2, [2, 0], [([1, 2], [((0, 0), "1")])])
+    code, out = run_cli(["moser", doc, "--steps", "2", "--json"], capsys)
+    assert code == 0
+    rep = json.loads(out)["result"]
+    assert rep["residuals"] == ["0.000000e+00"] * 10
+    assert (rep["max_residual"], rep["min_jacobian_det"]) == ("0.000000e+00", "1.000000")
+
+
 def test_moser_rejects_bad_solve_tolerance(capsys):
     doc = CORPUS["perturbed_multisymplectic.json"]
     for tol in ("nan", "inf", "0", "-1e-10"):

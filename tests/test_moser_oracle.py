@@ -1,18 +1,20 @@
-"""Differential tests: the batched deformation step against the per-point loop.
+"""Differential tests: the batched deformation step against the previous assembly.
 
-``DeformationField.batch`` now makes one least-squares solve per point
-against the stacked columns [b | db^T | dA_c...] and does the residual
-check, the assembly and the error choice as array operations; the
-monomial table gathers from one power table, ``_systems`` fills the
-derivative blocks by fancy indexing, and ``pullback_constant_float`` takes
-one stacked determinant.  The oracles below are the previous code: the
-float ``pow`` over every (point, monomial, variable) triple, the
-per-variable fill, the two-solve loop per point and the per-minor
-determinant.  Where the arithmetic is unchanged the results must be
-equal; the solve now distributes A^+ over the Jacobian's right-hand side,
-so the field and its Jacobian agree within 1e-12.  ``_lstsq_blocks`` solves
-a block of points with one call on diag(A_1, ..., A_m); its oracle is the
-per-point solve it replaced, and its solutions agree within 1e-12.
+``DeformationField`` compiles the cells of [D | b] (omega_t = omega0 + t delta gives the
+system [A0 + t D | b]) and their partial derivatives into one monomial table, and
+``batch`` solves each point against [b | I], so that one least-squares solve gives the
+field X and the pseudo-inverse P = A^+, and the Jacobian is P [D_v | db_v] [-t X; 1].
+The oracle is the previous code, rebuilt here from the three forms in ``Fraction``
+arithmetic rather than from the field's attributes: one polynomial per (mask, fiber
+index) entry of delta and per mask of alpha, each followed by its partial derivatives,
+evaluated by the float ``pow`` over every (point, monomial, variable) triple, filled into
+dense A, b, dA and db, and solved point by point against the stacked columns
+[b | db^T | dA_c...].  The table, A and b must be equal to the oracle's bit for bit; the
+field and its Jacobian agree within 1e-12, and every failure names the same point with
+the same text.  ``pullback_constant_float`` takes one stacked determinant; its oracle is
+the per-minor determinant.  ``_lstsq_blocks`` solves a block of points with one call on
+diag(A_1, ..., A_m); its oracle is the per-point solve it replaced, and its solutions
+agree within 1e-12.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydarboux.moser import (DeformationField, MoserFlowError, _lstsq_blocks,
-                               perturbed_multisymplectic, pullback_constant_float)
-from polydarboux.polyforms import PolyForm, moser_potential, poly_var
+from polydarboux.exterior import removal_sign
+from polydarboux.moser import (DEFAULT_SOLVE_TOL, DeformationField, MoserFlowError,
+                               _lstsq_blocks, perturbed_multisymplectic, pullback_constant_float)
+from polydarboux.polyforms import PolyForm, moser_potential, pf_sub, poly_var
 
 settings.register_profile("moser_oracle", deadline=None, max_examples=60, derandomize=True)
 PROFILE = settings.get_profile("moser_oracle")
@@ -39,55 +42,98 @@ TOL = 1e-12
 # oracles: the previous code
 
 
-def oracle_eval(compiled, points):
-    exps = compiled.exps.astype(float)
-    mono = np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
-    return mono @ compiled.weights.T
+def oracle_eval(exps, weights, points):
+    mono = np.prod(points[:, None, :] ** exps.astype(float)[None, :, :], axis=2)
+    return mono @ weights.T
 
 
-def oracle_systems(field: DeformationField, points, t):
-    vals = oracle_eval(field.compiled, points)
-    ne, nr = field.n_entries, field.n_rhs
-    batch = points.shape[0]
-    a = np.broadcast_to(field.a_const, (batch, field.n_rows, field.n_cols)).copy()
-    if ne:
-        a[:, field.entry_rows, field.entry_cols] += t * field.entry_signs * vals[:, :ne]
-    b = np.zeros((batch, field.n_rows))
-    off = ne * (1 + field.dim)
-    if nr:
-        b[:, field.rhs_rows] = vals[:, off:off + nr]
-    da = np.zeros((batch, field.dim, field.n_rows, field.n_cols))
-    db = np.zeros((batch, field.dim, field.n_rows))
-    for v in range(field.dim):
+class OracleField:
+    """The previous assembly and solve, from omega, omega0 and alpha."""
+
+    def __init__(self, omega: PolyForm, omega0: PolyForm, alpha: PolyForm,
+                 solve_tol: float = DEFAULT_SOLVE_TOL):
+        self.dim, self.solve_tol = omega.dim, solve_tol
+        self.l_indices = list(range(omega.x_dim, omega.dim))
+        delta = pf_sub(omega, omega0)
+        rows = sorted({m ^ (1 << j) for m in set(omega0.coeffs) | set(delta.coeffs)
+                       for j in self.l_indices if m & (1 << j)} | set(alpha.coeffs))
+        row_pos = {m: i for i, m in enumerate(rows)}
+        self.n_rows, self.n_cols = len(rows), len(self.l_indices)
+        self.a_const = np.zeros((self.n_rows, self.n_cols))
+        entries = []  # (row, col, sign, polynomial)
+        for m, p in omega0.coeffs.items():
+            val = float(p.terms.get((0,) * self.dim, 0))
+            for col, j in enumerate(self.l_indices):
+                if m & (1 << j):
+                    self.a_const[row_pos[m ^ (1 << j)], col] += removal_sign(m, j) * val
+        for m, p in delta.coeffs.items():
+            for col, j in enumerate(self.l_indices):
+                if m & (1 << j):
+                    entries.append((row_pos[m ^ (1 << j)], col, removal_sign(m, j), p))
+        self.entry_rows = np.array([e[0] for e in entries], dtype=int)
+        self.entry_cols = np.array([e[1] for e in entries], dtype=int)
+        self.entry_signs = np.array([float(e[2]) for e in entries])
+        self.rhs_rows = np.array([row_pos[m] for m in alpha.coeffs], dtype=int)
+        polys = []
+        for ps in ([e[3] for e in entries], list(alpha.coeffs.values())):
+            polys += ps + [p.diff(v) for v in range(1, self.dim + 1) for p in ps]
+        monos = {}
+        for p in polys:
+            for e in p.terms:
+                monos.setdefault(e, len(monos))
+        monos = monos or {(0,) * self.dim: 0}
+        self.exps = np.array(list(monos), dtype=int)
+        self.weights = np.zeros((len(polys), len(monos)))
+        for i, p in enumerate(polys):
+            for e, c in p.terms.items():
+                self.weights[i, monos[e]] = float(c)
+
+    def systems(self, points, t):
+        vals = oracle_eval(self.exps, self.weights, points)
+        ne, nr = len(self.entry_rows), len(self.rhs_rows)
+        batch = points.shape[0]
+        a = np.broadcast_to(self.a_const, (batch, self.n_rows, self.n_cols)).copy()
         if ne:
-            seg = vals[:, ne * (1 + v):ne * (2 + v)]
-            da[:, v, field.entry_rows, field.entry_cols] = t * field.entry_signs * seg
+            a[:, self.entry_rows, self.entry_cols] += t * self.entry_signs * vals[:, :ne]
+        b = np.zeros((batch, self.n_rows))
+        off = ne * (1 + self.dim)
         if nr:
-            seg = vals[:, off + nr * (1 + v):off + nr * (2 + v)]
-            db[:, v, field.rhs_rows] = seg
-    return a, b, da, db
+            b[:, self.rhs_rows] = vals[:, off:off + nr]
+        da = np.zeros((batch, self.dim, self.n_rows, self.n_cols))
+        db = np.zeros((batch, self.dim, self.n_rows))
+        for v in range(self.dim):
+            if ne:
+                seg = vals[:, ne * (1 + v):ne * (2 + v)]
+                da[:, v, self.entry_rows, self.entry_cols] = t * self.entry_signs * seg
+            if nr:
+                seg = vals[:, off + nr * (1 + v):off + nr * (2 + v)]
+                db[:, v, self.rhs_rows] = seg
+        return a, b, da, db
 
-
-def oracle_batch(field: DeformationField, points, t, with_jacobian=True):
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    a, b, da, db = oracle_systems(field, points, t)
-    batch = points.shape[0]
-    x = np.zeros((batch, field.dim))
-    dx = np.zeros((batch, field.dim, field.dim)) if with_jacobian else None
-    for i in range(batch):
-        sol, _, rk, _ = np.linalg.lstsq(a[i], b[i], rcond=None)
-        if rk < field.n_cols:
-            raise MoserFlowError(f"deformation system is singular at t={t}")
-        resid = float(np.max(np.abs(a[i] @ sol - b[i]))) if field.n_rows else 0.0
-        if resid > field.solve_tol:
-            raise MoserFlowError(
-                f"deformation solve residual {resid:.3e} exceeds {field.solve_tol:.1e}")
-        x[i, field.l_indices] = sol
-        if with_jacobian:
-            rhs = db[i].T - np.einsum('vrc,c->rv', da[i], sol)
-            corr, _, _, _ = np.linalg.lstsq(a[i], rhs, rcond=None)
-            dx[i][np.ix_(field.l_indices, range(field.dim))] = corr
-    return x, dx
+    def batch(self, points, t, with_jacobian=True):
+        """One solve per point against [b | db^T | dA_c...]:
+        dX = A^+ db^T - sum_c X_c A^+ dA_c."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        a, b, da, db = self.systems(points, t)
+        batch, dim, n_cols = points.shape[0], self.dim, self.n_cols
+        x = np.zeros((batch, dim))
+        dx = np.zeros((batch, dim, dim)) if with_jacobian else None
+        for i in range(batch):
+            rhs = np.concatenate([b[i][:, None], db[i].T, da[i].transpose(1, 2, 0).reshape(
+                self.n_rows, n_cols * dim)], axis=1)
+            ys, _, rk, _ = np.linalg.lstsq(a[i], rhs, rcond=None)
+            if rk < n_cols:
+                raise MoserFlowError(f"deformation system is singular at t={t}")
+            sol = ys[:, 0]
+            resid = float(np.max(np.abs(a[i] @ sol - b[i]))) if self.n_rows else 0.0
+            if resid > self.solve_tol:
+                raise MoserFlowError(
+                    f"deformation solve residual {resid:.3e} exceeds {self.solve_tol:.1e}")
+            x[i, self.l_indices] = sol
+            if with_jacobian:
+                terms = ys[:, 1 + dim:].reshape(n_cols, n_cols, dim)
+                dx[i, self.l_indices] = ys[:, 1:1 + dim] - np.einsum('c,kcv->kv', sol, terms)
+        return x, dx
 
 
 def oracle_lstsq(a, rhs):
@@ -119,7 +165,8 @@ def oracle_pullback(coeffs: dict, jac: np.ndarray, degree: int, dim: int) -> dic
 @functools.lru_cache(maxsize=None)
 def fixture_field(seed: int):
     fx = perturbed_multisymplectic(seed=seed)
-    return fx, DeformationField(fx.omega, fx.omega0, moser_potential(fx.omega, fx.omega0))
+    forms = fx.omega, fx.omega0, moser_potential(fx.omega, fx.omega0)
+    return fx, DeformationField(*forms), OracleField(*forms)
 
 
 coordinate = st.floats(-1.0, 1.0, allow_nan=False)
@@ -147,14 +194,17 @@ def outcome(run):
 
 
 @settings(PROFILE)
-@given(st.integers(1, 32), ball_points(), st.floats(0.0, 1.0), st.booleans())
+@given(st.integers(1, 32), ball_points(max_size=25), st.floats(0.0, 1.0), st.booleans())
 def test_batch_matches_per_point_loop(seed, points, t, with_jacobian):
-    _, field = fixture_field(seed)
+    _, field, oracle = fixture_field(seed)
     vals = field.compiled.eval(points)
-    assert np.array_equal(vals, oracle_eval(field.compiled, points))
-    for got, want in zip(field._systems(points, t), oracle_systems(field, points, t)):
-        assert np.array_equal(got, want)
-    err_want, want = outcome(lambda: oracle_batch(field, points, t, with_jacobian))
+    assert np.array_equal(vals, oracle_eval(field.compiled.exps, field.compiled.weights, points))
+    a, b, table = field._assemble(points, t)
+    want_a, want_b, want_da, want_db = oracle.systems(points, t)
+    assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+    assert np.array_equal(t * table[:, 1:, :, :-1], want_da)
+    assert np.array_equal(table[:, 1:, :, -1], want_db)
+    err_want, want = outcome(lambda: oracle.batch(points, t, with_jacobian))
     err_got, got = outcome(lambda: field.batch(points, t, with_jacobian))
     assert err_got == err_want
     if want is None:
@@ -170,7 +220,7 @@ def test_batch_matches_per_point_loop(seed, points, t, with_jacobian):
 @given(st.integers(1, 32), ball_points(max_size=1),
        st.lists(st.floats(-0.2, 0.2), min_size=36, max_size=36))
 def test_pullback_matches_per_minor_determinants(seed, points, perturbation):
-    fx, _ = fixture_field(seed)
+    fx, _, _ = fixture_field(seed)
     coeffs = fx.omega.coeffs_float(points[0])
     jac = np.eye(6) + np.array(perturbation).reshape(6, 6)
     got = pullback_constant_float(coeffs, jac, fx.omega.degree, fx.omega.dim)
@@ -178,7 +228,7 @@ def test_pullback_matches_per_minor_determinants(seed, points, perturbation):
     assert list(got.items()) == list(want.items())
 
 
-def failing_field(solve_tol: float) -> DeformationField:
+def failing_field(solve_tol: float) -> tuple[DeformationField, OracleField]:
     """A system on R^1 x R^1 that fails where the sampled point asks it to.
 
     omega_t = t x1 dx1^dx2 contracts the fiber direction to -t x1 dx1, so
@@ -191,7 +241,8 @@ def failing_field(solve_tol: float) -> DeformationField:
     omega = PolyForm(2, 2, split, {0b11: poly_var(2, 1)})
     omega0 = PolyForm(2, 2, split, {})
     alpha = PolyForm(2, 1, split, {0b01: poly_var(2, 1), 0b10: poly_var(2, 2)})
-    return DeformationField(omega, omega0, alpha, solve_tol)
+    return (DeformationField(omega, omega0, alpha, solve_tol),
+            OracleField(omega, omega0, alpha, solve_tol))
 
 
 @settings(PROFILE)
@@ -200,9 +251,9 @@ def failing_field(solve_tol: float) -> DeformationField:
        st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
        st.floats(1e-3, 1.0), st.booleans())
 def test_failures_name_the_first_failing_point(points, t, solve_tol, with_jacobian):
-    field = failing_field(solve_tol)
+    field, oracle = failing_field(solve_tol)
     pts = np.array(points)
-    err_want, _ = outcome(lambda: oracle_batch(field, pts, t, with_jacobian))
+    err_want, _ = outcome(lambda: oracle.batch(pts, t, with_jacobian))
     err_got, _ = outcome(lambda: field.batch(pts, t, with_jacobian))
     assert err_got == err_want
 
@@ -271,10 +322,10 @@ def test_block_solve_falls_back_where_only_the_block_cutoff_fails():
 ])
 @pytest.mark.parametrize("with_jacobian", [True, False])
 def test_block_failures_name_the_first_failing_point(failing, message, with_jacobian):
-    field = failing_field(1e-10)
+    field, oracle = failing_field(1e-10)
     pts = np.tile([0.5, 0.0], (25, 1))
     for i, x1, x2 in failing:
         pts[i] = x1, x2
-    err_want, _ = outcome(lambda: oracle_batch(field, pts, 0.5, with_jacobian))
+    err_want, _ = outcome(lambda: oracle.batch(pts, 0.5, with_jacobian))
     err_got, _ = outcome(lambda: field.batch(pts, 0.5, with_jacobian))
     assert err_got == err_want == message

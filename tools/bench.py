@@ -66,6 +66,13 @@ op over one seed-1 ``moser`` round, counted the same way, and against the
 first tree the largest |difference| of the printed residuals, op by op
 and sample by sample, and whether every ``min_jacobian_det`` string is
 equal: the flow's float answers may move in their last digits.
+``moser_stage`` holds, per tree, the microseconds of one Runge-Kutta stage,
+``DeformationField.batch(points, 0.5, with_jacobian=True)`` on the seed-1
+``perturbed_multisymplectic`` fixture, at each sample count of
+``MOSER_STAGE_SAMPLES`` (points of the radius-0.1 ball, as ``moser`` draws
+them by default): ``MOSER_STAGE_ROUNDS`` rounds, alternating between the trees,
+each the min over ``MOSER_STAGE_REPEATS`` repeats of ``MOSER_STAGE_CALLS`` calls
+in a fresh interpreter; it lists every round's figure and their min.
 The Python version and the CPU count come from this interpreter.  Runs
 go one after another, never in parallel.
 """
@@ -103,6 +110,10 @@ SMALL_SUPPORT_REPEATS = 3
 HOMOTOPY_SWEEP = [(dim, k) for dim in (8, 12, 16, 20, 24) for k in (3, 4)]
 # the traced pass run once per tree and workload after the series
 TRACED_SEED, TRACED_SECONDS = 7, 5.0
+# sample counts of the moser stage record: one point, one perfbench op's ten, two full
+# blocks of 3 x 3 systems and a partial one, and ten blocks
+MOSER_STAGE_SAMPLES = (1, 10, 21, 100)
+MOSER_STAGE_ROUNDS, MOSER_STAGE_REPEATS, MOSER_STAGE_CALLS = 5, 15, 20
 
 
 def tree_env(tree: Path, pycache: Path) -> dict:
@@ -208,6 +219,45 @@ def moser_agreement(trees: list) -> dict:
                                   for a, b in zip(ops_a, ops_b, strict=True)),
         "min_jacobian_det_equal": r["min_jacobian_det"] == first["min_jacobian_det"],
     } for (label, _, _), r in zip(trees, rounds)}
+
+
+# Prints, as JSON, the min over argv[2] repeats of the microseconds per call of argv[3]
+# calls of one Runge-Kutta stage with the Jacobian, per sample count of argv[1].
+_MOSER_STAGE = """\
+import json, sys, time
+import numpy as np
+from polydarboux.moser import DeformationField, ball_sample_points, perturbed_multisymplectic
+from polydarboux.polyforms import moser_potential
+fx = perturbed_multisymplectic(seed=1)
+field = DeformationField(fx.omega, fx.omega0, moser_potential(fx.omega, fx.omega0))
+repeats, calls = int(sys.argv[2]), int(sys.argv[3])
+out = {}
+for n in json.loads(sys.argv[1]):
+    points = np.array(ball_sample_points(fx.omega.dim, n, 0.1))
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            field.batch(points, 0.5, with_jacobian=True)
+        best = min(best, (time.perf_counter() - t0) / calls)
+    out[n] = round(best * 1e6, 2)
+print(json.dumps(out))
+"""
+
+
+def moser_stage(trees: list) -> dict:
+    rounds = {label: [] for label, _, _ in trees}
+    for i in range(MOSER_STAGE_ROUNDS):
+        for label, path, env in alternated(trees, i):
+            proc = subprocess.run([sys.executable, "-c", _MOSER_STAGE,
+                                   json.dumps(MOSER_STAGE_SAMPLES), str(MOSER_STAGE_REPEATS),
+                                   str(MOSER_STAGE_CALLS)], cwd=path, env=env,
+                                  capture_output=True, text=True, check=True)
+            rounds[label].append(json.loads(proc.stdout))
+    return {label: {str(n): {"us_min": min(r[str(n)] for r in rs),
+                             "us_rounds": [r[str(n)] for r in rs]}
+                    for n in MOSER_STAGE_SAMPLES}
+            for label, rs in rounds.items()}
 
 
 # Prints, as JSON, the seeds per cell and the not_found count per cell of the two grids of
@@ -450,8 +500,14 @@ def series(args, spec: dict, workloads: list, trees: list) -> None:
     fractions = {label: {w: fractions_per_op(path, env, w) for w in workloads}
                  for label, path, env in trees}
     print(f"fractions per op: {json.dumps(fractions)}", flush=True)
-    moser = moser_agreement(trees) if "moser" in workloads else None
-    print(f"moser agreement: {json.dumps(moser)}", flush=True)
+    moser = {}
+    if "moser" in workloads:
+        moser["moser_agreement"] = moser_agreement(trees)
+        print(f"moser agreement: {json.dumps(moser['moser_agreement'])}", flush=True)
+        moser["moser_stage"] = moser_stage(trees)
+        print("moser stage us: " + json.dumps(
+            {label: {n: r["us_min"] for n, r in record.items()}
+             for label, record in moser["moser_stage"].items()}), flush=True)
     detections = {label: detection(path, env) for label, path, env in trees}
     print("detection not_found: " + json.dumps(
         {label: {g: d["not_found_total"] for g, d in grids.items()}
@@ -479,7 +535,7 @@ def series(args, spec: dict, workloads: list, trees: list) -> None:
 
 
 def write_record(args, spec: dict, trees: list, runs: dict, done: int, fractions: dict,
-                 detections: dict, moser: dict | None, sweeps: dict | None = None,
+                 detections: dict, moser: dict, sweeps: dict | None = None,
                  supports: dict | None = None, traces: dict | None = None,
                  homotopies: dict | None = None) -> None:
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
@@ -489,8 +545,7 @@ def write_record(args, spec: dict, trees: list, runs: dict, done: int, fractions
            "src_lines": {label: src_lines(path) for label, path, _ in trees},
            "fractions_per_op": fractions, "detection": detections, "workloads": {}}
     first, last = trees[0][0], trees[-1][0]
-    if moser is not None:
-        out["moser_agreement"] = moser
+    out.update(moser)  # moser_agreement and moser_stage, when moser is measured
     for key, record in (("sweep", sweeps), ("small_support", supports),
                         ("homotopy_sweep", homotopies)):
         if record is not None:
