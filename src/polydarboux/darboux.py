@@ -275,9 +275,8 @@ def _momentum_map(v: VectorValuedForm, lagr: Subspace, ker: Subspace):
                 "required dual vector does not exist; the subspace is not "
                 "poly/multilagrangian for the form")
         acc: dict = {}
-        for c, b in zip(coeffs, l_prime):
-            if c:
-                _axpy(acc, -c, b)
+        for j, c in coeffs.items():
+            _axpy(acc, -c, l_prime[j])
         return acc
 
     return momentum

@@ -1,10 +1,10 @@
 """Exterior algebra over exact scalars.
 
-Alternating forms are stored sparsely: one coefficient per strictly
-increasing multi-index, encoded internally as a bitmask (bit i-1 set
-means coordinate index i occurs).  Summed expressions with fractional
-prefactors like (1/k!) sum_{i_1..i_k} collapse to these stored
-coefficients, so a single increasing monomial is held exactly once.
+An alternating form is its reduced integer view: over one denominator, an
+integer numerator per strictly increasing multi-index, encoded as a bitmask
+(bit i-1 set means coordinate index i occurs), on which the operations below
+accumulate.  Summed expressions with fractional prefactors like (1/k!)
+sum_{i_1..i_k} collapse to these, so a single monomial is held exactly once.
 
 Vector-valued forms are tuples of scalar components over one base
 space; flags carry a distinguished vertical subspace together with a
@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, PreconditionError
@@ -82,38 +82,46 @@ def removal_sign(mask: int, bit_pos: int) -> int:
 # alternating forms
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False)
 class AlternatingForm:
-    """Degree-k alternating form on an n-dimensional coordinate space."""
+    """Degree-k alternating form on an n-dimensional coordinate space, stored as its integer
+    view ``({mask: n}, den)``: coefficient n / den, no n zero, den > 0, divided by the gcd of
+    den and every n.  So the view is unique to the form and ``==`` compares it; ``coeffs`` is
+    built from it, in its order, on first read."""
 
     dim: int
     degree: int
-    coeffs: dict  # mask -> Fraction, zero coefficients never stored
+    _numerators: tuple[dict, int]
+    __hash__ = None  # the view holds a dict
 
-    def __post_init__(self):
-        if self.degree < 0 or self.dim < 0:
+    def __init__(self, dim: int, degree: int, coeffs: Mapping):
+        self._store(dim, degree, *_scaled(coeffs))
+
+    def _store(self, dim: int, degree: int, nums: dict, den: int) -> None:
+        """Keep the view n / den over zero-free ``nums``, reduced by its gcd."""
+        if degree < 0 or dim < 0:
             raise ValueError("negative dimension or degree")
-        if self.degree > self.dim and self.coeffs:
+        if degree > dim and nums:
             raise ValueError("degree exceeds dimension for a nonzero form")
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {m: n // g for m, n in nums.items()}
+        self.__dict__.update(dim=dim, degree=degree, _numerators=(nums, den))
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AlternatingForm) and self.dim == other.dim
-                and self.degree == other.degree and self.coeffs == other.coeffs)
+    @cached_property
+    def coeffs(self) -> dict:
+        nums, den = self._numerators
+        return {m: Fraction(n, den) for m, n in nums.items()}
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._numerators[0]
 
     @cached_property
     def _images(self) -> dict:
         """Contraction images by vector items, filled by ``_contract_scalar``;
         outside ``==`` and ``repr``."""
         return {}
-
-    @cached_property
-    def _numerators(self) -> tuple[dict, int]:
-        """``({mask: n}, den)``, n / den the coefficient and den the lcm of the
-        denominators; seeded by results born from integers, outside ``==`` and ``repr``."""
-        return _scaled(self.coeffs)
 
     def coefficient(self, indices: Sequence[int]) -> Fraction:
         """Signed coefficient at a multi-index (any order, distinct entries)."""
@@ -126,7 +134,7 @@ class AlternatingForm:
         return [(indices_of(m), c) for m, c in sorted(self.coeffs.items())]
 
     def __repr__(self):
-        if not self.coeffs:
+        if self.is_zero():
             return f"AlternatingForm(dim={self.dim}, degree={self.degree}, 0)"
         body = " + ".join(f"({c})e^{list(i)}" for i, c in self.terms())
         return f"AlternatingForm(dim={self.dim}, {body})"
@@ -156,13 +164,9 @@ def form(dim: int, degree: int, terms: Mapping[Sequence[int], object] | None = N
 
 
 def _seeded(dim: int, degree: int, nums: dict, den: int) -> AlternatingForm:
-    """The form with coefficients n / den over nonzero ``nums``, its integer view seeded."""
-    g = gcd(den, *nums.values())
-    if g != 1:
-        den //= g
-        nums = {m: n // g for m, n in nums.items()}
-    out = AlternatingForm(dim, degree, {m: Fraction(n, den) for m, n in nums.items()})
-    out.__dict__["_numerators"] = nums, den
+    """The form with coefficients n / den over zero-free ``nums`` and den > 0."""
+    out = object.__new__(AlternatingForm)
+    out._store(dim, degree, nums, den)
     return out
 
 
@@ -181,21 +185,25 @@ def covector(dim: int, components: Sequence) -> AlternatingForm:
 def add(a: AlternatingForm, b: AlternatingForm) -> AlternatingForm:
     if (a.dim, a.degree) != (b.dim, b.degree):
         raise DimensionMismatch("cannot add forms of different shape")
-    out = dict(a.coeffs)
-    for m, c in b.coeffs.items():
-        nv = out.get(m, ZERO) + c
-        if nv:
+    (na, da), (nb, db) = a._numerators, b._numerators
+    den = lcm(da, db)
+    fa, fb = den // da, den // db
+    out = {m: n * fa for m, n in na.items()}
+    for m, n in nb.items():
+        if nv := out.get(m, 0) + n * fb:
             out[m] = nv
         else:
-            out.pop(m, None)
-    return AlternatingForm(a.dim, a.degree, out)
+            del out[m]
+    return _seeded(a.dim, a.degree, out, den)
 
 
 def scale(a: AlternatingForm, c) -> AlternatingForm:
     c = frac(c)
     if not c:
         return zero_form(a.dim, a.degree)
-    return AlternatingForm(a.dim, a.degree, {m: c * x for m, x in a.coeffs.items()})
+    nums, den = a._numerators
+    return _seeded(a.dim, a.degree, {m: n * c.numerator for m, n in nums.items()},
+                   den * c.denominator)
 
 
 def sub(a: AlternatingForm, b: AlternatingForm) -> AlternatingForm:
@@ -407,7 +415,8 @@ def _pullback_scalar(a: AlternatingForm, rows: list[dict], new_dim: int, memo: d
                 out[mm] = nv
             else:
                 del out[mm]
-    return AlternatingForm(new_dim, a.degree, {m: Fraction(x, den) for m, x in out.items()})
+    nums, s = _scaled(out)  # Fraction entries of the rows leave Fractions in out
+    return _seeded(new_dim, a.degree, nums, den * s)
 
 
 def pullback(x, m: Matrix):
@@ -641,10 +650,9 @@ def restrict_to_leading(x, new_dim: int):
     """Reinterpret a form supported on the first ``new_dim`` coordinates."""
     def cut(a: AlternatingForm) -> AlternatingForm:
         limit = 1 << new_dim
-        for m in a.coeffs:
-            if m >= limit:
-                raise PreconditionError("form touches a discarded coordinate")
-        return AlternatingForm(new_dim, a.degree, dict(a.coeffs))
+        if any(m >= limit for m in a._numerators[0]):
+            raise PreconditionError("form touches a discarded coordinate")
+        return _seeded(new_dim, a.degree, *a._numerators)
     if isinstance(x, AlternatingForm):
         return cut(x)
     return VectorValuedForm(tuple(cut(c) for c in x.components))
@@ -655,7 +663,7 @@ def embed_in(x, new_dim: int):
     def up(a: AlternatingForm) -> AlternatingForm:
         if new_dim < a.dim:
             raise DimensionMismatch("embedding must not shrink the space")
-        return AlternatingForm(new_dim, a.degree, dict(a.coeffs))
+        return _seeded(new_dim, a.degree, *a._numerators)
     if isinstance(x, AlternatingForm):
         return up(x)
     return VectorValuedForm(tuple(up(c) for c in x.components))

@@ -357,8 +357,9 @@ def alternating_to_document(x, *, flag: Flag | None = None, r: int | None = None
         comps = list(x.components)
     terms = []
     for a, comp in enumerate(comps, start=1):
-        for idx, c in comp.terms():
-            t = {"indices": list(idx), "coefficient": str(c)}
+        nums, den = comp._numerators  # written from the integer view, in ``terms()`` order
+        for m in sorted(nums):
+            t = {"indices": list(indices_of(m)), "coefficient": _ratio_str(nums[m], den)}
             if kind == "vector_valued_form":
                 t["component"] = a
             terms.append(t)

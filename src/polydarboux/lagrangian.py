@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .errors import DimensionMismatch, InternalCheckError, PreconditionError
-from .exterior import (AlternatingForm, Flag, VectorValuedForm, contract, evaluate,
+from .exterior import (AlternatingForm, Flag, VectorValuedForm, _seeded, contract, evaluate,
                        indices_of, project, pullback, wedge_all, wedge_power_by_exponent)
 from .linalg import (Matrix, Subspace, ZERO, ONE, annihilator, inverse, kernel_basis,
                      kernel_subspace, subspace_sum, complement, transform_subspace)
@@ -71,12 +71,13 @@ def _annihilator_wedges(sub: Subspace, k: int) -> list[AlternatingForm]:
 
 
 def _lperp_tensor_basis(sub: Subspace, k: int, value_dim: int) -> list[dict]:
-    """Basis of (Lambda^k L-perp) tensor the value space, stacked."""
+    """Basis of (Lambda^k L-perp) tensor the value space, stacked, for spans only: each
+    wedge as its integer view, a positive multiple of it."""
     wedges = _annihilator_wedges(sub, k)
     out = []
     for a in range(value_dim):
         for w in wedges:
-            out.append({(a, m): c for m, c in w.coeffs.items()})
+            out.append({(a, m): n for m, n in w._numerators[0].items()})
     return out
 
 
@@ -446,7 +447,7 @@ def _vertical_count(mask: int, n_t: int) -> int:
 
 
 def _check_horizontality(aomega: AlternatingForm, n_t: int, r: int):
-    worst = max((_vertical_count(m, n_t) for m in aomega.coeffs), default=0)
+    worst = max((_vertical_count(m, n_t) for m in aomega._numerators[0]), default=0)
     if worst > r:
         raise PreconditionError(
             f"form has a monomial with {worst} vertical factors; not ({aomega.degree - r})-horizontal")
@@ -491,13 +492,14 @@ def symbol(omega: AlternatingForm, flag: Flag, r: int) -> VectorValuedForm:
     comps = [dict() for _ in combos]
     blocksign = -1 if (r * (k1 - r)) & 1 else 1
     tmask_all = (1 << n) - 1
-    for m, c in aomega.coeffs.items():
+    nums, den = aomega._numerators
+    for m, x in nums.items():
         vmask = m >> n
         if vmask.bit_count() != r:
             continue
         tmask = m & tmask_all
-        comps[pos[indices_of(tmask)]][vmask] = blocksign * c
-    return VectorValuedForm(tuple(AlternatingForm(m_dim, r, d) for d in comps))
+        comps[pos[indices_of(tmask)]][vmask] = blocksign * x
+    return VectorValuedForm(tuple(_seeded(m_dim, r, d, den) for d in comps))
 
 
 def check_multilagrangian(sub: Subspace, omega: AlternatingForm, flag: Flag, r: int) -> bool:
@@ -524,13 +526,14 @@ def _check_multilagrangian_adapted(sub_a: Subspace, aomega: AlternatingForm, n: 
     k = aomega.degree - 1
     lhs = flat_image_vectors(aomega, sub_a.rows())
     wedges = _annihilator_wedges(sub_a, k)
-    # cut the annihilator wedges down to the (k+1-r)-horizontal monomials
+    # cut the annihilator wedges down to the (k+1-r)-horizontal monomials, each wedge read
+    # as its integer view: scaling a wedge scales its column and its stacked row alike
     bad_rows: dict = {}
     for i, w in enumerate(wedges):
-        for m, c in w.coeffs.items():
+        for m, c in w._numerators[0].items():
             if _vertical_count(m, n) >= r:
                 bad_rows.setdefault(m, {})[i] = c
-    stacked = [{(0, m): c for m, c in w.coeffs.items()} for w in wedges]
+    stacked = [{(0, m): c for m, c in w._numerators[0].items()} for w in wedges]
     if not bad_rows:
         return span_equal(lhs, stacked)
     rhs = []
@@ -691,7 +694,7 @@ def uniform_rank(omega: VectorValuedForm) -> int | None:
         nonlocal terms
         stored = len(memo)
         w = wedge_power_by_exponent(v, alpha, memo)
-        terms += sum(len(p.coeffs) for p in itertools.islice(memo.values(), stored, None))
+        terms += sum(len(p._numerators[0]) for p in itertools.islice(memo.values(), stored, None))
         if terms > MAX_WEDGE_TERMS:
             raise PreconditionError(
                 f"wedge powers of this form exceed the budget of {MAX_WEDGE_TERMS} "
@@ -705,7 +708,8 @@ def uniform_rank(omega: VectorValuedForm) -> int | None:
     powers = [memo[alpha] for alpha in _exponents(nhat, level - 1)]
     if any(w.is_zero() for w in powers):
         return None
-    return level - 1 if span_of(dict(w.coeffs) for w in powers).rank == len(powers) else None
+    # a power's view is a positive multiple of its coefficients, so the span is the same
+    return level - 1 if span_of(w._numerators[0] for w in powers).rank == len(powers) else None
 
 
 def _exponents(nvars: int, total: int):
@@ -977,7 +981,7 @@ def classify_horizontal_form(omega: AlternatingForm, flag: Flag, r: int | None =
     aomega, _ = _adapted(omega, flag)
     n = flag.dim_t
     if r is None:
-        r = max((_vertical_count(m, n) for m in aomega.coeffs), default=0)
+        r = max((_vertical_count(m, n) for m in aomega._numerators[0]), default=0)
         diagnostics.append(f"horizontality parameter detected from the form: r = {r}")
     k1 = omega.degree
     ker = kernel_of_form(omega)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .exterior import AlternatingForm, VectorValuedForm, evaluate, form
+from .exterior import AlternatingForm, VectorValuedForm, evaluate, form, project
 from .lagrangian import (check_polylagrangian, classify_vector_form, is_isotropic,
                          kernel_of_form)
 from .linalg import Matrix, Subspace, ZERO, ONE, frac, rank
@@ -121,22 +121,8 @@ def frame_form(g: LieAlgebra, frame: Matrix) -> VectorValuedForm:
     """
     if frame.rows != g.dim:
         raise PreconditionError("frame must map into the algebra")
-    betas = invariant_two_forms(g)
-    comps = []
-    for b in range(frame.cols):
-        coeffs: dict = {}
-        for c in range(g.dim):
-            w = frame.at(c, b)
-            if not w:
-                continue
-            for m, x in betas[c].coeffs.items():
-                nv = coeffs.get(m, ZERO) + w * x
-                if nv:
-                    coeffs[m] = nv
-                else:
-                    del coeffs[m]
-        comps.append(AlternatingForm(g.dim, 2, coeffs))
-    return VectorValuedForm(tuple(comps))
+    betas = VectorValuedForm(tuple(invariant_two_forms(g)))
+    return VectorValuedForm(tuple(project(betas, frame.col(b)) for b in range(frame.cols)))
 
 
 def su2_invariant_fields(vectors) -> list[list[Polynomial]]:

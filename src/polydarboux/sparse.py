@@ -159,12 +159,12 @@ class SparseSolver(SparseEchelon):
         self.ngen += 1
         self.insert(tagged)
 
-    def solve(self, target: SparseVec) -> list[Fraction] | None:
-        """Coefficients c with sum c_j * generator_j = target, or None."""
+    def solve(self, target: SparseVec) -> dict[int, Fraction] | None:
+        """Nonzero c_j, j increasing, with sum c_j * generator_j = target, or None."""
         r, s = self._residue({(0, k): x for k, x in target.items()})
         if any(half == 0 for half, _ in r):
             return None
-        return [Fraction(-r.get((1, j), 0), s) for j in range(self.ngen)]
+        return {j: Fraction(-x, s) for (_, j), x in sorted(r.items())}
 
 
 def span_of(vectors) -> SparseEchelon:

@@ -12,10 +12,10 @@ import pytest
 from polydarboux import io
 from polydarboux.errors import DimensionMismatch, DocumentError, PreconditionError
 from polydarboux.exterior import (AlternatingForm, VectorValuedForm, contract, evaluate, form,
-                                  merge_sign, removal_sign)
+                                  indices_of, mask_of, merge_sign, removal_sign, sorted_sign)
 from polydarboux.lagrangian import _kernel_constraints, _stacked, as_vector_form
-from polydarboux.linalg import (ZERO, ONE, Subspace, _echelon, _sparse_vector, kernel_subspace,
-                                vec)
+from polydarboux.linalg import (ZERO, ONE, Subspace, _echelon, _sparse_vector, frac,
+                                kernel_subspace, vec)
 from polydarboux.moser import DEFAULT_SOLVE_TOL, _flow_residuals
 from polydarboux.polyforms import PolyForm, Polynomial, pf_sub, poly_const
 from polydarboux.sparse import _sparse
@@ -241,6 +241,188 @@ def kernel_constraints_oracle(x) -> list[dict]:
 def flat_image_vectors_oracle(omega, vectors) -> list[dict]:
     """Images i_v omega stacked at their true ``Fraction`` values."""
     return [_stacked(contract(v, as_vector_form(omega))) for v in vectors]
+
+
+# ``exterior.AlternatingForm`` and its arithmetic as they were on ``Fraction`` coefficient
+# dicts, before a form was its integer view: the oracles of tests/test_form_view_oracle.py
+
+
+@dataclass(frozen=True, eq=False)
+class FractionForm:
+    """The previous ``AlternatingForm``: a ``Fraction`` dict, zero coefficients never stored,
+    with equality on the dict."""
+
+    dim: int
+    degree: int
+    coeffs: dict
+
+    def __post_init__(self):
+        if self.degree < 0 or self.dim < 0:
+            raise ValueError("negative dimension or degree")
+        if self.degree > self.dim and self.coeffs:
+            raise ValueError("degree exceeds dimension for a nonzero form")
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, FractionForm) and self.dim == other.dim
+                and self.degree == other.degree and self.coeffs == other.coeffs)
+
+    def terms(self):
+        return [(indices_of(m), c) for m, c in sorted(self.coeffs.items())]
+
+    def __repr__(self):
+        if not self.coeffs:
+            return f"AlternatingForm(dim={self.dim}, degree={self.degree}, 0)"
+        body = " + ".join(f"({c})e^{list(i)}" for i, c in self.terms())
+        return f"AlternatingForm(dim={self.dim}, {body})"
+
+
+def form_oracle(dim: int, degree: int, terms: dict) -> FractionForm:
+    coeffs: dict = {}
+    for idx, c in terms.items():
+        c = frac(c)
+        if not c:
+            continue
+        sign, srt = sorted_sign(tuple(idx))
+        if sign == 0:
+            continue
+        if len(srt) != degree:
+            raise ValueError("multi-index length does not match degree")
+        if srt and srt[-1] > dim:
+            raise DimensionMismatch("index exceeds dimension")
+        m = mask_of(srt)
+        nv = coeffs.get(m, ZERO) + sign * c
+        if nv:
+            coeffs[m] = nv
+        else:
+            coeffs.pop(m, None)
+    return FractionForm(dim, degree, coeffs)
+
+
+def add_oracle(a: FractionForm, b: FractionForm) -> FractionForm:
+    if (a.dim, a.degree) != (b.dim, b.degree):
+        raise DimensionMismatch("cannot add forms of different shape")
+    out = dict(a.coeffs)
+    for m, c in b.coeffs.items():
+        nv = out.get(m, ZERO) + c
+        if nv:
+            out[m] = nv
+        else:
+            out.pop(m, None)
+    return FractionForm(a.dim, a.degree, out)
+
+
+def scale_oracle(a: FractionForm, c) -> FractionForm:
+    c = frac(c)
+    if not c:
+        return FractionForm(a.dim, a.degree, {})
+    return FractionForm(a.dim, a.degree, {m: c * x for m, x in a.coeffs.items()})
+
+
+def sub_oracle(a: FractionForm, b: FractionForm) -> FractionForm:
+    return add_oracle(a, scale_oracle(b, -1))
+
+
+def project_oracle(components: list, t_star) -> FractionForm:
+    ts = vec(t_star)
+    if len(ts) != len(components):
+        raise DimensionMismatch("covector length does not match value dimension")
+    out = FractionForm(components[0].dim, components[0].degree, {})
+    for t, comp in zip(ts, components):
+        if t:
+            out = add_oracle(out, scale_oracle(comp, t))
+    return out
+
+
+def _dict_wedge_oracle(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            s = merge_sign(ma, mb)
+            if not s:
+                continue
+            key = ma | mb
+            nv = out.get(key, 0) + (ca * cb if s > 0 else -ca * cb)
+            if nv:
+                out[key] = nv
+            else:
+                del out[key]
+    return out
+
+
+def wedge_form_oracle(a: FractionForm, b: FractionForm) -> FractionForm:
+    if a.dim != b.dim:
+        raise DimensionMismatch("wedge operands live on different spaces")
+    return FractionForm(a.dim, a.degree + b.degree, _dict_wedge_oracle(a.coeffs, b.coeffs))
+
+
+def contract_form_oracle(v: dict, a: FractionForm) -> FractionForm:
+    """i_v a for a sparse v, walking the terms of a in ``Fraction`` arithmetic."""
+    if a.degree == 0:
+        raise PreconditionError("cannot contract a degree-0 form")
+    out: dict = {}
+    for m, c in a.coeffs.items():
+        for bit in range(m.bit_length()):
+            comp = v.get(bit)
+            if not m >> bit & 1 or not comp:
+                continue
+            key = m ^ 1 << bit
+            nv = out.get(key, 0) + removal_sign(m, bit) * comp * c
+            if nv:
+                out[key] = nv
+            else:
+                del out[key]
+    return FractionForm(a.dim, a.degree - 1, out)
+
+
+def _row_forms_oracle(m) -> list[dict]:
+    rows: list[dict] = [{} for _ in range(m.rows)]
+    for j, col in enumerate(m.columns):
+        for i, x in col.items():
+            rows[i][1 << j] = int(x) if x.denominator == 1 else x
+    return rows
+
+
+def pullback_scalar_oracle(a: FractionForm, rows: list, new_dim: int, memo: dict) -> FractionForm:
+    nums, den = integer_coeffs_oracle(a.coeffs)
+    out: dict = {}
+    for m, c in nums.items():
+        idx = indices_of(m)
+        w = memo.get(idx)
+        if w is None:
+            t = len(idx)
+            while t > 0 and idx[:t] not in memo:
+                t -= 1
+            w = memo[idx[:t]] if t else {0: 1}
+            for pos in range(t, len(idx)):
+                w = _dict_wedge_oracle(w, rows[idx[pos] - 1])
+                memo[idx[: pos + 1]] = w
+        for mm, x in w.items():
+            nv = out.get(mm, 0) + c * x
+            if nv:
+                out[mm] = nv
+            else:
+                del out[mm]
+    return FractionForm(new_dim, a.degree, {m: Fraction(x, den) for m, x in out.items()})
+
+
+def pullback_oracle(a: FractionForm, m) -> FractionForm:
+    if m.rows != a.dim:
+        raise DimensionMismatch("matrix row count does not match form dimension")
+    return pullback_scalar_oracle(a, _row_forms_oracle(m), m.cols, {(): {0: 1}})
+
+
+def restrict_to_leading_oracle(a: FractionForm, new_dim: int) -> FractionForm:
+    limit = 1 << new_dim
+    for m in a.coeffs:
+        if m >= limit:
+            raise PreconditionError("form touches a discarded coordinate")
+    return FractionForm(new_dim, a.degree, dict(a.coeffs))
+
+
+def embed_in_oracle(a: FractionForm, new_dim: int) -> FractionForm:
+    if new_dim < a.dim:
+        raise DimensionMismatch("embedding must not shrink the space")
+    return FractionForm(new_dim, a.degree, dict(a.coeffs))
 
 
 # ``io._parse_poly_form`` as it was before it parsed straight into the integer view: a

@@ -77,11 +77,13 @@ def oracle_lagrangian_solver(v, lagr, ker):
 
 
 def oracle_momentum(solver, l_prime, target):
-    coeffs = solver.solve(target)
-    if coeffs is None:
+    answer = solver.solve(target)
+    if answer is None:
         raise ConstructionError(
             "required dual vector does not exist; the subspace is not "
             "poly/multilagrangian for the form")
+    assert all(answer.values())  # the solver answers with its nonzero coefficients only
+    coeffs = [answer.get(j, ZERO) for j in range(solver.ngen)]
     out = [ZERO] * l_prime.ambient_dim
     for c, b in zip(coeffs, l_prime.vectors()):
         if c:

@@ -3,11 +3,13 @@
 ``AlternatingForm._numerators`` and ``PolyForm._numerators`` are compared
 with the numerators their callers used to build per call, and every view
 seeded by a result (contraction images, wedge products, exterior
-derivatives and primitives) with a fresh one.  A polynomial form is its
-view, whether it was built from ``Polynomial`` coefficients or born from
-integers, and builds its ``Fraction`` coefficients on first read, in the
-view's order; they are compared with the eager build of
-``conftest.pf_seeded_oracle``.  The pipelines that read
+derivatives and primitives) with a fresh one.  A form is its view,
+whether it was built from coefficients or born from integers, and builds
+its ``Fraction`` coefficients on first read, in the view's order; a
+polynomial form's are compared with the eager build of
+``conftest.pf_seeded_oracle`` (a scalar form's in
+``test_form_view_oracle.py``).  Writing a form and ``uniform_rank``'s
+memo read the views and build no ``Fraction``.  The pipelines that read
 the views (kernels, isotropy, maximality, the polylagrangian check and
 the Darboux basis) are compared with the same pipelines run on the
 ``Fraction`` constraint rows and images, which ``conftest`` keeps as
@@ -21,6 +23,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,12 +34,14 @@ from polydarboux import lagrangian, polyforms
 from polydarboux.cli import main
 from polydarboux.darboux import (canonical_poly_model, conjugated_poly_instance,
                                  darboux_basis_poly)
+from polydarboux import exterior
 from polydarboux.exterior import (AlternatingForm, VectorValuedForm, contract, form, pullback,
                                   scale, wedge)
 from polydarboux.lagrangian import (_kernel_constraints, check_polylagrangian,
                                     flat_image_vectors, greedy_maximal_isotropic, is_isotropic,
                                     is_maximal_isotropic, kernel_of_form)
-from polydarboux.io import _ratio_str, poly_form_to_document
+from polydarboux.corpus import corpus_files
+from polydarboux.io import _ratio_str, alternating_to_document, load_document, poly_form_to_document
 from polydarboux.linalg import Subspace, kernel_subspace
 from polydarboux.polyforms import (PolyForm, Polynomial, _pf_seeded, exterior_d,
                                    homotopy_primitive, max_vertical_factors, pf_scale, pf_zero,
@@ -233,7 +238,8 @@ def test_views_take_no_part_in_equality_or_repr():
     image = contract({0: Fraction(1, 5), 2: 1}, a)
     assert "_numerators" in image.__dict__
     twin = AlternatingForm(image.dim, image.degree, dict(image.coeffs))
-    assert "_numerators" not in twin.__dict__
+    # one store: the form built from coeffs holds the view of the form born from integers
+    assert twin.__dict__["_numerators"] == image.__dict__["_numerators"]
     assert image == twin and twin == image and repr(image) == repr(twin)
     assert VectorValuedForm((image,)) == VectorValuedForm((twin,))
     assert twin._numerators == image._numerators and image == twin
@@ -541,3 +547,46 @@ def test_homotopy_op_on_plain_coefficients_builds_no_fraction(tmp_path, capsys):
         code = main(["homotopy", str(path), "--json"])
     assert code == 0 and json.loads(capsys.readouterr().out)["result"]["derivative_matches"]
     assert built == [] and len(distinct) > 3
+
+
+@settings(PROFILE)
+@given(st.data())
+def test_scalar_writer_writes_str_of_each_fraction(data):
+    """Written from the view, each coefficient string is ``str`` of the ``Fraction`` that
+    ``terms()`` gives, for views handed over unreduced and with negative numerators."""
+    dim = data.draw(st.integers(1, 5))
+    degree = data.draw(st.integers(0, dim))
+    masks = [sum(1 << (i - 1) for i in idx)
+             for idx in itertools.combinations(range(1, dim + 1), degree)]
+    big = st.integers(-10 ** 13, 10 ** 13).filter(bool)
+    comps = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        nums = data.draw(st.dictionaries(st.sampled_from(masks), big, max_size=4))
+        den = data.draw(st.one_of(st.integers(1, 60), st.integers(10 ** 12, 10 ** 13)))
+        k = data.draw(st.sampled_from([1, 2, 7, 10 ** 6]))
+        comps.append(exterior._seeded(dim, degree, {m: n * k for m, n in nums.items()}, den * k))
+    x = comps[0] if len(comps) == 1 else VectorValuedForm(tuple(comps))
+    want = [(a, list(idx), str(c)) for a, comp in enumerate(comps, start=1)
+            for idx, c in comp.terms()]
+    terms = alternating_to_document(x)["terms"]
+    assert [(t.get("component", 1), t["indices"], t["coefficient"]) for t in terms] == want
+
+
+@pytest.mark.parametrize("name, rank", [("appendix_a1.json", None), ("appendix_a2.json", 1),
+                                        ("appendix_a3.json", 2)])
+def test_uniform_rank_on_the_memo_builds_no_fraction(name, rank):
+    """Two or more components walk the wedge-power memo: its budget counts the terms of each
+    power's view and the independence test spans the views, so no ``Fraction`` is built."""
+    omega = load_document({Path(p).name: p for p in corpus_files()}[name]).payload
+    assert omega.value_dim >= 2
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", counted)
+        assert lagrangian.uniform_rank(omega) == rank
+    assert built == []
