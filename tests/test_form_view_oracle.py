@@ -29,16 +29,17 @@ settings.register_profile("form_view_oracle", deadline=None, max_examples=200, d
 PROFILE = settings.get_profile("form_view_oracle")
 
 # mixed denominators, so that sums and products change the view's den
-ENTRIES = st.one_of(st.integers(-4, 4),
-                    st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3, 4, 6, 9, 12])))
-SCALARS = st.one_of(st.just(0), ENTRIES, st.builds(Fraction, st.integers(-9, -1), st.integers(2, 7)))
+ENTRIES = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-8, 8),
+                                                  st.sampled_from([1, 2, 3, 4, 6, 9, 12])))
+SCALARS = st.one_of(st.just(0), ENTRIES,
+                    st.builds(Fraction, st.integers(-9, -1), st.integers(2, 7)))
 
 
 def outcome(fn, *args):
     """The result of the call, or the type and text of the error it raised."""
     try:
         return fn(*args)
-    except Exception as e:  # noqa: BLE001 - the error is the outcome being compared
+    except Exception as e:  # the error is the outcome being compared
         return type(e).__name__, str(e)
 
 

@@ -30,18 +30,18 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (contraction_oracle, flat_image_vectors_oracle, integer_coeffs_oracle,
                       kernel_constraints_oracle, pf_seeded_oracle, poly_numerators_oracle)
-from polydarboux import lagrangian, polyforms
+from polydarboux import exterior, lagrangian, polyforms
 from polydarboux.cli import main
 from polydarboux.darboux import (canonical_poly_model, conjugated_poly_instance,
                                  darboux_basis_poly)
-from polydarboux import exterior
 from polydarboux.exterior import (AlternatingForm, VectorValuedForm, contract, form, pullback,
                                   scale, wedge)
 from polydarboux.lagrangian import (_kernel_constraints, check_polylagrangian,
                                     flat_image_vectors, greedy_maximal_isotropic, is_isotropic,
                                     is_maximal_isotropic, kernel_of_form)
 from polydarboux.corpus import corpus_files
-from polydarboux.io import _ratio_str, alternating_to_document, load_document, poly_form_to_document
+from polydarboux.io import (_ratio_str, alternating_to_document, load_document,
+                            poly_form_to_document)
 from polydarboux.linalg import Subspace, kernel_subspace
 from polydarboux.polyforms import (PolyForm, Polynomial, _pf_seeded, exterior_d,
                                    homotopy_primitive, max_vertical_factors, pf_scale, pf_zero,
