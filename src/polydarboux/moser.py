@@ -90,27 +90,33 @@ class _CompiledPolys:
         return mono @ self.weights.T
 
 
-def _lstsq_blocks(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lstsq_blocks(a: np.ndarray, rhs: np.ndarray,
+                  layouts: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-point least-squares solutions (batch, n_cols, k) and ranks of a (batch, n_rows,
     n_cols) against rhs (batch, n_rows, k), with one solver call per block of points.
 
     A block is solved as diag(A_1, ..., A_m), whose pseudo-inverse is diag(A_i^+).  Its
     cutoff (rcond=None) is at least each A_i's own, so a full block rank m * n_cols proves
     every A_i of full rank; otherwise the block's points are solved one at a time, as the
-    per-point solve would.  m keeps the block matrix near _BLOCK_ENTRIES entries."""
+    per-point solve would.  m keeps the block matrix near _BLOCK_ENTRIES entries.  Each
+    zero block matrix and the flat positions of its diagonal blocks are kept in ``layouts``;
+    every call overwrites each diagonal entry."""
     batch, n_rows, n_cols = a.shape
     k = max(1, math.isqrt(_BLOCK_ENTRIES // max(1, n_rows * n_cols)))
     width = rhs.shape[2]
+    layouts = {} if layouts is None else layouts
     ys = np.empty((batch, n_cols, width))
     ranks = np.full(batch, n_cols)
     for s in range(0, batch, k):
         m = min(k, batch - s)
         if m > 1:
-            block = np.zeros((m, n_rows, m, n_cols))
-            on = np.arange(m)
-            block[on, :, on, :] = a[s:s + m]
-            y, _, rank, _ = np.linalg.lstsq(block.reshape(m * n_rows, m * n_cols),
-                                            rhs[s:s + m].reshape(m * n_rows, width), rcond=None)
+            if (m, n_rows, n_cols) not in layouts:
+                on = np.kron(np.eye(m), np.ones((n_rows, n_cols)))  # row-major: (i, r, c) order
+                layouts[m, n_rows, n_cols] = np.zeros(on.shape), np.flatnonzero(on)
+            block, diagonal = layouts[m, n_rows, n_cols]
+            block.ravel()[diagonal] = a[s:s + m].ravel()
+            y, _, rank, _ = np.linalg.lstsq(block, rhs[s:s + m].reshape(m * n_rows, width),
+                                            rcond=None)
             if rank == m * n_cols:
                 ys[s:s + m] = y.reshape(m, n_cols, width)
                 continue
@@ -186,6 +192,7 @@ class DeformationField:
         self.compiled = _CompiledPolys(_with_partials(slots, den_d, self.dim)
                                        + _with_partials(list(nums_a.values()), den_a, self.dim),
                                        self.dim)
+        self.layouts, self.rhs_buffers = {}, {}  # of _lstsq_blocks, and [b | I] per batch
 
     def _assemble(self, points: np.ndarray, t: float):
         """A = A0 + t D and b at each point, with the table of [D | b] and its partials,
@@ -211,12 +218,15 @@ class DeformationField:
         n_rows, n_cols = self.n_rows, self.n_cols
         a, b, table = self._assemble(points, t)
         rhs = b[:, :, None]
-        if with_jacobian:
-            rhs = np.concatenate([rhs, np.broadcast_to(np.eye(n_rows), (batch, n_rows, n_rows))],
-                                 axis=2)
-        ys, ranks = _lstsq_blocks(a, rhs)
+        if with_jacobian:  # [b | I]: one buffer per batch size, its b column overwritten
+            if batch not in self.rhs_buffers:
+                self.rhs_buffers[batch] = np.concatenate(
+                    [rhs, np.broadcast_to(np.eye(n_rows), (batch, n_rows, n_rows))], axis=2)
+            rhs = self.rhs_buffers[batch]
+            rhs[:, :, 0] = b
+        ys, ranks = _lstsq_blocks(a, rhs, self.layouts)
         sol = ys[:, :, 0]
-        resid = np.abs(np.einsum('brc,bc->br', a, sol) - b).max(axis=1, initial=0.0)
+        resid = np.abs((a @ ys[:, :, :1])[:, :, 0] - b).max(axis=1, initial=0.0)
         bad = (ranks < n_cols) | (resid > self.solve_tol)
         if bad.any():
             i = int(np.argmax(bad))
@@ -229,9 +239,9 @@ class DeformationField:
         if not with_jacobian:
             return x, None
         weights = np.concatenate([-t * sol, np.ones((batch, 1))], axis=1)
-        moved = np.einsum('bvrk,bk->bvr', table[:, 1:], weights)
+        moved = table[:, 1:] @ weights[:, None, :, None]  # (batch, dim, n_rows, 1)
         dx = np.zeros((batch, self.dim, self.dim))
-        dx[:, self.x_dim:] = np.einsum('bcr,bvr->bcv', ys[:, :, 1:], moved)
+        dx[:, self.x_dim:] = ys[:, :, 1:] @ moved[:, :, :, 0].transpose(0, 2, 1)
         return x, dx
 
 
@@ -258,10 +268,10 @@ def integrate_flow_batch(batch_field, p0s: np.ndarray, steps: int,
         k3, d3 = batch_field(pts + 0.5 * h * k2, t + 0.5 * h, with_jacobian)
         k4, d4 = batch_field(pts + h * k3, t + h, with_jacobian)
         if with_jacobian:
-            j1 = np.einsum('bij,bjk->bik', d1, jac)
-            j2 = np.einsum('bij,bjk->bik', d2, jac + 0.5 * h * j1)
-            j3 = np.einsum('bij,bjk->bik', d3, jac + 0.5 * h * j2)
-            j4 = np.einsum('bij,bjk->bik', d4, jac + h * j3)
+            j1 = d1 @ jac
+            j2 = d2 @ (jac + 0.5 * h * j1)
+            j3 = d3 @ (jac + 0.5 * h * j2)
+            j4 = d4 @ (jac + h * j3)
             jac = jac + (h / 6.0) * (j1 + 2 * j2 + 2 * j3 + j4)
             dets = np.abs(np.linalg.det(jac))
             min_det = np.minimum(min_det, dets)
@@ -272,37 +282,51 @@ def integrate_flow_batch(batch_field, p0s: np.ndarray, steps: int,
     return [FlowState(pts[i], jac[i], t, float(min_det[i])) for i in range(batch)]
 
 
-def pullback_constant_float(coeffs: dict, jac: np.ndarray, degree: int, dim: int) -> dict:
-    """Coefficients of the pullback of a constant float form by a matrix.
+def _pullback_residuals(form: PolyForm, base: dict, points: np.ndarray,
+                        jacobians: np.ndarray) -> np.ndarray:
+    """Per point x with Jacobian J, the largest |coefficient| of J* form(x) - base, bit for
+    bit as the per-point evaluation and pullback of the float coefficients give it.
 
-    All minors come from one stacked determinant; each target coefficient
-    sums its terms in the order of ``coeffs``.
-    """
-    if not coeffs:
-        return {}
+    A term is its weight times its factors x_v ** e_v in variable order (Python's float
+    pow, which numpy's vectorized pow does not always match), a coefficient the sum of its
+    terms in view order, a pulled coefficient the sum of its coefficient x minor products
+    in mask order: each sum runs left to right over the outer axis of an array.  All the
+    minors come from one stacked determinant."""
+    dim, degree = form.dim, form.degree
+    nums, den = form._numerators
+    depth = max(map(len, nums.values()), default=0)
+    exps = np.zeros((depth, len(nums), dim), dtype=int)  # a padded term is 0 * x^0
+    weights = np.zeros((depth, len(nums)))
+    for i, slot in enumerate(nums.values()):
+        exps[:len(slot), i], weights[:len(slot), i] = list(slot), [n / den for n in slot.values()]
+    powers = np.array([[[x ** e for x in xs] for e in range(1 + exps.max(initial=0))]
+                       for xs in points.T.tolist()])  # (variable, exponent, point)
+    terms = weights[:, :, None]
+    for v in range(dim):
+        terms = terms * powers[v][exps[:, :, v]]
     targets = list(itertools.combinations(range(dim), degree))
-    rows = np.array([[b for b in range(dim) if m & (1 << b)] for m in coeffs], dtype=int)
-    cols = np.array(targets, dtype=int)
-    minors = jac[rows[None, :, :, None], cols[:, None, None, :]]
-    dets = np.linalg.det(minors)
-    out = {}
-    for target, row in zip(targets, dets):
-        total = 0.0
-        for c, d in zip(coeffs.values(), row):
-            total += c * float(d)
-        if total:
-            out[sum(1 << t for t in target)] = total
-    return out
+    rows = np.array([indices_of(m) for m in nums], dtype=int).reshape(len(nums), degree) - 1
+    cols = np.array(targets, dtype=int).reshape(len(targets), degree)
+    dets = np.linalg.det(jacobians[:, rows[:, None, :, None], cols[None, :, None, :]])
+    coeffs = sum(terms, np.zeros((len(nums), len(points))))
+    pulled = sum(coeffs[:, :, None] * dets.transpose(1, 0, 2), np.zeros((len(points), len(cols))))
+    constant = np.array([base.get(sum(1 << t for t in target), 0.0) for target in targets])
+    return np.abs(pulled - constant).max(axis=1, initial=0.0)
 
 
 def _flow_residuals(omega: PolyForm, omega0: PolyForm, sample_points, steps: int,
-                    t_end: float, solve_tol: float, omega_t) -> tuple[list[float], float]:
+                    t_end: float, solve_tol: float, omega_t: PolyForm) -> tuple[list[float], float]:
     """Flow each sample to t_end and compare (F_t)* omega_t with the constant form.
 
-    omega_t(point) gives the float coefficients of the interpolated form
-    at t_end.  Returns the max coefficient residual per sample and the
-    smallest Jacobian determinant seen along any trajectory.
+    omega_t is the interpolated form at t_end.  Returns the max coefficient residual per
+    sample and the smallest Jacobian determinant seen along any trajectory.
     """
+    if len(sample_points) < 1:
+        raise PreconditionError("sample count must be at least 1, got 0")
+    for i, p in enumerate(sample_points):
+        if np.shape(p) != (omega.dim,):
+            raise PreconditionError(f"sample point {i} of shape {np.shape(p)} is not a point "
+                                    f"of R^{omega.dim}")
     if steps * len(sample_points) > MAX_POINT_STEPS:
         raise PreconditionError(f"{steps} steps of {len(sample_points)} samples exceed the budget "
                                 f"of {MAX_POINT_STEPS} point steps (MAX_POINT_STEPS)")
@@ -311,16 +335,12 @@ def _flow_residuals(omega: PolyForm, omega0: PolyForm, sample_points, steps: int
         raise PreconditionError(f"the flow needs a nonzero form, got the zero {omega.degree}-form "
                                 f"on R^{omega.dim}")
     solver = DeformationField(omega, omega0, alpha, solve_tol)
-    base = omega0.coeffs_float([0.0] * omega.dim)
-    pts = np.array([np.asarray(p, dtype=float) for p in sample_points])
-    states = integrate_flow_batch(solver.batch, pts, steps, t_end=t_end)
-    residuals = []
-    for state in states:
-        pulled = pullback_constant_float(omega_t(state.point), state.jacobian,
-                                         omega.degree, omega.dim)
-        keys = set(base) | set(pulled)
-        residuals.append(max(abs(pulled.get(m, 0.0) - base.get(m, 0.0)) for m in keys))
-    return residuals, min((s.min_det for s in states), default=float("inf"))
+    states = integrate_flow_batch(solver.batch, np.array(sample_points, dtype=float), steps,
+                                  t_end=t_end)
+    residuals = _pullback_residuals(omega_t, omega0.coeffs_float([0.0] * omega.dim),
+                                    np.array([s.point for s in states]),
+                                    np.array([s.jacobian for s in states]))
+    return residuals.tolist(), min(s.min_det for s in states)
 
 
 def verify_darboux(omega: PolyForm, omega0: PolyForm, sample_points, steps: int = DEFAULT_STEPS,
@@ -331,8 +351,8 @@ def verify_darboux(omega: PolyForm, omega0: PolyForm, sample_points, steps: int 
     solves along the trajectory and the Runge-Kutta discretization.
     """
     residuals, min_det = _flow_residuals(omega, omega0, sample_points, steps, 1.0, solve_tol,
-                                         omega.coeffs_float)
-    return MoserReport(residuals, max(residuals) if residuals else 0.0, steps,
+                                         omega)
+    return MoserReport(residuals, max(residuals), steps,
                        solve_tol, min_det, [list(map(float, p)) for p in sample_points])
 
 

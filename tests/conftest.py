@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
 from polydarboux import io
@@ -17,7 +18,7 @@ from polydarboux.lagrangian import _kernel_constraints, _stacked, as_vector_form
 from polydarboux.linalg import (ZERO, ONE, Subspace, _echelon, _sparse_vector, frac,
                                 kernel_subspace, vec)
 from polydarboux.moser import DEFAULT_SOLVE_TOL, _flow_residuals
-from polydarboux.polyforms import PolyForm, Polynomial, pf_sub, poly_const
+from polydarboux.polyforms import PolyForm, Polynomial, pf_add, pf_scale, pf_sub, poly_const
 from polydarboux.sparse import _sparse
 
 
@@ -490,19 +491,51 @@ def intermediate_residual(omega: PolyForm, omega0: PolyForm, sample_points,
                           *, solve_tol: float = DEFAULT_SOLVE_TOL) -> float:
     """Max coefficient residual of the partial flow: (F_s)* omega_s vs omega0.
 
-    The interpolated form is constant along the flow up to discretization,
-    so this residual shrinks at the integrator's order as steps grow.
+    The interpolated form omega0 + s delta is constant along the flow up to
+    discretization, so this residual shrinks at the integrator's order as steps grow.
     """
-    delta = pf_sub(omega, omega0)
+    omega_s = pf_add(omega0, pf_scale(pf_sub(omega, omega0), Fraction(t_end)))
+    residuals, _ = _flow_residuals(omega, omega0, sample_points, steps, t_end, solve_tol,
+                                   omega_s)
+    return max(residuals)
 
-    def omega_t(point):
-        val = omega0.coeffs_float(point)
-        for m, c in delta.coeffs.items():
-            val[m] = val.get(m, 0.0) + t_end * c.eval_float(point)
-        return val
 
-    residuals, _ = _flow_residuals(omega, omega0, sample_points, steps, t_end, solve_tol, omega_t)
-    return max(residuals, default=0.0)
+# the per-sample check that ``moser._pullback_residuals`` batches: the oracle of
+# tests/test_moser_oracle.py
+
+
+def pullback_constant_float(coeffs: dict, jac: np.ndarray, degree: int, dim: int) -> dict:
+    """Coefficients of the pullback of a constant float form by a matrix.
+
+    All minors come from one stacked determinant; each target coefficient
+    sums its terms in the order of ``coeffs``.
+    """
+    if not coeffs:
+        return {}
+    targets = list(itertools.combinations(range(dim), degree))
+    rows = np.array([[b for b in range(dim) if m & (1 << b)] for m in coeffs], dtype=int)
+    cols = np.array(targets, dtype=int)
+    minors = jac[rows[None, :, :, None], cols[:, None, None, :]]
+    dets = np.linalg.det(minors)
+    out = {}
+    for target, row in zip(targets, dets):
+        total = 0.0
+        for c, d in zip(coeffs.values(), row):
+            total += c * float(d)
+        if total:
+            out[sum(1 << t for t in target)] = total
+    return out
+
+
+def pullback_residuals_oracle(form: PolyForm, base: dict, points, jacobians) -> list:
+    """Per sample: the form's coefficients by term-by-term evaluation, pulled back by the
+    sample's Jacobian and compared with the constant coefficients ``base``."""
+    residuals = []
+    for point, jac in zip(points, jacobians):
+        pulled = pullback_constant_float(form.coeffs_float(point), jac, form.degree, form.dim)
+        keys = set(base) | set(pulled)
+        residuals.append(max(abs(pulled.get(m, 0.0) - base.get(m, 0.0)) for m in keys))
+    return residuals
 
 
 # ---------------------------------------------------------------------------

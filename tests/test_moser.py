@@ -5,12 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import intermediate_residual
+from conftest import intermediate_residual, pullback_constant_float
 from polydarboux.errors import PreconditionError
 from polydarboux.moser import (MAX_BALL_DRAWS, MAX_POINT_STEPS, DeformationField,
-                               ball_sample_points, constant_poly_form, integrate_flow_batch,
-                               perturbed_multisymplectic, polynomial_map_pullback,
-                               pullback_constant_float, verify_darboux)
+                               _pullback_residuals, ball_sample_points, constant_poly_form,
+                               integrate_flow_batch, perturbed_multisymplectic,
+                               polynomial_map_pullback, verify_darboux)
 from polydarboux.polyforms import (PolyForm, constant_spread, exterior_d,
                                    moser_potential, pf_contract_basis, pf_sub,
                                    poly_from_terms)
@@ -133,6 +133,26 @@ def test_verify_darboux_rejects_non_closed(fixture):
         verify_darboux(bad, constant_spread(bad), [np.zeros(6)], steps=2)
 
 
+@pytest.mark.parametrize("points, message", [
+    ([], r"^sample count must be at least 1, got 0$"),
+    ([np.zeros(6), np.zeros(5)], r"^sample point 1 of shape \(5,\) is not a point of R\^6$"),
+    ([[0.0] * 7], r"^sample point 0 of shape \(7,\) is not a point of R\^6$"),
+    ([np.zeros((2, 6))], r"^sample point 0 of shape \(2, 6\) is not a point of R\^6$"),
+])
+def test_verify_darboux_refuses_bad_samples_before_any_flow_work(monkeypatch, fixture,
+                                                                 points, message):
+    import polydarboux.moser as moser
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("flow work started")
+
+    monkeypatch.setattr(moser, "moser_potential", unreachable)
+    with pytest.raises(PreconditionError, match=message):
+        verify_darboux(fixture.omega, fixture.omega0, points, steps=2)
+    with pytest.raises(PreconditionError, match=message):
+        intermediate_residual(fixture.omega, fixture.omega0, points, 2, 0.5)
+
+
 def test_moser_command_differentiates_twice(monkeypatch, capsys):
     # once for d(omega) = 0 in moser_potential, once for the primitive's post-check
     from polydarboux import cli, moser, polyforms
@@ -219,6 +239,18 @@ def test_pullback_constant_float_identity():
     coeffs = {0b011: 2.0, 0b110: -1.0}
     out = pullback_constant_float(coeffs, np.eye(3), 2, 3)
     assert out == coeffs
+
+
+def test_pullback_residuals_of_a_constant_form():
+    # the identity leaves every coefficient in place; the shear x2 -> x2 + 2 x1 pulls
+    # e^{12} back to e^{12} and e^{23} to e^{23} + 2 e^{13}, so -e^{23} leaves -2 e^{13}
+    form = constant_poly_form({0b011: 2, 0b110: -1}, 3, 2, (2, 1))
+    base = {0b011: 2.0, 0b110: -1.0}
+    points = np.zeros((2, 3))
+    shear = np.eye(3)
+    shear[1, 0] = 2.0
+    got = _pullback_residuals(form, base, points, np.stack([np.eye(3), shear]))
+    assert got.tolist() == [0.0, 2.0]
 
 
 def test_polynomial_map_pullback_matches_linear_case():

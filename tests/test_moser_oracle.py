@@ -11,25 +11,33 @@ evaluated by the float ``pow`` over every (point, monomial, variable) triple, fi
 dense A, b, dA and db, and solved point by point against the stacked columns
 [b | db^T | dA_c...].  The table, A and b must be equal to the oracle's bit for bit; the
 field and its Jacobian agree within 1e-12, and every failure names the same point with
-the same text.  ``pullback_constant_float`` takes one stacked determinant; its oracle is
-the per-minor determinant.  ``_lstsq_blocks`` solves a block of points with one call on
-diag(A_1, ..., A_m); its oracle is the per-point solve it replaced, and its solutions
-agree within 1e-12.
+the same text.  A field keeps its block layouts and its [b | I] buffers from call to call;
+whatever batches it has solved, and whichever blocks fell back to the per-point solve, it
+answers bit for bit as a fresh field does.  ``_lstsq_blocks`` solves a block of points
+with one call on diag(A_1, ..., A_m); its oracle is the per-point solve it replaced, and
+its solutions agree within 1e-12.  ``_pullback_residuals`` checks every sample after the
+flow at once; its oracle is the per-sample check it replaced (``tests/conftest.py``), and
+the residuals are equal bit for bit.  That oracle's stacked determinant has the
+per-minor determinant as its own oracle.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import pullback_constant_float, pullback_residuals_oracle
 from polydarboux.exterior import removal_sign
 from polydarboux.moser import (DEFAULT_SOLVE_TOL, DeformationField, MoserFlowError,
-                               _lstsq_blocks, perturbed_multisymplectic, pullback_constant_float)
-from polydarboux.polyforms import PolyForm, moser_potential, pf_sub, poly_var
+                               _lstsq_blocks, _pullback_residuals, ball_sample_points,
+                               integrate_flow_batch, perturbed_multisymplectic, verify_darboux)
+from polydarboux.polyforms import (PolyForm, moser_potential, pf_add, pf_scale, pf_sub,
+                                   poly_var)
 
 settings.register_profile("moser_oracle", deadline=None, max_examples=60, derandomize=True)
 PROFILE = settings.get_profile("moser_oracle")
@@ -228,8 +236,9 @@ def test_pullback_matches_per_minor_determinants(seed, points, perturbation):
     assert list(got.items()) == list(want.items())
 
 
-def failing_field(solve_tol: float) -> tuple[DeformationField, OracleField]:
-    """A system on R^1 x R^1 that fails where the sampled point asks it to.
+def failing_forms() -> tuple[PolyForm, PolyForm, PolyForm]:
+    """omega, omega0 and alpha of a system on R^1 x R^1 that fails where the sampled point
+    asks it to.
 
     omega_t = t x1 dx1^dx2 contracts the fiber direction to -t x1 dx1, so
     the system is singular exactly where t x1 = 0; alpha = x1 dx1 + x2 dx2
@@ -238,11 +247,13 @@ def failing_field(solve_tol: float) -> tuple[DeformationField, OracleField]:
     wherever |x1|, |x2| <= solve_tol.
     """
     split = (1, 1)
-    omega = PolyForm(2, 2, split, {0b11: poly_var(2, 1)})
-    omega0 = PolyForm(2, 2, split, {})
-    alpha = PolyForm(2, 1, split, {0b01: poly_var(2, 1), 0b10: poly_var(2, 2)})
-    return (DeformationField(omega, omega0, alpha, solve_tol),
-            OracleField(omega, omega0, alpha, solve_tol))
+    return (PolyForm(2, 2, split, {0b11: poly_var(2, 1)}), PolyForm(2, 2, split, {}),
+            PolyForm(2, 1, split, {0b01: poly_var(2, 1), 0b10: poly_var(2, 2)}))
+
+
+def failing_field(solve_tol: float) -> tuple[DeformationField, OracleField]:
+    forms = failing_forms()
+    return DeformationField(*forms, solve_tol), OracleField(*forms, solve_tol)
 
 
 @settings(PROFILE)
@@ -329,3 +340,113 @@ def test_block_failures_name_the_first_failing_point(failing, message, with_jaco
     err_want, _ = outcome(lambda: oracle.batch(pts, 0.5, with_jacobian))
     err_got, _ = outcome(lambda: field.batch(pts, 0.5, with_jacobian))
     assert err_got == err_want == message
+
+
+# ---------------------------------------------------------------------------
+# buffers kept from call to call
+
+
+def fresh_outcome(forms, points, t, with_jacobian, solve_tol=DEFAULT_SOLVE_TOL):
+    return outcome(lambda: DeformationField(*forms, solve_tol).batch(points, t, with_jacobian))
+
+
+def assert_same_outcome(got, want):
+    assert got[0] == want[0]
+    if want[1] is not None:
+        assert all(g is None and w is None or np.array_equal(g, w)
+                   for g, w in zip(got[1], want[1]))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 17])
+def test_kept_buffers_answer_as_a_fresh_field(seed):
+    fx = perturbed_multisymplectic(seed=seed)
+    forms = fx.omega, fx.omega0, moser_potential(fx.omega, fx.omega0)
+    field = DeformationField(*forms)
+    rng = np.random.default_rng(seed)
+    # 10 samples are one full block of the 3 x 3 systems, 3 a partial one, 13 both
+    for n, t, with_jacobian in [(10, 0.5, True), (3, 0.25, True), (10, 0.75, True),
+                                (13, 0.5, True), (10, 0.5, False), (3, 1.0, True)]:
+        points = rng.uniform(-0.1, 0.1, (n, 6))
+        got = outcome(lambda: field.batch(points, t, with_jacobian))
+        assert got[0] is None
+        assert_same_outcome(got, fresh_outcome(forms, points, t, with_jacobian))
+
+
+def test_kept_buffers_answer_as_a_fresh_field_after_the_fallback(monkeypatch):
+    # the 2 x 1 systems make blocks of 22 points; a point at x1 = 1e-15 has full rank on its
+    # own but not beside the others, so its block falls back to the per-point solve
+    forms = failing_forms()
+    field = DeformationField(*forms, 1e-10)
+    rng = np.random.default_rng(5)
+    before = np.column_stack([rng.uniform(0.25, 0.75, 25), np.zeros(25)])
+    tiny = before.copy()
+    tiny[4] = 1e-15, 0.0
+    singular = before.copy()
+    singular[23] = 0.0, 0.0
+    after = np.column_stack([rng.uniform(0.25, 0.75, 25), np.zeros(25)])
+    for points in (before, tiny, singular, after, tiny[:3], after[:3], after):
+        got = outcome(lambda: field.batch(points, 0.5))
+        assert_same_outcome(got, fresh_outcome(forms, points, 0.5, True, 1e-10))
+    assert outcome(lambda: field.batch(singular, 0.5))[0] == (
+        "deformation system is singular at t=0.5")
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: calls.append(
+        args[0].shape) or lstsq(*args, **kwargs))
+    assert outcome(lambda: field.batch(tiny, 0.5))[0] is None
+    # the first block, then its 22 points one by one, then the block of points 22-24
+    assert calls == [(44, 22)] + [(2, 1)] * 22 + [(6, 3)]
+
+
+# ---------------------------------------------------------------------------
+# the batched check after the flow
+
+
+@functools.lru_cache(maxsize=None)
+def fixture_forms(seed: int):
+    fx = perturbed_multisymplectic(seed=seed)
+    return fx.omega, fx.omega0, fx.omega0.coeffs_float([0.0] * fx.omega.dim)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(PROFILE)
+@given(st.integers(1, 32), ball_points(max_size=25), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([None, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]))
+def test_batched_check_matches_the_per_sample_check(seed, points, jac_seed, t):
+    omega, omega0, base = fixture_forms(seed)
+    form = omega if t is None else pf_add(omega0, pf_scale(pf_sub(omega, omega0), t))
+    rng = np.random.default_rng(jac_seed)
+    jacobians = np.eye(6) + rng.uniform(-0.3, 0.3, (len(points), 6, 6))
+    got = _pullback_residuals(form, base, points, jacobians)
+    assert hexes(got) == hexes(pullback_residuals_oracle(form, base, points, jacobians))
+
+
+@settings(PROFILE)
+@given(st.integers(1, 32), ball_points(max_size=25), st.sampled_from([1.0, 4.0, 8.0]))
+def test_batched_check_reads_each_coefficient_bit_for_bit(seed, points, scale):
+    # against the identity and a zero constant, the check of a one-slot form is the slot's
+    # |coefficient| itself; far from the origin the higher powers carry the sum
+    omega, _, _ = fixture_forms(seed)
+    points = scale * points
+    identity = np.broadcast_to(np.eye(6), (len(points), 6, 6))
+    for m, p in omega.coeffs.items():
+        slot = PolyForm(6, omega.degree, omega.split, {m: p})
+        want = [abs(slot.coeffs_float(x)[m]) for x in points]
+        assert hexes(_pullback_residuals(slot, {m: 0.0}, points, identity)) == hexes(want)
+        assert hexes(pullback_residuals_oracle(slot, {m: 0.0}, points, identity)) == hexes(want)
+
+
+@pytest.mark.parametrize("seed", [1, 9, 32])
+def test_flow_check_matches_the_per_sample_check(seed):
+    omega, omega0, base = fixture_forms(seed)
+    points = ball_sample_points(6, 10, 0.1, seed=seed)
+    report = verify_darboux(omega, omega0, points, steps=3)
+    field = DeformationField(omega, omega0, moser_potential(omega, omega0))
+    states = integrate_flow_batch(field.batch, np.array(points), 3)
+    want = pullback_residuals_oracle(omega, base, [s.point for s in states],
+                                     [s.jacobian for s in states])
+    assert hexes(report.residuals) == hexes(want)
+    assert report.min_jacobian_det == min(s.min_det for s in states)

@@ -73,6 +73,12 @@ equal: the flow's float answers may move in their last digits.
 them by default): ``MOSER_STAGE_ROUNDS`` rounds, alternating between the trees,
 each the min over ``MOSER_STAGE_REPEATS`` repeats of ``MOSER_STAGE_CALLS`` calls
 in a fresh interpreter; it lists every round's figure and their min.
+``moser_step`` is a record of the same kind at ten samples, for ``step``, one
+full Runge-Kutta step with the Jacobian update and its ``det``
+(``integrate_flow_batch`` over one step, its start included), and for
+``check``, the comparison after the flow of a 20-step op: the tree's
+``_pullback_residuals`` on the final points and Jacobians, or, on a tree
+without it, the per-sample loop that ``_flow_residuals`` ran there.
 The Python version and the CPU count come from this interpreter.  Runs
 go one after another, never in parallel.
 """
@@ -114,6 +120,8 @@ TRACED_SEED, TRACED_SECONDS = 7, 5.0
 # blocks of 3 x 3 systems and a partial one, and ten blocks
 MOSER_STAGE_SAMPLES = (1, 10, 21, 100)
 MOSER_STAGE_ROUNDS, MOSER_STAGE_REPEATS, MOSER_STAGE_CALLS = 5, 15, 20
+# samples and flow steps of the moser step record: one perfbench op's
+MOSER_STEP_SAMPLES, MOSER_STEP_FLOW = 10, 20
 
 
 def tree_env(tree: Path, pycache: Path) -> dict:
@@ -245,19 +253,70 @@ print(json.dumps(out))
 """
 
 
-def moser_stage(trees: list) -> dict:
+def _timed_rounds(trees: list, script: str, args: list, keys: list) -> dict:
+    """Per tree and key of ``script``'s JSON answer, every round's figure and their min, over
+    ``MOSER_STAGE_ROUNDS`` rounds that alternate between the trees."""
     rounds = {label: [] for label, _, _ in trees}
     for i in range(MOSER_STAGE_ROUNDS):
         for label, path, env in alternated(trees, i):
-            proc = subprocess.run([sys.executable, "-c", _MOSER_STAGE,
-                                   json.dumps(MOSER_STAGE_SAMPLES), str(MOSER_STAGE_REPEATS),
-                                   str(MOSER_STAGE_CALLS)], cwd=path, env=env,
-                                  capture_output=True, text=True, check=True)
+            proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], cwd=path,
+                                  env=env, capture_output=True, text=True, check=True)
             rounds[label].append(json.loads(proc.stdout))
-    return {label: {str(n): {"us_min": min(r[str(n)] for r in rs),
-                             "us_rounds": [r[str(n)] for r in rs]}
-                    for n in MOSER_STAGE_SAMPLES}
+    return {label: {key: {"us_min": min(r[key] for r in rs), "us_rounds": [r[key] for r in rs]}
+                    for key in keys}
             for label, rs in rounds.items()}
+
+
+def moser_stage(trees: list) -> dict:
+    return _timed_rounds(trees, _MOSER_STAGE, [json.dumps(MOSER_STAGE_SAMPLES),
+                                               MOSER_STAGE_REPEATS, MOSER_STAGE_CALLS],
+                         [str(n) for n in MOSER_STAGE_SAMPLES])
+
+
+# Prints, as JSON, the min over argv[3] repeats of the microseconds per call of argv[4]
+# calls of one Runge-Kutta step and of the check after an argv[2]-step flow, at argv[1]
+# samples.
+_MOSER_STEP = """\
+import json, sys, time
+import numpy as np
+from polydarboux import moser
+from polydarboux.polyforms import moser_potential
+samples, steps, repeats, calls = map(int, sys.argv[1:5])
+fx = moser.perturbed_multisymplectic(seed=1)
+omega, dim = fx.omega, fx.omega.dim
+field = moser.DeformationField(omega, fx.omega0, moser_potential(omega, fx.omega0))
+points = np.array(moser.ball_sample_points(dim, samples, 0.1))
+states = moser.integrate_flow_batch(field.batch, points, steps)
+base = fx.omega0.coeffs_float([0.0] * dim)
+if hasattr(moser, "_pullback_residuals"):
+    finals = np.array([s.point for s in states]), np.array([s.jacobian for s in states])
+    check = lambda: moser._pullback_residuals(omega, base, *finals)
+else:
+    def check():
+        out = []
+        for s in states:
+            pulled = moser.pullback_constant_float(omega.coeffs_float(s.point), s.jacobian,
+                                                   omega.degree, dim)
+            keys = set(base) | set(pulled)
+            out.append(max(abs(pulled.get(m, 0.0) - base.get(m, 0.0)) for m in keys))
+        return out
+def best(run):
+    out = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            run()
+        out = min(out, (time.perf_counter() - t0) / calls)
+    return round(out * 1e6, 2)
+print(json.dumps({"step": best(lambda: moser.integrate_flow_batch(field.batch, points, 1)),
+                  "check": best(check)}))
+"""
+
+
+def moser_step(trees: list) -> dict:
+    return _timed_rounds(trees, _MOSER_STEP, [MOSER_STEP_SAMPLES, MOSER_STEP_FLOW,
+                                              MOSER_STAGE_REPEATS, MOSER_STAGE_CALLS],
+                         ["step", "check"])
 
 
 # Prints, as JSON, the seeds per cell and the not_found count per cell of the two grids of
@@ -505,9 +564,11 @@ def series(args, spec: dict, workloads: list, trees: list) -> None:
         moser["moser_agreement"] = moser_agreement(trees)
         print(f"moser agreement: {json.dumps(moser['moser_agreement'])}", flush=True)
         moser["moser_stage"] = moser_stage(trees)
-        print("moser stage us: " + json.dumps(
-            {label: {n: r["us_min"] for n, r in record.items()}
-             for label, record in moser["moser_stage"].items()}), flush=True)
+        moser["moser_step"] = moser_step(trees)
+        for key in ("moser_stage", "moser_step"):
+            print(f"{key} us: " + json.dumps(
+                {label: {n: r["us_min"] for n, r in record.items()}
+                 for label, record in moser[key].items()}), flush=True)
     detections = {label: detection(path, env) for label, path, env in trees}
     print("detection not_found: " + json.dumps(
         {label: {g: d["not_found_total"] for g, d in grids.items()}
@@ -545,7 +606,7 @@ def write_record(args, spec: dict, trees: list, runs: dict, done: int, fractions
            "src_lines": {label: src_lines(path) for label, path, _ in trees},
            "fractions_per_op": fractions, "detection": detections, "workloads": {}}
     first, last = trees[0][0], trees[-1][0]
-    out.update(moser)  # moser_agreement and moser_stage, when moser is measured
+    out.update(moser)  # moser_agreement, moser_stage and moser_step, when moser is measured
     for key, record in (("sweep", sweeps), ("small_support", supports),
                         ("homotopy_sweep", homotopies)):
         if record is not None:
