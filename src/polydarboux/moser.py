@@ -4,8 +4,8 @@ Interpolates between a closed polynomial structure form and its constant
 value at the origin, solves for the fiber-valued deformation field from
 the exact correction form, and integrates the flow together with its
 Jacobian.  The time-1 pullback is compared against the constant form
-coefficientwise; everything up to the linear solves is exact, the flow
-itself is fourth-order Runge-Kutta.
+coefficientwise; everything up to the linear solves (one certified LU per
+stage, or least squares) is exact, the flow itself is fourth-order Runge-Kutta.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ class MoserFlowError(PolydarbouxError, RuntimeError):
 DEFAULT_SOLVE_TOL = 1e-10
 DEFAULT_STEPS = 1000
 MAX_BALL_DRAWS = 100_000  # cube draws of ball_sample_points: about 0.7 s at any dimension
-# RK4 steps times samples of one flow: about 23 s with one sample on the six-dimensional
+# RK4 steps times samples of one flow: about 18 s with one sample on the six-dimensional
 # perturbed fixture, where a step costs most per sample
 MAX_POINT_STEPS = 60_000
-_BLOCK_ENTRIES = 1024  # entries of one block solve's matrix, beyond which blocks are no faster
+_BLOCK_ENTRIES = 1024  # entries of one lstsq block's matrix, beyond which blocks are no faster
+_CERTIFICATE_MARGIN = 1e3  # over lstsq's rank cutoff: covers the rounding of A and of its SVD
 
 
 @dataclass
@@ -125,6 +126,24 @@ def _lstsq_blocks(a: np.ndarray, rhs: np.ndarray,
     return ys, ranks
 
 
+def _certified_solve(a: np.ndarray, rhs: np.ndarray, d: np.ndarray, t: float,
+                     spectrum: tuple | None, layouts: dict) -> tuple[np.ndarray, np.ndarray]:
+    """``_lstsq_blocks(a, rhs, layouts)`` for square a = A0 + t d, by one batched LU where
+    Weyl's inequality certifies it: each singular value of A_i lies within
+    eps = |t| max ||d_i||_F of A0's ``spectrum`` (s_max, s_min; None: no LU), so where
+    s_min - eps clears lstsq's cutoff n eps_mach (s_max + eps) by ``_CERTIFICATE_MARGIN``,
+    every per-point lstsq would find full rank and answer the unique A_i^-1 rhs_i."""
+    if spectrum is not None:
+        (s_max, s_min), n = spectrum, a.shape[2]
+        eps = abs(t) * math.sqrt(np.einsum('bij,bij->b', d, d).max(initial=0.0))
+        if s_min - eps > _CERTIFICATE_MARGIN * n * np.finfo(float).eps * (s_max + eps):
+            try:
+                return np.linalg.solve(a, rhs), np.full(a.shape[0], n)
+            except np.linalg.LinAlgError:
+                pass
+    return _lstsq_blocks(a, rhs, layouts)
+
+
 def _with_partials(slots: list[dict], den: int, dim: int) -> list[dict]:
     """The float weights of the integer slots {exponents: n} over den, then those of their
     partial derivatives, variable by variable: d(n x^e)/dx_v is e_v n at e - 1_v, whose
@@ -142,9 +161,9 @@ class DeformationField:
     With omega_t = omega0 + t delta the system at a point is [A0 + t D(x) | b(x)]: A0 from
     the constant form, D from delta, b from alpha.  The cells of [D | b] and their partial
     derivatives are one precompiled monomial table, evaluated for the whole batch of points
-    and read as (batch, 1 + dim, n_rows, n_cols + 1).  A block of points shares one
-    least-squares solver call, and the rank and residual checks are array operations over
-    the batch.
+    and read as (batch, 1 + dim, n_rows, n_cols + 1).  A batch is one certified LU or
+    shares least-squares calls a block of points at a time (``_certified_solve``), and the
+    rank and residual checks are array operations over the batch.
     """
 
     def __init__(self, omega: PolyForm, omega0: PolyForm, alpha: PolyForm,
@@ -173,6 +192,12 @@ class DeformationField:
             for col, j in enumerate(l_indices):
                 if m & (1 << j):
                     self.a_const[row_pos[m ^ (1 << j)], col] = removal_sign(m, j) * val
+        # A0's (s_max, s_min) where it is square and of full rank by lstsq's rule
+        self.spectrum = None
+        if self.n_rows == self.n_cols > 0:
+            _, _, rank, s0 = np.linalg.lstsq(self.a_const, np.zeros(self.n_rows), rcond=None)
+            if rank == self.n_cols:
+                self.spectrum = s0.max(), s0.min()
 
         # the cells of [D | b] and their partial derivatives, laid out as (1 + dim, n_rows,
         # n_cols + 1); a sign folded into a D cell's numerators is exact, and the table
@@ -210,8 +235,8 @@ class DeformationField:
         P = A^+ together (against [b] alone without the Jacobian).  Differentiating
         A X = b along x_v, with dA = t D_v, gives
         dX_v = P (db_v - t D_v X) = P [D_v | db_v] [-t X; 1].
-        The points are solved a block at a time (``_lstsq_blocks``); failures are raised
-        for the first failing point in batch order, before P is read.
+        The points are solved together (``_certified_solve``); failures are raised for
+        the first failing point in batch order, before P is read.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         batch = points.shape[0]
@@ -224,7 +249,7 @@ class DeformationField:
                     [rhs, np.broadcast_to(np.eye(n_rows), (batch, n_rows, n_rows))], axis=2)
             rhs = self.rhs_buffers[batch]
             rhs[:, :, 0] = b
-        ys, ranks = _lstsq_blocks(a, rhs, self.layouts)
+        ys, ranks = _certified_solve(a, rhs, table[:, 0, :, :-1], t, self.spectrum, self.layouts)
         sol = ys[:, :, 0]
         resid = np.abs((a @ ys[:, :, :1])[:, :, 0] - b).max(axis=1, initial=0.0)
         bad = (ranks < n_cols) | (resid > self.solve_tol)

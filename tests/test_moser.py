@@ -173,26 +173,29 @@ def test_moser_command_differentiates_twice(monkeypatch, capsys):
 
 
 def test_moser_command_solves_once_per_block_and_stage(monkeypatch, capsys):
-    # four Runge-Kutta stages per step; one least-squares solve per block of samples gives
-    # the field and its Jacobian at every sample of the block.  The fixture's systems are
-    # 3 x 3, so a block holds isqrt(1024 // 9) = 10 samples: 21 samples make blocks of 10,
-    # 10 and 1
+    # four Runge-Kutta stages per step.  The fixture's systems are 3 x 3 and its constant
+    # system's singular values certify every stage, so one least-squares call per field
+    # reads them, and one batched LU per stage gives the field and its Jacobian at all 21
+    # samples together
     from polydarboux import cli
     from polydarboux.corpus import corpus_files
     doc = next(p for p in corpus_files() if p.endswith("perturbed_multisymplectic.json"))
-    calls = []
-    original = np.linalg.lstsq
+    calls = {"lstsq": [], "solve": []}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(name):
+        original = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
+        def call(*args, **kwargs):
+            calls[name].append(args[0].shape)
+            return original(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
     steps, samples = 3, 21
-    block = max(1, math.isqrt(1024 // (3 * 3)))
     assert cli.main(["moser", doc, "--steps", str(steps), "--samples", str(samples)]) == 0
     capsys.readouterr()
-    assert len(calls) == 4 * steps * math.ceil(samples / block) == 36
+    assert calls == {"lstsq": [(3, 3)], "solve": [(samples, 3, 3)] * 4 * steps}
 
 
 def test_flow_refuses_beyond_the_point_step_budget(monkeypatch, fixture):

@@ -15,7 +15,11 @@ the same text.  A field keeps its block layouts and its [b | I] buffers from cal
 whatever batches it has solved, and whichever blocks fell back to the per-point solve, it
 answers bit for bit as a fresh field does.  ``_lstsq_blocks`` solves a block of points
 with one call on diag(A_1, ..., A_m); its oracle is the per-point solve it replaced, and
-its solutions agree within 1e-12.  ``_pullback_residuals`` checks every sample after the
+its solutions agree within 1e-12.  A square batch whose constant system's singular values
+certify, by Weyl's inequality, that every per-point solve finds full rank is solved by one
+batched LU (``_certified_solve``); it agrees with the per-point solve within 1e-12, and
+every batch it does not certify answers bit for bit as ``_lstsq_blocks``, failures
+included.  ``_pullback_residuals`` checks every sample after the
 flow at once; its oracle is the per-sample check it replaced (``tests/conftest.py``), and
 the residuals are equal bit for bit.  That oracle's stacked determinant has the
 per-minor determinant as its own oracle.
@@ -26,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,11 +38,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import pullback_constant_float, pullback_residuals_oracle
 from polydarboux.exterior import removal_sign
-from polydarboux.moser import (DEFAULT_SOLVE_TOL, DeformationField, MoserFlowError,
-                               _lstsq_blocks, _pullback_residuals, ball_sample_points,
-                               integrate_flow_batch, perturbed_multisymplectic, verify_darboux)
+from polydarboux.moser import (_CERTIFICATE_MARGIN, DEFAULT_SOLVE_TOL, DeformationField,
+                               MoserFlowError, _certified_solve, _lstsq_blocks,
+                               _pullback_residuals, ball_sample_points, integrate_flow_batch,
+                               perturbed_multisymplectic, verify_darboux)
 from polydarboux.polyforms import (PolyForm, moser_potential, pf_add, pf_scale, pf_sub,
-                                   poly_var)
+                                   poly_const, poly_var)
 
 settings.register_profile("moser_oracle", deadline=None, max_examples=60, derandomize=True)
 PROFILE = settings.get_profile("moser_oracle")
@@ -340,6 +346,173 @@ def test_block_failures_name_the_first_failing_point(failing, message, with_jaco
     err_want, _ = outcome(lambda: oracle.batch(pts, 0.5, with_jacobian))
     err_got, _ = outcome(lambda: field.batch(pts, 0.5, with_jacobian))
     assert err_got == err_want == message
+
+
+# ---------------------------------------------------------------------------
+# the certified batched LU of square systems
+
+
+def counted(name):
+    """numpy.linalg.<name>, wrapped so that its calls are counted."""
+    return mock.patch.object(np.linalg, name, wraps=getattr(np.linalg, name))
+
+
+def certifies(spectrum, eps, n):
+    """Whether A0's (s_max, s_min) certify every point of the batch, eps_i = ||A_i - A0||_F
+    bounding how far each singular value of A_i moves (Weyl)."""
+    s_max, s_min = spectrum
+    cutoff = n * np.finfo(float).eps  # lstsq's rcond=None
+    return bool(np.all(s_min - eps > _CERTIFICATE_MARGIN * cutoff * (s_max + eps)))
+
+
+def fallback_field(*forms, solve_tol=DEFAULT_SOLVE_TOL):
+    """A field that solves every batch by ``_lstsq_blocks``, as one without the LU did."""
+    field = DeformationField(*forms, solve_tol)
+    field.spectrum = None
+    return field
+
+
+@st.composite
+def square_systems(draw):
+    """A0 well conditioned (I plus at most 1/2 in norm), a batch of perturbations d, t of
+    either sign and right-hand sides of 1 to n + 1 columns: the scales of d and t both keep
+    and void the certificate of A0 + t d."""
+    n = draw(st.integers(1, 6))
+    batch = draw(st.integers(1, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a0 = np.eye(n) + rng.uniform(-0.5, 0.5, (n, n)) / n
+    d = draw(st.sampled_from([1e-3, 0.1, 1.0, 10.0])) * rng.uniform(-1.0, 1.0, (batch, n, n))
+    rhs = rng.uniform(-1.0, 1.0, (batch, n, draw(st.integers(1, n + 1))))
+    return a0, d, draw(st.floats(-1.0, 1.0)), rhs
+
+
+@settings(PROFILE, max_examples=200)
+@given(square_systems())
+def test_certified_solve_matches_the_per_point_solve(system):
+    a0, d, t, rhs = system
+    a, n = a0 + t * d, len(a0)
+    _, _, rank, s0 = np.linalg.lstsq(a0, np.zeros(n), rcond=None)
+    assert rank == n
+    spectrum = s0.max(), s0.min()
+    certified = certifies(spectrum, abs(t) * np.linalg.norm(d, axis=(1, 2)), n)
+    with counted("solve") as solve, counted("lstsq") as lstsq:
+        got_ys, got_ranks = _certified_solve(a, rhs, d, t, spectrum, {})
+    assert (solve.call_count, lstsq.call_count > 0) == (certified, not certified)
+    want_ys, want_ranks = oracle_lstsq(a, rhs)
+    assert np.array_equal(got_ranks, want_ranks)
+    if certified:
+        assert np.max(np.abs(got_ys - want_ys)) <= TOL
+    else:
+        blocks_ys, blocks_ranks = _lstsq_blocks(a, rhs)
+        assert np.array_equal(got_ys, blocks_ys) and np.array_equal(got_ranks, blocks_ranks)
+
+
+@settings(PROFILE)
+@given(st.integers(1, 32), ball_points(max_size=25), st.sampled_from([0.1, 0.8]),
+       st.floats(0.0, 1.0))
+def test_fixture_stages_take_the_certified_solve(seed, points, radius, t):
+    # the perfbench radius and that of the tolerance goldens: every stage is certified
+    _, field, _ = fixture_field(seed)
+    points = radius / RADIUS * points
+    a, b, table = field._assemble(points, t)
+    rhs = np.concatenate([b[:, :, None], np.broadcast_to(np.eye(3), (len(a), 3, 3))], axis=2)
+    with counted("solve") as solve, counted("lstsq") as lstsq:
+        got_ys, got_ranks = _certified_solve(a, rhs, table[:, 0, :, :-1], t, field.spectrum, {})
+        x, _ = field.batch(points, t)
+    assert (solve.call_count, lstsq.call_count) == (2, 0)
+    want_ys, want_ranks = oracle_lstsq(a, rhs)
+    assert np.array_equal(got_ranks, want_ranks) and (want_ranks == 3).all()
+    assert np.max(np.abs(got_ys - want_ys)) <= TOL
+    assert np.array_equal(x[:, 3:], got_ys[:, :, 0])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 17])
+@pytest.mark.parametrize("t, far", [(200.0, None), (-200.0, None), (1.0, 0), (1.0, 6),
+                                    (-1.0, 9)])
+def test_voided_certificate_answers_as_the_block_solve(seed, t, far):
+    # a large |t|, or one point far out, moves some A_i too far from A0 to certify the batch:
+    # ||D||_F is at most 0.02 at the near points and above 1.2 at the far one
+    fx = perturbed_multisymplectic(seed=seed)
+    forms = fx.omega, fx.omega0, moser_potential(fx.omega, fx.omega0)
+    points = np.random.default_rng(seed).uniform(-0.1, 0.1, (10, 6))
+    if far is not None:
+        points[far] = 3.0
+    field = DeformationField(*forms)
+    with counted("solve") as solve:
+        got = outcome(lambda: field.batch(points, t))
+    assert solve.call_count == 0
+    assert_same_outcome(got, outcome(lambda: fallback_field(*forms).batch(points, t)))
+
+
+def test_a_failed_lu_falls_back_to_the_block_solve():
+    fx, field, _ = fixture_field(1)
+    forms = fx.omega, fx.omega0, moser_potential(fx.omega, fx.omega0)
+    points = np.random.default_rng(1).uniform(-0.1, 0.1, (10, 6))
+    with mock.patch.object(np.linalg, "solve", side_effect=np.linalg.LinAlgError):
+        got = outcome(lambda: field.batch(points, 0.5))
+    assert_same_outcome(got, outcome(lambda: fallback_field(*forms).batch(points, 0.5)))
+
+
+DELTA0 = 2.0 ** -40
+
+
+def square_forms(delta0: float = DELTA0) -> tuple[PolyForm, PolyForm, PolyForm]:
+    """omega, omega0 and alpha of a 2 x 2 system on R^2 x R^2 that is singular exactly where
+    t x1 = delta0.
+
+    omega0 = dx1^dy1 + delta0 dx2^dy2 and omega = omega0 - x1 dx2^dy2 give
+    A = -diag(1, delta0 - t x1), A0's singular values are (1, delta0), and the Weyl bound
+    eps = |t x1| is tight.  alpha = x2 dx1 + dx2 is outside the range wherever A is
+    singular.
+    """
+    split = (2, 2)
+    omega0 = PolyForm(4, 2, split, {0b0101: poly_const(4, 1),
+                                    0b1010: poly_const(4, Fraction(delta0))})
+    omega = pf_sub(omega0, PolyForm(4, 2, split, {0b1010: poly_var(4, 1)}))
+    return omega, omega0, PolyForm(4, 1, split, {0b0001: poly_var(4, 2),
+                                                 0b0010: poly_const(4, 1)})
+
+
+@pytest.mark.parametrize("t", [0.5, -0.5])
+@pytest.mark.parametrize("gap, message", [
+    # DELTA0 - t x1 at the failing points: exactly singular; nearly singular, below lstsq's
+    # cutoff 2 eps; and of full rank, where every point solves
+    (0.0, "deformation system is singular at t={t}"),
+    (2.0 ** -57, "deformation system is singular at t={t}"),
+    (2.0 ** -45, None),
+])
+@pytest.mark.parametrize("failing", [[0], [4], [9], [2, 7]])
+@pytest.mark.parametrize("with_jacobian", [True, False])
+def test_square_failures_match_the_per_point_solve(t, gap, message, failing, with_jacobian):
+    forms = square_forms()
+    field = DeformationField(*forms)
+    assert field.spectrum == (1.0, DELTA0)
+    points = np.column_stack([np.zeros(10), np.linspace(-1.0, 1.0, 10), np.zeros((10, 2))])
+    points[failing, 0] = (DELTA0 - gap) / t
+    got = outcome(lambda: field.batch(points, t, with_jacobian))
+    assert got[0] == (message and message.format(t=t))
+    assert_same_outcome(got, outcome(lambda: fallback_field(*forms).batch(points, t,
+                                                                          with_jacobian)))
+    assert outcome(lambda: OracleField(*forms).batch(points, t, with_jacobian))[0] == got[0]
+    # the regular points alone are certified, 2^-40 clearing the cutoff 2e3 eps_mach
+    with counted("solve") as solve:
+        field.batch(np.delete(points, failing, axis=0), t, with_jacobian)
+    assert solve.call_count == 1
+
+
+def test_only_full_rank_square_constant_systems_keep_a_spectrum():
+    # 2^-60 is nonzero but below lstsq's cutoff 2 eps_mach: A0 has rank 1 by its rule, and
+    # no batch of the field takes the LU
+    field = DeformationField(*square_forms(2.0 ** -60))
+    assert (field.n_rows, field.n_cols, field.spectrum) == (2, 2, None)
+    points = np.column_stack([np.zeros(10), np.linspace(-1.0, 1.0, 10), np.zeros((10, 2))])
+    with counted("solve") as solve:
+        got = outcome(lambda: field.batch(points, 0.5))
+    assert solve.call_count == 0 and got[0] == "deformation system is singular at t=0.5"
+    assert fixture_field(1)[1].spectrum == (1.0, 1.0)
+    assert DeformationField(*failing_forms()).spectrum is None  # 2 x 1
+    flat = PolyForm(2, 2, (2, 0), {0b11: poly_const(2, 1)})  # 0 x 0
+    assert DeformationField(flat, flat, PolyForm(2, 1, (2, 0), {})).spectrum is None
 
 
 # ---------------------------------------------------------------------------

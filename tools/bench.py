@@ -61,11 +61,13 @@ gate.
 in a child interpreter that builds the round as perfbench does and wraps
 ``Fraction.__new__`` only while the ops run.  It is deterministic: a
 record, not a gate.
-``moser_agreement`` holds, per tree, the ``numpy.linalg.lstsq`` calls per
-op over one seed-1 ``moser`` round, counted the same way, and against the
-first tree the largest |difference| of the printed residuals, op by op
-and sample by sample, and whether every ``min_jacobian_det`` string is
-equal: the flow's float answers may move in their last digits.
+``moser_agreement`` holds, per tree, the ``numpy.linalg.lstsq`` and
+``numpy.linalg.solve`` calls per op over one seed-1 ``moser`` round,
+counted the same way, so the record shows which solver each stage took,
+and against the first tree the largest |difference| of the printed
+residuals, op by op and sample by sample, and whether every
+``min_jacobian_det`` string is equal: the flow's float answers may move in
+their last digits.
 ``moser_stage`` holds, per tree, the microseconds of one Runge-Kutta stage,
 ``DeformationField.batch(points, 0.5, with_jacobian=True)`` on the seed-1
 ``perturbed_multisymplectic`` fixture, at each sample count of
@@ -187,8 +189,8 @@ print(built / len(ops))
 
 
 # Builds the seed-1 round of ``moser`` with the tree's own perfbench, runs its ops with
-# ``numpy.linalg.lstsq`` wrapped and prints, as JSON, the calls per op and each op's
-# residual and ``min_jacobian_det`` strings.
+# ``numpy.linalg.lstsq`` and ``numpy.linalg.solve`` wrapped and prints, as JSON, the calls
+# of each per op and each op's residual and ``min_jacobian_det`` strings.
 _MOSER_ROUND = """\
 import json, sys, tempfile
 from pathlib import Path
@@ -201,14 +203,17 @@ wl = WORKLOADS["moser"]
 with tempfile.TemporaryDirectory() as tmp:
     ops = [op for panel in wl.build(1, wl.panels, Path(tmp)) for op in panel]
     run.run_op(cli, run.WARMUP)
-    calls, lstsq = 0, numpy.linalg.lstsq
-    def counted(*args, **kwargs):
-        global calls
-        calls += 1
-        return lstsq(*args, **kwargs)
-    numpy.linalg.lstsq = counted
+    calls = dict.fromkeys(["lstsq", "solve"], 0)
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+    for name in calls:
+        setattr(numpy.linalg, name, counted(name, getattr(numpy.linalg, name)))
     reports = [json.loads(run.run_op(cli, op.argvs).stdout)["result"] for op in ops]
-print(json.dumps({"lstsq_calls_per_op": calls / len(ops),
+print(json.dumps({"lstsq_calls_per_op": calls["lstsq"] / len(ops),
+                  "solve_calls_per_op": calls["solve"] / len(ops),
                   "residuals": [r["residuals"] for r in reports],
                   "min_jacobian_det": [r["min_jacobian_det"] for r in reports]}))
 """
@@ -221,6 +226,7 @@ def moser_agreement(trees: list) -> dict:
     first = rounds[0]
     return {label: {
         "lstsq_calls_per_op": r["lstsq_calls_per_op"],
+        "solve_calls_per_op": r["solve_calls_per_op"],
         "max_residual_delta": max(abs(float(a) - float(b))
                                   for ops_a, ops_b in zip(r["residuals"], first["residuals"],
                                                           strict=True)
