@@ -6,6 +6,8 @@ the exact correction form, and integrates the flow together with its
 Jacobian.  The time-1 pullback is compared against the constant form
 coefficientwise; everything up to the linear solves (one certified LU per
 stage, or least squares) is exact, the flow itself is fourth-order Runge-Kutta.
+Float powers are running products x * x * ... * x, never numpy's float pow,
+whose rounding depends on the loop numpy picks for the CPU.
 """
 
 from __future__ import annotations
@@ -62,33 +64,49 @@ class MoserReport:
 
 class _CompiledPolys:
     """Batch evaluator for a family of float polynomials {exponents: weight} over shared
-    monomials."""
+    monomials, each written to its own cell of a table of ``size`` cells.
 
-    def __init__(self, polys: list[dict], dim: int):
+    A power x_v ** e is the running product x_v * x_v * ... * x_v, and a monomial the
+    product of its factors x_v ** e_v with e_v > 0 in variable order, padded to the widest
+    monomial with the cell x_0 ** 0 = 1: the same floats as the left-to-right products of
+    plain Python, on every machine."""
+
+    def __init__(self, polys: dict[int, dict], dim: int, size: int):
         monos: dict[tuple, int] = {}
-        for p in polys:
+        for p in polys.values():
             for e in p:
                 monos.setdefault(e, len(monos))
         if not monos:
             monos[(0,) * dim] = 0
-        self.exps = np.array(sorted(monos, key=monos.get), dtype=int)
-        self.powers = np.arange(int(self.exps.max()) + 1)
-        # flat position of x_v ** e in the (dim, len(powers)) power table, variable-major
-        self.gather = np.arange(dim)[:, None] * len(self.powers) + self.exps.T
-        self.weights = np.zeros((len(polys), len(monos)))
-        for i, p in enumerate(polys):
+        exps = sorted(monos, key=monos.get)
+        self.dim, self.n_powers = dim, 1 + max(map(max, exps))
+        factors = [[v * self.n_powers + e_v for v, e_v in enumerate(e) if e_v] for e in exps]
+        # flat positions of each monomial's factors in the (dim, n_powers) power table
+        self.gather = np.zeros((max(1, *map(len, factors)), len(exps)), dtype=np.intp)
+        for i, f in enumerate(factors):
+            self.gather[:len(f), i] = f
+        # row ``place`` holds the weights of the polynomial of that cell, zero where none does
+        self.weights = np.zeros((size, len(exps)))
+        for place, p in polys.items():
             for e, w in p.items():
-                self.weights[i, monos[e]] = w
+                self.weights[place, monos[e]] = w
+        self.buffers = {}  # per batch size: its power table, x_v ** 0 written, and gather
 
     def eval(self, points: np.ndarray) -> np.ndarray:
-        """points: (batch, dim) -> values (batch, n_polys).
+        """points: (batch, dim) -> the table of values (batch, size).
 
-        Each monomial gathers its factors from one power table, so every
-        float power is taken once per (point, variable, exponent).
-        """
-        table = (points[:, :, None] ** self.powers).reshape(points.shape[0], -1)
-        mono = np.prod(np.take(table, self.gather, axis=1), axis=1)
-        return mono @ self.weights.T
+        One cumulative product along the exponent axis of [1, x, x, ...] gives every power,
+        one gather and product every monomial, one matrix product every cell."""
+        batch = points.shape[0]
+        if batch not in self.buffers:
+            table = np.empty((batch, self.dim, self.n_powers))
+            table[:, :, 0] = 1.0
+            starts = np.arange(batch, dtype=np.intp)[:, None, None] * (self.dim * self.n_powers)
+            self.buffers[batch] = table, starts + self.gather
+        table, gather = self.buffers[batch]
+        table[:, :, 1:] = points[:, :, None]
+        np.multiply.accumulate(table, axis=2, out=table)
+        return np.multiply.reduce(table.take(gather), axis=1) @ self.weights.T
 
 
 def _lstsq_blocks(a: np.ndarray, rhs: np.ndarray,
@@ -126,19 +144,33 @@ def _lstsq_blocks(a: np.ndarray, rhs: np.ndarray,
     return ys, ranks
 
 
+def _spectrum(a0: np.ndarray) -> tuple | None:
+    """A0's (s_max, s_min, cutoff) where A0 is square and of full rank by lstsq's rule, None
+    otherwise: cutoff = ``_CERTIFICATE_MARGIN`` n eps_mach is lstsq's rcond=None cutoff
+    n eps_mach with the certificate's margin over it."""
+    n = a0.shape[1]
+    if a0.shape[0] != n or n == 0:
+        return None
+    _, _, rank, s0 = np.linalg.lstsq(a0, np.zeros(n), rcond=None)
+    if rank < n:
+        return None
+    return s0.max(), s0.min(), _CERTIFICATE_MARGIN * n * np.finfo(float).eps
+
+
 def _certified_solve(a: np.ndarray, rhs: np.ndarray, d: np.ndarray, t: float,
                      spectrum: tuple | None, layouts: dict) -> tuple[np.ndarray, np.ndarray]:
     """``_lstsq_blocks(a, rhs, layouts)`` for square a = A0 + t d, by one batched LU where
     Weyl's inequality certifies it: each singular value of A_i lies within
-    eps = |t| max ||d_i||_F of A0's ``spectrum`` (s_max, s_min; None: no LU), so where
-    s_min - eps clears lstsq's cutoff n eps_mach (s_max + eps) by ``_CERTIFICATE_MARGIN``,
-    every per-point lstsq would find full rank and answer the unique A_i^-1 rhs_i."""
+    eps = |t| max ||d_i||_F of A0's ``spectrum`` (s_max, s_min, cutoff; None: no LU), so
+    where s_min - eps clears lstsq's cutoff n eps_mach (s_max + eps) by
+    ``_CERTIFICATE_MARGIN``, every per-point lstsq would find full rank and answer the unique
+    A_i^-1 rhs_i."""
     if spectrum is not None:
-        (s_max, s_min), n = spectrum, a.shape[2]
+        s_max, s_min, cutoff = spectrum
         eps = abs(t) * math.sqrt(np.einsum('bij,bij->b', d, d).max(initial=0.0))
-        if s_min - eps > _CERTIFICATE_MARGIN * n * np.finfo(float).eps * (s_max + eps):
+        if s_min - eps > cutoff * (s_max + eps):
             try:
-                return np.linalg.solve(a, rhs), np.full(a.shape[0], n)
+                return np.linalg.solve(a, rhs), np.full(a.shape[0], a.shape[2])
             except np.linalg.LinAlgError:
                 pass
     return _lstsq_blocks(a, rhs, layouts)
@@ -161,7 +193,7 @@ class DeformationField:
     With omega_t = omega0 + t delta the system at a point is [A0 + t D(x) | b(x)]: A0 from
     the constant form, D from delta, b from alpha.  The cells of [D | b] and their partial
     derivatives are one precompiled monomial table, evaluated for the whole batch of points
-    and read as (batch, 1 + dim, n_rows, n_cols + 1).  A batch is one certified LU or
+    straight into its layout (batch, 1 + dim, n_rows, n_cols + 1).  A batch is one certified LU or
     shares least-squares calls a block of points at a time (``_certified_solve``), and the
     rank and residual checks are array operations over the batch.
     """
@@ -192,12 +224,7 @@ class DeformationField:
             for col, j in enumerate(l_indices):
                 if m & (1 << j):
                     self.a_const[row_pos[m ^ (1 << j)], col] = removal_sign(m, j) * val
-        # A0's (s_max, s_min) where it is square and of full rank by lstsq's rule
-        self.spectrum = None
-        if self.n_rows == self.n_cols > 0:
-            _, _, rank, s0 = np.linalg.lstsq(self.a_const, np.zeros(self.n_rows), rcond=None)
-            if rank == self.n_cols:
-                self.spectrum = s0.max(), s0.min()
+        self.spectrum = _spectrum(self.a_const)
 
         # the cells of [D | b] and their partial derivatives, laid out as (1 + dim, n_rows,
         # n_cols + 1); a sign folded into a D cell's numerators is exact, and the table
@@ -211,21 +238,21 @@ class DeformationField:
                     sign = removal_sign(m, j)
                     slots.append({e: sign * n for e, n in slot.items()})
         b_cells = [row_pos[m] * width + self.n_cols for m in nums_a]
-        self.size = self.n_rows * width
-        self.places = np.array([v * self.size + c for group in (cells, b_cells)
-                                for v in range(1 + self.dim) for c in group], dtype=int)
-        self.compiled = _CompiledPolys(_with_partials(slots, den_d, self.dim)
-                                       + _with_partials(list(nums_a.values()), den_a, self.dim),
-                                       self.dim)
-        self.layouts, self.rhs_buffers = {}, {}  # of _lstsq_blocks, and [b | I] per batch
+        size = self.n_rows * width
+        places = [v * size + c for group in (cells, b_cells)
+                  for v in range(1 + self.dim) for c in group]
+        polys = (_with_partials(slots, den_d, self.dim)
+                 + _with_partials(list(nums_a.values()), den_a, self.dim))
+        self.compiled = _CompiledPolys(dict(zip(places, polys)), self.dim,
+                                       (1 + self.dim) * size)
+        # of _lstsq_blocks, then [b | I] and [-t X | 1] per batch size
+        self.layouts, self.rhs_buffers, self.weight_buffers = {}, {}, {}
 
     def _assemble(self, points: np.ndarray, t: float):
         """A = A0 + t D and b at each point, with the table of [D | b] and its partials,
         (batch, 1 + dim, n_rows, n_cols + 1)."""
-        batch = points.shape[0]
-        table = np.zeros((batch, (1 + self.dim) * self.size))
-        table[:, self.places] = self.compiled.eval(points)
-        table = table.reshape(batch, 1 + self.dim, self.n_rows, self.n_cols + 1)
+        table = self.compiled.eval(points).reshape(
+            points.shape[0], 1 + self.dim, self.n_rows, self.n_cols + 1)
         return self.a_const + t * table[:, 0, :, :self.n_cols], table[:, 0, :, self.n_cols], table
 
     def batch(self, points: np.ndarray, t: float, with_jacobian: bool = True):
@@ -263,7 +290,10 @@ class DeformationField:
         x[:, self.x_dim:] = sol
         if not with_jacobian:
             return x, None
-        weights = np.concatenate([-t * sol, np.ones((batch, 1))], axis=1)
+        if batch not in self.weight_buffers:  # [-t X | 1]: its ones column written once
+            self.weight_buffers[batch] = np.ones((batch, n_cols + 1))
+        weights = self.weight_buffers[batch]
+        np.multiply(sol, -t, out=weights[:, :n_cols])
         moved = table[:, 1:] @ weights[:, None, :, None]  # (batch, dim, n_rows, 1)
         dx = np.zeros((batch, self.dim, self.dim))
         dx[:, self.x_dim:] = ys[:, :, 1:] @ moved[:, :, :, 0].transpose(0, 2, 1)

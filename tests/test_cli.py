@@ -593,8 +593,8 @@ def test_moser_rejects_bad_solve_tolerance(capsys):
 # ---------------------------------------------------------------------------
 # byte-identity goldens: sha256 of exit code, stdout and any written file,
 # recorded before the exact primitives and the report writer were rewritten.
-# moser is left out: its float digits depend on the BLAS build and on the float pow loop
-# numpy picks by CPU feature, which may round x ** e differently (see MOSER_GOLDEN).
+# moser is left out: its float digits depend on the BLAS build and its LAPACK solves (see
+# MOSER_GOLDEN); its powers are running products x * x * ..., which round alike everywhere.
 
 
 def _closed_poly_document(path: Path) -> str:

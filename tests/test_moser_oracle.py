@@ -7,13 +7,15 @@ field X and the pseudo-inverse P = A^+, and the Jacobian is P [D_v | db_v] [-t X
 The oracle is the previous code, rebuilt here from the three forms in ``Fraction``
 arithmetic rather than from the field's attributes: one polynomial per (mask, fiber
 index) entry of delta and per mask of alpha, each followed by its partial derivatives,
-evaluated by the float ``pow`` over every (point, monomial, variable) triple, filled into
-dense A, b, dA and db, and solved point by point against the stacked columns
-[b | db^T | dA_c...].  The table, A and b must be equal to the oracle's bit for bit; the
-field and its Jacobian agree within 1e-12, and every failure names the same point with
-the same text.  A field keeps its block layouts and its [b | I] buffers from call to call;
-whatever batches it has solved, and whichever blocks fell back to the per-point solve, it
-answers bit for bit as a fresh field does.  ``_lstsq_blocks`` solves a block of points
+evaluated in plain Python floats (each monomial the product in variable order of the
+running powers x * x * ... * x), filled into dense A, b, dA and db, and solved point by
+point against the stacked columns [b | db^T | dA_c...].  The table, A and b must be equal
+to the oracle's bit for bit; the field and its Jacobian agree within 1e-12, and every
+failure names the same point with the same text.  The table stays within 1e-13 of the
+float ``pow`` evaluation that the running products replaced.  A field keeps its power
+tables, block layouts, [b | I] and [-t X | 1] buffers from call to call; whatever batches
+it has solved, and whichever blocks fell back to the per-point solve, it answers bit for
+bit as a fresh field does.  ``_lstsq_blocks`` solves a block of points
 with one call on diag(A_1, ..., A_m); its oracle is the per-point solve it replaced, and
 its solutions agree within 1e-12.  A square batch whose constant system's singular values
 certify, by Weyl's inequality, that every per-point solve finds full rank is solved by one
@@ -40,8 +42,8 @@ from conftest import pullback_constant_float, pullback_residuals_oracle
 from polydarboux.exterior import removal_sign
 from polydarboux.moser import (_CERTIFICATE_MARGIN, DEFAULT_SOLVE_TOL, DeformationField,
                                MoserFlowError, _certified_solve, _lstsq_blocks,
-                               _pullback_residuals, ball_sample_points, integrate_flow_batch,
-                               perturbed_multisymplectic, verify_darboux)
+                               _pullback_residuals, _spectrum, ball_sample_points,
+                               integrate_flow_batch, perturbed_multisymplectic, verify_darboux)
 from polydarboux.polyforms import (PolyForm, moser_potential, pf_add, pf_scale, pf_sub,
                                    poly_const, poly_var)
 
@@ -56,9 +58,26 @@ TOL = 1e-12
 # oracles: the previous code
 
 
-def oracle_eval(exps, weights, points):
-    mono = np.prod(points[:, None, :] ** exps.astype(float)[None, :, :], axis=2)
-    return mono @ weights.T
+def running_monomials(exps, points):
+    """Per (point, monomial), the product in variable order of the running powers
+    x_v * x_v * ... * x_v, in plain Python floats."""
+    out = np.empty((len(points), len(exps)))
+    for i, x in enumerate(points.tolist()):
+        for j, e in enumerate(exps):
+            mono = 1.0
+            for x_v, e_v in zip(x, e):
+                power = 1.0
+                for _ in range(e_v):
+                    power *= x_v
+                mono *= power
+            out[i, j] = mono
+    return out
+
+
+def pow_monomials(exps, points):
+    """The evaluation the running products replaced: numpy's float ``pow`` per (point,
+    monomial, variable), whose rounding depends on the loop numpy picks for the CPU."""
+    return np.prod(points[:, None, :] ** np.array(exps, dtype=float)[None, :, :], axis=2)
 
 
 class OracleField:
@@ -96,14 +115,26 @@ class OracleField:
             for e in p.terms:
                 monos.setdefault(e, len(monos))
         monos = monos or {(0,) * self.dim: 0}
-        self.exps = np.array(list(monos), dtype=int)
+        self.exps = list(monos)
         self.weights = np.zeros((len(polys), len(monos)))
         for i, p in enumerate(polys):
             for e, c in p.terms.items():
                 self.weights[i, monos[e]] = float(c)
 
+    def cells(self, points, monomials=running_monomials):
+        """The table of [D | b] and its partials, (batch, 1 + dim, n_rows, n_cols + 1)."""
+        vals = monomials(self.exps, points) @ self.weights.T
+        ne, nr = len(self.entry_rows), len(self.rhs_rows)
+        out = np.zeros((len(points), 1 + self.dim, self.n_rows, self.n_cols + 1))
+        for v in range(1 + self.dim):
+            out[:, v, self.entry_rows, self.entry_cols] = (
+                self.entry_signs * vals[:, ne * v:ne * (v + 1)])
+            off = ne * (1 + self.dim) + nr * v
+            out[:, v, self.rhs_rows, self.n_cols] = vals[:, off:off + nr]
+        return out
+
     def systems(self, points, t):
-        vals = oracle_eval(self.exps, self.weights, points)
+        vals = running_monomials(self.exps, points) @ self.weights.T
         ne, nr = len(self.entry_rows), len(self.rhs_rows)
         batch = points.shape[0]
         a = np.broadcast_to(self.a_const, (batch, self.n_rows, self.n_cols)).copy()
@@ -211,9 +242,8 @@ def outcome(run):
 @given(st.integers(1, 32), ball_points(max_size=25), st.floats(0.0, 1.0), st.booleans())
 def test_batch_matches_per_point_loop(seed, points, t, with_jacobian):
     _, field, oracle = fixture_field(seed)
-    vals = field.compiled.eval(points)
-    assert np.array_equal(vals, oracle_eval(field.compiled.exps, field.compiled.weights, points))
     a, b, table = field._assemble(points, t)
+    assert np.array_equal(table, oracle.cells(points))
     want_a, want_b, want_da, want_db = oracle.systems(points, t)
     assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
     assert np.array_equal(t * table[:, 1:, :, :-1], want_da)
@@ -228,6 +258,15 @@ def test_batch_matches_per_point_loop(seed, points, t, with_jacobian):
         assert np.max(np.abs(got[1] - want[1])) <= TOL
     else:
         assert got[1] is None
+
+
+@settings(PROFILE)
+@given(st.integers(1, 32), ball_points(max_size=25))
+def test_running_products_stay_near_the_float_pow(seed, points):
+    _, field, oracle = fixture_field(seed)
+    got = field.compiled.eval(points).reshape(len(points), 1 + field.dim, field.n_rows,
+                                              field.n_cols + 1)
+    assert np.max(np.abs(got - oracle.cells(points, pow_monomials))) <= 1e-13
 
 
 @settings(PROFILE)
@@ -358,9 +397,9 @@ def counted(name):
 
 
 def certifies(spectrum, eps, n):
-    """Whether A0's (s_max, s_min) certify every point of the batch, eps_i = ||A_i - A0||_F
-    bounding how far each singular value of A_i moves (Weyl)."""
-    s_max, s_min = spectrum
+    """Whether A0's (s_max, s_min, _) certify every point of the batch, eps_i = ||A_i - A0||_F
+    bounding how far each singular value of A_i moves (Weyl), with the cutoff taken here."""
+    s_max, s_min, _ = spectrum
     cutoff = n * np.finfo(float).eps  # lstsq's rcond=None
     return bool(np.all(s_min - eps > _CERTIFICATE_MARGIN * cutoff * (s_max + eps)))
 
@@ -393,7 +432,8 @@ def test_certified_solve_matches_the_per_point_solve(system):
     a, n = a0 + t * d, len(a0)
     _, _, rank, s0 = np.linalg.lstsq(a0, np.zeros(n), rcond=None)
     assert rank == n
-    spectrum = s0.max(), s0.min()
+    spectrum = _spectrum(a0)
+    assert spectrum == (s0.max(), s0.min(), _CERTIFICATE_MARGIN * n * np.finfo(float).eps)
     certified = certifies(spectrum, abs(t) * np.linalg.norm(d, axis=(1, 2)), n)
     with counted("solve") as solve, counted("lstsq") as lstsq:
         got_ys, got_ranks = _certified_solve(a, rhs, d, t, spectrum, {})
@@ -486,7 +526,7 @@ def square_forms(delta0: float = DELTA0) -> tuple[PolyForm, PolyForm, PolyForm]:
 def test_square_failures_match_the_per_point_solve(t, gap, message, failing, with_jacobian):
     forms = square_forms()
     field = DeformationField(*forms)
-    assert field.spectrum == (1.0, DELTA0)
+    assert field.spectrum == (1.0, DELTA0, _CERTIFICATE_MARGIN * 2 * np.finfo(float).eps)
     points = np.column_stack([np.zeros(10), np.linspace(-1.0, 1.0, 10), np.zeros((10, 2))])
     points[failing, 0] = (DELTA0 - gap) / t
     got = outcome(lambda: field.batch(points, t, with_jacobian))
@@ -509,7 +549,7 @@ def test_only_full_rank_square_constant_systems_keep_a_spectrum():
     with counted("solve") as solve:
         got = outcome(lambda: field.batch(points, 0.5))
     assert solve.call_count == 0 and got[0] == "deformation system is singular at t=0.5"
-    assert fixture_field(1)[1].spectrum == (1.0, 1.0)
+    assert fixture_field(1)[1].spectrum[:2] == (1.0, 1.0)
     assert DeformationField(*failing_forms()).spectrum is None  # 2 x 1
     flat = PolyForm(2, 2, (2, 0), {0b11: poly_const(2, 1)})  # 0 x 0
     assert DeformationField(flat, flat, PolyForm(2, 1, (2, 0), {})).spectrum is None
@@ -543,6 +583,14 @@ def test_kept_buffers_answer_as_a_fresh_field(seed):
         got = outcome(lambda: field.batch(points, t, with_jacobian))
         assert got[0] is None
         assert_same_outcome(got, fresh_outcome(forms, points, t, with_jacobian))
+    # one of each per batch size, its constant column as it was written
+    assert sorted(field.compiled.buffers) == sorted(field.rhs_buffers) == [3, 10, 13]
+    assert sorted(field.weight_buffers) == [3, 10, 13]
+    for n, (powers, _) in field.compiled.buffers.items():
+        assert np.array_equal(powers[:, :, 0], np.ones((n, 6)))
+        assert np.array_equal(field.rhs_buffers[n][:, :, 1:],
+                              np.broadcast_to(np.eye(3), (n, 3, 3)))
+        assert np.array_equal(field.weight_buffers[n][:, -1], np.ones(n))
 
 
 def test_kept_buffers_answer_as_a_fresh_field_after_the_fallback(monkeypatch):

@@ -65,16 +65,18 @@ record, not a gate.
 ``numpy.linalg.solve`` calls per op over one seed-1 ``moser`` round,
 counted the same way, so the record shows which solver each stage took,
 and against the first tree the largest |difference| of the printed
-residuals, op by op and sample by sample, and whether every
-``min_jacobian_det`` string is equal: the flow's float answers may move in
-their last digits.
+residuals, op by op and sample by sample, how many residual strings
+differ, and whether every ``min_jacobian_det`` string is equal: the
+flow's float answers may move in their last digits.
 ``moser_stage`` holds, per tree, the microseconds of one Runge-Kutta stage,
 ``DeformationField.batch(points, 0.5, with_jacobian=True)`` on the seed-1
 ``perturbed_multisymplectic`` fixture, at each sample count of
 ``MOSER_STAGE_SAMPLES`` (points of the radius-0.1 ball, as ``moser`` draws
 them by default): ``MOSER_STAGE_ROUNDS`` rounds, alternating between the trees,
 each the min over ``MOSER_STAGE_REPEATS`` repeats of ``MOSER_STAGE_CALLS`` calls
-in a fresh interpreter; it lists every round's figure and their min.
+in a fresh interpreter; it lists every round's figure and their min.  Beside
+each stage figure ``eval N`` times the stage's table evaluation alone,
+``DeformationField.compiled.eval(points)``, the same way.
 ``moser_step`` is a record of the same kind at ten samples, for ``step``, one
 full Runge-Kutta step with the Jacobian update and its ``det``
 (``integrate_flow_batch`` over one step, its start included), and for
@@ -223,20 +225,23 @@ def moser_agreement(trees: list) -> dict:
     rounds = [json.loads(subprocess.run([sys.executable, "-c", _MOSER_ROUND], cwd=path, env=env,
                                         capture_output=True, text=True, check=True).stdout)
               for _, path, env in trees]
-    first = rounds[0]
-    return {label: {
-        "lstsq_calls_per_op": r["lstsq_calls_per_op"],
-        "solve_calls_per_op": r["solve_calls_per_op"],
-        "max_residual_delta": max(abs(float(a) - float(b))
-                                  for ops_a, ops_b in zip(r["residuals"], first["residuals"],
-                                                          strict=True)
-                                  for a, b in zip(ops_a, ops_b, strict=True)),
-        "min_jacobian_det_equal": r["min_jacobian_det"] == first["min_jacobian_det"],
-    } for (label, _, _), r in zip(trees, rounds)}
+    out = {}
+    for (label, _, _), r in zip(trees, rounds):
+        pairs = [(a, b) for ops_a, ops_b in zip(r["residuals"], rounds[0]["residuals"], strict=True)
+                 for a, b in zip(ops_a, ops_b, strict=True)]
+        out[label] = {
+            "lstsq_calls_per_op": r["lstsq_calls_per_op"],
+            "solve_calls_per_op": r["solve_calls_per_op"],
+            "max_residual_delta": max(abs(float(a) - float(b)) for a, b in pairs),
+            "residual_strings_moved": sum(a != b for a, b in pairs),
+            "min_jacobian_det_equal": r["min_jacobian_det"] == rounds[0]["min_jacobian_det"],
+        }
+    return out
 
 
 # Prints, as JSON, the min over argv[2] repeats of the microseconds per call of argv[3]
-# calls of one Runge-Kutta stage with the Jacobian, per sample count of argv[1].
+# calls of one Runge-Kutta stage with the Jacobian, and of its table evaluation alone
+# (``eval N``), per sample count N of argv[1].
 _MOSER_STAGE = """\
 import json, sys, time
 import numpy as np
@@ -248,13 +253,15 @@ repeats, calls = int(sys.argv[2]), int(sys.argv[3])
 out = {}
 for n in json.loads(sys.argv[1]):
     points = np.array(ball_sample_points(fx.omega.dim, n, 0.1))
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            field.batch(points, 0.5, with_jacobian=True)
-        best = min(best, (time.perf_counter() - t0) / calls)
-    out[n] = round(best * 1e6, 2)
+    for key, run in [(str(n), lambda: field.batch(points, 0.5, with_jacobian=True)),
+                     (f"eval {n}", lambda: field.compiled.eval(points))]:
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                run()
+            best = min(best, (time.perf_counter() - t0) / calls)
+        out[key] = round(best * 1e6, 2)
 print(json.dumps(out))
 """
 
@@ -276,7 +283,7 @@ def _timed_rounds(trees: list, script: str, args: list, keys: list) -> dict:
 def moser_stage(trees: list) -> dict:
     return _timed_rounds(trees, _MOSER_STAGE, [json.dumps(MOSER_STAGE_SAMPLES),
                                                MOSER_STAGE_REPEATS, MOSER_STAGE_CALLS],
-                         [str(n) for n in MOSER_STAGE_SAMPLES])
+                         [key for n in MOSER_STAGE_SAMPLES for key in (str(n), f"eval {n}")])
 
 
 # Prints, as JSON, the min over argv[3] repeats of the microseconds per call of argv[4]
