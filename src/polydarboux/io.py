@@ -4,7 +4,9 @@ The interchange format is JSON with exact rationals as strings, schema
 version "1".  Indices are 1-based and strictly increasing inside each
 multi-index; a flag is given by the coordinate indices spanning the
 vertical space plus an optional splitting matrix (columns into the total
-space).  See the shipped corpus files for worked examples.
+space).  See the shipped corpus files for worked examples.  Forms are
+read straight into their reduced integer views, one (n, d) pair per
+distinct coefficient string, and subspace rows are written from echelons.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import gcd, lcm
 from pathlib import Path
 
 from .errors import DimensionMismatch, DocumentError, PreconditionError
-from .exterior import (AlternatingForm, Flag, VectorValuedForm, coordinate_flag, form,
+from .exterior import (AlternatingForm, Flag, VectorValuedForm, _seeded, coordinate_flag,
                        indices_of, mask_of, with_splitting)
 from .lie import LieAlgebra, lie_algebra
 from .linalg import Matrix, Subspace, frac
@@ -77,6 +79,13 @@ def _poly_pair(s) -> tuple[int, int]:
             pass
     c = _rat(s)
     return c.numerator, c.denominator
+
+
+def _pair(s, seen: dict) -> tuple[int, int]:
+    """``_poly_pair(s)``, kept in ``seen`` under ``s`` if a string, else under itself."""
+    c = _poly_pair(s)
+    seen[s if type(s) is str else c] = c
+    return c
 
 
 def _need(doc: dict, key: str, kind: type | None = None):
@@ -143,14 +152,15 @@ def parse_document(doc: dict) -> FormDocument:
 
 
 def _parse_alternating(doc: dict, kind: str):
+    """The form, each component read straight into its integer view, as ``_parse_poly_form``."""
     dim = _int(_need(doc, "dim"), "dim")
     degree = _int(_need(doc, "degree"), "degree")
     value_dim = _int(doc.get("value_dim", 1), "value_dim")
     if kind == "scalar_form" and value_dim != 1:
         raise DocumentError("scalar_form must have value_dim 1")
-    buckets: list[dict] = [dict() for _ in range(value_dim)]
+    seen, parsed = {}, []  # coefficients as ``_pair`` keeps them; (component, mask, pair)
     for term in _need(doc, "terms", list):
-        idx = _ints(_need(term, "indices"), "indices")
+        idx = _ints(_need(term, "indices"), "indices", dim)
         if list(idx) != sorted(set(idx)):
             raise DocumentError(f"indices must be strictly increasing: {idx}")
         if len(idx) != degree:
@@ -158,12 +168,14 @@ def _parse_alternating(doc: dict, kind: str):
         comp = _int(term.get("component", 1), "component")
         if not 1 <= comp <= value_dim:
             raise DocumentError(f"component {comp} out of range")
-        c = _rat(_need(term, "coefficient"))
-        buckets[comp - 1][idx] = buckets[comp - 1].get(idx, Fraction(0)) + c
-    comps = [form(dim, degree, b) for b in buckets]
-    if kind == "scalar_form":
-        return comps[0]
-    return VectorValuedForm(tuple(comps))
+        s = _need(term, "coefficient")
+        parsed.append((comp - 1, mask_of(idx), (type(s) is str and seen.get(s)) or _pair(s, seen)))
+    den = lcm(*(d for _, d in seen.values()))
+    sums: list[dict] = [{} for _ in range(value_dim)]
+    for a, m, (n, d) in parsed:
+        sums[a][m] = sums[a].get(m, 0) + n * (den // d)
+    comps = [_seeded(dim, degree, {m: n for m, n in nums.items() if n}, den) for nums in sums]
+    return comps[0] if kind == "scalar_form" else VectorValuedForm(tuple(comps))
 
 
 def _parse_poly_form(doc: dict) -> PolyForm:
@@ -175,9 +187,9 @@ def _parse_poly_form(doc: dict) -> PolyForm:
         raise DocumentError("split must be a pair")
     if min(split) < 0:
         raise DocumentError(f"split entries must be nonnegative: {split}")
-    seen: dict = {}  # coefficient string -> (n, d)
+    seen: dict = {}  # coefficient string -> (n, d), as ``_pair`` keeps them
     valid: set = set()  # exponent tuples of the right length and sign
-    den, parsed = 1, []
+    parsed = []
     for term in _need(doc, "terms", list):
         idx = _ints(_need(term, "indices"), "indices", dim)
         if list(idx) != sorted(set(idx)):
@@ -194,16 +206,11 @@ def _parse_poly_form(doc: dict) -> PolyForm:
                     raise DocumentError(f"exponents must be nonnegative: {exps}")
                 valid.add(exps)
             s = _need(mono, "coefficient")
-            c = seen.get(s) if type(s) is str else None
-            if c is None:
-                c = _poly_pair(s)
-                den = lcm(den, c[1])
-                if type(s) is str:
-                    seen[s] = c
-            monos.append((exps, c))
+            monos.append((exps, (type(s) is str and seen.get(s)) or _pair(s, seen)))
         parsed.append((mask_of(idx), monos))
     if sum(split) != dim:
         raise DimensionMismatch("split does not sum to the dimension")
+    den = lcm(*(d for _, d in seen.values()))
     nums: dict = {}
     for mask, monos in parsed:
         terms: dict = {}
@@ -229,9 +236,14 @@ def _parse_flag(flag_doc: dict, doc: dict) -> Flag:
     dim = _int(_need(doc, "dim"), "dim")
     vertical = _ints(_need(flag_doc, "vertical_indices"), "vertical_indices")
     flag = coordinate_flag(dim, vertical)
-    if "splitting" in flag_doc and flag_doc["splitting"] is not None:
-        cols = [[_rat(x) for x in col] for col in flag_doc["splitting"]]
-        flag = with_splitting(flag, Matrix.from_cols(cols))
+    split = flag_doc.get("splitting")
+    if split is not None:
+        if type(split) is not list or not {list}.issuperset(map(type, split)):
+            raise DocumentError(f"splitting must be a list of lists, got {_shown(split)}")
+        cols = tuple({i: c for i, x in enumerate(col) if x != "0" and (c := _rat(x))} for col in split)
+        if any(len(col) != len(split[0]) for col in split):
+            raise ValueError("ragged rows")
+        flag = with_splitting(flag, Matrix(len(split[0]) if split else 0, cols))
     return flag
 
 
@@ -420,16 +432,19 @@ def flag_to_document(flag: Flag) -> dict:
 
 
 def subspace_to_rows(sub: Subspace) -> list[list[str]]:
-    """The RREF rows, written as ``matrix_columns`` writes columns."""
-    return matrix_columns(Matrix(sub.ambient_dim, tuple(sub.unit_rows())))
+    """The RREF rows, as ``matrix_columns`` writes columns: each integer echelon row over its
+    pivot entry, which is positive."""
+    return [_written(sub.ambient_dim, row, row[p]) for p, row in zip(sub.pivot_columns(), sub.rows())]
 
 
 def matrix_columns(m: Matrix) -> list[list[str]]:
     """The columns, written entry by entry: ``str`` of a stored entry, "0" for an absent one."""
-    out = []
-    for col in m.columns:
-        written = ["0"] * m.rows
-        for i, x in col.items():
-            written[i] = str(x)
-        out.append(written)
-    return out
+    return [_written(m.rows, col) for col in m.columns]
+
+
+def _written(n: int, vec: dict, den: int = 0) -> list[str]:
+    """A sparse vector as n strings: ``str`` of each entry, or given ``den``, of entry / den."""
+    written = ["0"] * n
+    for i, x in vec.items():
+        written[i] = _ratio_str(x, den) if den else str(x)
+    return written

@@ -12,10 +12,11 @@ import pytest
 
 from polydarboux import io
 from polydarboux.errors import DimensionMismatch, DocumentError, PreconditionError
-from polydarboux.exterior import (AlternatingForm, VectorValuedForm, contract, evaluate, form,
-                                  indices_of, mask_of, merge_sign, removal_sign, sorted_sign)
+from polydarboux.exterior import (AlternatingForm, Flag, VectorValuedForm, contract,
+                                  coordinate_flag, evaluate, form, indices_of, mask_of,
+                                  merge_sign, removal_sign, sorted_sign, with_splitting)
 from polydarboux.lagrangian import _kernel_constraints, _stacked, as_vector_form
-from polydarboux.linalg import (ZERO, ONE, Subspace, _echelon, _sparse_vector, frac,
+from polydarboux.linalg import (ZERO, ONE, Matrix, Subspace, _echelon, _sparse_vector, frac,
                                 kernel_subspace, vec)
 from polydarboux.moser import DEFAULT_SOLVE_TOL, _flow_residuals
 from polydarboux.polyforms import PolyForm, Polynomial, pf_add, pf_scale, pf_sub, poly_const
@@ -481,6 +482,51 @@ def parse_poly_form_oracle(doc: dict) -> PolyForm:
             cur = coeffs.get(mask)
             coeffs[mask] = p if cur is None else cur + p
     return PolyForm(dim, degree, split, {m: p for m, p in coeffs.items() if not p.is_zero()})
+
+
+# ``io._parse_alternating``, ``io._parse_flag``'s splitting and ``io.subspace_to_rows`` as
+# they were before documents were read into integer views and rows written from echelons:
+# ``_rat`` per term, ``Fraction`` bucket sums, then ``form``; ``_rat`` per dense splitting
+# entry, then ``Matrix.from_cols``; a ``Fraction`` per written entry.  The oracles of
+# tests/test_document_oracle.py
+
+
+def parse_alternating_oracle(doc: dict, kind: str):
+    dim = io._int(io._need(doc, "dim"), "dim")
+    degree = io._int(io._need(doc, "degree"), "degree")
+    value_dim = io._int(doc.get("value_dim", 1), "value_dim")
+    if kind == "scalar_form" and value_dim != 1:
+        raise DocumentError("scalar_form must have value_dim 1")
+    buckets: list[dict] = [dict() for _ in range(value_dim)]
+    for term in io._need(doc, "terms", list):
+        idx = io._ints(io._need(term, "indices"), "indices")
+        if list(idx) != sorted(set(idx)):
+            raise DocumentError(f"indices must be strictly increasing: {idx}")
+        if len(idx) != degree:
+            raise DocumentError(f"multi-index {idx} does not match degree {degree}")
+        comp = io._int(term.get("component", 1), "component")
+        if not 1 <= comp <= value_dim:
+            raise DocumentError(f"component {comp} out of range")
+        c = io._rat(io._need(term, "coefficient"))
+        buckets[comp - 1][idx] = buckets[comp - 1].get(idx, Fraction(0)) + c
+    comps = [form(dim, degree, b) for b in buckets]
+    if kind == "scalar_form":
+        return comps[0]
+    return VectorValuedForm(tuple(comps))
+
+
+def parse_flag_oracle(flag_doc: dict, doc: dict) -> Flag:
+    dim = io._int(io._need(doc, "dim"), "dim")
+    vertical = io._ints(io._need(flag_doc, "vertical_indices"), "vertical_indices")
+    flag = coordinate_flag(dim, vertical)
+    if "splitting" in flag_doc and flag_doc["splitting"] is not None:
+        cols = [[io._rat(x) for x in col] for col in flag_doc["splitting"]]
+        flag = with_splitting(flag, Matrix.from_cols(cols))
+    return flag
+
+
+def subspace_to_rows_oracle(sub: Subspace) -> list[list[str]]:
+    return io.matrix_columns(Matrix(sub.ambient_dim, tuple(sub.unit_rows())))
 
 
 # ``moser.intermediate_residual``, which only tests called: the partial flow's residual

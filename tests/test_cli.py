@@ -398,6 +398,11 @@ def _poly_doc(indices, exponents=(0, 0)) -> dict:
                 {"exponents": list(exponents), "coefficient": "1"}]}]}
 
 
+def _scalar_doc(indices, coefficient="1") -> dict:
+    return {"schema_version": "1", "kind": "scalar_form", "dim": 4, "degree": 2,
+            "terms": [{"indices": indices, "coefficient": coefficient}]}
+
+
 @pytest.mark.parametrize("doc, message", [
     (_poly_doc([True, 2]), "indices must be a list of integers, got [True, 2]"),
     (_poly_doc([1.0, 2]), "indices must be a list of integers, got [1.0, 2]"),
@@ -405,6 +410,10 @@ def _poly_doc(indices, exponents=(0, 0)) -> dict:
     (_poly_doc([0, 1]), "indices [0, 1] leave the coordinates 1..2"),
     (_poly_doc([2, 3]), "indices [2, 3] leave the coordinates 1..2"),
     (_poly_doc([1, 2], exponents=(0, -1)), "exponents must be nonnegative: (0, -1)"),
+    (_scalar_doc([0, 1]), "indices [0, 1] leave the coordinates 1..4"),
+    (_scalar_doc([-2, 1]), "indices [-2, 1] leave the coordinates 1..4"),
+    (_scalar_doc([1, 5], "0"), "indices [1, 5] leave the coordinates 1..4"),
+    (_scalar_doc([3, 5]), "indices [3, 5] leave the coordinates 1..4"),
 ])
 def test_integer_lists_are_refused_with_their_texts(doc, message):
     from polydarboux.errors import DocumentError

@@ -699,10 +699,10 @@ def oracle_parse_poly_terms(doc):
     return {m: p for m, p in coeffs.items() if not p.is_zero()}
 
 
-def _parsed(parse, doc):
-    """The form ``parse`` reads from ``doc``, or the error text ``parse_document`` gives."""
+def _parsed(parse, *args):
+    """What ``parse`` reads from ``args``, or the error text ``parse_document`` gives."""
     try:
-        return parse(doc)
+        return parse(*args)
     except DocumentError as exc:
         return str(exc)
     except Exception as exc:  # wrapped by parse_document
