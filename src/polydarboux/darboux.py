@@ -25,11 +25,11 @@ from .exterior import (AlternatingForm, Flag, VectorValuedForm, contract, coordi
                        wedge_all)
 from .io import MAX_DIM
 from .lagrangian import (as_vector_form, check_multilagrangian, check_polylagrangian,
-                         detect_multilagrangian, is_isotropic, kernel_of_form,
+                         detect_multilagrangian, kernel_of_form,
                          search_polylagrangian, symbol, to_vertical_coordinates,
                          _stacked)
-from .linalg import (Matrix, Subspace, ONE, annihilator, complement, intersect,
-                     inverse, transform_subspace)
+from .linalg import (Matrix, Subspace, ONE, annihilator, complement, inverse,
+                     transform_subspace)
 from .sparse import SparseEchelon, SparseSolver, _axpy
 
 # ---------------------------------------------------------------------------
@@ -331,35 +331,6 @@ def _induction(v: VectorValuedForm, lagr: Subspace, ker: Subspace, fixed: list,
                     _axpy(u, c, momentum(basis.duals, slot_at[a, m]))
         basis.append(u)
     return basis, slots, momentum
-
-
-def extend_isotropic_complement(form_in, lagr: Subspace, start: Subspace,
-                                flag: Flag | None = None, r: int | None = None) -> Subspace:
-    """The isotropic complement of L grown from ``start``.
-
-    Without a flag ``start`` is part of a complement of L and the result
-    completes it.  With a flag ``start`` must meet the vertical space
-    exactly in a complement of L, and the result also spans the base.
-    The frame starts from the echelon rows of ``start``: scaling a frame
-    vector scales its pairings and, inversely, its duals and momentum
-    vectors, so the vectors the induction adds do not change.
-    """
-    v = as_vector_form(form_in)
-    if flag is None:
-        e_part, fixed = start, start.rows()
-    else:
-        if r is None:
-            raise PreconditionError("the flagged extension needs the horizontality parameter")
-        e_part = intersect(start, flag.vertical)
-        if e_part.dim != flag.vertical.dim - lagr.dim:
-            raise PreconditionError("start must meet the vertical space exactly in a complement of L")
-        fixed = e_part.rows() + complement(e_part, inside=start).rows()
-    if intersect(e_part, lagr).dim != 0:
-        raise PreconditionError("start vectors must be independent from the subspace")
-    if start.dim and not is_isotropic(start, v, v.degree - 1):
-        raise PreconditionError("start subspace is not isotropic at the required level")
-    frame = _induction(v, lagr, kernel_of_form(v), fixed, flag, r)[0].frame
-    return Subspace.from_vectors(v.dim, frame)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ their symbols are handled downstream.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -178,10 +177,6 @@ def basis_covector(dim: int, i: int) -> AlternatingForm:
     return form(dim, 1, {(i,): 1})
 
 
-def covector(dim: int, components: Sequence) -> AlternatingForm:
-    return form(dim, 1, {(i + 1,): c for i, c in enumerate(components)})
-
-
 def add(a: AlternatingForm, b: AlternatingForm) -> AlternatingForm:
     if (a.dim, a.degree) != (b.dim, b.degree):
         raise DimensionMismatch("cannot add forms of different shape")
@@ -204,10 +199,6 @@ def scale(a: AlternatingForm, c) -> AlternatingForm:
     nums, den = a._numerators
     return _seeded(a.dim, a.degree, {m: n * c.numerator for m, n in nums.items()},
                    den * c.denominator)
-
-
-def sub(a: AlternatingForm, b: AlternatingForm) -> AlternatingForm:
-    return add(a, scale(b, -1))
 
 
 def _dict_wedge(a: dict, b: dict) -> dict:
@@ -353,27 +344,6 @@ def project(omega: VectorValuedForm, t_star: Sequence) -> AlternatingForm:
         if t:
             out = add(out, scale(comp, t))
     return out
-
-
-def flat_matrix(omega: VectorValuedForm, domain: Subspace) -> Matrix:
-    """Matrix of v -> i_v omega from a domain basis to monomial coordinates.
-
-    Rows run over (component, increasing multi-index of length degree-1)
-    in lexicographic order; columns over the domain's RREF basis.  The
-    kernel of this matrix is {v in domain : i_v omega = 0}.
-    """
-    if domain.ambient_dim != omega.dim:
-        raise DimensionMismatch("domain ambient does not match form dimension")
-    if omega.degree == 0:
-        raise PreconditionError("cannot contract a degree-0 form")
-    monomials = itertools.combinations(range(1, omega.dim + 1), omega.degree - 1)
-    row_of = {mask_of(mono): i for i, mono in enumerate(monomials)}
-    columns = []
-    for v in domain.unit_rows():
-        img = contract(v, omega)
-        columns.append({a * len(row_of) + row_of[m]: x
-                        for a, comp in enumerate(img.components) for m, x in comp.coeffs.items()})
-    return Matrix(omega.value_dim * len(row_of), tuple(columns))
 
 
 # ---------------------------------------------------------------------------
@@ -528,69 +498,9 @@ def with_splitting(flag: Flag, splitting: Matrix) -> Flag:
     return Flag(flag.total_dim, flag.vertical, splitting)
 
 
-def horizontality_degree(omega: AlternatingForm, flag: Flag) -> int:
-    """Minimal s such that contraction with any s+1 vertical vectors vanishes.
-
-    Exhausts combinations of the vertical basis, so the answer does not
-    depend on the coordinates the form happens to be written in.
-    """
-    if omega.dim != flag.total_dim:
-        raise DimensionMismatch("form does not live on the flag's total space")
-    if omega.is_zero():
-        return 0
-    vert = flag.vertical.rows()
-    for s in range(omega.degree + 1):
-        if s + 1 > len(vert):
-            return s
-        ok = True
-        for combo in itertools.combinations(vert, s + 1):
-            cur = omega
-            for v in combo:
-                cur = _contract_scalar(v, cur)
-                if cur.is_zero():
-                    break
-            if not cur.is_zero():
-                ok = False
-                break
-        if ok:
-            return s
-    return omega.degree
-
-
 def horizontal_dim(r: int, s: int, dim_v: int, dim_t: int) -> int:
     """Dimension of the space of (r-s)-horizontal r-forms."""
     return sum(comb(dim_v, t) * comb(dim_t, r - t) for t in range(0, s + 1) if r - t >= 0)
-
-
-# ---------------------------------------------------------------------------
-# symmetric polynomials on the value space
-
-
-@dataclass(frozen=True, eq=False)
-class SymmetricPoly:
-    """Homogeneous polynomial on the value space, sparse over exponents."""
-
-    value_dim: int
-    degree: int
-    coeffs: dict  # exponent tuple (len value_dim, sum degree) -> Fraction
-
-    def __post_init__(self):
-        for e in self.coeffs:
-            if len(e) != self.value_dim or sum(e) != self.degree:
-                raise ValueError("exponent does not match value dimension or degree")
-
-    def __eq__(self, other):
-        return (isinstance(other, SymmetricPoly) and self.value_dim == other.value_dim
-                and self.degree == other.degree and self.coeffs == other.coeffs)
-
-
-def symmetric_poly(value_dim: int, degree: int, coeffs: Mapping[Sequence[int], object]) -> SymmetricPoly:
-    out = {}
-    for e, c in coeffs.items():
-        c = frac(c)
-        if c:
-            out[tuple(e)] = c
-    return SymmetricPoly(value_dim, degree, out)
 
 
 def wedge_power_by_exponent(omega: VectorValuedForm, exponent: Sequence[int],
@@ -621,24 +531,6 @@ def wedge_power_by_exponent(omega: VectorValuedForm, exponent: Sequence[int],
         out = wedge(wedge_power_by_exponent(omega, lower, memo), omega.components[a])
     if memo is not None:
         memo[alpha] = out
-    return out
-
-
-def poly_eval(p: SymmetricPoly, omega: VectorValuedForm) -> AlternatingForm:
-    """Evaluate a symmetric polynomial on a vector-valued 2-form.
-
-    A monomial exponent alpha maps to the wedge power omega^alpha, so the
-    result has degree 2*|alpha|.  Linear in the polynomial.  The monomials
-    share one memo of wedge powers.
-    """
-    if p.value_dim != omega.value_dim:
-        raise DimensionMismatch("value dimensions differ")
-    if omega.degree != 2:
-        raise PreconditionError("wedge powers are taken of degree-2 forms")
-    out = zero_form(omega.dim, 2 * p.degree)
-    memo: dict = {}
-    for e, c in p.coeffs.items():
-        out = add(out, scale(wedge_power_by_exponent(omega, e, memo), c))
     return out
 
 

@@ -32,9 +32,13 @@ KINDS = ("scalar_form", "vector_valued_form", "poly_form", "lie_algebra")
 
 # Budgets on the declared dimension, checked while a document is parsed,
 # before any row is built: kernels hold dense rows of length dim, and a Lie
-# algebra's dim^3 structure tensor takes about dim^4 steps to check.
+# algebra's dim^3 structure tensor takes about dim^4 steps to check.  The
+# value dimension has its own: analyze projects a vector-valued form onto
+# about value_dim^2 / 2 covectors, each a pass over every component, so its
+# time grows as value_dim^3 (about a second at the budget, one term in R^4).
 MAX_DIM = 1024
 MAX_LIE_DIM = 16
+MAX_VALUE_DIM = 100
 
 
 @dataclass
@@ -130,6 +134,10 @@ def parse_document(doc: dict) -> FormDocument:
     if kind == "lie_algebra" and type(dim) is int and dim > MAX_LIE_DIM:
         raise PreconditionError(
             f"Lie algebra dimension {dim} exceeds the budget of {MAX_LIE_DIM} (MAX_LIE_DIM)")
+    value_dim = doc.get("value_dim")
+    if type(value_dim) is int and value_dim > MAX_VALUE_DIM:
+        raise PreconditionError(f"value dimension {value_dim} exceeds the budget of "
+                                f"{MAX_VALUE_DIM} (MAX_VALUE_DIM)")
     try:
         if kind == "lie_algebra":
             payload = _parse_lie(doc)

@@ -21,7 +21,7 @@ from .exterior import (AlternatingForm, Flag, VectorValuedForm, _seeded, contrac
                        indices_of, project, pullback, wedge_all, wedge_power_by_exponent)
 from .linalg import (Matrix, Subspace, ZERO, ONE, annihilator, inverse, kernel_basis,
                      kernel_subspace, subspace_sum, complement, transform_subspace)
-from .sparse import _axpy, _scaled, span_equal, span_of, intersect_spans
+from .sparse import _axpy, _scaled, span_equal, span_of
 
 DEFAULT_SEED = 20070
 
@@ -140,19 +140,6 @@ def is_isotropic(sub: Subspace, omega, level: int = 1) -> bool:
     return True
 
 
-def is_maximal_isotropic(sub: Subspace, omega) -> bool:
-    """Maximality at level 1: the kernel is contained and the contraction
-    image equals the image of the whole space cut to the annihilating forms."""
-    v = as_vector_form(omega)
-    k = v.degree - 1
-    if not sub.contains_subspace(kernel_of_form(v)):
-        return False
-    lhs = flat_image_vectors(v, sub.rows())
-    full = flat_image_vectors(v, Subspace.full(v.dim).rows())
-    rhs = intersect_spans(full, _lperp_tensor_basis(sub, k, v.value_dim))
-    return span_equal(lhs, rhs)
-
-
 # ---------------------------------------------------------------------------
 # polylagrangian tests
 
@@ -239,8 +226,7 @@ def _require_degree_two(degree: int) -> None:
             "need degree at least 2")
 
 
-def search_polylagrangian(omega, *, greedy_seed_limit: int | None = None,
-                          ker: Subspace | None = None) -> PolylagrangianSearch:
+def search_polylagrangian(omega, *, ker: Subspace | None = None) -> PolylagrangianSearch:
     """Locate the distinguished maximal isotropic subspace, if one exists.
 
     For two or more value components the subspace is pinned down by the
@@ -312,14 +298,13 @@ def search_polylagrangian(omega, *, greedy_seed_limit: int | None = None,
         return PolylagrangianSearch(None, "absent", None, diagnostics, comp_dims, nu)
 
     # single component: greedy from seeded starts, verified exactly
-    for cand in scalar_polylagrangian_candidates(v, limit=greedy_seed_limit, ker=ker):
+    for cand in scalar_polylagrangian_candidates(v, ker=ker):
         return PolylagrangianSearch(cand, "found", v.dim - cand.dim, diagnostics, [])
     diagnostics.append("not found - possibly nonexistent (single-component search is heuristic)")
     return PolylagrangianSearch(None, "not_found", None, diagnostics, [])
 
 
-def scalar_polylagrangian_candidates(omega, limit: int | None = None,
-                                     ker: Subspace | None = None):
+def scalar_polylagrangian_candidates(omega, ker: Subspace | None = None):
     """Greedy maximal isotropic subspaces passing the exact subspace test.
 
     Seeds are all standard coordinate lines plus, for degree at least 3,
@@ -331,12 +316,9 @@ def scalar_polylagrangian_candidates(omega, limit: int | None = None,
     v = as_vector_form(omega)
     k = v.degree - 1
     ker = ker if ker is not None else kernel_of_form(v)
-    seeds = _coordinate_seeds(v)
-    if limit is not None:
-        seeds = itertools.islice(seeds, limit)
     seen = set()
-    for seed_sub in seeds:
-        cand = greedy_maximal_isotropic(v, seed_sub, verify=False)
+    for seed_sub in _coordinate_seeds(v):
+        cand = greedy_maximal_isotropic(v, seed_sub)
         if cand in seen:
             continue
         seen.add(cand)
@@ -363,10 +345,6 @@ def _coordinate_seeds(v: VectorValuedForm):
                 yield pair
 
 
-def find_polylagrangian(omega) -> Subspace | None:
-    return search_polylagrangian(omega).subspace
-
-
 def _cut(orth: dict, r: dict):
     """Cut the reduced echelon ``orth``, {pivot: primitive integer row}, by r . x = 0 in place.
 
@@ -389,8 +367,7 @@ def _cut(orth: dict, r: dict):
         orth[p] = new if g == 1 else {j: x // g for j, x in new.items()}
 
 
-def greedy_maximal_isotropic(omega, seed: Subspace, within: Subspace | None = None,
-                             verify: bool = True) -> Subspace:
+def greedy_maximal_isotropic(omega, seed: Subspace, within: Subspace | None = None) -> Subspace:
     """Grow an isotropic subspace until it equals its level-1 complement.
 
     Extends by the first basis vector of the current complement, in pivot
@@ -420,10 +397,7 @@ def greedy_maximal_isotropic(omega, seed: Subspace, within: Subspace | None = No
             span.insert(row)
             for r in _kernel_constraints(contract(row, v)):
                 _cut(orth, r)
-    cur = Subspace(v.dim, span)
-    if verify and within is None and not is_maximal_isotropic(cur, v):
-        raise InternalCheckError("greedy termination did not yield a maximal isotropic subspace")
-    return cur
+    return Subspace(v.dim, span)
 
 
 # ---------------------------------------------------------------------------
@@ -937,7 +911,7 @@ def detect_multilagrangian(omega: AlternatingForm, flag: Flag, r: int) -> Polyla
             seed = Subspace.span_of_coordinates(flag.total_dim, [n + i + 1])
             if not is_isotropic(seed, aomega, 1):
                 continue
-            cand_a = greedy_maximal_isotropic(aomega, seed, within=vert_a, verify=False)
+            cand_a = greedy_maximal_isotropic(aomega, seed, within=vert_a)
             if cand_a in seen:
                 continue
             seen.add(cand_a)

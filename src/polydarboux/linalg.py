@@ -1,8 +1,8 @@
 """Exact rational linear algebra: matrices over `fractions.Fraction`,
-reduced row echelon forms, kernels, solves, and the subspace lattice.
+ranks, kernels, inverses, and the subspace lattice.
 
-All arithmetic is exact.  Every elimination here, rref, rank, kernel,
-solve, inverse and the subspace operations, runs on one kernel,
+All arithmetic is exact.  Every elimination here, rank, kernel, inverse
+and the subspace operations, runs on one kernel,
 ``sparse.SparseEchelon``: rows are scaled to primitive integers and kept
 fully reduced with fraction-free steps.  A ``Subspace`` is that echelon
 alone: its rows are unique to the span, so two subspaces are equal
@@ -10,7 +10,7 @@ exactly when their rows are equal; that decidable equality is what the
 structure tests in the rest of the package lean on.  Vectors are sparse
 ``{coordinate: coefficient}`` dicts, the echelon's row format; a dense
 sequence is converted once, where it enters, and a ``Matrix`` is a tuple
-of them, its columns.  Dense rows exist only where a caller asks for them.
+of them, its columns.  Dense columns exist only where a caller asks for them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, PreconditionError
-from .sparse import SparseEchelon, _axpy, _sparse, intersect_spans, span_of
+from .sparse import SparseEchelon, _axpy, _sparse, span_of
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -82,26 +82,9 @@ class Matrix:
             raise ValueError("ragged rows")
         return Matrix(n, tuple(map(_sparse, cols)))
 
-    @staticmethod
-    def identity(n: int) -> Matrix:
-        return Matrix(n, tuple({i: ONE} for i in range(n)))
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> Matrix:
-        return Matrix(rows, tuple({} for _ in range(cols)))
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.columns[j].get(i, ZERO)
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(c.get(i, ZERO) for c in self.columns)
-
     def col(self, j: int) -> tuple[Fraction, ...]:
         c = self.columns[j]
         return tuple(c.get(i, ZERO) for i in range(self.rows))
-
-    def row_list(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> Matrix:
         out = tuple({} for _ in range(self.rows))
@@ -110,26 +93,12 @@ class Matrix:
                 out[i][j] = x
         return Matrix(self.cols, out)
 
-    def __matmul__(self, other: Matrix) -> Matrix:
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return Matrix(self.rows, tuple(map(self.apply, other.columns)))
-
     def apply(self, v) -> dict:
         """The product with a dense or sparse vector, as a sparse vector."""
         out: dict = {}
         for j, c in _sparse_vector(v, self.cols).items():
             _axpy(out, -c, self.columns[j])
         return out
-
-    def mul_vec(self, v) -> tuple[Fraction, ...]:
-        """The product with a dense or sparse vector, as a dense tuple."""
-        out = self.apply(v)
-        return tuple(out.get(i, ZERO) for i in range(self.rows))
-
-    def is_zero(self) -> bool:
-        return not any(self.columns)
-
 
 # ---------------------------------------------------------------------------
 # row reduction
@@ -144,21 +113,9 @@ def _echelon(rows) -> SparseEchelon:
     return span_of(r if type(r) is dict else _sparse(r) for r in rows)
 
 
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Unique reduced row echelon form and rank."""
-    reduced = Subspace(m.cols, _echelon(m.transpose().columns)).unit_rows()
-    padding = ({},) * (m.rows - len(reduced))
-    return Matrix(m.cols, tuple(reduced) + padding).transpose(), len(reduced)
-
-
 def rank(m: Matrix) -> int:
     """The rank, as the rank of the columns."""
     return _echelon(m.columns).rank
-
-
-def row_rank(rows) -> int:
-    """Rank of a list of rows."""
-    return _echelon(rows).rank
 
 
 def kernel_basis(rows: list, cols: int) -> list[dict]:
@@ -172,27 +129,6 @@ def kernel_basis(rows: list, cols: int) -> list[dict]:
 def kernel_subspace(rows: list, cols: int) -> Subspace:
     """{v : R v = 0} as a subspace: every kernel the package builds comes from here."""
     return Subspace.from_vectors(cols, kernel_basis(rows, cols))
-
-
-def kernel(m: Matrix) -> Subspace:
-    """Kernel of the linear map v -> m v, as a subspace of the column space."""
-    return kernel_subspace(m.transpose().columns, m.cols)
-
-
-def solve(m: Matrix, rhs: Sequence) -> tuple[Fraction, ...] | None:
-    """One exact solution of ``m x = rhs``, or None if inconsistent."""
-    b = vec(rhs)
-    if len(b) != m.rows:
-        raise DimensionMismatch("right-hand side length does not match rows")
-    n = m.cols
-    ech = _echelon({**row, n: x} for row, x in zip(m.transpose().columns, b))
-    if n in ech.rows:
-        return None
-    x = [ZERO] * n
-    for p, row in ech.rows.items():
-        if n in row:
-            x[p] = Fraction(row[n], row[p])
-    return tuple(x)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -268,18 +204,6 @@ class Subspace:
         return [{j: Fraction(x, row[p]) for j, x in row.items()}
                 for p, row in zip(self.pivot_columns(), self.rows())]
 
-    def vectors(self) -> list[tuple[Fraction, ...]]:
-        """The RREF basis as dense rows."""
-        return [tuple(r.get(j, ZERO) for j in range(self.ambient_dim)) for r in self.unit_rows()]
-
-    def reduce(self, v) -> list[Fraction]:
-        """Residue of v modulo the subspace: zero at every pivot column."""
-        res = self.echelon.reduce(_sparse_vector(v, self.ambient_dim))
-        return [res.get(j, ZERO) for j in range(self.ambient_dim)]
-
-    def contains(self, v) -> bool:
-        return self.echelon.contains(_sparse_vector(v, self.ambient_dim))
-
     def contains_subspace(self, other: Subspace) -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
@@ -298,14 +222,6 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 def annihilator(a: Subspace) -> Subspace:
     """Covectors vanishing on the subspace, in dual coordinates: the kernel of its echelon."""
     return kernel_subspace(a.rows(), a.ambient_dim)
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of the two spans, by ``sparse.intersect_spans``."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch("ambient dimensions differ")
-    return Subspace(a.ambient_dim,
-                    span_of(intersect_spans(a.echelon.rows.values(), b.echelon.rows.values())))
 
 
 def complement(a: Subspace, inside: Subspace | None = None) -> Subspace:

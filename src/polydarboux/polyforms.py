@@ -23,7 +23,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, InternalCheckError, PreconditionError
-from .exterior import indices_of, mask_of, merge_sign, removal_sign
+from .exterior import indices_of, merge_sign, removal_sign
 from .linalg import Matrix, ZERO, ONE, frac, rank
 
 # ---------------------------------------------------------------------------
@@ -288,8 +288,9 @@ def pf_contract_basis(a: PolyForm, index: int) -> PolyForm:
         for m, slot in nums.items() if m & bit}, den)
 
 
-def _d_along(a: PolyForm, variables) -> PolyForm:
-    """Sum over the given 0-based variables v of dx_v ∧ ∂a/∂x_v.
+def exterior_d(a: PolyForm) -> PolyForm:
+    """Exterior derivative, the sum over the variables v of dx_v ∧ ∂a/∂x_v; nilpotent
+    and a graded derivation over wedge.
 
     Accumulates on the integer view of a, one flat exponent dict per
     output mask; one pass over a slot buckets its hits by variable, in term
@@ -299,7 +300,7 @@ def _d_along(a: PolyForm, variables) -> PolyForm:
     nums, scale = a._numerators
     out: dict = {}
     for m, p in nums.items():
-        buckets: dict = {v: [] for v in variables if not m >> v & 1}
+        buckets: dict = {v: [] for v in range(a.dim) if not m >> v & 1}
         for e, n in p.items():
             for v, hits in buckets.items():
                 if e[v]:
@@ -315,24 +316,6 @@ def _d_along(a: PolyForm, variables) -> PolyForm:
             if not out[key]:
                 del out[key]
     return _pf_seeded(a.dim, a.degree + 1, a.split, out, scale)
-
-
-def exterior_d(a: PolyForm) -> PolyForm:
-    """Exterior derivative; nilpotent and a graded derivation over wedge."""
-    return _d_along(a, range(a.dim))
-
-
-def vertical_d(a: PolyForm) -> PolyForm:
-    """Fiber-direction exterior derivative of a vertical form.
-
-    The argument must carry y-differentials only (vertical forms are
-    equivalence classes; the straightened chart fixes this representative),
-    while its coefficients may still depend on the x-variables.
-    """
-    for m in a._numerators[0]:
-        if m & ((1 << a.x_dim) - 1):
-            raise PreconditionError("vertical forms must carry y-differentials only")
-    return _d_along(a, range(a.x_dim, a.dim))
 
 
 def max_vertical_factors(a: PolyForm) -> int:
@@ -462,34 +445,6 @@ def moser_potential(omega: PolyForm, omega0: PolyForm) -> PolyForm:
     if max_vertical_factors(alpha) != 0:
         raise InternalCheckError("correction form still touches the fiber directions")
     return alpha
-
-
-def chart_symbol(omega: PolyForm, r: int) -> list[tuple[tuple[int, ...], PolyForm]]:
-    """Leading vertical components of a partially horizontal chart form.
-
-    Returns (base multi-index, vertical form) pairs: the coefficient forms
-    carry y-differentials only, with x-dependence allowed.
-    """
-    k1 = omega.degree
-    if max_vertical_factors(omega) > r:
-        raise PreconditionError("form has too many vertical factors for this horizontality")
-    x_dim = omega.x_dim
-    blocksign = -1 if (r * (k1 - r)) & 1 else 1
-    out: dict = {}
-    for m, p in omega.coeffs.items():
-        if omega.y_count(m) != r:
-            continue
-        tmask = m & ((1 << x_dim) - 1)
-        vmask = m ^ tmask
-        slot = out.setdefault(tmask, {})
-        slot[vmask] = p * blocksign if blocksign < 0 else p
-    combos = itertools.combinations(range(1, x_dim + 1), k1 - r)
-    result = []
-    for mu in combos:
-        tmask = mask_of(mu)
-        slot = out.get(tmask, {})
-        result.append((mu, PolyForm(omega.dim, r, omega.split, dict(slot))))
-    return result
 
 
 # ---------------------------------------------------------------------------

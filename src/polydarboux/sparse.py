@@ -6,9 +6,9 @@ coefficients of forms, whose spaces are large and mostly zero.
 ``SparseEchelon`` grows a span one vector at a time and keeps it as the
 unique reduced row echelon form in key order, each row scaled to
 primitive integers.  It is the only elimination in the package: the
-solver, the span intersection and, through ``linalg``, every rref, rank,
-kernel, solve, inverse and subspace run on it.  Rationals enter by one
-lcm per vector and leave as ``Fraction``s only in the answers.
+solver and, through ``linalg``, every rank, kernel, inverse and subspace
+run on it.  Rationals enter by one lcm per vector and leave as
+``Fraction``s only in the answers.
 """
 
 from __future__ import annotations
@@ -181,21 +181,3 @@ def span_equal(vectors_a, vectors_b) -> bool:
         return False
     return span_of(vb).rank == ea.rank
 
-
-def intersect_spans(vectors_a, vectors_b) -> list[SparseVec]:
-    """Basis of (span a) ∩ (span b), as sparse integer vectors.
-
-    Zassenhaus: the echelon of the rows (a, a) and (b, 0), with every
-    key of the first half before every key of the second.  Its rows
-    whose pivot lies in the second half are zero in the first, and their
-    second halves span the intersection.
-    """
-    ech = SparseEchelon()
-    for v in vectors_a:
-        both = {(0, k): x for k, x in v.items()}
-        both.update({(1, k): x for k, x in v.items()})
-        ech.insert(both)
-    for w in vectors_b:
-        ech.insert({(0, k): x for k, x in w.items()})
-    return [{k: x for (_, k), x in row.items()}
-            for (half, _), row in ech.rows.items() if half == 1]

@@ -10,17 +10,17 @@ from math import lcm
 import numpy as np
 import pytest
 
-from polydarboux import io
+from polydarboux import darboux, io, lagrangian
 from polydarboux.errors import DimensionMismatch, DocumentError, PreconditionError
-from polydarboux.exterior import (AlternatingForm, Flag, VectorValuedForm, contract,
-                                  coordinate_flag, evaluate, form, indices_of, mask_of,
-                                  merge_sign, removal_sign, sorted_sign, with_splitting)
+from polydarboux.exterior import (AlternatingForm, Flag, VectorValuedForm, _contract_scalar,
+                                  contract, coordinate_flag, evaluate, form, indices_of,
+                                  mask_of, merge_sign, removal_sign, sorted_sign, with_splitting)
 from polydarboux.lagrangian import _kernel_constraints, _stacked, as_vector_form
-from polydarboux.linalg import (ZERO, ONE, Matrix, Subspace, _echelon, _sparse_vector, frac,
-                                kernel_subspace, vec)
+from polydarboux.linalg import (ZERO, ONE, Matrix, Subspace, _echelon, _sparse_vector, complement,
+                                frac, kernel_subspace, vec)
 from polydarboux.moser import DEFAULT_SOLVE_TOL, _flow_residuals
 from polydarboux.polyforms import PolyForm, Polynomial, pf_add, pf_scale, pf_sub, poly_const
-from polydarboux.sparse import _sparse
+from polydarboux.sparse import SparseEchelon, _sparse, span_equal, span_of
 
 
 @pytest.fixture
@@ -95,6 +95,129 @@ def random_vector(rng, dim: int, span=3):
     return [Fraction(rng.randint(-span, span), rng.randint(1, 2)) for _ in range(dim)]
 
 
+# ---------------------------------------------------------------------------
+# matrices, subspaces and isotropy as the tests build and check them; no command needs these
+
+
+def identity(n: int) -> Matrix:
+    return Matrix(n, tuple({i: ONE} for i in range(n)))
+
+
+def zero_matrix(rows: int, cols: int) -> Matrix:
+    return Matrix(rows, tuple({} for _ in range(cols)))
+
+
+def row(m: Matrix, i: int) -> tuple[Fraction, ...]:
+    return tuple(c.get(i, ZERO) for c in m.columns)
+
+
+def row_list(m: Matrix) -> list[list[Fraction]]:
+    return [list(row(m, i)) for i in range(m.rows)]
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    if a.cols != b.rows:
+        raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    return Matrix(a.rows, tuple(map(a.apply, b.columns)))
+
+
+def mul_vec(m: Matrix, v) -> tuple[Fraction, ...]:
+    """The product with a dense or sparse vector, as a dense tuple."""
+    out = m.apply(v)
+    return tuple(out.get(i, ZERO) for i in range(m.rows))
+
+
+def row_rank(rows) -> int:
+    """Rank of a list of dense or sparse rows."""
+    return _echelon(rows).rank
+
+
+def kernel(m: Matrix) -> Subspace:
+    """Kernel of the linear map v -> m v, as a subspace of the column space."""
+    return kernel_subspace(m.transpose().columns, m.cols)
+
+
+def vectors(sub: Subspace) -> list[tuple[Fraction, ...]]:
+    """The RREF basis as dense rows."""
+    return [tuple(r.get(j, ZERO) for j in range(sub.ambient_dim)) for r in sub.unit_rows()]
+
+
+def contains(sub: Subspace, v) -> bool:
+    return sub.echelon.contains(_sparse_vector(v, sub.ambient_dim))
+
+
+def intersect_spans(vectors_a, vectors_b) -> list[dict]:
+    """Basis of (span a) ∩ (span b), as sparse integer vectors.
+
+    Zassenhaus: the echelon of the rows (a, a) and (b, 0), with every
+    key of the first half before every key of the second.  Its rows
+    whose pivot lies in the second half are zero in the first, and their
+    second halves span the intersection.
+    """
+    ech = SparseEchelon()
+    for v in vectors_a:
+        both = {(0, k): x for k, x in v.items()}
+        both.update({(1, k): x for k, x in v.items()})
+        ech.insert(both)
+    for w in vectors_b:
+        ech.insert({(0, k): x for k, x in w.items()})
+    return [{k: x for (_, k), x in row.items()}
+            for (half, _), row in ech.rows.items() if half == 1]
+
+
+def intersect(a: Subspace, b: Subspace) -> Subspace:
+    """Intersection of the two spans, by ``intersect_spans``."""
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatch("ambient dimensions differ")
+    return Subspace(a.ambient_dim,
+                    span_of(intersect_spans(a.echelon.rows.values(), b.echelon.rows.values())))
+
+
+def is_maximal_isotropic(sub: Subspace, omega) -> bool:
+    """Maximality at level 1: the kernel is contained and the contraction
+    image equals the image of the whole space cut to the annihilating forms.
+
+    The images are read through the module, so a test that patches
+    ``lagrangian.flat_image_vectors`` patches them here too."""
+    v = as_vector_form(omega)
+    k = v.degree - 1
+    if not sub.contains_subspace(lagrangian.kernel_of_form(v)):
+        return False
+    lhs = lagrangian.flat_image_vectors(v, sub.rows())
+    full = lagrangian.flat_image_vectors(v, Subspace.full(v.dim).rows())
+    rhs = intersect_spans(full, lagrangian._lperp_tensor_basis(sub, k, v.value_dim))
+    return span_equal(lhs, rhs)
+
+
+def horizontality_degree(omega: AlternatingForm, flag: Flag) -> int:
+    """Minimal s such that contraction with any s+1 vertical vectors vanishes.
+
+    Exhausts combinations of the vertical basis, so the answer does not
+    depend on the coordinates the form happens to be written in.
+    """
+    if omega.dim != flag.total_dim:
+        raise DimensionMismatch("form does not live on the flag's total space")
+    if omega.is_zero():
+        return 0
+    vert = flag.vertical.rows()
+    for s in range(omega.degree + 1):
+        if s + 1 > len(vert):
+            return s
+        ok = True
+        for combo in itertools.combinations(vert, s + 1):
+            cur = omega
+            for v in combo:
+                cur = _contract_scalar(v, cur)
+                if cur.is_zero():
+                    break
+            if not cur.is_zero():
+                ok = False
+                break
+        if ok:
+            return s
+    return omega.degree
+
+
 def orthogonal_complement(sub: Subspace, omega, level: int) -> Subspace:
     """Vectors annihilating omega after ``level`` contractions with the subspace.
 
@@ -115,6 +238,35 @@ def orthogonal_complement(sub: Subspace, omega, level: int) -> Subspace:
         if not partial.is_zero():
             rows.extend(_kernel_constraints(partial))
     return kernel_subspace(rows, v.dim)
+
+
+def extend_isotropic_complement(form_in, lagr: Subspace, start: Subspace,
+                                flag: Flag | None = None, r: int | None = None) -> Subspace:
+    """The isotropic complement of L grown from ``start``.
+
+    Without a flag ``start`` is part of a complement of L and the result
+    completes it.  With a flag ``start`` must meet the vertical space
+    exactly in a complement of L, and the result also spans the base.
+    The frame starts from the echelon rows of ``start``: scaling a frame
+    vector scales its pairings and, inversely, its duals and momentum
+    vectors, so the vectors the induction adds do not change.
+    """
+    v = as_vector_form(form_in)
+    if flag is None:
+        e_part, fixed = start, start.rows()
+    else:
+        if r is None:
+            raise PreconditionError("the flagged extension needs the horizontality parameter")
+        e_part = intersect(start, flag.vertical)
+        if e_part.dim != flag.vertical.dim - lagr.dim:
+            raise PreconditionError("start must meet the vertical space exactly in a complement of L")
+        fixed = e_part.rows() + complement(e_part, inside=start).rows()
+    if intersect(e_part, lagr).dim != 0:
+        raise PreconditionError("start vectors must be independent from the subspace")
+    if start.dim and not lagrangian.is_isotropic(start, v, v.degree - 1):
+        raise PreconditionError("start subspace is not isotropic at the required level")
+    frame = darboux._induction(v, lagr, lagrangian.kernel_of_form(v), fixed, flag, r)[0].frame
+    return Subspace.from_vectors(v.dim, frame)
 
 
 def contraction_oracle(v: dict, a: AlternatingForm) -> AlternatingForm:
@@ -147,7 +299,7 @@ def integer_coeffs_oracle(coeffs: dict) -> tuple[dict, int]:
 
 
 def poly_numerators_oracle(a) -> tuple[dict, int]:
-    """The lcm and numerators that ``_d_along`` and ``_primitive`` each built per call."""
+    """The lcm and numerators that ``exterior_d`` and ``_primitive`` each built per call."""
     den = lcm(*(c.denominator for p in a.coeffs.values() for c in p.terms.values()))
     return {m: {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
             for m, p in a.coeffs.items()}, den
@@ -615,10 +767,6 @@ class DenseMatrix:
         return DenseMatrix.from_rows(cols).transpose() if cols else DenseMatrix(0, 0, ())
 
     @staticmethod
-    def identity(n: int) -> DenseMatrix:
-        return DenseMatrix(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
-
-    @staticmethod
     def zero(rows: int, cols: int) -> DenseMatrix:
         return DenseMatrix(rows, cols, (ZERO,) * (rows * cols))
 
@@ -638,33 +786,11 @@ class DenseMatrix:
         return DenseMatrix(self.cols, self.rows,
                            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
 
-    def __matmul__(self, other: DenseMatrix) -> DenseMatrix:
-        if self.cols != other.rows:
-            raise DimensionMismatch("cannot multiply")
-        ot = other.transpose()
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            for j in range(other.cols):
-                c = ot.row(j)
-                out.append(sum((a * b for a, b in zip(r, c) if a and b), ZERO))
-        return DenseMatrix(self.rows, other.cols, tuple(out))
-
     def mul_vec(self, v) -> tuple:
         x = _sparse_vector(v, self.cols)
         e, n = self.entries, self.cols
         return tuple(sum((e[i * n + j] * c for j, c in x.items() if e[i * n + j]), ZERO)
                      for i in range(self.rows))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
-
-
-def dense_rref(m: DenseMatrix):
-    reduced = Subspace(m.cols, _echelon(m.row_list())).vectors()
-    out = reduced + [(ZERO,) * m.cols] * (m.rows - len(reduced))
-    return DenseMatrix.from_rows(out) if m.rows else m, len(reduced)
-
 
 def dense_rank(m: DenseMatrix) -> int:
     return _echelon(m.row_list()).rank
@@ -672,21 +798,6 @@ def dense_rank(m: DenseMatrix) -> int:
 
 def dense_kernel(m: DenseMatrix) -> Subspace:
     return kernel_subspace(m.row_list(), m.cols)
-
-
-def dense_solve(m: DenseMatrix, rhs):
-    b = vec(rhs)
-    if len(b) != m.rows:
-        raise DimensionMismatch("right-hand side length does not match rows")
-    n = m.cols
-    ech = _echelon({**_sparse(m.row(i)), n: b[i]} for i in range(m.rows))
-    if n in ech.rows:
-        return None
-    x = [ZERO] * n
-    for p, row in ech.rows.items():
-        if n in row:
-            x[p] = Fraction(row[n], row[p])
-    return tuple(x)
 
 
 def dense_inverse(m: DenseMatrix) -> DenseMatrix:

@@ -13,14 +13,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import orthogonal_complement, random_form
+from conftest import intersect, orthogonal_complement, random_form
 from test_greedy_oracle import _e13_e24, _embedded, coefficients
 from polydarboux import lagrangian, linalg, sparse
 from polydarboux.darboux import canonical_poly_model, conjugated_poly_instance
 from polydarboux.errors import DimensionMismatch, PreconditionError
 from polydarboux.exterior import VectorValuedForm, form
 from polydarboux.lagrangian import _cut, greedy_maximal_isotropic, is_isotropic
-from polydarboux.linalg import Subspace, intersect, kernel_subspace
+from polydarboux.linalg import Subspace, kernel_subspace
 from polydarboux.sparse import SparseEchelon, _sparse
 
 settings.register_profile("complement_cut", deadline=None, max_examples=150, derandomize=True)
@@ -71,7 +71,7 @@ def test_greedy_builds_no_span(monkeypatch):
     for mod in (sparse, linalg, lagrangian):
         monkeypatch.setattr(mod, "span_of", lambda vs: calls.append(1) or span_of(vs))
     for v, seed in cases:
-        sub = greedy_maximal_isotropic(v, Subspace.span_of_coordinates(v.dim, seed), verify=False)
+        sub = greedy_maximal_isotropic(v, Subspace.span_of_coordinates(v.dim, seed))
         assert sub.dim >= v.dim // 2
     assert calls == []
 
@@ -101,7 +101,7 @@ def isotropy_cases(draw):
         sub = Subspace.from_vectors(dim, vectors)
     else:
         seed = Subspace.span_of_coordinates(dim, [draw(st.integers(1, dim))])
-        sub = greedy_maximal_isotropic(v, seed, verify=False)
+        sub = greedy_maximal_isotropic(v, seed)
         if kind == "greedy plus one":
             sub = Subspace.from_vectors(dim, sub.rows() + [draw(vector)])
     return v, sub, level

@@ -4,17 +4,16 @@ from math import comb
 
 import pytest
 
+from conftest import extend_isotropic_complement, identity, intersect, matmul
 from polydarboux.darboux import (canonical_multi_model,
                                  canonical_multi_symbol, canonical_poly_model,
                                  conjugated_multi_instance, conjugated_poly_instance,
-                                 darboux_basis_multi, darboux_basis_poly,
-                                 extend_isotropic_complement, seeded_conjugate)
+                                 darboux_basis_multi, darboux_basis_poly, seeded_conjugate)
 from polydarboux.errors import ConstructionError, PreconditionError
 from polydarboux.exterior import VectorValuedForm, embed_in, form, pullback
-from polydarboux.lagrangian import (check_multilagrangian, is_isotropic,
-                                    kernel_of_form, search_polylagrangian, symbol)
-from polydarboux.linalg import (Matrix, Subspace, intersect, inverse, subspace_sum,
-                               transform_subspace)
+from polydarboux.lagrangian import (check_multilagrangian, is_isotropic, kernel_of_form,
+                                    search_polylagrangian, symbol)
+from polydarboux.linalg import Subspace, inverse, subspace_sum, transform_subspace
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +213,7 @@ def test_conjugate_maps_are_unimodular_inverses():
     for _ in range(5):
         dim = rng.randint(2, 8)
         cmap = seeded_conjugate(dim, rng.randint(0, 10**6))
-        assert cmap.matrix @ cmap.inv == Matrix.identity(dim)
+        assert matmul(cmap.matrix, cmap.inv) == identity(dim)
 
 
 def test_flag_preserving_conjugates_fix_vertical_space():
@@ -265,24 +264,24 @@ def test_poly_induction_inverts_codim_l_matrices_only_at_pairing_steps(monkeypat
     assert shapes == [(16, 16)] and len(shapes) <= pairing_steps + 1
 
 
-def test_search_and_induction_read_no_dense_rows(monkeypatch):
-    # vectors stay sparse from the kernel to the basis: neither the search nor
-    # the construction reads a dense RREF row; the kernel's sparse unit rows
+def test_search_and_induction_read_no_rref_rows_but_the_kernels(monkeypatch):
+    # vectors stay integer echelon rows from the kernel to the basis: the search
+    # reads no RREF row, and the construction only the kernel's, whose unit rows
     # are the last columns of the basis matrix
     moved, _, _ = conjugated_poly_instance(canonical_poly_model(32, 1, 1), 3)
     read = []
-    vectors = Subspace.vectors
+    unit_rows = Subspace.unit_rows
 
     def counted(self):
         read.append(self)
-        return vectors(self)
+        return unit_rows(self)
 
-    monkeypatch.setattr(Subspace, "vectors", counted)
+    monkeypatch.setattr(Subspace, "unit_rows", counted)
     assert search_polylagrangian(moved).status == "found"
     assert read == []
     basis = darboux_basis_poly(moved)
     assert basis.params == (32, 1, 1)
-    assert read == []
+    assert read == [kernel_of_form(moved)]
 
 
 def test_r1_model_subspace_missing_the_kernel_is_refused_by_name():

@@ -4,7 +4,7 @@
 over slots, and ``darboux._assemble`` lays out both bases.  The oracles
 below are the previous code: the poly loop ``_extend_poly``, the multi loop
 ``extend_isotropic_complement_multi`` with its second (vertical) avoid
-span, the two hand-written basis assemblies, and the public wrapper with
+span, the two hand-written basis assemblies, and the extension wrapper with
 its ``mode`` string.  They also keep the previous duals and pairings: a
 full inverse of [frame + completion | L] and one ``evaluate`` per slot at
 every step, where the induction now inverts one codim L matrix of
@@ -21,16 +21,15 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import extend_isotropic_complement, intersect, row, vectors
 from polydarboux.darboux import (canonical_multi_model, canonical_poly_model,
                                  conjugated_multi_instance, conjugated_poly_instance,
-                                 darboux_basis_multi, darboux_basis_poly,
-                                 extend_isotropic_complement, multi_slot_index)
+                                 darboux_basis_multi, darboux_basis_poly, multi_slot_index)
 from polydarboux.errors import ConstructionError, PolydarbouxError, PreconditionError
 from polydarboux.exterior import VectorValuedForm, contract, evaluate, form, wedge_all
 from polydarboux.lagrangian import (_stacked, as_vector_form, is_isotropic, kernel_of_form,
                                     detect_multilagrangian, symbol, to_vertical_coordinates)
-from polydarboux.linalg import (ONE, ZERO, Matrix, Subspace, complement, intersect, inverse,
-                                subspace_sum)
+from polydarboux.linalg import ONE, ZERO, Matrix, Subspace, complement, inverse, subspace_sum
 from polydarboux.sparse import SparseSolver, _sparse
 
 settings.register_profile("darboux_oracle", deadline=None, max_examples=25, derandomize=True)
@@ -65,13 +64,13 @@ def oracle_span_of_rows(start, *groups):
 
 def oracle_dual_rows(columns):
     inv = inverse(Matrix.from_cols(columns))
-    return [inv.row(i) for i in range(inv.rows)]
+    return [row(inv, i) for i in range(inv.rows)]
 
 
 def oracle_lagrangian_solver(v, lagr, ker):
     l_prime = complement(ker, inside=lagr)
     solver = SparseSolver()
-    for b in l_prime.vectors():
+    for b in vectors(l_prime):
         solver.add_generator(_stacked(contract(b, v)))
     return l_prime, solver
 
@@ -85,7 +84,7 @@ def oracle_momentum(solver, l_prime, target):
     assert all(answer.values())  # the solver answers with its nonzero coefficients only
     coeffs = [answer.get(j, ZERO) for j in range(solver.ngen)]
     out = [ZERO] * l_prime.ambient_dim
-    for c, b in zip(coeffs, l_prime.vectors()):
+    for c, b in zip(coeffs, vectors(l_prime)):
         if c:
             out = [x + c * y for x, y in zip(out, b)]
     return out
@@ -107,7 +106,7 @@ def oracle_extend_poly(v, lagr, e_vecs, l_prime, solver):
         completion = oracle_completion(dim, avoid, n_rank - len(e_vecs))
         basis_c = e_vecs + completion
         candidate = completion[0]
-        duals = oracle_dual_rows(basis_c + lagr.vectors())[:n_rank]
+        duals = oracle_dual_rows(basis_c + vectors(lagr))[:n_rank]
         u = list(candidate)
         for a in range(v.value_dim):
             contracted = contract(candidate, VectorValuedForm((v.components[a],)))
@@ -136,7 +135,7 @@ def oracle_extend_multi(omega, lagr, flag, r, e_vecs, start_h, l_prime, solver):
         lagr_avoid.insert(_sparse(candidate))
         filler = oracle_completion(dim, lagr_avoid, n_base - len(h_vecs) - 1)
         basis_c = e_vecs + h_vecs + [candidate] + filler
-        duals = oracle_dual_rows(basis_c + lagr.vectors())[: n_rank + n_base]
+        duals = oracle_dual_rows(basis_c + vectors(lagr))[: n_rank + n_base]
         u = list(candidate)
         contracted = contract(candidate, omega)
         for (s, idx, mu) in slots:
@@ -154,7 +153,7 @@ def oracle_extend_multi(omega, lagr, flag, r, e_vecs, start_h, l_prime, solver):
 def oracle_extension(form_in, lagr, start, mode="poly", flag=None, r=None):
     if mode == "poly":
         v = as_vector_form(form_in)
-        e_vecs = [list(x) for x in start.vectors()]
+        e_vecs = [list(x) for x in vectors(start)]
         if e_vecs:
             sub = Subspace.from_vectors(v.dim, e_vecs)
             if sub.dim != len(e_vecs) or intersect(sub, lagr).dim != 0:
@@ -172,9 +171,9 @@ def oracle_extension(form_in, lagr, start, mode="poly", flag=None, r=None):
         raise PreconditionError("start subspace is not isotropic at the required level")
     h_part = complement(e_part, inside=start)
     l_prime, solver = oracle_lagrangian_solver(as_vector_form(omega), lagr, kernel_of_form(omega))
-    h_vecs = oracle_extend_multi(omega, lagr, flag, r, [list(x) for x in e_part.vectors()],
-                                 [list(x) for x in h_part.vectors()], l_prime, solver)
-    return Subspace.from_vectors(omega.dim, e_part.vectors() + h_vecs)
+    h_vecs = oracle_extend_multi(omega, lagr, flag, r, [list(x) for x in vectors(e_part)],
+                                 [list(x) for x in vectors(h_part)], l_prime, solver)
+    return Subspace.from_vectors(omega.dim, vectors(e_part) + h_vecs)
 
 
 def oracle_basis_poly(v, lagr):
@@ -185,7 +184,7 @@ def oracle_basis_poly(v, lagr):
     n_rank = dim - lagr.dim
     l_prime, solver = oracle_lagrangian_solver(v, lagr, ker)
     e_vecs = oracle_extend_poly(v, lagr, [], l_prime, solver)
-    duals = oracle_dual_rows(e_vecs + lagr.vectors())[:n_rank]
+    duals = oracle_dual_rows(e_vecs + vectors(lagr))[:n_rank]
     columns = list(e_vecs)
     labels = [("q", (i,)) for i in range(1, n_rank + 1)]
     for a in range(v.value_dim):
@@ -193,7 +192,7 @@ def oracle_basis_poly(v, lagr):
             target = oracle_target(duals, idx, a, dim)
             columns.append(oracle_momentum(solver, l_prime, target))
             labels.append(("p", (a + 1,), idx))
-    for j, kv in enumerate(ker.vectors(), start=1):
+    for j, kv in enumerate(vectors(ker), start=1):
         columns.append(list(kv))
         labels.append(("ker", (j,)))
     return Matrix.from_cols(columns), tuple(labels)
@@ -211,7 +210,7 @@ def oracle_basis_multi(omega, flag, r, lagr):
         sym = symbol(omega, flag, r)
         lagr_v = to_vertical_coordinates(flag, lagr)
         if sym.is_zero():
-            e_v = [list(x) for x in complement(lagr_v).vectors()]
+            e_v = [list(x) for x in vectors(complement(lagr_v))]
         else:
             l_prime_v, solver_v = oracle_lagrangian_solver(sym, lagr_v, kernel_of_form(sym))
             e_v = oracle_extend_poly(sym, lagr_v, [], l_prime_v, solver_v)
@@ -220,7 +219,7 @@ def oracle_basis_multi(omega, flag, r, lagr):
     ker = kernel_of_form(omega)
     l_prime, solver = oracle_lagrangian_solver(as_vector_form(omega), lagr, ker)
     h_vecs = oracle_extend_multi(omega, lagr, flag, r, e_vecs, [], l_prime, solver)
-    duals = oracle_dual_rows(e_vecs + h_vecs + lagr.vectors())[: n_rank + n_base]
+    duals = oracle_dual_rows(e_vecs + h_vecs + vectors(lagr))[: n_rank + n_base]
     columns = list(e_vecs) + list(h_vecs)
     labels = [("q", (i,)) for i in range(1, n_rank + 1)]
     labels += [("x", (mu,)) for mu in range(1, n_base + 1)]
@@ -228,7 +227,7 @@ def oracle_basis_multi(omega, flag, r, lagr):
         target = oracle_target(duals, idx + tuple(n_rank + m for m in mu), 0, dim)
         columns.append(oracle_momentum(solver, l_prime, target))
         labels.append(("p", idx, mu))
-    for j, kv in enumerate(ker.vectors(), start=1):
+    for j, kv in enumerate(vectors(ker), start=1):
         columns.append(list(kv))
         labels.append(("ker", (j,)))
     return Matrix.from_cols(columns), tuple(labels)

@@ -16,7 +16,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import contraction_oracle
+from conftest import contraction_oracle, vectors
 from polydarboux import exterior, lagrangian
 from polydarboux.darboux import (_multi_model_data, canonical_multi_model,
                                  canonical_multi_symbol, canonical_poly_model,
@@ -153,7 +153,7 @@ def test_adapted_matrix_is_built_once_per_flag():
         b = flag.adapted_matrix()
         assert flag.adapted_matrix() is b
         assert b == Matrix.from_cols([flag.splitting.col(j) for j in range(flag.dim_t)]
-                                     + flag.vertical.vectors())
+                                     + vectors(flag.vertical))
 
 
 def test_darboux_multi_adapts_once_per_flag(monkeypatch):

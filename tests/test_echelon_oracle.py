@@ -1,13 +1,13 @@
 """Differential tests: the one incremental echelon against the code it replaced.
 
 ``sparse.SparseEchelon`` now carries every span grown one vector at a
-time: the solver, both intersections, complements and the greedy
-isotropic growth.  The oracles below are the previous implementations:
-the dense Fraction ``RowEchelon``, the sparse echelon that reduced
-against every row in pivot order, the solver with its own elimination
-loop and generator tags, the span intersection through a dense kernel of
-the concatenated coefficient map, and ``linalg.intersect`` through the
-kernel of the stacked annihilator constraints.  The echelon's rows are
+time: the solver, complements, the greedy isotropic growth and the two
+intersections of ``conftest``.  The oracles below are the previous
+implementations: the dense Fraction ``RowEchelon``, the sparse echelon
+that reduced against every row in pivot order, the solver with its own
+elimination loop and generator tags, the span intersection through a
+dense kernel of the concatenated coefficient map, and ``intersect``
+through the kernel of the stacked annihilator constraints.  The echelon's rows are
 primitive integer vectors, so they are compared monic, each divided by its
 pivot entry, and their integer form is checked on its own.
 """
@@ -19,8 +19,9 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from polydarboux.linalg import Subspace, annihilator, intersect, kernel_basis
-from polydarboux.sparse import SparseEchelon, SparseSolver, _sparse, intersect_spans
+from conftest import intersect, intersect_spans, vectors
+from polydarboux.linalg import Subspace, annihilator, kernel_basis
+from polydarboux.sparse import SparseEchelon, SparseSolver, _sparse
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -200,7 +201,7 @@ def oracle_intersect_spans(vectors_a, vectors_b) -> list[dict]:
 
 
 def oracle_intersect(a: Subspace, b: Subspace) -> Subspace:
-    constraints = annihilator(a).vectors() + annihilator(b).vectors()
+    constraints = vectors(annihilator(a)) + vectors(annihilator(b))
     return Subspace.from_vectors(
         a.ambient_dim, kernel_basis([list(r) for r in constraints], a.ambient_dim))
 
@@ -355,7 +356,7 @@ def test_subspace_intersect_matches_annihilator_construction(data):
     a = Subspace.from_vectors(dim, data.draw(dense_rows(dim, dim)))
     rows_b = data.draw(dense_rows(dim, dim))
     if a.dim and data.draw(st.booleans()):
-        rows_b.append(list(a.vectors()[0]))
+        rows_b.append(list(vectors(a)[0]))
     b = Subspace.from_vectors(dim, rows_b)
     assert intersect(a, b) == oracle_intersect(a, b)
     assert intersect(b, a) == oracle_intersect(a, b)

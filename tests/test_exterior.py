@@ -4,17 +4,18 @@ from math import comb
 
 import pytest
 
-from conftest import (count_horizontal_monomials, eval_wedge_oracle, random_form,
-                      random_vector, std_vector)
-from polydarboux.darboux import canonical_multi_model, canonical_poly_model
+from conftest import (count_horizontal_monomials, eval_wedge_oracle, horizontality_degree,
+                      identity, intersect, matmul, mul_vec, random_form, random_vector,
+                      std_vector, vectors, zero_matrix)
+from polydarboux.darboux import (canonical_multi_model, canonical_poly_model,
+                                 conjugated_multi_instance)
 from polydarboux.errors import DimensionMismatch, PreconditionError
 from polydarboux.exterior import (Flag, VectorValuedForm, add, basis_covector, contract,
-                                  coordinate_flag, evaluate, flat_matrix, form,
-                                  horizontal_dim, horizontality_degree, poly_eval,
-                                  project, pullback, scale, symmetric_poly, wedge,
-                                  with_splitting, zero_form)
-from polydarboux.lagrangian import kernel_of_form
-from polydarboux.linalg import Matrix, Subspace, intersect, rank
+                                  coordinate_flag, evaluate, form, horizontal_dim, project,
+                                  pullback, scale, wedge, with_splitting)
+from polydarboux.io import alternating_to_document, parse_document
+from polydarboux.lagrangian import classify_horizontal_form, kernel_of_form
+from polydarboux.linalg import Matrix, Subspace
 
 
 def test_wedge_self_annihilates():
@@ -116,45 +117,22 @@ def test_project_commutes_with_contract(rank_gap_form):
         assert contract(v, project(rank_gap_form, t)) == project(contract(v, rank_gap_form), t)
 
 
-def test_flat_matrix_zero_form():
-    z = VectorValuedForm((zero_form(3, 2),))
-    m = flat_matrix(z, Subspace.full(3))
-    assert m.is_zero()
-
-
-def test_flat_matrix_nondegenerate(area_triple_form):
-    m = flat_matrix(area_triple_form, Subspace.full(3))
-    assert rank(m) == 3
-    from polydarboux.linalg import kernel
-    assert kernel(m).dim == 0
-
-
-def test_flat_matrix_symplectic_plane():
-    omega = VectorValuedForm((form(2, 2, {(1, 2): 1}),))
-    m = flat_matrix(omega, Subspace.full(2))
-    assert (m.rows, m.cols) == (2, 2)
-    assert rank(m) == 2
-
-
-def test_kernel_of_flat_matrix_is_component_kernel_intersection():
+def test_form_kernel_is_component_kernel_intersection():
     rng = random.Random(41)
-    from polydarboux.linalg import kernel
     for _ in range(10):
         dim = rng.randint(2, 5)
         comps = tuple(random_form(rng, dim, 2) for _ in range(rng.randint(1, 3)))
         if all(c.is_zero() for c in comps):
             continue
-        v = VectorValuedForm(comps)
-        lhs = kernel(flat_matrix(v, Subspace.full(dim)))
-        rhs = Subspace.full(dim)
+        want = Subspace.full(dim)
         for c in comps:
-            rhs = intersect(rhs, kernel_of_form(VectorValuedForm((c,))))
-        assert lhs == rhs and lhs == kernel_of_form(v)
+            want = intersect(want, kernel_of_form(VectorValuedForm((c,))))
+        assert kernel_of_form(VectorValuedForm(comps)) == want
 
 
 def test_pullback_identity_and_swap():
     a = form(2, 2, {(1, 2): 1})
-    assert pullback(a, Matrix.identity(2)) == a
+    assert pullback(a, identity(2)) == a
     swap = Matrix.from_rows([[0, 1], [1, 0]])
     assert pullback(a, swap) == scale(a, -1)
 
@@ -171,7 +149,7 @@ def test_pullback_functorial():
         a = random_form(rng, 4, 2)
         m1 = Matrix.from_rows([[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(4)])
         m2 = Matrix.from_rows([[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)])
-        assert pullback(pullback(a, m1), m2) == pullback(a, m1 @ m2)
+        assert pullback(pullback(a, m1), m2) == pullback(a, matmul(m1, m2))
 
 
 def test_pullback_evaluation_oracle():
@@ -180,7 +158,7 @@ def test_pullback_evaluation_oracle():
         a = random_form(rng, 4, 2)
         m = Matrix.from_rows([[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(4)])
         vs = [random_vector(rng, 3) for _ in range(2)]
-        assert evaluate(pullback(a, m), vs) == evaluate(a, [m.mul_vec(v) for v in vs])
+        assert evaluate(pullback(a, m), vs) == evaluate(a, [mul_vec(m, v) for v in vs])
 
 
 def test_flag_validation():
@@ -195,23 +173,26 @@ def test_flag_validation():
     assert with_splitting(flag, good).dim_t == 2
 
 
-def test_horizontality_of_canonical_multi_model():
-    model = canonical_multi_model(2, 2, 2, 2)
-    omega, flag = model.form, model.flag
-    assert horizontality_degree(omega, flag) == 2
+def _flagged_forms():
+    """Hand-made forms on coordinate flags, then the flagged documents that
+    ``canonical multi --shuffle-seed`` writes, as ``analyze`` reads them."""
+    yield form(4, 2, {(1, 2): 1}), coordinate_flag(4, [3, 4])  # from quotient covectors only
+    yield form(4, 2, {(1, 2): 1}), coordinate_flag(4, [1, 2])  # a fully vertical plane
+    yield form(4, 2, {(1, 3): 1, (2, 4): -1}), coordinate_flag(4, [3, 4])
+    for params in [(2, 2, 2, 2), (1, 2, 2, 2), (2, 2, 2, 1), (1, 3, 2, 3), (2, 2, 3, 2)]:
+        model = canonical_multi_model(*params)
+        for seed in (3, 41):
+            moved = conjugated_multi_instance(model, seed)[0]
+            doc = parse_document(alternating_to_document(moved, flag=model.flag, r=params[3]))
+            yield doc.payload, doc.flag
 
 
-def test_horizontality_of_pulled_back_base_form():
-    flag = coordinate_flag(4, [3, 4])
-    # a form built from quotient covectors only is fully horizontal
-    a = form(4, 2, {(1, 2): 1})
-    assert horizontality_degree(a, flag) == 0
-
-
-def test_horizontality_fully_vertical_plane():
-    flag = coordinate_flag(4, [1, 2])
-    a = form(4, 2, {(1, 2): 1})
-    assert horizontality_degree(a, flag) == 2
+@pytest.mark.parametrize("omega, flag", list(_flagged_forms()))
+def test_horizontality_degree_is_the_r_that_classification_reads_off(omega, flag):
+    # brute-force contractions by the vertical basis against the largest vertical count
+    # of the form in flag-adapted coordinates
+    assert classify_horizontal_form(omega, flag).horizontality[0] == horizontality_degree(
+        omega, flag)
 
 
 def test_horizontal_dim_extremes_and_instance():
@@ -227,31 +208,6 @@ def test_horizontal_dim_against_enumeration():
                 for s in range(0, r + 1):
                     assert horizontal_dim(r, s, dim_v, dim_t) == \
                         count_horizontal_monomials(r, s, dim_v, dim_t)
-
-
-def test_poly_eval_mixed_power_vanishes(rank_gap_form):
-    p = symmetric_poly(2, 2, {(1, 1): 1})
-    assert poly_eval(p, rank_gap_form).is_zero()
-
-
-def test_poly_eval_square_records_doubled_coefficient(rank_gap_form):
-    # expanding the square of the first component gives 2 * volume; the
-    # doubled coefficient is deliberate (see the decisions notes)
-    p = symmetric_poly(2, 2, {(2, 0): 1})
-    assert poly_eval(p, rank_gap_form) == form(4, 4, {(1, 2, 3, 4): 2})
-
-
-def test_poly_eval_zero_polynomial(rank_gap_form):
-    p = symmetric_poly(2, 2, {})
-    assert poly_eval(p, rank_gap_form).is_zero()
-
-
-def test_poly_eval_linear_in_polynomial(rank_gap_form):
-    p1 = symmetric_poly(2, 2, {(2, 0): 1})
-    p2 = symmetric_poly(2, 2, {(0, 2): 1})
-    psum = symmetric_poly(2, 2, {(2, 0): 1, (0, 2): 1})
-    assert poly_eval(psum, rank_gap_form) == add(poly_eval(p1, rank_gap_form),
-                                                 poly_eval(p2, rank_gap_form))
 
 
 def test_form_coefficient_sign_normalization():
@@ -297,11 +253,11 @@ def test_lift_vertical_combines_the_rref_basis():
             continue
         free = [j for j in range(5) if j not in vert.pivot_columns()]
         splitting = (Matrix.from_cols([[int(i == j) for i in range(5)] for j in free]) if free
-                     else Matrix.zero(5, 0))
+                     else zero_matrix(5, 0))
         flag = Flag(5, vert, splitting)
         coords = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(vert.dim)]
                   for _ in range(3)]
-        want = [[sum((c * x[j] for c, x in zip(u, vert.vectors())), Fraction(0)) for j in range(5)]
+        want = [[sum((c * x[j] for c, x in zip(u, vectors(vert))), Fraction(0)) for j in range(5)]
                 for u in coords]
         got = flag.lift_vertical(coords)
         assert [[w.get(j, 0) for j in range(5)] for w in got] == want

@@ -19,11 +19,12 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from polydarboux import io
 from polydarboux.cli import main
 from polydarboux.corpus import corpus_files
 from polydarboux.darboux import canonical_multi_model, canonical_poly_model, conjugating_map
 from polydarboux.exterior import form, pullback
-from polydarboux.io import alternating_to_document
+from polydarboux.io import MAX_VALUE_DIM, alternating_to_document, parse_document
 
 CASE_SECONDS = 10.0  # an analyze of these documents takes milliseconds
 
@@ -108,3 +109,22 @@ def test_analyze_exits_cleanly_on_mutated_documents(case_path, doc):
         json.loads(out.getvalue())
     else:
         assert out.getvalue() == ""
+
+
+def _wide_document(value_dim: int) -> dict:
+    return {"schema_version": "1", "kind": "vector_valued_form", "dim": 4, "degree": 2,
+            "value_dim": value_dim, "terms": [{"indices": [1, 2], "coefficient": "1"}]}
+
+
+@pytest.mark.parametrize("command", ["analyze", "darboux", "symbol", "homotopy", "moser"])
+def test_value_dimension_beyond_the_budget_exits_one_before_any_component(
+        case_path, capsys, monkeypatch, command):
+    """One term at value_dim 400 ran for over a minute: one component per declared value."""
+    assert parse_document(_wide_document(MAX_VALUE_DIM)).payload.value_dim == MAX_VALUE_DIM
+    built = []
+    monkeypatch.setattr(io, "_seeded", lambda *args: built.append(args))
+    case_path.write_text(json.dumps(_wide_document(MAX_VALUE_DIM + 1)))
+    assert main([command, str(case_path), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and built == []
+    assert "MAX_VALUE_DIM" in captured.err and str(MAX_VALUE_DIM) in captured.err

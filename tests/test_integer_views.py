@@ -29,7 +29,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (contraction_oracle, flat_image_vectors_oracle, integer_coeffs_oracle,
-                      kernel_constraints_oracle, pf_seeded_oracle, poly_numerators_oracle)
+                      is_maximal_isotropic, kernel_constraints_oracle, pf_seeded_oracle,
+                      poly_numerators_oracle)
 from polydarboux import exterior, lagrangian, polyforms
 from polydarboux.cli import main
 from polydarboux.darboux import (canonical_poly_model, conjugated_poly_instance,
@@ -38,16 +39,16 @@ from polydarboux.exterior import (AlternatingForm, VectorValuedForm, contract, f
                                   scale, wedge)
 from polydarboux.lagrangian import (_kernel_constraints, check_polylagrangian,
                                     flat_image_vectors, greedy_maximal_isotropic, is_isotropic,
-                                    is_maximal_isotropic, kernel_of_form)
+                                    kernel_of_form)
 from polydarboux.corpus import corpus_files
 from polydarboux.io import (_ratio_str, alternating_to_document, load_document,
                             poly_form_to_document)
 from polydarboux.linalg import Subspace, kernel_subspace
 from polydarboux.polyforms import (PolyForm, Polynomial, _pf_seeded, exterior_d,
                                    homotopy_primitive, max_vertical_factors, pf_scale, pf_zero,
-                                   poly_from_terms, poly_var, poly_zero, vertical_d)
+                                   poly_from_terms, poly_var, poly_zero)
 from polydarboux.sparse import span_equal
-from test_polyform_oracle import oracle_d_along, oracle_exterior_d, same_layout
+from test_polyform_oracle import oracle_exterior_d, same_layout
 
 settings.register_profile("integer_views", deadline=None, max_examples=100, derandomize=True)
 PROFILE = settings.get_profile("integer_views")
@@ -219,11 +220,6 @@ def test_derivatives_and_primitives_carry_exact_seeded_views(a):
     d = exterior_d(a)
     assert d == oracle_exterior_d(a)
     assert_seeded_and_exact(d)
-    vertical = PolyForm(a.dim, a.degree, a.split,
-                        {m: p for m, p in a.coeffs.items() if not m & ((1 << a.x_dim) - 1)})
-    dv = vertical_d(vertical)
-    assert dv == oracle_d_along(vertical, range(a.x_dim + 1, a.dim + 1))
-    assert_seeded_and_exact(dv)
     if d.degree >= 1:
         r = max_vertical_factors(d)
         theta = polyforms._primitive(d, r)
@@ -323,7 +319,7 @@ def test_pipelines_agree_with_the_fraction_rows_and_images(data):
     subs = [Subspace.from_vectors(v.dim, ker.rows() + [dict(enumerate(u)) if type(u) is list
                                                        else u for u in picks])]
     # greedy results are isotropic, and maximal ones make the checks reach their last step
-    subs += [greedy_maximal_isotropic(v, s, verify=False) for s in seeds
+    subs += [greedy_maximal_isotropic(v, s) for s in seeds
              if s.dim and is_isotropic(s, v, 1)]
     for sub in subs:
         _assert_pipelines_agree(v, sub)

@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from conftest import orthogonal_complement, random_form, std_vector
+from conftest import (identity, is_maximal_isotropic, orthogonal_complement, random_form,
+                      std_vector, vectors)
 from polydarboux.darboux import (canonical_multi_model, canonical_poly_model,
                                  conjugated_multi_instance, conjugated_poly_instance,
                                  seeded_conjugate)
@@ -15,9 +16,9 @@ from polydarboux.lagrangian import (check_multilagrangian,
                                     check_polylagrangian, classify_horizontal_form,
                                     classify_vector_form, constant_rank_sampled,
                                     detect_multilagrangian, dimension_criterion_multi,
-                                    dimension_criterion_poly, find_polylagrangian,
+                                    dimension_criterion_poly,
                                     greedy_maximal_isotropic, is_isotropic,
-                                    is_maximal_isotropic, kernel_of_form,
+                                    kernel_of_form,
                                     kernels_orthogonal_under,
                                     polysymplectic_uniform_rank_check,
                                     projection_kernel_isotropy_check, rank_2form,
@@ -49,7 +50,7 @@ def test_annihilator_wedges_match_contraction_kernel():
                   for w in _annihilator_wedges(sub, k)]
         monos = list(it.combinations(range(1, dim + 1), k))
         rows = []
-        for u in sub.vectors():
+        for u in vectors(sub):
             # linear conditions on the coefficient vector of a k-form
             by_target: dict = {}
             for j, mono in enumerate(monos):
@@ -179,7 +180,7 @@ def test_equivalence_of_criteria_on_generated_instances():
         n_rank, nhat, k = rng.choice([(2, 2, 1), (3, 2, 1), (2, 1, 1), (3, 1, 2), (2, 2, 2)])
         model = canonical_poly_model(n_rank, nhat, k)
         moved, lagr, _ = conjugated_poly_instance(model, seed=seed)
-        for sub in (lagr, transform_subspace(Matrix.identity(model.dim), model.isotropic_complement)):
+        for sub in (lagr, transform_subspace(identity(model.dim), model.isotropic_complement)):
             n_codim = model.dim - sub.dim
             if n_codim < k:
                 continue
@@ -213,7 +214,6 @@ def test_find_polylagrangian_absent_with_kernel_sum_diagnostic(area_triple_form)
     assert search.status == "absent"
     assert search.subspace is None
     assert any("sum of kernels = full space, not isotropic" in d for d in search.diagnostics)
-    assert find_polylagrangian(area_triple_form) is None
 
 
 def test_find_polylagrangian_absent_small_candidates(small_candidates_form):
@@ -320,6 +320,7 @@ def test_scalar_large_isotropics_live_inside_the_unique_subspace():
     threshold = ker.dim + comb(2, 2) + 1
     for i in range(1, model.dim + 1):
         got = greedy_maximal_isotropic(omega, Subspace.from_vectors(model.dim, [std_vector(model.dim, i)]))
+        assert is_maximal_isotropic(got, omega)
         if got.dim > threshold:
             assert model.lagrangian.contains_subspace(got)
 
@@ -477,7 +478,7 @@ def test_symbol_structure_check_void_horizontality_gap_zero():
     flag = coordinate_flag(4, [1, 2, 3, 4])
     sub = greedy_maximal_isotropic(VectorValuedForm((omega,)),
                                    Subspace.from_vectors(4, [std_vector(4, 1)]))
-    assert check_multilagrangian(sub, omega, flag, 3)
+    assert is_maximal_isotropic(sub, omega) and check_multilagrangian(sub, omega, flag, 3)
     chk = symbol_structure_check(omega, flag, 3, sub)
     assert chk.kernel_gap == 0
     assert chk.symbol_polylagrangian

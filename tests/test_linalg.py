@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import identity, intersect, kernel, matmul, row_list, vectors, zero_matrix
 from polydarboux.errors import DimensionMismatch, PreconditionError
-from polydarboux.linalg import (Matrix, Subspace, annihilator, complement, frac, intersect,
-                                inverse, kernel, rank, rref, solve, subspace_sum)
+from polydarboux.linalg import (Matrix, Subspace, annihilator, complement, frac, inverse, rank,
+                                subspace_sum)
 from polydarboux.sparse import SparseEchelon, _sparse
 
 
@@ -16,29 +17,31 @@ def test_frac_parsing():
         frac(0.5)
 
 
-def test_rref_identity():
-    m = Matrix.identity(3)
-    out, rk = rref(m)
-    assert out == m and rk == 3
-
-
-def test_rref_zero():
-    m = Matrix.zero(2, 4)
-    out, rk = rref(m)
-    assert out == m and rk == 0
-
-
-def test_rref_dependent_rows():
-    # hand Gaussian elimination: second row is twice the first
-    m = Matrix.from_rows([[1, 2], [2, 4]])
-    out, rk = rref(m)
-    assert rk == 1
-    assert out == Matrix.from_rows([[1, 2], [0, 0]])
-
-
 def test_kernel_identity_and_zero():
-    assert kernel(Matrix.identity(4)).dim == 0
-    assert kernel(Matrix.zero(3, 4)) == Subspace.full(4)
+    assert kernel(identity(4)).dim == 0
+    assert kernel(zero_matrix(3, 4)) == Subspace.full(4)
+
+
+def test_echelon_of_the_identity_rows_is_the_full_space():
+    sub = Subspace.from_vectors(3, row_list(identity(3)))
+    assert sub == Subspace.full(3) and sub.pivot_columns() == (0, 1, 2)
+    assert sub.unit_rows() == [{0: 1}, {1: 1}, {2: 1}]
+    assert rank(identity(3)) == 3
+
+
+def test_echelon_of_zero_rows_is_the_zero_space():
+    sub = Subspace.from_vectors(4, row_list(zero_matrix(2, 4)))
+    assert sub == Subspace.zero(4) and sub.rows() == []
+    assert rank(zero_matrix(2, 4)) == 0
+
+
+def test_echelon_of_dependent_rows():
+    # hand Gaussian elimination: the second row is twice the first
+    m = Matrix.from_rows([[1, 2], [2, 4]])
+    sub = Subspace.from_vectors(2, row_list(m))
+    assert sub.dim == rank(m) == 1
+    assert sub.unit_rows() == [{0: 1, 1: 2}]
+    assert kernel(m) == Subspace.from_vectors(2, [[-2, 1]])
 
 
 def test_kernel_single_constraint():
@@ -48,12 +51,9 @@ def test_kernel_single_constraint():
     assert kernel(m) == want
 
 
-def test_solve_and_inverse():
+def test_inverse_times_the_matrix_is_the_identity():
     m = Matrix.from_rows([[2, 1], [1, 1]])
-    x = solve(m, [3, 2])
-    assert m.mul_vec(x) == (Fraction(3), Fraction(2))
-    assert inverse(m) @ m == Matrix.identity(2)
-    assert solve(Matrix.from_rows([[1, 1], [1, 1]]), [0, 1]) is None
+    assert matmul(inverse(m), m) == identity(2)
 
 
 def test_subspace_sum_trivial():
@@ -144,4 +144,4 @@ def test_subspace_equality_is_representation_equality():
     a = Subspace.from_vectors(3, [[1, 1, 0], [0, 1, 1]])
     b = Subspace.from_vectors(3, [[1, 0, -1], [0, 1, 1]])
     assert a == b
-    assert a.vectors() == b.vectors()
+    assert vectors(a) == vectors(b)

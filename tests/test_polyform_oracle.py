@@ -2,7 +2,7 @@
 against the code they replaced.
 
 The oracles below are the previous implementations: the Fraction
-``_d_along`` built on ``Polynomial.diff``, the ``homotopy_primitive``
+``exterior_d`` built on ``Polynomial.diff``, the ``homotopy_primitive``
 with its closedness pre-check and Fraction accumulator, and the sampler
 that projected each covector and ranked the projection.  The form
 arithmetic on integer views is compared with its ``Polynomial`` path,
@@ -24,18 +24,17 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (constant_spread_oracle, parse_poly_form_oracle, pf_add_oracle,
                       pf_contract_basis_oracle, pf_scale_oracle, pf_seeded_oracle,
-                      pf_wedge_oracle)
+                      pf_wedge_oracle, row_rank)
 from polydarboux import cli, io, polyforms
 from polydarboux.errors import DocumentError, InternalCheckError, PreconditionError
 from polydarboux.exterior import VectorValuedForm, form, merge_sign, project, removal_sign
 from polydarboux.io import poly_form_to_document, report_json
 from polydarboux.lagrangian import (DEFAULT_SEED, constant_rank_sampled, random_covector,
                                     rank_2form)
-from polydarboux.linalg import row_rank
 from polydarboux.polyforms import (PolyForm, Polynomial, constant_spread, exterior_d,
                                    homotopy_primitive, max_vertical_factors, pf_add,
                                    pf_contract_basis, pf_scale, pf_wedge, poly_const,
-                                   poly_from_terms, vertical_d)
+                                   poly_from_terms)
 from test_elimination_oracle import batch_rref_rows
 
 ZERO = Fraction(0)
@@ -328,19 +327,6 @@ def test_exterior_d_matches_fraction_d(a):
     got = exterior_d(a)
     assert same_layout(got, oracle_exterior_d(a))
     assert all(type(c) is Fraction for p in got.coeffs.values() for c in p.terms.values())
-
-
-@settings(settings.get_profile("polyform_oracle"))
-@given(st.data())
-def test_vertical_d_matches_fraction_d(data):
-    a = data.draw(poly_forms())
-    vertical = PolyForm(a.dim, a.degree, a.split,
-                        {m: p for m, p in a.coeffs.items() if not m & ((1 << a.x_dim) - 1)})
-    got = vertical_d(vertical)
-    assert same_layout(got, oracle_d_along(vertical, range(a.x_dim + 1, a.dim + 1)))
-    if vertical != a:
-        with pytest.raises(PreconditionError):
-            vertical_d(a)
 
 
 def test_exterior_d_keeps_variable_then_term_order():

@@ -5,13 +5,11 @@ from fractions import Fraction
 import pytest
 
 from polydarboux.errors import PreconditionError
-from polydarboux.polyforms import (PolyForm, chart_symbol, exterior_d,
-                                   homotopy_primitive, involutive, involutive_report,
-                                   lie_bracket, max_vertical_factors, moser_potential,
-                                   pf_add, pf_contract_basis, pf_scale, pf_sub,
+from polydarboux.polyforms import (PolyForm, exterior_d, homotopy_primitive, involutive,
+                                   involutive_report, lie_bracket, max_vertical_factors,
+                                   moser_potential, pf_add, pf_contract_basis, pf_scale, pf_sub,
                                    pf_wedge, pf_zero, poly_const, poly_from_terms,
-                                   poly_matrix_rank, poly_var, poly_zero, vertical_d,
-                                   constant_spread)
+                                   poly_matrix_rank, poly_var, poly_zero, constant_spread)
 
 
 def _x(dim, i):
@@ -82,33 +80,6 @@ def test_d_leibniz_rule():
         rhs = pf_add(pf_wedge(exterior_d(a), b),
                      pf_scale(pf_wedge(a, exterior_d(b)), -1 if p % 2 else 1))
         assert lhs == rhs
-
-
-def test_vertical_d_examples():
-    # coordinates: x (base), y1, y2 (fibers)
-    omega = PolyForm(3, 1, (1, 2), {0b100: _x(3, 2)})   # y1 dy2
-    got = vertical_d(omega)
-    assert got == PolyForm(3, 2, (1, 2), {0b110: poly_const(3, 1)})
-    flat = PolyForm(3, 1, (1, 2), {0b010: _x(3, 1)})    # x dy1
-    assert vertical_d(flat).is_zero()
-
-
-def test_vertical_d_rejects_base_differentials():
-    omega = PolyForm(2, 1, (1, 1), {0b01: poly_const(2, 1)})
-    with pytest.raises(PreconditionError):
-        vertical_d(omega)
-
-
-def test_vertical_d_squared_zero():
-    rng = random.Random(11)
-    for _ in range(10):
-        dim = rng.randint(2, 4)
-        split = (1, dim - 1)
-        coeffs = {}
-        for idx in itertools.combinations(range(2, dim + 1), 1):
-            coeffs[1 << (idx[0] - 1)] = _random_poly(rng, dim)
-        omega = PolyForm(dim, 1, split, {m: p for m, p in coeffs.items() if not p.is_zero()})
-        assert vertical_d(vertical_d(omega)).is_zero()
 
 
 def test_homotopy_worked_example():
@@ -201,46 +172,6 @@ def test_moser_potential_identity_and_fiber_annihilation():
     assert exterior_d(alpha) == pf_sub(constant_spread(omega), omega)
     for i in range(split[0] + 1, dim + 1):
         assert pf_contract_basis(alpha, i).is_zero()
-
-
-def test_chart_symbol_is_vertically_closed_for_closed_forms():
-    # closed partially horizontal chart forms have vertically closed symbols
-    rng = random.Random(19)
-    checked = 0
-    for _ in range(30):
-        dim = rng.randint(3, 5)
-        split = (2, dim - 2)
-        k1 = rng.randint(2, 3)
-        r = rng.randint(1, k1 - 1)
-        coeffs = {}
-        for idx in itertools.combinations(range(1, dim + 1), k1 - 1):
-            if sum(1 for i in idx if i > split[0]) <= r and rng.random() < 0.6:
-                p = _random_poly(rng, dim)
-                if not p.is_zero():
-                    coeffs[sum(1 << (i - 1) for i in idx)] = p
-        beta = PolyForm(dim, k1 - 1, split, coeffs)
-        omega = exterior_d(beta)
-        if omega.is_zero() or max_vertical_factors(omega) > r:
-            continue
-        for _, comp in chart_symbol(omega, r):
-            assert vertical_d(comp).is_zero()
-        checked += 1
-    assert checked >= 10
-
-
-def test_chart_symbol_nonclosed_with_horizontal_derivative():
-    # d(omega) keeps the vertical bound even though omega is not closed
-    dim, split = 4, (2, 2)
-    # omega = x1 * dx1 ^ dy1 + (y-independent coefficient on the vertical pair)
-    omega = PolyForm(dim, 2, split, {
-        0b0101: poly_from_terms(dim, {(0, 1, 0, 0): 1}),  # x2 dx1^dy1
-        0b1100: poly_from_terms(dim, {(1, 0, 0, 0): 1}),  # x1 dy1^dy2
-    })
-    domega = exterior_d(omega)
-    assert not domega.is_zero()
-    assert max_vertical_factors(domega) <= 2
-    for _, comp in chart_symbol(omega, 2):
-        assert vertical_d(comp).is_zero()
 
 
 def test_involutive_coordinate_fields():

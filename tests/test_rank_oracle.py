@@ -24,13 +24,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import vectors, zero_matrix
 from polydarboux import cli, exterior, lagrangian
 from polydarboux.corpus import corpus_files
 from polydarboux.darboux import (canonical_multi_model, canonical_poly_model,
                                  conjugated_multi_instance, conjugated_poly_instance)
 from polydarboux.exterior import (AlternatingForm, VectorValuedForm, add, form, merge_sign,
-                                  poly_eval, project, scale, symmetric_poly, wedge,
-                                  wedge_power_by_exponent, zero_form)
+                                  project, wedge, wedge_power_by_exponent, zero_form)
 from polydarboux.errors import InternalCheckError, PreconditionError
 from polydarboux.io import load_document
 from polydarboux.lagrangian import (DEFAULT_SEED, MAX_WEDGE_TERMS, StructureReport,
@@ -42,7 +42,7 @@ from polydarboux.lagrangian import (DEFAULT_SEED, MAX_WEDGE_TERMS, StructureRepo
                                     is_isotropic, kernel_of_form, random_covector, rank_2form,
                                     scalar_polylagrangian_candidates, search_polylagrangian,
                                     uniform_rank)
-from polydarboux.linalg import Matrix, Subspace, rank, row_rank
+from polydarboux.linalg import Matrix, Subspace, rank
 from polydarboux.sparse import span_of
 from test_elimination_oracle import batch_rref_rows
 
@@ -314,20 +314,6 @@ def test_wedge_power_rejects_empty_and_negative_exponents(rank_gap_form):
         wedge_power_by_exponent(rank_gap_form, (2, -1))
 
 
-@settings(settings.get_profile("rank_oracle"))
-@given(any_2form, st.data())
-def test_poly_eval_matches_monomial_sum(v, data):
-    degree = data.draw(st.integers(1, 3))
-    exps = list(_exponents(v.value_dim, degree))
-    coeffs = {e: data.draw(coefficients) for e in data.draw(
-        st.lists(st.sampled_from(exps), unique=True))}
-    p = symmetric_poly(v.value_dim, degree, coeffs)
-    want = zero_form(v.dim, 2 * degree)
-    for e, c in p.coeffs.items():
-        want = add(want, scale(oracle_wedge_power(v, e), c))
-    assert poly_eval(p, v) == want
-
-
 # ---------------------------------------------------------------------------
 # ranks
 
@@ -359,8 +345,7 @@ def test_rank_matches_rref_pivot_count(data):
     if rows >= 2 and data.draw(st.booleans()):
         raw[-1] = [x + y for x, y in zip(raw[0], raw[1])]
     want = len(batch_rref_rows(raw)[1])
-    assert rank(Matrix.from_rows(raw) if rows else Matrix.zero(0, cols)) == want
-    assert row_rank(raw) == want
+    assert rank(Matrix.from_rows(raw) if rows else zero_matrix(0, cols)) == want
 
 
 @settings(settings.get_profile("rank_oracle"))
@@ -596,25 +581,24 @@ def test_codim_rank_answers_dimension_64_with_three_components(tmp_path, capsys)
 # lazy seeds of the scalar search
 
 
-def oracle_candidates(v: VectorValuedForm, limit):
+def oracle_candidates(v: VectorValuedForm):
+    """The candidates, each with the count of seeds drawn when it is found, and all seeds."""
     k = v.degree - 1
     ker = kernel_of_form(v)
-    seeds = oracle_seeds(v)
-    if limit is not None:
-        seeds = seeds[:limit]
     seen = set()
     out = []
-    for seed_sub in seeds:
-        cand = greedy_maximal_isotropic(v, seed_sub, verify=False)
-        key = tuple(cand.vectors())  # the RREF rows, as the old dense key held them
+    seeds = oracle_seeds(v)
+    for drawn, seed_sub in enumerate(seeds, start=1):
+        cand = greedy_maximal_isotropic(v, seed_sub)
+        key = tuple(vectors(cand))  # the RREF rows, as the old dense key held them
         if key in seen:
             continue
         seen.add(key)
         n_codim = v.dim - cand.dim
         if (n_codim >= k and cand.dim == ker.dim + comb(n_codim, k)
                 and check_polylagrangian(cand, v)):
-            out.append(cand)
-    return out
+            out.append((cand, drawn))
+    return out, len(seeds)
 
 
 SCALAR_FORMS = [
@@ -632,5 +616,19 @@ def test_coordinate_seeds_keep_their_order(v):
 
 @pytest.mark.parametrize("v", SCALAR_FORMS)
 @pytest.mark.parametrize("limit", [None, 1, 3, 7])
-def test_scalar_candidates_match_eager_seeds(v, limit):
-    assert list(scalar_polylagrangian_candidates(v, limit=limit)) == oracle_candidates(v, limit)
+def test_scalar_candidates_match_eager_seeds(v, limit, monkeypatch):
+    # a consumer that stops after ``limit`` candidates draws the seeds up to the last one's
+    drawn = []
+    seeds = lagrangian._coordinate_seeds
+
+    def counted(form_in):
+        for seed in seeds(form_in):
+            drawn.append(seed)
+            yield seed
+
+    monkeypatch.setattr(lagrangian, "_coordinate_seeds", counted)
+    want, n_seeds = oracle_candidates(v)
+    got = list(itertools.islice(scalar_polylagrangian_candidates(v), limit))
+    assert got == [cand for cand, _ in want[:limit]]
+    stopped = limit is not None and len(want) >= limit
+    assert len(drawn) == (want[limit - 1][1] if stopped else n_seeds)

@@ -13,11 +13,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import intersect, vectors
 from polydarboux.darboux import (canonical_multi_model, canonical_poly_model,
                                  conjugated_multi_instance, conjugated_poly_instance,
                                  darboux_basis_multi, darboux_basis_poly)
 from polydarboux.lagrangian import greedy_maximal_isotropic
-from polydarboux.linalg import Subspace, annihilator, complement, intersect, subspace_sum
+from polydarboux.linalg import Subspace, annihilator, complement, subspace_sum
 from test_echelon_oracle import assert_integer_echelon
 from test_elimination_oracle import oracle_rref_rows
 
@@ -65,8 +66,8 @@ def test_spanning_sets_of_one_span_give_one_subspace(data):
     a = Subspace.from_vectors(dim, rows)
     b = Subspace.from_vectors(dim, mixed)
     assert a == b and hash(a) == hash(b)
-    assert a.vectors() == b.vectors() == [tuple(r) for r in oracle_rref_rows(rows)[0]]
-    assert all(type(x) is Fraction for r in a.vectors() for x in r)
+    assert vectors(a) == vectors(b) == [tuple(r) for r in oracle_rref_rows(rows)[0]]
+    assert all(type(x) is Fraction for r in vectors(a) for x in r)
     assert a.pivot_columns() == tuple(sorted(a.echelon.rows))
     assert_integer_echelon(a.echelon)
 
@@ -76,14 +77,6 @@ def test_spanning_sets_of_one_span_give_one_subspace(data):
     assert (a == c) == (oracle_rref_rows(rows)[0] == oracle_rref_rows(other)[0])
 
 
-def test_vectors_returns_a_fresh_list():
-    a = Subspace.span_of_coordinates(3, [1, 3])
-    got = a.vectors()
-    got.append((Fraction(0), Fraction(1), Fraction(0)))
-    assert a.vectors() == Subspace.from_vectors(3, [[1, 0, 0], [0, 0, 1]]).vectors()
-    assert a.dim == 2
-
-
 def _twin(sub: Subspace) -> Subspace:
     return Subspace(sub.ambient_dim, sub.echelon.copy())
 
@@ -91,8 +84,16 @@ def _twin(sub: Subspace) -> Subspace:
 def assert_unchanged(pairs):
     for sub, twin in pairs:
         assert sub.echelon.rows == twin.echelon.rows
-        assert sub.vectors() == twin.vectors()
+        assert vectors(sub) == vectors(twin)
         assert hash(sub) == hash(twin)
+
+
+def test_rows_returns_a_fresh_list():
+    a = Subspace.span_of_coordinates(3, [1, 3])
+    got = a.rows()
+    got.append({1: Fraction(1)})
+    assert a.rows() == Subspace.from_vectors(3, [[1, 0, 0], [0, 0, 1]]).rows()
+    assert a.dim == 2
 
 
 def test_subspace_operations_leave_their_inputs_unchanged():
@@ -120,7 +121,7 @@ def test_searches_and_darboux_bases_leave_their_inputs_unchanged():
     seed = Subspace.span_of_coordinates(v.dim, [1])
     within = Subspace.span_of_coordinates(v.dim, [1, 2, 3, 4])
     pairs = [(seed, _twin(seed)), (within, _twin(within))]
-    greedy_maximal_isotropic(v, seed, within=within, verify=False)
+    greedy_maximal_isotropic(v, seed, within=within)
     assert_unchanged(pairs)
 
     moved, lagr, _ = conjugated_poly_instance(canonical_poly_model(2, 2, 1), 5)

@@ -129,8 +129,10 @@ MOSER_STEP_SAMPLES, MOSER_STEP_FLOW = 10, 20
 
 
 def tree_env(tree: Path, pycache: Path) -> dict:
-    """The environment of every command run on ``tree``: its ``src`` and its bytecode cache."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONPYCACHEPREFIX=str(pycache))
+    """The environment of every command run on ``tree``: its ``src``, its bytecode cache and,
+    as ``perfbench/run.py`` sets for itself, one BLAS thread."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONPYCACHEPREFIX=str(pycache),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     return env
 
