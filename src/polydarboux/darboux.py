@@ -23,7 +23,7 @@ from .errors import ConstructionError, InternalCheckError, PreconditionError
 from .exterior import (AlternatingForm, Flag, VectorValuedForm, contract, coordinate_flag,
                        embed_in, form, mask_of, pullback, pullback_rows, restrict_to_leading,
                        wedge_all)
-from .io import MAX_DIM
+from .io import MAX_DIM, MAX_VALUE_DIM
 from .lagrangian import (as_vector_form, check_multilagrangian, check_polylagrangian,
                          detect_multilagrangian, kernel_of_form,
                          search_polylagrangian, symbol, to_vertical_coordinates,
@@ -71,6 +71,9 @@ def canonical_poly_model(n_rank: int, nhat: int, k: int) -> CanonicalModel:
     dim = n_rank + nhat * comb(n_rank, k)
     if dim > MAX_DIM:
         raise PreconditionError(f"model dimension {dim} exceeds the budget of {MAX_DIM} (MAX_DIM)")
+    if nhat > MAX_VALUE_DIM:  # analyze and darboux refuse the model's document past it
+        raise PreconditionError(
+            f"value dimension {nhat} exceeds the budget of {MAX_VALUE_DIM} (MAX_VALUE_DIM)")
     combos = list(itertools.combinations(range(1, n_rank + 1), k))
     # component a pairs slot n_rank + 1 + a * C(N, k) + i with the i-th k-index
     omega = VectorValuedForm(tuple(

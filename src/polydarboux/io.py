@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -24,7 +25,7 @@ from .exterior import (AlternatingForm, Flag, VectorValuedForm, _seeded, coordin
                        indices_of, mask_of, with_splitting)
 from .lie import LieAlgebra, lie_algebra
 from .linalg import Matrix, Subspace, frac
-from .polyforms import PolyForm, _add_into, _pf_seeded
+from .polyforms import PolyForm, _pf_seeded
 
 SCHEMA_VERSION = "1"
 
@@ -198,15 +199,23 @@ def _parse_poly_form(doc: dict) -> PolyForm:
     seen: dict = {}  # coefficient string -> (n, d), as ``_pair`` keeps them
     valid: set = set()  # exponent tuples of the right length and sign
     parsed = []
+    # a well-formed field is read in place, any other by ``_need`` and ``_ints`` and their texts
     for term in _need(doc, "terms", list):
-        idx = _ints(_need(term, "indices"), "indices", dim)
-        if list(idx) != sorted(set(idx)):
-            raise DocumentError(f"indices must be strictly increasing: {idx}")
-        if len(idx) != degree:
-            raise DocumentError(f"multi-index {idx} does not match degree {degree}")
+        idx = term.get("indices") if type(term) is dict else None
+        if not (type(idx) is list and {int}.issuperset(map(type, idx)) and len(idx) == degree
+                and idx == sorted(set(idx)) and (not idx or 0 < idx[0] and idx[-1] <= dim)):
+            idx = _ints(_need(term, "indices"), "indices", dim)
+            if list(idx) != sorted(set(idx)):
+                raise DocumentError(f"indices must be strictly increasing: {idx}")
+            if len(idx) != degree:
+                raise DocumentError(f"multi-index {idx} does not match degree {degree}")
         monos = []
         for mono in _need(term, "polynomial", list):
-            exps = _ints(_need(mono, "exponents"), "exponents")
+            if (type(mono) is dict and type(exps := mono.get("exponents")) is list
+                    and {int}.issuperset(map(type, exps))):
+                exps = tuple(exps)
+            else:
+                exps = _ints(_need(mono, "exponents"), "exponents")
             if exps not in valid:
                 if len(exps) != dim:
                     raise DocumentError("exponent tuple does not match dimension")
@@ -225,9 +234,13 @@ def _parse_poly_form(doc: dict) -> PolyForm:
         for exps, (n, d) in monos:
             n *= den // d
             terms[exps] = terms[exps] + n if exps in terms else n  # repeats add up
+        slot = nums.setdefault(mask, {}) if any(terms.values()) else {}  # none for a zero term
         for exps, n in terms.items():
             if n:  # zeros are dropped at the term's end, cancellations as they happen
-                _add_into(nums, mask, exps, n)
+                if nv := slot.get(exps, 0) + n:
+                    slot[exps] = nv
+                else:
+                    del slot[exps]
     return _pf_seeded(dim, degree, split, {m: slot for m, slot in nums.items() if slot}, den)
 
 
@@ -362,7 +375,8 @@ def _write_monomials(obj: list, out: list, newline: str) -> bool:
         c, e = mono.get("coefficient"), mono.get("exponents")
         if type(c) is not str or type(e) is not list or not e or not {int}.issuperset(map(type, e)):
             return False
-        written.append(template % (encode_basestring_ascii(c), esep.join(map(int.__repr__, e))))
+        # the exponents all exact ints, ``repr`` writes them in C, each as ``int.__repr__``
+        written.append(template % (encode_basestring_ascii(c), repr(e)[1:-1].replace(", ", esep)))
     out.append("[" + inner + ("," + inner).join(written) + newline + "]")
     return True
 
@@ -412,11 +426,14 @@ def _ratio_str(n: int, den: int) -> str:
 def poly_form_to_document(x: PolyForm, *, description: str = "",
                           claims: dict | None = None) -> dict:
     nums, den = x._numerators  # written from the integer view, in ``terms()`` order
+    text = dict.fromkeys(chain.from_iterable(map(dict.values, nums.values())))
+    for n in text:  # each distinct numerator once
+        text[n] = _ratio_str(n, den)
     terms = []
     for m in sorted(nums):
         terms.append({
             "indices": list(indices_of(m)),
-            "polynomial": [{"exponents": list(e), "coefficient": _ratio_str(n, den)}
+            "polynomial": [{"exponents": list(e), "coefficient": text[n]}
                            for e, n in sorted(nums[m].items())],
         })
     doc = {

@@ -184,6 +184,10 @@ class PolyForm:
     def y_count(self, mask: int) -> int:
         return (mask >> self.split[0]).bit_count()
 
+    @cached_property
+    def vertical_factors(self) -> int:  # the most y-differentials in one monomial
+        return max(map(int.bit_count, map(self.x_dim.__rrshift__, self._numerators[0])), default=0)
+
     def terms(self):
         return [(indices_of(m), p) for m, p in sorted(self.coeffs.items())]
 
@@ -202,10 +206,10 @@ class PolyForm:
 def _pf_seeded(dim: int, degree: int, split: tuple[int, int], nums: dict, den: int) -> PolyForm:
     """The form with coefficients n / den over zero-free ``nums`` slots and den > 0: the view,
     reduced by the gcd of den and every n so that it is the form's unique one."""
-    g = gcd(den, *(n for slot in nums.values() for n in slot.values()))
+    g = gcd(den, *itertools.chain.from_iterable(map(dict.values, nums.values())))
     if g != 1:
         den //= g
-        nums = {m: {e: n // g for e, n in slot.items()} for m, slot in nums.items()}
+        nums = {m: dict(zip(slot, map(g.__rfloordiv__, slot.values()))) for m, slot in nums.items()}
     out = object.__new__(PolyForm)
     out.__dict__.update(dim=dim, degree=degree, split=split, _numerators=(nums, den))
     return out
@@ -292,34 +296,39 @@ def exterior_d(a: PolyForm) -> PolyForm:
     """Exterior derivative, the sum over the variables v of dx_v ∧ ∂a/∂x_v; nilpotent
     and a graded derivation over wedge.
 
-    Accumulates on the integer view of a, one flat exponent dict per
-    output mask; one pass over a slot buckets its hits by variable, in term
-    order.  Terms and masks that cancel are dropped as they cancel, so the
-    dict order matches a left-to-right Fraction sum over the variables.
+    Accumulates on the integer view of a, one flat exponent dict per output mask: a slot m
+    adds term by term into its masks m | v, opened in variable order.  Terms and masks that
+    cancel are dropped as they cancel, so the dict order matches a left-to-right Fraction
+    sum over the variables.
     """
     nums, scale = a._numerators
+    variables = range(a.dim)
     out: dict = {}
     for m, p in nums.items():
-        buckets: dict = {v: [] for v in range(a.dim) if not m >> v & 1}
+        # per variable outside m: its output slot and sign
+        targets = [None if m >> v & 1 else (out.setdefault(m | 1 << v, {}), removal_sign(m, v))
+                   for v in variables]
         for e, n in p.items():
-            for v, hits in buckets.items():
-                if e[v]:
-                    hits.append((e, n))
-        for v, hits in buckets.items():
-            if not hits:
-                continue
-            neg = removal_sign(m, v) < 0
-            key = m | 1 << v
-            for e, n in hits:
-                n *= e[v]
-                _add_into(out, key, e[:v] + (e[v] - 1,) + e[v + 1:], -n if neg else n)
-            if not out[key]:
-                del out[key]
+            lowered = list(e)
+            for v in itertools.compress(variables, e):
+                if target := targets[v]:
+                    slot, s = target
+                    c = e[v]
+                    lowered[v] = c - 1
+                    t = tuple(lowered)
+                    lowered[v] = c
+                    if nv := slot.get(t, 0) + s * c * n:
+                        slot[t] = nv
+                    else:
+                        del slot[t]
+        for v, target in enumerate(targets):
+            if target and not target[0]:
+                del out[m | 1 << v]
     return _pf_seeded(a.dim, a.degree + 1, a.split, out, scale)
 
 
 def max_vertical_factors(a: PolyForm) -> int:
-    return max((a.y_count(m) for m in a._numerators[0]), default=0)
+    return a.vertical_factors
 
 
 # ---------------------------------------------------------------------------
@@ -366,47 +375,48 @@ def _primitive(omega: PolyForm, r: int) -> PolyForm:
     k = omega.degree
     x_dim = omega.x_dim
     nums, scale = omega._numerators
-    # each monomial integrates one power of the scale parameter, with
-    # weight 1/(power+1); the numerators share the denominator
-    # scale * lcm(power+1)
-    powers = set()
+    # each monomial integrates one power q - 1 >= 0 of the scale parameter, with weight 1/q;
+    # the numerators share the denominator scale * lcm(q)
+    qs = set()
     for m, p in nums.items():
-        s_l = omega.y_count(m)
-        for exps in p:
-            y_deg = sum(exps[x_dim:])
-            if s_l:
-                power = y_deg + s_l - 1
-                if power < 0:
-                    raise InternalCheckError("negative scale power in the fiber part")
-                powers.add(power)
-            elif y_deg == 0:
-                power = sum(exps) + k - 1
-                if power < 0:
-                    raise InternalCheckError("negative scale power in the base part")
-                powers.add(power)
-    weights = lcm(*(power + 1 for power in powers))
+        if s_l := omega.y_count(m):
+            qs.update([sum(e[x_dim:]) + s_l for e in p])
+        else:
+            qs.update([sum(e) + k for e in p if not any(e[x_dim:])])
+    if min(qs, default=1) < 1:
+        raise InternalCheckError("negative power of the scale parameter")
+    weights = lcm(*qs)
     acc: dict = {}
     for m, p in nums.items():
         s_l = omega.y_count(m)
         # the fiber scaling field contracts the y-bits of m; the base one,
         # acting on the fiber-restricted form, the x-bits of an x-only m
         mm = m >> x_dim << x_dim if s_l else m
-        bits = []
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            j = low.bit_length() - 1  # 0-based coordinate
-            bits.append((j, m ^ low, removal_sign(m, j) < 0))
-        for exps, n in p.items():
-            y_deg = sum(exps[x_dim:])
+        targets = None  # per contracted coordinate j: its slot, opened at m's first term, and sign
+        for e, n in p.items():
             if s_l:
-                w = n * (weights // (y_deg + s_l))
-            elif y_deg == 0:
-                w = n * (weights // (sum(exps) + k))
-            else:
+                w = n * (weights // (sum(e[x_dim:]) + s_l))
+            elif any(e[x_dim:]):
                 continue
-            for j, key, neg in bits:
-                _add_into(acc, key, exps[:j] + (exps[j] + 1,) + exps[j + 1:], -w if neg else w)
+            else:
+                w = n * (weights // (sum(e) + k))
+            if targets is None:
+                targets = []
+                while mm:
+                    low = mm & -mm
+                    mm ^= low
+                    j = low.bit_length() - 1  # 0-based coordinate
+                    targets.append((j, acc.setdefault(m ^ low, {}), removal_sign(m, j)))
+            raised = list(e)
+            for j, slot, s in targets:
+                c = e[j]
+                raised[j] = c + 1
+                t = tuple(raised)
+                raised[j] = c
+                if nv := slot.get(t, 0) + s * w:
+                    slot[t] = nv
+                else:
+                    del slot[t]
 
     theta = _pf_seeded(omega.dim, k - 1, omega.split, {m: slot for m, slot in acc.items() if slot},
                        scale * weights)

@@ -10,8 +10,9 @@ from math import lcm
 import numpy as np
 import pytest
 
-from polydarboux import darboux, io, lagrangian
-from polydarboux.errors import DimensionMismatch, DocumentError, PreconditionError
+from polydarboux import darboux, io, lagrangian, polyforms
+from polydarboux.errors import (DimensionMismatch, DocumentError, InternalCheckError,
+                               PreconditionError)
 from polydarboux.exterior import (AlternatingForm, Flag, VectorValuedForm, _contract_scalar,
                                   contract, coordinate_flag, evaluate, form, indices_of,
                                   mask_of, merge_sign, removal_sign, sorted_sign, with_splitting)
@@ -634,6 +635,82 @@ def parse_poly_form_oracle(doc: dict) -> PolyForm:
             cur = coeffs.get(mask)
             coeffs[mask] = p if cur is None else cur + p
     return PolyForm(dim, degree, split, {m: p for m, p in coeffs.items() if not p.is_zero()})
+
+
+# ``polyforms.exterior_d`` and ``polyforms._primitive`` as they were before each built its
+# exponent tuples from one list per term and added into its slots inline: a lowered or
+# raised tuple from three slices and a ``_add_into`` call per hit.  The oracles of the
+# differential tests in tests/test_polyform_oracle.py
+
+
+def exterior_d_oracle(a: PolyForm) -> PolyForm:
+    nums, scale = a._numerators
+    out: dict = {}
+    for m, p in nums.items():
+        buckets: dict = {v: [] for v in range(a.dim) if not m >> v & 1}
+        for e, n in p.items():
+            for v, hits in buckets.items():
+                if e[v]:
+                    hits.append((e, n))
+        for v, hits in buckets.items():
+            if not hits:
+                continue
+            neg = removal_sign(m, v) < 0
+            key = m | 1 << v
+            for e, n in hits:
+                n *= e[v]
+                polyforms._add_into(out, key, e[:v] + (e[v] - 1,) + e[v + 1:], -n if neg else n)
+            if not out[key]:
+                del out[key]
+    return polyforms._pf_seeded(a.dim, a.degree + 1, a.split, out, scale)
+
+
+def primitive_oracle(omega: PolyForm, r: int) -> PolyForm:
+    k = omega.degree
+    x_dim = omega.x_dim
+    nums, scale = omega._numerators
+    powers = set()
+    for m, p in nums.items():
+        s_l = omega.y_count(m)
+        for exps in p:
+            y_deg = sum(exps[x_dim:])
+            if s_l:
+                power = y_deg + s_l - 1
+                if power < 0:
+                    raise InternalCheckError("negative scale power in the fiber part")
+                powers.add(power)
+            elif y_deg == 0:
+                power = sum(exps) + k - 1
+                if power < 0:
+                    raise InternalCheckError("negative scale power in the base part")
+                powers.add(power)
+    weights = lcm(*(power + 1 for power in powers))
+    acc: dict = {}
+    for m, p in nums.items():
+        s_l = omega.y_count(m)
+        mm = m >> x_dim << x_dim if s_l else m
+        bits = []
+        while mm:
+            low = mm & -mm
+            mm ^= low
+            j = low.bit_length() - 1
+            bits.append((j, m ^ low, removal_sign(m, j) < 0))
+        for exps, n in p.items():
+            y_deg = sum(exps[x_dim:])
+            if s_l:
+                w = n * (weights // (y_deg + s_l))
+            elif y_deg == 0:
+                w = n * (weights // (sum(exps) + k))
+            else:
+                continue
+            for j, key, neg in bits:
+                polyforms._add_into(acc, key, exps[:j] + (exps[j] + 1,) + exps[j + 1:],
+                                    -w if neg else w)
+    theta = polyforms._pf_seeded(omega.dim, k - 1, omega.split,
+                                 {m: slot for m, slot in acc.items() if slot}, scale * weights)
+    if polyforms.max_vertical_factors(theta) > max(r - 1, 0):
+        raise InternalCheckError("primitive exceeds the expected vertical bound")
+    return theta
 
 
 # ``io._parse_alternating``, ``io._parse_flag``'s splitting and ``io.subspace_to_rows`` as

@@ -273,11 +273,26 @@ def test_canonical_model_beyond_the_budget_exits_one(capsys, model):
 
 
 def test_canonical_model_at_the_budget_is_written(tmp_path, capsys):
-    from polydarboux.io import MAX_DIM
+    """poly 32 31 1 is 32 + 31 * 32 = MAX_DIM coordinates, with value_dim 31; the document
+    it writes parses within both budgets."""
+    from polydarboux.io import MAX_DIM, load_document
     out = tmp_path / "big.json"
-    assert main(["canonical", "poly", "1", str(MAX_DIM - 1), "1", "--shuffle-seed", "3",
+    assert main(["canonical", "poly", "32", "31", "1", "--shuffle-seed", "3",
                  "-o", str(out)]) == 0
-    assert json.loads(out.read_text())["dim"] == MAX_DIM
+    doc = json.loads(out.read_text())
+    assert (doc["dim"], doc["value_dim"]) == (MAX_DIM, 31)
+    assert load_document(out).payload.value_dim == 31
+
+
+@pytest.mark.parametrize("nhat", ["101", "1023"])
+def test_canonical_model_beyond_the_value_budget_exits_one(tmp_path, capsys, nhat):
+    """poly 1 1023 1 is dim 1 024, within MAX_DIM, but analyze and darboux refuse its
+    value_dim, so canonical refuses it by name and writes nothing."""
+    out = tmp_path / "wide.json"
+    assert main(["canonical", "poly", "1", nhat, "1", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert f"value dimension {nhat} exceeds the budget of 100 (MAX_VALUE_DIM)" in captured.err
 
 
 def test_declared_dimension_at_the_budget_parses():

@@ -17,24 +17,27 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (constant_spread_oracle, parse_poly_form_oracle, pf_add_oracle,
-                      pf_contract_basis_oracle, pf_scale_oracle, pf_seeded_oracle,
-                      pf_wedge_oracle, row_rank)
+from conftest import (constant_spread_oracle, exterior_d_oracle, parse_poly_form_oracle,
+                      pf_add_oracle, pf_contract_basis_oracle, pf_scale_oracle, pf_seeded_oracle,
+                      pf_wedge_oracle, primitive_oracle, row_rank)
 from polydarboux import cli, io, polyforms
 from polydarboux.errors import DocumentError, InternalCheckError, PreconditionError
 from polydarboux.exterior import VectorValuedForm, form, merge_sign, project, removal_sign
 from polydarboux.io import poly_form_to_document, report_json
 from polydarboux.lagrangian import (DEFAULT_SEED, constant_rank_sampled, random_covector,
                                     rank_2form)
+from polydarboux.moser import perturbed_multisymplectic
 from polydarboux.polyforms import (PolyForm, Polynomial, constant_spread, exterior_d,
-                                   homotopy_primitive, max_vertical_factors, pf_add,
-                                   pf_contract_basis, pf_scale, pf_wedge, poly_const,
-                                   poly_from_terms)
+                                   homotopy_primitive, max_vertical_factors,
+                                   moser_potential, pf_add, pf_contract_basis, pf_scale, pf_sub,
+                                   pf_wedge, poly_const, poly_from_terms)
 from test_elimination_oracle import batch_rref_rows
 
 ZERO = Fraction(0)
@@ -408,6 +411,68 @@ def test_primitive_terms_that_cancel_in_the_accumulator():
                                    0b100: poly({(1, 1, 0, 1): 2, (1, 1, 0, 0): -1})})
     omega = oracle_exterior_d(beta)
     assert same_layout(homotopy_primitive(omega, 1), oracle_homotopy_primitive(omega, 1))
+
+
+# ---------------------------------------------------------------------------
+# d and the primitive against their previous bodies, which ``conftest`` keeps: the same view
+# and the same mask and term order.  ``DeformationField`` numbers its monomials in alpha's
+# view order, so the order decides the digits of ``moser``.
+
+
+def perfbench_homotopy_forms(seed: int, tmp: Path) -> list:
+    """(omega, r) of the first panel of perfbench's ``homotopy`` round at ``seed``: one form
+    of each of its 30 shapes, read back from the documents it writes."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from workloads import HOMOTOPY_SHAPES, build_homotopy
+    finally:
+        sys.path.pop(0)
+    (panel,) = build_homotopy(seed, 1, tmp)
+    assert len(panel) == len(HOMOTOPY_SHAPES) == 30
+    docs = [io.load_document(op.argvs[0][1]) for op in panel]
+    return [(doc.payload, doc.r) for doc in docs]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_d_and_primitive_keep_the_layout_on_the_perfbench_shapes(seed, tmp_path):
+    for omega, r in perfbench_homotopy_forms(seed, tmp_path):
+        theta = polyforms._primitive(omega, r)
+        assert same_layout(theta, primitive_oracle(omega, r))
+        assert theta._numerators == primitive_oracle(omega, r)._numerators
+        d_theta = exterior_d(theta)
+        assert same_layout(d_theta, exterior_d_oracle(theta)) and d_theta == omega
+        assert d_theta._numerators == exterior_d_oracle(theta)._numerators
+        # a form that is not closed: the primitive differentiates to omega, its d does not
+        assert same_layout(exterior_d(omega), exterior_d_oracle(omega))
+
+
+@pytest.mark.parametrize("seed", range(1, 33))
+def test_moser_potential_keeps_the_layout_of_the_previous_primitive(seed):
+    fx = perturbed_multisymplectic(seed=seed)
+    alpha = moser_potential(fx.omega, fx.omega0)
+    want = primitive_oracle(pf_sub(fx.omega0, fx.omega), 1)
+    assert same_layout(alpha, want) and alpha._numerators == want._numerators
+
+
+@settings(settings.get_profile("polyform_oracle"), max_examples=200)
+@given(poly_forms(), st.integers(0, 3))
+def test_d_and_primitive_match_their_previous_bodies(a, r):
+    """Arbitrary forms, closed or not, over the vertical bound or not: the same view and
+    layout, or the same error."""
+    assert same_layout(exterior_d(a), exterior_d_oracle(a))
+    if a.degree >= 1:
+        got, want = outcome(polyforms._primitive, a, r), outcome(primitive_oracle, a, r)
+        if isinstance(want, PolyForm):
+            assert same_layout(got, want) and got._numerators == want._numerators
+        else:
+            assert got == want
+
+
+def test_primitive_refuses_a_negative_scale_power():
+    """Only a form built with negative exponents reaches it; the homotopy does not."""
+    omega = PolyForm(2, 1, (1, 1), {0b10: Polynomial(2, {(0, -1): ONE})})
+    with pytest.raises(InternalCheckError, match="negative power of the scale parameter"):
+        polyforms._primitive(omega, 1)
 
 
 @pytest.mark.parametrize("r", [0, 1, 2])
@@ -785,6 +850,85 @@ def test_parser_keeps_the_layout_of_cancellations_and_refills():
     assert list(io._parse_poly_form(inside)._numerators[0][0b01]) == [(1, 0), (0, 1)]
     for d in (doc, inside):
         assert same_layout(io._parse_poly_form(d), parse_poly_form_oracle(d))
+
+
+def _with(*polynomial, indices=(1,), dim=2, degree=1):
+    """A document on R^2 whose first term reads (1, 0) as valid exponents, then a term with
+    ``indices`` and the monomials ``polynomial``."""
+    return {"dim": dim, "degree": degree, "split": [1, dim - 1], "terms": [
+        {"indices": list(range(1, degree + 1)), "polynomial": [mono("1", [1, 0])]},
+        {"indices": list(indices) if type(indices) is tuple else indices,
+         "polynomial": list(polynomial)}]}
+
+
+# monomials and terms that the parser reads in place when well-formed, and otherwise hands to
+# ``_need`` and ``_ints``: each must read, or be refused, as the previous parser does
+FAST_PATH_CASES = {
+    # (True, 0) == (1, 0) and hashes alike, so the valid tuples must not let it through
+    "bool exponent": _with(mono("1", [True, 0])),
+    "float exponent": _with(mono("1", [1.0, 0])),
+    "bool exponent, new tuple": _with(mono("1", [0, False])),
+    "tuple exponents": _with(mono("1", (1, 0))),
+    "empty exponents": _with(mono("1", [])),
+    "short exponents": _with(mono("1", [1])),
+    "negative exponent": _with(mono("1", [-1, 0])),
+    "string exponents": _with(mono("1", "10")),
+    "missing exponents": _with({"coefficient": "1"}),
+    "missing coefficient": _with({"exponents": [1, 0]}),
+    "None coefficient": _with(mono(None, [1, 0])),
+    "extra key": _with(mono("1", [0, 1], extra=None)),
+    "list monomial": _with([[1, 0], "1"]),
+    "list monomial naming the field": _with(["exponents", "coefficient"]),
+    "string monomial": _with("exponents"),
+    "None monomial": _with(None),
+    "int monomial": _with(7),
+    "repeats": _with(mono("1", [1, 0]), mono("1/2", [0, 1]), mono("2", [1, 0])),
+    "cancelling repeats": _with(mono("1", [0, 1]), mono("-1", [0, 1]), mono("3", [1, 0])),
+    "cancelling the first term": _with(mono("-1", [1, 0])),
+    "cancelling, then a refill": _with(mono("-1", [1, 0]), mono("2", [0, 1]), mono("1", [1, 0])),
+    "zero coefficient": _with(mono("0", [0, 0])),
+    # a term that adds nothing opens no slot: its mask comes after the masks opened before
+    # it is refilled
+    "zero term, refilled later": {"dim": 2, "degree": 1, "split": [1, 1], "terms": [
+        {"indices": [2], "polynomial": [mono("0", [1, 0]), mono("1", [0, 1]), mono("-1", [0, 1])]},
+        {"indices": [1], "polynomial": [mono("1", [1, 0])]},
+        {"indices": [2], "polynomial": [mono("2", [0, 1])]}]},
+    "bool index": _with(mono("1", [0, 1]), indices=[True]),
+    "float index": _with(mono("1", [0, 1]), indices=[1.0]),
+    "index 0": _with(mono("1", [0, 1]), indices=(0,)),
+    "index past dim": _with(mono("1", [0, 1]), indices=(3,)),
+    "tuple indices": _with(mono("1", [0, 1]), indices=(2,)) | {"terms": [
+        {"indices": (2,), "polynomial": [mono("1", [0, 1])]}]},
+    "decreasing indices": _with(mono("1", [0, 1]), indices=(2, 1), degree=2),
+    "repeated index": _with(mono("1", [0, 1]), indices=(1, 1), degree=2),
+    "index count off the degree": _with(mono("1", [0, 1]), indices=(1, 2)),
+    "string indices": _with(mono("1", [0, 1]), indices="2"),
+    "missing indices": {"dim": 2, "degree": 1, "split": [1, 1],
+                        "terms": [{"polynomial": [mono("1", [1, 0])]}]},
+    "missing polynomial": {"dim": 2, "degree": 1, "split": [1, 1], "terms": [{"indices": [1]}]},
+    "list term": {"dim": 2, "degree": 1, "split": [1, 1], "terms": [["indices", [1]]]},
+    "string term": {"dim": 2, "degree": 1, "split": [1, 1], "terms": ["indices"]},
+    "degree 0": {"dim": 2, "degree": 0, "split": [1, 1],
+                 "terms": [{"indices": [], "polynomial": [mono("2", [0, 3])]}]},
+}
+
+
+@pytest.mark.parametrize("name", list(FAST_PATH_CASES))
+def test_parser_reads_monomials_in_place_like_the_checked_route(name):
+    doc = FAST_PATH_CASES[name]
+    got, want = _parsed(io._parse_poly_form, doc), _parsed(parse_poly_form_oracle, doc)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, PolyForm) and same_layout(got, want)
+        assert got._numerators == want._numerators
+    full = {"schema_version": "1", "kind": "poly_form", **doc}
+    try:
+        payload = io.parse_document(full).payload
+    except DocumentError as exc:
+        assert str(exc) == want
+    else:
+        assert same_layout(payload, want)
 
 
 # mostly plain strings, so that most documents parse; one in twenty any value

@@ -83,6 +83,12 @@ full Runge-Kutta step with the Jacobian update and its ``det``
 ``check``, the comparison after the flow of a 20-step op: the tree's
 ``_pullback_residuals`` on the final points and Jacobians, or, on a tree
 without it, the per-sample loop that ``_flow_residuals`` ran there.
+``homotopy_phases`` is a record of the same kind, in milliseconds, for the
+four phases of every op of the seed-1 ``homotopy`` round, each timed over
+the whole round: ``parse`` (``parse_document`` on the loaded JSON),
+``primitive`` (``_primitive``), ``check`` (``exterior_d(theta) == omega``)
+and ``write`` (``report_json(poly_form_to_document(theta))``), each the min
+over ``HOMOTOPY_PHASE_REPEATS`` repeats with the collector off.
 The Python version and the CPU count come from this interpreter.  Runs
 go one after another, never in parallel.
 """
@@ -126,6 +132,8 @@ MOSER_STAGE_SAMPLES = (1, 10, 21, 100)
 MOSER_STAGE_ROUNDS, MOSER_STAGE_REPEATS, MOSER_STAGE_CALLS = 5, 15, 20
 # samples and flow steps of the moser step record: one perfbench op's
 MOSER_STEP_SAMPLES, MOSER_STEP_FLOW = 10, 20
+# repeats per round of the homotopy phase record, each a pass over the seed-1 round
+HOMOTOPY_PHASE_REPEATS = 5
 
 
 def tree_env(tree: Path, pycache: Path) -> dict:
@@ -268,7 +276,7 @@ print(json.dumps(out))
 """
 
 
-def _timed_rounds(trees: list, script: str, args: list, keys: list) -> dict:
+def _timed_rounds(trees: list, script: str, args: list, keys: list, unit: str = "us") -> dict:
     """Per tree and key of ``script``'s JSON answer, every round's figure and their min, over
     ``MOSER_STAGE_ROUNDS`` rounds that alternate between the trees."""
     rounds = {label: [] for label, _, _ in trees}
@@ -277,8 +285,8 @@ def _timed_rounds(trees: list, script: str, args: list, keys: list) -> dict:
             proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], cwd=path,
                                   env=env, capture_output=True, text=True, check=True)
             rounds[label].append(json.loads(proc.stdout))
-    return {label: {key: {"us_min": min(r[key] for r in rs), "us_rounds": [r[key] for r in rs]}
-                    for key in keys}
+    return {label: {key: {f"{unit}_min": min(r[key] for r in rs),
+                          f"{unit}_rounds": [r[key] for r in rs]} for key in keys}
             for label, rs in rounds.items()}
 
 
@@ -332,6 +340,47 @@ def moser_step(trees: list) -> dict:
     return _timed_rounds(trees, _MOSER_STEP, [MOSER_STEP_SAMPLES, MOSER_STEP_FLOW,
                                               MOSER_STAGE_REPEATS, MOSER_STAGE_CALLS],
                          ["step", "check"])
+
+
+# Builds the seed-1 round of ``homotopy`` with the tree's own perfbench and prints, as JSON, the
+# min over argv[1] repeats of the milliseconds of each phase over the whole round.
+_HOMOTOPY_PHASES = """\
+import gc, json, sys, tempfile, time
+from pathlib import Path
+sys.path.insert(0, "perfbench")
+import run
+run.import_program()
+from polydarboux import io, polyforms
+from workloads import WORKLOADS
+wl = WORKLOADS["homotopy"]
+with tempfile.TemporaryDirectory() as tmp:
+    ops = [op for panel in wl.build(1, wl.panels, Path(tmp)) for op in panel]
+    docs = [json.loads(Path(op.argvs[0][1]).read_text()) for op in ops]
+forms = [io.parse_document(doc) for doc in docs]
+thetas = [polyforms._primitive(f.payload, f.r) for f in forms]
+phases = {
+    "parse": lambda: [io.parse_document(doc) for doc in docs],
+    "primitive": lambda: [polyforms._primitive(f.payload, f.r) for f in forms],
+    "check": lambda: [polyforms.exterior_d(t) == f.payload for t, f in zip(thetas, forms)],
+    "write": lambda: [io.report_json(io.poly_form_to_document(t)) for t in thetas],
+}
+out = {}
+gc.disable()
+for name, phase in phases.items():
+    best = float("inf")
+    for _ in range(int(sys.argv[1])):
+        gc.collect()
+        t0 = time.perf_counter()
+        phase()
+        best = min(best, time.perf_counter() - t0)
+    out[name] = round(best * 1e3, 1)
+print(json.dumps(out))
+"""
+
+
+def homotopy_phases(trees: list) -> dict:
+    return _timed_rounds(trees, _HOMOTOPY_PHASES, [HOMOTOPY_PHASE_REPEATS],
+                         ["parse", "primitive", "check", "write"], unit="ms")
 
 
 # Prints, as JSON, the seeds per cell and the not_found count per cell of the two grids of
@@ -574,16 +623,21 @@ def series(args, spec: dict, workloads: list, trees: list) -> None:
     fractions = {label: {w: fractions_per_op(path, env, w) for w in workloads}
                  for label, path, env in trees}
     print(f"fractions per op: {json.dumps(fractions)}", flush=True)
-    moser = {}
+    stages = {}  # the single-stage and phase records of moser and homotopy, when measured
     if "moser" in workloads:
-        moser["moser_agreement"] = moser_agreement(trees)
-        print(f"moser agreement: {json.dumps(moser['moser_agreement'])}", flush=True)
-        moser["moser_stage"] = moser_stage(trees)
-        moser["moser_step"] = moser_step(trees)
+        stages["moser_agreement"] = moser_agreement(trees)
+        print(f"moser agreement: {json.dumps(stages['moser_agreement'])}", flush=True)
+        stages["moser_stage"] = moser_stage(trees)
+        stages["moser_step"] = moser_step(trees)
         for key in ("moser_stage", "moser_step"):
             print(f"{key} us: " + json.dumps(
                 {label: {n: r["us_min"] for n, r in record.items()}
-                 for label, record in moser[key].items()}), flush=True)
+                 for label, record in stages[key].items()}), flush=True)
+    if "homotopy" in workloads:
+        stages["homotopy_phases"] = homotopy_phases(trees)
+        print("homotopy_phases ms: " + json.dumps(
+            {label: {n: r["ms_min"] for n, r in record.items()}
+             for label, record in stages["homotopy_phases"].items()}), flush=True)
     detections = {label: detection(path, env) for label, path, env in trees}
     print("detection not_found: " + json.dumps(
         {label: {g: d["not_found_total"] for g, d in grids.items()}
@@ -597,21 +651,21 @@ def series(args, spec: dict, workloads: list, trees: list) -> None:
                 print(f"run {i} {w} {label}: ops_per_kru {res['metrics']['ops_per_kru']:.4g} "
                       f"digest {res['digest'][:12]} correct {res['correct']}", flush=True)
         # rewritten after every run, so an interrupted series keeps what it measured
-        write_record(args, spec, trees, runs, i + 1, fractions, detections, moser)
+        write_record(args, spec, trees, runs, i + 1, fractions, detections, stages)
     traces = {label: traced(label, path, env, workloads) for label, path, env in trees}
-    write_record(args, spec, trees, runs, args.runs, fractions, detections, moser, traces=traces)
+    write_record(args, spec, trees, runs, args.runs, fractions, detections, stages, traces=traces)
     sweeps = sweep(trees)
     supports = small_support(trees)
     with tempfile.TemporaryDirectory() as tmp:
         documents = homotopy_documents(trees[0][1], trees[0][2], Path(tmp))
         homotopies = {label: homotopy_sweep(label, path, env, documents)
                       for label, path, env in trees}
-    write_record(args, spec, trees, runs, args.runs, fractions, detections, moser, sweeps,
+    write_record(args, spec, trees, runs, args.runs, fractions, detections, stages, sweeps,
                  supports, traces, homotopies)
 
 
 def write_record(args, spec: dict, trees: list, runs: dict, done: int, fractions: dict,
-                 detections: dict, moser: dict, sweeps: dict | None = None,
+                 detections: dict, stages: dict, sweeps: dict | None = None,
                  supports: dict | None = None, traces: dict | None = None,
                  homotopies: dict | None = None) -> None:
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
@@ -621,7 +675,7 @@ def write_record(args, spec: dict, trees: list, runs: dict, done: int, fractions
            "src_lines": {label: src_lines(path) for label, path, _ in trees},
            "fractions_per_op": fractions, "detection": detections, "workloads": {}}
     first, last = trees[0][0], trees[-1][0]
-    out.update(moser)  # moser_agreement, moser_stage and moser_step, when moser is measured
+    out.update(stages)  # moser_agreement, moser_stage, moser_step and homotopy_phases
     for key, record in (("sweep", sweeps), ("small_support", supports),
                         ("homotopy_sweep", homotopies)):
         if record is not None:
