@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .darboux import (canonical_multi_model, canonical_poly_model, conjugating_map,
                       darboux_basis_multi, darboux_basis_poly)
-from .errors import DocumentError, InternalCheckError, PolydarbouxError
+from .errors import DocumentError, InternalCheckError, PolydarbouxError, PreconditionError
 from .exterior import pullback
 from .io import (alternating_to_document, load_document, matrix_columns,
                  poly_form_to_document, report_json, subspace_to_rows)
@@ -166,7 +166,10 @@ def cmd_canonical(args) -> int:
                 f"canonical multi model N={args.N} n={args.n} k={args.k} r={args.r}"))
     text = report_json(doc)
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        try:
+            Path(args.output).write_text(text + "\n")
+        except OSError as exc:
+            raise PreconditionError(f"cannot write {args.output}: {exc}") from exc
     else:
         print(text)
     return 0

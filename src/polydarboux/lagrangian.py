@@ -380,7 +380,7 @@ def greedy_maximal_isotropic(omega, seed: Subspace, within: Subspace | None = No
     rebuilt.  Scanned rows leave it: each lies in the isotropic span, so
     every later constraint vanishes on it and no cut would touch it.  The
     span of seed and picks, an incremental echelon copied from the seed's,
-    answers membership and becomes the returned subspace.
+    takes each pick with one insert and becomes the returned subspace.
     """
     v = as_vector_form(omega)
     if not is_isotropic(seed, v, 1):
@@ -393,8 +393,7 @@ def greedy_maximal_isotropic(omega, seed: Subspace, within: Subspace | None = No
             _cut(orth, row)
     while orth:
         row = orth.pop(next(iter(orth)))
-        if not span.contains(row):
-            span.insert(row)
+        if span.insert(row):
             for r in _kernel_constraints(contract(row, v)):
                 _cut(orth, r)
     return Subspace(v.dim, span)

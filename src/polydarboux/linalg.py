@@ -119,7 +119,7 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(rows: list, cols: int) -> list[dict]:
-    """Sparse basis of {v : R v = 0}, one vector per free column (``SparseEchelon.kernel``).
+    """Integer basis of {v : R v = 0}, one vector per free column (``SparseEchelon.kernel``).
 
     Rows are dense or sparse, as ``_echelon`` takes them.
     """
@@ -221,7 +221,7 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 def annihilator(a: Subspace) -> Subspace:
     """Covectors vanishing on the subspace, in dual coordinates: the kernel of its echelon."""
-    return kernel_subspace(a.rows(), a.ambient_dim)
+    return Subspace(a.ambient_dim, span_of(a.echelon.kernel(a.ambient_dim)))
 
 
 def complement(a: Subspace, inside: Subspace | None = None) -> Subspace:

@@ -7,8 +7,8 @@ coefficients of forms, whose spaces are large and mostly zero.
 unique reduced row echelon form in key order, each row scaled to
 primitive integers.  It is the only elimination in the package: the
 solver and, through ``linalg``, every rank, kernel, inverse and subspace
-run on it.  Rationals enter by one lcm per vector and leave as
-``Fraction``s only in the answers.
+run on it.  Rationals enter by one lcm per vector, integers by a copy,
+and leave as ``Fraction``s only in answers that need them, never in a kernel.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ def _sparse(row) -> SparseVec:
 
 def _scaled(v: SparseVec) -> tuple[dict, int]:
     """Integer numerators of v over one common denominator, and that denominator."""
+    if all(v.values()) and {*map(type, v.values())} <= {int}:
+        return dict(v), 1
     s = lcm(*(x.denominator for x in v.values()))
     if s == 1:
         return {k: x.numerator for k, x in v.items() if x}, 1
@@ -123,20 +125,19 @@ class SparseEchelon:
         return not self._residue(v)[0]
 
     def kernel(self, cols: int):
-        """Sparse basis of {x : row . x = 0 for every row}, rows keyed 0..cols-1.
+        """Sparse integer basis of {x : row . x = 0 for every row}, rows keyed 0..cols-1.
 
-        One vector per free column f, in increasing order: a one at f and
-        minus each row's entry at f over its pivot entry, at that pivot.
+        One vector per free column f, in increasing order: s at f, with s the
+        lcm of the pivot entries d of the rows holding an entry c at f, and
+        -c * (s // d) at each such row's pivot.  It is s times the vector with
+        a one at f, so it serves spans, not coordinates.
         """
         for f in range(cols):
             if f in self.rows:
                 continue
-            x = {f: Fraction(1)}
-            for p, row in self.rows.items():
-                c = row.get(f)
-                if c:
-                    x[p] = Fraction(-c, row[p])
-            yield x
+            hits = [(p, c, row[p]) for p, row in self.rows.items() if (c := row.get(f))]
+            s = lcm(*(d for _, _, d in hits))
+            yield {f: s, **{p: -c * (s // d) for p, c, d in hits}}
 
 
 class SparseSolver(SparseEchelon):
@@ -175,9 +176,6 @@ def span_of(vectors) -> SparseEchelon:
 
 
 def span_equal(vectors_a, vectors_b) -> bool:
-    ea = span_of(vectors_a)
-    vb = list(vectors_b)
-    if not all(ea.contains(v) for v in vb):
-        return False
-    return span_of(vb).rank == ea.rank
+    ea, vb = span_of(vectors_a), list(vectors_b)
+    return all(map(ea.contains, vb)) and span_of(vb).rank == ea.rank
 

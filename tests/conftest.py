@@ -398,6 +398,62 @@ def flat_image_vectors_oracle(omega, vectors) -> list[dict]:
     return [_stacked(contract(v, as_vector_form(omega))) for v in vectors]
 
 
+# ---------------------------------------------------------------------------
+# the exact kernel as it was before kernels came out on integers
+
+
+def scaled_oracle(v: dict) -> tuple[dict, int]:
+    """``sparse._scaled`` with its lcm pass over every vector, integer or not."""
+    s = lcm(*(x.denominator for x in v.values()))
+    if s == 1:
+        return {k: x.numerator for k, x in v.items() if x}, 1
+    return {k: x.numerator * (s // x.denominator) for k, x in v.items() if x}, s
+
+
+def echelon_kernel_oracle(ech: SparseEchelon, cols: int) -> list[dict]:
+    """``SparseEchelon.kernel`` on ``Fraction``s: per free column f, a one at f and minus
+    each row's entry at f over its pivot entry, at that pivot."""
+    out = []
+    for f in range(cols):
+        if f in ech.rows:
+            continue
+        x = {f: Fraction(1)}
+        for p, row in ech.rows.items():
+            c = row.get(f)
+            if c:
+                x[p] = Fraction(-c, row[p])
+        out.append(x)
+    return out
+
+
+def annihilator_oracle(a: Subspace) -> Subspace:
+    """``linalg.annihilator`` re-eliminating the subspace's rows before it reads the kernel."""
+    return Subspace.from_vectors(a.ambient_dim,
+                                 echelon_kernel_oracle(_echelon(a.rows()), a.ambient_dim))
+
+
+def greedy_maximal_isotropic_oracle(omega, seed: Subspace,
+                                    within: Subspace | None = None) -> Subspace:
+    """``lagrangian.greedy_maximal_isotropic`` asking ``contains`` before each ``insert``,
+    so a pick that grows the span is reduced twice."""
+    v = as_vector_form(omega)
+    if not lagrangian.is_isotropic(seed, v, 1):
+        raise PreconditionError("seed subspace is not isotropic")
+    base = within if within is not None else Subspace.full(v.dim)
+    orth = dict(sorted(base.echelon.rows.items()))
+    span = seed.echelon.copy()
+    for u in seed.rows():
+        for row in _kernel_constraints(contract(u, v)):
+            lagrangian._cut(orth, row)
+    while orth:
+        row = orth.pop(next(iter(orth)))
+        if not span.contains(row):
+            span.insert(row)
+            for r in _kernel_constraints(contract(row, v)):
+                lagrangian._cut(orth, r)
+    return Subspace(v.dim, span)
+
+
 # ``exterior.AlternatingForm`` and its arithmetic as they were on ``Fraction`` coefficient
 # dicts, before a form was its integer view: the oracles of tests/test_form_view_oracle.py
 

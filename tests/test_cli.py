@@ -295,6 +295,19 @@ def test_canonical_model_beyond_the_value_budget_exits_one(tmp_path, capsys, nha
     assert f"value dimension {nhat} exceeds the budget of 100 (MAX_VALUE_DIM)" in captured.err
 
 
+@pytest.mark.parametrize("target", ["missing/model.json", "."])
+def test_canonical_to_an_unwritable_path_exits_one(tmp_path, capsys, target):
+    """A target in a directory that does not exist, or a directory itself, is refused with
+    the path named on stderr, as the reader names a path it cannot read."""
+    out = tmp_path / target
+    assert main(["canonical", "poly", "1", "1", "1", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "missing").exists() and list(tmp_path.iterdir()) == []
+
+
 def test_declared_dimension_at_the_budget_parses():
     from polydarboux.io import MAX_DIM, parse_document
     doc = parse_document({"schema_version": "1", "kind": "scalar_form", "dim": MAX_DIM,

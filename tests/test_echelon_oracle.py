@@ -9,19 +9,25 @@ elimination loop and generator tags, the span intersection through a
 dense kernel of the concatenated coefficient map, and ``intersect``
 through the kernel of the stacked annihilator constraints.  The echelon's rows are
 primitive integer vectors, so they are compared monic, each divided by its
-pivot entry, and their integer form is checked on its own.
+pivot entry, and their integer form is checked on its own.  Kernel vectors
+are integer multiples of the ``Fraction`` vectors of ``conftest``'s
+``echelon_kernel_oracle``, and the annihilator, read off a subspace's own
+echelon, equals ``annihilator_oracle``'s re-elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import intersect, intersect_spans, vectors
+from conftest import (annihilator_oracle, echelon_kernel_oracle, intersect, intersect_spans,
+                      scaled_oracle, vectors)
+from polydarboux import sparse
 from polydarboux.linalg import Subspace, annihilator, kernel_basis
-from polydarboux.sparse import SparseEchelon, SparseSolver, _sparse
+from polydarboux.sparse import SparseEchelon, SparseSolver, _scaled, _sparse, span_of
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -323,6 +329,94 @@ def test_kernel_vectors_of_an_empty_echelon_are_the_unit_vectors():
     assert [densify(x, 3) for x in SparseEchelon().kernel(3)] == [
         [ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
     assert list(SparseEchelon().kernel(0)) == []
+    for cols in range(5):
+        assert_positive_multiples(list(SparseEchelon().kernel(cols)),
+                                  echelon_kernel_oracle(SparseEchelon(), cols))
+
+
+# ---------------------------------------------------------------------------
+# integer kernel vectors and the integer path into the echelon
+
+
+def assert_positive_multiples(got: list[dict], want: list[dict]):
+    """Kernel vectors against the ``Fraction`` kernel: the same vectors in the same order,
+    each with the same keys in the same order, all ``int``, positive at its free column
+    (its first key) and, divided by that entry, exactly the oracle's vector."""
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert list(x) == list(y)
+        assert all(type(c) is int for c in x.values())
+        f = next(iter(x))
+        assert x[f] > 0 and y[f] == 1
+        assert {k: Fraction(c, x[f]) for k, c in x.items()} == y
+
+
+def some_integers(draw, vectors: list[dict]) -> list[dict]:
+    """The vectors, each with its entries made ``int`` when all are whole and a coin says
+    so: all-int vectors take the copy of ``_scaled``, the others its lcm pass."""
+    out = []
+    for v in vectors:
+        whole = all(x.denominator == 1 for x in v.values())
+        out.append({k: int(x) for k, x in v.items()} if whole and draw(st.booleans()) else v)
+    return out
+
+
+def kernel_inputs(data) -> tuple[list[dict], int]:
+    """Vectors with dense column keys and a column count, or with stacked keys, which
+    hold no column, so that every column is free."""
+    if data.draw(st.booleans()):
+        cols = data.draw(st.integers(0, 8))
+        vectors = [_sparse(r) for r in data.draw(dense_rows(cols))]
+        if cols and data.draw(st.booleans()):  # a few large integer rows
+            vectors += [_sparse(r) for r in data.draw(st.lists(st.lists(
+                st.integers(-BIG, BIG), min_size=cols, max_size=cols), max_size=3))]
+    else:
+        cols = data.draw(st.integers(0, 4))
+        vectors = data.draw(stacked_vectors())
+    return some_integers(data.draw, with_combinations(data.draw, vectors)), cols
+
+
+@settings(PROFILE)
+@given(st.data())
+def test_scaled_copies_integer_vectors_and_matches_the_lcm_pass(data):
+    vectors, _ = kernel_inputs(data)
+    for v in vectors + [{0: 0, 1: 2}, {0: True, 1: -2}, {0: 2, 1: Fraction(1, 2)}, {}]:
+        before = dict(v)
+        r, s = _scaled(v)
+        assert (r, s) == scaled_oracle(v)
+        assert all(type(x) is int and x for x in r.values()) and type(s) is int
+        assert r is not v and v == before
+
+
+@settings(PROFILE)
+@given(st.data())
+def test_integer_kernel_is_a_positive_multiple_of_the_fraction_kernel(data):
+    vectors, cols = kernel_inputs(data)
+    ech = span_of(vectors)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse, "_scaled", scaled_oracle)
+        old = span_of(vectors)
+    assert ech.rows == old.rows and list(ech.rows) == list(old.rows)
+    assert_integer_echelon(ech)
+    got = list(ech.kernel(cols))
+    assert_positive_multiples(got, echelon_kernel_oracle(ech, cols))
+    for x in got:
+        for p, row in ech.rows.items():
+            assert not sum(c * x.get(k, 0) for k, c in row.items())
+        s = x[next(iter(x))]
+        # s is the lcm of the pivot entries of the rows that hold an entry at f
+        assert s == lcm(*(row[p] for p, row in ech.rows.items() if next(iter(x)) in row))
+
+
+@settings(PROFILE)
+@given(st.data())
+def test_annihilator_read_off_the_echelon_matches_the_re_elimination(data):
+    dim = data.draw(st.integers(0, 8))
+    rows = some_integers(data.draw, [_sparse(r) for r in data.draw(dense_rows(dim, dim + 1))])
+    for a in (Subspace.from_vectors(dim, rows), Subspace.zero(dim), Subspace.full(dim)):
+        got = annihilator(a)
+        assert got == annihilator_oracle(a)
+        assert got.dim == dim - a.dim and annihilator(got) == a
 
 
 # ---------------------------------------------------------------------------

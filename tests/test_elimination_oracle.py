@@ -4,7 +4,9 @@ Darboux helpers against the implementations they replaced.
 The oracles below are the previous code, kept verbatim in spirit: Fraction
 row reduction, the batch fraction-free kernel on dense integer rows that
 the integer echelon replaced, per-candidate ``Subspace`` rebuilds and
-dense products of elementary matrices.
+dense products of elementary matrices.  Kernel vectors come out as
+positive integer multiples of the RREF kernel vectors, so each is compared
+divided by its entry at its free column.
 """
 
 from __future__ import annotations
@@ -226,10 +228,18 @@ def test_rank_and_subspace_match_oracle(m):
     assert all(type(x) is Fraction for r in vectors(sub) for x in r)
 
 
+def unit_at_free_column(x: dict, cols: int) -> list[Fraction]:
+    """An integer kernel vector, checked to be all ``int`` and positive at its free column
+    (its first key), divided by that entry and made dense."""
+    f = next(iter(x))
+    assert all(type(c) is int for c in x.values()) and x[f] > 0
+    return [Fraction(x.get(j, 0), x[f]) for j in range(cols)]
+
+
 @settings(settings.get_profile("oracle"))
 @given(any_matrix)
 def test_kernel_basis_matches_oracle(m):
-    got = [[x.get(j, ZERO) for j in range(m.cols)] for x in kernel_basis(row_list(m), m.cols)]
+    got = [unit_at_free_column(x, m.cols) for x in kernel_basis(row_list(m), m.cols)]
     assert got == oracle_kernel_basis(row_list(m), m.cols)
 
 
@@ -248,7 +258,7 @@ def test_singular_inverse_and_zero_rows():
     m = Matrix.from_rows([[1, 2], [2, 4]])
     with pytest.raises(PreconditionError):
         inverse(m)
-    got = [[x.get(j, ZERO) for j in range(3)] for x in kernel_basis([[ZERO] * 3, [ZERO] * 3], 3)]
+    got = [unit_at_free_column(x, 3) for x in kernel_basis([[ZERO] * 3, [ZERO] * 3], 3)]
     assert got == oracle_kernel_basis([[ZERO] * 3] * 2, 3)
 
 

@@ -5,7 +5,10 @@ rebuilt the span and the complement after every pick (on the dense
 Fraction ``RowEchelon`` it used), the dense
 ``Subspace.reduce`` that did Fraction work on every entry, and
 ``rank_2form`` as the rank of the Fraction kernel constraint rows.  The
-resource budgets of the rank certificates are tested here as well.
+greedy is also compared with its own previous body,
+``conftest.greedy_maximal_isotropic_oracle``, which asked ``contains``
+before each ``insert``.  The resource budgets of the rank certificates
+are tested here as well.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import contains, is_maximal_isotropic, orthogonal_complement, row_rank, vectors
-from polydarboux import cli
+from conftest import (contains, greedy_maximal_isotropic_oracle, is_maximal_isotropic,
+                      orthogonal_complement, row_rank, vectors)
+from polydarboux import cli, lagrangian
 from polydarboux.darboux import (canonical_multi_model, canonical_poly_model,
                                  conjugated_multi_instance, conjugated_poly_instance)
 from polydarboux.errors import InternalCheckError, PreconditionError
@@ -294,6 +298,46 @@ def test_greedy_within_matches_on_a_multi_model():
         seed = Subspace.from_vectors(moved.dim, [basis_vector])
         assert (greedy_maximal_isotropic(moved, seed, within=vertical)
                 == oracle_greedy(moved, seed, within=vertical))
+
+
+@settings(settings.get_profile("greedy_oracle"))
+@given(st.data())
+def test_greedy_matches_its_contains_then_insert_body(data):
+    """One ``insert`` per pick gives what ``contains`` then ``insert`` gave, with and
+    without ``within``; the forms carry large and small denominators."""
+    v = data.draw(small_forms())
+    within = None
+    if data.draw(st.booleans()):
+        within = Subspace.from_vectors(v.dim, data.draw(st.lists(
+            st.lists(small_coefficients, min_size=v.dim, max_size=v.dim),
+            min_size=1, max_size=v.dim)))
+    seed = data.draw(isotropic_seeds(v, within))
+    _same_outcome(lambda: greedy_maximal_isotropic(v, seed, within=within),
+                  lambda: greedy_maximal_isotropic_oracle(v, seed, within=within))
+
+
+@pytest.mark.parametrize("v", CONJUGATED_MODELS[:5] + EMBEDDED[:2])
+def test_greedy_contracts_once_per_basis_vector_of_its_result(v, monkeypatch):
+    """Beyond the seed's isotropy test, the greedy contracts each seed row and each pick
+    that grew the span once: a row already in the span is dropped without a cut.  Its
+    answer is the previous body's on every coordinate seed."""
+    v = as_vector_form(v)
+    calls = []
+
+    def counted(x, form):
+        calls.append(1)
+        return contract(x, form)
+
+    monkeypatch.setattr(lagrangian, "contract", counted)
+    for i in range(v.dim):
+        seed = Subspace.span_of_coordinates(v.dim, [i + 1])
+        calls.clear()
+        is_isotropic(seed, v, 1)
+        checked = len(calls)
+        calls.clear()
+        got = greedy_maximal_isotropic(v, seed)
+        assert len(calls) == checked + got.dim
+        assert got == greedy_maximal_isotropic_oracle(v, seed)
 
 
 def test_greedy_builds_no_subspace_per_complement_change(monkeypatch):

@@ -9,7 +9,9 @@ its ``Fraction`` coefficients on first read, in the view's order; a
 polynomial form's are compared with the eager build of
 ``conftest.pf_seeded_oracle`` (a scalar form's in
 ``test_form_view_oracle.py``).  Writing a form and ``uniform_rank``'s
-memo read the views and build no ``Fraction``.  The pipelines that read
+memo read the views and build no ``Fraction``, and neither do the
+kernels, annihilators and polylagrangian check of integer forms, since
+kernel vectors come out on integers.  The pipelines that read
 the views (kernels, isotropy, maximality, the polylagrangian check and
 the Darboux basis) are compared with the same pipelines run on the
 ``Fraction`` constraint rows and images, which ``conftest`` keeps as
@@ -43,7 +45,7 @@ from polydarboux.lagrangian import (_kernel_constraints, check_polylagrangian,
 from polydarboux.corpus import corpus_files
 from polydarboux.io import (_ratio_str, alternating_to_document, load_document,
                             poly_form_to_document)
-from polydarboux.linalg import Subspace, kernel_subspace
+from polydarboux.linalg import Subspace, annihilator, kernel_subspace
 from polydarboux.polyforms import (PolyForm, Polynomial, _pf_seeded, exterior_d,
                                    homotopy_primitive, max_vertical_factors, pf_scale, pf_zero,
                                    poly_from_terms, poly_var, poly_zero)
@@ -586,3 +588,40 @@ def test_uniform_rank_on_the_memo_builds_no_fraction(name, rank):
         mp.setattr(Fraction, "__new__", counted)
         assert lagrangian.uniform_rank(omega) == rank
     assert built == []
+
+
+def _e13_e24_in_r20():
+    lagr = Subspace.span_of_coordinates(20, [1, 2, *range(5, 21)])
+    return form(20, 2, {(1, 3): 1, (2, 4): 1}), lagr
+
+
+def _conjugated_poly_3_2_1():
+    moved, lagr, _ = conjugated_poly_instance(canonical_poly_model(3, 2, 1), 5)
+    return moved, lagr
+
+
+@pytest.mark.parametrize("build", [_e13_e24_in_r20, _conjugated_poly_3_2_1])
+def test_kernels_annihilators_and_the_check_build_no_fraction(build):
+    """On an integer form the exact kernel stays on integers: the form's kernel, a kernel
+    of constraint rows, the annihilator of L and the polylagrangian check of L build no
+    ``Fraction``.  Each form is built fresh, so no cached image hides a build."""
+    omega, lagr = build()
+    rows = _kernel_constraints(omega)
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", counted)
+        ker = kernel_of_form(omega)
+        same = kernel_subspace(rows, omega.dim)
+        ann = annihilator(lagr)
+        holds = check_polylagrangian(lagr, omega, ker)
+    assert built == []
+    assert ker == same and lagr.contains_subspace(ker) and holds
+    assert ann.dim == omega.dim - lagr.dim
+    assert all(not sum(c * x.get(k, 0) for k, c in a.items())
+               for a in ann.rows() for x in lagr.rows())

@@ -89,6 +89,13 @@ the whole round: ``parse`` (``parse_document`` on the loaded JSON),
 ``primitive`` (``_primitive``), ``check`` (``exterior_d(theta) == omega``)
 and ``write`` (``report_json(poly_form_to_document(theta))``), each the min
 over ``HOMOTOPY_PHASE_REPEATS`` repeats with the collector off.
+``analyze_phases`` is the same record for the seed-1 ``analyze`` round, each
+phase timed on documents parsed afresh for its repeat: ``parse``
+(``load_document``), ``kernel`` (``kernel_of_form`` of each form),
+``classify`` (the ``classify_vector_form`` or ``classify_horizontal_form``
+call of ``cmd_analyze``, its own kernel included) and ``write``
+(``cmd_analyze``'s report, ``_classification_dict`` and ``report_json``),
+each the min over ``ANALYZE_PHASE_REPEATS`` repeats.
 The Python version and the CPU count come from this interpreter.  Runs
 go one after another, never in parallel.
 """
@@ -132,8 +139,8 @@ MOSER_STAGE_SAMPLES = (1, 10, 21, 100)
 MOSER_STAGE_ROUNDS, MOSER_STAGE_REPEATS, MOSER_STAGE_CALLS = 5, 15, 20
 # samples and flow steps of the moser step record: one perfbench op's
 MOSER_STEP_SAMPLES, MOSER_STEP_FLOW = 10, 20
-# repeats per round of the homotopy phase record, each a pass over the seed-1 round
-HOMOTOPY_PHASE_REPEATS = 5
+# repeats per round of the homotopy and analyze phase records, each a pass over the seed-1 round
+HOMOTOPY_PHASE_REPEATS = ANALYZE_PHASE_REPEATS = 5
 
 
 def tree_env(tree: Path, pycache: Path) -> dict:
@@ -381,6 +388,61 @@ print(json.dumps(out))
 def homotopy_phases(trees: list) -> dict:
     return _timed_rounds(trees, _HOMOTOPY_PHASES, [HOMOTOPY_PHASE_REPEATS],
                          ["parse", "primitive", "check", "write"], unit="ms")
+
+
+# Builds the seed-1 round of ``analyze`` with the tree's own perfbench and prints, as JSON, the
+# min over argv[1] repeats of the milliseconds of each phase over the whole round.  Each repeat
+# times its phase on documents parsed afresh, so that no contraction image a form remembers
+# from an earlier repeat is reused.
+_ANALYZE_PHASES = """\
+import gc, json, sys, tempfile, time
+from pathlib import Path
+sys.path.insert(0, "perfbench")
+import run
+cli = run.import_program()
+from polydarboux import io, lagrangian
+from workloads import WORKLOADS
+wl = WORKLOADS["analyze"]
+def classify(parsed, args):
+    if parsed.kind == "vector_valued_form" or parsed.flag is None:
+        return lagrangian.classify_vector_form(lagrangian.as_vector_form(parsed.payload),
+                                               seed=args.seed, samples=args.samples)
+    return lagrangian.classify_horizontal_form(parsed.payload, parsed.flag, parsed.r,
+                                               seed=args.seed)
+def write(rep, args):
+    report = cli._report_header("analyze", args.file, args.seed)
+    report["result"] = cli._classification_dict(rep)
+    return io.report_json(report)
+with tempfile.TemporaryDirectory() as tmp:
+    ops = [op for panel in wl.build(1, wl.panels, Path(tmp)) for op in panel]
+    argss = [cli.build_parser().parse_args(op.argvs[0]) for op in ops]
+    parse = lambda: [io.load_document(a.file) for a in argss]
+    phases = {
+        "parse": lambda docs: parse(),
+        "kernel": lambda docs: [lagrangian.kernel_of_form(d.payload) for d in docs],
+        "classify": lambda docs: [classify(d, a) for d, a in zip(docs, argss)],
+        "write": lambda reps: [write(r, a) for r, a in zip(reps, argss)],
+    }
+    out = {}
+    gc.disable()
+    for name, phase in phases.items():
+        best = float("inf")
+        for _ in range(int(sys.argv[1])):
+            docs = parse()
+            if name == "write":
+                docs = [classify(d, a) for d, a in zip(docs, argss)]
+            gc.collect()
+            t0 = time.perf_counter()
+            phase(docs)
+            best = min(best, time.perf_counter() - t0)
+        out[name] = round(best * 1e3, 1)
+print(json.dumps(out))
+"""
+
+
+def analyze_phases(trees: list) -> dict:
+    return _timed_rounds(trees, _ANALYZE_PHASES, [ANALYZE_PHASE_REPEATS],
+                         ["parse", "kernel", "classify", "write"], unit="ms")
 
 
 # Prints, as JSON, the seeds per cell and the not_found count per cell of the two grids of
@@ -633,11 +695,12 @@ def series(args, spec: dict, workloads: list, trees: list) -> None:
             print(f"{key} us: " + json.dumps(
                 {label: {n: r["us_min"] for n, r in record.items()}
                  for label, record in stages[key].items()}), flush=True)
-    if "homotopy" in workloads:
-        stages["homotopy_phases"] = homotopy_phases(trees)
-        print("homotopy_phases ms: " + json.dumps(
-            {label: {n: r["ms_min"] for n, r in record.items()}
-             for label, record in stages["homotopy_phases"].items()}), flush=True)
+    for w, phases in (("homotopy", homotopy_phases), ("analyze", analyze_phases)):
+        if w in workloads:
+            stages[f"{w}_phases"] = phases(trees)
+            print(f"{w}_phases ms: " + json.dumps(
+                {label: {n: r["ms_min"] for n, r in record.items()}
+                 for label, record in stages[f"{w}_phases"].items()}), flush=True)
     detections = {label: detection(path, env) for label, path, env in trees}
     print("detection not_found: " + json.dumps(
         {label: {g: d["not_found_total"] for g, d in grids.items()}
@@ -675,7 +738,7 @@ def write_record(args, spec: dict, trees: list, runs: dict, done: int, fractions
            "src_lines": {label: src_lines(path) for label, path, _ in trees},
            "fractions_per_op": fractions, "detection": detections, "workloads": {}}
     first, last = trees[0][0], trees[-1][0]
-    out.update(stages)  # moser_agreement, moser_stage, moser_step and homotopy_phases
+    out.update(stages)  # moser_agreement, moser_stage, moser_step and the two phase records
     for key, record in (("sweep", sweeps), ("small_support", supports),
                         ("homotopy_sweep", homotopies)):
         if record is not None:
