@@ -40,7 +40,6 @@ MAX_BALL_DRAWS = 100_000  # cube draws of ball_sample_points: about 0.7 s at any
 # RK4 steps times samples of one flow: about 18 s with one sample on the six-dimensional
 # perturbed fixture, where a step costs most per sample
 MAX_POINT_STEPS = 60_000
-_BLOCK_ENTRIES = 1024  # entries of one lstsq block's matrix, beyond which blocks are no faster
 _CERTIFICATE_MARGIN = 1e3  # over lstsq's rank cutoff: covers the rounding of A and of its SVD
 
 
@@ -48,7 +47,6 @@ _CERTIFICATE_MARGIN = 1e3  # over lstsq's rank cutoff: covers the rounding of A 
 class FlowState:
     point: np.ndarray
     jacobian: np.ndarray
-    t: float
     min_det: float = 1.0
 
 
@@ -59,7 +57,6 @@ class MoserReport:
     steps: int
     solve_tol: float
     min_jacobian_det: float
-    sample_points: list
 
 
 class _CompiledPolys:
@@ -109,41 +106,6 @@ class _CompiledPolys:
         return np.multiply.reduce(table.take(gather), axis=1) @ self.weights.T
 
 
-def _lstsq_blocks(a: np.ndarray, rhs: np.ndarray,
-                  layouts: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point least-squares solutions (batch, n_cols, k) and ranks of a (batch, n_rows,
-    n_cols) against rhs (batch, n_rows, k), with one solver call per block of points.
-
-    A block is solved as diag(A_1, ..., A_m), whose pseudo-inverse is diag(A_i^+).  Its
-    cutoff (rcond=None) is at least each A_i's own, so a full block rank m * n_cols proves
-    every A_i of full rank; otherwise the block's points are solved one at a time, as the
-    per-point solve would.  m keeps the block matrix near _BLOCK_ENTRIES entries.  Each
-    zero block matrix and the flat positions of its diagonal blocks are kept in ``layouts``;
-    every call overwrites each diagonal entry."""
-    batch, n_rows, n_cols = a.shape
-    k = max(1, math.isqrt(_BLOCK_ENTRIES // max(1, n_rows * n_cols)))
-    width = rhs.shape[2]
-    layouts = {} if layouts is None else layouts
-    ys = np.empty((batch, n_cols, width))
-    ranks = np.full(batch, n_cols)
-    for s in range(0, batch, k):
-        m = min(k, batch - s)
-        if m > 1:
-            if (m, n_rows, n_cols) not in layouts:
-                on = np.kron(np.eye(m), np.ones((n_rows, n_cols)))  # row-major: (i, r, c) order
-                layouts[m, n_rows, n_cols] = np.zeros(on.shape), np.flatnonzero(on)
-            block, diagonal = layouts[m, n_rows, n_cols]
-            block.ravel()[diagonal] = a[s:s + m].ravel()
-            y, _, rank, _ = np.linalg.lstsq(block, rhs[s:s + m].reshape(m * n_rows, width),
-                                            rcond=None)
-            if rank == m * n_cols:
-                ys[s:s + m] = y.reshape(m, n_cols, width)
-                continue
-        for i in range(s, s + m):
-            ys[i], _, ranks[i], _ = np.linalg.lstsq(a[i], rhs[i], rcond=None)
-    return ys, ranks
-
-
 def _spectrum(a0: np.ndarray) -> tuple | None:
     """A0's (s_max, s_min, cutoff) where A0 is square and of full rank by lstsq's rule, None
     otherwise: cutoff = ``_CERTIFICATE_MARGIN`` n eps_mach is lstsq's rcond=None cutoff
@@ -158,13 +120,15 @@ def _spectrum(a0: np.ndarray) -> tuple | None:
 
 
 def _certified_solve(a: np.ndarray, rhs: np.ndarray, d: np.ndarray, t: float,
-                     spectrum: tuple | None, layouts: dict) -> tuple[np.ndarray, np.ndarray]:
-    """``_lstsq_blocks(a, rhs, layouts)`` for square a = A0 + t d, by one batched LU where
-    Weyl's inequality certifies it: each singular value of A_i lies within
+                     spectrum: tuple | None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point least-squares solutions (batch, n_cols, k) and ranks of a = A0 + t d
+    (batch, n_rows, n_cols) against rhs (batch, n_rows, k), by one batched LU where Weyl's
+    inequality certifies it: each singular value of A_i lies within
     eps = |t| max ||d_i||_F of A0's ``spectrum`` (s_max, s_min, cutoff; None: no LU), so
     where s_min - eps clears lstsq's cutoff n eps_mach (s_max + eps) by
     ``_CERTIFICATE_MARGIN``, every per-point lstsq would find full rank and answer the unique
-    A_i^-1 rhs_i."""
+    A_i^-1 rhs_i.  Otherwise one lstsq per point in batch order, up to the first point whose
+    [A_i | rhs_i] is not finite: that point and every later one keep rank -1 and NaN."""
     if spectrum is not None:
         s_max, s_min, cutoff = spectrum
         eps = abs(t) * math.sqrt(np.einsum('bij,bij->b', d, d).max(initial=0.0))
@@ -173,7 +137,13 @@ def _certified_solve(a: np.ndarray, rhs: np.ndarray, d: np.ndarray, t: float,
                 return np.linalg.solve(a, rhs), np.full(a.shape[0], a.shape[2])
             except np.linalg.LinAlgError:
                 pass
-    return _lstsq_blocks(a, rhs, layouts)
+    ys, ranks = np.full((len(a), a.shape[2], rhs.shape[2]), np.nan), np.full(len(a), -1)
+    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
+    for i in range(len(a)):
+        if not finite[i]:  # LAPACK would print to stdout and fail on it
+            break
+        ys[i], _, ranks[i], _ = np.linalg.lstsq(a[i], rhs[i], rcond=None)
+    return ys, ranks
 
 
 def _with_partials(slots: list[dict], den: int, dim: int) -> list[dict]:
@@ -194,8 +164,8 @@ class DeformationField:
     the constant form, D from delta, b from alpha.  The cells of [D | b] and their partial
     derivatives are one precompiled monomial table, evaluated for the whole batch of points
     straight into its layout (batch, 1 + dim, n_rows, n_cols + 1).  A batch is one certified LU or
-    shares least-squares calls a block of points at a time (``_certified_solve``), and the
-    rank and residual checks are array operations over the batch.
+    one least-squares call per point (``_certified_solve``), and the rank and residual checks
+    are array operations over the batch.
     """
 
     def __init__(self, omega: PolyForm, omega0: PolyForm, alpha: PolyForm,
@@ -245,8 +215,8 @@ class DeformationField:
                  + _with_partials(list(nums_a.values()), den_a, self.dim))
         self.compiled = _CompiledPolys(dict(zip(places, polys)), self.dim,
                                        (1 + self.dim) * size)
-        # of _lstsq_blocks, then [b | I] and [-t X | 1] per batch size
-        self.layouts, self.rhs_buffers, self.weight_buffers = {}, {}, {}
+        # [b | I] and [-t X | 1] per batch size
+        self.rhs_buffers, self.weight_buffers = {}, {}
 
     def _assemble(self, points: np.ndarray, t: float):
         """A = A0 + t D and b at each point, with the table of [D | b] and its partials,
@@ -255,11 +225,11 @@ class DeformationField:
             points.shape[0], 1 + self.dim, self.n_rows, self.n_cols + 1)
         return self.a_const + t * table[:, 0, :, :self.n_cols], table[:, 0, :, self.n_cols], table
 
-    def batch(self, points: np.ndarray, t: float, with_jacobian: bool = True):
+    def batch(self, points: np.ndarray, t: float):
         """Field values (batch, dim) and Jacobians (batch, dim, dim).
 
         One solve per point against [b | I] gives the field X and the pseudo-inverse
-        P = A^+ together (against [b] alone without the Jacobian).  Differentiating
+        P = A^+ together.  Differentiating
         A X = b along x_v, with dA = t D_v, gives
         dX_v = P (db_v - t D_v X) = P [D_v | db_v] [-t X; 1].
         The points are solved together (``_certified_solve``); failures are raised for
@@ -269,27 +239,25 @@ class DeformationField:
         batch = points.shape[0]
         n_rows, n_cols = self.n_rows, self.n_cols
         a, b, table = self._assemble(points, t)
-        rhs = b[:, :, None]
-        if with_jacobian:  # [b | I]: one buffer per batch size, its b column overwritten
-            if batch not in self.rhs_buffers:
-                self.rhs_buffers[batch] = np.concatenate(
-                    [rhs, np.broadcast_to(np.eye(n_rows), (batch, n_rows, n_rows))], axis=2)
-            rhs = self.rhs_buffers[batch]
-            rhs[:, :, 0] = b
-        ys, ranks = _certified_solve(a, rhs, table[:, 0, :, :-1], t, self.spectrum, self.layouts)
+        if batch not in self.rhs_buffers:  # [b | I]: one buffer per batch size
+            self.rhs_buffers[batch] = np.concatenate(
+                [b[:, :, None], np.broadcast_to(np.eye(n_rows), (batch, n_rows, n_rows))], axis=2)
+        rhs = self.rhs_buffers[batch]
+        rhs[:, :, 0] = b
+        ys, ranks = _certified_solve(a, rhs, table[:, 0, :, :-1], t, self.spectrum)
         sol = ys[:, :, 0]
         resid = np.abs((a @ ys[:, :, :1])[:, :, 0] - b).max(axis=1, initial=0.0)
         bad = (ranks < n_cols) | (resid > self.solve_tol)
         if bad.any():
             i = int(np.argmax(bad))
+            if ranks[i] < 0:
+                raise MoserFlowError(f"deformation system is not finite at t={t}")
             if ranks[i] < n_cols:
                 raise MoserFlowError(f"deformation system is singular at t={t}")
             raise MoserFlowError(
                 f"deformation solve residual {resid[i]:.3e} exceeds {self.solve_tol:.1e}")
         x = np.zeros((batch, self.dim))
         x[:, self.x_dim:] = sol
-        if not with_jacobian:
-            return x, None
         if batch not in self.weight_buffers:  # [-t X | 1]: its ones column written once
             self.weight_buffers[batch] = np.ones((batch, n_cols + 1))
         weights = self.weight_buffers[batch]
@@ -300,11 +268,10 @@ class DeformationField:
         return x, dx
 
 
-def integrate_flow_batch(batch_field, p0s: np.ndarray, steps: int,
-                         with_jacobian: bool = True, t_end: float = 1.0) -> list[FlowState]:
-    """Classical fourth-order Runge-Kutta from t=0 to t_end over a batch of points.
+def integrate_flow_batch(batch_field, p0s: np.ndarray, steps: int) -> list[FlowState]:
+    """Classical fourth-order Runge-Kutta from t=0 to t=1 over a batch of points.
 
-    batch_field(points, t, with_jacobian) returns the field values and
+    batch_field(points, t) returns the field values and
     their Jacobians at every point.  The variational equation for the
     Jacobian is integrated alongside the points using the same stages;
     the Jacobian determinant is monitored.
@@ -314,27 +281,26 @@ def integrate_flow_batch(batch_field, p0s: np.ndarray, steps: int,
     pts = np.array(p0s, dtype=float)
     batch, dim = pts.shape
     jac = np.broadcast_to(np.eye(dim), (batch, dim, dim)).copy()
-    h = t_end / steps
+    h = 1.0 / steps
     t = 0.0
     min_det = np.abs(np.linalg.det(jac))
     for _ in range(steps):
-        k1, d1 = batch_field(pts, t, with_jacobian)
-        k2, d2 = batch_field(pts + 0.5 * h * k1, t + 0.5 * h, with_jacobian)
-        k3, d3 = batch_field(pts + 0.5 * h * k2, t + 0.5 * h, with_jacobian)
-        k4, d4 = batch_field(pts + h * k3, t + h, with_jacobian)
-        if with_jacobian:
-            j1 = d1 @ jac
-            j2 = d2 @ (jac + 0.5 * h * j1)
-            j3 = d3 @ (jac + 0.5 * h * j2)
-            j4 = d4 @ (jac + h * j3)
-            jac = jac + (h / 6.0) * (j1 + 2 * j2 + 2 * j3 + j4)
-            dets = np.abs(np.linalg.det(jac))
-            min_det = np.minimum(min_det, dets)
-            if np.any(dets < 1e-12):
-                raise MoserFlowError("flow Jacobian collapsed")
+        k1, d1 = batch_field(pts, t)
+        k2, d2 = batch_field(pts + 0.5 * h * k1, t + 0.5 * h)
+        k3, d3 = batch_field(pts + 0.5 * h * k2, t + 0.5 * h)
+        k4, d4 = batch_field(pts + h * k3, t + h)
+        j1 = d1 @ jac
+        j2 = d2 @ (jac + 0.5 * h * j1)
+        j3 = d3 @ (jac + 0.5 * h * j2)
+        j4 = d4 @ (jac + h * j3)
+        jac = jac + (h / 6.0) * (j1 + 2 * j2 + 2 * j3 + j4)
+        dets = np.abs(np.linalg.det(jac))
+        min_det = np.minimum(min_det, dets)
+        if np.any(dets < 1e-12):
+            raise MoserFlowError("flow Jacobian collapsed")
         pts = pts + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
-    return [FlowState(pts[i], jac[i], t, float(min_det[i])) for i in range(batch)]
+    return [FlowState(pts[i], jac[i], float(min_det[i])) for i in range(batch)]
 
 
 def _pullback_residuals(form: PolyForm, base: dict, points: np.ndarray,
@@ -369,12 +335,14 @@ def _pullback_residuals(form: PolyForm, base: dict, points: np.ndarray,
     return np.abs(pulled - constant).max(axis=1, initial=0.0)
 
 
-def _flow_residuals(omega: PolyForm, omega0: PolyForm, sample_points, steps: int,
-                    t_end: float, solve_tol: float, omega_t: PolyForm) -> tuple[list[float], float]:
-    """Flow each sample to t_end and compare (F_t)* omega_t with the constant form.
+def verify_darboux(omega: PolyForm, omega0: PolyForm, sample_points, steps: int = DEFAULT_STEPS,
+                   *, solve_tol: float = DEFAULT_SOLVE_TOL) -> MoserReport:
+    """Flow each sample to t=1 and compare the pullback against the constant form: the max
+    coefficient residual per sample and the smallest Jacobian determinant seen along any
+    trajectory.
 
-    omega_t is the interpolated form at t_end.  Returns the max coefficient residual per
-    sample and the smallest Jacobian determinant seen along any trajectory.
+    The correction form is exact; the only approximations are the linear
+    solves along the trajectory and the Runge-Kutta discretization.
     """
     if len(sample_points) < 1:
         raise PreconditionError("sample count must be at least 1, got 0")
@@ -390,25 +358,12 @@ def _flow_residuals(omega: PolyForm, omega0: PolyForm, sample_points, steps: int
         raise PreconditionError(f"the flow needs a nonzero form, got the zero {omega.degree}-form "
                                 f"on R^{omega.dim}")
     solver = DeformationField(omega, omega0, alpha, solve_tol)
-    states = integrate_flow_batch(solver.batch, np.array(sample_points, dtype=float), steps,
-                                  t_end=t_end)
-    residuals = _pullback_residuals(omega_t, omega0.coeffs_float([0.0] * omega.dim),
+    states = integrate_flow_batch(solver.batch, np.array(sample_points, dtype=float), steps)
+    residuals = _pullback_residuals(omega, omega0.coeffs_float([0.0] * omega.dim),
                                     np.array([s.point for s in states]),
-                                    np.array([s.jacobian for s in states]))
-    return residuals.tolist(), min(s.min_det for s in states)
-
-
-def verify_darboux(omega: PolyForm, omega0: PolyForm, sample_points, steps: int = DEFAULT_STEPS,
-                   *, solve_tol: float = DEFAULT_SOLVE_TOL) -> MoserReport:
-    """Flow each sample to t=1 and compare the pullback against the constant form.
-
-    The correction form is exact; the only approximations are the linear
-    solves along the trajectory and the Runge-Kutta discretization.
-    """
-    residuals, min_det = _flow_residuals(omega, omega0, sample_points, steps, 1.0, solve_tol,
-                                         omega)
-    return MoserReport(residuals, max(residuals), steps,
-                       solve_tol, min_det, [list(map(float, p)) for p in sample_points])
+                                    np.array([s.jacobian for s in states])).tolist()
+    return MoserReport(residuals, max(residuals), steps, solve_tol,
+                       min(s.min_det for s in states))
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +453,15 @@ def ball_sample_points(dim: int, count: int, radius: float, seed: int = 20070):
     """``count`` points of the ball, drawn from the cube until they land in it.
 
     A draw lands with probability pi^(d/2) / (Gamma(d/2 + 1) 2^d), 2.5e-8 at d = 20:
-    draws beyond ``MAX_BALL_DRAWS`` are refused, and a count beyond ``MAX_RANK_SAMPLES``."""
+    draws beyond ``MAX_BALL_DRAWS`` are refused, a count beyond ``MAX_RANK_SAMPLES``, and a
+    radius whose square overflows, beyond which the norm of a point near the sphere is inf."""
     if count < 1:
         raise PreconditionError(f"sample count must be at least 1, got {count}")
     check_sample_budget(count)
     if not (radius > 0 and math.isfinite(radius)):
         raise PreconditionError(f"sample radius must be positive and finite, got {radius}")
+    if math.isinf(radius * radius):
+        raise PreconditionError(f"sample radius {radius} is too large: its square overflows")
     rng = random.Random(seed)
     pts = []
     draws = 0

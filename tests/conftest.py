@@ -19,8 +19,10 @@ from polydarboux.exterior import (AlternatingForm, Flag, VectorValuedForm, _cont
 from polydarboux.lagrangian import _kernel_constraints, _stacked, as_vector_form
 from polydarboux.linalg import (ZERO, ONE, Matrix, Subspace, _echelon, _sparse_vector, complement,
                                 frac, kernel_subspace, vec)
-from polydarboux.moser import DEFAULT_SOLVE_TOL, _flow_residuals
-from polydarboux.polyforms import PolyForm, Polynomial, pf_add, pf_scale, pf_sub, poly_const
+from polydarboux.moser import (DEFAULT_SOLVE_TOL, DeformationField, _pullback_residuals,
+                               integrate_flow_batch)
+from polydarboux.polyforms import (PolyForm, Polynomial, moser_potential, pf_add, pf_scale,
+                                   pf_sub, poly_const)
 from polydarboux.sparse import SparseEchelon, _sparse, span_equal, span_of
 
 
@@ -820,15 +822,23 @@ def subspace_to_rows_oracle(sub: Subspace) -> list[list[str]]:
 def intermediate_residual(omega: PolyForm, omega0: PolyForm, sample_points,
                           steps: int, t_end: float,
                           *, solve_tol: float = DEFAULT_SOLVE_TOL) -> float:
-    """Max coefficient residual of the partial flow: (F_s)* omega_s vs omega0.
+    """Max coefficient residual of the partial flow: (F_s)* omega_s vs omega0, s = t_end.
 
-    The interpolated form omega0 + s delta is constant along the flow up to
-    discretization, so this residual shrinks at the integrator's order as steps grow.
+    F_s is the flow from 0 to 1 of the rescaled field (x, t) -> s X(x, s t), whose Jacobian
+    is s dX(x, s t).  The interpolated form omega0 + s delta is constant along the flow up
+    to discretization, so this residual shrinks at the integrator's order as steps grow.
     """
+    field = DeformationField(omega, omega0, moser_potential(omega, omega0), solve_tol)
+
+    def rescaled(points, t):
+        x, dx = field.batch(points, t_end * t)
+        return t_end * x, t_end * dx
+
+    states = integrate_flow_batch(rescaled, np.array(sample_points, dtype=float), steps)
     omega_s = pf_add(omega0, pf_scale(pf_sub(omega, omega0), Fraction(t_end)))
-    residuals, _ = _flow_residuals(omega, omega0, sample_points, steps, t_end, solve_tol,
-                                   omega_s)
-    return max(residuals)
+    return float(max(_pullback_residuals(omega_s, omega0.coeffs_float([0.0] * omega.dim),
+                                         np.array([s.point for s in states]),
+                                         np.array([s.jacobian for s in states]))))
 
 
 # the per-sample check that ``moser._pullback_residuals`` batches: the oracle of

@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polydarboux
@@ -504,10 +505,26 @@ def test_repeated_monomials_add_up(tmp_path):
 
 
 def test_moser_rejects_bad_radius(capsys):
+    # from 1.3407807929942597e154 on the square of the radius overflows, and with it the
+    # norm of a draw near the sphere: such a radius is refused before the first draw
     doc = CORPUS["perturbed_multisymplectic.json"]
-    for radius in ("0", "-1", "nan", "inf"):
+    for radius in ("0", "-1", "nan", "inf", "1.3407807929942597e154", "1e155", "1e300"):
         assert main(["moser", doc, "--steps", "2", "--samples", "1", "--radius", radius]) == 1
         assert "radius" in capsys.readouterr().err
+
+
+def test_moser_refuses_points_whose_systems_overflow(capfd):
+    # the flow from points this far out overflows the deformation systems.  No lstsq call
+    # sees an inf or NaN, on which LAPACK writes to fd 1 and numpy raises: each run exits 1
+    # on the first point that is not finite.  The overflow warnings are silenced here,
+    # where the suite would raise them
+    doc = CORPUS["perturbed_multisymplectic.json"]
+    for radius in ("1e21", "1e25", "1e100", "1e154"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["moser", doc, "--radius", radius]) == 1, radius
+        out, err = capfd.readouterr()
+        assert out == "", radius
+        assert err.startswith("error: deformation system is not finite at t=0"), radius
 
 
 def test_moser_rejects_bad_sample_count(capsys):

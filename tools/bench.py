@@ -68,8 +68,8 @@ and against the first tree the largest |difference| of the printed
 residuals, op by op and sample by sample, how many residual strings
 differ, and whether every ``min_jacobian_det`` string is equal: the
 flow's float answers may move in their last digits.
-``moser_stage`` holds, per tree, the microseconds of one Runge-Kutta stage,
-``DeformationField.batch(points, 0.5, with_jacobian=True)`` on the seed-1
+``moser_stage`` holds, per tree, the microseconds of one Runge-Kutta stage
+with its Jacobian, ``DeformationField.batch(points, 0.5)`` on the seed-1
 ``perturbed_multisymplectic`` fixture, at each sample count of
 ``MOSER_STAGE_SAMPLES`` (points of the radius-0.1 ball, as ``moser`` draws
 them by default): ``MOSER_STAGE_ROUNDS`` rounds, alternating between the trees,
@@ -81,8 +81,7 @@ each stage figure ``eval N`` times the stage's table evaluation alone,
 full Runge-Kutta step with the Jacobian update and its ``det``
 (``integrate_flow_batch`` over one step, its start included), and for
 ``check``, the comparison after the flow of a 20-step op: the tree's
-``_pullback_residuals`` on the final points and Jacobians, or, on a tree
-without it, the per-sample loop that ``_flow_residuals`` ran there.
+``_pullback_residuals`` on the final points and Jacobians.
 ``homotopy_phases`` is a record of the same kind, in milliseconds, for the
 four phases of every op of the seed-1 ``homotopy`` round, each timed over
 the whole round: ``parse`` (``parse_document`` on the loaded JSON),
@@ -270,7 +269,7 @@ repeats, calls = int(sys.argv[2]), int(sys.argv[3])
 out = {}
 for n in json.loads(sys.argv[1]):
     points = np.array(ball_sample_points(fx.omega.dim, n, 0.1))
-    for key, run in [(str(n), lambda: field.batch(points, 0.5, with_jacobian=True)),
+    for key, run in [(str(n), lambda: field.batch(points, 0.5)),
                      (f"eval {n}", lambda: field.compiled.eval(points))]:
         best = float("inf")
         for _ in range(repeats):
@@ -318,18 +317,8 @@ field = moser.DeformationField(omega, fx.omega0, moser_potential(omega, fx.omega
 points = np.array(moser.ball_sample_points(dim, samples, 0.1))
 states = moser.integrate_flow_batch(field.batch, points, steps)
 base = fx.omega0.coeffs_float([0.0] * dim)
-if hasattr(moser, "_pullback_residuals"):
-    finals = np.array([s.point for s in states]), np.array([s.jacobian for s in states])
-    check = lambda: moser._pullback_residuals(omega, base, *finals)
-else:
-    def check():
-        out = []
-        for s in states:
-            pulled = moser.pullback_constant_float(omega.coeffs_float(s.point), s.jacobian,
-                                                   omega.degree, dim)
-            keys = set(base) | set(pulled)
-            out.append(max(abs(pulled.get(m, 0.0) - base.get(m, 0.0)) for m in keys))
-        return out
+finals = np.array([s.point for s in states]), np.array([s.jacobian for s in states])
+check = lambda: moser._pullback_residuals(omega, base, *finals)
 def best(run):
     out = float("inf")
     for _ in range(repeats):
