@@ -554,6 +554,32 @@ def test_square_failures_match_the_per_point_solve(t, gap, message, failing):
     assert solve.call_count == 1
 
 
+@pytest.mark.parametrize("t", [0.5, -0.5])
+@pytest.mark.parametrize("coordinate, value", [(0, np.inf), (1, np.nan)])
+@pytest.mark.parametrize("not_finite", [0, 5, 9])
+@pytest.mark.parametrize("failing", [[], [0], [4], [9], [2, 7]])
+def test_square_batches_stop_at_the_first_point_not_finite(t, coordinate, value, not_finite,
+                                                           failing):
+    # an infinite x1 makes A not finite, a NaN x2 both A and b, through the table's sums: the
+    # point voids the certificate, and no lstsq call sees it or any later point.  The batch
+    # names it, or a singular point before it
+    forms = square_forms()
+    points = np.column_stack([np.zeros(10), np.linspace(-1.0, 1.0, 10), np.zeros((10, 2))])
+    points[failing, 0] = DELTA0 / t
+    points[not_finite, coordinate] = value
+    singular = [i for i in failing if i != not_finite]
+    message = ("deformation system is singular at t={t}" if min(singular, default=10) < not_finite
+               else "deformation system is not finite at t={t}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with counted("solve") as solve, counted("lstsq") as lstsq:
+            got = outcome(lambda: DeformationField(*forms).batch(points, t))
+        want = outcome(lambda: fallback_field(*forms).batch(points, t))
+        oracle = outcome(lambda: OracleField(*forms).batch(points, t))
+    assert (solve.call_count, lstsq.call_count) == (0, not_finite + 1)  # + 1: the spectrum
+    assert got[0] == oracle[0] == message.format(t=t)
+    assert_same_outcome(got, want)
+
+
 def test_only_full_rank_square_constant_systems_keep_a_spectrum():
     # 2^-60 is nonzero but below lstsq's cutoff 2 eps_mach: A0 has rank 1 by its rule, and
     # no batch of the field takes the LU
