@@ -228,12 +228,12 @@ class DeformationField:
     def batch(self, points: np.ndarray, t: float):
         """Field values (batch, dim) and Jacobians (batch, dim, dim).
 
-        One solve per point against [b | I] gives the field X and the pseudo-inverse
-        P = A^+ together.  Differentiating
-        A X = b along x_v, with dA = t D_v, gives
+        One solve per point against [b | I] gives the field X and the pseudo-inverse P = A^+
+        together.  Differentiating A X = b along x_v, with dA = t D_v, gives
         dX_v = P (db_v - t D_v X) = P [D_v | db_v] [-t X; 1].
         The points are solved together (``_certified_solve``); failures are raised for
-        the first failing point in batch order, before P is read.
+        the first failing point in batch order, before P is read.  A residual that is not
+        finite, as where a solution overflows, fails its point.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         batch = points.shape[0]
@@ -247,7 +247,7 @@ class DeformationField:
         ys, ranks = _certified_solve(a, rhs, table[:, 0, :, :-1], t, self.spectrum)
         sol = ys[:, :, 0]
         resid = np.abs((a @ ys[:, :, :1])[:, :, 0] - b).max(axis=1, initial=0.0)
-        bad = (ranks < n_cols) | (resid > self.solve_tol)
+        bad = (ranks < n_cols) | ~(resid <= self.solve_tol)
         if bad.any():
             i = int(np.argmax(bad))
             if ranks[i] < 0:
@@ -268,14 +268,15 @@ class DeformationField:
         return x, dx
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_flow_batch(batch_field, p0s: np.ndarray, steps: int) -> list[FlowState]:
     """Classical fourth-order Runge-Kutta from t=0 to t=1 over a batch of points.
 
-    batch_field(points, t) returns the field values and
-    their Jacobians at every point.  The variational equation for the
-    Jacobian is integrated alongside the points using the same stages;
-    the Jacobian determinant is monitored.
-    """
+    batch_field(points, t) returns the field values and their Jacobians at every point.  The
+    variational equation for the Jacobian is integrated alongside the points using the same
+    stages; the Jacobian determinant is monitored.  Overflows are not warned of:
+    ``DeformationField.batch`` refuses by name a stage whose system or residual they leave
+    not finite."""
     if steps < 1:
         raise PreconditionError("need at least one step")
     pts = np.array(p0s, dtype=float)
@@ -449,6 +450,7 @@ def perturbed_multisymplectic(seed: int = 1, amplitude: Fraction = Fraction(1, 2
     return MoserFixture(omega, omega0, chart_map, seed)
 
 
+@np.errstate(over="ignore")  # a draw whose norm overflows is outside the ball all the same
 def ball_sample_points(dim: int, count: int, radius: float, seed: int = 20070):
     """``count`` points of the ball, drawn from the cube until they land in it.
 
