@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import sys
 import time
 from pathlib import Path
@@ -29,15 +28,10 @@ from .polyforms import homotopy_primitive, max_vertical_factors
 from .corpus import run_corpus
 
 
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _report_header(command: str, path: str | None, seed: int) -> dict:
-    head = {"tool": "polydarboux", "version": __version__, "command": command, "seed": seed}
-    if path is not None:
-        head["input_digest"] = _digest(path)
-    return head
+def _report_header(command: str, digest: str, seed: int) -> dict:
+    """The head of a report on an input whose bytes have the sha256 ``digest``."""
+    return {"tool": "polydarboux", "version": __version__, "command": command, "seed": seed,
+            "input_digest": digest}
 
 
 def _classification_dict(rep) -> dict:
@@ -91,7 +85,7 @@ def _fmt(v) -> str:
 
 def cmd_analyze(args) -> int:
     parsed = load_document(args.file)
-    report = _report_header("analyze", args.file, args.seed)
+    report = _report_header("analyze", parsed.input_digest, args.seed)
     if parsed.kind == "vector_valued_form" or (parsed.kind == "scalar_form" and parsed.flag is None):
         rep = classify_vector_form(as_vector_form(parsed.payload),
                                    seed=args.seed, samples=args.samples)
@@ -106,7 +100,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_darboux(args) -> int:
     parsed = load_document(args.file)
-    report = _report_header("darboux", args.file, args.seed)
+    report = _report_header("darboux", parsed.input_digest, args.seed)
     if parsed.kind == "vector_valued_form" or (parsed.kind == "scalar_form" and parsed.flag is None):
         basis = darboux_basis_poly(as_vector_form(parsed.payload))
     elif parsed.kind == "scalar_form":
@@ -184,7 +178,7 @@ def cmd_homotopy(args) -> int:
     if r is None:
         r = max_vertical_factors(omega)
     theta = homotopy_primitive(omega, r)  # raises unless d(theta) == omega
-    report = _report_header("homotopy", args.file, args.seed)
+    report = _report_header("homotopy", parsed.input_digest, args.seed)
     report["result"] = {
         "r": r,
         "primitive": poly_form_to_document(theta),
@@ -205,7 +199,7 @@ def cmd_moser(args) -> int:
     omega0 = constant_spread(omega)
     pts = ball_sample_points(omega.dim, args.samples, args.radius, args.seed)
     rep = verify_darboux(omega, omega0, pts, args.steps, solve_tol=args.tol)
-    report = _report_header("moser", args.file, args.seed)
+    report = _report_header("moser", parsed.input_digest, args.seed)
     report["result"] = {
         "steps": rep.steps,
         "solve_tol": rep.solve_tol,

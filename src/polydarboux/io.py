@@ -6,16 +6,20 @@ multi-index; a flag is given by the coordinate indices spanning the
 vertical space plus an optional splitting matrix (columns into the total
 space).  See the shipped corpus files for worked examples.  Forms are
 read straight into their reduced integer views, one (n, d) pair per
-distinct coefficient string, and subspace rows are written from echelons.
+distinct coefficient string, a well-formed poly_form terms list is read
+and written a list at a time, and subspace rows are written from echelons.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
-from itertools import chain
+from itertools import chain, islice, repeat
+from operator import itemgetter, ne
 from dataclasses import dataclass, field
 from fractions import Fraction
+from io import BytesIO, TextIOWrapper
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 from pathlib import Path
@@ -51,6 +55,7 @@ class FormDocument:
     frame: Matrix | None = None
     description: str = ""
     claims: dict = field(default_factory=dict)
+    input_digest: str | None = None  # sha256 of the file's bytes, set by ``load_document``
 
 
 def _shown(x) -> str:
@@ -66,6 +71,11 @@ def _rat(s) -> Fraction:
         shown = _shown(s)
         raise DocumentError(f"bad rational {shown}: {str(exc).replace(repr(s), shown)}") from exc
 
+
+# the fields of poly_form terms and monomials, read a list at a time
+_INDICES, _POLYNOMIAL, _COEFFICIENT, _EXPONENTS = map(
+    itemgetter, ("indices", "polynomial", "coefficient", "exponents"))
+_TERM_KEYS, _MONO_KEYS = {"indices", "polynomial"}, {"coefficient", "exponents"}
 
 # a plain integer or p/q, ASCII digits only: ``_poly_pair`` reads these with int
 _PLAIN_RAT = re.compile(r"[-+]?[0-9]+(?:/[0-9]+)?")
@@ -93,8 +103,11 @@ def _pair(s, seen: dict) -> tuple[int, int]:
     return c
 
 
-def _need(doc: dict, key: str, kind: type | None = None):
-    """The field ``key``; given ``kind``, of exactly that JSON type."""
+def _need(doc: dict, key: str, kind: type | None = None, owner: str = "document"):
+    """The field ``key`` of the JSON object ``doc``, which is refused by the name ``owner``
+    if it is not one; given ``kind``, of exactly that JSON type."""
+    if type(doc) is not dict:
+        raise DocumentError(f"{owner} must be a JSON object, got {_shown(doc)}")
     if key not in doc:
         raise DocumentError(f"missing field {key!r}")
     if kind is not None and type(doc[key]) is not kind:
@@ -169,7 +182,7 @@ def _parse_alternating(doc: dict, kind: str):
         raise DocumentError("scalar_form must have value_dim 1")
     seen, parsed = {}, []  # coefficients as ``_pair`` keeps them; (component, mask, pair)
     for term in _need(doc, "terms", list):
-        idx = _ints(_need(term, "indices"), "indices", dim)
+        idx = _ints(_need(term, "indices", owner="term"), "indices", dim)
         if list(idx) != sorted(set(idx)):
             raise DocumentError(f"indices must be strictly increasing: {idx}")
         if len(idx) != degree:
@@ -177,7 +190,7 @@ def _parse_alternating(doc: dict, kind: str):
         comp = _int(term.get("component", 1), "component")
         if not 1 <= comp <= value_dim:
             raise DocumentError(f"component {comp} out of range")
-        s = _need(term, "coefficient")
+        s = _need(term, "coefficient", owner="term")
         parsed.append((comp - 1, mask_of(idx), (type(s) is str and seen.get(s)) or _pair(s, seen)))
     den = lcm(*(d for _, d in seen.values()))
     sums: list[dict] = [{} for _ in range(value_dim)]
@@ -188,7 +201,9 @@ def _parse_alternating(doc: dict, kind: str):
 
 
 def _parse_poly_form(doc: dict) -> PolyForm:
-    """The form, read straight into its integer view over the lcm of the denominators."""
+    """The form, read straight into its integer view over the lcm of the denominators: a
+    well-formed terms list by ``_read_terms``, any other term by term through ``_need`` and
+    ``_ints`` and their texts."""
     dim = _int(_need(doc, "dim"), "dim")
     degree = _int(_need(doc, "degree"), "degree")
     split = _ints(_need(doc, "split"), "split")
@@ -196,66 +211,113 @@ def _parse_poly_form(doc: dict) -> PolyForm:
         raise DocumentError("split must be a pair")
     if min(split) < 0:
         raise DocumentError(f"split entries must be nonnegative: {split}")
-    seen: dict = {}  # coefficient string -> (n, d), as ``_pair`` keeps them
-    valid: set = set()  # exponent tuples of the right length and sign
-    parsed = []
-    # a well-formed field is read in place, any other by ``_need`` and ``_ints`` and their texts
-    for term in _need(doc, "terms", list):
-        idx = term.get("indices") if type(term) is dict else None
-        if not (type(idx) is list and {int}.issuperset(map(type, idx)) and len(idx) == degree
-                and idx == sorted(set(idx)) and (not idx or 0 < idx[0] and idx[-1] <= dim)):
-            idx = _ints(_need(term, "indices"), "indices", dim)
+    terms = _need(doc, "terms", list)
+    read = _read_terms(terms, dim, degree)
+    if read is None:
+        seen: dict = {}  # coefficient string -> (n, d), as ``_pair`` keeps them
+        parsed = []
+        for term in terms:
+            idx = _ints(_need(term, "indices", owner="term"), "indices", dim)
             if list(idx) != sorted(set(idx)):
                 raise DocumentError(f"indices must be strictly increasing: {idx}")
             if len(idx) != degree:
                 raise DocumentError(f"multi-index {idx} does not match degree {degree}")
-        monos = []
-        for mono in _need(term, "polynomial", list):
-            if (type(mono) is dict and type(exps := mono.get("exponents")) is list
-                    and {int}.issuperset(map(type, exps))):
-                exps = tuple(exps)
-            else:
-                exps = _ints(_need(mono, "exponents"), "exponents")
-            if exps not in valid:
+            monos = []
+            for mono in _need(term, "polynomial", list, "term"):
+                exps = _ints(_need(mono, "exponents", owner="monomial"), "exponents")
                 if len(exps) != dim:
                     raise DocumentError("exponent tuple does not match dimension")
                 if exps and min(exps) < 0:
                     raise DocumentError(f"exponents must be nonnegative: {exps}")
-                valid.add(exps)
-            s = _need(mono, "coefficient")
-            monos.append((exps, (type(s) is str and seen.get(s)) or _pair(s, seen)))
-        parsed.append((mask_of(idx), monos))
+                s = _need(mono, "coefficient", owner="monomial")
+                monos.append((exps, (type(s) is str and seen.get(s)) or _pair(s, seen)))
+            parsed.append((mask_of(idx), monos))
+        den = lcm(*(d for _, d in seen.values()))
+        nums: dict = {}
+        for mask, monos in parsed:
+            sums: dict = {}
+            for exps, (n, d) in monos:
+                n *= den // d
+                sums[exps] = sums[exps] + n if exps in sums else n  # repeats add up
+            slot = nums.setdefault(mask, {}) if any(sums.values()) else {}  # none for a zero term
+            for exps, n in sums.items():
+                if n:  # zeros are dropped at the term's end, cancellations as they happen
+                    if nv := slot.get(exps, 0) + n:
+                        slot[exps] = nv
+                    else:
+                        del slot[exps]
+        read = {m: slot for m, slot in nums.items() if slot}, den
     if sum(split) != dim:
         raise DimensionMismatch("split does not sum to the dimension")
-    den = lcm(*(d for _, d in seen.values()))
-    nums: dict = {}
-    for mask, monos in parsed:
-        terms: dict = {}
-        for exps, (n, d) in monos:
-            n *= den // d
-            terms[exps] = terms[exps] + n if exps in terms else n  # repeats add up
-        slot = nums.setdefault(mask, {}) if any(terms.values()) else {}  # none for a zero term
-        for exps, n in terms.items():
-            if n:  # zeros are dropped at the term's end, cancellations as they happen
-                if nv := slot.get(exps, 0) + n:
-                    slot[exps] = nv
-                else:
-                    del slot[exps]
-    return _pf_seeded(dim, degree, split, {m: slot for m, slot in nums.items() if slot}, den)
+    return _pf_seeded(dim, degree, split, *read)
+
+
+def _read_terms(terms: list, dim: int, degree: int) -> tuple[dict, int] | None:
+    """The slots and den of a ``_term_fields`` list with ``degree`` indices per term rising
+    strictly in 1..dim, no mask twice, ``dim`` exponents >= 0 per monomial, none twice in a
+    term, and no coefficient that scales to 0, each slot ``dict(zip(exponents, numerators))``;
+    None for any other list.  A bad coefficient raises as it does on the checked route."""
+    if (fields := _term_fields(terms)) is None:
+        return None
+    idx, polys, coeffs, exps, flat_idx, flat_exp = fields
+    if not ({degree}.issuperset(map(len, idx)) and {dim}.issuperset(map(len, exps))
+            and (not flat_idx or 0 < min(flat_idx) and max(flat_idx) <= dim)
+            and (not flat_exp or min(flat_exp) >= 0)
+            and list(map(sorted, map(set, idx))) == idx):
+        return None
+    # sum of 2^i over the indices, halved: the mask of bits i - 1
+    masks = list(map((1).__rrshift__, map(sum, map(map, repeat((1).__lshift__), idx))))
+    pairs = {s: _poly_pair(s) for s in dict.fromkeys(coeffs)}
+    den = lcm(*(d for _, d in pairs.values()))
+    scaled = {s: n * (den // d) for s, (n, d) in pairs.items()}
+    if len(set(masks)) != len(masks) or 0 in scaled.values():
+        return None
+    lens = list(map(len, polys))
+    tuples, numerators = map(tuple, exps), map(scaled.__getitem__, coeffs)
+    slots = list(map(dict, map(zip, map(islice, repeat(tuples), lens),
+                               map(islice, repeat(numerators), lens))))
+    if list(map(len, slots)) != lens:  # an exponent tuple repeated in a term
+        return None
+    return {m: slot for m, slot in zip(masks, slots) if slot}, den
+
+
+def _term_fields(terms: list) -> tuple | None:
+    """(indices, polynomials, coefficients, exponents, flat indices, flat exponents) of terms
+    exactly ``{"indices": [int, ...], "polynomial": [...]}`` with monomials exactly
+    ``{"coefficient": str, "exponents": [int, ...]}``, each check one pass over a whole list;
+    None for any other list, a list of other dicts at its first item."""
+    try:
+        if any(map(ne, map(dict.keys, terms), repeat(_TERM_KEYS))):
+            return None
+        idx, polys = list(map(_INDICES, terms)), list(map(_POLYNOMIAL, terms))
+        if not {list}.issuperset(map(type, chain(idx, polys))):
+            return None
+        monos = list(chain.from_iterable(polys))
+        if any(map(ne, map(dict.keys, monos), repeat(_MONO_KEYS))):
+            return None
+    except TypeError:  # an item that is not a dict
+        return None
+    coeffs, exps = list(map(_COEFFICIENT, monos)), list(map(_EXPONENTS, monos))
+    if not ({str}.issuperset(map(type, coeffs)) and {list}.issuperset(map(type, exps))):
+        return None
+    flat_idx, flat_exp = list(chain.from_iterable(idx)), list(chain.from_iterable(exps))
+    if not {int}.issuperset(map(type, chain(flat_idx, flat_exp))):  # no bool: True hashes as 1
+        return None
+    return idx, polys, coeffs, exps, flat_idx, flat_exp
 
 
 def _parse_lie(doc: dict) -> LieAlgebra:
     dim = _int(_need(doc, "dim"), "dim")
     c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for entry in _need(doc, "structure_constants", list):
-        a, b, k = _ints(_need(entry, "indices"), "indices", dim)
-        c[a - 1][b - 1][k - 1] = _rat(_need(entry, "value"))
+        a, b, k = _ints(_need(entry, "indices", owner="structure constant"), "indices", dim)
+        c[a - 1][b - 1][k - 1] = _rat(_need(entry, "value", owner="structure constant"))
     return lie_algebra(dim, c)
 
 
 def _parse_flag(flag_doc: dict, doc: dict) -> Flag:
     dim = _int(_need(doc, "dim"), "dim")
-    vertical = _ints(_need(flag_doc, "vertical_indices"), "vertical_indices")
+    vertical = _ints(_need(flag_doc, "vertical_indices", owner="flag"), "vertical_indices")
     flag = coordinate_flag(dim, vertical)
     split = flag_doc.get("splitting")
     if split is not None:
@@ -269,15 +331,19 @@ def _parse_flag(flag_doc: dict, doc: dict) -> Flag:
 
 
 def load_document(path) -> FormDocument:
+    """The document in the file ``path``, read once: its bytes are decoded as ``read_text``
+    decodes them, and their sha256 is the document's ``input_digest``."""
     try:
-        raw = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(raw)
-    except (ValueError, RecursionError) as exc:  # also: int-string limit, deep nesting
+        doc = json.loads(TextIOWrapper(BytesIO(raw)).read())
+    except (ValueError, RecursionError) as exc:  # also: bad bytes, int-string limit, deep nesting
         raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_document(doc)
+    parsed = parse_document(doc)
+    parsed.input_digest = hashlib.sha256(raw).hexdigest()
+    return parsed
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +357,8 @@ def report_json(obj) -> str:
     float (floats are formatted by ``json.dumps``); anything else, a
     non-str key included, raises ``TypeError``.  The stdlib's indented
     encoder is a pure-Python generator chain; this writer appends to one
-    list instead.
+    list instead, and writes a poly_form terms list a list at a time
+    (``_write_terms``).
     """
     out: list = []
     _write_json(obj, out, "\n")
@@ -315,7 +382,7 @@ def _write_json(obj, out: list, newline: str) -> None:
         if encode is not None:
             out.append("[" + inner + sep.join(map(encode, obj)) + newline + "]")
             return
-        if kind is dict and _write_monomials(obj, out, newline):
+        if kind is dict and _write_terms(obj, out, newline):
             return
         out.append("[")
         for i, x in enumerate(obj):
@@ -360,24 +427,36 @@ def _write_json(obj, out: list, newline: str) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _write_monomials(obj: list, out: list, newline: str) -> bool:
-    """Write poly_form monomials ``{"coefficient": str, "exponents": [int, ...]}`` from one
-    template each, as ``_write_json`` would; on any other item write nothing, return False."""
+# the written form of each exponent and index a term list may hold; any other int falls back
+_SMALL = {i: str(i) for i in range(256)}
+
+
+def _write_terms(obj: list, out: list, newline: str) -> bool:
+    """Write a ``_term_fields`` list with no empty polynomial, indices of one nonzero width,
+    exponents of another and ints in 0..255 as ``_write_json`` would: each term and monomial
+    from one template, all indices and exponents by one grouped join.  On any other list
+    write nothing, return False."""
+    if (fields := _term_fields(obj)) is None or not all(fields[1]):
+        return False
+    idx, polys, coeffs, exps, flat_idx, flat_exp = fields
+    (n_idx, *more_idx), (n_exp, *more_exp) = set(map(len, idx)), set(map(len, exps))
+    if more_idx or more_exp or not (n_idx and n_exp):
+        return False
     inner = newline + "  "
-    deeper = inner + "  "
-    template = ("{" + deeper + '"coefficient": %s,' + deeper + '"exponents": [' + deeper
-                + "  %s" + deeper + "]" + inner + "}")
-    esep = "," + deeper + "  "
-    written = []
-    for mono in obj:
-        if len(mono) != 2:
-            return False
-        c, e = mono.get("coefficient"), mono.get("exponents")
-        if type(c) is not str or type(e) is not list or not e or not {int}.issuperset(map(type, e)):
-            return False
-        # the exponents all exact ints, ``repr`` writes them in C, each as ``int.__repr__``
-        written.append(template % (encode_basestring_ascii(c), repr(e)[1:-1].replace(", ", esep)))
-    out.append("[" + inner + ("," + inner).join(written) + newline + "]")
+    d2, d3, d4, d5 = (inner + "  " * i for i in range(1, 5))
+    try:
+        idx = map(("," + d3).join, zip(*[iter(map(_SMALL.__getitem__, flat_idx))] * n_idx))
+        exps = map(("," + d5).join, zip(*[iter(map(_SMALL.__getitem__, flat_exp))] * n_exp))
+        mono = ("{" + d4 + '"coefficient": %s,' + d4 + '"exponents": [' + d5 + "%s" + d4 + "]"
+                + d3 + "}")
+        written = map(mono.__mod__, zip(map(encode_basestring_ascii, coeffs), exps))
+        term = ("{" + d2 + '"indices": [' + d3 + "%s" + d2 + "]," + d2 + '"polynomial": [' + d3
+                + "%s" + d2 + "]" + inner + "}")
+        polys = map(("," + d3).join, map(islice, repeat(written), map(len, polys)))
+        out.append("[" + inner + ("," + inner).join(map(term.__mod__, zip(idx, polys)))
+                   + newline + "]")
+    except KeyError:  # an int outside ``_SMALL``
+        return False
     return True
 
 

@@ -358,7 +358,11 @@ def verify_darboux(omega: PolyForm, omega0: PolyForm, sample_points, steps: int 
     if omega.is_zero():  # as every form of degree above dim is, and so every form on R^0 here
         raise PreconditionError(f"the flow needs a nonzero form, got the zero {omega.degree}-form "
                                 f"on R^{omega.dim}")
-    solver = DeformationField(omega, omega0, alpha, solve_tol)
+    try:
+        solver = DeformationField(omega, omega0, alpha, solve_tol)
+    except OverflowError:  # n / den, or a partial's e_v n / den, beyond the largest float
+        raise PreconditionError("a coefficient of the deformation system or of one of its "
+                                "partial derivatives is too large for a float") from None
     states = integrate_flow_batch(solver.batch, np.array(sample_points, dtype=float), steps)
     residuals = _pullback_residuals(omega, omega0.coeffs_float([0.0] * omega.dim),
                                     np.array([s.point for s in states]),

@@ -671,19 +671,19 @@ def parse_poly_form_oracle(doc: dict) -> PolyForm:
     coeffs: dict = {}
     seen: dict = {}
     for term in io._need(doc, "terms", list):
-        idx = io._ints(io._need(term, "indices"), "indices", dim)
+        idx = io._ints(io._need(term, "indices", owner="term"), "indices", dim)
         if list(idx) != sorted(set(idx)):
             raise DocumentError(f"indices must be strictly increasing: {idx}")
         if len(idx) != degree:
             raise DocumentError(f"multi-index {idx} does not match degree {degree}")
         terms = {}
-        for mono in io._need(term, "polynomial", list):
-            exps = io._ints(io._need(mono, "exponents"), "exponents")
+        for mono in io._need(term, "polynomial", list, "term"):
+            exps = io._ints(io._need(mono, "exponents", owner="monomial"), "exponents")
             if len(exps) != dim:
                 raise DocumentError("exponent tuple does not match dimension")
             if exps and min(exps) < 0:
                 raise DocumentError(f"exponents must be nonnegative: {exps}")
-            c = _poly_rat_oracle(io._need(mono, "coefficient"), seen)
+            c = _poly_rat_oracle(io._need(mono, "coefficient", owner="monomial"), seen)
             terms[exps] = terms[exps] + c if exps in terms else c
         p = Polynomial(dim, {e: c for e, c in terms.items() if c})
         mask = 0
@@ -786,7 +786,7 @@ def parse_alternating_oracle(doc: dict, kind: str):
         raise DocumentError("scalar_form must have value_dim 1")
     buckets: list[dict] = [dict() for _ in range(value_dim)]
     for term in io._need(doc, "terms", list):
-        idx = io._ints(io._need(term, "indices"), "indices")
+        idx = io._ints(io._need(term, "indices", owner="term"), "indices")
         if list(idx) != sorted(set(idx)):
             raise DocumentError(f"indices must be strictly increasing: {idx}")
         if len(idx) != degree:
@@ -794,7 +794,7 @@ def parse_alternating_oracle(doc: dict, kind: str):
         comp = io._int(term.get("component", 1), "component")
         if not 1 <= comp <= value_dim:
             raise DocumentError(f"component {comp} out of range")
-        c = io._rat(io._need(term, "coefficient"))
+        c = io._rat(io._need(term, "coefficient", owner="term"))
         buckets[comp - 1][idx] = buckets[comp - 1].get(idx, Fraction(0)) + c
     comps = [form(dim, degree, b) for b in buckets]
     if kind == "scalar_form":
@@ -804,7 +804,7 @@ def parse_alternating_oracle(doc: dict, kind: str):
 
 def parse_flag_oracle(flag_doc: dict, doc: dict) -> Flag:
     dim = io._int(io._need(doc, "dim"), "dim")
-    vertical = io._ints(io._need(flag_doc, "vertical_indices"), "vertical_indices")
+    vertical = io._ints(io._need(flag_doc, "vertical_indices", owner="flag"), "vertical_indices")
     flag = coordinate_flag(dim, vertical)
     if "splitting" in flag_doc and flag_doc["splitting"] is not None:
         cols = [[io._rat(x) for x in col] for col in flag_doc["splitting"]]

@@ -451,6 +451,29 @@ def test_integer_lists_are_refused_with_their_texts(doc, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("kind", ["scalar_form", "vector_valued_form", "poly_form"])
+def test_terms_that_are_not_objects_are_refused_by_name(tmp_path, capsys, kind):
+    head = {"schema_version": "1", "kind": kind, "dim": 2, "degree": 1}
+    if kind == "poly_form":
+        head["split"] = [1, 1]
+        good = {"indices": [1], "polynomial": [{"exponents": [0, 0], "coefficient": "1"}]}
+    else:
+        head["value_dim"] = 1 if kind == "scalar_form" else 2
+        good = {"indices": [1], "coefficient": "1"}
+    cases = [([good, 5], "term must be a JSON object, got 5"),
+             ([good, "indices"], "term must be a JSON object, got 'indices'")]
+    if kind == "poly_form":
+        cases += [([{"indices": [2], "polynomial": [5]}], "monomial must be a JSON object, got 5"),
+                  ([good, {"indices": [2], "polynomial": ["exponents"]}],
+                   "monomial must be a JSON object, got 'exponents'")]
+    path = tmp_path / "doc.json"
+    for terms, message in cases:
+        path.write_text(json.dumps({**head, "terms": terms}))
+        assert main(["homotopy" if kind == "poly_form" else "analyze", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err.splitlines()[0]) == ("", f"document error: {message}")
+
+
 @pytest.mark.parametrize("given_as", ["document", "option"])
 def test_homotopy_takes_r_zero_as_given(tmp_path, capsys, given_as):
     """r = 0 is a value, not an absent r: d(x1 x3 dx4) on R^2 x R^2 carries one
@@ -503,6 +526,45 @@ def test_repeated_monomials_add_up(tmp_path):
     assert omega.coeffs[0b11].terms == {(0, 0): Fraction(3)}
 
 
+@pytest.mark.parametrize("command", ["analyze", "darboux", "homotopy", "moser"])
+def test_each_run_reads_its_input_once(tmp_path, capsys, monkeypatch, command):
+    """The report's input digest is that of the bytes parsed: the file is opened once."""
+    import builtins
+    import io as stdlib_io
+    poly = command in ("homotopy", "moser")
+    source = CORPUS["perturbed_multisymplectic.json" if poly else "canonical_poly_2_2_1.json"]
+    extra = ["--steps", "2"] if command == "moser" else []
+    path = tmp_path / "input.json"
+    path.write_bytes(Path(source).read_bytes())
+    opened = []
+    real_open = stdlib_io.open
+
+    def counting_open(file, *args, **kwargs):
+        if Path(file) == path:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(stdlib_io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, out = run_cli([command, str(path), "--json", *extra], capsys)
+    assert code == 0 and len(opened) == 1
+    assert json.loads(out)["input_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_undecodable_bytes_exit_two(tmp_path, capsys):
+    """Bytes the locale's encoding cannot read are refused as a document, not a traceback."""
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"description": "\xff"}')
+    try:
+        path.read_text()
+    except UnicodeDecodeError as exc:
+        want = f"document error: invalid JSON in {path}: {exc}"
+    else:
+        pytest.skip("the locale's encoding reads every byte")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == want
+
+
 def test_moser_rejects_bad_radius(capsys):
     # from 1.3407807929942597e154 on the square of the radius overflows, and with it the
     # norm of a draw near the sphere: such a radius is refused before the first draw
@@ -527,6 +589,24 @@ def test_moser_refuses_points_whose_systems_overflow():
         error, elapsed = proc.stderr.splitlines()
         assert error == f"error: deformation system is not finite at t={t}", radius
         assert elapsed.startswith("elapsed: "), radius
+
+
+@pytest.mark.parametrize("terms", [
+    # the constant coefficient of A0 is beyond the largest float
+    [((0, 0), "1e400")],
+    # 1e308 x1^2 fits, the weight 2e308 of its partial derivative along x1 does not
+    [((0, 0), "1"), ((2, 0), "1e308")],
+])
+def test_moser_refuses_coefficients_beyond_the_float_range(tmp_path, terms):
+    # run as the user runs it: exit 1 with the error alone on stderr, no traceback
+    doc = _moser_poly_document(tmp_path / "huge.json", 2, [1, 1], [([1, 2], terms)])
+    proc = subprocess.run([sys.executable, "-m", "polydarboux.cli", "moser", doc,
+                           "--steps", "2"], capture_output=True, text=True, env=child_env())
+    assert (proc.returncode, proc.stdout) == (1, "")
+    error, elapsed = proc.stderr.splitlines()
+    assert error == ("error: a coefficient of the deformation system or of one of its "
+                     "partial derivatives is too large for a float")
+    assert elapsed.startswith("elapsed: ")
 
 
 def test_moser_rejects_bad_sample_count(capsys):

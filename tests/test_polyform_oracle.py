@@ -20,6 +20,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -636,41 +637,112 @@ def mono(c, e, **extra):
     return {"coefficient": c, "exponents": e, **extra}
 
 
-# lists of poly_form monomials that the one-template path must leave to the generic writer,
-# each once at the top and once as a dict value inside a term
-MONOMIAL_FALLBACKS = {
-    "bool exponent": [mono("1", [True, 0])],  # True == 1 and hash(True) == hash(1)
-    "bool exponent later": [mono("1", [1, 0]), mono("2", [0, True])],
-    "float exponent": [mono("1", [1.0, 0])],
-    "only bool exponents": [mono("1", [False, False])],
-    "no exponents": [mono("1", [])],
-    "exponents a tuple": [mono("1", (1, 0))],
-    "extra key": [mono("1", [1, 0], extra=1)],
-    "missing coefficient": [{"exponents": [1, 0]}],
-    "missing exponents": [{"coefficient": "1"}],
-    "other key": [{"coefficient": "1", "exponent": [1, 0]}],
-    "int coefficient": [mono(1, [1, 0])],
-    "None coefficient": [mono(None, [1, 0])],
-    "stops halfway": [mono("1", [1, 0]), mono("1/2", [0, 1]), {"indices": [1, 2]}],
-    "stops halfway at a key": [mono("1", [1, 0]), mono("1/2", [0, 1], z=None), mono("3", [2])],
+def term(idx, *monos, **extra):
+    return {"indices": idx, "polynomial": list(monos), **extra}
+
+
+# poly_form term lists that the one-template path must leave to the generic writer
+TERM_FALLBACKS = {
+    "bool exponent": [term([1], mono("1", [True, 0]))],  # True == 1 and hash(True) == hash(1)
+    "bool exponent later": [term([1], mono("1", [1, 0]), mono("2", [0, True]))],
+    "bool index": [term([1], mono("1", [1, 0])), term([False], mono("1", [1, 0]))],
+    "float exponent": [term([1], mono("1", [1.0, 0]))],
+    "only bool exponents": [term([1], mono("1", [False, False]))],
+    "negative exponent": [term([1], mono("1", [-1, 0]))],
+    "exponent 256": [term([1], mono("1", [255, 0]), mono("1", [0, 256]))],
+    "big exponent": [term([1], mono("1", [10 ** 30, 0]))],
+    "negative index": [term([-1], mono("1", [1, 0]))],
+    "index 256": [term([2, 256], mono("1", [1, 0]))],
+    "no exponents": [term([1], mono("1", []))],
+    "no indices": [term([], mono("1", [1, 0]))],
+    "mixed exponent widths": [term([1], mono("1", [1, 0]), mono("2", [1, 0, 0]))],
+    "mixed widths across terms": [term([1], mono("1", [1, 0])), term([2], mono("2", [0]))],
+    "mixed index widths": [term([1], mono("1", [1, 0])), term([1, 2], mono("2", [1, 0]))],
+    "exponents a tuple": [term([1], mono("1", (1, 0)))],
+    "indices a tuple": [term((1,), mono("1", [1, 0]))],
+    "no monomials": [term([1], mono("1", [1, 0])), term([2])],
+    "polynomial a dict": [{"indices": [1], "polynomial": {"coefficient": "1"}}],
+    "monomial a list": [term([1], ["1", [1, 0]])],
+    "extra monomial key": [term([1], mono("1", [1, 0], extra=1))],
+    "missing coefficient": [term([1], {"exponents": [1, 0]})],
+    "missing exponents": [term([1], {"coefficient": "1"})],
+    "other monomial key": [term([1], {"coefficient": "1", "exponent": [1, 0]})],
+    "int coefficient": [term([1], mono(1, [1, 0]))],
+    "None coefficient": [term([1], mono(None, [1, 0]))],
+    "extra term key": [term([1], mono("1", [1, 0]), component=1)],
+    "missing polynomial": [{"indices": [1]}],
+    "scalar terms": [{"indices": [1, 2], "coefficient": "1"}],
+    "a monomial list": [mono("1", [1, 0]), mono("1/2", [0, 1])],
+    "stops halfway": [term([1], mono("1", [1, 0])), term([2], mono("1", [0, 1])), {"x": 1}],
 }
 # and lists it writes itself, which must read the same
-MONOMIAL_LISTS = {
-    "plain": [mono("1", [1, 0]), mono("-13/1000000000039", [0, 2])],
-    "non-ASCII coefficient": [mono("é\"\\", [0]), mono("😀", [3, 0, 1])],
-    "big exponent": [mono("1", [10 ** 30, -1])],
+TERM_LISTS = {
+    "plain": [term([1, 2], mono("1", [1, 0]), mono("-13/1000000000039", [0, 2])),
+              term([1, 3], mono("0", [0, 0]))],
+    "non-ASCII coefficient": [term([1], mono("é\"\\", [0, 0, 0]), mono("😀", [3, 0, 1]))],
+    "every small int": [term(list(range(1, 256)), mono("1", list(range(256))))],
 }
 
 
-@pytest.mark.parametrize("name", list(MONOMIAL_FALLBACKS) + list(MONOMIAL_LISTS))
-def test_writer_writes_monomial_lists_as_json_dumps(name):
-    monos = {**MONOMIAL_FALLBACKS, **MONOMIAL_LISTS}[name]
-    doc = {"terms": [{"indices": [1, 2], "polynomial": monos}], "kind": "poly_form"}
-    for tree in (monos, doc, [doc, monos]):
+@pytest.mark.parametrize("name", list(TERM_FALLBACKS) + list(TERM_LISTS))
+def test_writer_writes_term_lists_as_json_dumps(name):
+    terms = {**TERM_FALLBACKS, **TERM_LISTS}[name]
+    doc = {"terms": terms, "kind": "poly_form", "split": [1, 1]}
+    for tree in (terms, doc, [doc, terms], {"result": {"primitive": doc}}):
         assert report_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
     out: list = []
-    assert io._write_monomials(monos, out, "\n") is (name in MONOMIAL_LISTS)
-    assert bool(out) is (name in MONOMIAL_LISTS)  # a fallback writes nothing
+    assert io._write_terms(terms, out, "\n") is (name in TERM_LISTS)
+    assert bool(out) is (name in TERM_LISTS)  # a fallback writes nothing
+
+
+small_or_not = st.integers(0, 59).flatmap(
+    lambda i: st.integers(0, 255) if i else st.one_of(
+        st.booleans(), st.integers(-2, -1), st.integers(255, 257), st.just(10 ** 20),
+        st.just(1.0)))
+
+
+@st.composite
+def term_like_lists(draw):
+    """poly_form-like term lists: mostly of one index width and one exponent width and
+    ints in 0..255, with now and then each thing that sends ``_write_terms`` to the generic
+    writer, and a ``Fraction`` coefficient that both writers refuse."""
+    rare = lambda: draw(st.integers(0, 39)) == 0
+    widths = [draw(st.integers(1, 3)), draw(st.integers(1, 3))]
+
+    def ints(w):
+        return [draw(small_or_not) for _ in range(w + (draw(st.sampled_from([-1, 1]))
+                                                      if rare() else 0))]
+
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        monos = []
+        for _ in range(draw(st.integers(0 if rare() else 1, 3))):
+            c = draw(st.sampled_from(["1", "-2/3", "é", "", "\"\\"]))
+            if rare():
+                c = draw(st.sampled_from([1, None, Fraction(1, 2)]))
+            m = mono(c, ints(widths[1]) if not rare() else tuple(ints(widths[1])))
+            if rare():
+                del m[draw(st.sampled_from(["coefficient", "exponents"]))]
+            monos.append(m if not rare() else {**m, "extra": None})
+        t = term(ints(widths[0]), *monos)
+        terms.append(t if not rare() else {**t, "component": 1})
+    return terms
+
+
+@settings(settings.get_profile("polyform_oracle"), max_examples=300)
+@given(term_like_lists(), st.integers(0, 2))
+def test_writer_matches_json_dumps_on_term_like_lists(terms, depth):
+    tree = terms
+    for _ in range(depth):
+        tree = {"terms": tree, "dim": 2}
+    try:
+        want = json.dumps(tree, sort_keys=True, indent=2)
+    except TypeError as exc:
+        with pytest.raises(TypeError) as err:
+            report_json(tree)
+        assert str(err.value) == str(exc)
+    else:
+        assert report_json(tree) == want
 
 
 monomial_like = st.fixed_dictionaries(
@@ -861,8 +933,8 @@ def _with(*polynomial, indices=(1,), dim=2, degree=1):
          "polynomial": list(polynomial)}]}
 
 
-# monomials and terms that the parser reads in place when well-formed, and otherwise hands to
-# ``_need`` and ``_ints``: each must read, or be refused, as the previous parser does
+# monomials and terms that the parser reads a list at a time when well-formed, and otherwise
+# hands to ``_need`` and ``_ints``: each must read, or be refused, as the previous parser does
 FAST_PATH_CASES = {
     # (True, 0) == (1, 0) and hashes alike, so the valid tuples must not let it through
     "bool exponent": _with(mono("1", [True, 0])),
@@ -910,18 +982,38 @@ FAST_PATH_CASES = {
     "string term": {"dim": 2, "degree": 1, "split": [1, 1], "terms": ["indices"]},
     "degree 0": {"dim": 2, "degree": 0, "split": [1, 1],
                  "terms": [{"indices": [], "polynomial": [mono("2", [0, 3])]}]},
+    "repeated mask": _with(mono("2", [0, 1]), indices=(1,)),
+    "int coefficient": _with(mono(3, [0, 1])),
+    "bad coefficient": _with(mono("1", [0, 1]), mono("x", [1, 1])),
+    "bad coefficient, repeated mask": _with(mono("1/0", [0, 1]), indices=(1,)),
+    "no monomials": _with(indices=(2,)),
+    "int term": {"dim": 2, "degree": 1, "split": [1, 1], "terms": [5]},
+    "split off the dimension": _with(mono("1", [0, 1]), indices=(2,)) | {"split": [1, 2]},
 }
 
 
+def checked_route(doc):
+    """``io._parse_poly_form`` with the list-at-a-time read turned off, or its error text."""
+    with mock.patch.object(io, "_read_terms", return_value=None):
+        return _parsed(io._parse_poly_form, doc)
+
+
+def same_view(a: PolyForm, b: PolyForm) -> bool:
+    """The same view in the same dict order of masks, and of exponents in each slot."""
+    (na, da), (nb, db) = a._numerators, b._numerators
+    return (da == db and list(na.items()) == list(nb.items())
+            and all(list(na[m].items()) == list(nb[m].items()) for m in na))
+
+
 @pytest.mark.parametrize("name", list(FAST_PATH_CASES))
-def test_parser_reads_monomials_in_place_like_the_checked_route(name):
+def test_parser_reads_term_lists_like_the_checked_route(name):
     doc = FAST_PATH_CASES[name]
     got, want = _parsed(io._parse_poly_form, doc), _parsed(parse_poly_form_oracle, doc)
     if isinstance(want, str):
-        assert got == want
+        assert got == want == checked_route(doc)
     else:
         assert isinstance(got, PolyForm) and same_layout(got, want)
-        assert got._numerators == want._numerators
+        assert got._numerators == want._numerators and same_view(got, checked_route(doc))
     full = {"schema_version": "1", "kind": "poly_form", **doc}
     try:
         payload = io.parse_document(full).payload
@@ -929,6 +1021,104 @@ def test_parser_reads_monomials_in_place_like_the_checked_route(name):
         assert str(exc) == want
     else:
         assert same_layout(payload, want)
+
+
+@st.composite
+def term_list_documents(draw):
+    """(doc, clean): poly_form documents whose terms lists the list-at-a-time read takes when
+    ``clean``, with now and then a repeated mask, a repeated exponent tuple in a term, a zero
+    coefficient, a term that cancels an earlier one, a term or monomial that is not a JSON
+    object, or a malformed field, each of which sends the list to the checked route."""
+    knob = lambda: draw(st.integers(0, 5)) == 0
+    dim = draw(st.integers(2, 4))
+    degree = draw(st.sampled_from([0, dim]) if knob() else st.integers(1, dim - 1))
+    combos = [list(c) for c in itertools.combinations(range(1, dim + 1), degree)]
+    exponent_pool = [tuple(e) for e in itertools.product(range(3), repeat=dim)]
+    nonzero = ["1", "-1", "2", "1/2", "-3/4", "2/4", "+5", "7/9999999999971", "10/5"]
+    clean = True
+    terms = []
+    for idx in draw(st.lists(st.sampled_from(combos), unique_by=tuple, max_size=4)):
+        exps = draw(st.lists(st.sampled_from(exponent_pool), unique=True, max_size=4))
+        monos = [mono(draw(st.sampled_from(nonzero)), list(e)) for e in exps]
+        if monos and knob():  # the same exponents again, maybe cancelling
+            e = draw(st.sampled_from(exps))
+            monos.append(mono(draw(st.sampled_from(nonzero + ["-1/2", "-2"])), list(e)))
+            clean = False
+        if monos and knob():
+            monos[draw(st.integers(0, len(monos) - 1))]["coefficient"] = draw(
+                st.sampled_from(["0", "-0", "0/7"]))
+            clean = False
+        terms.append(term(list(idx), *monos))
+    if terms and knob():  # an earlier term again: its mask repeats, maybe cancelling it
+        old = draw(st.sampled_from(terms))
+        terms.append(term(old["indices"], *(mono(_negated(m["coefficient"]), m["exponents"])
+                                            for m in old["polynomial"])))
+        clean = False
+    if terms and knob():
+        at = draw(st.integers(0, len(terms) - 1))
+        wrong = draw(st.sampled_from([5, "indices", None, ["indices", [1]], "monomial 5",
+                                      "monomial exponents", "bool exponent", "int coefficient",
+                                      "bad coefficient", "index past dim"]))
+        t = terms[at]
+        if wrong == "monomial 5" or wrong == "monomial exponents":
+            t["polynomial"].append(5 if wrong == "monomial 5" else "exponents")
+        elif wrong == "bool exponent":
+            t["polynomial"].append(mono("1", [True] + [0] * (dim - 1)))
+        elif wrong == "int coefficient":
+            t["polynomial"].append(mono(1, [2] * dim))
+        elif wrong == "bad coefficient":
+            t["polynomial"].append(mono("1/0", [2] * dim))
+        elif wrong == "index past dim" and degree:
+            t["indices"] = t["indices"][:-1] + [dim + 1]
+        else:
+            terms[at] = wrong
+        clean = False
+    doc = {"dim": dim, "degree": degree, "split": [1, dim - 1], "terms": terms}
+    return doc, clean
+
+
+@settings(settings.get_profile("polyform_oracle"), max_examples=300)
+@given(term_list_documents())
+def test_term_lists_read_as_the_oracle_and_the_checked_route_read_them(drawn):
+    doc, clean = drawn
+    got, want = _parsed(io._parse_poly_form, doc), _parsed(parse_poly_form_oracle, doc)
+    checked = checked_route(doc)
+    if isinstance(want, str):
+        assert got == want == checked
+    else:
+        assert same_layout(got, want) and got._numerators == want._numerators
+        assert same_view(got, checked)
+    if clean:
+        assert io._read_terms(doc["terms"], doc["dim"], doc["degree"]) is not None
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"terms": [5]}, "term must be a JSON object, got 5"),
+    ({"terms": ["indices"]}, "term must be a JSON object, got 'indices'"),
+    ({"terms": [term([1], 5)]}, "monomial must be a JSON object, got 5"),
+    ({"terms": [term([1], mono("1", [0, 0]), "exponents")]},
+     "monomial must be a JSON object, got 'exponents'"),
+])
+def test_parser_refuses_terms_and_monomials_that_are_not_objects_by_name(doc, message):
+    doc = {"dim": 2, "degree": 1, "split": [1, 1], **doc}
+    assert _parsed(io._parse_poly_form, doc) == message == _parsed(parse_poly_form_oracle, doc)
+
+
+def test_perfbench_inputs_are_read_a_list_at_a_time(tmp_path):
+    """Every input of perfbench's seed-1 ``homotopy`` round and each ``moser`` fixture is read
+    by the list-at-a-time route, into the view and dict order of the checked route."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    paths = {op.argvs[0][1] for w in ("homotopy", "moser")
+             for panel in WORKLOADS[w].build(1, WORKLOADS[w].panels, tmp_path) for op in panel}
+    assert len(paths) == 150 + 32
+    for path in sorted(paths):
+        doc = json.loads(Path(path).read_text())
+        assert io._read_terms(doc["terms"], doc["dim"], doc["degree"]) is not None, path
+        assert same_view(io._parse_poly_form(doc), checked_route(doc)), path
 
 
 # mostly plain strings, so that most documents parse; one in twenty any value

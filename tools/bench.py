@@ -83,18 +83,22 @@ full Runge-Kutta step with the Jacobian update and its ``det``
 ``check``, the comparison after the flow of a 20-step op: the tree's
 ``_pullback_residuals`` on the final points and Jacobians.
 ``homotopy_phases`` is a record of the same kind, in milliseconds, for the
-four phases of every op of the seed-1 ``homotopy`` round, each timed over
-the whole round: ``parse`` (``parse_document`` on the loaded JSON),
-``primitive`` (``_primitive``), ``check`` (``exterior_d(theta) == omega``)
-and ``write`` (``report_json(poly_form_to_document(theta))``), each the min
-over ``HOMOTOPY_PHASE_REPEATS`` repeats with the collector off.
+six phases of every op of the seed-1 ``homotopy`` round, each timed over
+the whole round: ``load`` (``json.loads`` of the file text), ``parse``
+(``parse_document`` on the loaded JSON), ``primitive`` (``_primitive``),
+``check`` (``exterior_d(theta) == omega``), ``document``
+(``poly_form_to_document(theta)``) and ``json`` (``report_json`` of that
+document), each the min over ``HOMOTOPY_PHASE_REPEATS`` repeats with the
+collector off.
 ``analyze_phases`` is the same record for the seed-1 ``analyze`` round, each
 phase timed on documents parsed afresh for its repeat: ``parse``
 (``load_document``), ``kernel`` (``kernel_of_form`` of each form),
 ``classify`` (the ``classify_vector_form`` or ``classify_horizontal_form``
 call of ``cmd_analyze``, its own kernel included) and ``write``
-(``cmd_analyze``'s report, ``_classification_dict`` and ``report_json``),
-each the min over ``ANALYZE_PHASE_REPEATS`` repeats.
+(``cmd_analyze``'s report, ``_classification_dict`` and ``report_json``;
+the header reads the input file again on a tree whose documents do not keep
+the digest of their bytes), each the min over ``ANALYZE_PHASE_REPEATS``
+repeats.
 The Python version and the CPU count come from this interpreter.  Runs
 go one after another, never in parallel.
 """
@@ -351,14 +355,18 @@ from workloads import WORKLOADS
 wl = WORKLOADS["homotopy"]
 with tempfile.TemporaryDirectory() as tmp:
     ops = [op for panel in wl.build(1, wl.panels, Path(tmp)) for op in panel]
-    docs = [json.loads(Path(op.argvs[0][1]).read_text()) for op in ops]
+    texts = [Path(op.argvs[0][1]).read_text() for op in ops]
+docs = [json.loads(text) for text in texts]
 forms = [io.parse_document(doc) for doc in docs]
 thetas = [polyforms._primitive(f.payload, f.r) for f in forms]
+written = [io.poly_form_to_document(t) for t in thetas]
 phases = {
+    "load": lambda: [json.loads(text) for text in texts],
     "parse": lambda: [io.parse_document(doc) for doc in docs],
     "primitive": lambda: [polyforms._primitive(f.payload, f.r) for f in forms],
     "check": lambda: [polyforms.exterior_d(t) == f.payload for t, f in zip(thetas, forms)],
-    "write": lambda: [io.report_json(io.poly_form_to_document(t)) for t in thetas],
+    "document": lambda: [io.poly_form_to_document(t) for t in thetas],
+    "json": lambda: [io.report_json(d) for d in written],
 }
 out = {}
 gc.disable()
@@ -376,7 +384,7 @@ print(json.dumps(out))
 
 def homotopy_phases(trees: list) -> dict:
     return _timed_rounds(trees, _HOMOTOPY_PHASES, [HOMOTOPY_PHASE_REPEATS],
-                         ["parse", "primitive", "check", "write"], unit="ms")
+                         ["load", "parse", "primitive", "check", "document", "json"], unit="ms")
 
 
 # Builds the seed-1 round of ``analyze`` with the tree's own perfbench and prints, as JSON, the
@@ -398,8 +406,10 @@ def classify(parsed, args):
                                                seed=args.seed, samples=args.samples)
     return lagrangian.classify_horizontal_form(parsed.payload, parsed.flag, parsed.r,
                                                seed=args.seed)
-def write(rep, args):
-    report = cli._report_header("analyze", args.file, args.seed)
+def write(rep, args, parsed):
+    # the header of a tree whose documents keep the digest of their bytes takes it; an
+    # older tree's header reads the file again for it
+    report = cli._report_header("analyze", getattr(parsed, "input_digest", args.file), args.seed)
     report["result"] = cli._classification_dict(rep)
     return io.report_json(report)
 with tempfile.TemporaryDirectory() as tmp:
@@ -410,7 +420,7 @@ with tempfile.TemporaryDirectory() as tmp:
         "parse": lambda docs: parse(),
         "kernel": lambda docs: [lagrangian.kernel_of_form(d.payload) for d in docs],
         "classify": lambda docs: [classify(d, a) for d, a in zip(docs, argss)],
-        "write": lambda reps: [write(r, a) for r, a in zip(reps, argss)],
+        "write": lambda reps: [write(r, a, d) for (r, d), a in zip(reps, argss)],
     }
     out = {}
     gc.disable()
@@ -419,7 +429,7 @@ with tempfile.TemporaryDirectory() as tmp:
         for _ in range(int(sys.argv[1])):
             docs = parse()
             if name == "write":
-                docs = [classify(d, a) for d, a in zip(docs, argss)]
+                docs = [(classify(d, a), d) for d, a in zip(docs, argss)]
             gc.collect()
             t0 = time.perf_counter()
             phase(docs)
