@@ -16,7 +16,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from math import comb
 
 from .errors import ConstructionError, InternalCheckError, PreconditionError
@@ -505,9 +504,8 @@ def seeded_conjugate(dim: int, seed: int, *, preserve: list[frozenset] | None = 
 
 
 def _int_matrix(rows: list[list[int]]) -> Matrix:
-    """The square matrix of integer rows, with a ``Fraction`` for each nonzero int only."""
-    return Matrix(len(rows), tuple({i: Fraction(x) for i, x in enumerate(col) if x}
-                                   for col in zip(*rows)))
+    """The square matrix of integer rows, its nonzero entries kept as ints."""
+    return Matrix(len(rows), tuple({i: x for i, x in enumerate(col) if x} for col in zip(*rows)))
 
 
 def conjugating_map(model: CanonicalModel, seed: int) -> ConjugateMap:

@@ -162,9 +162,11 @@ def parse_document(doc: dict) -> FormDocument:
         flag = None
         if doc.get("flag") is not None:
             flag = _parse_flag(doc["flag"], doc)
-        frame = None
-        if doc.get("frame") is not None:
-            frame = Matrix.from_rows([[_rat(x) for x in row] for row in doc["frame"]])
+        frame = doc.get("frame")
+        if frame is not None:
+            if type(frame) is not list or not {list}.issuperset(map(type, frame)):
+                raise DocumentError(f"frame must be a list of lists, got {_shown(frame)}")
+            frame = Matrix.from_rows([[_rat(x) for x in row] for row in frame])
     except DocumentError:
         raise
     except Exception as exc:  # invariant violations inside constructors
@@ -310,7 +312,10 @@ def _parse_lie(doc: dict) -> LieAlgebra:
     dim = _int(_need(doc, "dim"), "dim")
     c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for entry in _need(doc, "structure_constants", list):
-        a, b, k = _ints(_need(entry, "indices", owner="structure constant"), "indices", dim)
+        idx = _ints(_need(entry, "indices", owner="structure constant"), "indices", dim)
+        if len(idx) != 3:
+            raise DocumentError(f"indices must be three integers, got {_shown(list(idx))}")
+        a, b, k = idx
         c[a - 1][b - 1][k - 1] = _rat(_need(entry, "value", owner="structure constant"))
     return lie_algebra(dim, c)
 

@@ -19,9 +19,9 @@ from math import comb, gcd, lcm
 from .errors import DimensionMismatch, InternalCheckError, PreconditionError
 from .exterior import (AlternatingForm, Flag, VectorValuedForm, _seeded, contract, evaluate,
                        indices_of, project, pullback, wedge_all, wedge_power_by_exponent)
-from .linalg import (Matrix, Subspace, ZERO, ONE, annihilator, inverse, kernel_basis,
-                     kernel_subspace, subspace_sum, complement, transform_subspace)
-from .sparse import _axpy, _scaled, span_equal, span_of
+from .linalg import (Matrix, Subspace, ZERO, ONE, annihilator, kernel_basis, kernel_subspace,
+                     subspace_sum, complement)
+from .sparse import SparseEchelon, _axpy, _scaled, span_equal, span_of
 
 DEFAULT_SEED = 20070
 
@@ -279,12 +279,12 @@ def search_polylagrangian(omega, *, ker: Subspace | None = None) -> Polylagrangi
             return PolylagrangianSearch(candidate, "found", n_codim, diagnostics, comp_dims,
                                         n_codim if v.degree == 2 else None)
         sampled = _sampled_kernel_span(v)
-        if sampled.dim == v.dim and not is_isotropic(sampled, v, 1):
+        isotropic = is_isotropic(sampled, v, 1)
+        if sampled.dim == v.dim and not isotropic:
             diagnostics.append("sum of kernels = full space, not isotropic")
         else:
-            diagnostics.append(
-                f"kernel-sum candidate has dim {sampled.dim} and "
-                f"{'is' if is_isotropic(sampled, v, 1) else 'is not'} isotropic")
+            diagnostics.append(f"kernel-sum candidate has dim {sampled.dim} and "
+                               f"{'is' if isotropic else 'is not'} isotropic")
         nu = uniform_rank(v) if v.degree == 2 else None
         if nu is not None:
             required = ker.dim + v.value_dim * comb(nu, k)
@@ -419,28 +419,45 @@ def _vertical_count(mask: int, n_t: int) -> int:
     return (mask >> n_t).bit_count()
 
 
-def _check_horizontality(aomega: AlternatingForm, n_t: int, r: int):
-    worst = max((_vertical_count(m, n_t) for m in aomega._numerators[0]), default=0)
+def _horizontal(omega: AlternatingForm, flag: Flag, r: int) -> AlternatingForm:
+    """The form in adapted coordinates, once r lies in 1..degree, the quotient has room
+    for the degree - r horizontal slots and no monomial has more than r vertical factors."""
+    k1, n = omega.degree, flag.dim_t
+    if not 1 <= r <= k1:
+        raise PreconditionError("horizontality parameter out of range")
+    if k1 - r > n:
+        raise PreconditionError("quotient too small for the requested horizontality")
+    aomega = _adapted(omega, flag)[0]
+    worst = max((_vertical_count(m, n) for m in aomega._numerators[0]), default=0)
     if worst > r:
         raise PreconditionError(
-            f"form has a monomial with {worst} vertical factors; not ({aomega.degree - r})-horizontal")
+            f"form has a monomial with {worst} vertical factors; not ({k1 - r})-horizontal")
+    return aomega
 
 
-def to_vertical_coordinates(flag: Flag, sub: Subspace, binv: Matrix | None = None) -> Subspace:
-    """Express a subspace of the vertical space in vertical coordinates."""
-    binv = binv if binv is not None else inverse(flag.adapted_matrix())
-    n = flag.dim_t
-    rows = []
-    for u in sub.rows():
-        coords = binv.apply(u)
-        if any(i < n for i in coords):
-            raise PreconditionError("subspace is not contained in the vertical space")
-        rows.append({i - n: x for i, x in coords.items()})
-    return Subspace.from_vectors(flag.total_dim - n, rows)
+def to_vertical_coordinates(flag: Flag, sub: Subspace) -> Subspace:
+    """Express a subspace of the vertical space in vertical coordinates.
+
+    The vertical basis is the reduced echelon of the vertical space, one at
+    its own pivot and zero at the others, so coordinate i of a vertical
+    vector is its entry at pivot i: nothing is inverted.
+    """
+    if not flag.vertical.contains_subspace(sub):
+        raise PreconditionError("subspace is not contained in the vertical space")
+    pivots = flag.vertical.pivot_columns()
+    rows = [{i: u[p] for i, p in enumerate(pivots) if p in u} for u in sub.rows()]
+    return Subspace.from_vectors(flag.vertical.dim, rows)
 
 
 def from_vertical_coordinates(flag: Flag, sub: Subspace) -> Subspace:
     return Subspace.from_vectors(flag.total_dim, flag.lift_vertical(sub.rows()))
+
+
+def _shifted(sub: Subspace, by: int, dim: int) -> Subspace:
+    """The subspace with every coordinate moved by ``by``, in dimension ``dim``: a shift of
+    all keys keeps the echelon reduced, so nothing is eliminated again."""
+    return Subspace(dim, SparseEchelon({p + by: {j + by: x for j, x in row.items()}
+                                        for p, row in sub.echelon.rows.items()}))
 
 
 def symbol(omega: AlternatingForm, flag: Flag, r: int) -> VectorValuedForm:
@@ -451,15 +468,8 @@ def symbol(omega: AlternatingForm, flag: Flag, r: int) -> VectorValuedForm:
     obtained by filling the remaining slots through a splitting.  The
     result does not depend on which splitting the flag carries.
     """
-    k1 = omega.degree
-    if not 1 <= r <= k1:
-        raise PreconditionError("horizontality parameter out of range")
-    n = flag.dim_t
-    if k1 - r > n:
-        raise PreconditionError("quotient too small for the requested horizontality")
-    aomega, _ = _adapted(omega, flag)
-    _check_horizontality(aomega, n, r)
-    m_dim = flag.total_dim - n
+    aomega = _horizontal(omega, flag, r)
+    k1, n = omega.degree, flag.dim_t
     combos = list(itertools.combinations(range(1, n + 1), k1 - r))
     pos = {c: i for i, c in enumerate(combos)}
     comps = [dict() for _ in combos]
@@ -470,9 +480,8 @@ def symbol(omega: AlternatingForm, flag: Flag, r: int) -> VectorValuedForm:
         vmask = m >> n
         if vmask.bit_count() != r:
             continue
-        tmask = m & tmask_all
-        comps[pos[indices_of(tmask)]][vmask] = blocksign * x
-    return VectorValuedForm(tuple(_seeded(m_dim, r, d, den) for d in comps))
+        comps[pos[indices_of(m & tmask_all)]][vmask] = blocksign * x
+    return VectorValuedForm(tuple(_seeded(flag.vertical.dim, r, d, den) for d in comps))
 
 
 def check_multilagrangian(sub: Subspace, omega: AlternatingForm, flag: Flag, r: int) -> bool:
@@ -482,23 +491,18 @@ def check_multilagrangian(sub: Subspace, omega: AlternatingForm, flag: Flag, r: 
     the annihilating k-forms cut down to those with at most r-1 vertical
     factors.
     """
-    k1 = omega.degree
-    n = flag.dim_t
-    if not 1 <= r <= k1:
-        raise PreconditionError("horizontality parameter out of range")
-    if k1 - r > n:
-        raise PreconditionError("quotient too small for the requested horizontality")
+    aomega = _horizontal(omega, flag, r)
     if not flag.vertical.contains_subspace(sub):
         raise PreconditionError("candidate subspace is not vertical")
-    aomega, b = _adapted(omega, flag)
-    _check_horizontality(aomega, n, r)
-    return _check_multilagrangian_adapted(transform_subspace(inverse(b), sub), aomega, n, r)
+    return _check_vertical(to_vertical_coordinates(flag, sub), aomega, flag.dim_t, r)
 
 
-def _check_multilagrangian_adapted(sub_a: Subspace, aomega: AlternatingForm, n: int, r: int) -> bool:
-    k = aomega.degree - 1
+def _check_vertical(sub_v: Subspace, aomega: AlternatingForm, n: int, r: int) -> bool:
+    """``check_multilagrangian`` of a candidate in vertical coordinates on the adapted form,
+    whose last coordinates, after the n of the quotient, are the vertical ones."""
+    sub_a = _shifted(sub_v, n, aomega.dim)
     lhs = flat_image_vectors(aomega, sub_a.rows())
-    wedges = _annihilator_wedges(sub_a, k)
+    wedges = _annihilator_wedges(sub_a, aomega.degree - 1)
     # cut the annihilator wedges down to the (k+1-r)-horizontal monomials, each wedge read
     # as its integer view: scaling a wedge scales its column and its stacked row alike
     bad_rows: dict = {}
@@ -557,11 +561,10 @@ def symbol_structure_check(omega: AlternatingForm, flag: Flag, r: int, sub: Subs
     if not check_multilagrangian(sub, omega, flag, r):
         raise PreconditionError("the candidate is not multilagrangian for the form")
     sym = symbol(omega, flag, r)
-    binv = inverse(flag.adapted_matrix())
-    sub_v = to_vertical_coordinates(flag, sub, binv)
+    sub_v = to_vertical_coordinates(flag, sub)
     ker_sym = kernel_of_form(sym)
     ok_poly = check_polylagrangian(sub_v, sym, ker_sym)
-    ker_w_v = to_vertical_coordinates(flag, kernel_of_form(omega), binv)
+    ker_w_v = to_vertical_coordinates(flag, kernel_of_form(omega))
     contained = ker_sym.contains_subspace(ker_w_v)
     gap = ker_sym.dim - ker_w_v.dim
     presymplectic_case = (omega.degree - 1 == flag.dim_t and r == 2)
@@ -807,6 +810,24 @@ class StructureReport:
     seed: int = DEFAULT_SEED
 
 
+def _classified(rep: StructureReport, search: PolylagrangianSearch, criterion, family: str,
+                symplectic: bool) -> StructureReport:
+    """The tail both classifications share, on a report with no subspace yet: the search's
+    diagnostics and status, the dimension criterion re-checked on a found L, and the name,
+    ``family`` then symplectic or presymplectic where ``symplectic`` holds, else lagrangian."""
+    rep.diagnostics.extend(search.diagnostics)
+    if search.status != "found":
+        label = "proved absent" if search.status == "absent" else "not found"
+        rep.diagnostics.append(f"distinguished subspace: {label}")
+        return rep
+    if not criterion(search.subspace):
+        raise InternalCheckError("dimension criterion disagrees with the contraction test")
+    rep.rank, rep.lagrangian_subspace = search.rank, search.subspace
+    name = ("presymplectic" if rep.is_degenerate else "symplectic") if symplectic else "lagrangian"
+    rep.classification = family + name
+    return rep
+
+
 def classify_vector_form(omega, *, seed: int = DEFAULT_SEED, samples: int = 25) -> StructureReport:
     """Full classification pipeline for a (vector-valued) alternating form.
 
@@ -834,7 +855,6 @@ def classify_vector_form(omega, *, seed: int = DEFAULT_SEED, samples: int = 25) 
                                ["form vanishes; definitions require a non-vanishing form"],
                                None, None, seed)
     ker = kernel_of_form(v)
-    degenerate = ker.dim > 0
     uni = cons = search = None
     if v.degree == 2:
         check_sample_budget(samples)
@@ -850,97 +870,65 @@ def classify_vector_form(omega, *, seed: int = DEFAULT_SEED, samples: int = 25) 
             cons = uni
         diagnostics.append(f"uniform rank: {uni}; sampled constant rank: {cons} "
                            f"(seed {seed}, {samples} samples)")
-    if search is None:
-        search = search_polylagrangian(v, ker=ker)
-    diagnostics.extend(search.diagnostics)
-    if search.status != "found":
-        label = "proved absent" if search.status == "absent" else "not found"
-        diagnostics.append(f"distinguished subspace: {label}")
-        return StructureReport(ker, degenerate, None, None, "none", None, diagnostics,
-                               uni, cons, seed)
-    sub = search.subspace
-    if not dimension_criterion_poly(sub, v, ker):
-        raise InternalCheckError("dimension criterion disagrees with the contraction test")
-    k = v.degree - 1
-    if k == 1:
-        classification = "polypresymplectic" if degenerate else "polysymplectic"
-    else:
-        classification = "polylagrangian"
-    return StructureReport(ker, degenerate, search.rank, sub, classification, None,
-                           diagnostics, uni, cons, seed)
+    search = search or search_polylagrangian(v, ker=ker)
+    rep = StructureReport(ker, ker.dim > 0, None, None, "none", None, diagnostics, uni, cons, seed)
+    return _classified(rep, search, lambda sub: dimension_criterion_poly(sub, v, ker), "poly",
+                       v.degree == 2)
+
+
+def _vertical_greedy(aomega: AlternatingForm, n: int):
+    """Greedy maximal isotropic subspaces of the adapted form inside its vertical coordinates,
+    one from each isotropic vertical coordinate line, each once, in vertical coordinates."""
+    dim = aomega.dim
+    vert = Subspace.span_of_coordinates(dim, range(n + 1, dim + 1))
+    seen = set()
+    for i in range(n + 1, dim + 1):
+        seed = Subspace.span_of_coordinates(dim, [i])
+        if is_isotropic(seed, aomega, 1):
+            cand = greedy_maximal_isotropic(aomega, seed, within=vert)
+            if cand not in seen:
+                seen.add(cand)
+                yield _shifted(cand, -n, dim - n)
 
 
 def detect_multilagrangian(omega: AlternatingForm, flag: Flag, r: int) -> PolylagrangianSearch:
     """Locate the multilagrangian subspace through the symbol.
 
     A multilagrangian form has a polylagrangian symbol with the same
-    subspace, so for two or more symbol components a failed candidate is
-    a proof of absence; with a scalar symbol the search is heuristic and
-    a miss is only "not found".
+    subspace, so the candidates, in vertical coordinates, come from the
+    symbol: the vertical space for r = 1, a vertical greedy search for a
+    vanishing symbol, else the polylagrangian search on it.  The first to
+    pass the horizontal contraction equality is L.  A miss proves absence
+    where the candidate was the only one (r = 1, or the unique L of a symbol
+    with two or more components); elsewhere the search is heuristic.
     """
     _require_degree_two(omega.degree)
+    aomega = _horizontal(omega, flag, r)
+    n, m_dim = flag.dim_t, flag.vertical.dim
+    comp_dims: list[int] = []
     if r == 1:
         # a k-horizontal form has the whole vertical space as its subspace
-        sub = flag.vertical
-        if check_multilagrangian(sub, omega, flag, r):
-            return PolylagrangianSearch(sub, "found", 0, [], [])
-        return PolylagrangianSearch(None, "absent", None,
-                                    ["vertical space fails the horizontal contraction equality"], [])
-    k1 = omega.degree
-    n = flag.dim_t
-    if k1 - r > n:
-        raise PreconditionError("quotient too small for the requested horizontality")
-    aomega, _ = _adapted(omega, flag)
-    _check_horizontality(aomega, n, r)
-    m_dim = flag.total_dim - n
-
-    def adapted_candidate(sub_v: Subspace) -> Subspace:
-        rows = [{j + n: x for j, x in u.items()} for u in sub_v.rows()]
-        return Subspace.from_vectors(flag.total_dim, rows)
-
-    def check_vertical(sub_v: Subspace) -> bool:
-        return _check_multilagrangian_adapted(adapted_candidate(sub_v), aomega, n, r)
-
-    sym = symbol(omega, flag, r)
-    if sym.is_zero():
-        # consistent with rank below r-1; fall back to a vertical greedy search
-        vert_a = Subspace.span_of_coordinates(flag.total_dim, range(n + 1, flag.total_dim + 1))
-        seen = set()
-        for i in range(m_dim):
-            seed = Subspace.span_of_coordinates(flag.total_dim, [n + i + 1])
-            if not is_isotropic(seed, aomega, 1):
-                continue
-            cand_a = greedy_maximal_isotropic(aomega, seed, within=vert_a)
-            if cand_a in seen:
-                continue
-            seen.add(cand_a)
-            if _check_multilagrangian_adapted(cand_a, aomega, n, r):
-                sub_v = Subspace.from_vectors(m_dim, [{j - n: x for j, x in u.items()}
-                                                      for u in cand_a.rows()])
-                sub_w = from_vertical_coordinates(flag, sub_v)
-                return PolylagrangianSearch(sub_w, "found", flag.vertical.dim - sub_w.dim,
-                                            ["symbol vanishes; vertical greedy search"], [])
-        return PolylagrangianSearch(None, "not_found", None,
-                                    ["symbol vanishes; vertical greedy search exhausted"], [])
-    if sym.value_dim >= 2:
+        cands, hit = [Subspace.full(m_dim)], []
+        miss = "absent", ["vertical space fails the horizontal contraction equality"]
+    elif (sym := symbol(omega, flag, r)).is_zero():
+        # consistent with rank below r-1
+        cands, hit = _vertical_greedy(aomega, n), ["symbol vanishes; vertical greedy search"]
+        miss = "not_found", ["symbol vanishes; vertical greedy search exhausted"]
+    elif sym.value_dim >= 2:
         search = search_polylagrangian(sym)
         if search.status != "found":
             return search
-        if check_vertical(search.subspace):
-            sub_w = from_vertical_coordinates(flag, search.subspace)
-            return PolylagrangianSearch(sub_w, "found", search.rank, search.diagnostics,
-                                        search.component_complement_dims)
-        return PolylagrangianSearch(None, "absent",
-                                    None, search.diagnostics +
-                                    ["symbol subspace fails the horizontal contraction equality"],
-                                    search.component_complement_dims)
-    for cand in scalar_polylagrangian_candidates(sym):
-        if check_vertical(cand):
-            sub_w = from_vertical_coordinates(flag, cand)
-            return PolylagrangianSearch(sub_w, "found", flag.vertical.dim - sub_w.dim, [], [])
-    return PolylagrangianSearch(None, "not_found", None,
-                                ["not found - possibly nonexistent "
-                                 "(scalar-symbol search is heuristic)"], [])
+        cands, hit = [search.subspace], search.diagnostics
+        comp_dims = search.component_complement_dims
+        miss = "absent", hit + ["symbol subspace fails the horizontal contraction equality"]
+    else:
+        cands, hit = scalar_polylagrangian_candidates(sym), []
+        miss = "not_found", ["not found - possibly nonexistent (scalar-symbol search is heuristic)"]
+    for sub_v in cands:
+        if _check_vertical(sub_v, aomega, n, r):
+            return PolylagrangianSearch(from_vertical_coordinates(flag, sub_v), "found",
+                                        m_dim - sub_v.dim, hit, comp_dims)
+    return PolylagrangianSearch(None, miss[0], None, miss[1], comp_dims)
 
 
 def classify_horizontal_form(omega: AlternatingForm, flag: Flag, r: int | None = None,
@@ -962,21 +950,7 @@ def classify_horizontal_form(omega: AlternatingForm, flag: Flag, r: int | None =
         diagnostics.append("form is outside the admissible horizontality range")
         return StructureReport(ker, True, None, None, "none",
                                (r, k1 - r), diagnostics, None, None, seed)
-    degenerate = ker.dim > 0
     search = detect_multilagrangian(omega, flag, r)
-    diagnostics.extend(search.diagnostics)
-    if search.status != "found":
-        label = "proved absent" if search.status == "absent" else "not found"
-        diagnostics.append(f"distinguished subspace: {label}")
-        return StructureReport(ker, degenerate, None, None, "none", (r, k1 - r),
-                               diagnostics, None, None, seed)
-    sub = search.subspace
-    if not dimension_criterion_multi(sub, omega, flag, r, ker):
-        raise InternalCheckError("dimension criterion disagrees with the contraction test")
-    if k1 - 1 == n and r == 2:
-        classification = "multipresymplectic" if degenerate else "multisymplectic"
-    else:
-        classification = "multilagrangian"
-    rank_n = flag.vertical.dim - sub.dim
-    return StructureReport(ker, degenerate, rank_n, sub, classification, (r, k1 - r),
-                           diagnostics, None, None, seed)
+    rep = StructureReport(ker, ker.dim > 0, None, None, "none", (r, k1 - r), diagnostics, seed=seed)
+    return _classified(rep, search, lambda sub: dimension_criterion_multi(sub, omega, flag, r, ker),
+                       "multi", k1 - 1 == n and r == 2)

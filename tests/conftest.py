@@ -18,7 +18,7 @@ from polydarboux.exterior import (AlternatingForm, Flag, VectorValuedForm, _cont
                                   mask_of, merge_sign, removal_sign, sorted_sign, with_splitting)
 from polydarboux.lagrangian import _kernel_constraints, _stacked, as_vector_form
 from polydarboux.linalg import (ZERO, ONE, Matrix, Subspace, _echelon, _sparse_vector, complement,
-                                frac, kernel_subspace, vec)
+                                frac, inverse, kernel_subspace, vec)
 from polydarboux.moser import (DEFAULT_SOLVE_TOL, DeformationField, _pullback_residuals,
                                integrate_flow_batch)
 from polydarboux.polyforms import (PolyForm, Polynomial, moser_potential, pf_add, pf_scale,
@@ -454,6 +454,20 @@ def greedy_maximal_isotropic_oracle(omega, seed: Subspace,
             for r in _kernel_constraints(contract(row, v)):
                 lagrangian._cut(orth, r)
     return Subspace(v.dim, span)
+
+
+def to_vertical_coordinates_oracle(flag: Flag, sub: Subspace) -> Subspace:
+    """The previous ``to_vertical_coordinates``: each vector's coordinates in the adapted
+    basis, through the inverse of the adapted matrix, refused if any is horizontal."""
+    binv = inverse(flag.adapted_matrix())
+    n = flag.dim_t
+    rows = []
+    for u in sub.rows():
+        coords = binv.apply(u)
+        if any(i < n for i in coords):
+            raise PreconditionError("subspace is not contained in the vertical space")
+        rows.append({i - n: x for i, x in coords.items()})
+    return Subspace.from_vectors(flag.total_dim - n, rows)
 
 
 # ``exterior.AlternatingForm`` and its arithmetic as they were on ``Fraction`` coefficient

@@ -349,6 +349,33 @@ def test_malformed_fields_exit_two(tmp_path, capsys):
             assert "document error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_darboux_refuses_r_below_one_as_symbol_does(tmp_path, capsys, r):
+    """``darboux`` said the quotient was too small for these."""
+    path = tmp_path / "multi.json"
+    path.write_text(json.dumps(dict(_flagged_document(tmp_path, capsys), r=r)))
+    for command in ("darboux", "symbol"):
+        assert main([command, str(path), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[0] == "error: horizontality parameter out of range"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("frame", 5, "frame must be a list of lists, got 5"),
+    ("frame", [5], "frame must be a list of lists, got [5]"),
+    ("structure_constants", [{"indices": [1, 2], "value": "1"}],
+     "indices must be three integers, got [1, 2]"),
+])
+def test_frames_and_structure_constants_are_refused_by_name(tmp_path, capsys, field, value,
+                                                          message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(json.loads(Path(CORPUS["su2_frame.json"]).read_text()),
+                                    **{field: value})))
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == f"document error: {message}"
+
+
 FLAGGED = {"schema_version": "1", "kind": "scalar_form", "dim": 3, "degree": 2, "r": 1,
            "terms": [{"indices": [1, 2], "coefficient": "1"}],
            "flag": {"vertical_indices": [1]}}

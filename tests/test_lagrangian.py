@@ -4,14 +4,14 @@ from math import comb
 
 import pytest
 
-from conftest import (identity, is_maximal_isotropic, orthogonal_complement, random_form,
-                      std_vector, vectors)
+from conftest import (identity, intersect, is_maximal_isotropic, orthogonal_complement,
+                      random_form, std_vector, to_vertical_coordinates_oracle, vectors)
 from polydarboux.darboux import (canonical_multi_model, canonical_poly_model,
                                  conjugated_multi_instance, conjugated_poly_instance,
                                  seeded_conjugate)
 from polydarboux.errors import PreconditionError
-from polydarboux.exterior import (VectorValuedForm, add, form, project, pullback,
-                                  zero_form)
+from polydarboux.exterior import (Flag, VectorValuedForm, add, coordinate_flag, form, project,
+                                  pullback, zero_form)
 from polydarboux.lagrangian import (check_multilagrangian,
                                     check_polylagrangian, classify_horizontal_form,
                                     classify_vector_form, constant_rank_sampled,
@@ -23,8 +23,10 @@ from polydarboux.lagrangian import (check_multilagrangian,
                                     polysymplectic_uniform_rank_check,
                                     projection_kernel_isotropy_check, rank_2form,
                                     search_polylagrangian, symbol,
-                                    symbol_structure_check, uniform_rank)
-from polydarboux.linalg import Matrix, Subspace, transform_subspace
+                                    symbol_structure_check, to_vertical_coordinates,
+                                    uniform_rank)
+from polydarboux.linalg import Matrix, Subspace, subspace_sum, transform_subspace
+from polydarboux.sparse import _axpy
 
 
 # ---------------------------------------------------------------------------
@@ -495,16 +497,20 @@ def test_detect_multilagrangian_on_conjugates():
 
 
 def test_adapted_coordinates_invert_nothing(monkeypatch):
-    # only check_multilagrangian needs the inverse of the adapted matrix
+    # vertical coordinates are read off the pivots of the vertical echelon: no inverse runs,
+    # under any name a polydarboux module binds it by
     import sys
-    from polydarboux import lagrangian
-    callers = []
-    original = lagrangian.inverse
+    from polydarboux import lagrangian, linalg
+    inverses = []
+    original = linalg.inverse
 
     def counted(m):
-        callers.append(sys._getframe(1).f_code.co_name)
+        inverses.append(1)
         return original(m)
 
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("polydarboux") and getattr(mod, "inverse", None) is original:
+            monkeypatch.setattr(mod, "inverse", counted)
     adapted = []
     original_adapted = lagrangian._adapted
 
@@ -512,15 +518,171 @@ def test_adapted_coordinates_invert_nothing(monkeypatch):
         adapted.append(1)
         return original_adapted(omega, flag)
 
-    monkeypatch.setattr(lagrangian, "inverse", counted)
     monkeypatch.setattr(lagrangian, "_adapted", counted_adapted)
     model = canonical_multi_model(2, 2, 2, 2)
-    moved, _, _ = conjugated_multi_instance(model, seed=4)
+    moved, lagr, _ = conjugated_multi_instance(model, seed=4)
     symbol(moved, model.flag, 2)
     assert detect_multilagrangian(moved, model.flag, 2).status == "found"
     classify_horizontal_form(moved, model.flag, 2)
+    assert check_multilagrangian(lagr, moved, model.flag, 2)
+    to_vertical_coordinates(model.flag, lagr)
     assert len(adapted) >= 3
-    assert "_adapted" not in callers
+    assert inverses == []
+
+
+def _multi_refusal_inputs():
+    """(form, flag, r, candidate) per input: the model 1 2 2 2 (degree 3, a quotient of 2)."""
+    model = canonical_multi_model(1, 2, 2, 2)
+    omega, flag, lagr = model.form, model.flag, model.lagrangian
+    return {
+        "r < 0": (omega, flag, -1, lagr),
+        "r = 0": (omega, flag, 0, lagr),
+        "r > degree": (omega, flag, 4, lagr),
+        "quotient too small": (omega, coordinate_flag(6, [1, 2, 4, 5, 6]), 1, lagr),
+        "not vertical": (omega, flag, 2, Subspace.span_of_coordinates(6, [2])),
+        "not horizontal enough": (add(omega, form(6, 3, {(1, 4, 5): 1})), flag, 2, lagr),
+    }
+
+
+OUT_OF_RANGE = "horizontality parameter out of range"
+TOO_SMALL = "quotient too small for the requested horizontality"
+NOT_VERTICAL = "candidate subspace is not vertical"
+STEEP = "form has a monomial with 3 vertical factors; not (1)-horizontal"
+
+
+# what each function gives on each input: a refusal text, or the value it returns; symbol and
+# detect_multilagrangian take no candidate.  The dimension criterion checks no range of r: it
+# answers False below it and fails inside ``math.comb`` above it.
+MULTI_REFUSALS = [
+    ("r < 0", OUT_OF_RANGE, OUT_OF_RANGE, OUT_OF_RANGE, False),
+    ("r = 0", OUT_OF_RANGE, OUT_OF_RANGE, OUT_OF_RANGE, False),
+    ("r > degree", OUT_OF_RANGE, OUT_OF_RANGE, OUT_OF_RANGE, ValueError),
+    ("quotient too small", TOO_SMALL, TOO_SMALL, TOO_SMALL, False),
+    ("not vertical", None, NOT_VERTICAL, None, NOT_VERTICAL),
+    ("not horizontal enough", STEEP, STEEP, STEEP, False),
+]
+
+
+@pytest.mark.parametrize("case, sym_text, check_text, detect_text, criterion", MULTI_REFUSALS,
+                         ids=[c[0] for c in MULTI_REFUSALS])
+def test_multilagrangian_refusals_keep_their_texts(case, sym_text, check_text, detect_text,
+                                                   criterion):
+    omega, flag, r, sub = _multi_refusal_inputs()[case]
+    calls = [(sym_text, lambda: symbol(omega, flag, r)),
+             (check_text, lambda: check_multilagrangian(sub, omega, flag, r)),
+             (detect_text, lambda: detect_multilagrangian(omega, flag, r)),
+             (criterion, lambda: dimension_criterion_multi(sub, omega, flag, r))]
+    for want, call in calls:
+        if type(want) is str:
+            with pytest.raises(PreconditionError) as err:
+                call()
+            assert str(err.value) == want
+        elif want is ValueError:
+            with pytest.raises(ValueError, match="k must be a non-negative integer"):
+                call()
+        elif want is not None:
+            assert call() is want
+
+
+# (dim, vertical indices, terms, r) -> (status, rank, diagnostics, component_complement_dims)
+DETECTION_OUTCOMES = [
+    ((4, [4], {(1, 2): 2, (2, 4): 2, (3, 4): 2}, 1),
+     ("absent", None, ["vertical space fails the horizontal contraction equality"], [])),
+    ((4, [4], {(1, 2): 2, (2, 4): 2, (3, 4): 2}, 2),
+     ("not_found", None, ["symbol vanishes; vertical greedy search exhausted"], [])),
+    ((4, [2, 3, 4], {(2, 4): 1}, 2),
+     ("not_found", None,
+      ["not found - possibly nonexistent (scalar-symbol search is heuristic)"], [])),
+    ((3, [2, 3], {(1, 3): -2}, 1), ("found", 0, [], [])),
+    ((3, [2, 3], {(1, 3): -2}, 2), ("found", 0, ["symbol vanishes; vertical greedy search"], [])),
+    ((6, [4, 5, 6], {(1, 2, 3): 2, (1, 2, 5): -1, (1, 3, 6): 2, (1, 4, 5): -2, (2, 3, 4): 2,
+                     (2, 4, 5): -2, (2, 4, 6): -1, (2, 5, 6): -1, (3, 4, 5): 1}, 2),
+     ("absent", None, ["kernel-sum candidate has dim 2 and is isotropic",
+                       "construction candidate fails the contraction-image equality"], [0, 1, 0])),
+    ((5, [3, 4, 5], {(1, 3, 4): -2, (2, 4, 5): -1}, 2),
+     ("absent", None, ["symbol subspace fails the horizontal contraction equality"], [1, 1])),
+]
+
+
+@pytest.mark.parametrize("given, outcome", DETECTION_OUTCOMES)
+def test_each_detection_branch_keeps_its_status_and_diagnostics(given, outcome):
+    # a miss proves absence only where the candidate was the only one: r = 1, or the
+    # unique L of a symbol with two or more components
+    dim, vertical, terms, r = given
+    flag = coordinate_flag(dim, vertical)
+    got = detect_multilagrangian(form(dim, len(next(iter(terms))), terms), flag, r)
+    assert (got.status, got.rank, got.diagnostics, got.component_complement_dims) == outcome
+    assert (got.subspace == flag.vertical) is (got.status == "found")
+
+
+def _same_vertical_coordinates(flag: Flag, sub: Subspace) -> bool:
+    """Equal subspaces from the pivot read and the inverse oracle, or equal refusals;
+    True when the subspace was vertical."""
+    try:
+        want = to_vertical_coordinates_oracle(flag, sub)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError) as err:
+            to_vertical_coordinates(flag, sub)
+        assert str(err.value) == str(exc)
+        return False
+    assert to_vertical_coordinates(flag, sub) == want
+    return True
+
+
+@pytest.mark.parametrize("seed", [3, 503])
+def test_vertical_coordinates_match_the_inverse_on_the_multi_grid(seed):
+    import itertools
+    verticals = refusals = 0
+    for n_rank, n_base, k in itertools.product((1, 2, 3), repeat=3):
+        for r in range(max(1, k + 1 - n_base), k + 2):
+            try:
+                model = canonical_multi_model(n_rank, n_base, k, r)
+            except PreconditionError:  # an empty momentum block
+                continue
+            moved, lagr, _ = conjugated_multi_instance(model, seed=seed)
+            flag = model.flag
+            for sub in (lagr, kernel_of_form(moved), flag.vertical, Subspace.full(moved.dim)):
+                if _same_vertical_coordinates(flag, sub):
+                    verticals += 1
+                else:
+                    refusals += 1
+    assert verticals > 150 and refusals > 50
+
+
+def test_vertical_coordinates_match_the_inverse_off_coordinate_flags():
+    # vertical spaces that are not coordinate planes, with pivot entries other than one, and
+    # splittings with vertical corrections; candidates inside, across and from form kernels
+    rng = random.Random(35)
+    verticals = refusals = 0
+    for _ in range(40):
+        dim = rng.randint(3, 7)
+        vert = Subspace.from_vectors(dim, [[rng.randint(-3, 3) for _ in range(dim)]
+                                           for _ in range(rng.randint(1, dim - 1))])
+        if vert.dim in (0, dim):
+            continue
+        free = [j for j in range(dim) if j not in vert.pivot_columns()]
+        cols = [{j: 1} for j in free]
+        for col in cols:
+            for u in vert.rows():
+                if c := rng.randint(-2, 2):
+                    for i, x in u.items():
+                        col[i] = col.get(i, 0) + c * x
+        flag = Flag(dim, vert, Matrix(dim, tuple({i: Fraction(x) for i, x in c.items() if x}
+                                                 for c in cols)))
+        inside = Subspace.zero(dim)
+        for _ in range(rng.randint(1, vert.dim)):
+            combo: dict = {}
+            for u in vert.rows():
+                _axpy(combo, rng.randint(-2, 2), u)
+            inside = subspace_sum(inside, Subspace.from_vectors(dim, [combo]))
+        across = Subspace.from_vectors(dim, [[rng.randint(-2, 2) for _ in range(dim)]])
+        ker = kernel_of_form(random_form(rng, dim, rng.randint(2, 3)))
+        for sub in (inside, across, ker, intersect(ker, vert), vert):
+            if _same_vertical_coordinates(flag, sub):
+                verticals += 1
+            else:
+                refusals += 1
+    assert verticals > 100 and refusals > 40
 
 
 def test_classify_reports():

@@ -95,10 +95,9 @@ phase timed on documents parsed afresh for its repeat: ``parse``
 (``load_document``), ``kernel`` (``kernel_of_form`` of each form),
 ``classify`` (the ``classify_vector_form`` or ``classify_horizontal_form``
 call of ``cmd_analyze``, its own kernel included) and ``write``
-(``cmd_analyze``'s report, ``_classification_dict`` and ``report_json``;
-the header reads the input file again on a tree whose documents do not keep
-the digest of their bytes), each the min over ``ANALYZE_PHASE_REPEATS``
-repeats.
+(``cmd_analyze``'s report, ``_classification_dict`` and ``report_json``,
+its header on the digest the document keeps), each the min over
+``ANALYZE_PHASE_REPEATS`` repeats.
 The Python version and the CPU count come from this interpreter.  Runs
 go one after another, never in parallel.
 """
@@ -407,9 +406,7 @@ def classify(parsed, args):
     return lagrangian.classify_horizontal_form(parsed.payload, parsed.flag, parsed.r,
                                                seed=args.seed)
 def write(rep, args, parsed):
-    # the header of a tree whose documents keep the digest of their bytes takes it; an
-    # older tree's header reads the file again for it
-    report = cli._report_header("analyze", getattr(parsed, "input_digest", args.file), args.seed)
+    report = cli._report_header("analyze", parsed.input_digest, args.seed)
     report["result"] = cli._classification_dict(rep)
     return io.report_json(report)
 with tempfile.TemporaryDirectory() as tmp:
