@@ -530,6 +530,8 @@ def dimension_criterion_multi(sub: Subspace, omega: AlternatingForm, flag: Flag,
     ``ker``, when given, is the form's kernel.
     """
     k1 = omega.degree
+    if not 1 <= r <= k1:
+        raise PreconditionError("horizontality parameter out of range")
     k = k1 - 1
     n = flag.dim_t
     if not flag.vertical.contains_subspace(sub):
@@ -944,6 +946,8 @@ def classify_horizontal_form(omega: AlternatingForm, flag: Flag, r: int | None =
     if r is None:
         r = max((_vertical_count(m, n) for m in aomega._numerators[0]), default=0)
         diagnostics.append(f"horizontality parameter detected from the form: r = {r}")
+    elif r < 0:
+        raise PreconditionError("horizontality parameter out of range")
     k1 = omega.degree
     ker = kernel_of_form(omega)
     if r == 0 or k1 - r > n:

@@ -1,7 +1,9 @@
 """Lie-algebra cochain calculus with trivial coefficients, and the
 rotation-algebra structure example: an exact-level check that the
 invariant two-component 2-form built from a 2-frame is polysymplectic
-with a non-involutive distinguished distribution.
+with a non-involutive distinguished distribution.  The distribution is
+left-invariant, so it is involutive iff its generators span a subalgebra,
+which one rank test on the Lie bracket decides.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from .exterior import AlternatingForm, VectorValuedForm, evaluate, form, project
 from .lagrangian import (check_polylagrangian, classify_vector_form, is_isotropic,
                          kernel_of_form)
 from .linalg import Matrix, Subspace, ZERO, ONE, frac, rank
-from .polyforms import Polynomial, involutive, poly_const, poly_var
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,31 +126,6 @@ def frame_form(g: LieAlgebra, frame: Matrix) -> VectorValuedForm:
     return VectorValuedForm(tuple(project(betas, frame.col(b)) for b in range(frame.cols)))
 
 
-def su2_invariant_fields(vectors) -> list[list[Polynomial]]:
-    """Left-invariant fields on the unit-quaternion chart for given generators.
-
-    The chart is centered at the identity with coordinates (w, x, y, z);
-    right multiplication by a generator is affine in the chart, so the
-    fields are polynomial and have constant rank near the origin.
-    """
-    # q * i, q * j, q * k with q = (1+w) + x i + y j + z k
-    w, x, y, z = (poly_var(4, i) for i in range(1, 5))
-    one_plus_w = poly_const(4, 1) + w
-    base = [
-        [-x, one_plus_w, z, -y],
-        [-y, -z, one_plus_w, x],
-        [-z, y, -x, one_plus_w],
-    ]
-    out = []
-    for v in vectors:
-        comp = [poly_const(4, 0) for _ in range(4)]
-        for a, coeff in enumerate(v):
-            if coeff:
-                comp = [c + base[a][i] * frac(coeff) for i, c in enumerate(comp)]
-        out.append(comp)
-    return out
-
-
 @dataclass
 class Su2Report:
     omega: VectorValuedForm
@@ -183,8 +159,8 @@ def su2_example(frame: Matrix | None = None) -> Su2Report:
     betas_closed = all(chevalley_eilenberg_d(g, b).is_zero() for b in betas)
     isotropic = is_isotropic(dist, omega, 1)
     poly = check_polylagrangian(dist, omega)
-    fields = su2_invariant_fields(cols)
-    invol = involutive(fields)
+    # left-invariant fields bracket as their generators do: involutive iff [d, d] lies in d
+    invol = rank(Matrix.from_cols(cols + [g.bracket(*cols)])) == 2
     classification = classify_vector_form(omega).classification
     diagnostics = [
         f"kernel dimension {kernel_of_form(omega).dim}",

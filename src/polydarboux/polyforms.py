@@ -1,6 +1,5 @@
 """Differential forms with polynomial coefficients on a split coordinate
-space, exact primitive construction, and involutivity of polynomial
-distributions.
+space, and exact primitive construction.
 
 The coordinate space is ordered (x-block, y-block); the y-block plays the
 role of the straightened foliation, so horizontality and verticality are
@@ -14,7 +13,6 @@ ever occur, which is asserted at runtime.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, InternalCheckError, PreconditionError
 from .exterior import indices_of, merge_sign, removal_sign
-from .linalg import Matrix, ZERO, ONE, frac, rank
+from .linalg import ZERO, ONE, frac
 
 # ---------------------------------------------------------------------------
 # sparse polynomials
@@ -109,15 +107,8 @@ class Polynomial:
             total += val
         return total
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __repr__(self):
         return f"Polynomial({dict(sorted(self.terms.items()))!r})"
-
-
-def poly_zero(nvars: int) -> Polynomial:
-    return Polynomial(nvars, {})
 
 
 def poly_const(nvars: int, c) -> Polynomial:
@@ -455,108 +446,3 @@ def moser_potential(omega: PolyForm, omega0: PolyForm) -> PolyForm:
     if max_vertical_factors(alpha) != 0:
         raise InternalCheckError("correction form still touches the fiber directions")
     return alpha
-
-
-# ---------------------------------------------------------------------------
-# polynomial vector fields and involutivity
-
-
-def lie_bracket(x_field: Sequence[Polynomial], y_field: Sequence[Polynomial]) -> list[Polynomial]:
-    """[X, Y] componentwise for polynomial vector fields."""
-    dim = len(x_field)
-    out = []
-    for c in range(dim):
-        acc = poly_zero(dim)
-        for a in range(dim):
-            acc = acc + x_field[a] * y_field[c].diff(a + 1)
-            acc = acc - y_field[a] * x_field[c].diff(a + 1)
-        out.append(acc)
-    return out
-
-
-def _poly_det(rows: list[list[Polynomial]]) -> Polynomial:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    dim = rows[0][0].nvars
-    acc = poly_zero(dim)
-    for j in range(n):
-        entry = rows[0][j]
-        if entry.is_zero():
-            continue
-        minor = [[row[jj] for jj in range(n) if jj != j] for row in rows[1:]]
-        sub = _poly_det(minor)
-        if sub.is_zero():
-            continue
-        term = entry * sub
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
-
-
-def poly_matrix_rank(rows: list[list[Polynomial]]) -> int:
-    """Rank over the rational function field, by minor enumeration."""
-    if not rows or not rows[0]:
-        return 0
-    nr, nc = len(rows), len(rows[0])
-    for size in range(min(nr, nc), 0, -1):
-        for ri in itertools.combinations(range(nr), size):
-            for ci in itertools.combinations(range(nc), size):
-                sub = [[rows[i][j] for j in ci] for i in ri]
-                if not _poly_det(sub).is_zero():
-                    return size
-    return 0
-
-
-@dataclass
-class InvolutivityReport:
-    involutive: bool
-    distribution_rank: int
-    method: str
-    diagnostics: list[str]
-
-
-def _default_region_points(dim: int, count: int = 8, seed: int = 20070) -> list[list[Fraction]]:
-    rng = random.Random(seed)
-    pts = [[ZERO] * dim]
-    for _ in range(count):
-        pts.append([Fraction(rng.randint(-3, 3), rng.randint(2, 5)) for _ in range(dim)])
-    return pts
-
-
-def involutive_report(fields: Sequence[Sequence[Polynomial]],
-                      region_points: list | None = None) -> InvolutivityReport:
-    """Frobenius test for the span of polynomial vector fields.
-
-    The distribution must have constant pointwise rank on the test region
-    (origin plus sampled points); a drop is reported as an error.  Bracket
-    membership is decided symbolically: with constant rank, equality of
-    the generic ranks of [fields] and [fields | bracket] forces pointwise
-    membership everywhere.
-    """
-    fields = [list(f) for f in fields]
-    if not fields:
-        raise PreconditionError("no fields given")
-    dim = len(fields[0])
-    if any(len(f) != dim for f in fields):
-        raise DimensionMismatch("fields have inconsistent dimensions")
-    matrix_rows = [[fields[j][i] for j in range(len(fields))] for i in range(dim)]
-    sym_rank = poly_matrix_rank(matrix_rows)
-    points = region_points if region_points is not None else _default_region_points(dim)
-    for p in points:
-        m = Matrix.from_cols([[f[i].eval(p) for i in range(dim)] for f in fields])
-        if rank(m) != sym_rank:
-            raise PreconditionError(
-                f"rank drop detected at {p}: pointwise rank {rank(m)} != generic rank {sym_rank}")
-    diagnostics = [f"distribution rank {sym_rank}, symbolic minor test"]
-    for a, b in itertools.combinations(range(len(fields)), 2):
-        br = lie_bracket(fields[a], fields[b])
-        aug_rows = [row + [br[i]] for i, row in enumerate(matrix_rows)]
-        if poly_matrix_rank(aug_rows) > sym_rank:
-            diagnostics.append(f"bracket of fields {a + 1},{b + 1} leaves the span")
-            return InvolutivityReport(False, sym_rank, "symbolic", diagnostics)
-    return InvolutivityReport(True, sym_rank, "symbolic", diagnostics)
-
-
-def involutive(fields: Sequence[Sequence[Polynomial]],
-               region_points: list | None = None) -> bool:
-    return involutive_report(fields, region_points).involutive

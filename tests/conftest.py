@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -18,11 +19,11 @@ from polydarboux.exterior import (AlternatingForm, Flag, VectorValuedForm, _cont
                                   mask_of, merge_sign, removal_sign, sorted_sign, with_splitting)
 from polydarboux.lagrangian import _kernel_constraints, _stacked, as_vector_form
 from polydarboux.linalg import (ZERO, ONE, Matrix, Subspace, _echelon, _sparse_vector, complement,
-                                frac, inverse, kernel_subspace, vec)
+                                frac, inverse, kernel_subspace, rank, vec)
 from polydarboux.moser import (DEFAULT_SOLVE_TOL, DeformationField, _pullback_residuals,
                                integrate_flow_batch)
 from polydarboux.polyforms import (PolyForm, Polynomial, moser_potential, pf_add, pf_scale,
-                                   pf_sub, poly_const)
+                                   pf_sub, poly_const, poly_var)
 from polydarboux.sparse import SparseEchelon, _sparse, span_equal, span_of
 
 
@@ -891,6 +892,140 @@ def pullback_residuals_oracle(form: PolyForm, base: dict, points, jacobians) -> 
         keys = set(base) | set(pulled)
         residuals.append(max(abs(pulled.get(m, 0.0) - base.get(m, 0.0)) for m in keys))
     return residuals
+
+
+# ---------------------------------------------------------------------------
+# polynomial vector fields and their Frobenius test by polynomial minors: the
+# oracle that ``lie.su2_example`` decided involutivity with before it read the
+# Lie bracket of its frame
+
+
+def poly_zero(nvars: int) -> Polynomial:
+    return Polynomial(nvars, {})
+
+
+def su2_invariant_fields(vectors) -> list[list[Polynomial]]:
+    """Left-invariant fields on the unit-quaternion chart for given generators.
+
+    The chart is centered at the identity with coordinates (w, x, y, z);
+    right multiplication by a generator is affine in the chart, so the
+    fields are polynomial and have constant rank near the origin.
+    """
+    # q * i, q * j, q * k with q = (1+w) + x i + y j + z k
+    w, x, y, z = (poly_var(4, i) for i in range(1, 5))
+    one_plus_w = poly_const(4, 1) + w
+    base = [
+        [-x, one_plus_w, z, -y],
+        [-y, -z, one_plus_w, x],
+        [-z, y, -x, one_plus_w],
+    ]
+    out = []
+    for v in vectors:
+        comp = [poly_const(4, 0) for _ in range(4)]
+        for a, coeff in enumerate(v):
+            if coeff:
+                comp = [c + base[a][i] * frac(coeff) for i, c in enumerate(comp)]
+        out.append(comp)
+    return out
+
+
+def lie_bracket(x_field, y_field) -> list[Polynomial]:
+    """[X, Y] componentwise for polynomial vector fields."""
+    dim = len(x_field)
+    out = []
+    for c in range(dim):
+        acc = poly_zero(dim)
+        for a in range(dim):
+            acc = acc + x_field[a] * y_field[c].diff(a + 1)
+            acc = acc - y_field[a] * x_field[c].diff(a + 1)
+        out.append(acc)
+    return out
+
+
+def _poly_det(rows: list[list[Polynomial]]) -> Polynomial:
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    dim = rows[0][0].nvars
+    acc = poly_zero(dim)
+    for j in range(n):
+        entry = rows[0][j]
+        if entry.is_zero():
+            continue
+        minor = [[row[jj] for jj in range(n) if jj != j] for row in rows[1:]]
+        sub = _poly_det(minor)
+        if sub.is_zero():
+            continue
+        term = entry * sub
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+def poly_matrix_rank(rows: list[list[Polynomial]]) -> int:
+    """Rank over the rational function field, by minor enumeration."""
+    if not rows or not rows[0]:
+        return 0
+    nr, nc = len(rows), len(rows[0])
+    for size in range(min(nr, nc), 0, -1):
+        for ri in itertools.combinations(range(nr), size):
+            for ci in itertools.combinations(range(nc), size):
+                sub = [[rows[i][j] for j in ci] for i in ri]
+                if not _poly_det(sub).is_zero():
+                    return size
+    return 0
+
+
+@dataclass
+class InvolutivityReport:
+    involutive: bool
+    distribution_rank: int
+    method: str
+    diagnostics: list[str]
+
+
+def _default_region_points(dim: int, count: int = 8, seed: int = 20070) -> list[list[Fraction]]:
+    rng = random.Random(seed)
+    pts = [[ZERO] * dim]
+    for _ in range(count):
+        pts.append([Fraction(rng.randint(-3, 3), rng.randint(2, 5)) for _ in range(dim)])
+    return pts
+
+
+def involutive_report(fields, region_points: list | None = None) -> InvolutivityReport:
+    """Frobenius test for the span of polynomial vector fields.
+
+    The distribution must have constant pointwise rank on the test region
+    (origin plus sampled points); a drop is reported as an error.  Bracket
+    membership is decided symbolically: with constant rank, equality of
+    the generic ranks of [fields] and [fields | bracket] forces pointwise
+    membership everywhere.
+    """
+    fields = [list(f) for f in fields]
+    if not fields:
+        raise PreconditionError("no fields given")
+    dim = len(fields[0])
+    if any(len(f) != dim for f in fields):
+        raise DimensionMismatch("fields have inconsistent dimensions")
+    matrix_rows = [[fields[j][i] for j in range(len(fields))] for i in range(dim)]
+    sym_rank = poly_matrix_rank(matrix_rows)
+    points = region_points if region_points is not None else _default_region_points(dim)
+    for p in points:
+        m = Matrix.from_cols([[f[i].eval(p) for i in range(dim)] for f in fields])
+        if rank(m) != sym_rank:
+            raise PreconditionError(
+                f"rank drop detected at {p}: pointwise rank {rank(m)} != generic rank {sym_rank}")
+    diagnostics = [f"distribution rank {sym_rank}, symbolic minor test"]
+    for a, b in itertools.combinations(range(len(fields)), 2):
+        br = lie_bracket(fields[a], fields[b])
+        aug_rows = [row + [br[i]] for i, row in enumerate(matrix_rows)]
+        if poly_matrix_rank(aug_rows) > sym_rank:
+            diagnostics.append(f"bracket of fields {a + 1},{b + 1} leaves the span")
+            return InvolutivityReport(False, sym_rank, "symbolic", diagnostics)
+    return InvolutivityReport(True, sym_rank, "symbolic", diagnostics)
+
+
+def involutive(fields, region_points: list | None = None) -> bool:
+    return involutive_report(fields, region_points).involutive
 
 
 # ---------------------------------------------------------------------------

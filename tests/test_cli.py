@@ -361,6 +361,25 @@ def test_darboux_refuses_r_below_one_as_symbol_does(tmp_path, capsys, r):
         assert captured.err.splitlines()[0] == "error: horizontality parameter out of range"
 
 
+def test_analyze_refuses_a_negative_r_whatever_the_quotient(tmp_path, capsys):
+    """``multi 1 2 2 2`` was answered by the width of its quotient, ``multi 1 5 2 2`` refused;
+    r = 0 is still answered as outside the admissible range."""
+    for model in (["1", "2", "2", "2"], ["1", "5", "2", "2"]):
+        path = tmp_path / "multi.json"
+        assert run_cli(["canonical", "multi", *model, "-o", str(path)], capsys)[0] == 0
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(doc, r=-1)))
+        assert main(["analyze", str(path), "--json"]) == 1, model
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[0] == "error: horizontality parameter out of range"
+        path.write_text(json.dumps(dict(doc, r=0)))
+        code, out = run_cli(["analyze", str(path), "--json"], capsys)
+        assert code == 0, model
+        assert ("form is outside the admissible horizontality range"
+                in json.loads(out)["result"]["diagnostics"])
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("frame", 5, "frame must be a list of lists, got 5"),
     ("frame", [5], "frame must be a list of lists, got [5]"),

@@ -32,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (contraction_oracle, flat_image_vectors_oracle, integer_coeffs_oracle,
                       is_maximal_isotropic, kernel_constraints_oracle, pf_seeded_oracle,
-                      poly_numerators_oracle)
+                      poly_numerators_oracle, poly_zero)
 from polydarboux import exterior, lagrangian, polyforms
 from polydarboux.cli import main
 from polydarboux.darboux import (canonical_poly_model, conjugated_poly_instance,
@@ -48,7 +48,7 @@ from polydarboux.io import (_ratio_str, alternating_to_document, load_document,
 from polydarboux.linalg import Subspace, annihilator, kernel_subspace
 from polydarboux.polyforms import (PolyForm, Polynomial, _pf_seeded, exterior_d,
                                    homotopy_primitive, max_vertical_factors, pf_scale, pf_zero,
-                                   poly_from_terms, poly_var, poly_zero)
+                                   poly_from_terms, poly_var)
 from polydarboux.sparse import span_equal
 from test_polyform_oracle import oracle_exterior_d, same_layout
 

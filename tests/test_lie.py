@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import involutive, su2_invariant_fields
 from polydarboux.errors import PreconditionError
 from polydarboux.exterior import basis_covector, form
 from polydarboux.lie import (chevalley_eilenberg_d, frame_form,
-                             invariant_two_forms, lie_algebra, su2, su2_example,
-                             su2_invariant_fields)
-from polydarboux.linalg import Matrix
-from polydarboux.polyforms import involutive
+                             invariant_two_forms, lie_algebra, su2, su2_example)
+from polydarboux.linalg import Matrix, rank
 
 
 def test_su2_constants_are_valid():
@@ -99,10 +98,13 @@ def test_su2_example_rejects_degenerate_frame():
         su2_example(Matrix.from_rows([[1, 2], [2, 4], [0, 0]]))
 
 
+OTHER_FRAMES = ([[1, 1], [0, 1], [0, 0]],
+                [[2, 0], [1, 1], [1, 0]],
+                [[0, 1], [1, 0], [3, -2]])
+
+
 def test_su2_example_other_injective_frames_agree():
-    for rows in ([[1, 1], [0, 1], [0, 0]],
-                 [[2, 0], [1, 1], [1, 0]],
-                 [[0, 1], [1, 0], [3, -2]]):
+    for rows in OTHER_FRAMES:
         rep = su2_example(Matrix.from_rows(rows))
         assert rep.classification == "polysymplectic"
         assert rep.polylagrangian
@@ -115,6 +117,20 @@ def test_invariant_fields_bracket_off_plane():
     # the full triple of generators is involutive (it is the whole algebra)
     triple = su2_invariant_fields([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert involutive(triple)
+
+
+def test_su2_involutivity_matches_the_polynomial_field_oracle():
+    """The bracket test of the frame against the Frobenius test of its invariant fields,
+    on 100 seeded injective integer frames and the frames above."""
+    rng = random.Random(36)
+    frames = [Matrix.from_rows(r) for r in OTHER_FRAMES]
+    while len(frames) < 103:
+        m = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(2)] for _ in range(3)])
+        if rank(m) == 2:
+            frames.append(m)
+    for frame in frames:
+        cols = [frame.col(j) for j in range(2)]
+        assert su2_example(frame).involutive == involutive(su2_invariant_fields(cols))
 
 
 def test_frame_form_components():

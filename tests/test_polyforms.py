@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import involutive, involutive_report, lie_bracket, poly_matrix_rank, poly_zero
 from polydarboux.errors import PreconditionError
-from polydarboux.polyforms import (PolyForm, exterior_d, homotopy_primitive, involutive,
-                                   involutive_report, lie_bracket, max_vertical_factors,
-                                   moser_potential, pf_add, pf_contract_basis, pf_scale, pf_sub,
-                                   pf_wedge, pf_zero, poly_const, poly_from_terms,
-                                   poly_matrix_rank, poly_var, poly_zero, constant_spread)
+from polydarboux.polyforms import (PolyForm, exterior_d, homotopy_primitive,
+                                   max_vertical_factors, moser_potential, pf_add,
+                                   pf_contract_basis, pf_scale, pf_sub, pf_wedge, pf_zero,
+                                   poly_const, poly_from_terms, poly_var, constant_spread)
 
 
 def _x(dim, i):
