@@ -22,8 +22,8 @@ from .errors import DocumentError, InternalCheckError, PolydarbouxError, Precond
 from .exterior import pullback
 from .io import (alternating_to_document, load_document, matrix_columns,
                  poly_form_to_document, report_json, subspace_to_rows)
-from .lagrangian import (DEFAULT_SEED, as_vector_form, classify_horizontal_form,
-                         classify_vector_form, symbol)
+from .lagrangian import (DEFAULT_SEED, as_vector_form, check_sample_budget,
+                         classify_horizontal_form, classify_vector_form, symbol)
 from .polyforms import homotopy_primitive, max_vertical_factors
 from .corpus import run_corpus
 
@@ -85,6 +85,7 @@ def _fmt(v) -> str:
 
 def cmd_analyze(args) -> int:
     parsed = load_document(args.file)
+    check_sample_budget(args.samples)  # for every kind, though only 2-forms are sampled
     report = _report_header("analyze", parsed.input_digest, args.seed)
     if parsed.kind == "vector_valued_form" or (parsed.kind == "scalar_form" and parsed.flag is None):
         rep = classify_vector_form(as_vector_form(parsed.payload),

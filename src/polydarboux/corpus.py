@@ -18,7 +18,7 @@ from .lagrangian import (DEFAULT_SEED, as_vector_form, check_sample_budget,
                          kernels_orthogonal_under, polysymplectic_uniform_rank_check,
                          projection_kernel_isotropy_check, search_polylagrangian,
                          uniform_rank)
-from .lie import su2_example
+from .lie import su2, su2_example
 from .linalg import Subspace, frac
 
 
@@ -139,20 +139,15 @@ def check_claims(docpath: str, parsed: FormDocument, *, seed: int = DEFAULT_SEED
 
 
 def _check_lie_claims(name: str, parsed: FormDocument, claims: dict) -> list[ClaimResult]:
-    out = []
+    """The claims of the su(2) example; an algebra with other structure constants fails each."""
+    keys = [key for key in claims if key in ("betas_closed", "isotropic", "polylagrangian",
+                                             "involutive", "classification")]
+    if parsed.payload.c != su2().c:
+        return [ClaimResult(name, f"{key} = {claims[key]}", False,
+                            "the structure constants are not su(2)'s") for key in keys]
     rep = su2_example(parsed.frame)
-    checks = {
-        "betas_closed": rep.betas_closed,
-        "isotropic": rep.isotropic,
-        "polylagrangian": rep.polylagrangian,
-        "involutive": rep.involutive,
-        "classification": rep.classification,
-    }
-    for key, want in claims.items():
-        if key in checks:
-            out.append(ClaimResult(name, f"{key} = {want}", checks[key] == want,
-                                   f"got {checks[key]}"))
-    return out
+    return [ClaimResult(name, f"{key} = {claims[key]}", getattr(rep, key) == claims[key],
+                        f"got {getattr(rep, key)}") for key in keys]
 
 
 def _check_moser_claims(name: str, parsed: FormDocument, claims: dict, *, seed: int) -> list[ClaimResult]:

@@ -538,18 +538,6 @@ def wedge_power_by_exponent(omega: VectorValuedForm, exponent: Sequence[int],
 # misc helpers used downstream
 
 
-def restrict_to_leading(x, new_dim: int):
-    """Reinterpret a form supported on the first ``new_dim`` coordinates."""
-    def cut(a: AlternatingForm) -> AlternatingForm:
-        limit = 1 << new_dim
-        if any(m >= limit for m in a._numerators[0]):
-            raise PreconditionError("form touches a discarded coordinate")
-        return _seeded(new_dim, a.degree, *a._numerators)
-    if isinstance(x, AlternatingForm):
-        return cut(x)
-    return VectorValuedForm(tuple(cut(c) for c in x.components))
-
-
 def embed_in(x, new_dim: int):
     """View a form on a larger space that extends the coordinates."""
     def up(a: AlternatingForm) -> AlternatingForm:

@@ -199,7 +199,7 @@ class PolylagrangianSearch:
     rank: int | None
     diagnostics: list[str] = field(default_factory=list)
     component_complement_dims: list[int] = field(default_factory=list)
-    uniform_rank: int | None = None  # 2-forms with two or more components only
+    uniform_rank: int | None = None  # a 2-form's: codim L if found, else the wedge-power rank
 
 
 def _covector_grid(nhat: int) -> list[list[Fraction]]:
@@ -232,11 +232,12 @@ def search_polylagrangian(omega, *, ker: Subspace | None = None) -> Polylagrangi
     For two or more value components the subspace is pinned down by the
     kernels of the component projections, so failure of that candidate
     proves absence.  For a single component no construction is available;
-    a seeded greedy search is used and a miss is reported as "not found".
+    a seeded greedy search is used and a miss is reported as "not found";
+    a 2-form is never missed, as its first greedy subspace is Lagrangian.
     A caller that already holds the form's kernel passes it as ``ker``.
 
-    A 2-form with two or more components also gets its ``uniform_rank``:
-    N = codim L when L is found, with no wedge power built, and otherwise
+    A 2-form also gets its ``uniform_rank``: N = codim L when L is found,
+    with no wedge power built, and otherwise, for two or more components,
     the wedge-power ``uniform_rank``, which the size diagnostic needs
     anyway.  "found" means ``check_polylagrangian(L)`` holds: the
     contraction image of L is L0 (x) R^nhat, L0 the annihilator of L, of
@@ -299,7 +300,9 @@ def search_polylagrangian(omega, *, ker: Subspace | None = None) -> Polylagrangi
 
     # single component: greedy from seeded starts, verified exactly
     for cand in scalar_polylagrangian_candidates(v, ker=ker):
-        return PolylagrangianSearch(cand, "found", v.dim - cand.dim, diagnostics, [])
+        n_codim = v.dim - cand.dim
+        return PolylagrangianSearch(cand, "found", n_codim, diagnostics, [],
+                                    n_codim if v.degree == 2 else None)
     diagnostics.append("not found - possibly nonexistent (single-component search is heuristic)")
     return PolylagrangianSearch(None, "not_found", None, diagnostics, [])
 
@@ -585,7 +588,8 @@ MAX_WEDGE_TERMS = 500_000  # terms held in the wedge-power memo of uniform_rank 
 
 
 def check_sample_budget(samples: int) -> None:
-    """Refuse more than ``MAX_RANK_SAMPLES`` sampled covectors, or ``moser`` points."""
+    """Refuse a count of sampled covectors, or ``moser`` points, outside 1..``MAX_RANK_SAMPLES``."""
+    _check_sample_count(samples)
     if samples > MAX_RANK_SAMPLES:
         raise PreconditionError(f"{samples} samples exceed the budget of "
                                 f"{MAX_RANK_SAMPLES} (MAX_RANK_SAMPLES)")
@@ -834,16 +838,17 @@ def classify_vector_form(omega, *, seed: int = DEFAULT_SEED, samples: int = 25) 
     """Full classification pipeline for a (vector-valued) alternating form.
 
     The kernel is computed once and handed to the search and the
-    dimension criterion.  For a 2-form with one component the uniform
-    rank is half the rank of that component.  With two or more the
-    search runs first and carries the uniform rank.  When it finds L
-    that is N = codim L, with no wedge power built: the ⊆ half of
-    ``check_polylagrangian(L)`` puts every component in the ideal of the
-    N-dimensional annihilator of L, so the (N+1)-powers vanish, and its
-    ⊇ half gives vectors on which the N-powers evaluate to a diagonal
-    matrix with a nonzero diagonal, so they are independent (spelled out
-    at ``search_polylagrangian``).  Only when L is absent does the
-    wedge-power ``uniform_rank`` run, once, inside the search.
+    dimension criterion.  The search runs first and carries a 2-form's
+    uniform rank.  When it finds L that is N = codim L, with no wedge
+    power built: the ⊆ half of ``check_polylagrangian(L)`` puts every
+    component in the ideal of the N-dimensional annihilator of L, so the
+    (N+1)-powers vanish, and its ⊇ half gives vectors on which the
+    N-powers evaluate to a diagonal matrix with a nonzero diagonal, so
+    they are independent (spelled out at ``search_polylagrangian``).  A
+    one-component 2-form always has L, a Lagrangian subspace, whose
+    codimension is its half-rank.  Only when L is absent, for two or more
+    components, does the wedge-power ``uniform_rank`` run, once, inside
+    the search.
 
     A uniform rank N certifies half-rank N at every nonzero covector,
     which is what the sampler would report for any seed, so it is
@@ -851,28 +856,20 @@ def classify_vector_form(omega, *, seed: int = DEFAULT_SEED, samples: int = 25) 
     runs only when there is no uniform rank.
     """
     v = as_vector_form(omega)
+    check_sample_budget(samples)
     diagnostics: list[str] = []
     if v.is_zero():
         return StructureReport(Subspace.full(v.dim), True, None, None, "none", None,
                                ["form vanishes; definitions require a non-vanishing form"],
                                None, None, seed)
     ker = kernel_of_form(v)
-    uni = cons = search = None
+    search = search_polylagrangian(v, ker=ker)
+    uni = search.uniform_rank
+    cons = None
     if v.degree == 2:
-        check_sample_budget(samples)
-        if v.value_dim == 1:
-            uni = uniform_rank(v)
-        else:
-            search = search_polylagrangian(v, ker=ker)
-            uni = search.uniform_rank
-        if uni is None:
-            cons = constant_rank_sampled(v, samples, seed)
-        else:
-            _check_sample_count(samples)
-            cons = uni
+        cons = uni if uni is not None else constant_rank_sampled(v, samples, seed)
         diagnostics.append(f"uniform rank: {uni}; sampled constant rank: {cons} "
                            f"(seed {seed}, {samples} samples)")
-    search = search or search_polylagrangian(v, ker=ker)
     rep = StructureReport(ker, ker.dim > 0, None, None, "none", None, diagnostics, uni, cons, seed)
     return _classified(rep, search, lambda sub: dimension_criterion_poly(sub, v, ker), "poly",
                        v.degree == 2)
@@ -880,17 +877,16 @@ def classify_vector_form(omega, *, seed: int = DEFAULT_SEED, samples: int = 25) 
 
 def _vertical_greedy(aomega: AlternatingForm, n: int):
     """Greedy maximal isotropic subspaces of the adapted form inside its vertical coordinates,
-    one from each isotropic vertical coordinate line, each once, in vertical coordinates."""
+    one from each vertical coordinate line (every line is isotropic), each once, in vertical
+    coordinates."""
     dim = aomega.dim
     vert = Subspace.span_of_coordinates(dim, range(n + 1, dim + 1))
     seen = set()
     for i in range(n + 1, dim + 1):
-        seed = Subspace.span_of_coordinates(dim, [i])
-        if is_isotropic(seed, aomega, 1):
-            cand = greedy_maximal_isotropic(aomega, seed, within=vert)
-            if cand not in seen:
-                seen.add(cand)
-                yield _shifted(cand, -n, dim - n)
+        cand = greedy_maximal_isotropic(aomega, Subspace.span_of_coordinates(dim, [i]), within=vert)
+        if cand not in seen:
+            seen.add(cand)
+            yield _shifted(cand, -n, dim - n)
 
 
 def detect_multilagrangian(omega: AlternatingForm, flag: Flag, r: int) -> PolylagrangianSearch:

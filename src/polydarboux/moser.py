@@ -379,7 +379,6 @@ def verify_darboux(omega: PolyForm, omega0: PolyForm, sample_points, steps: int 
 class MoserFixture:
     omega: PolyForm
     omega0: PolyForm
-    chart_map: list[Polynomial]
     seed: int
 
 
@@ -415,10 +414,11 @@ def polynomial_map_pullback(constant: PolyForm, chart_map: list[Polynomial]) -> 
     return out
 
 
-def perturbed_multisymplectic(seed: int = 1, amplitude: Fraction = Fraction(1, 20),
-                              terms_per_coord: int = 2) -> MoserFixture:
+def perturbed_multisymplectic(seed: int = 1) -> MoserFixture:
     """Pullback of the six-dimensional multisymplectic model by a seeded
-    near-identity cubic map that preserves the base/fiber block structure.
+    near-identity cubic map that preserves the base/fiber block structure:
+    each coordinate gains two monomials of degree 2 or 3 with coefficients
+    ±1/40 or ±2/40.
 
     Closedness and the structure property hold by construction, the value
     at the origin is unchanged, and the distinguished fiber block stays
@@ -433,25 +433,24 @@ def perturbed_multisymplectic(seed: int = 1, amplitude: Fraction = Fraction(1, 2
     # allowed variable dependencies keep the vertical and fiber blocks invariant
     allowed = {1: [1, 2, 3], 2: [2, 3], 3: [2, 3], 4: [1, 2, 3, 4, 5, 6],
                5: [1, 2, 3, 4, 5, 6], 6: [1, 2, 3, 4, 5, 6]}
-    denom = 2 * amplitude.denominator
     chart_map = []
     for i in range(1, dim + 1):
         comp = poly_var(dim, i)
         vars_i = allowed[i]
-        for _ in range(terms_per_coord):
+        for _ in range(2):
             deg = rng.choice([2, 3])
             exps = [0] * dim
             for _ in range(deg):
                 exps[rng.choice(vars_i) - 1] += 1
             num = rng.choice([-2, -1, 1, 2])
-            comp = comp + poly_from_terms(dim, {tuple(exps): Fraction(num, denom)})
+            comp = comp + poly_from_terms(dim, {tuple(exps): Fraction(num, 40)})
         chart_map.append(comp)
     omega = polynomial_map_pullback(omega0, chart_map)
     if not exterior_d(omega).is_zero():
         raise PreconditionError("perturbed form is not closed (fixture bug)")
     if constant_spread(omega) != omega0:
         raise PreconditionError("perturbation moved the value at the origin (fixture bug)")
-    return MoserFixture(omega, omega0, chart_map, seed)
+    return MoserFixture(omega, omega0, seed)
 
 
 @np.errstate(over="ignore")  # a draw whose norm overflows is outside the ball all the same

@@ -222,6 +222,34 @@ def horizontality_degree(omega: AlternatingForm, flag: Flag) -> int:
     return omega.degree
 
 
+def canonical_multi_symbol(n_rank: int, n_base: int, k: int, r: int) -> VectorValuedForm:
+    """The symbol pattern of the canonical multi model, on vertical coordinates.
+
+    Vertical coordinates order the E block first, then the momentum block;
+    value components run over increasing (k+1-r)-subsets of the base.
+    """
+    slots = darboux.multi_slot_index(n_rank, n_base, k, r)
+    v_dim = n_rank + len(slots)
+    combos = list(itertools.combinations(range(1, n_base + 1), k + 1 - r))
+    terms: dict = {mu: {} for mu in combos}
+    for slot, (s, idx, mu) in enumerate(slots):
+        if s == r - 1:
+            terms[mu][(n_rank + slot + 1,) + idx] = 1
+    return VectorValuedForm(tuple(form(v_dim, r, terms[mu]) for mu in combos))
+
+
+def corrupt_first_basis_column(monkeypatch):
+    """Make ``darboux._assemble`` double the first frame column of every basis it builds."""
+    real = darboux._assemble
+
+    def corrupted(induction, ker, labels):
+        matrix, labels = real(induction, ker, labels)
+        first = {i: 2 * x for i, x in matrix.columns[0].items()}
+        return Matrix(matrix.rows, (first,) + matrix.columns[1:]), labels
+
+    monkeypatch.setattr(darboux, "_assemble", corrupted)
+
+
 def orthogonal_complement(sub: Subspace, omega, level: int) -> Subspace:
     """Vectors annihilating omega after ``level`` contractions with the subspace.
 
@@ -637,14 +665,6 @@ def pullback_oracle(a: FractionForm, m) -> FractionForm:
     if m.rows != a.dim:
         raise DimensionMismatch("matrix row count does not match form dimension")
     return pullback_scalar_oracle(a, _row_forms_oracle(m), m.cols, {(): {0: 1}})
-
-
-def restrict_to_leading_oracle(a: FractionForm, new_dim: int) -> FractionForm:
-    limit = 1 << new_dim
-    for m in a.coeffs:
-        if m >= limit:
-            raise PreconditionError("form touches a discarded coordinate")
-    return FractionForm(new_dim, a.degree, dict(a.coeffs))
 
 
 def embed_in_oracle(a: FractionForm, new_dim: int) -> FractionForm:

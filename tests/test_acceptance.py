@@ -10,11 +10,11 @@ import time
 from fractions import Fraction
 from math import comb
 
-from conftest import count_horizontal_monomials, random_form, random_vector
-from polydarboux.darboux import (canonical_multi_model, canonical_multi_symbol,
-                                 canonical_poly_model, conjugated_multi_instance,
-                                 conjugated_poly_instance, darboux_basis_multi,
-                                 darboux_basis_poly)
+from conftest import (canonical_multi_symbol, count_horizontal_monomials, random_form,
+                      random_vector)
+from polydarboux.darboux import (canonical_multi_model, canonical_poly_model,
+                                 conjugated_multi_instance, conjugated_poly_instance,
+                                 darboux_basis_multi, darboux_basis_poly)
 from polydarboux.errors import PreconditionError
 from polydarboux.exterior import (VectorValuedForm, add, contract, form, project,
                                   pullback, scale, wedge)

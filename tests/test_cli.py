@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import polydarboux
+from conftest import corrupt_first_basis_column
 from polydarboux import cli
 from polydarboux.cli import main
 from polydarboux.corpus import corpus_files
@@ -378,6 +379,39 @@ def test_analyze_refuses_a_negative_r_whatever_the_quotient(tmp_path, capsys):
         assert code == 0, model
         assert ("form is outside the admissible horizontality range"
                 in json.loads(out)["result"]["diagnostics"])
+
+
+@pytest.mark.parametrize("model", [["poly", "3", "1", "2"], ["multi", "1", "2", "2", "2"],
+                                   ["poly", "3", "2", "1"]])
+@pytest.mark.parametrize("samples, message", [
+    ("0", "sample count must be positive"),
+    ("-3", "sample count must be positive"),
+    ("1000000000", "1000000000 samples exceed the budget of 10000 (MAX_RANK_SAMPLES)"),
+])
+def test_analyze_refuses_samples_outside_the_budget_for_every_kind(tmp_path, capsys, model,
+                                                                  samples, message):
+    """A one-component 3-form and a flagged form are not sampled, and were answered with exit 0."""
+    path = str(tmp_path / "model.json")
+    assert run_cli(["canonical", *model, "--shuffle-seed", "3", "-o", path], capsys)[0] == 0
+    assert main(["analyze", path, "--samples", samples, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == f"error: {message}"
+    assert run_cli(["analyze", path, "--samples", "1", "--json"], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("model", [["poly", "2", "2", "1"], ["poly", "3", "1", "2"],
+                                   ["multi", "1", "2", "2", "2"]])
+def test_darboux_exits_3_when_the_pullback_check_fails(tmp_path, capsys, monkeypatch, model):
+    path = str(tmp_path / "model.json")
+    assert run_cli(["canonical", *model, "--shuffle-seed", "3", "-o", path], capsys)[0] == 0
+    assert run_cli(["darboux", path, "--json"], capsys)[0] == 0
+    corrupt_first_basis_column(monkeypatch)
+    assert main(["darboux", path, "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == ("internal consistency failure: constructed basis "
+                                            "does not reproduce the model coefficients")
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -4,16 +4,16 @@ from math import comb
 
 import pytest
 
-from conftest import extend_isotropic_complement, identity, intersect, matmul
-from polydarboux.darboux import (canonical_multi_model,
-                                 canonical_multi_symbol, canonical_poly_model,
+from conftest import (canonical_multi_symbol, corrupt_first_basis_column,
+                      extend_isotropic_complement, identity, intersect, matmul)
+from polydarboux.darboux import (canonical_multi_model, canonical_poly_model,
                                  conjugated_multi_instance, conjugated_poly_instance,
                                  darboux_basis_multi, darboux_basis_poly, seeded_conjugate)
-from polydarboux.errors import ConstructionError, PreconditionError
+from polydarboux.errors import ConstructionError, InternalCheckError, PreconditionError
 from polydarboux.exterior import VectorValuedForm, embed_in, form, pullback
 from polydarboux.lagrangian import (check_multilagrangian, is_isotropic, kernel_of_form,
                                     search_polylagrangian, symbol)
-from polydarboux.linalg import Subspace, inverse, subspace_sum, transform_subspace
+from polydarboux.linalg import Subspace, complement, inverse, subspace_sum, transform_subspace
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +197,29 @@ def test_darboux_multi_on_flag_preserving_conjugates():
             assert pullback(moved, basis.matrix) == model.form
 
 
+@pytest.mark.parametrize("kind, params", [("poly", (2, 2, 1)), ("poly", (3, 1, 2)),
+                                          ("multi", (1, 2, 2, 2)), ("multi", (2, 3, 2, 3))])
+def test_a_corrupted_basis_column_fails_the_pullback_check(kind, params, monkeypatch):
+    # the pullback check is the whole certificate of both builders: a basis with one
+    # wrong frame column is refused, whether L is detected or supplied
+    if kind == "poly":
+        model = canonical_poly_model(*params)
+        moved, lagr, _ = conjugated_poly_instance(model, 3)
+        builds = [lambda: darboux_basis_poly(moved), lambda: darboux_basis_poly(moved, lagr)]
+    else:
+        model = canonical_multi_model(*params)
+        moved, lagr, _ = conjugated_multi_instance(model, 3)
+        builds = [lambda: darboux_basis_multi(moved, model.flag, params[3]),
+                  lambda: darboux_basis_multi(moved, model.flag, params[3], lagr)]
+    for build in builds:
+        assert pullback(moved, build().matrix) == model.form
+    corrupt_first_basis_column(monkeypatch)
+    for build in builds:
+        with pytest.raises(InternalCheckError,
+                           match="constructed basis does not reproduce the model coefficients"):
+            build()
+
+
 def test_darboux_multi_multisymplectic_pattern():
     model = canonical_multi_model(1, 2, 2, 2)
     moved, lagr, _ = conjugated_multi_instance(model, seed=19)
@@ -257,7 +280,7 @@ def test_poly_induction_inverts_codim_l_matrices_only_at_pairing_steps(monkeypat
     assert pullback(moved, basis.matrix) == model.form
     # the candidates are the standard vectors completing L, in index order; one
     # that pairs with no slot becomes its frame vector unchanged
-    candidates = darboux_module._greedy_standard_completion(model.dim, lagr.echelon, 16)
+    candidates = complement(lagr).pivot_columns()
     pairing_steps = sum(basis.matrix.col(j) != tuple(int(i == p) for i in range(model.dim))
                         for j, p in enumerate(candidates))
     assert 0 < pairing_steps < 16

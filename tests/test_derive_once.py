@@ -16,10 +16,9 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import contraction_oracle, vectors
+from conftest import canonical_multi_symbol, contraction_oracle, vectors
 from polydarboux import exterior, lagrangian
-from polydarboux.darboux import (_multi_model_data, canonical_multi_model,
-                                 canonical_multi_symbol, canonical_poly_model,
+from polydarboux.darboux import (_multi_model_data, canonical_multi_model, canonical_poly_model,
                                  conjugated_multi_instance, conjugated_poly_instance,
                                  darboux_basis_multi, multi_slot_index)
 from polydarboux.errors import PreconditionError

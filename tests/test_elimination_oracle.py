@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (contains, identity, matmul, row, row_list, row_rank, vectors,
                       zero_matrix)
-from polydarboux.darboux import _greedy_standard_completion, seeded_conjugate
-from polydarboux.errors import ConstructionError, PreconditionError
+from polydarboux.darboux import seeded_conjugate
+from polydarboux.errors import PreconditionError
 from polydarboux.linalg import Matrix, Subspace, complement, inverse, kernel_basis, rank
 from polydarboux.sparse import _sparse, span_of
 
@@ -263,7 +263,7 @@ def test_singular_inverse_and_zero_rows():
 
 
 # ---------------------------------------------------------------------------
-# complement and greedy completion vs per-candidate Subspace rebuilds
+# complement and the Darboux completion vs per-candidate Subspace rebuilds
 
 
 def oracle_complement(a: Subspace, inside: Subspace) -> Subspace:
@@ -320,15 +320,13 @@ def test_complement_and_completion_match_rebuild(seed):
     assert complement(a, inside) == oracle_complement(a, inside)
     assert complement(a) == oracle_complement(a, Subspace.full(dim))
     avoid = Subspace.from_vectors(dim, _random_vectors(rng, dim, rng.randint(0, dim)))
-    count = rng.randint(0, dim - avoid.dim)
     span = span_of(map(_sparse, vectors(avoid)))
     rows = {p: dict(r) for p, r in span.rows.items()}
-    # the picks come as the indices of the standard vectors
-    assert _greedy_standard_completion(dim, span, count) == [
-        e.index(ONE) for e in oracle_completion(dim, avoid, count)]
+    # the Darboux induction's completion: the complement's pivots are the indices of the
+    # standard vectors it picks, in index order
+    assert list(complement(Subspace(dim, span)).pivot_columns()) == [
+        e.index(ONE) for e in oracle_completion(dim, avoid, dim - avoid.dim)]
     assert span.rows == rows  # the picks are made in a copy
-    with pytest.raises(ConstructionError):
-        _greedy_standard_completion(dim, span, dim - avoid.dim + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Differential tests: scalar forms as their reduced integer views against the ``Fraction`` path.
 
 ``exterior.AlternatingForm`` is stored as its view ``({mask: n}, den)``, reduced by its gcd,
-and ``add``, ``scale``, ``project``, ``wedge``, ``contract``, ``pullback``,
-``restrict_to_leading`` and ``embed_in`` accumulate on it.  ``conftest`` keeps the previous
+and ``add``, ``scale``, ``project``, ``wedge``, ``contract``, ``pullback`` and ``embed_in``
+accumulate on it.  ``conftest`` keeps the previous
 class, a ``Fraction`` dict with equality on it, and those operations on it as oracles; a
 difference is ``add`` of the negated form against the oracle's ``sub``.  Each
 result must hold the same coefficients in the same order, print the same terms and ``repr``,
@@ -19,11 +19,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (FractionForm, add_oracle, contract_form_oracle, embed_in_oracle,
-                      form_oracle, project_oracle, pullback_oracle, restrict_to_leading_oracle,
-                      scale_oracle, sub_oracle, wedge_form_oracle)
+                      form_oracle, project_oracle, pullback_oracle, scale_oracle, sub_oracle,
+                      wedge_form_oracle)
 from polydarboux.exterior import (AlternatingForm, VectorValuedForm, _seeded, add, contract,
-                                  embed_in, form, project, pullback, restrict_to_leading, scale,
-                                  wedge)
+                                  embed_in, form, project, pullback, scale, wedge)
 from polydarboux.linalg import Matrix
 
 settings.register_profile("form_view_oracle", deadline=None, max_examples=200, derandomize=True)
@@ -122,8 +121,6 @@ def test_form_arithmetic_matches_the_fraction_path(data):
     m = Matrix(rows, tuple({i: Fraction(x) for i, x in enumerate(col) if x} for col in cols))
     pairs.append((outcome(pullback, a, m), outcome(pullback_oracle, fa, m)))
     for new_dim in range(-1, dim + 3):
-        pairs.append((outcome(restrict_to_leading, a, new_dim),
-                      outcome(restrict_to_leading_oracle, fa, new_dim)))
         pairs.append((outcome(embed_in, a, new_dim), outcome(embed_in_oracle, fa, new_dim)))
     for new, old in pairs:
         assert_same(new, old)

@@ -4,8 +4,9 @@ from math import comb
 
 import pytest
 
-from conftest import (identity, intersect, is_maximal_isotropic, orthogonal_complement,
-                      random_form, std_vector, to_vertical_coordinates_oracle, vectors)
+from conftest import (canonical_multi_symbol, identity, intersect, is_maximal_isotropic,
+                      orthogonal_complement, random_form, std_vector,
+                      to_vertical_coordinates_oracle, vectors)
 from polydarboux.darboux import (canonical_multi_model, canonical_poly_model,
                                  conjugated_multi_instance, conjugated_poly_instance,
                                  seeded_conjugate)
@@ -393,10 +394,28 @@ def test_cross_kernel_orthogonality_fails_under_third(area_triple_form):
 # symbol and horizontal structure
 
 
+def _multi_models_to_dim_64():
+    """Criterion 3's grid, then every model with N, n, k in 1..6 and dimension at most 64."""
+    grid = [(n_rank, n_base, k, r) for n_rank in (1, 2, 3) for n_base in (1, 2, 3)
+            for k in (1, 2, 3) for r in range(2, k + 2) if k + 1 - r <= n_base]
+    grid += [(n_rank, n_base, k, r) for n_rank in range(1, 7) for n_base in range(1, 7)
+             for k in range(1, 7) for r in range(1, k + 2)
+             if n_rank + n_base + sum(comb(n_rank, s) * comb(n_base, k - s)
+                                      for s in range(r)) <= 64]
+    for params in dict.fromkeys(grid):
+        try:
+            yield canonical_multi_model(*params)
+        except PreconditionError:
+            pass  # the model form would vanish
+
+
 def test_symbol_of_canonical_multi_matches_pattern():
-    from polydarboux.darboux import canonical_multi_symbol
-    for (n_rank, n_base, k, r) in [(2, 2, 2, 2), (1, 2, 2, 2), (2, 2, 2, 3), (3, 2, 3, 2)]:
-        model = canonical_multi_model(n_rank, n_base, k, r)
+    # a basis that pulls a form back to a model carries the model's symbol, so this is
+    # the symbol half of every multi Darboux basis
+    models = list(_multi_models_to_dim_64())
+    assert len(models) > 150 and max(model.dim for model in models) == 64
+    for model in models:
+        n_rank, n_base, k, r = model.params
         assert symbol(model.form, model.flag, r) == canonical_multi_symbol(n_rank, n_base, k, r)
 
 
@@ -411,7 +430,6 @@ def test_symbol_with_void_horizontality_restricts_the_form():
 
 
 def test_symbol_of_multisymplectic_model():
-    from polydarboux.darboux import canonical_multi_symbol
     model = canonical_multi_model(2, 2, 2, 2)  # k = n = 2, r = 2
     sym = symbol(model.form, model.flag, 2)
     expected = canonical_multi_symbol(2, 2, 2, 2)

@@ -1,11 +1,15 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import involutive, su2_invariant_fields
+from polydarboux.corpus import check_claims, corpus_files
 from polydarboux.errors import PreconditionError
+from polydarboux.io import load_document
 from polydarboux.exterior import basis_covector, form
 from polydarboux.lie import (chevalley_eilenberg_d, frame_form,
                              invariant_two_forms, lie_algebra, su2, su2_example)
@@ -139,3 +143,19 @@ def test_frame_form_components():
     betas = invariant_two_forms(g)
     assert omega.components[0] == betas[0]
     assert omega.components[1] == betas[1]
+
+
+def test_lie_claims_fail_on_an_algebra_that_is_not_su2(tmp_path):
+    """The abelian copy of su2_frame.json passed all five claims, which ran on su(2) itself."""
+    source = next(p for p in corpus_files() if p.endswith("su2_frame.json"))
+    doc = json.loads(Path(source).read_text())
+    assert all(r.ok for r in check_claims(source, load_document(source)))
+    for term in doc["structure_constants"]:
+        term["value"] = "0"
+    path = str(tmp_path / "abelian_frame.json")
+    Path(path).write_text(json.dumps(doc))
+    results = {r.claim.split(" = ")[0]: r for r in check_claims(path, load_document(path))}
+    assert set(results) == set(doc["claims"])
+    assert not results["involutive"].ok and not results["classification"].ok
+    assert all(not r.ok and r.detail == "the structure constants are not su(2)'s"
+               for r in results.values())

@@ -28,9 +28,11 @@ from conftest import vectors, zero_matrix
 from polydarboux import cli, exterior, lagrangian
 from polydarboux.corpus import corpus_files
 from polydarboux.darboux import (canonical_multi_model, canonical_poly_model,
-                                 conjugated_multi_instance, conjugated_poly_instance)
-from polydarboux.exterior import (AlternatingForm, VectorValuedForm, add, form, merge_sign,
-                                  project, wedge, wedge_power_by_exponent, zero_form)
+                                 conjugated_multi_instance, conjugated_poly_instance,
+                                 seeded_conjugate)
+from polydarboux.exterior import (AlternatingForm, VectorValuedForm, add, embed_in, form,
+                                  merge_sign, project, pullback, wedge, wedge_power_by_exponent,
+                                  zero_form)
 from polydarboux.errors import InternalCheckError, PreconditionError
 from polydarboux.io import load_document
 from polydarboux.lagrangian import (DEFAULT_SEED, MAX_WEDGE_TERMS, StructureReport,
@@ -532,13 +534,55 @@ def test_uniform_rank_from_codim_matches_the_memo_on_models(n_rank, nhat, shuffl
     assert rep.lagrangian_subspace is not None
 
 
-@pytest.mark.parametrize("params", [(2, 2, 1), (5, 3, 1), (4, 2, 2)])
+@pytest.mark.parametrize("params", [(2, 2, 1), (5, 3, 1), (4, 2, 2),
+                                    (4, 1, 1), (3, 1, 2), (4, 1, 3)])
 def test_search_carries_the_uniform_rank_of_a_found_2form(params):
     """codim L for a 2-form; no uniform rank is defined past degree 2."""
     moved = conjugated_poly_instance(canonical_poly_model(*params), 3)[0]
     search = search_polylagrangian(moved)
     assert search.status == "found"
     assert search.uniform_rank == (moved.dim - search.subspace.dim if params[2] == 1 else None)
+
+
+def rank_path_classify(v: VectorValuedForm, seed: int, samples: int) -> StructureReport:
+    """``classify_vector_form`` on a one-component 2-form as it was: ``uniform_rank`` (one
+    ``rank_2form``) before the search, which carried no rank."""
+    ker = kernel_of_form(v)
+    uni = uniform_rank(v)
+    cons = uni if uni is not None else constant_rank_sampled(v, samples, seed)
+    diagnostics = [f"uniform rank: {uni}; sampled constant rank: {cons} "
+                   f"(seed {seed}, {samples} samples)"]
+    rep = StructureReport(ker, ker.dim > 0, None, None, "none", None, diagnostics, uni, cons, seed)
+    return lagrangian._classified(rep, search_polylagrangian(v, ker=ker),
+                                  lambda sub: dimension_criterion_poly(sub, v, ker), "poly", True)
+
+
+def one_component_2forms():
+    """Conjugated ``poly N 1 1`` models with 0-2 kernel dimensions added, and nonzero random
+    integer 2-forms, dense and sparse."""
+    out = []
+    for n_rank in range(1, 6):
+        for extra in range(3):
+            model = canonical_poly_model(n_rank, 1, 1)
+            dim = model.dim + extra
+            seed = 10 * n_rank + extra
+            moved = embed_in(conjugated_poly_instance(model, seed)[0], dim)
+            out.append(pullback(moved, seeded_conjugate(dim, seed + 1).matrix))
+    rng = random.Random(37)
+    for dim in range(2, 9):
+        for density in (0.2, 0.6, 1.0):
+            out.append(VectorValuedForm((form(dim, 2, {
+                idx: rng.randint(-3, 3) for idx in itertools.combinations(range(1, dim + 1), 2)
+                if rng.random() < density}),)))
+    return [v for v in out if not v.is_zero()]
+
+
+@pytest.mark.parametrize("v", one_component_2forms())
+def test_one_component_rank_from_codim_matches_the_rank_path(v):
+    v = as_vector_form(v)
+    rep = classify_vector_form(v, seed=5, samples=7)
+    assert rep == rank_path_classify(v, 5, 7)
+    assert rep.uniform_rank == rank_2form(v.components[0]) == v.dim - rep.lagrangian_subspace.dim
 
 
 def test_found_2form_builds_no_wedge_power(monkeypatch):
