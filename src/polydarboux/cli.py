@@ -85,15 +85,15 @@ def _fmt(v) -> str:
 
 def cmd_analyze(args) -> int:
     parsed = load_document(args.file)
-    check_sample_budget(args.samples)  # for every kind, though only 2-forms are sampled
     report = _report_header("analyze", parsed.input_digest, args.seed)
     if parsed.kind == "vector_valued_form" or (parsed.kind == "scalar_form" and parsed.flag is None):
         rep = classify_vector_form(as_vector_form(parsed.payload),
                                    seed=args.seed, samples=args.samples)
-    elif parsed.kind == "scalar_form":
-        rep = classify_horizontal_form(parsed.payload, parsed.flag, parsed.r, seed=args.seed)
     else:
-        raise PolydarbouxError(f"analyze does not apply to kind {parsed.kind!r}")
+        check_sample_budget(args.samples)  # as classify_vector_form does, for every kind
+        if parsed.kind != "scalar_form":
+            raise PolydarbouxError(f"analyze does not apply to kind {parsed.kind!r}")
+        rep = classify_horizontal_form(parsed.payload, parsed.flag, parsed.r, seed=args.seed)
     report["result"] = _classification_dict(rep)
     _emit(report, args.json)
     return 0

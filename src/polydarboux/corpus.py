@@ -104,6 +104,7 @@ def check_claims(docpath: str, parsed: FormDocument, *, seed: int = DEFAULT_SEED
         got = projection_kernel_isotropy_check(v)
         add("projection kernels isotropic across the covector grid",
             got == claims["projection_kernel_isotropy_grid"], f"got {got}")
+    search = None
     if ("polylagrangian_status" in claims or "classification" in claims
             or "required_polylagrangian_dim" in claims):
         search = search_polylagrangian(v)
@@ -132,7 +133,7 @@ def check_claims(docpath: str, parsed: FormDocument, *, seed: int = DEFAULT_SEED
                 search.subspace.dim == claims["lagrangian_dim"],
                 f"got {search.subspace.dim}")
     if claims.get("polysymplectic_uniform_rank"):
-        search = search_polylagrangian(v)
+        search = search or search_polylagrangian(v)
         got = search.status == "found" and polysymplectic_uniform_rank_check(v, search.subspace)
         add("uniform rank equals the subspace codimension", got)
     return out

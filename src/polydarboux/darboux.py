@@ -217,7 +217,7 @@ class _Basis:
         return out
 
 
-def _momentum_map(v: VectorValuedForm, lagr: Subspace, ker: Subspace):
+def _momentum_map(v: VectorValuedForm, lagr: Subspace):
     """The map (duals, slot) -> the momentum vector of the slot.
 
     That is the vector of L whose contraction with v is the wedge of the
@@ -227,7 +227,7 @@ def _momentum_map(v: VectorValuedForm, lagr: Subspace, ker: Subspace):
     the complement's echelon rows, and the momentum vector is sparse.
     """
     dim = v.dim
-    l_prime = complement(ker, inside=lagr).rows()
+    l_prime = complement(kernel_of_form(v), inside=lagr).rows()
     solver = SparseSolver()
     for b in l_prime:
         solver.add_generator(_stacked(contract(b, v)))
@@ -250,7 +250,7 @@ def _momentum_map(v: VectorValuedForm, lagr: Subspace, ker: Subspace):
     return momentum
 
 
-def _induction(v: VectorValuedForm, lagr: Subspace, ker: Subspace, fixed: list,
+def _induction(v: VectorValuedForm, lagr: Subspace, fixed: list,
                flag: Flag | None = None, r: int | None = None):
     """The basis, the slots and the momentum map of one Darboux induction.
 
@@ -279,11 +279,11 @@ def _induction(v: VectorValuedForm, lagr: Subspace, ker: Subspace, fixed: list,
         size = n_rank + flag.dim_t
         slots = [(0, idx + tuple(n_rank + m for m in mu))
                  for (_, idx, mu) in multi_slot_index(n_rank, flag.dim_t, k, r)]
-    if not lagr.contains_subspace(ker):
+    if not lagr.contains_subspace(ker := kernel_of_form(v)):
         raise PreconditionError(
             f"the subspace does not contain the kernel of the form (dimension {ker.dim}); "
             "a Darboux basis needs L to contain the kernel")
-    momentum = _momentum_map(v, lagr, ker)
+    momentum = _momentum_map(v, lagr)
     avoid = lagr.echelon.copy()
     for x in fixed:
         avoid.insert(x)
@@ -336,19 +336,18 @@ def darboux_basis_poly(omega, lagrangian: Subspace | None = None) -> DarbouxBasi
     a failure raises, so a returned basis is always correct.
     """
     v = as_vector_form(omega)
-    ker = kernel_of_form(v)
     if lagrangian is None:
-        search = search_polylagrangian(v, ker=ker)
+        search = search_polylagrangian(v)
         if search.status != "found":
             raise ConstructionError(
                 f"no polylagrangian subspace ({search.status}): " + "; ".join(search.diagnostics))
         lagr = search.subspace
     else:
-        if not check_polylagrangian(lagrangian, v, ker):
+        if not check_polylagrangian(lagrangian, v):
             raise PreconditionError("supplied subspace fails the contraction-image equality")
         lagr = lagrangian
     params = (v.dim - lagr.dim, v.value_dim, v.degree - 1)
-    basis, labels = _assemble(_induction(v, lagr, ker, []), ker,
+    basis, labels = _assemble(_induction(v, lagr, []), kernel_of_form(v),
                               poly_coordinate_labels(*params))
     expected = embed_in(canonical_poly_model(*params).form, v.dim)
     if pullback(v, basis) != expected:
@@ -390,10 +389,10 @@ def darboux_basis_multi(omega: AlternatingForm, flag: Flag, r: int,
             # every vertical subspace is isotropic for a vanishing symbol
             e_v = complement(lagr_v).unit_rows()
         else:
-            e_v = _induction(sym, lagr_v, kernel_of_form(sym), [])[0].frame
+            e_v = _induction(sym, lagr_v, [])[0].frame
         e_vecs = flag.lift_vertical(e_v)
-    ker = kernel_of_form(omega)
-    basis, labels = _assemble(_induction(as_vector_form(omega), lagr, ker, e_vecs, flag, r), ker,
+    basis, labels = _assemble(_induction(as_vector_form(omega), lagr, e_vecs, flag, r),
+                              kernel_of_form(omega),
                               multi_coordinate_labels(n_rank, n_base, k, r))
     expected = embed_in(_multi_model_data(n_rank, n_base, k, r)[0], omega.dim)
     if pullback(omega, basis) != expected:

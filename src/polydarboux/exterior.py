@@ -118,8 +118,8 @@ class AlternatingForm:
 
     @cached_property
     def _images(self) -> dict:
-        """Contraction images by vector items, filled by ``_contract_scalar``;
-        outside ``==`` and ``repr``."""
+        """Contraction images by vector items, filled by ``_contract_scalar``, and the kernel
+        under ``None``, by ``lagrangian.kernel_of_form``; outside ``==`` and ``repr``."""
         return {}
 
     def coefficient(self, indices: Sequence[int]) -> Fraction:
@@ -329,6 +329,12 @@ class VectorValuedForm:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
+
+    @cached_property
+    def _images(self) -> dict:
+        """The kernel under ``None``, by ``lagrangian.kernel_of_form``; a one-component form
+        has its component's, so every wrapper of one scalar form shares it."""
+        return self.components[0]._images if self.value_dim == 1 else {}
 
     def __repr__(self):
         return f"VectorValuedForm({self.value_dim} components, {self.components!r})"

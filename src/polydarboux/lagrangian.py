@@ -70,17 +70,6 @@ def _annihilator_wedges(sub: Subspace, k: int) -> list[AlternatingForm]:
     return out
 
 
-def _lperp_tensor_basis(sub: Subspace, k: int, value_dim: int) -> list[dict]:
-    """Basis of (Lambda^k L-perp) tensor the value space, stacked, for spans only: each
-    wedge as its integer view, a positive multiple of it."""
-    wedges = _annihilator_wedges(sub, k)
-    out = []
-    for a in range(value_dim):
-        for w in wedges:
-            out.append({(a, m): n for m, n in w._numerators[0].items()})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # kernels and orthogonal complements
 
@@ -105,11 +94,14 @@ def _kernel_constraints(x) -> list[dict]:
 
 
 def kernel_of_form(x) -> Subspace:
-    """{v : i_v omega = 0}; the intersection of the component kernels."""
+    """{v : i_v omega = 0}; the intersection of the component kernels, remembered by the
+    form beside its contraction images, so each form is eliminated once."""
     v = as_vector_form(x)
-    if v.degree == 0:
-        return Subspace.full(v.dim)
-    return kernel_subspace(_kernel_constraints(v), v.dim)
+    memo = v._images
+    if None not in memo:
+        memo[None] = (Subspace.full(v.dim) if v.degree == 0
+                      else kernel_subspace(_kernel_constraints(v), v.dim))
+    return memo[None]
 
 
 def _dot(r: dict, u: dict):
@@ -144,39 +136,74 @@ def is_isotropic(sub: Subspace, omega, level: int = 1) -> bool:
 # polylagrangian tests
 
 
-def check_polylagrangian(sub: Subspace, omega, ker: Subspace | None = None) -> bool:
+def _images_fill(sub: Subspace, omega, n: int, r: int) -> bool:
+    """Do the images i_u omega, u in ``sub``, span the annihilating k-forms of ``sub`` with
+    fewer than r factors past the first n coordinates, in every value component?  Poly is the
+    multi equality over an empty base, n = 0 and r = degree, so nothing is cut (r > k); multi
+    is the adapted form and a candidate in its last, vertical, coordinates.  Each wedge is
+    stacked as its integer view: scaling it scales its column and its rows alike."""
+    v = as_vector_form(omega)
+    k = v.degree - 1
+    lhs = flat_image_vectors(v, sub.rows())
+    wedges = _annihilator_wedges(sub, k)
+    stacked = [{(a, m): c for m, c in w._numerators[0].items()}
+               for a in range(v.value_dim) for w in wedges]
+    bad_rows: dict = {}
+    for i, w in enumerate(stacked if r <= k else ()):
+        for key, c in w.items():
+            if _vertical_count(key[1], n) >= r:
+                bad_rows.setdefault(key, {})[i] = c
+    if not bad_rows:
+        return span_equal(lhs, stacked)
+    rhs = []
+    for sol in kernel_basis(list(bad_rows.values()), len(stacked)):
+        acc: dict = {}
+        for i, coef in sol.items():
+            _axpy(acc, -coef, stacked[i])
+        if acc:
+            rhs.append(acc)
+    return span_equal(lhs, rhs)
+
+
+def _counted_dim(v: VectorValuedForm, codim: int, n: int, r: int) -> int:
+    """dim ker + nhat * sum_{s<r} C(codim, s) C(n, k - s), k = degree - 1: the dimension of a
+    subspace of codimension ``codim`` (in the vertical space) satisfying the equality; poly
+    (n = 0, r = degree) gives dim ker + nhat * C(codim, k)."""
+    k = v.degree - 1
+    return kernel_of_form(v).dim + v.value_dim * sum(comb(codim, s) * comb(n, k - s)
+                                                     for s in range(r))
+
+
+def _dimension_criterion(sub: Subspace, v: VectorValuedForm, codim: int, n: int, r: int) -> bool:
+    return (sub.contains_subspace(kernel_of_form(v)) and is_isotropic(sub, v, 1)
+            and sub.dim == _counted_dim(v, codim, n, r))
+
+
+def check_polylagrangian(sub: Subspace, omega) -> bool:
     """Does contracting the subspace fill every annihilating form value?
 
     When the equality holds, the dimension identity
     dim L = dim ker + value_dim * C(codim L, degree-1) is also asserted
-    as an internal consistency check.  A caller that holds the form's
-    kernel passes it as ``ker``.
+    as an internal consistency check.
     """
     v = as_vector_form(omega)
     if sub.ambient_dim != v.dim:
         raise DimensionMismatch("subspace does not live on the form's space")
-    k = v.degree - 1
-    lhs = flat_image_vectors(v, sub.rows())
-    rhs = _lperp_tensor_basis(sub, k, v.value_dim)
-    if not span_equal(lhs, rhs):
+    if not _images_fill(sub, v, 0, v.degree):
         return False
-    if not v.is_zero():
-        # the counting identity is implied for non-vanishing forms
-        ker = ker if ker is not None else kernel_of_form(v)
-        n_codim = v.dim - sub.dim
-        expected = ker.dim + v.value_dim * comb(n_codim, k)
-        if sub.dim != expected:
-            raise InternalCheckError(
-                f"contraction-image equality holds but dim L = {sub.dim} != {expected}")
+    # the counting identity is implied for non-vanishing forms
+    if not v.is_zero() and sub.dim != (expected := _counted_dim(v, v.dim - sub.dim, 0, v.degree)):
+        raise InternalCheckError(
+            f"contraction-image equality holds but dim L = {sub.dim} != {expected}")
     return True
 
 
-def dimension_criterion_poly(sub: Subspace, omega, ker: Subspace | None = None) -> bool:
+def dimension_criterion_poly(sub: Subspace, omega) -> bool:
     """Kernel containment + isotropy + the counting identity.
 
     Equivalent to the contraction-image equality; the equivalence itself
     is exercised by the test suite on true, conjugated and corrupted
-    instances.  ``ker``, when given, is the form's kernel.
+    instances.
     """
     v = as_vector_form(omega)
     k = v.degree - 1
@@ -184,12 +211,7 @@ def dimension_criterion_poly(sub: Subspace, omega, ker: Subspace | None = None) 
     if n_codim < k:
         raise PreconditionError(
             f"codimension {n_codim} is below the degree bound {k}; the criterion does not apply")
-    ker = ker if ker is not None else kernel_of_form(v)
-    if not sub.contains_subspace(ker):
-        return False
-    if not is_isotropic(sub, v, 1):
-        return False
-    return sub.dim == ker.dim + v.value_dim * comb(n_codim, k)
+    return _dimension_criterion(sub, v, n_codim, 0, v.degree)
 
 
 @dataclass
@@ -226,7 +248,7 @@ def _require_degree_two(degree: int) -> None:
             "need degree at least 2")
 
 
-def search_polylagrangian(omega, *, ker: Subspace | None = None) -> PolylagrangianSearch:
+def search_polylagrangian(omega) -> PolylagrangianSearch:
     """Locate the distinguished maximal isotropic subspace, if one exists.
 
     For two or more value components the subspace is pinned down by the
@@ -234,7 +256,6 @@ def search_polylagrangian(omega, *, ker: Subspace | None = None) -> Polylagrangi
     proves absence.  For a single component no construction is available;
     a seeded greedy search is used and a miss is reported as "not found";
     a 2-form is never missed, as its first greedy subspace is Lagrangian.
-    A caller that already holds the form's kernel passes it as ``ker``.
 
     A 2-form also gets its ``uniform_rank``: N = codim L when L is found,
     with no wedge power built, and otherwise, for two or more components,
@@ -259,13 +280,11 @@ def search_polylagrangian(omega, *, ker: Subspace | None = None) -> Polylagrangi
     _require_degree_two(v.degree)
     if v.is_zero():
         raise PreconditionError("the zero form admits no distinguished subspace")
-    k = v.degree - 1
     diagnostics: list[str] = []
-    ker = ker if ker is not None else kernel_of_form(v)
 
     if v.value_dim >= 2:
+        candidate = ker = kernel_of_form(v)
         comp_dims = []
-        candidate = ker
         for a in range(v.value_dim):
             rows: list[dict] = []
             for b, compf in enumerate(v.components):
@@ -275,7 +294,7 @@ def search_polylagrangian(omega, *, ker: Subspace | None = None) -> Polylagrangi
             k_a = complement(ker, inside=inter)
             comp_dims.append(k_a.dim)
             candidate = subspace_sum(candidate, k_a)
-        if check_polylagrangian(candidate, v, ker):
+        if check_polylagrangian(candidate, v):
             n_codim = v.dim - candidate.dim
             return PolylagrangianSearch(candidate, "found", n_codim, diagnostics, comp_dims,
                                         n_codim if v.degree == 2 else None)
@@ -288,7 +307,7 @@ def search_polylagrangian(omega, *, ker: Subspace | None = None) -> Polylagrangi
                                f"{'is' if isotropic else 'is not'} isotropic")
         nu = uniform_rank(v) if v.degree == 2 else None
         if nu is not None:
-            required = ker.dim + v.value_dim * comb(nu, k)
+            required = _counted_dim(v, nu, 0, v.degree)
             dims = sorted({candidate.dim, sampled.dim})
             if all(d < required for d in dims):
                 dd = " and ".join(str(d) for d in dims)
@@ -299,7 +318,7 @@ def search_polylagrangian(omega, *, ker: Subspace | None = None) -> Polylagrangi
         return PolylagrangianSearch(None, "absent", None, diagnostics, comp_dims, nu)
 
     # single component: greedy from seeded starts, verified exactly
-    for cand in scalar_polylagrangian_candidates(v, ker=ker):
+    for cand in scalar_polylagrangian_candidates(v):
         n_codim = v.dim - cand.dim
         return PolylagrangianSearch(cand, "found", n_codim, diagnostics, [],
                                     n_codim if v.degree == 2 else None)
@@ -307,30 +326,30 @@ def search_polylagrangian(omega, *, ker: Subspace | None = None) -> Polylagrangi
     return PolylagrangianSearch(None, "not_found", None, diagnostics, [])
 
 
-def scalar_polylagrangian_candidates(omega, ker: Subspace | None = None):
+def scalar_polylagrangian_candidates(omega):
     """Greedy maximal isotropic subspaces passing the exact subspace test.
 
     Seeds are all standard coordinate lines plus, for degree at least 3,
     all isotropic coordinate planes.  Every yielded subspace is verified
     through the contraction-image equality and the counting identity, so
     a yield is always correct; the enumeration may simply be incomplete.
-    ``ker``, when given, is the form's kernel.
     """
     v = as_vector_form(omega)
     k = v.degree - 1
-    ker = ker if ker is not None else kernel_of_form(v)
-    seen = set()
-    for seed_sub in _coordinate_seeds(v):
-        cand = greedy_maximal_isotropic(v, seed_sub)
-        if cand in seen:
-            continue
-        seen.add(cand)
+    for cand in _greedy_runs(v, _coordinate_seeds(v)):
         n_codim = v.dim - cand.dim
-        if n_codim < k:
-            continue
-        if cand.dim != ker.dim + comb(n_codim, k):
-            continue
-        if check_polylagrangian(cand, v, ker):
+        if (n_codim >= k and cand.dim == _counted_dim(v, n_codim, 0, v.degree)
+                and check_polylagrangian(cand, v)):
+            yield cand
+
+
+def _greedy_runs(omega, seeds, within: Subspace | None = None):
+    """``greedy_maximal_isotropic`` from each seed in turn, each distinct subspace once."""
+    seen = set()
+    for seed_sub in seeds:
+        cand = greedy_maximal_isotropic(omega, seed_sub, within)
+        if cand not in seen:
+            seen.add(cand)
             yield cand
 
 
@@ -497,41 +516,12 @@ def check_multilagrangian(sub: Subspace, omega: AlternatingForm, flag: Flag, r: 
     aomega = _horizontal(omega, flag, r)
     if not flag.vertical.contains_subspace(sub):
         raise PreconditionError("candidate subspace is not vertical")
-    return _check_vertical(to_vertical_coordinates(flag, sub), aomega, flag.dim_t, r)
+    n = flag.dim_t
+    return _images_fill(_shifted(to_vertical_coordinates(flag, sub), n, omega.dim), aomega, n, r)
 
 
-def _check_vertical(sub_v: Subspace, aomega: AlternatingForm, n: int, r: int) -> bool:
-    """``check_multilagrangian`` of a candidate in vertical coordinates on the adapted form,
-    whose last coordinates, after the n of the quotient, are the vertical ones."""
-    sub_a = _shifted(sub_v, n, aomega.dim)
-    lhs = flat_image_vectors(aomega, sub_a.rows())
-    wedges = _annihilator_wedges(sub_a, aomega.degree - 1)
-    # cut the annihilator wedges down to the (k+1-r)-horizontal monomials, each wedge read
-    # as its integer view: scaling a wedge scales its column and its stacked row alike
-    bad_rows: dict = {}
-    for i, w in enumerate(wedges):
-        for m, c in w._numerators[0].items():
-            if _vertical_count(m, n) >= r:
-                bad_rows.setdefault(m, {})[i] = c
-    stacked = [{(0, m): c for m, c in w._numerators[0].items()} for w in wedges]
-    if not bad_rows:
-        return span_equal(lhs, stacked)
-    rhs = []
-    for sol in kernel_basis(list(bad_rows.values()), len(wedges)):
-        acc: dict = {}
-        for i, coef in sol.items():
-            _axpy(acc, -coef, stacked[i])
-        if acc:
-            rhs.append(acc)
-    return span_equal(lhs, rhs)
-
-
-def dimension_criterion_multi(sub: Subspace, omega: AlternatingForm, flag: Flag, r: int,
-                              ker: Subspace | None = None) -> bool:
-    """Kernel containment + isotropy + the horizontal counting identity.
-
-    ``ker``, when given, is the form's kernel.
-    """
+def dimension_criterion_multi(sub: Subspace, omega: AlternatingForm, flag: Flag, r: int) -> bool:
+    """Kernel containment + isotropy + the horizontal counting identity."""
     k1 = omega.degree
     if not 1 <= r <= k1:
         raise PreconditionError("horizontality parameter out of range")
@@ -543,13 +533,7 @@ def dimension_criterion_multi(sub: Subspace, omega: AlternatingForm, flag: Flag,
     if n_codim + n < k:
         raise PreconditionError(
             f"codimension {n_codim} plus quotient {n} is below the degree bound {k}")
-    ker = ker if ker is not None else kernel_of_form(omega)
-    if not sub.contains_subspace(ker):
-        return False
-    if not is_isotropic(sub, omega, 1):
-        return False
-    expected = ker.dim + sum(comb(n_codim, s) * comb(n, k - s) for s in range(r))
-    return sub.dim == expected
+    return _dimension_criterion(sub, as_vector_form(omega), n_codim, n, r)
 
 
 @dataclass
@@ -568,7 +552,7 @@ def symbol_structure_check(omega: AlternatingForm, flag: Flag, r: int, sub: Subs
     sym = symbol(omega, flag, r)
     sub_v = to_vertical_coordinates(flag, sub)
     ker_sym = kernel_of_form(sym)
-    ok_poly = check_polylagrangian(sub_v, sym, ker_sym)
+    ok_poly = check_polylagrangian(sub_v, sym)
     ker_w_v = to_vertical_coordinates(flag, kernel_of_form(omega))
     contained = ker_sym.contains_subspace(ker_w_v)
     gap = ker_sym.dim - ker_w_v.dim
@@ -755,10 +739,9 @@ def polysymplectic_uniform_rank_check(omega: VectorValuedForm, sub: Subspace) ->
     v = as_vector_form(omega)
     if v.degree != 2:
         raise PreconditionError("check applies to 2-forms")
-    ker = kernel_of_form(v)
-    if ker.dim != 0:
+    if kernel_of_form(v).dim != 0:
         raise PreconditionError("check applies to non-degenerate forms")
-    if not check_polylagrangian(sub, v, ker):
+    if not check_polylagrangian(sub, v):
         raise PreconditionError("subspace fails the contraction-image equality")
     return uniform_rank(v) == v.dim - sub.dim
 
@@ -837,8 +820,8 @@ def _classified(rep: StructureReport, search: PolylagrangianSearch, criterion, f
 def classify_vector_form(omega, *, seed: int = DEFAULT_SEED, samples: int = 25) -> StructureReport:
     """Full classification pipeline for a (vector-valued) alternating form.
 
-    The kernel is computed once and handed to the search and the
-    dimension criterion.  The search runs first and carries a 2-form's
+    The form remembers its kernel, so the search, the checks and the
+    dimension criterion share one elimination.  The search runs first and carries a 2-form's
     uniform rank.  When it finds L that is N = codim L, with no wedge
     power built: the ⊆ half of ``check_polylagrangian(L)`` puts every
     component in the ideal of the N-dimensional annihilator of L, so the
@@ -863,7 +846,7 @@ def classify_vector_form(omega, *, seed: int = DEFAULT_SEED, samples: int = 25) 
                                ["form vanishes; definitions require a non-vanishing form"],
                                None, None, seed)
     ker = kernel_of_form(v)
-    search = search_polylagrangian(v, ker=ker)
+    search = search_polylagrangian(v)
     uni = search.uniform_rank
     cons = None
     if v.degree == 2:
@@ -871,7 +854,7 @@ def classify_vector_form(omega, *, seed: int = DEFAULT_SEED, samples: int = 25) 
         diagnostics.append(f"uniform rank: {uni}; sampled constant rank: {cons} "
                            f"(seed {seed}, {samples} samples)")
     rep = StructureReport(ker, ker.dim > 0, None, None, "none", None, diagnostics, uni, cons, seed)
-    return _classified(rep, search, lambda sub: dimension_criterion_poly(sub, v, ker), "poly",
+    return _classified(rep, search, lambda sub: dimension_criterion_poly(sub, v), "poly",
                        v.degree == 2)
 
 
@@ -881,12 +864,8 @@ def _vertical_greedy(aomega: AlternatingForm, n: int):
     coordinates."""
     dim = aomega.dim
     vert = Subspace.span_of_coordinates(dim, range(n + 1, dim + 1))
-    seen = set()
-    for i in range(n + 1, dim + 1):
-        cand = greedy_maximal_isotropic(aomega, Subspace.span_of_coordinates(dim, [i]), within=vert)
-        if cand not in seen:
-            seen.add(cand)
-            yield _shifted(cand, -n, dim - n)
+    lines = (Subspace.span_of_coordinates(dim, [i]) for i in range(n + 1, dim + 1))
+    return (_shifted(cand, -n, dim - n) for cand in _greedy_runs(aomega, lines, vert))
 
 
 def detect_multilagrangian(omega: AlternatingForm, flag: Flag, r: int) -> PolylagrangianSearch:
@@ -923,7 +902,7 @@ def detect_multilagrangian(omega: AlternatingForm, flag: Flag, r: int) -> Polyla
         cands, hit = scalar_polylagrangian_candidates(sym), []
         miss = "not_found", ["not found - possibly nonexistent (scalar-symbol search is heuristic)"]
     for sub_v in cands:
-        if _check_vertical(sub_v, aomega, n, r):
+        if _images_fill(_shifted(sub_v, n, aomega.dim), aomega, n, r):
             return PolylagrangianSearch(from_vertical_coordinates(flag, sub_v), "found",
                                         m_dim - sub_v.dim, hit, comp_dims)
     return PolylagrangianSearch(None, miss[0], None, miss[1], comp_dims)
@@ -952,5 +931,5 @@ def classify_horizontal_form(omega: AlternatingForm, flag: Flag, r: int | None =
                                (r, k1 - r), diagnostics, None, None, seed)
     search = detect_multilagrangian(omega, flag, r)
     rep = StructureReport(ker, ker.dim > 0, None, None, "none", (r, k1 - r), diagnostics, seed=seed)
-    return _classified(rep, search, lambda sub: dimension_criterion_multi(sub, omega, flag, r, ker),
+    return _classified(rep, search, lambda sub: dimension_criterion_multi(sub, omega, flag, r),
                        "multi", k1 - 1 == n and r == 2)

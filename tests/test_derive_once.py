@@ -1,4 +1,4 @@
-"""Work remembered within one command: contraction images per form, the
+"""Work remembered within one command: contraction images and the kernel per form, the
 adapted matrix per flag, the adapted form per (form, flag), and canonical
 forms written term by term.
 
@@ -24,8 +24,8 @@ from polydarboux.darboux import (_multi_model_data, canonical_multi_model, canon
 from polydarboux.errors import PreconditionError
 from polydarboux.exterior import (Flag, VectorValuedForm, add, basis_covector, contract,
                                   coordinate_flag, form, pullback, wedge_all, zero_form)
-from polydarboux.lagrangian import _adapted, search_polylagrangian
-from polydarboux.linalg import Matrix
+from polydarboux.lagrangian import _adapted, kernel_of_form, search_polylagrangian
+from polydarboux.linalg import Matrix, Subspace
 
 settings.register_profile("derive_once", deadline=None, max_examples=120, derandomize=True)
 PROFILE = settings.get_profile("derive_once")
@@ -108,6 +108,24 @@ def test_one_walk_per_form_and_vector(monkeypatch):
     twin = form(4, 2, {(1, 2): 1, (3, 4): Fraction(1, 2)})
     assert contract({0: 1, 2: 3}, twin) == first
     assert len(walks) == 2 and walks[1] is twin
+
+
+def test_kernel_belongs_to_its_form_and_to_every_wrapper_of_it():
+    a = form(3, 2, {(1, 2): 1})
+    b = form(3, 2, {(2, 3): 1})
+    ker_a = kernel_of_form(a)
+    assert ker_a == Subspace.span_of_coordinates(3, [3])
+    assert kernel_of_form(b) == Subspace.span_of_coordinates(3, [1])   # not the kernel of a
+    # one elimination per scalar form, shared by every one-component wrapper of it
+    assert kernel_of_form(a) is ker_a
+    assert kernel_of_form(VectorValuedForm((a,))) is ker_a
+    twin = form(3, 2, {(1, 2): 1})
+    assert kernel_of_form(twin) == ker_a and kernel_of_form(twin) is not ker_a
+    pair = VectorValuedForm((a, b))
+    assert kernel_of_form(pair) == Subspace.zero(3) and kernel_of_form(pair) is kernel_of_form(pair)
+    assert kernel_of_form(a) is ker_a                       # the pair keeps its own kernel
+    # a remembered kernel takes no part in equality or repr
+    assert a == twin and repr(a) == repr(twin) and pair == VectorValuedForm((twin, b))
 
 
 def test_search_walks_each_form_vector_pair_once(monkeypatch):

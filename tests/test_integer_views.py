@@ -619,7 +619,7 @@ def test_kernels_annihilators_and_the_check_build_no_fraction(build):
         ker = kernel_of_form(omega)
         same = kernel_subspace(rows, omega.dim)
         ann = annihilator(lagr)
-        holds = check_polylagrangian(lagr, omega, ker)
+        holds = check_polylagrangian(lagr, omega)
     assert built == []
     assert ker == same and lagr.contains_subspace(ker) and holds
     assert ann.dim == omega.dim - lagr.dim

@@ -430,6 +430,20 @@ def _count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
+def _count_kernel_eliminations(monkeypatch) -> list:
+    """The ``kernel_of_form`` calls that eliminate: those on a form that remembers no kernel."""
+    calls = []
+    real = lagrangian.kernel_of_form
+
+    def counting(x):
+        if None not in as_vector_form(x)._images:
+            calls.append(1)
+        return real(x)
+
+    monkeypatch.setattr(lagrangian, "kernel_of_form", counting)
+    return calls
+
+
 def test_analyze_samples_nothing_and_computes_one_kernel(tmp_path, monkeypatch, capsys):
     """poly 5 2 1 (shuffle seed 3): no sampled rank and one kernel per op.
 
@@ -440,7 +454,7 @@ def test_analyze_samples_nothing_and_computes_one_kernel(tmp_path, monkeypatch, 
     assert cli.main(["canonical", "poly", "5", "2", "1", "--shuffle-seed", "3",
                      "-o", str(doc)]) == 0
     half_ranks = _count_calls(monkeypatch, "_half_rank")
-    kernels = _count_calls(monkeypatch, "kernel_of_form")
+    kernels = _count_kernel_eliminations(monkeypatch)
     assert cli.main(["analyze", str(doc), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["constant_rank_sampled"] == 5
     assert len(half_ranks) == 0
@@ -454,7 +468,7 @@ def test_analyze_samples_nothing_and_computes_one_kernel(tmp_path, monkeypatch, 
 ])
 def test_classification_computes_the_kernel_once(model, kernels_before, monkeypatch):
     moved = conjugated_poly_instance(model, 3)[0]
-    kernels = _count_calls(monkeypatch, "kernel_of_form")
+    kernels = _count_kernel_eliminations(monkeypatch)
     rep = classify_vector_form(moved)
     assert rep.lagrangian_subspace is not None
     assert len(kernels) == 1 < kernels_before
@@ -467,7 +481,7 @@ def test_horizontal_classification_computes_each_kernel_once(params, kernels_bef
     """One kernel of the form and one of its symbol."""
     model = canonical_multi_model(*params)
     moved = conjugated_multi_instance(model, 3)[0]
-    kernels = _count_calls(monkeypatch, "kernel_of_form")
+    kernels = _count_kernel_eliminations(monkeypatch)
     rep = classify_horizontal_form(moved, model.flag, params[3])
     assert rep.lagrangian_subspace is not None
     assert len(kernels) == 2 < kernels_before
@@ -553,8 +567,8 @@ def rank_path_classify(v: VectorValuedForm, seed: int, samples: int) -> Structur
     diagnostics = [f"uniform rank: {uni}; sampled constant rank: {cons} "
                    f"(seed {seed}, {samples} samples)"]
     rep = StructureReport(ker, ker.dim > 0, None, None, "none", None, diagnostics, uni, cons, seed)
-    return lagrangian._classified(rep, search_polylagrangian(v, ker=ker),
-                                  lambda sub: dimension_criterion_poly(sub, v, ker), "poly", True)
+    return lagrangian._classified(rep, search_polylagrangian(v),
+                                  lambda sub: dimension_criterion_poly(sub, v), "poly", True)
 
 
 def one_component_2forms():
