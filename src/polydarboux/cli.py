@@ -141,24 +141,16 @@ def cmd_symbol(args) -> int:
 def cmd_canonical(args) -> int:
     if args.family == "poly":
         model = canonical_poly_model(args.N, args.nhat, args.k)
-        if args.shuffle_seed is not None:
-            moved = pullback(model.form, conjugating_map(model, args.shuffle_seed).matrix)
-            doc = alternating_to_document(moved, description=(
-                f"poly model N={args.N} nhat={args.nhat} k={args.k}, "
-                f"conjugated with seed {args.shuffle_seed}"))
-        else:
-            doc = alternating_to_document(model.form, description=(
-                f"canonical poly model N={args.N} nhat={args.nhat} k={args.k}"))
+        name, r, moved = f"poly model N={args.N} nhat={args.nhat} k={args.k}", None, "conjugated"
     else:
         model = canonical_multi_model(args.N, args.n, args.k, args.r)
-        if args.shuffle_seed is not None:
-            moved = pullback(model.form, conjugating_map(model, args.shuffle_seed).matrix)
-            doc = alternating_to_document(moved, flag=model.flag, r=args.r, description=(
-                f"multi model N={args.N} n={args.n} k={args.k} r={args.r}, "
-                f"flag-preserving conjugate with seed {args.shuffle_seed}"))
-        else:
-            doc = alternating_to_document(model.form, flag=model.flag, r=args.r, description=(
-                f"canonical multi model N={args.N} n={args.n} k={args.k} r={args.r}"))
+        name, r = f"multi model N={args.N} n={args.n} k={args.k} r={args.r}", args.r
+        moved = "flag-preserving conjugate"
+    omega, description = model.form, f"canonical {name}"
+    if args.shuffle_seed is not None:
+        omega = pullback(omega, conjugating_map(model, args.shuffle_seed).matrix)
+        description = f"{name}, {moved} with seed {args.shuffle_seed}"
+    doc = alternating_to_document(omega, flag=model.flag, r=r, description=description)
     text = report_json(doc)
     if args.output:
         try:

@@ -47,16 +47,7 @@ class CanonicalModel:
 
     @property
     def dim(self) -> int:
-        f = self.form
-        return f.dim if isinstance(f, AlternatingForm) else f.components[0].dim
-
-
-def poly_coordinate_labels(n_rank: int, nhat: int, k: int) -> tuple:
-    labels = [("q", (i,)) for i in range(1, n_rank + 1)]
-    for a in range(1, nhat + 1):
-        for idx in itertools.combinations(range(1, n_rank + 1), k):
-            labels.append(("p", (a,), idx))
-    return tuple(labels)
+        return self.lagrangian.ambient_dim
 
 
 def canonical_poly_model(n_rank: int, nhat: int, k: int) -> CanonicalModel:
@@ -72,49 +63,7 @@ def canonical_poly_model(n_rank: int, nhat: int, k: int) -> CanonicalModel:
     if nhat > MAX_VALUE_DIM:  # analyze and darboux refuse the model's document past it
         raise PreconditionError(
             f"value dimension {nhat} exceeds the budget of {MAX_VALUE_DIM} (MAX_VALUE_DIM)")
-    combos = list(itertools.combinations(range(1, n_rank + 1), k))
-    # component a pairs slot n_rank + 1 + a * C(N, k) + i with the i-th k-index
-    omega = VectorValuedForm(tuple(
-        form(dim, k + 1, {(n_rank + 1 + a * len(combos) + i,) + idx: 1
-                          for i, idx in enumerate(combos)})
-        for a in range(nhat)))
-    lagr = Subspace.span_of_coordinates(dim, range(n_rank + 1, dim + 1))
-    e_sub = Subspace.span_of_coordinates(dim, range(1, n_rank + 1))
-    return CanonicalModel("poly", (n_rank, nhat, k), omega, lagr, e_sub, None, None,
-                          poly_coordinate_labels(n_rank, nhat, k))
-
-
-def multi_slot_index(n_rank: int, n_base: int, k: int, r: int):
-    """Ordered (s, I, M) slots of the momentum block."""
-    out = []
-    for s in range(0, r):
-        if k - s > n_base or k - s < 0:
-            continue
-        for idx in itertools.combinations(range(1, n_rank + 1), s):
-            for mu in itertools.combinations(range(1, n_base + 1), k - s):
-                out.append((s, idx, mu))
-    return out
-
-
-def multi_coordinate_labels(n_rank: int, n_base: int, k: int, r: int) -> tuple:
-    labels = [("q", (i,)) for i in range(1, n_rank + 1)]
-    labels += [("x", (mu,)) for mu in range(1, n_base + 1)]
-    labels += [("p", idx, mu) for (_, idx, mu) in multi_slot_index(n_rank, n_base, k, r)]
-    return tuple(labels)
-
-
-def _multi_model_data(n_rank: int, n_base: int, k: int, r: int):
-    slots = multi_slot_index(n_rank, n_base, k, r)
-    first = n_rank + n_base + 1
-    dim = first - 1 + len(slots)
-    coeffs = form(dim, k + 1, {(first + i,) + idx + tuple(n_rank + m for m in mu): 1
-                               for i, (_, idx, mu) in enumerate(slots)})
-    vertical = list(range(1, n_rank + 1)) + list(range(n_rank + n_base + 1, dim + 1))
-    flag = coordinate_flag(dim, vertical)
-    lagr = Subspace.span_of_coordinates(dim, range(n_rank + n_base + 1, dim + 1))
-    e_sub = Subspace.span_of_coordinates(dim, range(1, n_rank + 1))
-    f_sub = Subspace.span_of_coordinates(dim, range(1, n_rank + n_base + 1))
-    return coeffs, lagr, e_sub, f_sub, flag
+    return _model("poly", n_rank, nhat, 0, k, k + 1)
 
 
 def canonical_multi_model(n_rank: int, n_base: int, k: int, r: int) -> CanonicalModel:
@@ -130,29 +79,65 @@ def canonical_multi_model(n_rank: int, n_base: int, k: int, r: int) -> Canonical
         raise PreconditionError("base dimension too small for the horizontality degree")
     if n_rank < 1:
         raise PreconditionError("rank must be positive")
-    # the slot count of multi_slot_index, counted without enumerating the slots
+    # the slot count of _slots, counted without enumerating the slots
     n_slots = sum(comb(n_rank, s) * comb(n_base, k - s) for s in range(r))
     if not n_slots:
         raise PreconditionError("parameters admit no momentum slots; the model form would vanish")
     dim = n_rank + n_base + n_slots
     if dim > MAX_DIM:
         raise PreconditionError(f"model dimension {dim} exceeds the budget of {MAX_DIM} (MAX_DIM)")
-    omega, lagr, e_sub, f_sub, flag = _multi_model_data(n_rank, n_base, k, r)
-    return CanonicalModel("multi", (n_rank, n_base, k, r), omega, lagr, e_sub, f_sub,
-                          flag, multi_coordinate_labels(n_rank, n_base, k, r))
+    return _model("multi", n_rank, 1, n_base, k, r)
+
+
+def _slots(n_rank: int, nhat: int, n_base: int, k: int, r: int) -> list:
+    """The momentum slots (a, idx, mu) of a model, in coordinate order.
+
+    The model's coordinates are E (N of them), the base (n), then one
+    momentum coordinate per slot.  A slot pairs its momentum coordinate, in
+    value component a, with s < r increasing E-indices idx and k - s
+    increasing base indices mu, which are the coordinates N + mu.  The poly
+    model (N, n̂, k) is this layout with n̂ components over an empty base
+    and r = k + 1; a multi model has one component.
+    """
+    return [(a, idx, mu) for a in range(nhat) for s in range(r)
+            for idx in itertools.combinations(range(1, n_rank + 1), s)
+            for mu in itertools.combinations(range(1, n_base + 1), k - s)]
+
+
+def _model(kind: str, n_rank: int, nhat: int, n_base: int, k: int, r: int) -> CanonicalModel:
+    """The model of the slot layout, refusing nothing.
+
+    L is the momentum block and E the first N coordinates; a multi model
+    also has F = E + base and the flag whose vertical space is E + L.
+    """
+    slots = _slots(n_rank, nhat, n_base, k, r)
+    first = n_rank + n_base + 1
+    dim = first - 1 + len(slots)
+    terms: list = [{} for _ in range(nhat)]
+    for i, (a, idx, mu) in enumerate(slots):
+        terms[a][(first + i,) + idx + tuple(n_rank + m for m in mu)] = 1
+    comps = tuple(form(dim, k + 1, t) for t in terms)
+    lagr = Subspace.span_of_coordinates(dim, range(first, dim + 1))
+    e_sub = Subspace.span_of_coordinates(dim, range(1, n_rank + 1))
+    labels = tuple(("q", (i,)) for i in range(1, n_rank + 1))
+    if kind == "poly":
+        labels += tuple(("p", (a + 1,), idx) for a, idx, _ in slots)
+        return CanonicalModel(kind, (n_rank, nhat, k), VectorValuedForm(comps), lagr, e_sub,
+                              None, None, labels)
+    labels += tuple(("x", (mu,)) for mu in range(1, n_base + 1))
+    labels += tuple(("p", idx, mu) for _, idx, mu in slots)
+    flag = coordinate_flag(dim, list(range(1, n_rank + 1)) + list(range(first, dim + 1)))
+    return CanonicalModel(kind, (n_rank, n_base, k, r), comps[0], lagr, e_sub,
+                          Subspace.span_of_coordinates(dim, range(1, first)), flag, labels)
 
 
 # ---------------------------------------------------------------------------
 # the Darboux induction
 #
-# Both kinds run one induction over slots.  A slot (a, I) is a value
-# component a and increasing 1-based frame indices I; the model form pairs
-# the slot's momentum vector with the frame vectors I in component a.  The
-# poly model (N, n̂, k) has a slot (a, I) for every a < n̂ and every k-subset
-# I of 1..N.  The multi frame is E followed by the base, so the multi slots
-# are (0, I + (N + M)) for the (s, I, M) of ``multi_slot_index``: the
-# one-component poly model (N, 1, k) is the multi model with an empty base
-# and r = k + 1.
+# Both kinds run one induction over the slots of ``_slots``.  The frame
+# is E followed by the base, so the slot (a, idx, mu) pairs its momentum
+# vector, in component a, with the frame vectors idx + (N + mu); the poly
+# frame is E alone.
 
 
 class _Basis:
@@ -250,15 +235,15 @@ def _momentum_map(v: VectorValuedForm, lagr: Subspace):
     return momentum
 
 
-def _induction(v: VectorValuedForm, lagr: Subspace, fixed: list,
-               flag: Flag | None = None, r: int | None = None):
+def _induction(v: VectorValuedForm, lagr: Subspace, fixed: list, n_base: int, r: int):
     """The basis, the slots and the momentum map of one Darboux induction.
 
-    Without a flag the frame is a complement of L, with the poly slots;
-    with a flag it is E (given in ``fixed``) followed by the base, with the
-    multi slots.  The frame vectors ``fixed`` come first; the standard
-    vectors completing L + fixed, picked once in index order, fill the
-    rest of the basis.  Step i takes the standard vector of column i as
+    The frame is a complement of L: E, of rank N = codim L - n_base,
+    followed by the base, with the slots of the layout (N, n̂, n_base, k,
+    r).  The poly induction has n_base = 0 and r = k + 1; the multi one
+    is given E in ``fixed``.  The frame vectors ``fixed`` come first; the
+    standard vectors completing L + fixed, picked once in index order,
+    fill the rest of the basis.  Step i takes the standard vector of column i as
     the candidate and reads its pairings with every slot off the pullback
     of its contraction by the basis rows.  For every slot it pairs with,
     it subtracts the pairing times the slot's momentum vector, so the new
@@ -269,16 +254,10 @@ def _induction(v: VectorValuedForm, lagr: Subspace, fixed: list,
     end, and the basis stays the same modulo L, so its duals are built
     once, by one codim L inverse, at the first step that pairs.
     """
-    k = v.degree - 1
-    if flag is None:
-        n_rank = size = v.dim - lagr.dim
-        slots = [(a, idx) for a in range(v.value_dim)
-                 for idx in itertools.combinations(range(1, n_rank + 1), k)]
-    else:
-        n_rank = flag.vertical.dim - lagr.dim
-        size = n_rank + flag.dim_t
-        slots = [(0, idx + tuple(n_rank + m for m in mu))
-                 for (_, idx, mu) in multi_slot_index(n_rank, flag.dim_t, k, r)]
+    size = v.dim - lagr.dim
+    n_rank = size - n_base
+    slots = [(a, idx + tuple(n_rank + m for m in mu))
+             for a, idx, mu in _slots(n_rank, v.value_dim, n_base, v.degree - 1, r)]
     if not lagr.contains_subspace(ker := kernel_of_form(v)):
         raise PreconditionError(
             f"the subspace does not contain the kernel of the form (dimension {ker.dim}); "
@@ -327,6 +306,19 @@ def _assemble(induction: tuple, ker: Subspace, labels: tuple):
     return Matrix(ker.ambient_dim, tuple(columns)), labels
 
 
+def _darboux(kind: str, omega, lagr: Subspace, fixed: list, n_base: int, r: int) -> DarbouxBasis:
+    """The steps both builders share: the induction, the assembly, and the
+    pullback of ``omega`` by the basis checked against the form of the
+    model that the induction's layout makes, built once the induction has run."""
+    v = as_vector_form(omega)
+    induction = _induction(v, lagr, fixed, n_base, r)
+    model = _model(kind, v.dim - lagr.dim - n_base, v.value_dim, n_base, v.degree - 1, r)
+    basis, labels = _assemble(induction, kernel_of_form(v), model.labels)
+    if pullback(omega, basis) != embed_in(model.form, v.dim):
+        raise InternalCheckError("constructed basis does not reproduce the model coefficients")
+    return DarbouxBasis(basis, labels, lagr, model.params, kind)
+
+
 def darboux_basis_poly(omega, lagrangian: Subspace | None = None) -> DarbouxBasis:
     """Canonical basis for a polylagrangian form; exact by construction.
 
@@ -346,13 +338,7 @@ def darboux_basis_poly(omega, lagrangian: Subspace | None = None) -> DarbouxBasi
         if not check_polylagrangian(lagrangian, v):
             raise PreconditionError("supplied subspace fails the contraction-image equality")
         lagr = lagrangian
-    params = (v.dim - lagr.dim, v.value_dim, v.degree - 1)
-    basis, labels = _assemble(_induction(v, lagr, []), kernel_of_form(v),
-                              poly_coordinate_labels(*params))
-    expected = embed_in(canonical_poly_model(*params).form, v.dim)
-    if pullback(v, basis) != expected:
-        raise InternalCheckError("constructed basis does not reproduce the model coefficients")
-    return DarbouxBasis(basis, labels, lagr, params, "poly")
+    return _darboux("poly", v, lagr, [], 0, v.degree)
 
 
 def darboux_basis_multi(omega: AlternatingForm, flag: Flag, r: int,
@@ -376,10 +362,6 @@ def darboux_basis_multi(omega: AlternatingForm, flag: Flag, r: int,
         if not check_multilagrangian(lagrangian, omega, flag, r):
             raise PreconditionError("supplied subspace fails the horizontal contraction equality")
         lagr = lagrangian
-    k = omega.degree - 1
-    n_base = flag.dim_t
-    n_rank = flag.vertical.dim - lagr.dim
-
     if r == 1:
         e_vecs: list = []
     else:
@@ -389,15 +371,9 @@ def darboux_basis_multi(omega: AlternatingForm, flag: Flag, r: int,
             # every vertical subspace is isotropic for a vanishing symbol
             e_v = complement(lagr_v).unit_rows()
         else:
-            e_v = _induction(sym, lagr_v, [])[0].frame
+            e_v = _induction(sym, lagr_v, [], 0, sym.degree)[0].frame
         e_vecs = flag.lift_vertical(e_v)
-    basis, labels = _assemble(_induction(as_vector_form(omega), lagr, e_vecs, flag, r),
-                              kernel_of_form(omega),
-                              multi_coordinate_labels(n_rank, n_base, k, r))
-    expected = embed_in(_multi_model_data(n_rank, n_base, k, r)[0], omega.dim)
-    if pullback(omega, basis) != expected:
-        raise InternalCheckError("constructed basis does not reproduce the model coefficients")
-    return DarbouxBasis(basis, labels, lagr, (n_rank, n_base, k, r), "multi")
+    return _darboux("multi", omega, lagr, e_vecs, flag.dim_t, r)
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +445,10 @@ def _int_matrix(rows: list[list[int]]) -> Matrix:
 
 
 def conjugating_map(model: CanonicalModel, seed: int) -> ConjugateMap:
-    """The seeded map that conjugates a model; it fixes the vertical space of a multi model."""
-    if model.kind == "poly":
-        return seeded_conjugate(model.dim, seed)
-    n_rank, n_base, _, _ = model.params
-    vertical = frozenset(list(range(1, n_rank + 1)) +
-                         list(range(n_rank + n_base + 1, model.dim + 1)))
-    return seeded_conjugate(model.dim, seed, preserve=[vertical])
+    """The seeded map that conjugates a model; it fixes the vertical space of a model's flag."""
+    preserve = ([] if model.flag is None else
+                [frozenset(p + 1 for p in model.flag.vertical.pivot_columns())])
+    return seeded_conjugate(model.dim, seed, preserve=preserve)
 
 
 def conjugated_poly_instance(model: CanonicalModel, seed: int):

@@ -489,7 +489,8 @@ class Flag:
     @cached_property
     def _adapted_forms(self) -> dict:
         """Forms in adapted coordinates, ``{id(form): (form, pulled back form)}``,
-        filled by ``lagrangian._adapted``; holding the form keeps its id its own."""
+        filled by ``lagrangian._adapted``, and symbols, ``{(id(form), r): (form,
+        symbol)}``, filled by ``lagrangian.symbol``; holding the form keeps its id its own."""
         return {}
 
 

@@ -20,7 +20,7 @@ from .errors import DimensionMismatch, InternalCheckError, PreconditionError
 from .exterior import (AlternatingForm, Flag, VectorValuedForm, _seeded, contract, evaluate,
                        indices_of, project, pullback, wedge_all, wedge_power_by_exponent)
 from .linalg import (Matrix, Subspace, ZERO, ONE, annihilator, kernel_basis, kernel_subspace,
-                     subspace_sum, complement)
+                     subspace_sum)
 from .sparse import SparseEchelon, _axpy, _scaled, span_equal, span_of
 
 DEFAULT_SEED = 20070
@@ -220,7 +220,6 @@ class PolylagrangianSearch:
     status: str  # "found" | "absent" | "not_found"
     rank: int | None
     diagnostics: list[str] = field(default_factory=list)
-    component_complement_dims: list[int] = field(default_factory=list)
     uniform_rank: int | None = None  # a 2-form's: codim L if found, else the wedge-power rank
 
 
@@ -283,20 +282,17 @@ def search_polylagrangian(omega) -> PolylagrangianSearch:
     diagnostics: list[str] = []
 
     if v.value_dim >= 2:
-        candidate = ker = kernel_of_form(v)
-        comp_dims = []
+        # ker + the sum over a of the intersections of the kernels of the other components
+        candidate = kernel_of_form(v)
         for a in range(v.value_dim):
             rows: list[dict] = []
             for b, compf in enumerate(v.components):
                 if b != a:
                     rows.extend(_kernel_constraints(compf))
-            inter = kernel_subspace(rows, v.dim)
-            k_a = complement(ker, inside=inter)
-            comp_dims.append(k_a.dim)
-            candidate = subspace_sum(candidate, k_a)
+            candidate = subspace_sum(candidate, kernel_subspace(rows, v.dim))
         if check_polylagrangian(candidate, v):
             n_codim = v.dim - candidate.dim
-            return PolylagrangianSearch(candidate, "found", n_codim, diagnostics, comp_dims,
+            return PolylagrangianSearch(candidate, "found", n_codim, diagnostics,
                                         n_codim if v.degree == 2 else None)
         sampled = _sampled_kernel_span(v)
         isotropic = is_isotropic(sampled, v, 1)
@@ -315,15 +311,15 @@ def search_polylagrangian(omega) -> PolylagrangianSearch:
                     f"required polylagrangian dim {required} vs candidates of dim {dd}: "
                     "both too small")
         diagnostics.append("construction candidate fails the contraction-image equality")
-        return PolylagrangianSearch(None, "absent", None, diagnostics, comp_dims, nu)
+        return PolylagrangianSearch(None, "absent", None, diagnostics, nu)
 
     # single component: greedy from seeded starts, verified exactly
     for cand in scalar_polylagrangian_candidates(v):
         n_codim = v.dim - cand.dim
-        return PolylagrangianSearch(cand, "found", n_codim, diagnostics, [],
+        return PolylagrangianSearch(cand, "found", n_codim, diagnostics,
                                     n_codim if v.degree == 2 else None)
     diagnostics.append("not found - possibly nonexistent (single-component search is heuristic)")
-    return PolylagrangianSearch(None, "not_found", None, diagnostics, [])
+    return PolylagrangianSearch(None, "not_found", None, diagnostics)
 
 
 def scalar_polylagrangian_candidates(omega):
@@ -488,8 +484,13 @@ def symbol(omega: AlternatingForm, flag: Flag, r: int) -> VectorValuedForm:
     For a (k+1-r)-horizontal (k+1)-form this is the r-form on the
     vertical space with values in the (k+1-r)-forms on the quotient,
     obtained by filling the remaining slots through a splitting.  The
-    result does not depend on which splitting the flag carries.
+    result does not depend on which splitting the flag carries.  It is
+    built once per (form, flag, r) and kept on the flag beside the
+    adapted form.
     """
+    hit = flag._adapted_forms.get((id(omega), r))
+    if hit is not None:
+        return hit[1]
     aomega = _horizontal(omega, flag, r)
     k1, n = omega.degree, flag.dim_t
     combos = list(itertools.combinations(range(1, n + 1), k1 - r))
@@ -503,7 +504,9 @@ def symbol(omega: AlternatingForm, flag: Flag, r: int) -> VectorValuedForm:
         if vmask.bit_count() != r:
             continue
         comps[pos[indices_of(m & tmask_all)]][vmask] = blocksign * x
-    return VectorValuedForm(tuple(_seeded(flag.vertical.dim, r, d, den) for d in comps))
+    sym = VectorValuedForm(tuple(_seeded(flag.vertical.dim, r, d, den) for d in comps))
+    flag._adapted_forms[id(omega), r] = (omega, sym)
+    return sym
 
 
 def check_multilagrangian(sub: Subspace, omega: AlternatingForm, flag: Flag, r: int) -> bool:
@@ -789,8 +792,7 @@ def projection_kernel_isotropy_check(omega: VectorValuedForm) -> bool:
 class StructureReport:
     kernel: Subspace
     is_degenerate: bool
-    rank: int | None
-    lagrangian_subspace: Subspace | None
+    search: PolylagrangianSearch | None  # the search that ran, if one did
     classification: str
     horizontality: tuple[int, int] | None
     diagnostics: list[str] = field(default_factory=list)
@@ -798,12 +800,20 @@ class StructureReport:
     constant_rank_sampled: int | None = None
     seed: int = DEFAULT_SEED
 
+    @property
+    def lagrangian_subspace(self) -> Subspace | None:
+        return self.search.subspace if self.search else None
 
-def _classified(rep: StructureReport, search: PolylagrangianSearch, criterion, family: str,
-                symplectic: bool) -> StructureReport:
-    """The tail both classifications share, on a report with no subspace yet: the search's
+    @property
+    def rank(self) -> int | None:
+        return self.search.rank if self.search else None
+
+
+def _classified(rep: StructureReport, criterion, family: str, symplectic: bool) -> StructureReport:
+    """The tail both classifications share, on a report named "none": its search's
     diagnostics and status, the dimension criterion re-checked on a found L, and the name,
     ``family`` then symplectic or presymplectic where ``symplectic`` holds, else lagrangian."""
+    search = rep.search
     rep.diagnostics.extend(search.diagnostics)
     if search.status != "found":
         label = "proved absent" if search.status == "absent" else "not found"
@@ -811,7 +821,6 @@ def _classified(rep: StructureReport, search: PolylagrangianSearch, criterion, f
         return rep
     if not criterion(search.subspace):
         raise InternalCheckError("dimension criterion disagrees with the contraction test")
-    rep.rank, rep.lagrangian_subspace = search.rank, search.subspace
     name = ("presymplectic" if rep.is_degenerate else "symplectic") if symplectic else "lagrangian"
     rep.classification = family + name
     return rep
@@ -842,7 +851,7 @@ def classify_vector_form(omega, *, seed: int = DEFAULT_SEED, samples: int = 25) 
     check_sample_budget(samples)
     diagnostics: list[str] = []
     if v.is_zero():
-        return StructureReport(Subspace.full(v.dim), True, None, None, "none", None,
+        return StructureReport(Subspace.full(v.dim), True, None, "none", None,
                                ["form vanishes; definitions require a non-vanishing form"],
                                None, None, seed)
     ker = kernel_of_form(v)
@@ -853,9 +862,8 @@ def classify_vector_form(omega, *, seed: int = DEFAULT_SEED, samples: int = 25) 
         cons = uni if uni is not None else constant_rank_sampled(v, samples, seed)
         diagnostics.append(f"uniform rank: {uni}; sampled constant rank: {cons} "
                            f"(seed {seed}, {samples} samples)")
-    rep = StructureReport(ker, ker.dim > 0, None, None, "none", None, diagnostics, uni, cons, seed)
-    return _classified(rep, search, lambda sub: dimension_criterion_poly(sub, v), "poly",
-                       v.degree == 2)
+    rep = StructureReport(ker, ker.dim > 0, search, "none", None, diagnostics, uni, cons, seed)
+    return _classified(rep, lambda sub: dimension_criterion_poly(sub, v), "poly", v.degree == 2)
 
 
 def _vertical_greedy(aomega: AlternatingForm, n: int):
@@ -882,7 +890,6 @@ def detect_multilagrangian(omega: AlternatingForm, flag: Flag, r: int) -> Polyla
     _require_degree_two(omega.degree)
     aomega = _horizontal(omega, flag, r)
     n, m_dim = flag.dim_t, flag.vertical.dim
-    comp_dims: list[int] = []
     if r == 1:
         # a k-horizontal form has the whole vertical space as its subspace
         cands, hit = [Subspace.full(m_dim)], []
@@ -896,7 +903,6 @@ def detect_multilagrangian(omega: AlternatingForm, flag: Flag, r: int) -> Polyla
         if search.status != "found":
             return search
         cands, hit = [search.subspace], search.diagnostics
-        comp_dims = search.component_complement_dims
         miss = "absent", hit + ["symbol subspace fails the horizontal contraction equality"]
     else:
         cands, hit = scalar_polylagrangian_candidates(sym), []
@@ -904,8 +910,8 @@ def detect_multilagrangian(omega: AlternatingForm, flag: Flag, r: int) -> Polyla
     for sub_v in cands:
         if _images_fill(_shifted(sub_v, n, aomega.dim), aomega, n, r):
             return PolylagrangianSearch(from_vertical_coordinates(flag, sub_v), "found",
-                                        m_dim - sub_v.dim, hit, comp_dims)
-    return PolylagrangianSearch(None, miss[0], None, miss[1], comp_dims)
+                                        m_dim - sub_v.dim, hit)
+    return PolylagrangianSearch(None, miss[0], None, miss[1])
 
 
 def classify_horizontal_form(omega: AlternatingForm, flag: Flag, r: int | None = None,
@@ -913,7 +919,7 @@ def classify_horizontal_form(omega: AlternatingForm, flag: Flag, r: int | None =
     """Classification of a partially horizontal scalar form on a flag."""
     diagnostics: list[str] = []
     if omega.is_zero():
-        return StructureReport(Subspace.full(omega.dim), True, None, None, "none", None,
+        return StructureReport(Subspace.full(omega.dim), True, None, "none", None,
                                ["form vanishes"], None, None, seed)
     _require_degree_two(omega.degree)
     aomega, _ = _adapted(omega, flag)
@@ -927,9 +933,8 @@ def classify_horizontal_form(omega: AlternatingForm, flag: Flag, r: int | None =
     ker = kernel_of_form(omega)
     if r == 0 or k1 - r > n:
         diagnostics.append("form is outside the admissible horizontality range")
-        return StructureReport(ker, True, None, None, "none",
-                               (r, k1 - r), diagnostics, None, None, seed)
-    search = detect_multilagrangian(omega, flag, r)
-    rep = StructureReport(ker, ker.dim > 0, None, None, "none", (r, k1 - r), diagnostics, seed=seed)
-    return _classified(rep, search, lambda sub: dimension_criterion_multi(sub, omega, flag, r),
+        return StructureReport(ker, True, None, "none", (r, k1 - r), diagnostics, None, None, seed)
+    rep = StructureReport(ker, ker.dim > 0, detect_multilagrangian(omega, flag, r), "none",
+                          (r, k1 - r), diagnostics, seed=seed)
+    return _classified(rep, lambda sub: dimension_criterion_multi(sub, omega, flag, r),
                        "multi", k1 - 1 == n and r == 2)

@@ -325,13 +325,63 @@ def horizontality_degree(omega: AlternatingForm, flag: Flag) -> int:
     return omega.degree
 
 
+def multi_slot_index(n_rank: int, n_base: int, k: int, r: int):
+    """Ordered (s, I, M) slots of the momentum block, as the multi model wrote them."""
+    out = []
+    for s in range(0, r):
+        if k - s > n_base or k - s < 0:
+            continue
+        for idx in itertools.combinations(range(1, n_rank + 1), s):
+            for mu in itertools.combinations(range(1, n_base + 1), k - s):
+                out.append((s, idx, mu))
+    return out
+
+
+def model_layout_oracle(kind: str, params: tuple) -> darboux.CanonicalModel:
+    """A canonical model as the two kinds wrote it before they shared one slot layout,
+    refusing nothing: the poly term formula with its labels, and the multi model of
+    ``multi_slot_index`` with its labels.
+    """
+    if kind == "poly":
+        n_rank, nhat, k = params
+        dim = n_rank + nhat * comb(n_rank, k)
+        combos = list(itertools.combinations(range(1, n_rank + 1), k))
+        # component a pairs slot n_rank + 1 + a * C(N, k) + i with the i-th k-index
+        omega = VectorValuedForm(tuple(
+            form(dim, k + 1, {(n_rank + 1 + a * len(combos) + i,) + idx: 1
+                              for i, idx in enumerate(combos)})
+            for a in range(nhat)))
+        labels = [("q", (i,)) for i in range(1, n_rank + 1)]
+        for a in range(1, nhat + 1):
+            for idx in itertools.combinations(range(1, n_rank + 1), k):
+                labels.append(("p", (a,), idx))
+        lagr = Subspace.span_of_coordinates(dim, range(n_rank + 1, dim + 1))
+        e_sub = Subspace.span_of_coordinates(dim, range(1, n_rank + 1))
+        return darboux.CanonicalModel(kind, params, omega, lagr, e_sub, None, None, tuple(labels))
+    n_rank, n_base, k, r = params
+    slots = multi_slot_index(n_rank, n_base, k, r)
+    first = n_rank + n_base + 1
+    dim = first - 1 + len(slots)
+    coeffs = form(dim, k + 1, {(first + i,) + idx + tuple(n_rank + m for m in mu): 1
+                               for i, (_, idx, mu) in enumerate(slots)})
+    vertical = list(range(1, n_rank + 1)) + list(range(n_rank + n_base + 1, dim + 1))
+    labels = [("q", (i,)) for i in range(1, n_rank + 1)]
+    labels += [("x", (mu,)) for mu in range(1, n_base + 1)]
+    labels += [("p", idx, mu) for (_, idx, mu) in slots]
+    lagr = Subspace.span_of_coordinates(dim, range(n_rank + n_base + 1, dim + 1))
+    e_sub = Subspace.span_of_coordinates(dim, range(1, n_rank + 1))
+    f_sub = Subspace.span_of_coordinates(dim, range(1, n_rank + n_base + 1))
+    return darboux.CanonicalModel(kind, params, coeffs, lagr, e_sub, f_sub,
+                                  coordinate_flag(dim, vertical), tuple(labels))
+
+
 def canonical_multi_symbol(n_rank: int, n_base: int, k: int, r: int) -> VectorValuedForm:
     """The symbol pattern of the canonical multi model, on vertical coordinates.
 
     Vertical coordinates order the E block first, then the momentum block;
     value components run over increasing (k+1-r)-subsets of the base.
     """
-    slots = darboux.multi_slot_index(n_rank, n_base, k, r)
+    slots = multi_slot_index(n_rank, n_base, k, r)
     v_dim = n_rank + len(slots)
     combos = list(itertools.combinations(range(1, n_base + 1), k + 1 - r))
     terms: dict = {mu: {} for mu in combos}
@@ -400,7 +450,8 @@ def extend_isotropic_complement(form_in, lagr: Subspace, start: Subspace,
         raise PreconditionError("start vectors must be independent from the subspace")
     if start.dim and not lagrangian.is_isotropic(start, v, v.degree - 1):
         raise PreconditionError("start subspace is not isotropic at the required level")
-    frame = darboux._induction(v, lagr, fixed, flag, r)[0].frame
+    n_base, r = (0, v.degree) if flag is None else (flag.dim_t, r)
+    frame = darboux._induction(v, lagr, fixed, n_base, r)[0].frame
     return Subspace.from_vectors(v.dim, frame)
 
 

@@ -21,10 +21,10 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import extend_isotropic_complement, intersect, row, vectors
+from conftest import extend_isotropic_complement, intersect, multi_slot_index, row, vectors
 from polydarboux.darboux import (canonical_multi_model, canonical_poly_model,
                                  conjugated_multi_instance, conjugated_poly_instance,
-                                 darboux_basis_multi, darboux_basis_poly, multi_slot_index)
+                                 darboux_basis_multi, darboux_basis_poly)
 from polydarboux.errors import ConstructionError, PolydarbouxError, PreconditionError
 from polydarboux.exterior import VectorValuedForm, contract, evaluate, form, wedge_all
 from polydarboux.lagrangian import (_stacked, as_vector_form, is_isotropic, kernel_of_form,

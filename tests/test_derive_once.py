@@ -12,19 +12,22 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import canonical_multi_symbol, contraction_oracle, vectors
-from polydarboux import exterior, lagrangian
-from polydarboux.darboux import (_multi_model_data, canonical_multi_model, canonical_poly_model,
+from conftest import canonical_multi_symbol, contraction_oracle, multi_slot_index, vectors
+from polydarboux import cli, corpus, darboux, exterior, lagrangian, linalg
+from polydarboux.darboux import (_model, canonical_multi_model, canonical_poly_model,
                                  conjugated_multi_instance, conjugated_poly_instance,
-                                 darboux_basis_multi, multi_slot_index)
+                                 darboux_basis_multi)
 from polydarboux.errors import PreconditionError
 from polydarboux.exterior import (Flag, VectorValuedForm, add, basis_covector, contract,
-                                  coordinate_flag, form, pullback, wedge_all, zero_form)
-from polydarboux.lagrangian import _adapted, kernel_of_form, search_polylagrangian
+                                  coordinate_flag, form, pullback, wedge_all, with_splitting,
+                                  zero_form)
+from polydarboux.io import load_document
+from polydarboux.lagrangian import _adapted, kernel_of_form, search_polylagrangian, symbol
 from polydarboux.linalg import Matrix, Subspace
 
 settings.register_profile("derive_once", deadline=None, max_examples=120, derandomize=True)
@@ -200,6 +203,90 @@ def test_darboux_multi_adapts_once_per_flag(monkeypatch):
     assert sum(1 for x, m in pulled if x is moved) == 1
 
 
+def test_symbol_is_remembered_per_form_flag_and_r():
+    model = canonical_multi_model(2, 2, 2, 2)
+    moved, _, _ = conjugated_multi_instance(model, 5)
+    first = {r: symbol(moved, model.flag, r) for r in (2, 3)}
+    for r in (3, 2):
+        assert symbol(moved, model.flag, r) is first[r]
+        # a new flag object remembers nothing
+        assert first[r] == symbol(moved, with_splitting(model.flag, model.flag.splitting), r)
+    assert not first[2].is_zero() and first[3].is_zero()
+    assert symbol(model.form, model.flag, 2) is not first[2]
+
+
+def test_darboux_builds_the_symbol_once_and_eliminates_as_analyze(tmp_path, monkeypatch, capsys):
+    """``canonical multi 2 2 2 2 --shuffle-seed 3``: the search and the basis share one
+    symbol, so ``darboux`` eliminates 4 kernels, as ``analyze`` does (5 when it built the
+    symbol again)."""
+    doc = tmp_path / "m2222.json"
+    assert cli.main(["canonical", "multi", "2", "2", "2", "2", "--shuffle-seed", "3",
+                     "-o", str(doc)]) == 0
+    symbols, eliminations = [], []
+    real_symbol, real_kernel = lagrangian.symbol, lagrangian.kernel_subspace
+
+    def counted_symbol(*args):
+        symbols.append(real_symbol(*args))
+        return symbols[-1]
+
+    def counted_kernel(*args):
+        eliminations.append(1)
+        return real_kernel(*args)
+
+    monkeypatch.setattr(lagrangian, "symbol", counted_symbol)
+    monkeypatch.setattr(darboux, "symbol", counted_symbol)
+    monkeypatch.setattr(lagrangian, "kernel_subspace", counted_kernel)
+    for command, kernels in (("analyze", 4), ("darboux", 4)):
+        symbols.clear()
+        eliminations.clear()
+        assert cli.main([command, str(doc), "--json"]) == 0
+        assert len({id(x) for x in symbols}) == 1 and len(eliminations) == kernels, command
+    assert len(symbols) == 2  # darboux: the search's symbol and the basis's, one object
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["appendix_a1.json", "appendix_a2.json", "appendix_a3.json",
+                                  "canonical_poly_2_2_1.json"])
+def test_claims_read_the_search_of_the_classification(name, monkeypatch):
+    """One search per document: the claim block reads the one the report ran (two here
+    when it searched again)."""
+    path = next(p for p in corpus.corpus_files() if Path(p).name == name)
+    searches = []
+    real = lagrangian.search_polylagrangian
+
+    def counted(*args):
+        searches.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(lagrangian, "search_polylagrangian", counted)
+    monkeypatch.setattr(corpus, "search_polylagrangian", counted)
+    results = corpus.check_claims(path, load_document(path))
+    assert results and all(r.ok for r in results)
+    assert len(searches) == 1
+
+
+def test_two_component_search_builds_no_complement(tmp_path, monkeypatch, capsys):
+    """``analyze`` on conjugated ``poly 3 2 1``: the candidate is ker plus the intersections
+    of the other components' kernels, with no complement cut out of each (two here when
+    the search counted their dimensions)."""
+    doc = tmp_path / "p321.json"
+    assert cli.main(["canonical", "poly", "3", "2", "1", "--shuffle-seed", "3",
+                     "-o", str(doc)]) == 0
+    calls = []
+    real = linalg.complement
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (linalg, lagrangian, darboux, corpus, cli):
+        if getattr(module, "complement", None) is real:
+            monkeypatch.setattr(module, "complement", counted)
+    assert cli.main(["analyze", str(doc), "--json"]) == 0
+    assert len(calls) == 0
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # canonical forms written term by term
 
@@ -268,7 +355,8 @@ def test_poly_model_form_equals_the_fold(params):
 @pytest.mark.parametrize("params", MULTI, ids=lambda p: "multi-" + "-".join(map(str, p)))
 def test_multi_model_form_and_symbol_equal_the_fold(params):
     want = fold_multi_form(*params)
-    assert _same_terms(_multi_model_data(*params)[0], want)
+    n_rank, n_base, k, r = params
+    assert _same_terms(_model("multi", n_rank, 1, n_base, k, r).form, want)
     try:
         model = canonical_multi_model(*params)
     except PreconditionError:  # vacuous parameters: no momentum slot fits

@@ -209,7 +209,6 @@ def test_find_polylagrangian_canonical_complement_dims():
     search = search_polylagrangian(model.form)
     assert search.status == "found"
     assert search.subspace == model.lagrangian
-    assert search.component_complement_dims == [comb(3, 2)] * 2
 
 
 def test_find_polylagrangian_absent_with_kernel_sum_diagnostic(area_triple_form):
@@ -598,23 +597,23 @@ def test_multilagrangian_refusals_keep_their_texts(case, sym_text, check_text, d
             assert call() is want
 
 
-# (dim, vertical indices, terms, r) -> (status, rank, diagnostics, component_complement_dims)
+# (dim, vertical indices, terms, r) -> (status, rank, diagnostics)
 DETECTION_OUTCOMES = [
     ((4, [4], {(1, 2): 2, (2, 4): 2, (3, 4): 2}, 1),
-     ("absent", None, ["vertical space fails the horizontal contraction equality"], [])),
+     ("absent", None, ["vertical space fails the horizontal contraction equality"])),
     ((4, [4], {(1, 2): 2, (2, 4): 2, (3, 4): 2}, 2),
-     ("not_found", None, ["symbol vanishes; vertical greedy search exhausted"], [])),
+     ("not_found", None, ["symbol vanishes; vertical greedy search exhausted"])),
     ((4, [2, 3, 4], {(2, 4): 1}, 2),
      ("not_found", None,
-      ["not found - possibly nonexistent (scalar-symbol search is heuristic)"], [])),
-    ((3, [2, 3], {(1, 3): -2}, 1), ("found", 0, [], [])),
-    ((3, [2, 3], {(1, 3): -2}, 2), ("found", 0, ["symbol vanishes; vertical greedy search"], [])),
+      ["not found - possibly nonexistent (scalar-symbol search is heuristic)"])),
+    ((3, [2, 3], {(1, 3): -2}, 1), ("found", 0, [])),
+    ((3, [2, 3], {(1, 3): -2}, 2), ("found", 0, ["symbol vanishes; vertical greedy search"])),
     ((6, [4, 5, 6], {(1, 2, 3): 2, (1, 2, 5): -1, (1, 3, 6): 2, (1, 4, 5): -2, (2, 3, 4): 2,
                      (2, 4, 5): -2, (2, 4, 6): -1, (2, 5, 6): -1, (3, 4, 5): 1}, 2),
      ("absent", None, ["kernel-sum candidate has dim 2 and is isotropic",
-                       "construction candidate fails the contraction-image equality"], [0, 1, 0])),
+                       "construction candidate fails the contraction-image equality"])),
     ((5, [3, 4, 5], {(1, 3, 4): -2, (2, 4, 5): -1}, 2),
-     ("absent", None, ["symbol subspace fails the horizontal contraction equality"], [1, 1])),
+     ("absent", None, ["symbol subspace fails the horizontal contraction equality"])),
 ]
 
 
@@ -625,7 +624,7 @@ def test_each_detection_branch_keeps_its_status_and_diagnostics(given, outcome):
     dim, vertical, terms, r = given
     flag = coordinate_flag(dim, vertical)
     got = detect_multilagrangian(form(dim, len(next(iter(terms))), terms), flag, r)
-    assert (got.status, got.rank, got.diagnostics, got.component_complement_dims) == outcome
+    assert (got.status, got.rank, got.diagnostics) == outcome
     assert (got.subspace == flag.vertical) is (got.status == "found")
 
 

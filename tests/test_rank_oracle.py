@@ -168,7 +168,7 @@ def sampling_classify(v: VectorValuedForm, seed: int, samples: int) -> Structure
     """``classify_vector_form`` as it was: memo rank, sampler, fresh kernels."""
     diagnostics: list[str] = []
     if v.is_zero():
-        return StructureReport(Subspace.full(v.dim), True, None, None, "none", None,
+        return StructureReport(Subspace.full(v.dim), True, None, "none", None,
                                ["form vanishes; definitions require a non-vanishing form"],
                                None, None, seed)
     ker = kernel_of_form(v)
@@ -185,7 +185,7 @@ def sampling_classify(v: VectorValuedForm, seed: int, samples: int) -> Structure
     if search.status != "found":
         label = "proved absent" if search.status == "absent" else "not found"
         diagnostics.append(f"distinguished subspace: {label}")
-        return StructureReport(ker, degenerate, None, None, "none", None, diagnostics,
+        return StructureReport(ker, degenerate, search, "none", None, diagnostics,
                                uni, cons, seed)
     sub = search.subspace
     if not dimension_criterion_poly(sub, v):
@@ -194,7 +194,7 @@ def sampling_classify(v: VectorValuedForm, seed: int, samples: int) -> Structure
         classification = "polypresymplectic" if degenerate else "polysymplectic"
     else:
         classification = "polylagrangian"
-    return StructureReport(ker, degenerate, search.rank, sub, classification, None,
+    return StructureReport(ker, degenerate, search, classification, None,
                            diagnostics, uni, cons, seed)
 
 
@@ -566,9 +566,9 @@ def rank_path_classify(v: VectorValuedForm, seed: int, samples: int) -> Structur
     cons = uni if uni is not None else constant_rank_sampled(v, samples, seed)
     diagnostics = [f"uniform rank: {uni}; sampled constant rank: {cons} "
                    f"(seed {seed}, {samples} samples)"]
-    rep = StructureReport(ker, ker.dim > 0, None, None, "none", None, diagnostics, uni, cons, seed)
-    return lagrangian._classified(rep, search_polylagrangian(v),
-                                  lambda sub: dimension_criterion_poly(sub, v), "poly", True)
+    rep = StructureReport(ker, ker.dim > 0, search_polylagrangian(v), "none", None, diagnostics,
+                          uni, cons, seed)
+    return lagrangian._classified(rep, lambda sub: dimension_criterion_poly(sub, v), "poly", True)
 
 
 def one_component_2forms():

@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
 """Regenerate the bundled corpus documents under src/polydarboux/corpus/.
 
+    python3 tools/make_corpus.py [OUT_DIR]
+
 The fixtures are static package data; rerun this only when the document
-schema or the fixture definitions change.
+schema or the fixture definitions change.  OUT_DIR, the package corpus by
+default, takes the documents in place of it, for instance to compare them
+with the shipped ones.
 """
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -164,6 +169,10 @@ def moser_fixture():
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="write the corpus documents")
+    parser.add_argument("out", nargs="?", type=Path, default=OUT,
+                        help="directory to write into (default: the package corpus)")
+    OUT = parser.parse_args().out
     appendix_a1()
     appendix_a2()
     appendix_a3()
